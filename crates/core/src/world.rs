@@ -272,13 +272,11 @@ impl World {
             if stats.latency.count() > 0 {
                 // The summary only keeps moments; feed the histogram the
                 // mean once per observed message to preserve count+sum.
-                for _ in 0..stats.latency.count() {
-                    self.metrics.observe(
-                        "ninja_mpi_message_latency_seconds",
-                        &labels,
-                        stats.latency.mean(),
-                    );
-                }
+                let id = self
+                    .metrics
+                    .histogram_id("ninja_mpi_message_latency_seconds", &labels);
+                self.metrics
+                    .observe_n(id, stats.latency.mean(), stats.latency.count());
             }
         }
     }

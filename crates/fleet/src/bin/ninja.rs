@@ -84,9 +84,12 @@ use ninja_migration::{
     plan_evacuation, CloudScheduler, DrillReport, NinjaOrchestrator, NinjaReport, TriggerReason,
     World, PHASE_NAMES,
 };
+use ninja_sim::export::{stream_to, IoSink};
 use ninja_sim::{AlertEngine, Bandwidth, Json, SimDuration, TimeSeriesRecorder, ToJson};
 use ninja_symvirt::{FaultPlan, FaultSpec, GuestCooperative, RetryPolicy};
 use ninja_vmm::SnapshotStore;
+use std::fs::File;
+use std::io::BufWriter;
 use std::process::exit;
 
 struct Args {
@@ -337,8 +340,8 @@ fn parse(mut it: impl Iterator<Item = String>) -> Args {
         eprintln!("--vms must be 1..=8 and --procs 1..=8 (AGC testbed limits)");
         exit(2);
     }
-    if args.jobs == 0 || args.vms_per_job == 0 || args.concurrency == 0 {
-        eprintln!("--jobs, --vms-per-job and --concurrency must all be at least 1");
+    if args.jobs == 0 || args.vms_per_job == 0 || args.concurrency == 0 || args.ppv == 0 {
+        eprintln!("--jobs, --vms-per-job, --concurrency and --ppv must all be at least 1");
         exit(2);
     }
     args
@@ -355,8 +358,14 @@ fn emit(report: &NinjaReport, args: &Args, world: &World) {
     }
 }
 
-fn write_file(what: &str, path: &str, contents: String) {
-    match std::fs::write(path, contents) {
+/// Streams one exporter straight into `path` through a buffered writer.
+fn write_file(
+    what: &str,
+    path: &str,
+    export: impl FnOnce(&mut IoSink<BufWriter<File>>) -> std::fmt::Result,
+) {
+    let written = File::create(path).and_then(|f| stream_to(BufWriter::new(f), export));
+    match written {
         Ok(()) => eprintln!("(wrote {what} to {path})"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
@@ -830,33 +839,32 @@ fn main() {
     // recorder; this covers the single-job commands.
     world.finish_recorder();
     if let Some(path) = &args.trace_out {
-        write_file("Chrome trace", path, world.trace.to_chrome_json());
+        write_file("Chrome trace", path, |w| world.trace.write_chrome_json(w));
     }
     if let Some(path) = &args.metrics_out {
         // Prometheus text exposition by default; a `.json` suffix
         // selects the JSON document form instead.
         if path.ends_with(".json") {
-            write_file(
-                "metrics JSON",
-                path,
-                world.metrics.to_json().to_string_pretty(),
-            );
+            write_file("metrics JSON", path, |w| world.metrics.write_json(w));
         } else {
-            write_file("Prometheus metrics", path, world.metrics.to_prometheus());
+            write_file("Prometheus metrics", path, |w| {
+                world.metrics.write_prometheus(w)
+            });
         }
     }
     if let Some(path) = &args.timeseries_out {
         if let Some(rec) = &world.recorder {
             // Timestamped Prometheus text by default; the extension
             // selects the JSONL or CSV form.
-            let contents = if path.ends_with(".jsonl") {
-                rec.to_jsonl()
-            } else if path.ends_with(".csv") {
-                rec.to_csv()
-            } else {
-                rec.to_prometheus()
-            };
-            write_file("time series", path, contents);
+            write_file("time series", path, |w| {
+                if path.ends_with(".jsonl") {
+                    rec.write_jsonl(w)
+                } else if path.ends_with(".csv") {
+                    rec.write_csv(w)
+                } else {
+                    rec.write_prometheus(w)
+                }
+            });
         }
     }
 }

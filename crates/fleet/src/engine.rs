@@ -45,7 +45,7 @@ use ninja_migration::{
     CloudScheduler, MigrationMachine, StepOutcome, TriggerReason, WireMode, World,
 };
 use ninja_net::FairShareLink;
-use ninja_sim::{Bandwidth, SimDuration, SimTime};
+use ninja_sim::{Bandwidth, SeriesId, SimDuration, SimTime};
 use ninja_symvirt::{GuestCooperative, RetryPolicy};
 use ninja_vmm::QemuMonitor;
 use std::cmp::Reverse;
@@ -126,22 +126,29 @@ struct Running {
 }
 
 /// Emit a gauge only when its value actually changed since the last
-/// emission. `set_gauge` overwrites a `BTreeMap` entry keyed by name —
-/// pure churn when the value is the same, and at fleet scale the old
-/// per-iteration re-set dominated the metrics cost.
+/// emission, so a scrape sees the workload's shape rather than the
+/// loop's tick rate. The series id is resolved at the first emission
+/// (not before: the series must not exist until it has a value).
 struct TransitionGauge {
     name: &'static str,
+    id: Option<SeriesId>,
     last: Option<f64>,
 }
 
 impl TransitionGauge {
     fn new(name: &'static str) -> Self {
-        TransitionGauge { name, last: None }
+        TransitionGauge {
+            name,
+            id: None,
+            last: None,
+        }
     }
 
     fn set(&mut self, world: &mut World, value: f64) {
         if self.last != Some(value) {
-            world.metrics.set_gauge(self.name, &[], value);
+            let m = &mut world.metrics;
+            let id = *self.id.get_or_insert_with(|| m.gauge_id(self.name, &[]));
+            m.set(id, value);
             self.last = Some(value);
         }
     }

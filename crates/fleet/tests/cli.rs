@@ -356,6 +356,17 @@ fn bad_fleet_flags_exit_nonzero() {
 }
 
 #[test]
+fn zero_processes_per_vm_is_a_usage_error() {
+    for args in [["fig8", "--ppv", "0"], ["migrate", "--procs", "0"]] {
+        let out = ninja().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?} exits 2, not a panic");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(args[1]), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn fleet_scales_past_the_source_testbed() {
     // Over 8 VMs the CLI transparently builds a scaled cluster (with
     // tracing kept on) instead of rejecting the job count.

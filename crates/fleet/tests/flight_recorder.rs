@@ -185,37 +185,41 @@ fn report_json_has_no_alerts_key_without_incidents() {
 
 #[test]
 fn critical_paths_attribute_fleet_blackout_from_the_chrome_export() {
-    let (world, report) = run_recorded(
-        ScenarioKind::Evacuation,
-        6,
-        2013,
-        None,
-        Some(alerts::default_rules()),
-        false,
-    );
-    let doc = ninja_sim::parse(&world.trace.to_chrome_json()).unwrap();
-    let spans = ninja_sim::spans_from_chrome(&doc);
-    let paths = ninja_sim::critical_paths(&spans, &PHASE_NAMES);
-    assert_eq!(paths.len(), report.jobs.len(), "one path per migration");
-    for p in &paths {
-        assert!(
-            p.coverage() >= 0.99,
-            "job {:?} mig {:?}: {:.4} of blackout attributed",
-            p.job,
-            p.mig,
-            p.coverage()
+    // 1024 jobs keeps the matcher honest about scale: it indexes the
+    // spans once instead of rescanning them per envelope and phase.
+    for jobs in [6, 1024] {
+        let (world, report) = run_recorded(
+            ScenarioKind::Evacuation,
+            jobs,
+            2013,
+            None,
+            Some(alerts::default_rules()),
+            false,
         );
-        assert!(!p.dominant.is_empty());
-        // Only phases present in the span tree are attributed.
-        assert!(!p.phases.is_empty() && p.phases.len() <= PHASE_NAMES.len());
-        // The per-phase critical VM is one of the job's VMs.
-        for ph in &p.phases {
-            if let Some(vm) = &ph.critical_vm {
-                assert!(vm.starts_with("job"), "critical VM {vm} is a fleet VM");
+        let doc = ninja_sim::parse(&world.trace.to_chrome_json()).unwrap();
+        let spans = ninja_sim::spans_from_chrome(&doc);
+        let paths = ninja_sim::critical_paths(&spans, &PHASE_NAMES);
+        assert_eq!(paths.len(), report.jobs.len(), "one path per migration");
+        for p in &paths {
+            assert!(
+                p.coverage() >= 0.99,
+                "job {:?} mig {:?}: {:.4} of blackout attributed",
+                p.job,
+                p.mig,
+                p.coverage()
+            );
+            assert!(!p.dominant.is_empty());
+            // Only phases present in the span tree are attributed.
+            assert!(!p.phases.is_empty() && p.phases.len() <= PHASE_NAMES.len());
+            // The per-phase critical VM is one of the job's VMs.
+            for ph in &p.phases {
+                if let Some(vm) = &ph.critical_vm {
+                    assert!(vm.starts_with("job"), "critical VM {vm} is a fleet VM");
+                }
             }
         }
+        // Reconstructed job indices cover the fleet.
+        let covered: std::collections::BTreeSet<_> = paths.iter().filter_map(|p| p.job).collect();
+        assert_eq!(covered.len(), jobs);
     }
-    // Reconstructed job indices cover the fleet.
-    let jobs: std::collections::BTreeSet<_> = paths.iter().filter_map(|p| p.job).collect();
-    assert_eq!(jobs.len(), 6);
 }

@@ -61,13 +61,16 @@ pub struct SeriesRef {
 }
 
 impl SeriesRef {
+    /// Whether a scraped series (point name plus labels) is referenced.
+    pub fn matches(&self, name: &str, labels: &LabelSet) -> bool {
+        self.name == name && self.labels.as_ref().map_or(true, |want| want == labels)
+    }
+
     /// Reads the referenced value out of one scrape snapshot.
     pub fn read(&self, points: &[SeriesPoint]) -> f64 {
         points
             .iter()
-            .filter(|p| {
-                p.name == self.name && self.labels.as_ref().map_or(true, |want| &p.labels == want)
-            })
+            .filter(|p| self.matches(&p.name, &p.labels))
             .map(|p| p.value)
             .sum()
     }
@@ -103,6 +106,15 @@ pub enum AlertExpr {
         /// Window length in (virtual) seconds.
         per_s: f64,
     },
+}
+
+impl AlertExpr {
+    /// The series the expression reads.
+    pub fn series(&self) -> &SeriesRef {
+        match self {
+            AlertExpr::Threshold(s) | AlertExpr::Rate(s) | AlertExpr::Burn { series: s, .. } => s,
+        }
+    }
 }
 
 /// One declarative alert rule.
@@ -417,16 +429,35 @@ impl AlertEngine {
         prev: Option<(SimTime, &[SeriesPoint])>,
         cur: &[SeriesPoint],
     ) -> Vec<AlertEvent> {
+        self.evaluate_with(at, prev.map(|(t, _)| t), |_, s, previous| match prev {
+            Some((_, points)) if previous => s.read(points),
+            _ => s.read(cur),
+        })
+    }
+
+    /// Evaluates every rule at scrape instant `at` against values
+    /// supplied by `read(rule_index, series, previous)`: the series'
+    /// value at this scrape, or (`previous`) at the scrape at `prev_at`.
+    /// This is how the recorder evaluates straight from its columns.
+    pub fn evaluate_with(
+        &mut self,
+        at: SimTime,
+        prev_at: Option<SimTime>,
+        mut read: impl FnMut(usize, &SeriesRef, bool) -> f64,
+    ) -> Vec<AlertEvent> {
         let mut events = Vec::new();
-        for (rule, st) in self.rules.iter().zip(self.state.iter_mut()) {
+        for (i, (rule, st)) in self.rules.iter().zip(self.state.iter_mut()).enumerate() {
+            let s = rule.expr.series();
+            // Per-second increase since the previous scrape; `None` on
+            // the first scrape or a zero-length interval.
+            let mut rate = || {
+                let dt = at.since(prev_at?).as_secs_f64();
+                (dt > 0.0).then(|| (read(i, s, false) - read(i, s, true)) / dt)
+            };
             let observed = match &rule.expr {
-                AlertExpr::Threshold(s) => Some(s.read(cur)),
-                AlertExpr::Rate(s) => per_second(s, prev, cur, at),
-                AlertExpr::Burn {
-                    series,
-                    budget,
-                    per_s,
-                } => per_second(series, prev, cur, at).map(|r| r / (budget / per_s)),
+                AlertExpr::Threshold(_) => Some(read(i, s, false)),
+                AlertExpr::Rate(_) => rate(),
+                AlertExpr::Burn { budget, per_s, .. } => rate().map(|r| r / (budget / per_s)),
             };
             let holds = observed.is_some_and(|v| match rule.cmp {
                 AlertCmp::Gt => v > rule.value,
@@ -462,22 +493,6 @@ impl AlertEngine {
         }
         events
     }
-}
-
-/// Per-second increase of a series between consecutive scrapes; `None`
-/// on the first scrape or a zero-length interval.
-fn per_second(
-    series: &SeriesRef,
-    prev: Option<(SimTime, &[SeriesPoint])>,
-    cur: &[SeriesPoint],
-    at: SimTime,
-) -> Option<f64> {
-    let (prev_at, prev_points) = prev?;
-    let dt = at.since(prev_at).as_secs_f64();
-    if dt <= 0.0 {
-        return None;
-    }
-    Some((series.read(cur) - series.read(prev_points)) / dt)
 }
 
 #[cfg(test)]

@@ -8,8 +8,13 @@
 //! non-finite floats as `null` (JSON has no NaN/Infinity). The parser
 //! is a small recursive-descent reader used by the CLI's
 //! `trace summarize` subcommand and by tests that round-trip output.
+//!
+//! The telemetry exporters stream: they write into any `fmt::Write`
+//! ([`render`] for a `String`, [`stream_to`] for a file) with the
+//! helpers below instead of building a [`Json`] tree per record.
 
-use std::fmt;
+use std::fmt::{self, Write};
+use std::io;
 
 /// A JSON value.
 ///
@@ -116,136 +121,179 @@ impl Json {
 
     /// Pretty serialization (two-space indent).
     pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out
+        render(0, |out| self.write_pretty(out, 0))
     }
 
-    fn write(&self, out: &mut String) {
+    fn write<W: Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
-            Json::UInt(u) => out.push_str(&u.to_string()),
-            Json::Num(n) => out.push_str(&format_f64(*n)),
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Json::Int(i) => write!(out, "{i}"),
+            Json::UInt(u) => write!(out, "{u}"),
+            Json::Num(n) => write_f64(*n, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    v.write(out);
+                    v.write(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Obj(fields) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
+                    write_escaped(k, out)?;
+                    out.write_char(':')?;
+                    v.write(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
 
-    fn write_pretty(&self, out: &mut String, indent: usize) {
+    fn write_pretty<W: Write + ?Sized>(&self, out: &mut W, indent: usize) -> fmt::Result {
+        let pad = |out: &mut W, n: usize| (0..n).try_for_each(|_| out.write_str("  "));
         match self {
             Json::Arr(items) if !items.is_empty() => {
-                out.push_str("[\n");
+                out.write_str("[\n")?;
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push_str(",\n");
+                        out.write_str(",\n")?;
                     }
-                    push_indent(out, indent + 1);
-                    v.write_pretty(out, indent + 1);
+                    pad(out, indent + 1)?;
+                    v.write_pretty(out, indent + 1)?;
                 }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
+                out.write_char('\n')?;
+                pad(out, indent)?;
+                out.write_char(']')
             }
             Json::Obj(fields) if !fields.is_empty() => {
-                out.push_str("{\n");
+                out.write_str("{\n")?;
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push_str(",\n");
+                        out.write_str(",\n")?;
                     }
-                    push_indent(out, indent + 1);
-                    write_escaped(k, out);
-                    out.push_str(": ");
-                    v.write_pretty(out, indent + 1);
+                    pad(out, indent + 1)?;
+                    write_escaped(k, out)?;
+                    out.write_str(": ")?;
+                    v.write_pretty(out, indent + 1)?;
                 }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
+                out.write_char('\n')?;
+                pad(out, indent)?;
+                out.write_char('}')
             }
             other => other.write(out),
         }
     }
 }
 
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-/// Formats an `f64` as a JSON number; non-finite values become `null`.
-pub fn format_f64(v: f64) -> String {
-    if v.is_finite() {
-        let mut s = v.to_string();
-        // `-0` round-trips to -0.0 but reads oddly in reports.
-        if s == "-0" {
-            s = "0".to_string();
-        }
-        s
+/// Writes an `f64` as a JSON number; non-finite values become `null`,
+/// and `-0` (which reads oddly in reports) becomes `0`.
+pub fn write_f64<W: Write + ?Sized>(v: f64, out: &mut W) -> fmt::Result {
+    if !v.is_finite() {
+        out.write_str("null")
+    } else if v == 0.0 {
+        out.write_char('0')
     } else {
-        "null".to_string()
+        write!(out, "{v}")
     }
 }
 
-/// Writes `s` as a quoted JSON string with full RFC 8259 escaping.
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Writes `s` as a quoted JSON string with full RFC 8259 escaping. Runs
+/// of characters that need no escape are written in one piece.
+pub fn write_escaped<W: Write + ?Sized>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[start..i])?;
+        if escape.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(escape)?;
         }
+        start = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[start..])?;
+    out.write_char('"')
 }
 
-/// Escapes a string for use as a JSON string (without quotes). Public
-/// so exporters that assemble JSON textually can share the rules.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    write_escaped(s, &mut out);
-    out.truncate(out.len() - 1);
-    out.remove(0);
+/// Writes string pairs as a compact JSON object, `{"k":"v",...}`.
+pub fn write_str_object<W: Write + ?Sized>(pairs: &[(String, String)], out: &mut W) -> fmt::Result {
+    out.write_char('{')?;
+    for (i, (k, v)) in pairs.iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        write_escaped(k, out)?;
+        out.write_char(':')?;
+        write_escaped(v, out)?;
+    }
+    out.write_char('}')
+}
+
+/// Runs a streaming exporter into a `String` pre-sized to `capacity`.
+pub fn render(capacity: usize, export: impl FnOnce(&mut String) -> fmt::Result) -> String {
+    let mut out = String::with_capacity(capacity);
+    export(&mut out).expect("writing to a String cannot fail");
     out
 }
 
+/// An `io::Write` sink (a `BufWriter<File>`, say) seen as a
+/// `fmt::Write`, so the streaming exporters can write a file directly.
+pub struct IoSink<W: io::Write> {
+    inner: W,
+    error: Option<io::Error>,
+}
+
+impl<W: io::Write> Write for IoSink<W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.inner.write_all(s.as_bytes()).map_err(|e| {
+            self.error = Some(e);
+            fmt::Error
+        })
+    }
+}
+
+/// Streams `export` into `sink` and flushes it, returning the first
+/// I/O error.
+pub fn stream_to<W: io::Write>(
+    sink: W,
+    export: impl FnOnce(&mut IoSink<W>) -> fmt::Result,
+) -> io::Result<()> {
+    let mut sink = IoSink {
+        inner: sink,
+        error: None,
+    };
+    match export(&mut sink) {
+        Ok(()) => sink.inner.flush(),
+        Err(_) => Err(sink
+            .error
+            .unwrap_or_else(|| io::Error::other("exporter failed"))),
+    }
+}
+
 impl fmt::Display for Json {
-    /// Compact serialization (`.to_string()` is the compact form).
+    /// Compact serialization (`.to_string()` is the compact form),
+    /// written straight into the formatter.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+        self.write(f)
     }
 }
 
@@ -583,13 +631,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    // Consume the run up to the next quote or escape in
+                    // one piece (both are ASCII, so the cut is on a
+                    // character boundary).
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(s);
                 }
             }
         }

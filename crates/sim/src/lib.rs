@@ -46,7 +46,7 @@ pub mod units;
 pub use alerts::{AlertEngine, AlertIncident, AlertRule};
 pub use engine::{Action, Ctx, Engine, EventId, RunOutcome};
 pub use export::{parse, Json, JsonError, ToJson};
-pub use metrics::{HistogramMetric, LabelSet, MetricsRegistry};
+pub use metrics::{HistogramMetric, LabelSet, MetricsRegistry, SeriesId};
 pub use rng::SimRng;
 pub use span::{Span, SpanBuilder};
 pub use stats::{DurationSamples, Histogram, Summary, TimeSeries};

@@ -16,8 +16,9 @@
 //! * per-object instances carry labels (`vm`, `transport`, ...)
 //!   rather than mangled names.
 
-use crate::export::Json;
+use crate::export::{write_escaped, write_f64, write_str_object};
 use crate::time::{SimDuration, SimTime};
+use std::fmt::{self, Write};
 
 /// A completed, labeled interval of simulated time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,31 +49,25 @@ impl Span {
             .map(|(_, v)| v.as_str())
     }
 
-    /// JSON object representation (used by the JSONL exporter).
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("type", Json::from("span")),
-            ("component", Json::from(self.component.as_str())),
-            ("name", Json::from(self.name.as_str())),
-            ("start_ns", Json::from(self.start.as_nanos())),
-            ("end_ns", Json::from(self.end.as_nanos())),
-            (
-                "duration_s",
-                Json::from(self.end.since(self.start).as_secs_f64()),
-            ),
-        ];
+    /// Writes the span as one compact JSON object (the JSONL exporter's
+    /// span line): `type`, `component`, `name`, `start_ns`, `end_ns`,
+    /// `duration_s`, and `labels` when there are any.
+    pub fn write_json<W: Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        out.write_str("{\"type\":\"span\",\"component\":")?;
+        write_escaped(&self.component, out)?;
+        out.write_str(",\"name\":")?;
+        write_escaped(&self.name, out)?;
+        let (start, end) = (self.start.as_nanos(), self.end.as_nanos());
+        write!(
+            out,
+            ",\"start_ns\":{start},\"end_ns\":{end},\"duration_s\":"
+        )?;
+        write_f64(self.duration().as_secs_f64(), out)?;
         if !self.labels.is_empty() {
-            fields.push((
-                "labels",
-                Json::Obj(
-                    self.labels
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::from(v.as_str())))
-                        .collect(),
-                ),
-            ));
+            out.write_str(",\"labels\":")?;
+            write_str_object(&self.labels, out)?;
         }
-        Json::obj(fields)
+        out.write_char('}')
     }
 }
 
@@ -166,7 +161,8 @@ mod tests {
         let span = SpanBuilder::new("net", "linkup", t(1))
             .label("vm", "a")
             .end(t(31));
-        let j = span.to_json();
+        let j =
+            crate::export::parse(&crate::export::render(0, |out| span.write_json(out))).unwrap();
         assert_eq!(j["type"].as_str(), Some("span"));
         assert_eq!(j["labels"]["vm"].as_str(), Some("a"));
         assert_eq!(j["duration_s"].as_f64(), Some(30.0));

@@ -1,35 +1,44 @@
 //! Virtual-time metric time-series: a flight recorder for
 //! [`MetricsRegistry`].
 //!
-//! A [`TimeSeriesRecorder`] snapshots every series of a registry on a
-//! fixed virtual-time interval into a ring-buffered sample store. The
-//! driving loop (the `World` clock in `ninja-migration`, and the fleet
-//! engines, which treat the next scrape deadline as a heap event) calls
-//! [`TimeSeriesRecorder::advance_to`] whenever virtual time moves;
-//! every due scrape instant between the old and new clock gets its own
-//! snapshot, so the series is exactly periodic regardless of how the
-//! simulation jumps.
+//! A [`TimeSeriesRecorder`] samples every series of a registry on a
+//! fixed virtual-time interval into a ring-buffered, columnar store:
+//! one column of `f64` per registry series (two for a histogram, its
+//! `_count` and `_sum`) plus one column of scrape instants. A scrape
+//! appends one value per column; names and labels are copied once, when
+//! a series first appears. The driving loop (the `World` clock in
+//! `ninja-migration`, and the fleet engines, which treat the next scrape
+//! deadline as a heap event) calls [`TimeSeriesRecorder::advance_to`]
+//! whenever virtual time moves; every due scrape instant between the old
+//! and new clock gets its own sample, so the series is exactly periodic
+//! regardless of how the simulation jumps. A recorder scrapes one
+//! registry for its whole life.
 //!
-//! Each scrape may also drive an [`AlertEngine`](crate::alerts): rules
-//! are evaluated against the previous and current snapshots, fire and
-//! resolve transitions become trace instants (`alert.fired` /
-//! `alert.resolved` under the `alerts` component) plus the
-//! `ninja_alerts_fired_total{rule=...}` counter, and the
+//! Each scrape may also drive an [`AlertEngine`](crate::alerts): every
+//! rule's series reference is resolved once per new column, and rules
+//! are evaluated against the registry's current values and the columns'
+//! previous ones. Fire and resolve transitions become trace instants
+//! (`alert.fired` / `alert.resolved` under the `alerts` component) plus
+//! the `ninja_alerts_fired_total{rule=...}` counter, and the
 //! `ninja_alerts_active` gauge tracks how many rules are firing — all
-//! of which land in the *same* scrape's snapshot, so the exported
-//! series carries its own alerting history.
+//! of which land in the *same* scrape's sample, so the exported series
+//! carries its own alerting history.
 //!
 //! Exporters: timestamped Prometheus text
-//! ([`TimeSeriesRecorder::to_prometheus`], one line per sample with a
-//! millisecond timestamp), JSONL (one scrape per line), and CSV
-//! (one sample per row). All are dependency-free and deterministic.
+//! ([`TimeSeriesRecorder::write_prometheus`], one line per sample with a
+//! millisecond timestamp), JSONL (one scrape per line), and CSV (one
+//! sample per row). All stream, and are dependency-free and
+//! deterministic. [`TimeSeriesRecorder::samples`] materializes the
+//! row-wise [`ScrapeSample`] view on demand.
 
 use crate::alerts::AlertEngine;
-use crate::export::{escape_json, Json};
-use crate::metrics::{fmt_labels, prom_f64, LabelSet, MetricsRegistry};
+use crate::export::{render, write_escaped, write_f64, write_str_object};
+use crate::metrics::{write_labels, write_prom_f64, Kind, LabelSet, MetricsRegistry};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::fmt::{self, Write};
+use std::sync::OnceLock;
 
 /// One scraped series value.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,18 +65,64 @@ pub struct ScrapeSample {
 /// Default ring capacity: enough for a week of 30 s scrapes.
 const DEFAULT_CAPACITY: usize = 100_000;
 
+/// The values one registry series contributes to every scrape since it
+/// first appeared.
+#[derive(Debug)]
+struct Column {
+    /// Registry series id.
+    series: usize,
+    /// Reads a histogram's `_sum` (else its `_count`, or the value).
+    sum: bool,
+    kind: Kind,
+    /// Point name: the metric name plus `_count`/`_sum` for histograms.
+    name: String,
+    /// Length of the metric name within `name`.
+    base: usize,
+    labels: LabelSet,
+    /// Number (counting evicted scrapes) of the first scrape it is in.
+    born: u64,
+    /// One value per retained scrape from `born` on.
+    values: VecDeque<f64>,
+}
+
+impl Column {
+    /// Position in registry exposition order.
+    fn order(&self) -> (Kind, &str, &LabelSet, bool) {
+        (self.kind, &self.name[..self.base], &self.labels, self.sum)
+    }
+
+    /// Prometheus type of the point name.
+    fn type_name(&self) -> &'static str {
+        if self.kind == Kind::Gauge {
+            "gauge"
+        } else {
+            "counter"
+        }
+    }
+}
+
 /// A virtual-time scraper over [`MetricsRegistry`] with a ring-buffered
-/// sample store and an optional alert engine.
+/// columnar store and an optional alert engine.
 #[derive(Debug)]
 pub struct TimeSeriesRecorder {
     interval: SimDuration,
     next_due: SimTime,
-    samples: VecDeque<ScrapeSample>,
     capacity: usize,
+    /// Instants of the retained scrapes, oldest first.
+    times: VecDeque<SimTime>,
+    /// Scrapes evicted by the ring cap; also the number of the oldest
+    /// retained scrape.
     dropped: u64,
-    kinds: BTreeMap<String, &'static str>,
+    columns: Vec<Column>,
+    /// Registry series that already have columns (ids are dense).
+    seen: usize,
     alerts: Option<AlertEngine>,
+    /// Per alert rule: the columns its series matches, in exposition
+    /// order (the order the values are summed in).
+    matches: Vec<Vec<usize>>,
     finished: bool,
+    /// The row-wise view, built on first use after a scrape.
+    view: OnceLock<VecDeque<ScrapeSample>>,
 }
 
 impl TimeSeriesRecorder {
@@ -77,12 +132,15 @@ impl TimeSeriesRecorder {
         TimeSeriesRecorder {
             interval: interval.max(SimDuration::from_nanos(1)),
             next_due: SimTime::ZERO,
-            samples: VecDeque::new(),
             capacity: DEFAULT_CAPACITY,
+            times: VecDeque::new(),
             dropped: 0,
-            kinds: BTreeMap::new(),
+            columns: Vec::new(),
+            seen: 0,
             alerts: None,
+            matches: Vec::new(),
             finished: false,
+            view: OnceLock::new(),
         }
     }
 
@@ -95,7 +153,11 @@ impl TimeSeriesRecorder {
 
     /// Attaches an alert engine, evaluated at every scrape.
     pub fn with_alerts(mut self, alerts: AlertEngine) -> Self {
+        self.matches = vec![Vec::new(); alerts.rules().len()];
         self.alerts = Some(alerts);
+        for c in 0..self.columns.len() {
+            self.match_rules(c);
+        }
         self
     }
 
@@ -159,9 +221,28 @@ impl TimeSeriesRecorder {
         self.alerts.as_ref()
     }
 
-    /// The recorded samples, oldest first.
+    /// The recorded samples, oldest first, as a row-wise view of the
+    /// columns (built on the first call after a scrape, then cached).
     pub fn samples(&self) -> &VecDeque<ScrapeSample> {
-        &self.samples
+        self.view.get_or_init(|| {
+            let order = self.exposition_order();
+            (0..self.times.len())
+                .map(|row| ScrapeSample {
+                    at: self.times[row],
+                    points: order
+                        .iter()
+                        .filter_map(|&c| {
+                            let col = &self.columns[c];
+                            self.value(c, row).map(|value| SeriesPoint {
+                                name: col.name.clone(),
+                                labels: col.labels.clone(),
+                                value,
+                            })
+                        })
+                        .collect(),
+                })
+                .collect()
+        })
     }
 
     /// Samples evicted by the ring cap.
@@ -169,11 +250,86 @@ impl TimeSeriesRecorder {
         self.dropped
     }
 
+    /// Column `c`'s value in retained scrape `row`, if it existed then.
+    fn value(&self, c: usize, row: usize) -> Option<f64> {
+        let col = &self.columns[c];
+        let scrape = self.dropped + row as u64;
+        let first = col.born.max(self.dropped);
+        let i = scrape.checked_sub(first)?;
+        col.values.get(i as usize).copied()
+    }
+
+    /// Column indices in registry exposition order.
+    fn exposition_order(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.columns.len()).collect();
+        order.sort_by(|&a, &b| self.columns[a].order().cmp(&self.columns[b].order()));
+        order
+    }
+
+    /// Adds column `c` to the match list of every alert rule whose
+    /// series reference it satisfies.
+    fn match_rules(&mut self, c: usize) {
+        let Some(engine) = &self.alerts else { return };
+        let columns = &self.columns;
+        let col = &columns[c];
+        for (rule, cols) in engine.rules().iter().zip(&mut self.matches) {
+            if rule.expr.series().matches(&col.name, &col.labels) {
+                let at = cols.partition_point(|&m| columns[m].order() < col.order());
+                cols.insert(at, c);
+            }
+        }
+    }
+
+    /// Gives every registry series created since the last call its
+    /// column(s), born at the upcoming scrape.
+    fn sync(&mut self, metrics: &MetricsRegistry) {
+        let born = self.dropped + self.times.len() as u64;
+        while self.seen < metrics.len() {
+            let (kind, name, labels) = metrics.series(self.seen);
+            let parts: &[(&str, bool)] = if kind == Kind::Histogram {
+                &[("_count", false), ("_sum", true)]
+            } else {
+                &[("", false)]
+            };
+            for &(suffix, sum) in parts {
+                self.columns.push(Column {
+                    series: self.seen,
+                    sum,
+                    kind,
+                    name: format!("{name}{suffix}"),
+                    base: name.len(),
+                    labels: labels.clone(),
+                    born,
+                    values: VecDeque::new(),
+                });
+                self.match_rules(self.columns.len() - 1);
+            }
+            self.seen += 1;
+        }
+    }
+
     fn scrape(&mut self, at: SimTime, metrics: &mut MetricsRegistry, trace: &mut Trace) {
+        self.view.take();
+        self.sync(metrics);
         if let Some(engine) = self.alerts.as_mut() {
-            let cur = snapshot(metrics, None);
-            let prev = self.samples.back().map(|s| (s.at, s.points.as_slice()));
-            let events = engine.evaluate(at, prev, &cur);
+            // Current values come from the registry (before this
+            // scrape's own alert series move); previous ones are each
+            // column's last value.
+            let (columns, matches, reg) = (&self.columns, &self.matches, &*metrics);
+            let prev_at = self.times.back().copied();
+            let events = engine.evaluate_with(at, prev_at, |rule, _, previous| {
+                matches[rule]
+                    .iter()
+                    .filter_map(|&c| {
+                        let col = &columns[c];
+                        if previous {
+                            col.values.back().copied()
+                        } else {
+                            Some(reg.scrape_value(col.series, col.sum))
+                        }
+                    })
+                    .sum()
+            });
             for ev in &events {
                 if ev.fired {
                     metrics.describe(
@@ -188,171 +344,161 @@ impl TimeSeriesRecorder {
             }
             metrics.describe("ninja_alerts_active", "Alert rules currently firing");
             metrics.set_gauge("ninja_alerts_active", &[], engine.active() as f64);
+            self.sync(metrics);
         }
-        let points = snapshot(metrics, Some(&mut self.kinds));
-        self.samples.push_back(ScrapeSample { at, points });
-        while self.samples.len() > self.capacity {
-            self.samples.pop_front();
+        for col in &mut self.columns {
+            col.values
+                .push_back(metrics.scrape_value(col.series, col.sum));
+        }
+        self.times.push_back(at);
+        while self.times.len() > self.capacity {
+            self.times.pop_front();
+            for col in &mut self.columns {
+                if col.born <= self.dropped {
+                    col.values.pop_front();
+                }
+            }
             self.dropped += 1;
         }
     }
 
-    /// Timestamped Prometheus text exposition: per series name a
-    /// `# TYPE` header, then one `name{labels} value timestamp_ms`
-    /// line per sample, label-set-major and time-ordered within each
-    /// series.
+    /// Timestamped Prometheus text exposition.
     pub fn to_prometheus(&self) -> String {
-        type Grouped<'a> = BTreeMap<&'a str, BTreeMap<&'a LabelSet, Vec<(SimTime, f64)>>>;
-        let mut grouped: Grouped = BTreeMap::new();
-        for s in &self.samples {
-            for p in &s.points {
-                grouped
-                    .entry(p.name.as_str())
-                    .or_default()
-                    .entry(&p.labels)
-                    .or_default()
-                    .push((s.at, p.value));
+        render(self.columns.len() * self.times.len() * 48, |out| {
+            self.write_prometheus(out)
+        })
+    }
+
+    /// Streams the timestamped Prometheus text: per series name a
+    /// `# TYPE` header, then one `name{labels} value timestamp_ms` line
+    /// per sample, label-set-major and time-ordered within each series.
+    pub fn write_prometheus<W: Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        // Group by (point name, labels); a group holds more than one
+        // column only when two metric kinds share a name.
+        let mut order = self.exposition_order();
+        let key = |c: usize| (&self.columns[c].name, &self.columns[c].labels);
+        order.sort_by(|&a, &b| key(a).cmp(&key(b)));
+        let mut i = 0;
+        while i < order.len() {
+            let col = &self.columns[order[i]];
+            if i == 0 || self.columns[order[i - 1]].name != col.name {
+                // The header takes the type the name was first scraped as.
+                let first = order[i..]
+                    .iter()
+                    .map(|&c| &self.columns[c])
+                    .take_while(|c| c.name == col.name)
+                    .min_by(|a, b| (a.born, a.order()).cmp(&(b.born, b.order())))
+                    .expect("a group is never empty");
+                writeln!(out, "# TYPE {} {}", col.name, first.type_name())?;
             }
+            let len = order[i..]
+                .iter()
+                .take_while(|&&c| key(c) == key(order[i]))
+                .count();
+            let group = &order[i..i + len];
+            let mut prefix = col.name.clone();
+            write_labels(&col.labels, None, &mut prefix)?;
+            prefix.push(' ');
+            for row in 0..self.times.len() {
+                let ms = self.times[row].as_nanos() / 1_000_000;
+                for v in group.iter().filter_map(|&c| self.value(c, row)) {
+                    out.write_str(&prefix)?;
+                    write_prom_f64(v, out)?;
+                    writeln!(out, " {ms}")?;
+                }
+            }
+            i += len;
         }
-        let mut out = String::new();
-        for (name, series) in grouped {
-            let kind = self.kinds.get(name).copied().unwrap_or("untyped");
-            out.push_str(&format!("# TYPE {name} {kind}\n"));
-            for (labels, values) in series {
-                for (at, v) in values {
-                    out.push_str(&format!(
-                        "{}{} {} {}\n",
-                        name,
-                        fmt_labels(labels, None),
-                        prom_f64(v),
-                        at.as_nanos() / 1_000_000
-                    ));
+        Ok(())
+    }
+
+    /// JSONL: one JSON object per scrape.
+    pub fn to_jsonl(&self) -> String {
+        render(self.columns.len() * self.times.len() * 64, |out| {
+            self.write_jsonl(out)
+        })
+    }
+
+    /// Streams the JSONL form: one line per scrape,
+    /// `{"t_ns": ..., "points": [{"name", "labels"?, "value"}, ...]}`.
+    pub fn write_jsonl<W: Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        let order = self.exposition_order();
+        let mut heads = Vec::with_capacity(order.len());
+        for &c in &order {
+            let col = &self.columns[c];
+            let mut head = String::from("{\"name\":");
+            write_escaped(&col.name, &mut head)?;
+            if !col.labels.is_empty() {
+                head.push_str(",\"labels\":");
+                write_str_object(&col.labels, &mut head)?;
+            }
+            head.push_str(",\"value\":");
+            heads.push(head);
+        }
+        for row in 0..self.times.len() {
+            write!(
+                out,
+                "{{\"t_ns\":{},\"points\":[",
+                self.times[row].as_nanos()
+            )?;
+            let mut sep = "";
+            for (&c, head) in order.iter().zip(&heads) {
+                if let Some(v) = self.value(c, row) {
+                    out.write_str(sep)?;
+                    out.write_str(head)?;
+                    write_f64(v, out)?;
+                    out.write_char('}')?;
+                    sep = ",";
+                }
+            }
+            out.write_str("]}\n")?;
+        }
+        Ok(())
+    }
+
+    /// CSV with a fixed header.
+    pub fn to_csv(&self) -> String {
+        render(self.columns.len() * self.times.len() * 48, |out| {
+            self.write_csv(out)
+        })
+    }
+
+    /// Streams the CSV form: header `t_ns,name,labels,value`; labels
+    /// render as `k=v;k=v` and are quoted (JSON string rules) when they
+    /// contain a comma, quote, or newline.
+    pub fn write_csv<W: Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        let order = self.exposition_order();
+        let mut mids = Vec::with_capacity(order.len());
+        for &c in &order {
+            let col = &self.columns[c];
+            let labels = col
+                .labels
+                .iter()
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect::<Vec<_>>()
+                .join(";");
+            let mut mid = format!("{},", col.name);
+            if labels.contains([',', '"', '\n']) {
+                write_escaped(&labels, &mut mid)?;
+            } else {
+                mid.push_str(&labels);
+            }
+            mid.push(',');
+            mids.push(mid);
+        }
+        out.write_str("t_ns,name,labels,value\n")?;
+        for row in 0..self.times.len() {
+            let t = self.times[row].as_nanos();
+            for (&c, mid) in order.iter().zip(&mids) {
+                if let Some(v) = self.value(c, row) {
+                    write!(out, "{t},{mid}")?;
+                    write_prom_f64(v, out)?;
+                    out.write_char('\n')?;
                 }
             }
         }
-        out
+        Ok(())
     }
-
-    /// JSONL: one JSON object per scrape,
-    /// `{"t_ns": ..., "points": [{"name", "labels"?, "value"}, ...]}`.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for s in &self.samples {
-            let points: Vec<Json> = s
-                .points
-                .iter()
-                .map(|p| {
-                    let mut fields = vec![("name", Json::from(p.name.as_str()))];
-                    if !p.labels.is_empty() {
-                        fields.push((
-                            "labels",
-                            Json::Obj(
-                                p.labels
-                                    .iter()
-                                    .map(|(k, v)| (k.clone(), Json::from(v.as_str())))
-                                    .collect(),
-                            ),
-                        ));
-                    }
-                    fields.push(("value", Json::from(p.value)));
-                    Json::obj(fields)
-                })
-                .collect();
-            let line = Json::obj(vec![
-                ("t_ns", Json::from(s.at.as_nanos())),
-                ("points", Json::Arr(points)),
-            ]);
-            out.push_str(&line.to_string());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// CSV with a fixed header `t_ns,name,labels,value`; labels render
-    /// as `k=v;k=v` and are quoted (JSON string rules) when they
-    /// contain a comma, quote, or newline.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("t_ns,name,labels,value\n");
-        for s in &self.samples {
-            for p in &s.points {
-                let labels = p
-                    .labels
-                    .iter()
-                    .map(|(k, v)| format!("{k}={v}"))
-                    .collect::<Vec<_>>()
-                    .join(";");
-                let labels = if labels.contains([',', '"', '\n']) {
-                    format!("\"{}\"", escape_json(&labels))
-                } else {
-                    labels
-                };
-                out.push_str(&format!(
-                    "{},{},{},{}\n",
-                    s.at.as_nanos(),
-                    p.name,
-                    labels,
-                    prom_f64(p.value)
-                ));
-            }
-        }
-        out
-    }
-}
-
-/// Snapshots every series of the registry in exposition order. When
-/// `kinds` is given, records each emitted series name's Prometheus
-/// type for the timestamped exposition's `# TYPE` headers.
-fn snapshot(
-    metrics: &MetricsRegistry,
-    mut kinds: Option<&mut BTreeMap<String, &'static str>>,
-) -> Vec<SeriesPoint> {
-    let mut points = Vec::new();
-    let mut note = |name: &str, kind: &'static str| {
-        if let Some(kinds) = kinds.as_deref_mut() {
-            if !kinds.contains_key(name) {
-                kinds.insert(name.to_string(), kind);
-            }
-        }
-    };
-    for (name, series) in metrics.counters_map() {
-        note(name, "counter");
-        for (labels, v) in series {
-            points.push(SeriesPoint {
-                name: name.clone(),
-                labels: labels.clone(),
-                value: *v as f64,
-            });
-        }
-    }
-    for (name, series) in metrics.gauges_map() {
-        note(name, "gauge");
-        for (labels, v) in series {
-            points.push(SeriesPoint {
-                name: name.clone(),
-                labels: labels.clone(),
-                value: *v,
-            });
-        }
-    }
-    for (name, series) in metrics.histograms_map() {
-        let count_name = format!("{name}_count");
-        let sum_name = format!("{name}_sum");
-        note(&count_name, "counter");
-        note(&sum_name, "counter");
-        for (labels, h) in series {
-            points.push(SeriesPoint {
-                name: count_name.clone(),
-                labels: labels.clone(),
-                value: h.count() as f64,
-            });
-            points.push(SeriesPoint {
-                name: sum_name.clone(),
-                labels: labels.clone(),
-                value: h.sum(),
-            });
-        }
-    }
-    points
 }
 
 #[cfg(test)]
@@ -401,19 +547,30 @@ mod tests {
         let mut tr = Trace::new();
         let mut rec = rec30().with_capacity(3);
         rec.start_at(t(0), &mut m, &mut tr);
+        m.inc("early_total", &[], 1);
+        rec.advance_to(t(150), &mut m, &mut tr);
+        m.set_gauge("late", &[], 2.0);
         rec.advance_to(t(300), &mut m, &mut tr);
         assert_eq!(rec.samples().len(), 3);
         assert_eq!(rec.dropped(), 8);
         assert_eq!(rec.samples().back().unwrap().at, t(300));
+        // Every retained scrape still reads both columns.
+        for s in rec.samples() {
+            let names: Vec<&str> = s.points.iter().map(|p| p.name.as_str()).collect();
+            assert_eq!(names, vec!["early_total", "late"]);
+        }
     }
 
     #[test]
     fn snapshot_covers_counters_gauges_and_histograms() {
         let mut m = MetricsRegistry::new();
-        m.inc("c_total", &[("k", "a")], 2);
-        m.set_gauge("g", &[], 1.5);
+        let mut tr = Trace::new();
         m.observe("h_seconds", &[], 0.5);
-        let points = snapshot(&m, None);
+        m.set_gauge("g", &[], 1.5);
+        m.inc("c_total", &[("k", "a")], 2);
+        let mut rec = rec30();
+        rec.start_at(t(0), &mut m, &mut tr);
+        let points = &rec.samples()[0].points;
         let names: Vec<&str> = points.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(
             names,

@@ -13,10 +13,11 @@
 //! keep the newest entries, with evictions counted in
 //! [`Trace::dropped`].
 
-use crate::export::Json;
+use crate::export::{render, write_escaped, write_str_object, Json};
 use crate::span::{Span, SpanBuilder};
 use crate::time::{SimDuration, SimTime};
-use std::fmt;
+use std::collections::HashMap;
+use std::fmt::{self, Write};
 
 /// Severity/kind of a trace record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -332,90 +333,101 @@ impl Trace {
     }
 
     /// Export as Chrome trace-event JSON (load in `chrome://tracing`
-    /// or <https://ui.perfetto.dev>). Spans become complete ("X")
-    /// events with their labels as `args`; point records become
-    /// instant ("i") events. Timestamps are microseconds of simulated
-    /// time; each component renders as its own track (`tid`).
+    /// or <https://ui.perfetto.dev>).
     pub fn to_chrome_json(&self) -> String {
-        let mut events: Vec<Json> = Vec::new();
-        for s in &self.spans {
-            let mut fields = vec![
-                ("name", Json::from(s.name.as_str())),
-                ("cat", Json::from(s.component.as_str())),
-                ("ph", Json::from("X")),
-                ("ts", Json::from(s.start.as_nanos() / 1_000)),
-                ("dur", Json::from(s.duration().as_nanos() / 1_000)),
-                ("pid", Json::from(1u64)),
-                ("tid", Json::from(s.component.as_str())),
-            ];
-            if !s.labels.is_empty() {
-                fields.push((
-                    "args",
-                    Json::Obj(
-                        s.labels
-                            .iter()
-                            .map(|(k, v)| (k.clone(), Json::from(v.as_str())))
-                            .collect(),
-                    ),
-                ));
-            }
-            events.push(Json::obj(fields));
-        }
-        for r in &self.records {
-            events.push(Json::obj(vec![
-                ("name", Json::from(r.kind.as_str())),
-                ("cat", Json::from(r.component.as_str())),
-                ("ph", Json::from("i")),
-                ("ts", Json::from(r.at.as_nanos() / 1_000)),
-                ("pid", Json::from(1u64)),
-                ("tid", Json::from(r.component.as_str())),
-                ("s", Json::from("t")),
-                (
-                    "args",
-                    Json::obj(vec![
-                        ("level", Json::from(r.level.to_string())),
-                        ("detail", Json::from(r.detail.as_str())),
-                    ]),
-                ),
-            ]));
-        }
-        // Stable display order: by timestamp, spans before instants at
-        // the same tick (already grouped that way above per class).
-        Json::obj(vec![("traceEvents", Json::Arr(events))]).to_string()
+        let events = self.spans.len() + self.records.len();
+        render(events * 192 + 32, |out| self.write_chrome_json(out))
     }
 
-    /// Export as a JSONL event stream: one JSON object per line, spans
-    /// and records interleaved in time order.
-    pub fn to_jsonl(&self) -> String {
-        #[derive(Clone, Copy)]
-        enum Item<'a> {
-            Span(&'a Span),
-            Record(&'a TraceRecord),
+    /// Streams the Chrome trace-event document into `out`. Spans become
+    /// complete ("X") events with their labels as `args`; point records
+    /// become instant ("i") events. All spans come first, in completion
+    /// order, then all records in emission order; nothing is sorted.
+    /// Timestamps are microseconds of simulated time; each component
+    /// renders as its own track (`tid`).
+    pub fn write_chrome_json<W: Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        out.write_str("{\"traceEvents\":[")?;
+        let mut sep = "";
+        for s in &self.spans {
+            write!(out, "{sep}{{\"name\":")?;
+            sep = ",";
+            write_escaped(&s.name, out)?;
+            out.write_str(",\"cat\":")?;
+            write_escaped(&s.component, out)?;
+            write!(
+                out,
+                ",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":",
+                s.start.as_nanos() / 1_000,
+                s.duration().as_nanos() / 1_000
+            )?;
+            write_escaped(&s.component, out)?;
+            if !s.labels.is_empty() {
+                out.write_str(",\"args\":")?;
+                write_str_object(&s.labels, out)?;
+            }
+            out.write_char('}')?;
         }
-        let mut items: Vec<(SimTime, Item<'_>)> = self
+        for r in &self.records {
+            write!(out, "{sep}{{\"name\":")?;
+            sep = ",";
+            write_escaped(&r.kind, out)?;
+            out.write_str(",\"cat\":")?;
+            write_escaped(&r.component, out)?;
+            write!(
+                out,
+                ",\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":",
+                r.at.as_nanos() / 1_000
+            )?;
+            write_escaped(&r.component, out)?;
+            write!(
+                out,
+                ",\"s\":\"t\",\"args\":{{\"level\":\"{}\",\"detail\":",
+                r.level
+            )?;
+            write_escaped(&r.detail, out)?;
+            out.write_str("}}")?;
+        }
+        out.write_str("]}")
+    }
+
+    /// Export as a JSONL event stream.
+    pub fn to_jsonl(&self) -> String {
+        let events = self.spans.len() + self.records.len();
+        render(events * 192, |out| self.write_jsonl(out))
+    }
+
+    /// Streams the JSONL event stream into `out`: one JSON object per
+    /// line, spans and records interleaved in time order (a stable
+    /// sort: at one instant, spans before records).
+    pub fn write_jsonl<W: Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        let mut items: Vec<(SimTime, Result<&Span, &TraceRecord>)> = self
             .spans
             .iter()
-            .map(|s| (s.start, Item::Span(s)))
-            .chain(self.records.iter().map(|r| (r.at, Item::Record(r))))
+            .map(|s| (s.start, Ok(s)))
+            .chain(self.records.iter().map(|r| (r.at, Err(r))))
             .collect();
         items.sort_by_key(|&(at, _)| at);
-        let mut out = String::new();
         for (_, item) in items {
-            let json = match item {
-                Item::Span(s) => s.to_json(),
-                Item::Record(r) => Json::obj(vec![
-                    ("type", Json::from("event")),
-                    ("at_ns", Json::from(r.at.as_nanos())),
-                    ("level", Json::from(r.level.to_string())),
-                    ("component", Json::from(r.component.as_str())),
-                    ("kind", Json::from(r.kind.as_str())),
-                    ("detail", Json::from(r.detail.as_str())),
-                ]),
-            };
-            out.push_str(&json.to_string());
-            out.push('\n');
+            match item {
+                Ok(s) => s.write_json(out)?,
+                Err(r) => {
+                    write!(
+                        out,
+                        "{{\"type\":\"event\",\"at_ns\":{},\"level\":\"{}\",\"component\":",
+                        r.at.as_nanos(),
+                        r.level
+                    )?;
+                    write_escaped(&r.component, out)?;
+                    out.write_str(",\"kind\":")?;
+                    write_escaped(&r.kind, out)?;
+                    out.write_str(",\"detail\":")?;
+                    write_escaped(&r.detail, out)?;
+                    out.write_char('}')?;
+                }
+            }
+            out.write_char('\n')?;
         }
-        out
+        Ok(())
     }
 
     /// Reconstruct per-migration critical paths from this trace's
@@ -554,7 +566,19 @@ pub fn spans_from_chrome(doc: &Json) -> Vec<Span> {
 /// span is consumed so two migrations of the same job never share one.
 /// Within a phase, the critical VM is the longest matching `"symvirt"`
 /// span starting inside the phase window.
+///
+/// The spans are indexed once by `(component, name, job, mig)`, so each
+/// match scans only its own bucket, in record order.
 pub fn critical_paths(spans: &[Span], phase_names: &[&str]) -> Vec<MigrationPath> {
+    type Key = (Option<u64>, Option<u64>);
+    let mut buckets: HashMap<(&str, &str, Key), Vec<usize>> = HashMap::new();
+    for (i, s) in spans.iter().enumerate() {
+        if s.component == "ninja" || s.component == "symvirt" {
+            let key = (s.component.as_str(), s.name.as_str(), span_key(s));
+            buckets.entry(key).or_default().push(i);
+        }
+    }
+    let bucket = |component, name, key| buckets.get(&(component, name, key)).map_or(&[][..], |b| b);
     let mut used = vec![false; spans.len()];
     let mut out = Vec::new();
     for (ei, env) in spans.iter().enumerate() {
@@ -567,17 +591,13 @@ pub fn critical_paths(spans: &[Span], phase_names: &[&str]) -> Vec<MigrationPath
         let mut phases = Vec::new();
         let mut attributed = 0.0;
         for &pn in phase_names {
-            let found = spans.iter().enumerate().find(|(pi, p)| {
-                !used[*pi]
-                    && p.component == "ninja"
-                    && p.name == pn
-                    && span_key(p) == key
-                    && p.start >= env.start
-                    && p.start <= env.end
+            let found = bucket("ninja", pn, key).iter().copied().find(|&pi| {
+                !used[pi] && spans[pi].start >= env.start && spans[pi].start <= env.end
             });
-            let Some((pi, p)) = found else {
+            let Some(pi) = found else {
                 continue;
             };
+            let p = &spans[pi];
             used[pi] = true;
             let seconds = p.duration().as_secs_f64();
             attributed += seconds;
@@ -585,14 +605,9 @@ pub fn critical_paths(spans: &[Span], phase_names: &[&str]) -> Vec<MigrationPath
             // phase starting inside the window (start-containment keeps
             // the match robust to the export's microsecond truncation).
             let mut critical: Option<(&str, f64)> = None;
-            for (vi, vs) in spans.iter().enumerate() {
-                if used[vi]
-                    || vs.component != "symvirt"
-                    || vs.name != pn
-                    || span_key(vs) != key
-                    || vs.start < p.start
-                    || vs.start > p.end
-                {
+            for &vi in bucket("symvirt", pn, key) {
+                let vs = &spans[vi];
+                if used[vi] || vs.start < p.start || vs.start > p.end {
                     continue;
                 }
                 let Some(vm) = vs.label("vm") else { continue };

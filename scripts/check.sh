@@ -33,9 +33,21 @@ cargo run -q -p ninja-fleet --bin ninja -- \
 grep -q 'ALERT queue-backlog fired' "$smoke_dir/fleet-report.txt"
 grep -q 'resolved' "$smoke_dir/fleet-report.txt"
 grep -q '# TYPE ninja_alerts_active gauge' "$smoke_dir/ts.prom"
+# Through a file, as in CI: `grep -q` exits at its first match, and a
+# writer still printing then fails the pipeline on a closed pipe.
 cargo run -q -p ninja-fleet --bin ninja -- \
     trace critical-path "$smoke_dir/fleet-trace.json" \
-    | grep -q 'per-phase breakdown'
+    > "$smoke_dir/critical-path.txt"
+grep -q 'per-phase breakdown' "$smoke_dir/critical-path.txt"
+
+echo "== perfbench smoke =="
+# Mirrors the CI perfbench-smoke job: a short traced run of the
+# `observed` workload (every telemetry layer on) must report every
+# invocation correct on its last line.
+perf_line="$(python3 perfbench/run.py --workload observed --seed 1 --seconds 2 --trace 1 | tail -n 1)"
+echo "$perf_line"
+python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.argv[1])["correct"] is True else 1)' \
+    "$perf_line"
 
 echo "== cargo build --benches =="
 # Bench binaries (ninja-bench bins) and the criterion-stub [[bench]]
