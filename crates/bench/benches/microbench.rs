@@ -1,45 +1,13 @@
-//! Criterion microbenchmarks of the simulator's hot paths: the event
-//! engine, RNG, BTL selection, precopy planning, and collective cost
-//! evaluation. These guard the *library's* performance (the simulated
-//! times are covered by the figure regenerators and tests).
+//! Criterion microbenchmarks of the simulator's hot paths: the RNG, BTL
+//! selection, precopy planning, and collective cost evaluation. These
+//! guard the *library's* performance (the simulated times are covered by
+//! the figure regenerators and tests).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ninja_migration::World;
 use ninja_mpi::Rank;
-use ninja_sim::{Bytes, Engine, SimDuration, SimRng};
+use ninja_sim::{Bytes, SimRng};
 use ninja_vmm::{plan_precopy, GuestMemory, MigrationConfig};
-
-fn bench_engine(c: &mut Criterion) {
-    c.bench_function("engine/schedule_and_drain_10k", |b| {
-        b.iter(|| {
-            let mut e: Engine<u64> = Engine::new();
-            let mut w = 0u64;
-            for i in 0..10_000u64 {
-                e.schedule_in(SimDuration::from_nanos(i % 997), |w: &mut u64, _| {
-                    *w += 1;
-                });
-            }
-            e.run_until_idle(&mut w);
-            black_box(w)
-        })
-    });
-
-    c.bench_function("engine/self_perpetuating_chain_10k", |b| {
-        b.iter(|| {
-            let mut e: Engine<u64> = Engine::new();
-            let mut w = 0u64;
-            fn tick(w: &mut u64, c: &mut ninja_sim::Ctx<u64>) {
-                *w += 1;
-                if *w < 10_000 {
-                    c.schedule_in(SimDuration::from_nanos(1), tick);
-                }
-            }
-            e.schedule_in(SimDuration::ZERO, tick);
-            e.run_until_idle(&mut w);
-            black_box(w)
-        })
-    });
-}
 
 fn bench_rng(c: &mut Criterion) {
     c.bench_function("rng/normal_1k", |b| {
@@ -80,7 +48,8 @@ fn bench_mpi(c: &mut Criterion) {
             },
             |(mut w, mut rt)| {
                 rt.release_network(&mut w.dc, &w.pool).unwrap();
-                rt.continue_after(&w.pool, &mut w.dc, w.clock).unwrap();
+                let now = w.clock();
+                rt.continue_after(&w.pool, &mut w.dc, now).unwrap();
                 black_box(rt.epoch())
             },
             criterion::BatchSize::SmallInput,
@@ -127,7 +96,6 @@ fn bench_full_migration(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_engine,
     bench_rng,
     bench_mpi,
     bench_migration_planner,

@@ -39,7 +39,7 @@ fn run_one(array: Bytes, seed: u64) -> Row {
     let bench = Memtest::new(array, 30);
     let mut sched = ninja_migration::CloudScheduler::new();
     // Fire after a few passes warm the array.
-    let fire_at = w.clock + ninja_sim::SimDuration::from_secs(10);
+    let fire_at = w.clock() + ninja_sim::SimDuration::from_secs(10);
     let dsts: Vec<_> = (0..8).map(|i| w.cluster_node(w.eth_cluster, i)).collect();
     sched.push(fire_at, dsts, TriggerReason::Fallback);
     let rec = run_workload(

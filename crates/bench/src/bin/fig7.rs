@@ -58,7 +58,7 @@ fn run_kind(kind: NpbKind, seed: u64) -> Row {
     let vms = wp.boot_ib_vms(8);
     let mut rtp = wp.start_job(vms, 8);
     let mut sched = CloudScheduler::new();
-    let fire = wp.clock + SimDuration::from_secs(180);
+    let fire = wp.clock() + SimDuration::from_secs(180);
     let dsts: Vec<_> = (0..8).map(|i| wp.cluster_node(wp.eth_cluster, i)).collect();
     sched.push(fire, dsts, TriggerReason::Placement);
     let prop = run_workload(

@@ -24,7 +24,7 @@ use ninja_bench::{claim, finish, render_table, Json, ToJson};
 use ninja_fleet::{
     build_scaled, run_fleet, run_fleet_reference, FleetConfig, ScenarioKind, ScenarioSpec,
 };
-use ninja_sim::{parse, SimDuration};
+use ninja_sim::{parse, SimDuration, Trace};
 use ninja_symvirt::GuestCooperative;
 use std::time::Instant;
 
@@ -61,6 +61,9 @@ fn run_engine(jobs_n: usize, concurrency: usize, reference: bool) -> (f64, u64, 
         seed: 2013,
     };
     let mut s = build_scaled(&spec, jobs_n.max(8));
+    // The trajectory tracks the engine loop alone: a 4096-job trace is
+    // ring-buffer churn that would swamp it.
+    s.world.trace = Trace::disabled();
     let cfg = FleetConfig {
         concurrency,
         ..FleetConfig::default()

@@ -3,18 +3,17 @@
 //! The paper's disaster-recovery use case evacuates *a data center*, not
 //! one job: "VMs are evacuated from a disaster-affected data center to a
 //! safe data center before those VMs crash" (Section II-A). This module
-//! plans and executes the evacuation of **every** job resident on a
-//! failing cluster: capacity-aware first-fit placement of each job's
-//! VMs onto the destination cluster, one Ninja migration per job, and a
-//! recovery-time report an operator can hold against an RTO target.
+//! plans the evacuation of **every** job resident on a failing cluster
+//! (capacity-aware first-fit placement of each job's VMs onto the
+//! destination cluster) and defines the recovery-time report an operator
+//! can hold against an RTO target. The fleet engine executes the plan,
+//! one Ninja migration per job (`ninja evacuate`).
 
-use crate::orchestrator::NinjaOrchestrator;
 use crate::report::NinjaReport;
 use crate::world::World;
 use ninja_cluster::{ClusterId, NodeId};
 use ninja_mpi::MpiRuntime;
-use ninja_sim::{Json, SimTime, ToJson};
-use ninja_symvirt::SymVirtError;
+use ninja_sim::{Json, ToJson};
 use std::collections::BTreeMap;
 
 /// Outcome of an evacuation drill.
@@ -85,8 +84,6 @@ pub enum DrillError {
         /// VMs that could not be placed.
         unplaced: usize,
     },
-    /// A migration failed mid-drill.
-    Migration(SymVirtError),
 }
 
 impl std::fmt::Display for DrillError {
@@ -95,7 +92,6 @@ impl std::fmt::Display for DrillError {
             DrillError::InsufficientCapacity { unplaced } => {
                 write!(f, "destination cluster cannot hold {unplaced} of the VMs")
             }
-            DrillError::Migration(e) => write!(f, "evacuation migration failed: {e}"),
         }
     }
 }
@@ -150,49 +146,9 @@ pub fn plan_evacuation(
     Ok(plans)
 }
 
-/// Execute the evacuation: every job resident on `from` Ninja-migrates
-/// to its planned destinations on `to`, in order.
-pub fn evacuate_cluster(
-    world: &mut World,
-    jobs: &mut [&mut MpiRuntime],
-    from: ClusterId,
-    to: ClusterId,
-    orch: &NinjaOrchestrator,
-) -> Result<DrillReport, DrillError> {
-    let plans = {
-        let views: Vec<&MpiRuntime> = jobs.iter().map(|j| &**j).collect();
-        plan_evacuation(world, &views, from, to)?
-    };
-    let started: SimTime = world.clock;
-    let mut migrations = Vec::new();
-    let mut queue_wait_s = Vec::new();
-    let mut vms = 0usize;
-    for (job, dsts) in jobs.iter_mut().zip(plans) {
-        if dsts.is_empty() {
-            continue;
-        }
-        vms += job.layout().vms().len();
-        // All jobs are triggered at drill start; a job's migration
-        // begins only when the serial loop reaches it.
-        queue_wait_s.push(world.clock.since(started).as_secs_f64());
-        let report = orch
-            .migrate(world, job, &dsts)
-            .map_err(DrillError::Migration)?;
-        migrations.push(report);
-    }
-    Ok(DrillReport {
-        jobs: migrations.len(),
-        vms,
-        total_seconds: world.clock.since(started).as_secs_f64(),
-        migrations,
-        queue_wait_s,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ninja_net::TransportKind;
 
     /// Two jobs (4 VMs + 2 VMs) on the IB cluster.
     fn two_jobs(world: &mut World) -> (MpiRuntime, MpiRuntime) {
@@ -212,80 +168,16 @@ mod tests {
                     &mut world.dc,
                 )
                 .unwrap();
+            let now = world.clock();
             let (_, at) = world
                 .pool
-                .attach_ib_hca(vm, &mut world.dc, world.clock, &mut world.rng)
+                .attach_ib_hca(vm, &mut world.dc, now, &mut world.rng)
                 .unwrap();
             world.advance_to(at);
             b.push(vm);
         }
         let job_b = world.start_job(b, 1);
         (job_a, job_b)
-    }
-
-    #[test]
-    fn full_cluster_evacuation() {
-        let mut w = World::agc(1600);
-        let (mut a, mut b) = two_jobs(&mut w);
-        let from = w.ib_cluster;
-        let to = w.eth_cluster;
-        let report = evacuate_cluster(
-            &mut w,
-            &mut [&mut a, &mut b],
-            from,
-            to,
-            &NinjaOrchestrator::default(),
-        )
-        .unwrap();
-        assert_eq!(report.jobs, 2);
-        assert_eq!(report.vms, 6);
-        assert!(report.total_seconds > 0.0);
-        // Every VM left the failing cluster; both jobs run on TCP.
-        for vm in w.pool.iter() {
-            assert_eq!(w.dc.cluster_of(vm.node), to);
-        }
-        assert_eq!(a.uniform_network_kind(), Some(TransportKind::Tcp));
-        assert_eq!(b.uniform_network_kind(), Some(TransportKind::Tcp));
-        // The failing cluster is empty.
-        for &n in &w.dc.cluster(from).nodes {
-            assert_eq!(w.dc.node(n).committed_vcpus(), 0);
-        }
-    }
-
-    #[test]
-    fn serial_drill_records_queue_wait() {
-        let mut w = World::agc(1604);
-        let (mut a, mut b) = two_jobs(&mut w);
-        let from = w.ib_cluster;
-        let to = w.eth_cluster;
-        let report = evacuate_cluster(
-            &mut w,
-            &mut [&mut a, &mut b],
-            from,
-            to,
-            &NinjaOrchestrator::default(),
-        )
-        .unwrap();
-        assert_eq!(report.queue_wait_s.len(), 2);
-        assert_eq!(report.queue_wait_s[0], 0.0, "first job starts immediately");
-        // Serial loop: the second job waits out the whole first migration.
-        let first_total = report.migrations[0].total();
-        assert!(
-            (report.queue_wait_s[1] - first_total).abs() < 1e-6,
-            "wait {} vs first job total {}",
-            report.queue_wait_s[1],
-            first_total
-        );
-        let j = report.to_json();
-        let waits = j["queue_wait_s"].as_array().unwrap();
-        assert_eq!(waits.len(), 2);
-        let wait_json = waits[1].as_f64().unwrap();
-        assert!((wait_json - first_total).abs() < 1e-6, "{wait_json}");
-        let csv = report.to_csv();
-        let mut lines = csv.lines();
-        assert!(lines.next().unwrap().starts_with("job,vms,queue_wait_s,"));
-        assert_eq!(csv.lines().count(), 3, "header + 2 jobs");
-        assert!(csv.lines().nth(2).unwrap().starts_with("1,2,"));
     }
 
     #[test]
@@ -324,24 +216,5 @@ mod tests {
         }
         let err = plan_evacuation(&w, &[&a, &b], w.ib_cluster, w.eth_cluster).unwrap_err();
         assert_eq!(err, DrillError::InsufficientCapacity { unplaced: 4 });
-    }
-
-    #[test]
-    fn jobs_elsewhere_are_skipped() {
-        let mut w = World::agc(1603);
-        let eth_vms = w.boot_eth_vms(2);
-        let mut eth_job = w.start_job(eth_vms, 1);
-        let from = w.ib_cluster;
-        let to = w.eth_cluster;
-        let report = evacuate_cluster(
-            &mut w,
-            &mut [&mut eth_job],
-            from,
-            to,
-            &NinjaOrchestrator::default(),
-        )
-        .unwrap();
-        assert_eq!(report.jobs, 0, "already-safe job untouched");
-        assert_eq!(report.vms, 0);
     }
 }

@@ -117,17 +117,13 @@ impl NinjaOrchestrator {
         store: &mut SnapshotStore,
     ) -> Result<(CheckpointHandle, CheckpointReport), SymVirtError> {
         let vms = Coordinator::vms_of(rt);
-        let t_start = world.clock;
+        let t_start = world.clock();
 
         // Guest side: consistent state, IB released, VMs paused.
         let env = world.comm_env();
-        let coord = Coordinator.checkpoint_and_wait(
-            rt,
-            &env,
-            &mut world.pool,
-            &mut world.dc,
-            world.clock,
-        )?;
+        let now = world.clock();
+        let coord =
+            Coordinator.checkpoint_and_wait(rt, &env, &mut world.pool, &mut world.dc, now)?;
         world.advance(coord.total());
 
         let mut ctl = Controller::new(vms.clone(), self.monitor().clone());
@@ -135,11 +131,12 @@ impl NinjaOrchestrator {
 
         // Detach passthrough devices: qcow2 snapshots cannot capture a
         // physical HCA's state.
+        let now = world.clock();
         let detach = ctl.device_detach(
             "hca-",
             &mut world.pool,
             &mut world.dc,
-            world.clock,
+            now,
             &mut world.rng,
             false,
         )?;
@@ -148,9 +145,9 @@ impl NinjaOrchestrator {
         // savevm on every VM in parallel: phase cost = max.
         let mut save_max = SimDuration::ZERO;
         let mut snapshots = Vec::with_capacity(vms.len());
-        let taken_at = world.clock;
+        let taken_at = world.clock();
         for &vm in &vms {
-            let (id, dur) = store.save(world.pool.get(vm), world.clock);
+            let (id, dur) = store.save(world.pool.get(vm), world.clock());
             snapshots.push(id);
             save_max = save_max.max(dur);
         }
@@ -159,17 +156,13 @@ impl NinjaOrchestrator {
             SpanBuilder::new("ninja", "save", taken_at)
                 .label("images", snapshots.len().to_string())
                 .label("stored_bytes", store.stored_bytes().get().to_string())
-                .end(world.clock),
+                .end(world.clock()),
         );
 
         // Re-attach, resume, wait out link training, rebuild modules.
-        let attach = ctl.device_attach(
-            &mut world.pool,
-            &mut world.dc,
-            world.clock,
-            &mut world.rng,
-            false,
-        )?;
+        let now = world.clock();
+        let attach =
+            ctl.device_attach(&mut world.pool, &mut world.dc, now, &mut world.rng, false)?;
         world.advance(attach.duration);
         ctl.signal(&mut world.pool)?;
         ctl.close();
@@ -177,18 +170,19 @@ impl NinjaOrchestrator {
         let mut linkup = SimDuration::ZERO;
         if rt.needs_reconstruction() {
             if let Some(active_at) = attach.link_active_at {
-                if active_at > world.clock {
-                    linkup = active_at.since(world.clock);
+                if active_at > world.clock() {
+                    linkup = active_at.since(world.clock());
                     world.advance_to(active_at);
                 }
             }
         }
-        Coordinator.continue_callback(rt, &world.pool, &mut world.dc, world.clock)?;
+        let now = world.clock();
+        Coordinator.continue_callback(rt, &world.pool, &mut world.dc, now)?;
         world.trace.record_spans(ctl.take_spans());
         world.trace.record_span(
             SpanBuilder::new("ninja", "checkpoint", t_start)
                 .label("vms", vms.len().to_string())
-                .end(world.clock),
+                .end(world.clock()),
         );
         world.metrics.inc("ninja_checkpoints_total", &[], 1);
 
@@ -228,7 +222,7 @@ impl NinjaOrchestrator {
         if dsts.is_empty() {
             return Err(SymVirtError::EmptyHostlist);
         }
-        let t_start = world.clock;
+        let t_start = world.clock();
 
         // Restore every image in parallel: boot new VMs in SymWait.
         let mut restore_max = SimDuration::ZERO;
@@ -247,13 +241,9 @@ impl NinjaOrchestrator {
         // Attach HCAs where the destination has them, then resume.
         let mut ctl = Controller::new(new_vms.clone(), self.monitor().clone());
         ctl.wait_all(&world.pool)?;
-        let attach = ctl.device_attach(
-            &mut world.pool,
-            &mut world.dc,
-            world.clock,
-            &mut world.rng,
-            false,
-        )?;
+        let now = world.clock();
+        let attach =
+            ctl.device_attach(&mut world.pool, &mut world.dc, now, &mut world.rng, false)?;
         world.advance(attach.duration);
         ctl.signal(&mut world.pool)?;
         ctl.close();
@@ -262,12 +252,13 @@ impl NinjaOrchestrator {
         rt.mark_restored_from_checkpoint();
         let mut linkup = SimDuration::ZERO;
         if let Some(active_at) = attach.link_active_at {
-            if active_at > world.clock {
-                linkup = active_at.since(world.clock);
+            if active_at > world.clock() {
+                linkup = active_at.since(world.clock());
                 world.advance_to(active_at);
             }
         }
-        rt.restart_on(new_vms.clone(), &world.pool, &mut world.dc, world.clock)
+        let now = world.clock();
+        rt.restart_on(new_vms.clone(), &world.pool, &mut world.dc, now)
             .map_err(SymVirtError::Runtime)?;
         let transport_after = rt.uniform_network_kind().map(|k| k.to_string());
         world.trace.record_spans(ctl.take_spans());
@@ -276,7 +267,7 @@ impl NinjaOrchestrator {
         if let Some(t) = &transport_after {
             span = span.label("transport_after", t.clone());
         }
-        world.trace.record_span(span.end(world.clock));
+        world.trace.record_span(span.end(world.clock()));
         world.metrics.inc("ninja_restarts_total", &[], 1);
 
         Ok(RestartReport {

@@ -55,7 +55,7 @@ pub mod scheduler;
 pub mod stepper;
 pub mod world;
 
-pub use drill::{evacuate_cluster, plan_evacuation, DrillError, DrillReport};
+pub use drill::{plan_evacuation, DrillError, DrillReport};
 pub use ft::{CheckpointHandle, CheckpointReport, RestartReport};
 pub use metrics::{MigrationLedger, PhaseStats};
 pub use orchestrator::{NinjaOrchestrator, PHASE_NAMES};

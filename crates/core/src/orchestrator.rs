@@ -59,7 +59,7 @@ impl NinjaOrchestrator {
 
     /// Migrate an MPI job: VM *i* goes to `dsts[i % dsts.len()]`.
     /// Passing each VM's current node performs the paper's
-    /// *self-migration* (Table II). Advances `world.clock` through every
+    /// *self-migration* (Table II). Advances the world clock through every
     /// phase and returns the overhead breakdown.
     ///
     /// This is [`NinjaOrchestrator::migrate_app`] specialized to the MPI
@@ -89,19 +89,15 @@ impl NinjaOrchestrator {
         world: &mut World,
         app: &mut dyn GuestCooperative,
     ) -> Result<ninja_sim::SimDuration, SymVirtError> {
-        let started = world.clock;
+        let started = world.clock();
         let vms = app.vms();
         let mut ctl = Controller::new(vms.clone(), self.monitor.clone());
         // Only VMs still frozen participate; a half-signalled job is
         // not recoverable this way.
         ctl.wait_all(&world.pool)?;
-        let attach = ctl.device_attach(
-            &mut world.pool,
-            &mut world.dc,
-            world.clock,
-            &mut world.rng,
-            false,
-        )?;
+        let now = world.clock();
+        let attach =
+            ctl.device_attach(&mut world.pool, &mut world.dc, now, &mut world.rng, false)?;
         world.advance(attach.duration);
         ctl.signal(&mut world.pool)?;
         world.trace.record_spans(ctl.take_spans());
@@ -111,20 +107,21 @@ impl NinjaOrchestrator {
                 world.advance_to(active_at);
             }
         }
-        app.resume_after_blackout(&world.pool, &mut world.dc, world.clock)?;
+        let now = world.clock();
+        app.resume_after_blackout(&world.pool, &mut world.dc, now)?;
         world.trace.record_span(
             SpanBuilder::new("ninja", "abort", started)
                 .label("vms", vms.len().to_string())
-                .end(world.clock),
+                .end(world.clock()),
         );
         world.metrics.inc("ninja_aborts_total", &[], 1);
-        Ok(world.clock.since(started))
+        Ok(world.clock().since(started))
     }
 
     /// Migrate any cooperative guest application (MPI or otherwise).
     ///
     /// Runs a [`MigrationMachine`] to completion in queueing wire mode,
-    /// advancing `world.clock` through every phase — the single-job
+    /// advancing the world clock through every phase — the single-job
     /// specialization of the fleet engine's interleaved stepping.
     pub fn migrate_app(
         &self,
@@ -135,9 +132,13 @@ impl NinjaOrchestrator {
         if dsts.is_empty() {
             return Err(SymVirtError::EmptyHostlist);
         }
-        let mut machine =
-            MigrationMachine::new(self.monitor.clone(), app.vms(), dsts.to_vec(), world.clock)
-                .with_retry(self.retry);
+        let mut machine = MigrationMachine::new(
+            self.monitor.clone(),
+            app.vms(),
+            dsts.to_vec(),
+            world.clock(),
+        )
+        .with_retry(self.retry);
         let mut wire = WireMode::Queueing;
         loop {
             match machine.step(world, app, &mut wire)? {

@@ -664,7 +664,7 @@ mod tests {
         let vms = w.boot_ib_vms(2);
         let mut rt = w.start_job(vms.clone(), 1);
         let dsts: Vec<NodeId> = (0..2).map(|i| w.eth_node(i)).collect();
-        let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock);
+        let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock());
         let mut wire = WireMode::Queueing;
         let mut steps = 0;
         let report = loop {
@@ -679,7 +679,7 @@ mod tests {
         };
         assert_eq!(steps, 4, "quiesce, detach, migrate, attach");
         assert!(report.migration.0 > 10.0);
-        assert_eq!(w.clock, m.now(), "world caught up with the machine");
+        assert_eq!(w.clock(), m.now(), "world caught up with the machine");
     }
 
     #[test]
@@ -689,7 +689,7 @@ mod tests {
         let mut rt = w.start_job(vms.clone(), 1);
         let dsts: Vec<NodeId> = (0..2).map(|i| w.eth_node(i)).collect();
         let mut link = FairShareLink::new(Bandwidth::from_gbps(10.0));
-        let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock);
+        let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock());
         let mut waited = false;
         let report = loop {
             let mut wire = WireMode::FairShare(&mut link);
@@ -738,7 +738,7 @@ mod tests {
                 FaultSpec::parse("qmp-timeout:phase=detach:times=1").unwrap()
             ]);
         let dsts: Vec<NodeId> = (0..2).map(|i| w.eth_node(i)).collect();
-        let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock);
+        let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock());
         let report = drive(&mut w, &mut rt, &mut m).expect("one retry clears the fault");
         assert!(!report.degraded);
         assert_eq!(w.metrics.counter_total("ninja_fault_injections_total"), 1);
@@ -765,9 +765,9 @@ mod tests {
                 .unwrap()]);
             }
             let dsts: Vec<NodeId> = (0..2).map(|i| w.eth_node(i)).collect();
-            let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock);
+            let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock());
             let report = drive(&mut w, &mut rt, &mut m).unwrap();
-            (w.clock.as_secs_f64(), report)
+            (w.clock().as_secs_f64(), report)
         };
         let (t_clean, r_clean) = run(false);
         let (t_faulted, r_faulted) = run(true);
@@ -785,7 +785,7 @@ mod tests {
         w.faults = FaultPlan::from_specs(vec![FaultSpec::parse("hotplug-attach").unwrap()]);
         // IB -> IB move: the attach phase would normally restore openib.
         let dsts: Vec<NodeId> = (2..4).map(|i| w.ib_node(i)).collect();
-        let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock);
+        let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock());
         let report = drive(&mut w, &mut rt, &mut m).expect("degrades, not fails");
         assert!(report.degraded);
         assert_eq!(report.transport_after.as_deref(), Some("tcp"));
@@ -810,7 +810,7 @@ mod tests {
             FaultSpec::parse("qmp-timeout:phase=migration").unwrap()
         ]);
         let dsts: Vec<NodeId> = (0..2).map(|i| w.eth_node(i)).collect();
-        let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock);
+        let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock());
         let err = drive(&mut w, &mut rt, &mut m).unwrap_err();
         assert!(
             matches!(&err, SymVirtError::Vmm(VmmError::MonitorTimeout { command }) if command == "migration"),
@@ -832,7 +832,7 @@ mod tests {
         )
         .unwrap()]);
         let dsts: Vec<NodeId> = (2..4).map(|i| w.ib_node(i)).collect();
-        let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock);
+        let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock());
         let report = drive(&mut w, &mut rt, &mut m).expect("respawned agent retries");
         assert!(!report.degraded);
         assert_eq!(report.transport_after.as_deref(), Some("openib"));
@@ -850,7 +850,7 @@ mod tests {
         let mut rt = w.start_job(vms.clone(), 1);
         w.faults = FaultPlan::from_specs(vec![FaultSpec::parse("agent-disconnect").unwrap()]);
         let dsts: Vec<NodeId> = (0..2).map(|i| w.eth_node(i)).collect();
-        let mut m = MigrationMachine::new(QemuMonitor::default(), vms.clone(), dsts, w.clock);
+        let mut m = MigrationMachine::new(QemuMonitor::default(), vms.clone(), dsts, w.clock());
         let err = drive(&mut w, &mut rt, &mut m).unwrap_err();
         assert!(
             matches!(&err, SymVirtError::AgentsDisconnected(f) if f == &vec![vms[0]]),
@@ -871,9 +871,9 @@ mod tests {
                     );
             }
             let dsts: Vec<NodeId> = (0..2).map(|i| w.eth_node(i)).collect();
-            let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock);
+            let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock());
             let r = drive(&mut w, &mut rt, &mut m).unwrap();
-            (w.clock.as_secs_f64(), r)
+            (w.clock().as_secs_f64(), r)
         };
         let (t_clean, _) = run(false);
         let (t_stalled, r) = run(true);
@@ -890,7 +890,7 @@ mod tests {
         let vms = w.boot_ib_vms(2);
         let mut rt = w.start_job(vms.clone(), 1);
         let dsts: Vec<NodeId> = (0..2).map(|i| w.eth_node(i)).collect();
-        let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock);
+        let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock());
         drive(&mut w, &mut rt, &mut m).unwrap();
         let prom = w.metrics.to_prometheus();
         assert!(

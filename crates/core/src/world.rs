@@ -25,8 +25,9 @@ pub struct World {
     pub trace: Trace,
     /// Labeled counters/gauges/histograms (Prometheus exposition).
     pub metrics: MetricsRegistry,
-    /// The virtual clock.
-    pub clock: SimTime,
+    /// The virtual clock. Private so that only [`World::advance_to`]
+    /// moves it, and only forwards.
+    clock: SimTime,
     /// The IB cluster id (AGC layout).
     pub ib_cluster: ClusterId,
     /// The Ethernet cluster id (AGC layout).
@@ -87,6 +88,12 @@ impl World {
     /// Node `i` of an arbitrary cluster.
     pub fn cluster_node(&self, cluster: ClusterId, i: usize) -> NodeId {
         self.dc.cluster(cluster).nodes[i]
+    }
+
+    /// The current virtual time.
+    #[inline]
+    pub fn clock(&self) -> SimTime {
+        self.clock
     }
 
     /// Advance the clock by `d`, never backwards.
@@ -293,9 +300,9 @@ mod tests {
         let vms = w.boot_ib_vms(4);
         assert_eq!(vms.len(), 4);
         // Clock advanced past the ~30 s training.
-        assert!(w.clock.as_secs_f64() > 29.0);
+        assert!(w.clock().as_secs_f64() > 29.0);
         for &vm in &vms {
-            let t = w.pool.available_transports(vm, &w.dc, w.clock);
+            let t = w.pool.available_transports(vm, &w.dc, w.clock());
             assert!(t.contains(&TransportKind::OpenIb));
         }
     }
@@ -321,6 +328,6 @@ mod tests {
         let mut w = World::agc(4);
         w.advance(SimDuration::from_secs(10));
         w.advance_to(SimTime::ZERO + SimDuration::from_secs(5));
-        assert_eq!(w.clock.as_secs_f64(), 10.0);
+        assert_eq!(w.clock().as_secs_f64(), 10.0);
     }
 }

@@ -11,10 +11,10 @@
 //! ninja fleet      [--jobs J] [--vms-per-job V] [--concurrency C]
 //!                  [--arrival SECS] [--deadline SECS] [--uplink-gbps G]
 //!                  [--scenario evacuation|drain|rebalance|failover]
-//!                  [--engine event|reference] [--seed S] [--json]
+//!                  [--seed S] [--json]
 //! ninja faults     [--jobs J] [--vms-per-job V] [--fault SPEC]...
 //!                  [--fault-seed S] [--max-retries N] [--backoff SECS]
-//!                  [--concurrency C] [--engine event|reference] [--seed S] [--json]
+//!                  [--concurrency C] [--seed S] [--json]
 //! ninja trace summarize FILE
 //! ```
 //!
@@ -37,10 +37,6 @@
 //! p50/p99 blackout, p50/p99 queue wait, drain makespan, wire bytes,
 //! deadline misses. `ninja evacuate` is the same engine at
 //! `--concurrency 1` (the backward-compatible serial drill).
-//! `--engine reference` swaps in the pre-optimization
-//! O(jobs)-per-iteration loop; its output is bit-identical to the
-//! default event-driven engine, so it exists purely for cross-checks
-//! and benchmarking (see the `fleet_scale` bench).
 //!
 //! Telemetry flags (any run command):
 //!
@@ -77,12 +73,10 @@
 //!
 //! Every run is deterministic in `--seed`.
 
-use ninja_fleet::{
-    build_auto, percentile, run_fleet, run_fleet_reference, FleetConfig, ScenarioKind, ScenarioSpec,
-};
+use ninja_fleet::{build_auto, percentile, run_fleet, FleetConfig, ScenarioKind, ScenarioSpec};
 use ninja_migration::{
-    plan_evacuation, CloudScheduler, DrillReport, NinjaOrchestrator, NinjaReport, TriggerReason,
-    World, PHASE_NAMES,
+    plan_evacuation, CloudScheduler, NinjaOrchestrator, NinjaReport, TriggerReason, World,
+    PHASE_NAMES,
 };
 use ninja_sim::export::{stream_to, IoSink};
 use ninja_sim::{AlertEngine, Bandwidth, Json, SimDuration, TimeSeriesRecorder, ToJson};
@@ -124,10 +118,6 @@ struct Args {
     timeseries_out: Option<String>,
     /// Alert rules: `default`, `@FILE`, or inline rule text.
     alerts: Option<String>,
-    /// `fleet`/`faults` engine: the event-driven loop (default) or the
-    /// shipped O(J)-per-iteration reference. Output is bit-identical;
-    /// only host wall-clock differs.
-    reference_engine: bool,
 }
 
 impl Args {
@@ -198,7 +188,6 @@ fn usage() -> ! {
          [--jobs J] [--vms-per-job V] [--concurrency C] [--arrival SECS] [--deadline SECS] \
          [--uplink-gbps G] [--scenario evacuation|drain|rebalance|failover] \
          [--fault SPEC]... [--fault-seed S] [--max-retries N] [--backoff SECS] \
-         [--engine event|reference] \
          [--json] [--trace] [--trace-out FILE] [--metrics-out FILE] [--trace-cap N] \
          [--scrape-interval SECS] [--timeseries-out FILE] [--alerts default|@FILE|RULES]\n\
          \x20      ninja trace <summarize|critical-path> FILE"
@@ -234,7 +223,6 @@ fn parse(mut it: impl Iterator<Item = String>) -> Args {
         scrape_interval: None,
         timeseries_out: None,
         alerts: None,
-        reference_engine: false,
     };
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> u64 {
@@ -322,17 +310,6 @@ fn parse(mut it: impl Iterator<Item = String>) -> Args {
             "--alerts" => {
                 args.alerts = Some(it.next().unwrap_or_else(|| usage()));
             }
-            "--engine" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                match v.as_str() {
-                    "event" => args.reference_engine = false,
-                    "reference" => args.reference_engine = true,
-                    _ => {
-                        eprintln!("--engine must be event or reference");
-                        usage()
-                    }
-                }
-            }
             _ => usage(),
         }
     }
@@ -356,6 +333,56 @@ fn emit(report: &NinjaReport, args: &Args, world: &World) {
     if args.trace {
         eprintln!("\n--- trace ---\n{}", world.trace.render());
     }
+}
+
+/// `ninja fleet` / `ninja faults`: builds the `kind` scenario with `jobs`
+/// jobs under the fault plan `faults`, runs it on the fleet engine with
+/// the flags' admission and retry settings, and prints the SLO report.
+/// Returns the world for the telemetry outputs; `what` names the run in
+/// the error message.
+fn fleet_cmd(args: &Args, kind: ScenarioKind, jobs: usize, faults: FaultPlan, what: &str) -> World {
+    let spec = ScenarioSpec {
+        kind,
+        jobs,
+        vms_per_job: args.vms_per_job,
+        arrival: SimDuration::from_secs(args.arrival),
+        seed: args.seed,
+    };
+    // Fleets beyond the 8-node paper testbed run on a synthetic cluster
+    // sized to fit.
+    let mut s = build_auto(&spec);
+    s.world.trace.set_capacity(args.trace_cap);
+    s.world.faults = faults;
+    if let Some(rec) = args.build_recorder() {
+        s.world.install_recorder(rec);
+    }
+    let cfg = FleetConfig {
+        concurrency: args.concurrency,
+        deadline: args.deadline.map(SimDuration::from_secs),
+        uplink: Bandwidth::from_gbps(args.uplink_gbps),
+        retry: args.retry_policy(),
+        ..FleetConfig::default()
+    };
+    let report = {
+        let mut jobs: Vec<&mut dyn GuestCooperative> = s
+            .jobs
+            .iter_mut()
+            .map(|j| j as &mut dyn GuestCooperative)
+            .collect();
+        run_fleet(&mut s.world, &mut jobs, s.scheduler, &cfg).unwrap_or_else(|e| {
+            eprintln!("{what} failed: {e}");
+            exit(1)
+        })
+    };
+    for job in &s.jobs {
+        s.world.record_wire_metrics(job);
+    }
+    if args.json {
+        println!("{}", report.to_json().to_string_pretty());
+    } else {
+        println!("{report}");
+    }
+    s.world
 }
 
 /// Streams one exporter straight into `path` through a buffered writer.
@@ -651,9 +678,10 @@ fn main() {
                         &mut world.dc,
                     )
                     .expect("node free");
+                let now = world.clock();
                 let (_, at) = world
                     .pool
-                    .attach_ib_hca(vm, &mut world.dc, world.clock, &mut world.rng)
+                    .attach_ib_hca(vm, &mut world.dc, now, &mut world.rng)
                     .expect("HCA free");
                 world.advance_to(at);
                 b_vms.push(vm);
@@ -668,7 +696,7 @@ fn main() {
             let mut sched = CloudScheduler::new();
             for (j, dsts) in plans.iter().enumerate() {
                 if !dsts.is_empty() {
-                    sched.push_job(world.clock, dsts.clone(), TriggerReason::Fallback, j);
+                    sched.push_job(world.clock(), dsts.clone(), TriggerReason::Fallback, j);
                 }
             }
             let cfg = FleetConfig {
@@ -682,13 +710,7 @@ fn main() {
                     exit(1)
                 })
             };
-            let report = DrillReport {
-                jobs: fleet.jobs.len(),
-                vms: fleet.jobs.iter().map(|j| j.report.vm_count).sum(),
-                total_seconds: fleet.makespan_s,
-                queue_wait_s: fleet.jobs.iter().map(|j| j.queue_wait_s).collect(),
-                migrations: fleet.jobs.iter().map(|j| j.report.clone()).collect(),
-            };
+            let report = fleet.to_drill_report();
             world.record_wire_metrics(&job_a);
             world.record_wire_metrics(&job_b);
             if args.json {
@@ -709,111 +731,28 @@ fn main() {
         }
         "fleet" => {
             let kind = ScenarioKind::parse(&args.scenario).unwrap_or_else(|| usage());
-            let spec = ScenarioSpec {
+            world = fleet_cmd(
+                &args,
                 kind,
-                jobs: args.jobs,
-                vms_per_job: args.vms_per_job,
-                arrival: SimDuration::from_secs(args.arrival),
-                seed: args.seed,
-            };
-            // Fleets beyond the 8-node paper testbed run on a synthetic
-            // cluster sized to fit (tracing stays on for the recorder).
-            let mut s = build_auto(&spec);
-            s.world.trace.set_capacity(args.trace_cap);
-            s.world.faults = args.fault_plan(args.jobs);
-            if let Some(rec) = args.build_recorder() {
-                s.world.install_recorder(rec);
-            }
-            let cfg = FleetConfig {
-                concurrency: args.concurrency,
-                deadline: args.deadline.map(SimDuration::from_secs),
-                uplink: Bandwidth::from_gbps(args.uplink_gbps),
-                retry: args.retry_policy(),
-                ..FleetConfig::default()
-            };
-            let report = {
-                let mut jobs: Vec<&mut dyn GuestCooperative> = s
-                    .jobs
-                    .iter_mut()
-                    .map(|j| j as &mut dyn GuestCooperative)
-                    .collect();
-                let run = if args.reference_engine {
-                    run_fleet_reference
-                } else {
-                    run_fleet
-                };
-                run(&mut s.world, &mut jobs, s.scheduler, &cfg).unwrap_or_else(|e| {
-                    eprintln!("fleet run failed: {e}");
-                    exit(1)
-                })
-            };
-            for job in &s.jobs {
-                s.world.record_wire_metrics(job);
-            }
-            if args.json {
-                println!("{}", report.to_json().to_string_pretty());
-            } else {
-                println!("{report}");
-            }
-            world = s.world;
+                args.jobs,
+                args.fault_plan(args.jobs),
+                "fleet run",
+            );
         }
         "faults" => {
             // The chaos drill: failover burst onto spare IB nodes under
             // an injected fault plan. Defaults to 2 jobs so the spare
             // half of the 8-node cluster can absorb them.
             let jobs = if args.jobs_set { args.jobs } else { 2 };
-            let spec = ScenarioSpec {
-                kind: ScenarioKind::Failover,
-                jobs,
-                vms_per_job: args.vms_per_job,
-                arrival: SimDuration::from_secs(args.arrival),
-                seed: args.seed,
-            };
-            let mut s = build_auto(&spec);
-            s.world.trace.set_capacity(args.trace_cap);
             // Explicit --fault specs win; otherwise draw a random plan
             // from --fault-seed (default: the world seed).
-            s.world.faults = if args.faults.is_empty() && args.fault_seed.is_none() {
-                ninja_symvirt::FaultPlan::random(args.seed, jobs)
+            let plan = if args.faults.is_empty() && args.fault_seed.is_none() {
+                FaultPlan::random(args.seed, jobs)
             } else {
                 args.fault_plan(jobs)
             };
-            if let Some(rec) = args.build_recorder() {
-                s.world.install_recorder(rec);
-            }
-            eprintln!("fault plan: {:?}", s.world.faults.specs());
-            let cfg = FleetConfig {
-                concurrency: args.concurrency,
-                deadline: args.deadline.map(SimDuration::from_secs),
-                uplink: Bandwidth::from_gbps(args.uplink_gbps),
-                retry: args.retry_policy(),
-                ..FleetConfig::default()
-            };
-            let report = {
-                let mut jobs: Vec<&mut dyn GuestCooperative> = s
-                    .jobs
-                    .iter_mut()
-                    .map(|j| j as &mut dyn GuestCooperative)
-                    .collect();
-                let run = if args.reference_engine {
-                    run_fleet_reference
-                } else {
-                    run_fleet
-                };
-                run(&mut s.world, &mut jobs, s.scheduler, &cfg).unwrap_or_else(|e| {
-                    eprintln!("faults drill failed: {e}");
-                    exit(1)
-                })
-            };
-            for job in &s.jobs {
-                s.world.record_wire_metrics(job);
-            }
-            if args.json {
-                println!("{}", report.to_json().to_string_pretty());
-            } else {
-                println!("{report}");
-            }
-            world = s.world;
+            eprintln!("fault plan: {:?}", plan.specs());
+            world = fleet_cmd(&args, ScenarioKind::Failover, jobs, plan, "faults drill");
         }
         "fig8" => {
             // Convenience alias for the bench binary's scenario at one

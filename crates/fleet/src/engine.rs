@@ -2,7 +2,7 @@
 //!
 //! An event loop over three clocks that must agree:
 //!
-//! * the **world clock** (`world.clock`), shared by every job;
+//! * the **world clock** (`world.clock()`), shared by every job;
 //! * each [`MigrationMachine`]'s job-local clock — where that job's
 //!   next phase may start;
 //! * the **fair-share uplink**'s clock, which drains the concurrent
@@ -26,7 +26,7 @@
 //!
 //! * the world clock only ever jumps to the *minimum* pending wake
 //!   time, so every due machine at the top of an iteration satisfies
-//!   `next_at == world.clock` — min-heap pops at one instant come out
+//!   `next_at == world.clock()` — min-heap pops at one instant come out
 //!   in ascending job index, the documented tie-break;
 //! * a machine's wake time changes only while it is being stepped, so
 //!   each running job has exactly one live heap entry; entries that
@@ -185,7 +185,7 @@ pub fn run_fleet(
 
     let mut adm = AdmissionController::new(cfg.concurrency);
     let mut link = FairShareLink::new(cfg.uplink);
-    link.advance_to(world.clock);
+    link.advance_to(world.clock());
     let first_trigger = scheduler.next_at();
     let mut running: Vec<Option<Running>> = (0..jobs.len()).map(|_| None).collect();
     // Several outcomes per job: the triggered migration, plus the
@@ -211,13 +211,13 @@ pub fn run_fleet(
     // Same-instant spin bound: a correct loop makes progress (clock
     // advance, admission, or completion) long before this.
     let mut spins = 0u32;
-    let mut last_clock = world.clock;
+    let mut last_clock = world.clock();
     let mut iterations: u64 = 0;
 
     loop {
         iterations += 1;
-        if world.clock > last_clock {
-            last_clock = world.clock;
+        if world.clock() > last_clock {
+            last_clock = world.clock();
             spins = 0;
         } else {
             spins += 1;
@@ -228,7 +228,7 @@ pub fn run_fleet(
         // 1. Deliver due triggers into the ready queue. External
         //    triggers first (scheduler order), then due recoveries in
         //    (time, job) order — all deterministic.
-        while let Some(t) = scheduler.poll(world.clock) {
+        while let Some(t) = scheduler.poll(world.clock()) {
             let job = t.job.ok_or(FleetError::UntaggedTrigger)?;
             if job >= jobs.len() {
                 return Err(FleetError::BadJobIndex(job));
@@ -246,7 +246,7 @@ pub fn run_fleet(
         }
         while recovery_q
             .peek()
-            .is_some_and(|&Reverse((t, _))| t <= world.clock)
+            .is_some_and(|&Reverse((t, _))| t <= world.clock())
         {
             let Reverse((_, j)) = recovery_q.pop().expect("peeked");
             let q = recovery_slot[j].take().expect("queued recovery");
@@ -254,41 +254,48 @@ pub fn run_fleet(
         }
         // 2. Admit while slots are free.
         while let Some(q) = adm.admit() {
-            let wait = world.clock.since(q.triggered_at);
+            let wait = world.clock().since(q.triggered_at);
             world
                 .metrics
                 .observe_duration("ninja_fleet_queue_wait_seconds", &[], wait);
-            let machine =
-                MigrationMachine::new(cfg.monitor.clone(), jobs[q.job].vms(), q.dsts, world.clock)
-                    .with_fault_target(q.job, mig_count[q.job])
-                    .with_retry(cfg.retry);
+            let machine = MigrationMachine::new(
+                cfg.monitor.clone(),
+                jobs[q.job].vms(),
+                q.dsts,
+                world.clock(),
+            )
+            .with_fault_target(q.job, mig_count[q.job])
+            .with_retry(cfg.retry);
             mig_count[q.job] += 1;
             running[q.job] = Some(Running {
                 machine,
-                next_at: world.clock,
+                next_at: world.clock(),
                 triggered_at: q.triggered_at,
-                started_at: world.clock,
+                started_at: world.clock(),
                 reason: q.reason,
             });
-            wake.push(Reverse((world.clock, q.job)));
+            wake.push(Reverse((world.clock(), q.job)));
         }
         queue_depth.set(world, adm.depth() as f64);
         inflight.set(world, adm.inflight() as f64);
 
         // 3. Step every machine due at this instant. All due entries
-        //    carry `next_at == world.clock` (the clock only jumps to
+        //    carry `next_at == world.clock()` (the clock only jumps to
         //    the minimum pending time), so the min-heap yields them in
         //    job order — the same order as the old full sweep. A step
         //    may finish a job and free a slot.
         let mut freed_slot = false;
-        while wake.peek().is_some_and(|&Reverse((t, _))| t <= world.clock) {
+        while wake
+            .peek()
+            .is_some_and(|&Reverse((t, _))| t <= world.clock())
+        {
             let Reverse((t, j)) = wake.pop().expect("peeked");
             if !running[j].as_ref().is_some_and(|r| r.next_at == t) {
                 continue; // stale: the job finished, failed, or moved
             }
             while running[j]
                 .as_ref()
-                .is_some_and(|r| r.next_at <= world.clock)
+                .is_some_and(|r| r.next_at <= world.clock())
             {
                 let r = running[j].as_mut().expect("checked above");
                 let mut wire = WireMode::FairShare(&mut link);
@@ -310,7 +317,7 @@ pub fn run_fleet(
                     Ok(StepOutcome::Ready) => r.next_at = r.machine.now(),
                     Ok(StepOutcome::Waiting(t)) => {
                         r.next_at = t;
-                        if t <= world.clock {
+                        if t <= world.clock() {
                             // The wire has been advanced to t already;
                             // stepping again makes progress.
                             continue;
@@ -379,7 +386,7 @@ pub fn run_fleet(
                 }
             }
             if let Some(r) = running[j].as_ref() {
-                debug_assert!(r.next_at > world.clock, "stepped until not due");
+                debug_assert!(r.next_at > world.clock(), "stepped until not due");
                 wake.push(Reverse((r.next_at, j)));
             }
         }
@@ -419,7 +426,7 @@ pub fn run_fleet(
             t_next = t_next.min(rec.next_due());
         }
         world.advance_to(t_next);
-        link.advance_to(world.clock);
+        link.advance_to(world.clock());
     }
 
     // Terminal transition: both gauges return to zero at drain, and the
@@ -444,7 +451,7 @@ pub fn run_fleet(
         .unwrap_or_default();
 
     let jobs_done: Vec<JobOutcome> = outcomes.into_iter().flatten().collect();
-    let started = first_trigger.unwrap_or(world.clock);
+    let started = first_trigger.unwrap_or(world.clock());
     let makespan = jobs_done
         .iter()
         .map(|j| j.finished_at)

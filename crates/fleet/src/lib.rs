@@ -49,7 +49,5 @@ pub mod slo;
 pub use admission::{AdmissionController, QueuedJob};
 pub use engine::{run_fleet, FleetConfig, FleetError};
 pub use reference::run_fleet_reference;
-pub use scenario::{
-    build, build_auto, build_scaled, build_scaled_traced, Scenario, ScenarioKind, ScenarioSpec,
-};
+pub use scenario::{build, build_auto, build_scaled, Scenario, ScenarioKind, ScenarioSpec};
 pub use slo::{percentile, FleetReport, JobFailure, JobOutcome};

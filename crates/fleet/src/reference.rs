@@ -65,7 +65,7 @@ pub fn run_fleet_reference(
 
     let mut adm = AdmissionController::new(cfg.concurrency);
     let mut link = FairShareLink::reference(cfg.uplink);
-    link.advance_to(world.clock);
+    link.advance_to(world.clock());
     let first_trigger = scheduler.next_at();
     let mut running: Vec<Option<Running>> = (0..jobs.len()).map(|_| None).collect();
     let mut outcomes: Vec<Vec<JobOutcome>> = (0..jobs.len()).map(|_| Vec::new()).collect();
@@ -74,13 +74,13 @@ pub fn run_fleet_reference(
     let mut mig_count = vec![0usize; jobs.len()];
     let mut pending_recovery: Vec<(SimTime, QueuedJob)> = Vec::new();
     let mut spins = 0u32;
-    let mut last_clock = world.clock;
+    let mut last_clock = world.clock();
     let mut iterations: u64 = 0;
 
     loop {
         iterations += 1;
-        if world.clock > last_clock {
-            last_clock = world.clock;
+        if world.clock() > last_clock {
+            last_clock = world.clock();
             spins = 0;
         } else {
             spins += 1;
@@ -91,7 +91,7 @@ pub fn run_fleet_reference(
         // 1. Deliver due triggers into the ready queue. External
         //    triggers first (scheduler order), then due recoveries in
         //    (time, job) order — all deterministic.
-        while let Some(t) = scheduler.poll(world.clock) {
+        while let Some(t) = scheduler.poll(world.clock()) {
             let job = t.job.ok_or(FleetError::UntaggedTrigger)?;
             if job >= jobs.len() {
                 return Err(FleetError::BadJobIndex(job));
@@ -110,27 +110,31 @@ pub fn run_fleet_reference(
         pending_recovery.sort_by_key(|(t, q)| (*t, q.job));
         while pending_recovery
             .first()
-            .is_some_and(|(t, _)| *t <= world.clock)
+            .is_some_and(|(t, _)| *t <= world.clock())
         {
             let (_, q) = pending_recovery.remove(0);
             adm.enqueue(q);
         }
         // 2. Admit while slots are free.
         while let Some(q) = adm.admit() {
-            let wait = world.clock.since(q.triggered_at);
+            let wait = world.clock().since(q.triggered_at);
             world
                 .metrics
                 .observe_duration("ninja_fleet_queue_wait_seconds", &[], wait);
-            let machine =
-                MigrationMachine::new(cfg.monitor.clone(), jobs[q.job].vms(), q.dsts, world.clock)
-                    .with_fault_target(q.job, mig_count[q.job])
-                    .with_retry(cfg.retry);
+            let machine = MigrationMachine::new(
+                cfg.monitor.clone(),
+                jobs[q.job].vms(),
+                q.dsts,
+                world.clock(),
+            )
+            .with_fault_target(q.job, mig_count[q.job])
+            .with_retry(cfg.retry);
             mig_count[q.job] += 1;
             running[q.job] = Some(Running {
                 machine,
-                next_at: world.clock,
+                next_at: world.clock(),
                 triggered_at: q.triggered_at,
-                started_at: world.clock,
+                started_at: world.clock(),
                 reason: q.reason,
             });
         }
@@ -149,7 +153,7 @@ pub fn run_fleet_reference(
         for j in 0..jobs.len() {
             while running[j]
                 .as_ref()
-                .is_some_and(|r| r.next_at <= world.clock)
+                .is_some_and(|r| r.next_at <= world.clock())
             {
                 let r = running[j].as_mut().expect("checked above");
                 let mut wire = WireMode::FairShare(&mut link);
@@ -169,7 +173,7 @@ pub fn run_fleet_reference(
                     Ok(StepOutcome::Ready) => r.next_at = r.machine.now(),
                     Ok(StepOutcome::Waiting(t)) => {
                         r.next_at = t;
-                        if t <= world.clock {
+                        if t <= world.clock() {
                             continue;
                         }
                         break;
@@ -254,7 +258,7 @@ pub fn run_fleet_reference(
             t_next = t_next.min(rec.next_due());
         }
         world.advance_to(t_next);
-        link.advance_to(world.clock);
+        link.advance_to(world.clock());
     }
 
     world.metrics.set_gauge("ninja_fleet_queue_depth", &[], 0.0);
@@ -277,7 +281,7 @@ pub fn run_fleet_reference(
         .unwrap_or_default();
 
     let jobs_done: Vec<JobOutcome> = outcomes.into_iter().flatten().collect();
-    let started = first_trigger.unwrap_or(world.clock);
+    let started = first_trigger.unwrap_or(world.clock());
     let makespan = jobs_done
         .iter()
         .map(|j| j.finished_at)

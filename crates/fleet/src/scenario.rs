@@ -19,7 +19,7 @@
 use ninja_cluster::{DataCenterBuilder, FabricKind, NodeId, NodeSpec, StorageId};
 use ninja_migration::{CloudScheduler, TriggerReason, World};
 use ninja_mpi::MpiRuntime;
-use ninja_sim::{SimDuration, Trace};
+use ninja_sim::SimDuration;
 use ninja_vmm::{VmId, VmSpec};
 
 /// Which Section II-A use case to synthesize.
@@ -100,22 +100,10 @@ pub fn build(spec: &ScenarioSpec) -> Scenario {
 /// AGC-blade nodes on each side (IB and Ethernet), lifting the paper
 /// testbed's 8-node cap so scalability experiments can run
 /// thousand-job fleets. The trigger/boot logic is byte-for-byte the
-/// one [`build`] uses; tracing is disabled (a 4096-job fleet is ring-
-/// buffer churn, and the scaled worlds exist for throughput
-/// measurement, not span inspection). Panics if the fleet does not fit.
+/// one [`build`] uses, and tracing stays on so the flight recorder and
+/// critical-path attribution see every span. Panics if the fleet does
+/// not fit.
 pub fn build_scaled(spec: &ScenarioSpec, nodes_per_cluster: usize) -> Scenario {
-    build_scaled_inner(spec, nodes_per_cluster, false)
-}
-
-/// [`build_scaled`] with tracing left on: the flight-recorder path
-/// (`ninja fleet --jobs 64 ...` with `--trace-out` / `--alerts`) needs
-/// the spans for critical-path attribution even on fleets too big for
-/// the paper testbed.
-pub fn build_scaled_traced(spec: &ScenarioSpec, nodes_per_cluster: usize) -> Scenario {
-    build_scaled_inner(spec, nodes_per_cluster, true)
-}
-
-fn build_scaled_inner(spec: &ScenarioSpec, nodes_per_cluster: usize, traced: bool) -> Scenario {
     check_fit(spec, nodes_per_cluster, "the scaled source cluster");
     let mut b = DataCenterBuilder::new();
     let ib = b.add_cluster(
@@ -131,20 +119,12 @@ fn build_scaled_inner(spec: &ScenarioSpec, nodes_per_cluster: usize, traced: boo
         NodeSpec::agc_blade(),
     );
     b.shared_storage("vm-images", &[ib, eth]);
-    let mut world = World::from_parts(b.build(), ib, eth, spec.seed);
-    if !traced {
-        // A 4096-job fleet is ring-buffer churn; the throughput-
-        // measurement worlds skip span inspection entirely.
-        world.trace = Trace::disabled();
-    }
-    build_in(spec, world)
+    build_in(spec, World::from_parts(b.build(), ib, eth, spec.seed))
 }
 
 /// Build `spec` on the paper's 8-node AGC testbed when it fits, or on
 /// a synthetic cluster sized exactly to the fleet when it doesn't.
-/// Fleets that fit the testbed build byte-identically to [`build`];
-/// larger ones keep tracing enabled (unlike [`build_scaled`]) so the
-/// flight recorder still sees their spans.
+/// Fleets that fit the testbed build byte-identically to [`build`].
 pub fn build_auto(spec: &ScenarioSpec) -> Scenario {
     let total = spec.jobs * spec.vms_per_job;
     let need = if spec.kind == ScenarioKind::Failover {
@@ -155,7 +135,7 @@ pub fn build_auto(spec: &ScenarioSpec) -> Scenario {
     if need <= 8 {
         build(spec)
     } else {
-        build_scaled_traced(spec, need)
+        build_scaled(spec, need)
     }
 }
 
@@ -178,7 +158,7 @@ fn build_in(spec: &ScenarioSpec, mut world: World) -> Scenario {
     let on_ib = spec.kind != ScenarioKind::Rebalance;
     let jobs = boot_jobs(&mut world, spec.jobs, spec.vms_per_job, on_ib);
     let mut scheduler = CloudScheduler::new();
-    let t0 = world.clock;
+    let t0 = world.clock();
     let mut arrivals = world.rng.fork(0xf1ee7);
     let mut at = t0;
     let burst = matches!(spec.kind, ScenarioKind::Evacuation | ScenarioKind::Failover);
@@ -210,7 +190,7 @@ fn reason(kind: ScenarioKind) -> TriggerReason {
 /// IB side).
 fn boot_jobs(world: &mut World, jobs: usize, vms_per_job: usize, on_ib: bool) -> Vec<MpiRuntime> {
     let mut runtimes = Vec::with_capacity(jobs);
-    let mut ready = world.clock;
+    let mut ready = world.clock();
     let mut job_vms: Vec<Vec<VmId>> = Vec::with_capacity(jobs);
     for j in 0..jobs {
         let mut vms = Vec::with_capacity(vms_per_job);
@@ -232,9 +212,10 @@ fn boot_jobs(world: &mut World, jobs: usize, vms_per_job: usize, on_ib: bool) ->
                 )
                 .expect("source node holds one paper VM");
             if on_ib {
+                let now = world.clock();
                 let (_, active_at) = world
                     .pool
-                    .attach_ib_hca(vm, &mut world.dc, world.clock, &mut world.rng)
+                    .attach_ib_hca(vm, &mut world.dc, now, &mut world.rng)
                     .expect("IB node has a free HCA");
                 ready = ready.max(active_at);
             }

@@ -7,7 +7,7 @@
 //! resumed). [`FleetReport`] carries those, per-job detail, and deadline
 //! accounting, with JSON/CSV exports matching the rest of the repo.
 
-use ninja_migration::{NinjaReport, TriggerReason};
+use ninja_migration::{DrillReport, NinjaReport, TriggerReason};
 use ninja_sim::{AlertIncident, Json, ToJson};
 use std::fmt;
 
@@ -208,6 +208,18 @@ impl FleetReport {
             .map(|j| j.job)
             .collect::<std::collections::BTreeSet<_>>()
             .len()
+    }
+
+    /// The run as a cluster-evacuation drill report (`ninja evacuate`):
+    /// one entry per migration, with the makespan as the recovery time.
+    pub fn to_drill_report(&self) -> DrillReport {
+        DrillReport {
+            jobs: self.jobs.len(),
+            vms: self.jobs.iter().map(|j| j.report.vm_count).sum(),
+            total_seconds: self.makespan_s,
+            queue_wait_s: self.waits(),
+            migrations: self.jobs.iter().map(|j| j.report.clone()).collect(),
+        }
     }
 
     /// CSV export, one row per job.

@@ -1,4 +1,5 @@
-//! Byte-identity goldens for every telemetry exporter of `ninja fleet`.
+//! Byte-identity goldens for every telemetry exporter of the fleet-engine
+//! commands (`ninja fleet`, `ninja faults`, `ninja evacuate`).
 //!
 //! Each case runs the CLI and pins the SHA-256 of everything it writes:
 //! the report JSON on stdout, the Chrome trace (`--trace-out`), the
@@ -21,10 +22,11 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// One golden case: the fleet flags, and whether the flight recorder
-/// (30 s scrapes and the default alert rules) is on.
+/// One golden case: the subcommand and its flags, and whether the flight
+/// recorder (30 s scrapes and the default alert rules) is on.
 struct Case {
     name: &'static str,
+    cmd: &'static str,
     flags: &'static [&'static str],
     recorder: bool,
 }
@@ -32,6 +34,7 @@ struct Case {
 const CASES: &[Case] = &[
     Case {
         name: "evacuation-64",
+        cmd: "fleet",
         flags: &[
             "--scenario",
             "evacuation",
@@ -46,6 +49,7 @@ const CASES: &[Case] = &[
     },
     Case {
         name: "evacuation-64-plain",
+        cmd: "fleet",
         flags: &[
             "--scenario",
             "evacuation",
@@ -60,6 +64,7 @@ const CASES: &[Case] = &[
     },
     Case {
         name: "failover-faults",
+        cmd: "fleet",
         flags: &[
             "--scenario",
             "failover",
@@ -74,11 +79,26 @@ const CASES: &[Case] = &[
         ],
         recorder: true,
     },
+    // The chaos drill with its defaults: 2 failover jobs under a random
+    // fault plan drawn from the world seed.
+    Case {
+        name: "faults-default",
+        cmd: "faults",
+        flags: &["--seed", "7"],
+        recorder: true,
+    },
+    // The two-job cluster evacuation drill, serial by default.
+    Case {
+        name: "evacuate-4",
+        cmd: "evacuate",
+        flags: &["--vms", "4"],
+        recorder: true,
+    },
 ];
 
 fn run(case: &Case, dir: &Path, outputs: &[(&str, &str)]) -> Vec<u8> {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_ninja"));
-    cmd.arg("fleet").args(case.flags).arg("--json");
+    cmd.arg(case.cmd).args(case.flags).arg("--json");
     if case.recorder {
         cmd.args(["--scrape-interval", "30", "--alerts", "default"]);
     }

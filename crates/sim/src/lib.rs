@@ -3,8 +3,6 @@
 //! Foundation of the Ninja Migration reproduction. Provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond virtual time;
-//! * [`Engine`] — a deterministic discrete-event engine over a user world
-//!   type, with FIFO tie-breaking, cancellation, horizons and budgets;
 //! * [`SimRng`] — a platform-stable seeded RNG with forkable streams;
 //! * [`Bytes`] / [`Bandwidth`] — data-size and rate units with explicit
 //!   bits-vs-bytes semantics;
@@ -32,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod alerts;
-pub mod engine;
 pub mod export;
 pub mod metrics;
 pub mod rng;
@@ -44,7 +41,6 @@ pub mod trace;
 pub mod units;
 
 pub use alerts::{AlertEngine, AlertIncident, AlertRule};
-pub use engine::{Action, Ctx, Engine, EventId, RunOutcome};
 pub use export::{parse, Json, JsonError, ToJson};
 pub use metrics::{HistogramMetric, LabelSet, MetricsRegistry, SeriesId};
 pub use rng::SimRng;

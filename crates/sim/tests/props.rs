@@ -1,79 +1,9 @@
 //! Property-based tests of the simulation kernel.
 
-use ninja_sim::{Bandwidth, Bytes, Engine, Histogram, SimDuration, SimRng, SimTime, Summary};
+use ninja_sim::{Bandwidth, Bytes, Histogram, SimDuration, SimRng, Summary};
 use proptest::prelude::*;
 
 proptest! {
-    /// Events always execute in nondecreasing time order, regardless of
-    /// the schedule order, and every scheduled event runs exactly once.
-    #[test]
-    fn engine_executes_in_time_order(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut engine: Engine<Vec<u64>> = Engine::new();
-        let mut world = Vec::new();
-        for &t in &times {
-            engine.schedule_at(SimTime::from_nanos(t), move |w: &mut Vec<u64>, c| {
-                w.push(c.now().as_nanos());
-            });
-        }
-        engine.run_until_idle(&mut world);
-        prop_assert_eq!(world.len(), times.len());
-        prop_assert!(world.windows(2).all(|p| p[0] <= p[1]));
-        let mut sorted = times.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(world, sorted);
-    }
-
-    /// Splitting a run at an arbitrary horizon changes nothing about
-    /// the final outcome.
-    #[test]
-    fn engine_horizon_split_is_transparent(
-        times in prop::collection::vec(0u64..1_000_000, 1..100),
-        split in 0u64..1_000_000,
-    ) {
-        let run = |horizons: &[u64]| -> Vec<u64> {
-            let mut engine: Engine<Vec<u64>> = Engine::new();
-            let mut world = Vec::new();
-            for &t in &times {
-                engine.schedule_at(SimTime::from_nanos(t), move |w: &mut Vec<u64>, c| {
-                    w.push(c.now().as_nanos());
-                });
-            }
-            for &h in horizons {
-                engine.run_until(&mut world, SimTime::from_nanos(h));
-            }
-            engine.run_until_idle(&mut world);
-            world
-        };
-        prop_assert_eq!(run(&[]), run(&[split]));
-    }
-
-    /// Cancelling a subset of events runs exactly the complement.
-    #[test]
-    fn engine_cancellation_is_exact(
-        n in 1usize..100,
-        cancel_mask in prop::collection::vec(any::<bool>(), 100),
-    ) {
-        let mut engine: Engine<Vec<usize>> = Engine::new();
-        let mut world = Vec::new();
-        let mut ids = Vec::new();
-        for i in 0..n {
-            let id = engine.schedule_at(SimTime::from_nanos(i as u64), move |w: &mut Vec<usize>, _| {
-                w.push(i);
-            });
-            ids.push(id);
-        }
-        let mut expect = Vec::new();
-        for (i, id) in ids.into_iter().enumerate() {
-            if cancel_mask[i] {
-                engine.cancel(id);
-            } else {
-                expect.push(i);
-            }
-        }
-        engine.run_until_idle(&mut world);
-        prop_assert_eq!(world, expect);
-    }
-
     /// Summary::merge is equivalent to sequential accumulation for any
     /// split point.
     #[test]

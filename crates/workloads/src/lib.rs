@@ -15,7 +15,6 @@
 #![warn(missing_docs)]
 
 pub mod bcast_reduce;
-pub mod des;
 pub mod kernels;
 pub mod memtest;
 pub mod npb;
@@ -23,7 +22,6 @@ pub mod runner;
 pub mod scenarios;
 
 pub use bcast_reduce::{BcastReduce, DATA_PER_NODE};
-pub use des::{run_concurrent, ConcurrentJob};
 pub use kernels::{
     block_transpose, distributed_fft2d, naive_dft2d, solve_cg, solve_cg_sequential,
     transpose_block, CgProblem, CgResult,

@@ -148,15 +148,15 @@ fn run_with_trigger(
     mut trigger: impl FnMut(u32, ninja_sim::SimTime) -> Option<Vec<ninja_cluster::NodeId>>,
 ) -> Result<RunRecord, SymVirtError> {
     install_memory_profile(world, rt, workload.memory_profile());
-    let started = world.clock;
+    let started = world.clock();
     let mut iterations = Vec::with_capacity(workload.iterations() as usize);
     for step in 1..=workload.iterations() {
         let mut overhead = SimDuration::ZERO;
         let mut migration = None;
-        if let Some(dsts) = trigger(step, world.clock) {
-            let before = world.clock;
+        if let Some(dsts) = trigger(step, world.clock()) {
+            let before = world.clock();
             let report = orch.migrate(world, rt, &dsts)?;
-            overhead = world.clock.since(before);
+            overhead = world.clock().since(before);
             migration = Some(report);
         }
         // Iteration cost under the (possibly new) placement.
@@ -185,7 +185,7 @@ fn run_with_trigger(
     Ok(RunRecord {
         name: workload.name().to_string(),
         iterations,
-        total: world.clock.since(started),
+        total: world.clock().since(started),
     })
 }
 

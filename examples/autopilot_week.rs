@@ -34,7 +34,7 @@ fn main() {
     let day_plan = planner.plan(&world, &job, PlacementPolicy::Spread);
     let night_plan = planner.plan(&world, &job, PlacementPolicy::PowerSave);
     let mut scheduler = CloudScheduler::new();
-    let t0 = world.clock;
+    let t0 = world.clock();
     for day in 0..7u64 {
         scheduler.push(
             t0 + SimDuration::from_secs(day * 24 * HOUR + 20 * HOUR),

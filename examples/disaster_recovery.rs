@@ -26,12 +26,12 @@ fn main() {
     let eth: Vec<_> = (0..4).map(|i| world.eth_node(i)).collect();
     let ib: Vec<_> = (0..4).map(|i| world.ib_node(i)).collect();
     scheduler.push(
-        world.clock + SimDuration::from_secs(120),
+        world.clock() + SimDuration::from_secs(120),
         eth,
         TriggerReason::Fallback,
     );
     scheduler.push(
-        world.clock + SimDuration::from_secs(420),
+        world.clock() + SimDuration::from_secs(420),
         ib,
         TriggerReason::Recovery,
     );

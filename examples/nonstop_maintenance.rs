@@ -46,7 +46,7 @@ fn main() {
     let mut scheduler = CloudScheduler::new();
     let rack_b: Vec<_> = (0..8).map(|i| wm.cluster_node(wm.eth_cluster, i)).collect();
     scheduler.push(
-        wm.clock + SimDuration::from_secs(180),
+        wm.clock() + SimDuration::from_secs(180),
         rack_b,
         TriggerReason::Placement,
     );

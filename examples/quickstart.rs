@@ -18,7 +18,7 @@ fn main() {
     // Four VMs on the IB cluster, one per node. `boot_ib_vms` passes an
     // HCA through to each VM and waits out the ~30 s link training.
     let vms = world.boot_ib_vms(4);
-    println!("booted {} VMs; clock = {}", vms.len(), world.clock);
+    println!("booted {} VMs; clock = {}", vms.len(), world.clock());
 
     // An MPI job, one rank per VM. BTL selection picks openib
     // (exclusivity 1024) over tcp (100).

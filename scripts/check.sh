@@ -18,6 +18,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== property tests =="
+# Mirrors the CI step: every proptest-gated test target in the
+# workspace (the vendored stub sits behind the `proptest` features).
+cargo test --workspace -q --features proptest
+
 echo "== flight-recorder alert smoke =="
 # Mirrors the CI alert-smoke job: a 64-job fleet with 30 s scrapes and
 # the default rules must fire and resolve the queue-backlog alert,

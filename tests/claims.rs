@@ -42,7 +42,7 @@ fn c1_application_time_unchanged_by_mechanism_presence() {
     let vms = w2.boot_ib_vms(8);
     let mut rt2 = w2.start_job(vms, 8);
     let mut sched = CloudScheduler::new();
-    let fire = w2.clock + SimDuration::from_secs(180);
+    let fire = w2.clock() + SimDuration::from_secs(180);
     let dsts: Vec<_> = (0..8).map(|i| w2.cluster_node(w2.eth_cluster, i)).collect();
     sched.push(fire, dsts, TriggerReason::Placement);
     let b = run_workload(&mut w2, &mut rt2, &npb, &mut sched, &orch).unwrap();

@@ -116,12 +116,12 @@ proptest! {
     #[test]
     fn roundtrip_restores_ib(s in shape()) {
         let (mut w, mut rt, _) = run_fallback(&s);
-        let t_mid = w.clock;
+        let t_mid = w.clock();
         let ib: Vec<_> = (0..s.vms).map(|i| w.ib_node(i)).collect();
         let report = NinjaOrchestrator::default()
             .migrate(&mut w, &mut rt, &ib)
             .expect("recovery");
-        prop_assert!(w.clock >= t_mid);
+        prop_assert!(w.clock() >= t_mid);
         if s.vms >= 2 {
             prop_assert_eq!(rt.uniform_network_kind(), Some(TransportKind::OpenIb));
         }
@@ -180,23 +180,25 @@ proptest! {
             let mut b = Rank(rng.below(total as u64) as u32);
             if a == b { b = Rank((b.0 + 1) % total); }
             let dt = ninja_sim::SimDuration::from_micros(rng.below(100_000));
-            rt.record_send(a, b, Bytes::from_kib(64), w.clock + dt);
+            rt.record_send(a, b, Bytes::from_kib(64), w.clock() + dt);
         }
-        let report = ninja_mpi::Crcp.quiesce(&mut rt, &env, w.clock);
+        let report = ninja_mpi::Crcp.quiesce(&mut rt, &env, w.clock());
         prop_assert_eq!(report.drained_messages, n_msgs);
         prop_assert_eq!(rt.inflight_count(), 0);
         prop_assert!(rt.conservation_holds());
     }
 }
 
-/// Scale: a 64-node data center (4x the AGC testbed) with eight
-/// concurrent jobs, all evacuating to the Ethernet side at overlapping
-/// times through the event-driven runner. Exercises the topology
+/// Scale: a 64-node data center (4x the AGC testbed) with eight jobs,
+/// all evacuating to the Ethernet side at the same instant through the
+/// fleet engine with eight migrations in flight. Exercises the topology
 /// builder beyond the paper's scale and the engine's interleaving.
 #[test]
 fn big_data_center_concurrent_evacuations() {
     use ninja_cluster::{DataCenterBuilder, FabricKind, NodeSpec};
-    use ninja_workloads::{run_concurrent, BcastReduce, ConcurrentJob};
+    use ninja_fleet::{run_fleet, FleetConfig};
+    use ninja_migration::{CloudScheduler, TriggerReason};
+    use ninja_symvirt::GuestCooperative;
 
     let mut b = DataCenterBuilder::new();
     let ib = b.add_cluster("big-ib", FabricKind::Infiniband, 32, NodeSpec::agc_blade());
@@ -231,34 +233,35 @@ fn big_data_center_concurrent_evacuations() {
         jobs.push(vms);
     }
     w.advance_to(ready);
-    let start = w.clock;
-    let concurrent: Vec<ConcurrentJob> = jobs
+    let start = w.clock();
+    let mut sched = CloudScheduler::new();
+    let mut rts: Vec<_> = jobs
         .into_iter()
         .enumerate()
         .map(|(j, vms)| {
-            let rt = w.start_job(vms, 1);
-            // Each job evacuates to its own four Ethernet nodes at step 2.
+            // Each job evacuates to its own four Ethernet nodes.
             let dsts: Vec<_> = (0..4).map(|i| w.cluster_node(eth, j * 4 + i)).collect();
-            ConcurrentJob {
-                rt,
-                workload: Box::new(BcastReduce::new(3, 1)),
-                plan: vec![(2, dsts)],
-                start_at: start,
-            }
+            sched.push_job(start, dsts, TriggerReason::Fallback, j);
+            w.start_job(vms, 1)
         })
         .collect();
-    let (world, records) = run_concurrent(w, concurrent, NinjaOrchestrator::default());
+    let cfg = FleetConfig {
+        concurrency: 8,
+        ..FleetConfig::default()
+    };
+    let mut guests: Vec<&mut dyn GuestCooperative> = rts
+        .iter_mut()
+        .map(|rt| rt as &mut dyn GuestCooperative)
+        .collect();
+    let report = run_fleet(&mut w, &mut guests, sched, &cfg).unwrap();
 
-    assert_eq!(records.len(), 8);
-    for r in &records {
-        assert_eq!(r.iterations.len(), 3);
-        assert_eq!(r.migrations().count(), 1);
-    }
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    assert_eq!(report.jobs.len(), 8);
     // Everyone landed on the Ethernet cluster; the IB side is empty.
-    for vm in world.pool.iter() {
-        assert_eq!(world.dc.cluster_of(vm.node).0, eth.0);
+    for vm in w.pool.iter() {
+        assert_eq!(w.dc.cluster_of(vm.node).0, eth.0);
     }
-    for &n in &world.dc.cluster(ib).nodes {
-        assert_eq!(world.dc.node(n).committed_vcpus(), 0);
+    for &n in &w.dc.cluster(ib).nodes {
+        assert_eq!(w.dc.node(n).committed_vcpus(), 0);
     }
 }

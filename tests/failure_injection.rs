@@ -54,8 +54,9 @@ fn controller_requires_symvirt_wait() {
     let vms = w.boot_ib_vms(2);
     let _rt = w.start_job(vms.clone(), 1);
     let mut ctl = Controller::new(vms, QemuMonitor::default());
+    let now = w.clock();
     let err = ctl
-        .device_detach("hca-", &mut w.pool, &mut w.dc, w.clock, &mut w.rng, false)
+        .device_detach("hca-", &mut w.pool, &mut w.dc, now, &mut w.rng, false)
         .unwrap_err();
     assert!(matches!(err, SymVirtError::VmNotWaiting(_)));
 }
@@ -119,8 +120,9 @@ fn orchestrator_fails_cleanly_on_unreachable_storage() {
         .pool
         .create("vm", VmSpec::paper_vm(), node, lonely, &mut w.dc)
         .unwrap();
+    let now = w.clock();
     w.pool
-        .attach_ib_hca(vm, &mut w.dc, w.clock, &mut w.rng)
+        .attach_ib_hca(vm, &mut w.dc, now, &mut w.rng)
         .unwrap();
     // Advance past link training so the job starts on IB.
     w.advance(ninja_sim::SimDuration::from_secs(31));
@@ -145,12 +147,14 @@ fn agent_crash_before_signal_is_recoverable() {
     let mut rt = w.start_job(vms.clone(), 1);
     // Guest side runs: quiesce, release, pause.
     let env = w.comm_env();
+    let now = w.clock();
     ninja_symvirt::Coordinator
-        .checkpoint_and_wait(&mut rt, &env, &mut w.pool, &mut w.dc, w.clock)
+        .checkpoint_and_wait(&mut rt, &env, &mut w.pool, &mut w.dc, now)
         .unwrap();
     let mut ctl = Controller::new(vms.clone(), QemuMonitor::default());
     ctl.wait_all(&w.pool).unwrap();
-    ctl.device_detach("hca-", &mut w.pool, &mut w.dc, w.clock, &mut w.rng, false)
+    let now = w.clock();
+    ctl.device_detach("hca-", &mut w.pool, &mut w.dc, now, &mut w.rng, false)
         .unwrap();
     // The agent for VM 1 crashes before signal.
     ctl.inject_agent_failure(vms[1]);
@@ -162,16 +166,18 @@ fn agent_crash_before_signal_is_recoverable() {
     }
     // ...and a replacement controller completes the sequence.
     let mut ctl2 = Controller::new(vms.clone(), QemuMonitor::default());
-    ctl2.device_attach(&mut w.pool, &mut w.dc, w.clock, &mut w.rng, false)
+    let now = w.clock();
+    ctl2.device_attach(&mut w.pool, &mut w.dc, now, &mut w.rng, false)
         .unwrap();
     ctl2.signal(&mut w.pool).unwrap();
     for &vm in &vms {
         assert_eq!(w.pool.get(vm).state, ninja_vmm::VmState::Running);
     }
+    let now = w.clock();
     rt.continue_after(
         &w.pool,
         &mut w.dc,
-        w.clock + ninja_sim::SimDuration::from_secs(31),
+        now + ninja_sim::SimDuration::from_secs(31),
     )
     .unwrap();
     assert_eq!(rt.state(), ninja_mpi::RuntimeState::Active);
@@ -185,7 +191,7 @@ fn failed_migration_is_abortable() {
     let mut w = World::agc(312);
     let lonely = w.dc.storage.create("ib-only", &[w.ib_cluster.0]);
     let mut vms = Vec::new();
-    let mut ready = w.clock;
+    let mut ready = w.clock();
     for i in 0..2 {
         let node = w.ib_node(i);
         let vm = w
@@ -198,9 +204,10 @@ fn failed_migration_is_abortable() {
                 &mut w.dc,
             )
             .unwrap();
+        let now = w.clock();
         let (_, at) = w
             .pool
-            .attach_ib_hca(vm, &mut w.dc, w.clock, &mut w.rng)
+            .attach_ib_hca(vm, &mut w.dc, now, &mut w.rng)
             .unwrap();
         ready = ready.max(at);
         vms.push(vm);
@@ -262,7 +269,7 @@ fn monitor_guards() {
     let vms = w.boot_ib_vms(1);
     let vm = vms[0];
     let mon = QemuMonitor::default();
-    let now = w.clock;
+    let now = w.clock();
     // cont of a running VM
     let err = mon
         .execute(
@@ -339,7 +346,8 @@ fn no_route_is_detected() {
     w.dc.devices.as_eth_mut(nic).unwrap().unplug();
     let layout = ninja_mpi::JobLayout::new(vec![vm_a, vm_b], 1);
     let mut rt = ninja_mpi::MpiRuntime::new(layout, ninja_mpi::MpiConfig::default());
-    let err = rt.init(&w.pool, &mut w.dc, w.clock).unwrap_err();
+    let now = w.clock();
+    let err = rt.init(&w.pool, &mut w.dc, now).unwrap_err();
     assert!(matches!(err, ninja_mpi::MpiError::NoRoute { .. }));
 }
 
@@ -353,9 +361,10 @@ fn no_premature_openib_binding() {
         .pool
         .create("vm", VmSpec::paper_vm(), node, StorageId(0), &mut w.dc)
         .unwrap();
+    let now = w.clock();
     let (_, active_at) = w
         .pool
-        .attach_ib_hca(vm, &mut w.dc, w.clock, &mut w.rng)
+        .attach_ib_hca(vm, &mut w.dc, now, &mut w.rng)
         .unwrap();
     let just_before = active_at - ninja_sim::SimDuration::from_nanos(1);
     let t = w.pool.available_transports(vm, &w.dc, just_before);

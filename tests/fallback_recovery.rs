@@ -267,7 +267,7 @@ fn all_spans_are_well_formed_and_round_trip() {
             s.name
         );
         assert!(
-            s.end <= w.clock,
+            s.end <= w.clock(),
             "span {}/{} ends in the future",
             s.component,
             s.name

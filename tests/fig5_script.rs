@@ -19,16 +19,18 @@ use ninja_vmm::{QemuMonitor, VmState};
 /// coordinators do when the cloud scheduler delivers a trigger).
 fn guest_round(w: &mut World, rt: &mut ninja_mpi::MpiRuntime) {
     let env = CommEnv::from_world(&w.pool, &w.dc);
+    let now = w.clock();
     Coordinator
-        .checkpoint_and_wait(rt, &env, &mut w.pool, &mut w.dc, w.clock)
+        .checkpoint_and_wait(rt, &env, &mut w.pool, &mut w.dc, now)
         .expect("coordinators reach SymVirt wait");
 }
 
 /// After SymVirt signal, the continue callback re-establishes whatever
 /// is reachable.
 fn guest_continue(w: &mut World, rt: &mut ninja_mpi::MpiRuntime) {
+    let now = w.clock();
     Coordinator
-        .continue_callback(rt, &w.pool, &mut w.dc, w.clock)
+        .continue_callback(rt, &w.pool, &mut w.dc, now)
         .expect("BTL modules come back");
 }
 
@@ -49,7 +51,8 @@ fn fig5_script_call_for_call() {
     // ctl.signal()
     guest_round(&mut w, &mut rt);
     ctl.wait_all(&w.pool).unwrap();
-    ctl.device_detach("hca-", &mut w.pool, &mut w.dc, w.clock, &mut w.rng, false)
+    let now = w.clock();
+    ctl.device_detach("hca-", &mut w.pool, &mut w.dc, now, &mut w.rng, false)
         .unwrap();
     ctl.signal(&mut w.pool).unwrap();
     guest_continue(&mut w, &mut rt);
@@ -63,7 +66,8 @@ fn fig5_script_call_for_call() {
     // ctl.migration(config.ib_hostlist, config.eth_hostlist); ctl.quit()
     guest_round(&mut w, &mut rt);
     ctl.wait_all(&w.pool).unwrap();
-    ctl.migration(&eth_hostlist, &mut w.pool, &mut w.dc, w.clock, &mut w.rng)
+    let now = w.clock();
+    ctl.migration(&eth_hostlist, &mut w.pool, &mut w.dc, now, &mut w.rng)
         .unwrap();
     ctl.signal(&mut w.pool).unwrap(); // the script's next round resumes them
     ctl.close(); // ctl.quit()
@@ -81,7 +85,8 @@ fn fig5_script_call_for_call() {
     // ctl.migration(config.eth_hostlist, config.ib_hostlist); ctl.quit()
     guest_round(&mut w, &mut rt);
     ctl.wait_all(&w.pool).unwrap();
-    ctl.migration(&ib_hostlist, &mut w.pool, &mut w.dc, w.clock, &mut w.rng)
+    let now = w.clock();
+    ctl.migration(&ib_hostlist, &mut w.pool, &mut w.dc, now, &mut w.rng)
         .unwrap();
     ctl.signal(&mut w.pool).unwrap();
     ctl.close();
@@ -95,8 +100,9 @@ fn fig5_script_call_for_call() {
     let mut ctl = Controller::new(vms.clone(), QemuMonitor::default());
     guest_round(&mut w, &mut rt);
     ctl.wait_all(&w.pool).unwrap();
+    let now = w.clock();
     let attach = ctl
-        .device_attach(&mut w.pool, &mut w.dc, w.clock, &mut w.rng, false)
+        .device_attach(&mut w.pool, &mut w.dc, now, &mut w.rng, false)
         .unwrap();
     ctl.signal(&mut w.pool).unwrap();
     ctl.close();
@@ -137,20 +143,15 @@ fn fig5_and_fig4_agree_on_the_end_state() {
     let mut ctl = Controller::new(vms5.clone(), QemuMonitor::default());
     guest_round(&mut w5, &mut rt5);
     ctl.wait_all(&w5.pool).unwrap();
-    ctl.device_detach(
-        "hca-",
-        &mut w5.pool,
-        &mut w5.dc,
-        w5.clock,
-        &mut w5.rng,
-        true,
-    )
-    .unwrap();
+    let now = w5.clock();
+    ctl.device_detach("hca-", &mut w5.pool, &mut w5.dc, now, &mut w5.rng, true)
+        .unwrap();
     ctl.signal(&mut w5.pool).unwrap();
     guest_continue(&mut w5, &mut rt5);
     guest_round(&mut w5, &mut rt5);
     ctl.wait_all(&w5.pool).unwrap();
-    ctl.migration(&eth5, &mut w5.pool, &mut w5.dc, w5.clock, &mut w5.rng)
+    let now = w5.clock();
+    ctl.migration(&eth5, &mut w5.pool, &mut w5.dc, now, &mut w5.rng)
         .unwrap();
     ctl.signal(&mut w5.pool).unwrap();
     ctl.close();

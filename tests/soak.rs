@@ -45,7 +45,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// The conservation laws that must hold between steps.
 fn check_invariants(w: &World, rt: &MpiRuntime, clock_before: SimTime) {
     // 1. Time only moves forward.
-    assert!(w.clock >= clock_before, "clock went backwards");
+    assert!(w.clock() >= clock_before, "clock went backwards");
 
     // 2. Node accounting == sum of live VMs placed there.
     for node in w.dc.nodes() {
@@ -163,7 +163,7 @@ proptest! {
         let mut store = SnapshotStore::new();
         check_invariants(&w, &rt, SimTime::ZERO);
         for &op in &ops {
-            let before = w.clock;
+            let before = w.clock();
             apply(op, &mut w, &mut rt, &mut store);
             check_invariants(&w, &rt, before);
         }
@@ -193,10 +193,10 @@ fn deterministic_long_soak() {
         Op::SpreadIb,
     ];
     for (i, &op) in script.iter().enumerate() {
-        let before = w.clock;
+        let before = w.clock();
         apply(op, &mut w, &mut rt, &mut store);
         check_invariants(&w, &rt, before);
-        assert!(w.clock > before, "step {i} advanced time");
+        assert!(w.clock() > before, "step {i} advanced time");
     }
     // The job survived 13 operations including two crash/restart cycles.
     assert_eq!(rt.layout().total_ranks(), 8);
