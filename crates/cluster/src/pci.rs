@@ -6,6 +6,7 @@
 //! (`'tag': 'vf0'`).
 
 use ninja_net::{EthKind, EthNic, IbHca};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a device in the [`DeviceTable`].
@@ -74,7 +75,7 @@ impl DeviceKind {
 }
 
 /// Where a device currently lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Attachment {
     /// In the host's free pool on node `node` (not assigned to any VM).
     /// Host.
@@ -103,14 +104,28 @@ pub struct PciDevice {
     pub tag: String,
     /// The kind.
     pub kind: DeviceKind,
-    /// The attachment.
-    pub attachment: Attachment,
+    /// Private so that [`DeviceTable::set_attachment`] is the only
+    /// writer and the table's attachment index cannot go stale.
+    attachment: Attachment,
+}
+
+impl PciDevice {
+    /// Where the device currently lives.
+    pub fn attachment(&self) -> Attachment {
+        self.attachment
+    }
 }
 
 /// Flat arena of all devices in the data center.
+///
+/// Lookups go through an index from [`Attachment`] to the ids attached
+/// there, each list sorted ascending: a lookup touches only the devices
+/// on one node or VM, and its first match is the lowest id — the device
+/// a scan of the whole table in id order would find.
 #[derive(Debug, Default)]
 pub struct DeviceTable {
     devices: Vec<PciDevice>,
+    by_attachment: HashMap<Attachment, Vec<DeviceId>>,
 }
 
 impl DeviceTable {
@@ -135,7 +150,38 @@ impl DeviceTable {
             kind,
             attachment,
         });
+        // The new id is the largest, so pushing keeps the list sorted.
+        self.by_attachment.entry(attachment).or_default().push(id);
         id
+    }
+
+    /// Moves device `id` to `attachment` (hotplug, migration, teardown).
+    pub fn set_attachment(&mut self, id: DeviceId, attachment: Attachment) {
+        let dev = &mut self.devices[id.0 as usize];
+        let old = std::mem::replace(&mut dev.attachment, attachment);
+        if old == attachment {
+            return;
+        }
+        let ids = self
+            .by_attachment
+            .get_mut(&old)
+            .expect("indexed under its attachment");
+        let at = ids
+            .binary_search(&id)
+            .expect("indexed under its attachment");
+        // An emptied list stays, keeping its capacity for the next
+        // device to land there; the keys are bounded by nodes + VMs.
+        ids.remove(at);
+        let ids = self.by_attachment.entry(attachment).or_default();
+        let at = ids.binary_search(&id).expect_err("not yet indexed here");
+        ids.insert(at, id);
+    }
+
+    /// Ids attached at `attachment`, ascending.
+    fn attached(&self, attachment: Attachment) -> &[DeviceId] {
+        self.by_attachment
+            .get(&attachment)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Borrow the entry by id.
@@ -163,20 +209,22 @@ impl DeviceTable {
         self.devices.iter()
     }
 
-    /// Find a device by its script tag attached to a given VM.
+    /// Find a device by its script tag attached to a given VM (the
+    /// lowest id when several match).
     pub fn find_by_tag_on_vm(&self, vm: u32, tag: &str) -> Option<DeviceId> {
-        self.devices
+        self.attached(Attachment::Guest { vm })
             .iter()
-            .find(|d| d.tag == tag && d.attachment == Attachment::Guest { vm })
-            .map(|d| d.id)
+            .copied()
+            .find(|&id| self.get(id).tag == tag)
     }
 
-    /// Find a free (host-pool) device of a class on a node.
+    /// Find a free (host-pool) device of a class on a node (the lowest
+    /// id when several match).
     pub fn find_free_on_node(&self, node: u32, class: DeviceClass) -> Option<DeviceId> {
-        self.devices
+        self.attached(Attachment::Host { node })
             .iter()
-            .find(|d| d.kind.class() == class && d.attachment == Attachment::Host { node })
-            .map(|d| d.id)
+            .copied()
+            .find(|&id| self.get(id).kind.class() == class)
     }
 
     /// Convenience accessors for the typed device state.
@@ -266,6 +314,37 @@ mod tests {
         assert_eq!(t.find_free_on_node(0, DeviceClass::IbHca), Some(a));
         assert_eq!(t.find_free_on_node(1, DeviceClass::IbHca), None);
         assert_eq!(t.find_free_on_node(0, DeviceClass::EthNic), None);
+    }
+
+    #[test]
+    fn lookups_return_the_lowest_matching_id() {
+        let mut t = DeviceTable::new();
+        let ids: Vec<DeviceId> = (0..4u8)
+            .map(|i| {
+                t.insert(
+                    PciAddr::new(4, i, 0),
+                    "vf0",
+                    ib_hca(u64::from(i)),
+                    Attachment::Detached,
+                )
+            })
+            .collect();
+        // Attach in descending id order: the index must not return the
+        // most recently moved device.
+        for &id in ids.iter().rev() {
+            t.set_attachment(id, Attachment::Host { node: 3 });
+        }
+        assert_eq!(t.find_free_on_node(3, DeviceClass::IbHca), Some(ids[0]));
+        t.set_attachment(ids[0], Attachment::Guest { vm: 9 });
+        assert_eq!(t.find_free_on_node(3, DeviceClass::IbHca), Some(ids[1]));
+        for &id in &ids[1..] {
+            t.set_attachment(id, Attachment::Guest { vm: 9 });
+        }
+        assert_eq!(t.find_free_on_node(3, DeviceClass::IbHca), None);
+        assert_eq!(t.find_by_tag_on_vm(9, "vf0"), Some(ids[0]));
+        t.set_attachment(ids[0], Attachment::Detached);
+        assert_eq!(t.find_by_tag_on_vm(9, "vf0"), Some(ids[1]));
+        assert_eq!(t.get(ids[0]).attachment(), Attachment::Detached);
     }
 
     #[test]

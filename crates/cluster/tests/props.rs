@@ -1,8 +1,8 @@
 //! Property-based tests of the cluster substrate.
 
 use ninja_cluster::{
-    Attachment, DataCenter, DeviceClass, DeviceTable, HotplugCalib, HotplugOp, Node, NodeId,
-    NodeSpec, PciAddr,
+    Attachment, DataCenter, DeviceClass, DeviceId, DeviceTable, HotplugCalib, HotplugOp, Node,
+    NodeId, NodeSpec, PciAddr,
 };
 use ninja_sim::{Bandwidth, Bytes, SimRng, SimTime};
 use proptest::prelude::*;
@@ -51,38 +51,49 @@ proptest! {
         prop_assert!(att_ib > det_eth + att_eth, "any IB op dwarfs Ethernet");
     }
 
-    /// DeviceTable lookups stay consistent under arbitrary attachment
-    /// churn.
+    /// DeviceTable's indexed lookups agree with a scan of the whole
+    /// table in id order (lowest id wins) under arbitrary attachment
+    /// churn: HCAs and NICs move through host pools, guests and
+    /// detached, several HCAs sit free on one node, and tags repeat.
     #[test]
-    fn device_table_consistency(moves in prop::collection::vec((0usize..10, 0u32..4, any::<bool>()), 1..80)) {
+    fn device_table_consistency(moves in prop::collection::vec((0usize..12, 0u8..3, 0u32..4), 1..80)) {
         let mut table = DeviceTable::new();
-        let mut ids = Vec::new();
-        for i in 0..10u32 {
-            ids.push(table.insert(
-                PciAddr::new(4, i as u8, 0),
-                format!("dev{i}"),
-                ninja_cluster::pci::ib_hca(i as u64),
-                Attachment::Host { node: 0 },
-            ));
-        }
-        for &(which, target, to_guest) in &moves {
-            let id = ids[which];
-            table.get_mut(id).attachment = if to_guest {
-                Attachment::Guest { vm: target }
-            } else {
-                Attachment::Host { node: target }
+        let ids: Vec<DeviceId> = (0..12u32)
+            .map(|i| {
+                let (kind, at) = if i < 8 {
+                    (ninja_cluster::pci::ib_hca(u64::from(i)), Attachment::Host { node: 0 })
+                } else {
+                    (ninja_cluster::pci::virtio_nic(u64::from(i)), Attachment::Guest { vm: i % 4 })
+                };
+                table.insert(PciAddr::new(4, i as u8, 0), format!("dev{}", i % 3), kind, at)
+            })
+            .collect();
+        for &(which, place, target) in &moves {
+            let at = match place {
+                0 => Attachment::Host { node: target },
+                1 => Attachment::Guest { vm: target },
+                _ => Attachment::Detached,
             };
-            // Tag lookup agrees with the attachment we just wrote.
-            if to_guest {
-                prop_assert_eq!(table.find_by_tag_on_vm(target, &format!("dev{which}")), Some(id));
-            } else {
-                prop_assert_eq!(
-                    table.find_free_on_node(target, DeviceClass::IbHca).is_some(),
-                    true
-                );
+            table.set_attachment(ids[which], at);
+            prop_assert_eq!(table.get(ids[which]).attachment(), at);
+            for x in 0..4u32 {
+                for class in [DeviceClass::IbHca, DeviceClass::EthNic] {
+                    let scan = table
+                        .iter()
+                        .find(|d| d.kind.class() == class && d.attachment() == Attachment::Host { node: x })
+                        .map(|d| d.id);
+                    prop_assert_eq!(table.find_free_on_node(x, class), scan);
+                }
+                for tag in ["dev0", "dev1", "dev2"] {
+                    let scan = table
+                        .iter()
+                        .find(|d| d.tag == tag && d.attachment() == Attachment::Guest { vm: x })
+                        .map(|d| d.id);
+                    prop_assert_eq!(table.find_by_tag_on_vm(x, tag), scan);
+                }
             }
         }
-        prop_assert_eq!(table.len(), 10);
+        prop_assert_eq!(table.len(), 12);
     }
 
     /// Migration-path reservations are causally sane for any request

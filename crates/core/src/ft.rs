@@ -178,7 +178,9 @@ impl NinjaOrchestrator {
         }
         let now = world.clock();
         Coordinator.continue_callback(rt, &world.pool, &mut world.dc, now)?;
-        world.trace.record_spans(ctl.take_spans());
+        world
+            .trace
+            .record_spans(ctl.take_spans().into_iter().map(|(_, s)| s));
         world.trace.record_span(
             SpanBuilder::new("ninja", "checkpoint", t_start)
                 .label("vms", vms.len().to_string())
@@ -261,7 +263,9 @@ impl NinjaOrchestrator {
         rt.restart_on(new_vms.clone(), &world.pool, &mut world.dc, now)
             .map_err(SymVirtError::Runtime)?;
         let transport_after = rt.uniform_network_kind().map(|k| k.to_string());
-        world.trace.record_spans(ctl.take_spans());
+        world
+            .trace
+            .record_spans(ctl.take_spans().into_iter().map(|(_, s)| s));
         let mut span = SpanBuilder::new("ninja", "restart", t_start)
             .label("images", handle.snapshots.len().to_string());
         if let Some(t) = &transport_after {

@@ -100,7 +100,9 @@ impl NinjaOrchestrator {
             ctl.device_attach(&mut world.pool, &mut world.dc, now, &mut world.rng, false)?;
         world.advance(attach.duration);
         ctl.signal(&mut world.pool)?;
-        world.trace.record_spans(ctl.take_spans());
+        world
+            .trace
+            .record_spans(ctl.take_spans().into_iter().map(|(_, s)| s));
         ctl.close();
         if app.needs_link_wait() {
             if let Some(active_at) = attach.link_active_at {

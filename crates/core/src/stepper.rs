@@ -31,12 +31,13 @@ use crate::report::NinjaReport;
 use crate::world::World;
 use ninja_cluster::NodeId;
 use ninja_net::{FairShareLink, FlowId};
-use ninja_sim::{Bytes, SimDuration, SimTime, Span, SpanBuilder};
+use ninja_sim::{Bytes, MetricsRegistry, SeriesId, SimDuration, SimTime, Span, SpanBuilder};
 use ninja_symvirt::{
     Controller, DevicePhase, FaultKind, FaultPhase, GuestCooperative, PendingMigration,
     ResumeOutcome, RetryPolicy, SymVirtError,
 };
 use ninja_vmm::{PrecopyPlan, QemuMonitor, VmId, VmmError};
+use std::collections::BTreeSet;
 
 /// How the migration phase puts precopy bytes on the wire.
 pub enum WireMode<'a> {
@@ -446,19 +447,13 @@ impl MigrationMachine {
                     (crate::PHASE_NAMES[3], self.t_mig_end, self.t_attach_end),
                     (crate::PHASE_NAMES[4], self.t_attach_end, t_linkup_end),
                 ];
-                let per_vm_wire: Vec<(String, u64)> = self
-                    .vms
-                    .iter()
-                    .zip(self.plans.iter())
-                    .map(|(&vm, p)| (world.pool.get(vm).name.clone(), p.wire_bytes().get()))
-                    .collect();
                 record_job_telemetry(
                     world,
                     &report,
                     &self.vms,
                     &windows,
                     vm_spans,
-                    per_vm_wire,
+                    &self.plans,
                     hotplug_leaked,
                     self.t_start,
                     self.job,
@@ -519,6 +514,53 @@ impl MigrationMachine {
     }
 }
 
+/// Series ids of the fixed per-migration metrics, cached beside the
+/// registry in [`World`]. Each id is resolved at its series' first
+/// write, so a series still comes into existence only once it has a
+/// value; later migrations skip the key hash. Valid only for the
+/// registry in the same `World`.
+#[derive(Debug, Default)]
+pub(crate) struct MigrationSeries {
+    migrations: Option<SeriesId>,
+    wire_bytes: Option<SeriesId>,
+    hotplug_leaked: Option<SeriesId>,
+    btl_reconstructions: Option<SeriesId>,
+    phase_duration: [Option<SeriesId>; 5],
+    trace_dropped: Option<SeriesId>,
+}
+
+/// Help texts of the per-migration metrics.
+fn describe_migration_metrics(m: &mut MetricsRegistry) {
+    m.describe("ninja_migrations_total", "Completed Ninja migrations");
+    m.describe(
+        "ninja_wire_bytes_total",
+        "Precopy bytes on the wire across all migrations",
+    );
+    m.describe(
+        "ninja_vm_wire_bytes_total",
+        "Precopy bytes on the wire, per VM",
+    );
+    m.describe(
+        "ninja_phase_duration_seconds",
+        "Duration of each migration phase",
+    );
+    m.describe(
+        "ninja_btl_reconstructions_total",
+        "BTL module reconstructions after migration",
+    );
+    // Named for what it counts: IB resources (QPs/MRs) the monitor
+    // reported leaked by unsafe teardown during device detach. This was
+    // historically mis-exported as `ninja_hotplug_retries_total`.
+    m.describe(
+        "ninja_hotplug_leaked_total",
+        "IB resources torn down unsafely during device detach",
+    );
+    m.describe(
+        "ninja_trace_dropped_records",
+        "Trace records evicted by the ring-buffer cap",
+    );
+}
+
 /// Record the job-level phase spans, fill in per-VM spans for phases the
 /// controller skipped on a VM (so every VM shows one complete span per
 /// phase), and update the metrics registry. Shared by the serial
@@ -531,9 +573,9 @@ pub(crate) fn record_job_telemetry(
     world: &mut World,
     report: &NinjaReport,
     vms: &[VmId],
-    windows: &[(&str, SimTime, SimTime); 5],
-    mut vm_spans: Vec<Span>,
-    per_vm_wire: Vec<(String, u64)>,
+    windows: &[(&'static str, SimTime, SimTime); 5],
+    vm_spans: Vec<(VmId, Span)>,
+    plans: &[PrecopyPlan],
     hotplug_leaked: u64,
     t_start: SimTime,
     job: usize,
@@ -568,22 +610,26 @@ pub(crate) fn record_job_telemetry(
     // Per-VM spans: the controller's real ones, plus the job window
     // for any (phase, vm) pair it skipped (e.g. detach on an HCA-less
     // VM), so every VM shows one span per phase.
-    let mut covered: std::collections::BTreeSet<(String, String)> = vm_spans
+    let mut covered: BTreeSet<(&'static str, VmId)> = vm_spans
         .iter()
-        .filter_map(|s| s.label("vm").map(|v| (s.name.clone(), v.to_string())))
+        .filter_map(|(vm, s)| {
+            let &(name, _, _) = windows.iter().find(|w| w.0 == s.name)?;
+            Some((name, *vm))
+        })
         .collect();
-    for s in &mut vm_spans {
-        s.labels.push(("job".to_string(), job_label.clone()));
-        s.labels.push(("mig".to_string(), mig_label.clone()));
-    }
-    world.trace.record_spans(vm_spans);
+    world
+        .trace
+        .record_spans(vm_spans.into_iter().map(|(_, mut s)| {
+            s.labels.push(("job".into(), job_label.clone()));
+            s.labels.push(("mig".into(), mig_label.clone()));
+            s
+        }));
     for &(name, start, end) in windows {
         for &vm in vms {
-            let vm_name = world.pool.get(vm).name.clone();
-            if covered.insert((name.to_string(), vm_name.clone())) {
+            if covered.insert((name, vm)) {
                 world.trace.record_span(
                     SpanBuilder::new("symvirt", name, start)
-                        .label("vm", vm_name)
+                        .label("vm", world.pool.get(vm).name.clone())
                         .label("job", &job_label)
                         .label("mig", &mig_label)
                         .end(end),
@@ -592,40 +638,31 @@ pub(crate) fn record_job_telemetry(
         }
     }
 
-    let m = &mut world.metrics;
-    m.describe("ninja_migrations_total", "Completed Ninja migrations");
-    m.describe(
+    let (m, s) = (&mut world.metrics, &mut world.migration_series);
+    if s.migrations.is_none() {
+        describe_migration_metrics(m); // the world's first migration
+    }
+    let mut add = |slot: &mut Option<SeriesId>, name: &str, delta: u64| {
+        let id = *slot.get_or_insert_with(|| m.counter_id(name, &[]));
+        m.add(id, delta);
+    };
+    add(&mut s.migrations, "ninja_migrations_total", 1);
+    add(
+        &mut s.wire_bytes,
         "ninja_wire_bytes_total",
-        "Precopy bytes on the wire across all migrations",
+        report.wire_bytes,
     );
-    m.describe(
-        "ninja_vm_wire_bytes_total",
-        "Precopy bytes on the wire, per VM",
-    );
-    m.describe(
-        "ninja_phase_duration_seconds",
-        "Duration of each migration phase",
-    );
-    m.describe(
-        "ninja_btl_reconstructions_total",
-        "BTL module reconstructions after migration",
-    );
-    // Named for what it counts: IB resources (QPs/MRs) the monitor
-    // reported leaked by unsafe teardown during device detach. This was
-    // historically mis-exported as `ninja_hotplug_retries_total`.
-    m.describe(
+    add(
+        &mut s.hotplug_leaked,
         "ninja_hotplug_leaked_total",
-        "IB resources torn down unsafely during device detach",
+        hotplug_leaked,
     );
-    m.describe(
-        "ninja_trace_dropped_records",
-        "Trace records evicted by the ring-buffer cap",
-    );
-    m.inc("ninja_migrations_total", &[], 1);
-    m.inc("ninja_wire_bytes_total", &[], report.wire_bytes);
-    m.inc("ninja_hotplug_leaked_total", &[], hotplug_leaked);
     if report.btl_reconstructed {
-        m.inc("ninja_btl_reconstructions_total", &[], 1);
+        add(
+            &mut s.btl_reconstructions,
+            "ninja_btl_reconstructions_total",
+            1,
+        );
     }
     if report.degraded {
         // Described lazily so fault-free runs export an unchanged
@@ -636,21 +673,24 @@ pub(crate) fn record_job_telemetry(
         );
         m.inc("ninja_degraded_jobs", &[], 1);
     }
-    for (vm_name, bytes) in &per_vm_wire {
-        m.inc("ninja_vm_wire_bytes_total", &[("vm", vm_name)], *bytes);
-    }
-    for &(name, start, end) in windows {
-        m.observe_duration(
-            "ninja_phase_duration_seconds",
-            &[("phase", name)],
-            end.since(start),
+    for (&vm, plan) in vms.iter().zip(plans) {
+        let vm_name = world.pool.get(vm).name.as_str();
+        m.inc(
+            "ninja_vm_wire_bytes_total",
+            &[("vm", vm_name)],
+            plan.wire_bytes().get(),
         );
     }
-    m.set_gauge(
-        "ninja_trace_dropped_records",
-        &[],
-        world.trace.dropped() as f64,
-    );
+    for (&(name, start, end), slot) in windows.iter().zip(&mut s.phase_duration) {
+        let id = *slot.get_or_insert_with(|| {
+            m.histogram_id("ninja_phase_duration_seconds", &[("phase", name)])
+        });
+        m.observe_n(id, end.since(start).as_secs_f64(), 1);
+    }
+    let id = *s
+        .trace_dropped
+        .get_or_insert_with(|| m.gauge_id("ninja_trace_dropped_records", &[]));
+    m.set(id, world.trace.dropped() as f64);
 }
 
 #[cfg(test)]

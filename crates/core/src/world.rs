@@ -5,6 +5,7 @@
 //! starts from (boot VMs on a cluster, attach HCAs, wait for link
 //! training, start an MPI job).
 
+use crate::stepper::MigrationSeries;
 use ninja_cluster::{ClusterId, DataCenter, NodeId, StorageId};
 use ninja_mpi::{CommEnv, JobLayout, MpiConfig, MpiRuntime};
 use ninja_sim::{MetricsRegistry, SimDuration, SimRng, SimTime, TimeSeriesRecorder, Trace};
@@ -24,7 +25,11 @@ pub struct World {
     /// Chrome-trace exporter).
     pub trace: Trace,
     /// Labeled counters/gauges/histograms (Prometheus exposition).
+    /// Replacing the registry mid-run invalidates the cached
+    /// per-migration series ids kept beside it.
     pub metrics: MetricsRegistry,
+    /// Series ids of the per-migration metrics in `metrics`.
+    pub(crate) migration_series: MigrationSeries,
     /// The virtual clock. Private so that only [`World::advance_to`]
     /// moves it, and only forwards.
     clock: SimTime,
@@ -52,6 +57,7 @@ impl World {
             rng: SimRng::new(seed),
             trace: Trace::new(),
             metrics: MetricsRegistry::new(),
+            migration_series: MigrationSeries::default(),
             clock: SimTime::ZERO,
             ib_cluster: ib,
             eth_cluster: eth,
@@ -77,6 +83,7 @@ impl World {
             rng: SimRng::new(seed),
             trace: Trace::new(),
             metrics: MetricsRegistry::new(),
+            migration_series: MigrationSeries::default(),
             clock: SimTime::ZERO,
             ib_cluster: primary,
             eth_cluster: secondary,

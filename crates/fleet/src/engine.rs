@@ -208,6 +208,8 @@ pub fn run_fleet(
     let mut recovery_slot: Vec<Option<QueuedJob>> = (0..jobs.len()).map(|_| None).collect();
     let mut queue_depth = TransitionGauge::new("ninja_fleet_queue_depth");
     let mut inflight = TransitionGauge::new("ninja_fleet_inflight_migrations");
+    // Resolved at the first admission, like the gauges' ids.
+    let mut queue_wait: Option<SeriesId> = None;
     // Same-instant spin bound: a correct loop makes progress (clock
     // advance, admission, or completion) long before this.
     let mut spins = 0u32;
@@ -255,9 +257,10 @@ pub fn run_fleet(
         // 2. Admit while slots are free.
         while let Some(q) = adm.admit() {
             let wait = world.clock().since(q.triggered_at);
-            world
-                .metrics
-                .observe_duration("ninja_fleet_queue_wait_seconds", &[], wait);
+            let m = &mut world.metrics;
+            let id = *queue_wait
+                .get_or_insert_with(|| m.histogram_id("ninja_fleet_queue_wait_seconds", &[]));
+            m.observe_n(id, wait.as_secs_f64(), 1);
             let machine = MigrationMachine::new(
                 cfg.monitor.clone(),
                 jobs[q.job].vms(),

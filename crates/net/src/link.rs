@@ -143,7 +143,7 @@ impl Reservation {
 
     /// The reserved transfer window as a typed telemetry span
     /// (component `net`) under the given name.
-    pub fn to_span(&self, name: &str) -> Span {
+    pub fn to_span(&self, name: &'static str) -> Span {
         SpanBuilder::new("net", name, self.start).end(self.end)
     }
 }

@@ -235,15 +235,20 @@ pub fn write_escaped<W: Write + ?Sized>(s: &str, out: &mut W) -> fmt::Result {
 }
 
 /// Writes string pairs as a compact JSON object, `{"k":"v",...}`.
-pub fn write_str_object<W: Write + ?Sized>(pairs: &[(String, String)], out: &mut W) -> fmt::Result {
+pub fn write_str_object<K, V, W>(pairs: &[(K, V)], out: &mut W) -> fmt::Result
+where
+    K: AsRef<str>,
+    V: AsRef<str>,
+    W: Write + ?Sized,
+{
     out.write_char('{')?;
     for (i, (k, v)) in pairs.iter().enumerate() {
         if i > 0 {
             out.write_char(',')?;
         }
-        write_escaped(k, out)?;
+        write_escaped(k.as_ref(), out)?;
         out.write_char(':')?;
-        write_escaped(v, out)?;
+        write_escaped(v.as_ref(), out)?;
     }
     out.write_char('}')
 }

@@ -15,24 +15,30 @@
 //! * `name` is the interval kind, e.g. `"detach"`, `"migration"`.
 //! * per-object instances carry labels (`vm`, `transport`, ...)
 //!   rather than mangled names.
+//!
+//! Component, name and label keys are `Cow<'static, str>`: the static
+//! names producers use cost no allocation, while spans rebuilt from an
+//! exported file ([`spans_from_chrome`](crate::spans_from_chrome)) own
+//! their strings.
 
 use crate::export::{write_escaped, write_f64, write_str_object};
 use crate::time::{SimDuration, SimTime};
+use std::borrow::Cow;
 use std::fmt::{self, Write};
 
 /// A completed, labeled interval of simulated time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Subsystem that produced the span (`ninja`, `symvirt`, ...).
-    pub component: String,
+    pub component: Cow<'static, str>,
     /// Interval kind (`coordination`, `detach`, `migration`, ...).
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Interval start.
     pub start: SimTime,
     /// Interval end; always `>= start`.
     pub end: SimTime,
     /// Key/value annotations (e.g. `("vm", "j0v1")`).
-    pub labels: Vec<(String, String)>,
+    pub labels: Vec<(Cow<'static, str>, String)>,
 }
 
 impl Span {
@@ -76,21 +82,25 @@ impl Span {
 /// Spans are value-based rather than borrow-guards: simulation state
 /// (including the trace) is threaded mutably through phase code, so
 /// the builder holds no reference and is closed explicitly with
-/// [`SpanBuilder::end`] or [`Trace::end_span`](crate::Trace::end_span).
-/// The `#[must_use]` marker gives RAII-like protection against
-/// forgetting to close one.
+/// [`SpanBuilder::end`] and recorded with
+/// [`Trace::record_span`](crate::Trace::record_span). The `#[must_use]`
+/// marker gives RAII-like protection against forgetting to close one.
 #[derive(Debug, Clone)]
-#[must_use = "open spans must be closed with .end(at) or Trace::end_span"]
+#[must_use = "open spans must be closed with .end(at)"]
 pub struct SpanBuilder {
-    component: String,
-    name: String,
+    component: Cow<'static, str>,
+    name: Cow<'static, str>,
     start: SimTime,
-    labels: Vec<(String, String)>,
+    labels: Vec<(Cow<'static, str>, String)>,
 }
 
 impl SpanBuilder {
     /// Opens a span at `start`.
-    pub fn new(component: impl Into<String>, name: impl Into<String>, start: SimTime) -> Self {
+    pub fn new(
+        component: impl Into<Cow<'static, str>>,
+        name: impl Into<Cow<'static, str>>,
+        start: SimTime,
+    ) -> Self {
         SpanBuilder {
             component: component.into(),
             name: name.into(),
@@ -100,7 +110,7 @@ impl SpanBuilder {
     }
 
     /// Attaches a label.
-    pub fn label(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn label(mut self, key: impl Into<Cow<'static, str>>, value: impl Into<String>) -> Self {
         self.labels.push((key.into(), value.into()));
         self
     }

@@ -14,8 +14,9 @@
 //! [`Trace::dropped`].
 
 use crate::export::{render, write_escaped, write_str_object, Json};
-use crate::span::{Span, SpanBuilder};
+use crate::span::Span;
 use crate::time::{SimDuration, SimTime};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::{self, Write};
 
@@ -44,7 +45,8 @@ impl fmt::Display for TraceLevel {
     }
 }
 
-/// One point-in-time trace record.
+/// One point-in-time trace record. Component and kind follow the same
+/// string policy as [`Span`]: static names cost no allocation.
 #[derive(Debug, Clone)]
 pub struct TraceRecord {
     /// The at.
@@ -52,9 +54,9 @@ pub struct TraceRecord {
     /// The level.
     pub level: TraceLevel,
     /// Dotted component path, e.g. `vmm.migration` or `mpi.btl`.
-    pub component: String,
+    pub component: Cow<'static, str>,
     /// Event kind, e.g. `precopy.round`, `boot.ib`.
-    pub kind: String,
+    pub kind: Cow<'static, str>,
     /// Free-form details.
     pub detail: String,
 }
@@ -168,8 +170,8 @@ impl Trace {
         &mut self,
         at: SimTime,
         level: TraceLevel,
-        component: impl Into<String>,
-        kind: impl Into<String>,
+        component: impl Into<Cow<'static, str>>,
+        kind: impl Into<Cow<'static, str>>,
         detail: impl Into<String>,
     ) {
         if !self.enabled {
@@ -186,40 +188,47 @@ impl Trace {
     }
 
     /// Convenience: phase marker.
-    pub fn phase(&mut self, at: SimTime, component: &str, kind: &str, detail: impl Into<String>) {
+    pub fn phase(
+        &mut self,
+        at: SimTime,
+        component: &'static str,
+        kind: &'static str,
+        detail: impl Into<String>,
+    ) {
         self.emit(at, TraceLevel::Phase, component, kind, detail);
     }
 
     /// Convenience: informational record.
-    pub fn info(&mut self, at: SimTime, component: &str, kind: &str, detail: impl Into<String>) {
+    pub fn info(
+        &mut self,
+        at: SimTime,
+        component: &'static str,
+        kind: &'static str,
+        detail: impl Into<String>,
+    ) {
         self.emit(at, TraceLevel::Info, component, kind, detail);
     }
 
     /// Convenience: warning record.
-    pub fn warn(&mut self, at: SimTime, component: &str, kind: &str, detail: impl Into<String>) {
+    pub fn warn(
+        &mut self,
+        at: SimTime,
+        component: &'static str,
+        kind: &'static str,
+        detail: impl Into<String>,
+    ) {
         self.emit(at, TraceLevel::Warn, component, kind, detail);
     }
 
     /// Convenience: error record.
-    pub fn error(&mut self, at: SimTime, component: &str, kind: &str, detail: impl Into<String>) {
+    pub fn error(
+        &mut self,
+        at: SimTime,
+        component: &'static str,
+        kind: &'static str,
+        detail: impl Into<String>,
+    ) {
         self.emit(at, TraceLevel::Error, component, kind, detail);
-    }
-
-    /// Opens a span. The builder holds no reference to the trace;
-    /// close it with [`Trace::end_span`] (or `builder.end(at)` +
-    /// [`Trace::record_span`]).
-    pub fn begin_span(
-        &self,
-        component: impl Into<String>,
-        name: impl Into<String>,
-        start: SimTime,
-    ) -> SpanBuilder {
-        SpanBuilder::new(component, name, start)
-    }
-
-    /// Closes `builder` at `at` and records the span.
-    pub fn end_span(&mut self, builder: SpanBuilder, at: SimTime) {
-        self.record_span(builder.end(at));
     }
 
     /// Records a completed span.
@@ -541,13 +550,13 @@ pub fn spans_from_chrome(doc: &Json) -> Vec<Span> {
         if let Json::Obj(args) = &ev["args"] {
             for (k, v) in args {
                 if let Some(s) = v.as_str() {
-                    labels.push((k.clone(), s.to_string()));
+                    labels.push((Cow::Owned(k.clone()), s.to_string()));
                 }
             }
         }
         out.push(Span {
-            component: ev["cat"].as_str().unwrap_or("").to_string(),
-            name: name.to_string(),
+            component: Cow::Owned(ev["cat"].as_str().unwrap_or("").to_string()),
+            name: Cow::Owned(name.to_string()),
             start,
             end: start + SimDuration::from_micros(dur),
             labels,
@@ -574,7 +583,7 @@ pub fn critical_paths(spans: &[Span], phase_names: &[&str]) -> Vec<MigrationPath
     let mut buckets: HashMap<(&str, &str, Key), Vec<usize>> = HashMap::new();
     for (i, s) in spans.iter().enumerate() {
         if s.component == "ninja" || s.component == "symvirt" {
-            let key = (s.component.as_str(), s.name.as_str(), span_key(s));
+            let key = (&*s.component, &*s.name, span_key(s));
             buckets.entry(key).or_default().push(i);
         }
     }
@@ -654,6 +663,7 @@ pub fn critical_paths(spans: &[Span], phase_names: &[&str]) -> Vec<MigrationPath
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::SpanBuilder;
 
     fn t(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)
@@ -662,9 +672,9 @@ mod tests {
     #[test]
     fn emit_and_query() {
         let mut tr = Trace::new();
-        let sp = tr.begin_span("vmm", "migration", t(1)).label("vm", "vm0");
+        let sp = SpanBuilder::new("vmm", "migration", t(1)).label("vm", "vm0");
         tr.info(t(2), "vmm", "precopy.round", "round 1");
-        tr.end_span(sp, t(5));
+        tr.record_span(sp.end(t(5)));
         assert_eq!(tr.len(), 1);
         assert_eq!(tr.of_kind("precopy.round").count(), 1);
         assert_eq!(tr.span("migration"), Some(SimDuration::from_secs(4)));
@@ -762,9 +772,9 @@ mod tests {
     #[test]
     fn chrome_json_has_complete_and_instant_events() {
         let mut tr = Trace::new();
-        let sp = tr.begin_span("vmm", "migration", t(1));
+        let sp = SpanBuilder::new("vmm", "migration", t(1));
         tr.info(t(2), "vmm", "precopy.round", "1");
-        tr.end_span(sp, t(5));
+        tr.record_span(sp.end(t(5)));
         let json = tr.to_chrome_json();
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""), "complete span: {json}");

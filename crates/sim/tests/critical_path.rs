@@ -110,17 +110,17 @@ fn random_spans(rng: &mut SimRng, n: usize) -> Vec<Span> {
             for key in ["job", "mig"] {
                 match rng.below(5) {
                     0 => {}
-                    1 => labels.push((key.to_string(), "x".to_string())),
-                    v => labels.push((key.to_string(), (v % 2).to_string())),
+                    1 => labels.push((key.into(), "x".to_string())),
+                    v => labels.push((key.into(), (v % 2).to_string())),
                 }
             }
             if rng.below(4) != 0 {
                 // Few VM names, so equal-duration ties break by name.
-                labels.push(("vm".to_string(), format!("vm{}", rng.below(3))));
+                labels.push(("vm".into(), format!("vm{}", rng.below(3))));
             }
             Span {
-                component: component.to_string(),
-                name: name.to_string(),
+                component: component.into(),
+                name: name.into(),
                 start,
                 end,
                 labels,

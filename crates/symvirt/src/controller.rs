@@ -83,7 +83,7 @@ pub struct Controller {
     hostlist: Vec<VmId>,
     monitor: QemuMonitor,
     log: Vec<AgentAction>,
-    spans: Vec<Span>,
+    spans: Vec<(VmId, Span)>,
     hotplug_leaked: u64,
     closed: bool,
     /// Agents whose QEMU monitor connection has dropped (failure
@@ -110,22 +110,24 @@ impl Controller {
     /// VM's name) alongside the script-style action log.
     fn record_vm_span(
         &mut self,
-        phase: &str,
+        phase: &'static str,
         pool: &VmPool,
         vm: VmId,
         started: SimTime,
         end: SimTime,
     ) {
-        self.spans.push(
+        self.spans.push((
+            vm,
             SpanBuilder::new("symvirt", phase, started)
                 .label("vm", pool.get(vm).name.clone())
                 .end(end),
-        );
+        ));
     }
 
-    /// Drain the typed per-VM spans accumulated since the last call
-    /// (the orchestrator records them into the world trace).
-    pub fn take_spans(&mut self) -> Vec<Span> {
+    /// Drain the typed per-VM spans accumulated since the last call,
+    /// each with the VM it belongs to (the orchestrator records them
+    /// into the world trace).
+    pub fn take_spans(&mut self) -> Vec<(VmId, Span)> {
         std::mem::take(&mut self.spans)
     }
 
@@ -216,16 +218,17 @@ impl Controller {
         self.check_open()?;
         self.wait_all(pool)?;
         let mut max = SimDuration::ZERO;
-        for &vm in &self.hostlist.clone() {
+        for i in 0..self.hostlist.len() {
+            let vm = self.hostlist[i];
             // Find this VM's passthrough device whose tag starts with the
             // prefix (the paper tags HCAs 'vf0'; ours are 'hca-<node>').
             let tag = pool
                 .get(vm)
                 .passthrough
                 .iter()
-                .map(|&d| dc.devices.get(d).tag.clone())
+                .map(|&d| &dc.devices.get(d).tag)
                 .find(|t| t.starts_with(tag_prefix));
-            let Some(tag) = tag else { continue };
+            let Some(tag) = tag.cloned() else { continue };
             let reply = self.monitor.execute(
                 MonitorCommand::DeviceDel {
                     vm,
@@ -274,7 +277,8 @@ impl Controller {
         self.wait_all(pool)?;
         let mut max = SimDuration::ZERO;
         let mut link_max: Option<SimTime> = None;
-        for &vm in &self.hostlist.clone() {
+        for i in 0..self.hostlist.len() {
+            let vm = self.hostlist[i];
             if dc.free_ib_hca_on(pool.get(vm).node).is_none() {
                 continue;
             }
@@ -328,8 +332,8 @@ impl Controller {
         self.wait_all(pool)?;
         let mut plans = Vec::with_capacity(self.hostlist.len());
         let mut completed_at = now;
-        for (i, &vm) in self.hostlist.clone().iter().enumerate() {
-            let dst = dsts[i % dsts.len()];
+        for i in 0..self.hostlist.len() {
+            let (vm, dst) = (self.hostlist[i], dsts[i % dsts.len()]);
             let reply = self.monitor.execute(
                 MonitorCommand::Migrate { vm, dst },
                 pool,
@@ -626,7 +630,7 @@ mod tests {
             .unwrap();
         ctl.migration(&eth_nodes, &mut pool, &mut dc, SimTime::ZERO, &mut rng)
             .unwrap();
-        let spans = ctl.take_spans();
+        let spans: Vec<Span> = ctl.take_spans().into_iter().map(|(_, s)| s).collect();
         assert_eq!(spans.len(), 8, "4 detach + 4 migration");
         for s in &spans {
             assert_eq!(s.component, "symvirt");
@@ -678,7 +682,7 @@ mod tests {
         }
         let spans = ctl.take_spans();
         assert_eq!(
-            spans.iter().filter(|s| s.name == "migration").count(),
+            spans.iter().filter(|(_, s)| s.name == "migration").count(),
             4,
             "commit records per-VM migration spans"
         );

@@ -199,7 +199,8 @@ impl VmPool {
                     .expect("fabric has LIDs")
             })
             .expect("IB HCA implies IB cluster");
-        dc.devices.get_mut(dev).attachment = Attachment::Guest { vm: vm.0 };
+        dc.devices
+            .set_attachment(dev, Attachment::Guest { vm: vm.0 });
         self.get_mut(vm).passthrough.push(dev);
         Ok((dev, active_at))
     }
@@ -235,7 +236,8 @@ impl VmPool {
             0
         };
         let node = self.get(vm).node;
-        dc.devices.get_mut(dev).attachment = Attachment::Host { node: node.0 };
+        dc.devices
+            .set_attachment(dev, Attachment::Host { node: node.0 });
         self.get_mut(vm).passthrough.retain(|&d| d != dev);
         Ok((dev, leaked))
     }
@@ -308,7 +310,8 @@ impl VmPool {
         v.node = dst;
         v.migrations += 1;
         // The virtio NIC is recreated on the destination QEMU instance.
-        dc.devices.get_mut(nic).attachment = Attachment::Guest { vm: vm.0 };
+        dc.devices
+            .set_attachment(nic, Attachment::Guest { vm: vm.0 });
     }
 
     /// Destroy a VM (crash, or teardown after its checkpoint image was
@@ -332,9 +335,10 @@ impl VmPool {
             if let Some(hca) = dc.devices.as_ib_mut(dev) {
                 hca.unplug();
             }
-            dc.devices.get_mut(dev).attachment = Attachment::Host { node: node.0 };
+            dc.devices
+                .set_attachment(dev, Attachment::Host { node: node.0 });
         }
-        dc.devices.get_mut(nic).attachment = Attachment::Detached;
+        dc.devices.set_attachment(nic, Attachment::Detached);
         let v = self.get_mut(vm);
         v.passthrough.clear();
         v.state = VmState::Stopped;

@@ -53,6 +53,12 @@ perf_line="$(python3 perfbench/run.py --workload observed --seed 1 --seconds 2 -
 echo "$perf_line"
 python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.argv[1])["correct"] is True else 1)' \
     "$perf_line"
+# ... and a short untraced run of the `queued` workload (1024 jobs at
+# concurrency 4).
+perf_line="$(python3 perfbench/run.py --workload queued --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+echo "$perf_line"
+python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.argv[1])["correct"] is True else 1)' \
+    "$perf_line"
 
 echo "== cargo build --benches =="
 # Bench binaries (ninja-bench bins) and the criterion-stub [[bench]]

@@ -76,14 +76,14 @@ fn check_invariants(w: &World, rt: &MpiRuntime, clock_before: SimTime) {
     for v in w.pool.iter() {
         for &d in &v.passthrough {
             assert_eq!(
-                w.dc.devices.get(d).attachment,
+                w.dc.devices.get(d).attachment(),
                 Attachment::Guest { vm: v.id.0 },
                 "attachment backlink"
             );
         }
     }
     for dev in w.dc.devices.iter() {
-        if let Attachment::Host { .. } = dev.attachment {
+        if let Attachment::Host { .. } = dev.attachment() {
             if let ninja_cluster::DeviceKind::IbHca(hca) = &dev.kind {
                 assert!(!hca.has_resources(), "pooled HCA must hold no QPs/MRs");
                 assert_eq!(hca.pinned_bytes().get(), 0);
