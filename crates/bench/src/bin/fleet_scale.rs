@@ -24,7 +24,7 @@ use ninja_bench::{claim, finish, render_table, Json, ToJson};
 use ninja_fleet::{
     build_scaled, run_fleet, run_fleet_reference, FleetConfig, ScenarioKind, ScenarioSpec,
 };
-use ninja_sim::{parse, SimDuration, Trace};
+use ninja_sim::{parse, SimDuration, Trace, WriteJson};
 use ninja_symvirt::GuestCooperative;
 use std::time::Instant;
 
@@ -60,7 +60,7 @@ fn run_engine(jobs_n: usize, concurrency: usize, reference: bool) -> (f64, u64, 
         arrival: SimDuration::from_secs(20),
         seed: 2013,
     };
-    let mut s = build_scaled(&spec, jobs_n.max(8));
+    let mut s = build_scaled(&spec, jobs_n.max(8)).expect("scenario fits");
     // The trajectory tracks the engine loop alone: a 4096-job trace is
     // ring-buffer churn that would swamp it.
     s.world.trace = Trace::disabled();
@@ -90,7 +90,7 @@ fn run_engine(jobs_n: usize, concurrency: usize, reference: bool) -> (f64, u64, 
         wall,
         iterations,
         report.makespan_s,
-        report.to_json().to_string(),
+        report.to_json_compact(),
     )
 }
 

@@ -13,8 +13,9 @@ use crate::report::NinjaReport;
 use crate::world::World;
 use ninja_cluster::{ClusterId, NodeId};
 use ninja_mpi::MpiRuntime;
-use ninja_sim::{Json, ToJson};
+use ninja_sim::{JsonWriter, WriteJson};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Outcome of an evacuation drill.
 #[derive(Debug, Clone)]
@@ -34,18 +35,15 @@ pub struct DrillReport {
     pub queue_wait_s: Vec<f64>,
 }
 
-impl ToJson for DrillReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("jobs", Json::from(self.jobs)),
-            ("vms", Json::from(self.vms)),
-            ("total_seconds", Json::from(self.total_seconds)),
-            (
-                "queue_wait_s",
-                Json::Arr(self.queue_wait_s.iter().map(|&w| Json::from(w)).collect()),
-            ),
-            ("migrations", self.migrations.to_json()),
-        ])
+impl WriteJson for DrillReport {
+    fn write_json<W: fmt::Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        w.begin_object()?;
+        w.field("jobs", &self.jobs)?;
+        w.field("vms", &self.vms)?;
+        w.field("total_seconds", &self.total_seconds)?;
+        w.field("queue_wait_s", &self.queue_wait_s)?;
+        w.field("migrations", &self.migrations)?;
+        w.end_object()
     }
 }
 

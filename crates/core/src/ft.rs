@@ -16,10 +16,11 @@
 
 use crate::orchestrator::NinjaOrchestrator;
 use crate::report::SimSecs;
+use crate::stepper::record_vm_spans;
 use crate::world::World;
 use ninja_cluster::NodeId;
 use ninja_mpi::MpiRuntime;
-use ninja_sim::{Json, SimDuration, SimTime, SpanBuilder, ToJson};
+use ninja_sim::{Json, SimDuration, SimTime, ToJson};
 use ninja_symvirt::{Controller, Coordinator, SymVirtError};
 use ninja_vmm::{SnapshotId, SnapshotStore, VmId};
 
@@ -152,12 +153,12 @@ impl NinjaOrchestrator {
             save_max = save_max.max(dur);
         }
         world.advance(save_max);
-        world.trace.record_span(
-            SpanBuilder::new("ninja", "save", taken_at)
-                .label("images", snapshots.len().to_string())
-                .label("stored_bytes", store.stored_bytes().get().to_string())
-                .end(world.clock()),
-        );
+        let now = world.clock();
+        world
+            .trace
+            .add_span("ninja", "save", taken_at, now)
+            .label_u64("images", snapshots.len() as u64)
+            .label_u64("stored_bytes", store.stored_bytes().get());
 
         // Re-attach, resume, wait out link training, rebuild modules.
         let now = world.clock();
@@ -178,14 +179,12 @@ impl NinjaOrchestrator {
         }
         let now = world.clock();
         Coordinator.continue_callback(rt, &world.pool, &mut world.dc, now)?;
+        record_vm_spans(world, &ctl.take_spans());
+        let now = world.clock();
         world
             .trace
-            .record_spans(ctl.take_spans().into_iter().map(|(_, s)| s));
-        world.trace.record_span(
-            SpanBuilder::new("ninja", "checkpoint", t_start)
-                .label("vms", vms.len().to_string())
-                .end(world.clock()),
-        );
+            .add_span("ninja", "checkpoint", t_start, now)
+            .label_u64("vms", vms.len() as u64);
         world.metrics.inc("ninja_checkpoints_total", &[], 1);
 
         let image_bytes: u64 = snapshots
@@ -263,15 +262,15 @@ impl NinjaOrchestrator {
         rt.restart_on(new_vms.clone(), &world.pool, &mut world.dc, now)
             .map_err(SymVirtError::Runtime)?;
         let transport_after = rt.uniform_network_kind().map(|k| k.to_string());
-        world
+        record_vm_spans(world, &ctl.take_spans());
+        let now = world.clock();
+        let span = world
             .trace
-            .record_spans(ctl.take_spans().into_iter().map(|(_, s)| s));
-        let mut span = SpanBuilder::new("ninja", "restart", t_start)
-            .label("images", handle.snapshots.len().to_string());
+            .add_span("ninja", "restart", t_start, now)
+            .label_u64("images", handle.snapshots.len() as u64);
         if let Some(t) = &transport_after {
-            span = span.label("transport_after", t.clone());
+            span.label("transport_after", t);
         }
-        world.trace.record_span(span.end(world.clock()));
         world.metrics.inc("ninja_restarts_total", &[], 1);
 
         Ok(RestartReport {

@@ -8,7 +8,7 @@
 //! does the CSV for the plotting pipeline look like.
 
 use crate::report::NinjaReport;
-use ninja_sim::{Json, MetricsRegistry, Summary, ToJson};
+use ninja_sim::{JsonWriter, MetricsRegistry, Summary, WriteJson};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -127,7 +127,7 @@ impl MigrationLedger {
     /// | `reconstructed`  | whether BTL modules were rebuilt                 |
     ///
     /// `hotplug_s` is derived — it always equals `detach_s + attach_s`
-    /// exactly, and the JSON ([`NinjaReport::to_json`]) and Prometheus
+    /// exactly, and the JSON ([`NinjaReport`]'s `WriteJson`) and Prometheus
     /// ([`MigrationLedger::to_metrics`]) exports use the same
     /// definition.
     pub fn to_csv(&self) -> String {
@@ -189,13 +189,13 @@ impl MigrationLedger {
     }
 }
 
-impl ToJson for MigrationLedger {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("migrations", self.reports.to_json()),
-            ("total_overhead_s", Json::from(self.total_overhead())),
-            ("total_wire_bytes", Json::from(self.total_wire_bytes())),
-        ])
+impl WriteJson for MigrationLedger {
+    fn write_json<W: fmt::Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        w.begin_object()?;
+        w.field("migrations", &self.reports)?;
+        w.field("total_overhead_s", &self.total_overhead())?;
+        w.field("total_wire_bytes", &self.total_wire_bytes())?;
+        w.end_object()
     }
 }
 
@@ -309,7 +309,7 @@ mod tests {
             .unwrap();
         assert_eq!(h.count(), 2);
         assert!((h.sum() - stats.hotplug.mean() * 2.0).abs() < 1e-9);
-        let j = ledger.to_json();
+        let j = ninja_sim::parse(&ledger.to_json_compact()).unwrap();
         assert_eq!(j["migrations"].as_array().unwrap().len(), 2);
         assert!((j["total_overhead_s"].as_f64().unwrap() - ledger.total_overhead()).abs() < 1e-9);
     }

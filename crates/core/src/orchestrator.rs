@@ -16,10 +16,9 @@
 //! a [`NinjaReport`] with the paper's overhead breakdown.
 
 use crate::report::NinjaReport;
-use crate::stepper::{MigrationMachine, StepOutcome, WireMode};
+use crate::stepper::{record_vm_spans, MigrationMachine, StepOutcome, WireMode};
 use crate::world::World;
 use ninja_cluster::NodeId;
-use ninja_sim::SpanBuilder;
 use ninja_symvirt::{Controller, GuestCooperative, RetryPolicy, SymVirtError};
 use ninja_vmm::{MigrationConfig, QemuMonitor};
 
@@ -100,9 +99,7 @@ impl NinjaOrchestrator {
             ctl.device_attach(&mut world.pool, &mut world.dc, now, &mut world.rng, false)?;
         world.advance(attach.duration);
         ctl.signal(&mut world.pool)?;
-        world
-            .trace
-            .record_spans(ctl.take_spans().into_iter().map(|(_, s)| s));
+        record_vm_spans(world, &ctl.take_spans());
         ctl.close();
         if app.needs_link_wait() {
             if let Some(active_at) = attach.link_active_at {
@@ -111,11 +108,11 @@ impl NinjaOrchestrator {
         }
         let now = world.clock();
         app.resume_after_blackout(&world.pool, &mut world.dc, now)?;
-        world.trace.record_span(
-            SpanBuilder::new("ninja", "abort", started)
-                .label("vms", vms.len().to_string())
-                .end(world.clock()),
-        );
+        let now = world.clock();
+        world
+            .trace
+            .add_span("ninja", "abort", started, now)
+            .label_u64("vms", vms.len() as u64);
         world.metrics.inc("ninja_aborts_total", &[], 1);
         Ok(world.clock().since(started))
     }

@@ -5,7 +5,7 @@
 //! + *migration*. [`NinjaReport`] carries exactly those fields so the
 //!   benchmark harness can print the same stacked bars as Figs. 6-8.
 
-use ninja_sim::{Bytes, Json, SimDuration, ToJson};
+use ninja_sim::{Bytes, Json, JsonWriter, SimDuration, ToJson, WriteJson};
 use std::fmt;
 
 /// The per-phase overhead of one Ninja migration.
@@ -108,31 +108,27 @@ impl NinjaReport {
     }
 }
 
-impl ToJson for NinjaReport {
-    fn to_json(&self) -> Json {
+impl WriteJson for NinjaReport {
+    fn write_json<W: fmt::Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        w.begin_object()?;
+        w.field("coordination", &self.coordination.0)?;
+        w.field("detach", &self.detach.0)?;
+        w.field("migration", &self.migration.0)?;
+        w.field("attach", &self.attach.0)?;
+        w.field("linkup", &self.linkup.0)?;
+        w.field("hotplug", &self.hotplug())?;
+        w.field("total", &self.total())?;
+        w.field("wire_bytes", &self.wire_bytes)?;
+        w.field("transport_before", &self.transport_before)?;
+        w.field("transport_after", &self.transport_after)?;
+        w.field("btl_reconstructed", &self.btl_reconstructed)?;
+        w.field("vm_count", &self.vm_count)?;
         // The `degraded` key only appears when true so fault-free runs
         // serialize bit-identically to builds without fault injection.
-        let mut fields = vec![
-            ("coordination", self.coordination.to_json()),
-            ("detach", self.detach.to_json()),
-            ("migration", self.migration.to_json()),
-            ("attach", self.attach.to_json()),
-            ("linkup", self.linkup.to_json()),
-            ("hotplug", Json::from(self.hotplug())),
-            ("total", Json::from(self.total())),
-            ("wire_bytes", Json::from(self.wire_bytes)),
-            (
-                "transport_before",
-                Json::from(self.transport_before.clone()),
-            ),
-            ("transport_after", Json::from(self.transport_after.clone())),
-            ("btl_reconstructed", Json::from(self.btl_reconstructed)),
-            ("vm_count", Json::from(self.vm_count)),
-        ];
         if self.degraded {
-            fields.push(("degraded", Json::from(true)));
+            w.field("degraded", &true)?;
         }
-        Json::obj(fields)
+        w.end_object()
     }
 }
 
@@ -206,12 +202,12 @@ mod tests {
 
     #[test]
     fn serializes_to_json() {
-        let j = sample().to_json();
+        let j = ninja_sim::parse(&sample().to_json_pretty()).unwrap();
         assert_eq!(j["vm_count"].as_u64(), Some(8));
         assert!((j["linkup"].as_f64().unwrap() - 29.8).abs() < 1e-9);
         assert_eq!(j["transport_after"].as_str(), Some("openib"));
         // Round-trips through the in-repo parser.
-        let back = ninja_sim::parse(&j.to_string()).unwrap();
+        let back = ninja_sim::parse(&sample().to_json_compact()).unwrap();
         assert_eq!(back["btl_reconstructed"].as_bool(), Some(true));
         assert!((back["hotplug"].as_f64().unwrap() - 3.9).abs() < 1e-9);
     }

@@ -31,13 +31,12 @@ use crate::report::NinjaReport;
 use crate::world::World;
 use ninja_cluster::NodeId;
 use ninja_net::{FairShareLink, FlowId};
-use ninja_sim::{Bytes, MetricsRegistry, SeriesId, SimDuration, SimTime, Span, SpanBuilder};
+use ninja_sim::{Bytes, MetricsRegistry, SeriesId, SimDuration, SimTime, Trace};
 use ninja_symvirt::{
     Controller, DevicePhase, FaultKind, FaultPhase, GuestCooperative, PendingMigration,
-    ResumeOutcome, RetryPolicy, SymVirtError,
+    ResumeOutcome, RetryPolicy, SymVirtError, VmSpan,
 };
 use ninja_vmm::{PrecopyPlan, QemuMonitor, VmId, VmmError};
-use std::collections::BTreeSet;
 
 /// How the migration phase puts precopy bytes on the wire.
 pub enum WireMode<'a> {
@@ -452,7 +451,7 @@ impl MigrationMachine {
                     &report,
                     &self.vms,
                     &windows,
-                    vm_spans,
+                    &vm_spans,
                     &self.plans,
                     hotplug_leaked,
                     self.t_start,
@@ -561,79 +560,89 @@ fn describe_migration_metrics(m: &mut MetricsRegistry) {
     );
 }
 
+/// Record a controller's per-VM phase intervals as `symvirt` spans
+/// labeled with the VM's name (the paths outside a full migration:
+/// abort recovery, checkpoint and restart).
+pub(crate) fn record_vm_spans(world: &mut World, spans: &[VmSpan]) {
+    for &(name, vm, start, end) in spans {
+        world
+            .trace
+            .add_span("symvirt", name, start, end)
+            .label("vm", &world.pool.get(vm).name);
+    }
+}
+
 /// Record the job-level phase spans, fill in per-VM spans for phases the
 /// controller skipped on a VM (so every VM shows one complete span per
 /// phase), and update the metrics registry. Shared by the serial
 /// orchestrator and the fleet engine — both funnel through
 /// [`MigrationMachine`]. Every span carries `job`/`mig` labels so the
 /// critical-path analyzer can reassemble each migration's span tree
-/// from a fleet trace.
+/// from a fleet trace. Labels are written straight into the trace, so
+/// recording allocates only when the trace's arrays grow.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn record_job_telemetry(
     world: &mut World,
     report: &NinjaReport,
     vms: &[VmId],
     windows: &[(&'static str, SimTime, SimTime); 5],
-    vm_spans: Vec<(VmId, Span)>,
+    vm_spans: &[VmSpan],
     plans: &[PrecopyPlan],
     hotplug_leaked: u64,
     t_start: SimTime,
     job: usize,
     mig: usize,
 ) {
-    let job_label = job.to_string();
-    let mig_label = mig.to_string();
+    let (job, mig) = (job as u64, mig as u64);
+    let (trace, pool) = (&mut world.trace, &world.pool);
     // Job-level phase spans (component "ninja").
     for &(name, start, end) in windows {
-        let mut sb = SpanBuilder::new("ninja", name, start)
-            .label("job", &job_label)
-            .label("mig", &mig_label);
+        let span = trace
+            .add_span("ninja", name, start, end)
+            .label_u64("job", job)
+            .label_u64("mig", mig);
         if name == "migration" {
-            sb = sb.label("wire_bytes", report.wire_bytes.to_string());
+            span.label_u64("wire_bytes", report.wire_bytes);
         }
-        world.trace.record_span(sb.end(end));
     }
     // The whole migration as one envelope span.
     let t_end = windows[4].2;
-    let mut overall = SpanBuilder::new("ninja", "ninja", t_start)
-        .label("job", &job_label)
-        .label("mig", &mig_label)
-        .label("vms", report.vm_count.to_string());
+    let mut overall = trace
+        .add_span("ninja", "ninja", t_start, t_end)
+        .label_u64("job", job)
+        .label_u64("mig", mig)
+        .label_u64("vms", report.vm_count as u64);
     if let Some(t) = &report.transport_before {
-        overall = overall.label("transport_before", t.clone());
+        overall = overall.label("transport_before", t);
     }
     if let Some(t) = &report.transport_after {
-        overall = overall.label("transport_after", t.clone());
+        overall.label("transport_after", t);
     }
-    world.trace.record_span(overall.end(t_end));
 
     // Per-VM spans: the controller's real ones, plus the job window
     // for any (phase, vm) pair it skipped (e.g. detach on an HCA-less
     // VM), so every VM shows one span per phase.
-    let mut covered: BTreeSet<(&'static str, VmId)> = vm_spans
-        .iter()
-        .filter_map(|(vm, s)| {
-            let &(name, _, _) = windows.iter().find(|w| w.0 == s.name)?;
-            Some((name, *vm))
-        })
-        .collect();
-    world
-        .trace
-        .record_spans(vm_spans.into_iter().map(|(_, mut s)| {
-            s.labels.push(("job".into(), job_label.clone()));
-            s.labels.push(("mig".into(), mig_label.clone()));
-            s
-        }));
-    for &(name, start, end) in windows {
-        for &vm in vms {
-            if covered.insert((name, vm)) {
-                world.trace.record_span(
-                    SpanBuilder::new("symvirt", name, start)
-                        .label("vm", world.pool.get(vm).name.clone())
-                        .label("job", &job_label)
-                        .label("mig", &mig_label)
-                        .end(end),
-                );
+    let vm_span = |trace: &mut Trace, name, vm: VmId, start, end| {
+        trace
+            .add_span("symvirt", name, start, end)
+            .label("vm", &pool.get(vm).name)
+            .label_u64("job", job)
+            .label_u64("mig", mig);
+    };
+    let covered = &mut world.covered;
+    covered.clear();
+    covered.resize(vms.len(), 0);
+    for &(name, vm, start, end) in vm_spans {
+        let phase = windows.iter().position(|w| w.0 == name);
+        if let (Some(p), Some(v)) = (phase, vms.iter().position(|&x| x == vm)) {
+            covered[v] |= 1 << p;
+        }
+        vm_span(trace, name, vm, start, end);
+    }
+    for (p, &(name, start, end)) in windows.iter().enumerate() {
+        for (v, &vm) in vms.iter().enumerate() {
+            if covered[v] & (1 << p) == 0 {
+                vm_span(trace, name, vm, start, end);
             }
         }
     }

@@ -30,6 +30,9 @@ pub struct World {
     pub metrics: MetricsRegistry,
     /// Series ids of the per-migration metrics in `metrics`.
     pub(crate) migration_series: MigrationSeries,
+    /// Reused phase × VM bitmap of the per-VM spans one migration has
+    /// recorded (one byte per VM, one bit per phase).
+    pub(crate) covered: Vec<u8>,
     /// The virtual clock. Private so that only [`World::advance_to`]
     /// moves it, and only forwards.
     clock: SimTime,
@@ -58,6 +61,7 @@ impl World {
             trace: Trace::new(),
             metrics: MetricsRegistry::new(),
             migration_series: MigrationSeries::default(),
+            covered: Vec::new(),
             clock: SimTime::ZERO,
             ib_cluster: ib,
             eth_cluster: eth,
@@ -84,6 +88,7 @@ impl World {
             trace: Trace::new(),
             metrics: MetricsRegistry::new(),
             migration_series: MigrationSeries::default(),
+            covered: Vec::new(),
             clock: SimTime::ZERO,
             ib_cluster: primary,
             eth_cluster: secondary,

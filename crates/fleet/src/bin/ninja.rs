@@ -79,11 +79,14 @@ use ninja_migration::{
     PHASE_NAMES,
 };
 use ninja_sim::export::{stream_to, IoSink};
-use ninja_sim::{AlertEngine, Bandwidth, Json, SimDuration, TimeSeriesRecorder, ToJson};
+use ninja_sim::{
+    AlertEngine, Bandwidth, Json, JsonWriter, SimDuration, TimeSeriesRecorder, ToJson, WriteJson,
+};
 use ninja_symvirt::{FaultPlan, FaultSpec, GuestCooperative, RetryPolicy};
 use ninja_vmm::SnapshotStore;
+use std::fmt::{self, Write};
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{self, BufWriter, StdoutLock};
 use std::process::exit;
 
 struct Args {
@@ -324,12 +327,33 @@ fn parse(mut it: impl Iterator<Item = String>) -> Args {
     args
 }
 
-fn emit(report: &NinjaReport, args: &Args, world: &World) {
-    if args.json {
-        println!("{}", report.to_json().to_string_pretty());
-    } else {
-        println!("{report}");
+/// Streams a report to stdout through one locked, buffered handle. A
+/// closed pipe (`ninja ... | head`) ends the run quietly; any other
+/// write error is reported and exits 1.
+fn print_report(export: impl FnOnce(&mut IoSink<BufWriter<StdoutLock<'static>>>) -> fmt::Result) {
+    if let Err(e) = stream_to(BufWriter::new(io::stdout().lock()), export) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            exit(0);
+        }
+        eprintln!("could not write report: {e}");
+        exit(1);
     }
+}
+
+/// Prints `report` pretty-printed as JSON, or as text, then a newline.
+fn print_json_or_text(json: bool, report: &(impl WriteJson + fmt::Display)) {
+    print_report(|out| {
+        if json {
+            report.write_json(&mut JsonWriter::pretty(out))?;
+            out.write_char('\n')
+        } else {
+            writeln!(out, "{report}")
+        }
+    });
+}
+
+fn emit(report: &NinjaReport, args: &Args, world: &World) {
+    print_json_or_text(args.json, report);
     if args.trace {
         eprintln!("\n--- trace ---\n{}", world.trace.render());
     }
@@ -350,7 +374,10 @@ fn fleet_cmd(args: &Args, kind: ScenarioKind, jobs: usize, faults: FaultPlan, wh
     };
     // Fleets beyond the 8-node paper testbed run on a synthetic cluster
     // sized to fit.
-    let mut s = build_auto(&spec);
+    let mut s = build_auto(&spec).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2)
+    });
     s.world.trace.set_capacity(args.trace_cap);
     s.world.faults = faults;
     if let Some(rec) = args.build_recorder() {
@@ -377,11 +404,7 @@ fn fleet_cmd(args: &Args, kind: ScenarioKind, jobs: usize, faults: FaultPlan, wh
     for job in &s.jobs {
         s.world.record_wire_metrics(job);
     }
-    if args.json {
-        println!("{}", report.to_json().to_string_pretty());
-    } else {
-        println!("{report}");
-    }
+    print_json_or_text(args.json, &report);
     s.world
 }
 
@@ -422,16 +445,16 @@ fn trace_cmd(mut argv: impl Iterator<Item = String>) {
             exit(1)
         })
     };
-    match sub.as_str() {
-        "summarize" => summarize_trace(&json),
-        _ => critical_path_cmd(&json),
-    }
+    print_report(|out| match sub.as_str() {
+        "summarize" => summarize_trace(&json, out),
+        _ => critical_path_cmd(&json, out),
+    });
 }
 
 /// Per-(component, span) duration statistics for a trace document's
 /// complete ("X") events. Rows sort by (component, span),
 /// lexicographically — the pinned, deterministic order.
-fn summarize_trace(json: &Json) {
+fn summarize_trace(json: &Json, out: &mut impl Write) -> fmt::Result {
     let events = json["traceEvents"].as_array().unwrap_or(&[]);
     // (component, span) -> (count, total, min, max), durations in
     // seconds (Chrome events carry microseconds).
@@ -454,12 +477,14 @@ fn summarize_trace(json: &Json) {
         g.2 = g.2.min(dur);
         g.3 = g.3.max(dur);
     }
-    println!(
+    writeln!(
+        out,
         "{:<10} {:<24} {:>6} {:>10} {:>10} {:>10} {:>10}",
         "component", "span", "count", "total_s", "min_s", "mean_s", "max_s"
-    );
+    )?;
     for ((cat, name), (count, total, min, max)) in &groups {
-        println!(
+        writeln!(
+            out,
             "{:<10} {:<24} {:>6} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
             cat,
             name,
@@ -468,22 +493,24 @@ fn summarize_trace(json: &Json) {
             min,
             total / *count as f64,
             max
-        );
+        )?;
     }
     if instants > 0 {
-        println!("({instants} instant events not summarized)");
+        writeln!(out, "({instants} instant events not summarized)")?;
     }
+    Ok(())
 }
 
 /// Per-migration blackout attribution: one row per `("ninja","ninja")`
 /// envelope span, then a fleet-wide per-phase p50/p99 breakdown.
-fn critical_path_cmd(json: &Json) {
+fn critical_path_cmd(json: &Json, out: &mut impl Write) -> fmt::Result {
     let spans = ninja_sim::spans_from_chrome(json);
     let paths = ninja_sim::critical_paths(&spans, &PHASE_NAMES);
-    println!(
+    writeln!(
+        out,
         "{:>4} {:>4} {:>10} {:>11} {:>9} {:<13} {:<14} {:>9}",
         "job", "mig", "start_s", "blackout_s", "cover%", "dominant", "critical_vm", "crit_s"
-    );
+    )?;
     for p in &paths {
         let crit = p
             .phases
@@ -494,7 +521,8 @@ fn critical_path_cmd(json: &Json) {
                     .as_deref()
                     .map(|vm| (vm, ph.critical_vm_seconds))
             });
-        println!(
+        writeln!(
+            out,
             "{:>4} {:>4} {:>10.1} {:>11.3} {:>9.2} {:<13} {:<14} {:>9.3}",
             p.job.map_or("-".into(), |j| j.to_string()),
             p.mig.map_or("-".into(), |m| m.to_string()),
@@ -504,21 +532,23 @@ fn critical_path_cmd(json: &Json) {
             p.dominant,
             crit.map_or("-", |(vm, _)| vm),
             crit.map_or(0.0, |(_, s)| s),
-        );
+        )?;
     }
     if paths.is_empty() {
-        return;
+        return Ok(());
     }
     let total_blackout: f64 = paths.iter().map(|p| p.blackout_s).sum();
-    println!(
+    writeln!(
+        out,
         "\n{} migration(s), {:.3}s total blackout — per-phase breakdown:",
         paths.len(),
         total_blackout
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:<13} {:>10} {:>10} {:>8}",
         "phase", "p50_s", "p99_s", "share%"
-    );
+    )?;
     for name in PHASE_NAMES {
         let samples: Vec<f64> = paths
             .iter()
@@ -532,14 +562,16 @@ fn critical_path_cmd(json: &Json) {
         } else {
             0.0
         };
-        println!(
+        writeln!(
+            out,
             "{:<13} {:>10.3} {:>10.3} {:>8.2}",
             name,
             percentile(&samples, 50.0),
             percentile(&samples, 99.0),
             share
-        );
+        )?;
     }
+    Ok(())
 }
 
 fn main() {
@@ -593,17 +625,21 @@ fn main() {
             let fallback = orch.migrate(&mut world, &mut rt, &eth).expect("fallback");
             let recovery = orch.migrate(&mut world, &mut rt, &ib).expect("recovery");
             world.record_wire_metrics(&rt);
-            if args.json {
-                println!(
-                    "{}",
-                    Json::obj(vec![
-                        ("fallback", fallback.to_json()),
-                        ("recovery", recovery.to_json()),
-                    ])
-                );
-            } else {
-                println!("--- fallback ---\n{fallback}\n--- recovery ---\n{recovery}");
-            }
+            print_report(|out| {
+                if args.json {
+                    let mut w = JsonWriter::compact(out);
+                    w.begin_object()?;
+                    w.field("fallback", &fallback)?;
+                    w.field("recovery", &recovery)?;
+                    w.end_object()?;
+                    out.write_char('\n')
+                } else {
+                    writeln!(
+                        out,
+                        "--- fallback ---\n{fallback}\n--- recovery ---\n{recovery}"
+                    )
+                }
+            });
             if args.trace {
                 eprintln!("\n--- trace ---\n{}", world.trace.render());
             }
@@ -634,28 +670,30 @@ fn main() {
                 .restart(&mut world, &mut rt, &handle, &store, &dsts)
                 .expect("restart");
             world.record_wire_metrics(&rt);
-            if args.json {
-                println!(
-                    "{}",
-                    Json::obj(vec![
+            print_report(|out| {
+                if args.json {
+                    let doc = Json::obj(vec![
                         ("checkpoint", ck.to_json()),
                         ("restart", rs.to_json()),
-                    ])
-                );
-            } else {
-                println!(
-                    "checkpoint: coordination {} detach {} save {} attach {} linkup {} (total {:.2}s)",
-                    ck.coordination, ck.detach, ck.save, ck.attach, ck.linkup, ck.total()
-                );
-                println!(
-                    "restart:    restore {} attach {} linkup {} -> {} (total {:.2}s)",
-                    rs.restore,
-                    rs.attach,
-                    rs.linkup,
-                    rs.transport_after.as_deref().unwrap_or("?"),
-                    rs.total()
-                );
-            }
+                    ]);
+                    writeln!(out, "{doc}")
+                } else {
+                    writeln!(
+                        out,
+                        "checkpoint: coordination {} detach {} save {} attach {} linkup {} (total {:.2}s)",
+                        ck.coordination, ck.detach, ck.save, ck.attach, ck.linkup, ck.total()
+                    )?;
+                    writeln!(
+                        out,
+                        "restart:    restore {} attach {} linkup {} -> {} (total {:.2}s)",
+                        rs.restore,
+                        rs.attach,
+                        rs.linkup,
+                        rs.transport_after.as_deref().unwrap_or("?"),
+                        rs.total()
+                    )
+                }
+            });
         }
         "evacuate" => {
             // Two jobs share the failing IB cluster; the drill moves
@@ -713,21 +751,26 @@ fn main() {
             let report = fleet.to_drill_report();
             world.record_wire_metrics(&job_a);
             world.record_wire_metrics(&job_b);
-            if args.json {
-                println!("{}", report.to_json().to_string_pretty());
-            } else {
-                println!(
+            print_report(|out| {
+                if args.json {
+                    report.write_json(&mut JsonWriter::pretty(out))?;
+                    return out.write_char('\n');
+                }
+                writeln!(
+                    out,
                     "evacuated {} jobs ({} VMs) in {:.1}s",
                     report.jobs, report.vms, report.total_seconds
-                );
+                )?;
                 for (i, m) in report.migrations.iter().enumerate() {
-                    println!(
+                    writeln!(
+                        out,
                         "\n--- job {} (queued {:.1}s) ---\n{m}",
                         i + 1,
                         report.queue_wait_s.get(i).copied().unwrap_or(0.0)
-                    );
+                    )?;
                 }
-            }
+                Ok(())
+            });
         }
         "fleet" => {
             let kind = ScenarioKind::parse(&args.scenario).unwrap_or_else(|| usage());
@@ -768,7 +811,7 @@ fn main() {
                 ("fallback to 4 hosts (TCP)", eth4),
             ] {
                 let report = orch.migrate(&mut world, &mut rt, &dsts).expect("phase");
-                println!("== {label} ==\n{report}\n");
+                print_report(|out| writeln!(out, "== {label} ==\n{report}\n"));
             }
             world.record_wire_metrics(&rt);
         }

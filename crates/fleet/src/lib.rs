@@ -28,7 +28,7 @@
 //!     arrival: ninja_sim::SimDuration::from_secs(30),
 //!     seed: 7,
 //! };
-//! let mut s = build(&spec);
+//! let mut s = build(&spec).unwrap();
 //! let mut jobs: Vec<&mut dyn GuestCooperative> =
 //!     s.jobs.iter_mut().map(|j| j as &mut dyn GuestCooperative).collect();
 //! let cfg = FleetConfig { concurrency: 2, ..FleetConfig::default() };
@@ -49,5 +49,7 @@ pub mod slo;
 pub use admission::{AdmissionController, QueuedJob};
 pub use engine::{run_fleet, FleetConfig, FleetError};
 pub use reference::run_fleet_reference;
-pub use scenario::{build, build_auto, build_scaled, Scenario, ScenarioKind, ScenarioSpec};
+pub use scenario::{
+    build, build_auto, build_scaled, Scenario, ScenarioError, ScenarioKind, ScenarioSpec,
+};
 pub use slo::{percentile, FleetReport, JobFailure, JobOutcome};

@@ -21,6 +21,7 @@ use ninja_migration::{CloudScheduler, TriggerReason, World};
 use ninja_mpi::MpiRuntime;
 use ninja_sim::SimDuration;
 use ninja_vmm::{VmId, VmSpec};
+use std::fmt;
 
 /// Which Section II-A use case to synthesize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,11 +90,53 @@ pub struct Scenario {
     pub scheduler: CloudScheduler,
 }
 
-/// Build `spec`. Panics if `jobs × vms_per_job` exceeds the 8-node
-/// source cluster (callers validate user input first).
-pub fn build(spec: &ScenarioSpec) -> Scenario {
-    check_fit(spec, 8, "the 8-node source cluster");
-    build_in(spec, World::agc(spec.seed))
+/// Why a [`ScenarioSpec`] cannot be built.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScenarioError {
+    /// `jobs` is zero.
+    NoJobs,
+    /// `vms_per_job` is zero.
+    NoVms,
+    /// `jobs × vms_per_job` VMs do not fit the source cluster.
+    TooManyVms {
+        /// `jobs × vms_per_job`.
+        vms: usize,
+        /// Nodes on the source cluster.
+        nodes: usize,
+    },
+    /// A failover fleet needs a spare IB node per VM: `2 × vms` nodes.
+    NoSpareNodes {
+        /// `2 × jobs × vms_per_job`.
+        needed: usize,
+        /// Nodes on the IB cluster.
+        nodes: usize,
+    },
+}
+
+impl fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ScenarioError::NoJobs => write!(f, "need at least one job"),
+            ScenarioError::NoVms => write!(f, "need at least one VM per job"),
+            ScenarioError::TooManyVms { vms, nodes } => write!(
+                f,
+                "jobs x vms-per-job = {vms} exceeds the {nodes}-node source cluster"
+            ),
+            ScenarioError::NoSpareNodes { needed, nodes } => write!(
+                f,
+                "failover needs spare IB nodes: 2 x jobs x vms-per-job = {needed} exceeds the {nodes}-node cluster"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ScenarioError {}
+
+/// Build `spec` on the paper's 8-node AGC testbed. Fails if
+/// `jobs × vms_per_job` does not fit its source cluster.
+pub fn build(spec: &ScenarioSpec) -> Result<Scenario, ScenarioError> {
+    check_fit(spec, 8)?;
+    Ok(build_in(spec, World::agc(spec.seed)))
 }
 
 /// Build `spec` over a synthetic data center with `nodes_per_cluster`
@@ -101,10 +144,13 @@ pub fn build(spec: &ScenarioSpec) -> Scenario {
 /// testbed's 8-node cap so scalability experiments can run
 /// thousand-job fleets. The trigger/boot logic is byte-for-byte the
 /// one [`build`] uses, and tracing stays on so the flight recorder and
-/// critical-path attribution see every span. Panics if the fleet does
+/// critical-path attribution see every span. Fails if the fleet does
 /// not fit.
-pub fn build_scaled(spec: &ScenarioSpec, nodes_per_cluster: usize) -> Scenario {
-    check_fit(spec, nodes_per_cluster, "the scaled source cluster");
+pub fn build_scaled(
+    spec: &ScenarioSpec,
+    nodes_per_cluster: usize,
+) -> Result<Scenario, ScenarioError> {
+    check_fit(spec, nodes_per_cluster)?;
     let mut b = DataCenterBuilder::new();
     let ib = b.add_cluster(
         "scale-ib",
@@ -119,13 +165,17 @@ pub fn build_scaled(spec: &ScenarioSpec, nodes_per_cluster: usize) -> Scenario {
         NodeSpec::agc_blade(),
     );
     b.shared_storage("vm-images", &[ib, eth]);
-    build_in(spec, World::from_parts(b.build(), ib, eth, spec.seed))
+    Ok(build_in(
+        spec,
+        World::from_parts(b.build(), ib, eth, spec.seed),
+    ))
 }
 
 /// Build `spec` on the paper's 8-node AGC testbed when it fits, or on
 /// a synthetic cluster sized exactly to the fleet when it doesn't.
 /// Fleets that fit the testbed build byte-identically to [`build`].
-pub fn build_auto(spec: &ScenarioSpec) -> Scenario {
+/// Fails only on an empty fleet.
+pub fn build_auto(spec: &ScenarioSpec) -> Result<Scenario, ScenarioError> {
     let total = spec.jobs * spec.vms_per_job;
     let need = if spec.kind == ScenarioKind::Failover {
         2 * total
@@ -139,19 +189,22 @@ pub fn build_auto(spec: &ScenarioSpec) -> Scenario {
     }
 }
 
-fn check_fit(spec: &ScenarioSpec, nodes: usize, what: &str) {
-    let total_vms = spec.jobs * spec.vms_per_job;
-    assert!(spec.jobs >= 1, "need at least one job");
-    assert!(spec.vms_per_job >= 1, "need at least one VM per job");
-    assert!(
-        total_vms <= nodes,
-        "jobs x vms-per-job = {total_vms} exceeds {what}"
-    );
-    assert!(
-        spec.kind != ScenarioKind::Failover || 2 * total_vms <= nodes,
-        "failover needs spare IB nodes: 2 x jobs x vms-per-job = {} exceeds the {nodes}-node cluster",
-        2 * total_vms
-    );
+fn check_fit(spec: &ScenarioSpec, nodes: usize) -> Result<(), ScenarioError> {
+    let vms = spec.jobs * spec.vms_per_job;
+    if spec.jobs == 0 {
+        Err(ScenarioError::NoJobs)
+    } else if spec.vms_per_job == 0 {
+        Err(ScenarioError::NoVms)
+    } else if vms > nodes {
+        Err(ScenarioError::TooManyVms { vms, nodes })
+    } else if spec.kind == ScenarioKind::Failover && 2 * vms > nodes {
+        Err(ScenarioError::NoSpareNodes {
+            needed: 2 * vms,
+            nodes,
+        })
+    } else {
+        Ok(())
+    }
 }
 
 fn build_in(spec: &ScenarioSpec, mut world: World) -> Scenario {
@@ -272,7 +325,7 @@ mod tests {
 
     #[test]
     fn evacuation_bursts_at_t0() {
-        let s = build(&spec(ScenarioKind::Evacuation));
+        let s = build(&spec(ScenarioKind::Evacuation)).unwrap();
         assert_eq!(s.jobs.len(), 4);
         assert_eq!(s.scheduler.len(), 4);
         let t0 = s.scheduler.next_at().unwrap();
@@ -287,7 +340,7 @@ mod tests {
 
     #[test]
     fn drain_staggers_arrivals() {
-        let s = build(&spec(ScenarioKind::RollingDrain));
+        let s = build(&spec(ScenarioKind::RollingDrain)).unwrap();
         let mut sched = s.scheduler;
         let mut last = SimTime::ZERO;
         let mut count = 0;
@@ -301,7 +354,7 @@ mod tests {
 
     #[test]
     fn rebalance_consolidates_two_per_node() {
-        let s = build(&spec(ScenarioKind::Rebalance));
+        let s = build(&spec(ScenarioKind::Rebalance)).unwrap();
         let mut sched = s.scheduler;
         let mut dst_nodes = std::collections::BTreeSet::new();
         while let Some(t) = sched.poll(SimTime::MAX) {
@@ -313,8 +366,8 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = build(&spec(ScenarioKind::RollingDrain));
-        let b = build(&spec(ScenarioKind::RollingDrain));
+        let a = build(&spec(ScenarioKind::RollingDrain)).unwrap();
+        let b = build(&spec(ScenarioKind::RollingDrain)).unwrap();
         let mut sa = a.scheduler;
         let mut sb = b.scheduler;
         while let Some(ta) = sa.poll(SimTime::MAX) {
@@ -326,15 +379,45 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the 8-node")]
     fn oversized_fleet_rejected() {
-        build(&ScenarioSpec {
+        let err = build(&ScenarioSpec {
             kind: ScenarioKind::Evacuation,
             jobs: 5,
             vms_per_job: 2,
             arrival: SimDuration::from_secs(1),
             seed: 1,
-        });
+        })
+        .err()
+        .expect("10 VMs do not fit 8 nodes");
+        assert_eq!(err, ScenarioError::TooManyVms { vms: 10, nodes: 8 });
+        assert!(err.to_string().contains("exceeds the 8-node"), "{err}");
+    }
+
+    #[test]
+    fn empty_fleet_rejected() {
+        let err = build_auto(&ScenarioSpec {
+            jobs: 0,
+            ..spec(ScenarioKind::Evacuation)
+        })
+        .err()
+        .expect("no jobs");
+        assert_eq!(err, ScenarioError::NoJobs);
+        assert_eq!(err.to_string(), "need at least one job");
+    }
+
+    #[test]
+    fn vm_less_jobs_rejected() {
+        let err = build_scaled(
+            &ScenarioSpec {
+                vms_per_job: 0,
+                ..spec(ScenarioKind::Evacuation)
+            },
+            16,
+        )
+        .err()
+        .expect("no VMs per job");
+        assert_eq!(err, ScenarioError::NoVms);
+        assert_eq!(err.to_string(), "need at least one VM per job");
     }
 
     #[test]
@@ -345,7 +428,8 @@ mod tests {
             vms_per_job: 2,
             arrival: SimDuration::from_secs(30),
             seed: 7,
-        });
+        })
+        .unwrap();
         let spare: Vec<_> = (4..8).map(|i| s.world.ib_node(i)).collect();
         let mut sched = s.scheduler;
         let t0 = sched.next_at().unwrap();
@@ -360,14 +444,15 @@ mod tests {
 
     #[test]
     fn build_auto_scales_past_the_testbed_with_tracing_on() {
-        let small = build_auto(&spec(ScenarioKind::Evacuation));
+        let small = build_auto(&spec(ScenarioKind::Evacuation)).unwrap();
         assert!(small.world.trace.is_enabled());
         assert_eq!(small.jobs.len(), 4);
         let big = build_auto(&ScenarioSpec {
             jobs: 16,
             vms_per_job: 1,
             ..spec(ScenarioKind::Evacuation)
-        });
+        })
+        .unwrap();
         assert_eq!(big.jobs.len(), 16);
         assert!(
             big.world.trace.is_enabled(),
@@ -379,19 +464,29 @@ mod tests {
             vms_per_job: 1,
             arrival: SimDuration::from_secs(30),
             seed: 7,
-        });
+        })
+        .unwrap();
         assert_eq!(failover.jobs.len(), 8, "failover doubles the node need");
     }
 
     #[test]
-    #[should_panic(expected = "spare IB nodes")]
     fn oversized_failover_rejected() {
-        build(&ScenarioSpec {
+        let err = build(&ScenarioSpec {
             kind: ScenarioKind::Failover,
             jobs: 3,
             vms_per_job: 2,
             arrival: SimDuration::from_secs(1),
             seed: 1,
-        });
+        })
+        .err()
+        .expect("12 nodes needed, 8 present");
+        assert_eq!(
+            err,
+            ScenarioError::NoSpareNodes {
+                needed: 12,
+                nodes: 8
+            }
+        );
+        assert!(err.to_string().contains("spare IB nodes"), "{err}");
     }
 }

@@ -8,7 +8,7 @@
 //! accounting, with JSON/CSV exports matching the rest of the repo.
 
 use ninja_migration::{DrillReport, NinjaReport, TriggerReason};
-use ninja_sim::{AlertIncident, Json, ToJson};
+use ninja_sim::{AlertIncident, JsonWriter, WriteJson};
 use std::fmt;
 
 /// One job's journey through the fleet engine.
@@ -60,14 +60,14 @@ pub struct JobFailure {
     pub failed_at: f64,
 }
 
-impl ToJson for JobFailure {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("job", Json::from(self.job)),
-            ("reason", Json::from(reason_label(self.reason))),
-            ("error", Json::from(self.error.clone())),
-            ("failed_at", Json::from(self.failed_at)),
-        ])
+impl WriteJson for JobFailure {
+    fn write_json<W: fmt::Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        w.begin_object()?;
+        w.field("job", &self.job)?;
+        w.field("reason", reason_label(self.reason))?;
+        w.field("error", &self.error)?;
+        w.field("failed_at", &self.failed_at)?;
+        w.end_object()
     }
 }
 
@@ -79,25 +79,24 @@ fn reason_label(r: TriggerReason) -> &'static str {
     }
 }
 
-impl ToJson for JobOutcome {
-    fn to_json(&self) -> Json {
+impl WriteJson for JobOutcome {
+    fn write_json<W: fmt::Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        w.begin_object()?;
+        w.field("job", &self.job)?;
+        w.field("reason", reason_label(self.reason))?;
+        w.field("triggered_at", &self.triggered_at)?;
+        w.field("started_at", &self.started_at)?;
+        w.field("queue_wait_s", &self.queue_wait_s)?;
+        w.field("finished_at", &self.finished_at)?;
+        w.field("blackout_s", &self.blackout_s())?;
+        w.field("deadline_missed", &self.deadline_missed)?;
         // `degraded` only appears when true: fault-free runs serialize
         // bit-identically to builds without fault injection.
-        let mut fields = vec![
-            ("job", Json::from(self.job)),
-            ("reason", Json::from(reason_label(self.reason))),
-            ("triggered_at", Json::from(self.triggered_at)),
-            ("started_at", Json::from(self.started_at)),
-            ("queue_wait_s", Json::from(self.queue_wait_s)),
-            ("finished_at", Json::from(self.finished_at)),
-            ("blackout_s", Json::from(self.blackout_s())),
-            ("deadline_missed", Json::from(self.deadline_missed)),
-        ];
         if self.degraded() {
-            fields.push(("degraded", Json::from(true)));
+            w.field("degraded", &true)?;
         }
-        fields.push(("report", self.report.to_json()));
-        Json::obj(fields)
+        w.field("report", &self.report)?;
+        w.end_object()
     }
 }
 
@@ -247,44 +246,39 @@ impl FleetReport {
     }
 }
 
-impl ToJson for FleetReport {
-    fn to_json(&self) -> Json {
+impl WriteJson for FleetReport {
+    fn write_json<W: fmt::Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        w.begin_object()?;
+        w.field("jobs", &self.jobs.len())?;
+        w.field("concurrency", &self.concurrency)?;
+        w.field("makespan_s", &self.makespan_s)?;
+        w.field("p50_blackout_s", &self.p50_blackout_s())?;
+        w.field("p99_blackout_s", &self.p99_blackout_s())?;
+        w.field("p50_queue_wait_s", &self.p50_queue_wait_s())?;
+        w.field("p99_queue_wait_s", &self.p99_queue_wait_s())?;
+        w.field("peak_queue_depth", &self.peak_queue_depth)?;
+        w.field("total_wire_bytes", &self.total_wire_bytes())?;
+        w.field("deadline_s", &self.deadline_s)?;
+        w.field("deadline_misses", &self.deadline_misses())?;
         // The fault-accounting keys only appear when nonzero, keeping
         // fault-free output byte-stable.
-        let mut fields = vec![
-            ("jobs", Json::from(self.jobs.len())),
-            ("concurrency", Json::from(self.concurrency)),
-            ("makespan_s", Json::from(self.makespan_s)),
-            ("p50_blackout_s", Json::from(self.p50_blackout_s())),
-            ("p99_blackout_s", Json::from(self.p99_blackout_s())),
-            ("p50_queue_wait_s", Json::from(self.p50_queue_wait_s())),
-            ("p99_queue_wait_s", Json::from(self.p99_queue_wait_s())),
-            ("peak_queue_depth", Json::from(self.peak_queue_depth)),
-            ("total_wire_bytes", Json::from(self.total_wire_bytes())),
-            (
-                "deadline_s",
-                self.deadline_s.map(Json::from).unwrap_or(Json::Null),
-            ),
-            ("deadline_misses", Json::from(self.deadline_misses())),
-        ];
-        if self.degraded_jobs() > 0 {
-            fields.push(("degraded_jobs", Json::from(self.degraded_jobs())));
-            fields.push(("recovered_jobs", Json::from(self.recovered_jobs())));
+        let degraded = self.degraded_jobs();
+        if degraded > 0 {
+            w.field("degraded_jobs", &degraded)?;
+            w.field("recovered_jobs", &self.recovered_jobs())?;
         }
-        if self.recovery_migrations() > 0 {
-            fields.push((
-                "recovery_migrations",
-                Json::from(self.recovery_migrations()),
-            ));
+        let recoveries = self.recovery_migrations();
+        if recoveries > 0 {
+            w.field("recovery_migrations", &recoveries)?;
         }
         if !self.failures.is_empty() {
-            fields.push(("failures", self.failures.to_json()));
+            w.field("failures", &self.failures)?;
         }
         if !self.alerts.is_empty() {
-            fields.push(("alerts", self.alerts.to_json()));
+            w.field("alerts", &self.alerts)?;
         }
-        fields.push(("outcomes", self.jobs.to_json()));
-        Json::obj(fields)
+        w.field("outcomes", &self.jobs)?;
+        w.end_object()
     }
 }
 
@@ -456,11 +450,12 @@ mod tests {
         };
         assert_eq!(r.deadline_misses(), 1, "the 150 s wait missed");
         assert_eq!(r.total_wire_bytes(), 4 * (1u64 << 30));
-        let j = r.to_json();
+        let compact = r.to_json_compact();
+        let j = ninja_sim::parse(&r.to_json_pretty()).unwrap();
         assert_eq!(j["jobs"].as_u64(), Some(4));
         assert!(j["p99_queue_wait_s"].as_f64().unwrap() >= 150.0);
         assert_eq!(j["deadline_misses"].as_u64(), Some(1));
-        let back = ninja_sim::parse(&j.to_string()).unwrap();
+        let back = ninja_sim::parse(&compact).unwrap();
         assert_eq!(back["outcomes"].as_array().unwrap().len(), 4);
         let csv = r.to_csv();
         assert_eq!(csv.lines().count(), 5);
@@ -469,11 +464,11 @@ mod tests {
         assert!(shown.contains("makespan"));
         assert!(shown.contains("p99"));
         // Fault-free: no fault-accounting keys, columns, or lines.
-        assert!(j.to_string().find("degraded").is_none());
+        assert!(compact.find("degraded").is_none());
         assert!(!shown.contains("degraded"));
         assert!(csv.lines().next().unwrap().ends_with(",degraded"));
         // No recorder: no alerts key or section either.
-        assert!(!j.to_string().contains("\"alerts\""));
+        assert!(!compact.contains("\"alerts\""));
         assert!(!shown.contains("ALERT"));
     }
 
@@ -501,7 +496,7 @@ mod tests {
                 },
             ],
         };
-        let j = r.to_json();
+        let j = ninja_sim::parse(&r.to_json_compact()).unwrap();
         let alerts = j["alerts"].as_array().unwrap();
         assert_eq!(alerts.len(), 2);
         assert_eq!(alerts[0]["rule"].as_str(), Some("queue-backlog"));
@@ -535,7 +530,7 @@ mod tests {
         assert_eq!(r.degraded_jobs(), 1);
         assert_eq!(r.recovery_migrations(), 1);
         assert_eq!(r.recovered_jobs(), 1, "recovery restored the transport");
-        let j = r.to_json();
+        let j = ninja_sim::parse(&r.to_json_compact()).unwrap();
         assert_eq!(j["degraded_jobs"].as_u64(), Some(1));
         assert_eq!(j["recovered_jobs"].as_u64(), Some(1));
         assert_eq!(j["recovery_migrations"].as_u64(), Some(1));

@@ -601,3 +601,50 @@ fn trace_critical_path_attributes_fleet_blackout() {
     assert!(stdout.contains("per-phase breakdown"), "{stdout}");
     assert!(stdout.contains("p50_s"), "{stdout}");
 }
+
+#[test]
+fn closed_stdout_pipe_ends_the_run_quietly() {
+    use std::io::Read;
+    use std::process::Stdio;
+    // The 1024-job report is far larger than a pipe buffer, so the
+    // writer is still going when the reader hangs up (`| head -c 20`).
+    let mut child = ninja()
+        .args(["fleet", "--jobs", "1024", "--concurrency", "4", "--json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut head = [0u8; 20];
+    child.stdout.take().unwrap().read_exact(&mut head).unwrap();
+    assert_eq!(&head[..1], b"{");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "exit {:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("could not write report"), "{stderr}");
+}
+
+#[test]
+fn failed_stdout_write_is_reported_and_exits_1() {
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return; // no /dev/full on this platform
+    };
+    for args in [
+        &["fleet", "--jobs", "64", "--concurrency", "8", "--json"][..],
+        &["fleet", "--jobs", "8"][..],
+        &["migrate", "--json"][..],
+    ] {
+        let out = ninja()
+            .args(args)
+            .stdout(full.try_clone().unwrap())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("could not write report: "),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

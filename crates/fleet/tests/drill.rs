@@ -8,7 +8,7 @@ use ninja_fleet::{run_fleet, FleetConfig};
 use ninja_migration::{plan_evacuation, CloudScheduler, DrillReport, TriggerReason, World};
 use ninja_mpi::MpiRuntime;
 use ninja_net::TransportKind;
-use ninja_sim::ToJson;
+use ninja_sim::WriteJson;
 use ninja_symvirt::GuestCooperative;
 
 /// Two jobs (4 VMs + 2 VMs) on the IB cluster.
@@ -98,7 +98,7 @@ fn serial_drill_records_queue_wait() {
         report.queue_wait_s[1],
         first_total
     );
-    let j = report.to_json();
+    let j = ninja_sim::parse(&report.to_json_compact()).unwrap();
     let waits = j["queue_wait_s"].as_array().unwrap();
     assert_eq!(waits.len(), 2);
     let wait_json = waits[1].as_f64().unwrap();

@@ -15,7 +15,7 @@ use ninja_fleet::{
     ScenarioSpec,
 };
 use ninja_migration::{NinjaOrchestrator, World};
-use ninja_sim::{SimDuration, SimTime, ToJson};
+use ninja_sim::{SimDuration, SimTime, WriteJson};
 use ninja_symvirt::{FaultPlan, GuestCooperative};
 use ninja_vmm::MigrationConfig;
 
@@ -36,7 +36,7 @@ fn run_one(
     concurrency: usize,
     reference: bool,
 ) -> (World, FleetReport) {
-    let mut s = build(spec);
+    let mut s = build(spec).expect("scenario fits");
     if let Some(fs) = fault_seed {
         s.world.faults = FaultPlan::random(fs, spec.jobs);
     }
@@ -61,8 +61,8 @@ fn run_one(
 
 fn assert_identical(ctx: &str, new: &(World, FleetReport), reference: &(World, FleetReport)) {
     assert_eq!(
-        new.1.to_json().to_string(),
-        reference.1.to_json().to_string(),
+        new.1.to_json_compact(),
+        reference.1.to_json_compact(),
         "{ctx}: report JSON diverged"
     );
     assert_eq!(
@@ -114,7 +114,7 @@ fn engine_matches_reference_with_recorder_installed() {
     use ninja_sim::{alerts, AlertEngine, TimeSeriesRecorder};
     let run = |kind: ScenarioKind, fault_seed: Option<u64>, reference: bool| {
         let spec = spec(kind, 2013);
-        let mut s = build(&spec);
+        let mut s = build(&spec).expect("scenario fits");
         if let Some(fs) = fault_seed {
             s.world.faults = FaultPlan::random(fs, spec.jobs);
         }
@@ -176,7 +176,7 @@ fn engine_matches_reference_at_scale() {
         ..FleetConfig::default()
     };
     let run = |reference: bool| {
-        let mut s = build_scaled(&spec, 32);
+        let mut s = build_scaled(&spec, 32).expect("scenario fits");
         let mut jobs: Vec<&mut dyn GuestCooperative> = s
             .jobs
             .iter_mut()
@@ -189,10 +189,7 @@ fn engine_matches_reference_at_scale() {
         }
         .expect("structural failure");
         drop(jobs);
-        (
-            report.to_json().to_string(),
-            s.world.metrics.to_prometheus(),
-        )
+        (report.to_json_compact(), s.world.metrics.to_prometheus())
     };
     let new = run(false);
     let old = run(true);
@@ -227,7 +224,7 @@ fn serial_fleet_is_bit_identical_to_orchestrator_migrate() {
         ..MigrationConfig::default()
     };
     // Fleet path.
-    let mut s = build(&spec);
+    let mut s = build(&spec).expect("scenario fits");
     let cfg = FleetConfig {
         monitor: ninja_vmm::QemuMonitor::new(rdma.clone()),
         ..FleetConfig::default()
@@ -245,7 +242,7 @@ fn serial_fleet_is_bit_identical_to_orchestrator_migrate() {
 
     // Serial path: same scenario, the orchestrator driven by hand at
     // the trigger instant with the trigger's destinations.
-    let mut s2 = build(&spec);
+    let mut s2 = build(&spec).expect("scenario fits");
     let trig = s2.scheduler.poll(SimTime::MAX).expect("one trigger");
     s2.world.advance_to(trig.at);
     let orch = NinjaOrchestrator::new(rdma);
@@ -254,8 +251,8 @@ fn serial_fleet_is_bit_identical_to_orchestrator_migrate() {
         .expect("serial migration");
 
     assert_eq!(
-        fleet_job.report.to_json().to_string(),
-        serial.to_json().to_string(),
+        fleet_job.report.to_json_compact(),
+        serial.to_json_compact(),
         "serial fleet diverged from NinjaOrchestrator::migrate"
     );
     assert_eq!(

@@ -24,7 +24,7 @@ fn run_soak(fault_seed: u64, concurrency: usize) -> (World, FleetReport) {
         arrival: SimDuration::from_secs(20),
         seed: 2013,
     };
-    let mut s = build(&spec);
+    let mut s = build(&spec).expect("scenario fits");
     s.world.faults = FaultPlan::random(fault_seed, JOBS);
     let cfg = FleetConfig {
         concurrency,
@@ -162,7 +162,7 @@ fn fault_free_failover_report_carries_no_fault_keys() {
         arrival: SimDuration::from_secs(20),
         seed: 2013,
     };
-    let mut s = build(&spec);
+    let mut s = build(&spec).expect("scenario fits");
     let report = {
         let mut jobs: Vec<&mut dyn GuestCooperative> = s
             .jobs
@@ -180,7 +180,7 @@ fn fault_free_failover_report_carries_no_fault_keys() {
     assert_eq!(report.jobs.len(), JOBS);
     assert_eq!(report.degraded_jobs(), 0);
     assert!(report.failures.is_empty());
-    let json = report.to_json().to_string();
+    let json = report.to_json_compact();
     for key in ["degraded", "recovery", "failures"] {
         assert!(!json.contains(key), "fault-free JSON leaks '{key}'");
     }
@@ -195,4 +195,4 @@ fn fault_free_failover_report_carries_no_fault_keys() {
     }
 }
 
-use ninja_sim::ToJson;
+use ninja_sim::WriteJson;

@@ -7,7 +7,7 @@ use ninja_fleet::{
     ScenarioSpec,
 };
 use ninja_migration::{World, PHASE_NAMES};
-use ninja_sim::{alerts, AlertEngine, SimDuration, TimeSeriesRecorder, ToJson};
+use ninja_sim::{alerts, AlertEngine, SimDuration, TimeSeriesRecorder, WriteJson};
 use ninja_symvirt::{FaultPlan, GuestCooperative};
 
 fn spec(kind: ScenarioKind, jobs: usize, seed: u64) -> ScenarioSpec {
@@ -30,7 +30,7 @@ fn run_recorded(
     rules: Option<&str>,
     reference: bool,
 ) -> (World, FleetReport) {
-    let mut s = build_auto(&spec(kind, jobs, seed));
+    let mut s = build_auto(&spec(kind, jobs, seed)).expect("scenario fits");
     if let Some(fs) = fault_seed {
         s.world.faults = FaultPlan::random(fs, jobs);
     }
@@ -76,11 +76,7 @@ fn time_series_identical_between_engines() {
                 assert_eq!(rec_e.to_prometheus(), rec_r.to_prometheus(), "{ctx}: prom");
                 assert_eq!(rec_e.to_jsonl(), rec_r.to_jsonl(), "{ctx}: jsonl");
                 assert_eq!(rec_e.to_csv(), rec_r.to_csv(), "{ctx}: csv");
-                assert_eq!(
-                    re.to_json().to_string(),
-                    rr.to_json().to_string(),
-                    "{ctx}: report"
-                );
+                assert_eq!(re.to_json_compact(), rr.to_json_compact(), "{ctx}: report");
             }
         }
     }
@@ -170,7 +166,7 @@ fn burn_alert_fires_and_resolves_under_a_fault_plan() {
     assert!(prom.contains("ninja_alerts_fired_total"));
     assert!(prom.contains("ninja_alerts_active"));
     // Incidents appear in the SLO report JSON, in firing order.
-    let json = report.to_json();
+    let json = ninja_sim::parse(&report.to_json_compact()).unwrap();
     let arr = json["alerts"].as_array().unwrap();
     assert_eq!(arr.len(), report.alerts.len());
     assert!(arr[0]["rule"].as_str().is_some());
@@ -180,7 +176,7 @@ fn burn_alert_fires_and_resolves_under_a_fault_plan() {
 fn report_json_has_no_alerts_key_without_incidents() {
     let (_, report) = run_recorded(ScenarioKind::Evacuation, 2, 2013, None, None, false);
     assert!(report.alerts.is_empty());
-    assert!(!report.to_json().to_string().contains("\"alerts\""));
+    assert!(!report.to_json_compact().contains("\"alerts\""));
 }
 
 #[test]

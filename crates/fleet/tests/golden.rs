@@ -79,6 +79,26 @@ const CASES: &[Case] = &[
         ],
         recorder: true,
     },
+    // The ring cap's eviction path: 50 entries per store, so the trace
+    // keeps only the newest spans and records and the metrics carry
+    // `ninja_trace_dropped_records`.
+    Case {
+        name: "evacuation-64-capped",
+        cmd: "fleet",
+        flags: &[
+            "--scenario",
+            "evacuation",
+            "--jobs",
+            "64",
+            "--concurrency",
+            "8",
+            "--seed",
+            "7",
+            "--trace-cap",
+            "50",
+        ],
+        recorder: true,
+    },
     // The chaos drill with its defaults: 2 failover jobs under a random
     // fault plan drawn from the world seed.
     Case {

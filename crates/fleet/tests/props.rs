@@ -34,7 +34,7 @@ fn spec(kind: ScenarioKind, jobs: usize, vms_per_job: usize, seed: u64) -> Scena
 }
 
 fn run(spec: &ScenarioSpec, concurrency: usize) -> (World, ninja_fleet::FleetReport) {
-    let mut s = build(spec);
+    let mut s = build(spec).expect("scenario fits");
     let cfg = FleetConfig {
         concurrency,
         ..FleetConfig::default()

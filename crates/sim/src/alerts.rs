@@ -25,7 +25,7 @@
 //! pairs in virtual time) is exposed via [`AlertEngine::incidents`] and
 //! lands in the fleet SLO report.
 
-use crate::export::{Json, ToJson};
+use crate::export::{JsonWriter, WriteJson};
 use crate::metrics::LabelSet;
 use crate::time::SimTime;
 use crate::timeseries::SeriesPoint;
@@ -346,19 +346,13 @@ pub struct AlertIncident {
     pub resolved_at: Option<SimTime>,
 }
 
-impl ToJson for AlertIncident {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("rule", Json::from(self.rule.as_str())),
-            ("fired_at", Json::from(self.fired_at.as_secs_f64())),
-            (
-                "resolved_at",
-                match self.resolved_at {
-                    Some(t) => Json::from(t.as_secs_f64()),
-                    None => Json::Null,
-                },
-            ),
-        ])
+impl WriteJson for AlertIncident {
+    fn write_json<W: fmt::Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        w.begin_object()?;
+        w.field("rule", &self.rule)?;
+        w.field("fired_at", &self.fired_at.as_secs_f64())?;
+        w.field("resolved_at", &self.resolved_at.map(|t| t.as_secs_f64()))?;
+        w.end_object()
     }
 }
 
@@ -661,7 +655,7 @@ mod tests {
             fired_at: t(30),
             resolved_at: None,
         };
-        let j = inc.to_json();
+        let j = crate::export::parse(&inc.to_json_compact()).unwrap();
         assert_eq!(j["rule"].as_str(), Some("q"));
         assert_eq!(j["fired_at"].as_f64(), Some(30.0));
         assert!(j["resolved_at"].is_null());

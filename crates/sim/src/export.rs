@@ -2,10 +2,12 @@
 //! writer and parser, plus the helpers the exporters share.
 //!
 //! The workspace builds offline with zero crates.io dependencies, so
-//! instead of `serde_json` every report and exporter goes through
-//! [`Json`]. The writer covers the full string-escaping rules of RFC
-//! 8259 (quotes, backslashes, control characters) and formats
-//! non-finite floats as `null` (JSON has no NaN/Infinity). The parser
+//! instead of `serde_json` every report and exporter goes through one
+//! streaming [`JsonWriter`]: reports implementing [`WriteJson`] write
+//! their fields into it directly, and a [`Json`] tree is walked through
+//! it. The writer covers the full string-escaping rules of RFC 8259
+//! (quotes, backslashes, control characters) and formats non-finite
+//! floats as `null` (JSON has no NaN/Infinity). The parser
 //! is a small recursive-descent reader used by the CLI's
 //! `trace summarize` subcommand and by tests that round-trip output.
 //!
@@ -121,75 +123,7 @@ impl Json {
 
     /// Pretty serialization (two-space indent).
     pub fn to_string_pretty(&self) -> String {
-        render(0, |out| self.write_pretty(out, 0))
-    }
-
-    fn write<W: Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
-        match self {
-            Json::Null => out.write_str("null"),
-            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => write!(out, "{i}"),
-            Json::UInt(u) => write!(out, "{u}"),
-            Json::Num(n) => write_f64(*n, out),
-            Json::Str(s) => write_escaped(s, out),
-            Json::Arr(items) => {
-                out.write_char('[')?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.write_char(',')?;
-                    }
-                    v.write(out)?;
-                }
-                out.write_char(']')
-            }
-            Json::Obj(fields) => {
-                out.write_char('{')?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.write_char(',')?;
-                    }
-                    write_escaped(k, out)?;
-                    out.write_char(':')?;
-                    v.write(out)?;
-                }
-                out.write_char('}')
-            }
-        }
-    }
-
-    fn write_pretty<W: Write + ?Sized>(&self, out: &mut W, indent: usize) -> fmt::Result {
-        let pad = |out: &mut W, n: usize| (0..n).try_for_each(|_| out.write_str("  "));
-        match self {
-            Json::Arr(items) if !items.is_empty() => {
-                out.write_str("[\n")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.write_str(",\n")?;
-                    }
-                    pad(out, indent + 1)?;
-                    v.write_pretty(out, indent + 1)?;
-                }
-                out.write_char('\n')?;
-                pad(out, indent)?;
-                out.write_char(']')
-            }
-            Json::Obj(fields) if !fields.is_empty() => {
-                out.write_str("{\n")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.write_str(",\n")?;
-                    }
-                    pad(out, indent + 1)?;
-                    write_escaped(k, out)?;
-                    out.write_str(": ")?;
-                    v.write_pretty(out, indent + 1)?;
-                }
-                out.write_char('\n')?;
-                pad(out, indent)?;
-                out.write_char('}')
-            }
-            other => other.write(out),
-        }
+        self.to_json_pretty()
     }
 }
 
@@ -235,14 +169,17 @@ pub fn write_escaped<W: Write + ?Sized>(s: &str, out: &mut W) -> fmt::Result {
 }
 
 /// Writes string pairs as a compact JSON object, `{"k":"v",...}`.
-pub fn write_str_object<K, V, W>(pairs: &[(K, V)], out: &mut W) -> fmt::Result
+pub fn write_str_object<K, V, W>(
+    pairs: impl IntoIterator<Item = (K, V)>,
+    out: &mut W,
+) -> fmt::Result
 where
     K: AsRef<str>,
     V: AsRef<str>,
     W: Write + ?Sized,
 {
     out.write_char('{')?;
-    for (i, (k, v)) in pairs.iter().enumerate() {
+    for (i, (k, v)) in pairs.into_iter().enumerate() {
         if i > 0 {
             out.write_char(',')?;
         }
@@ -251,6 +188,258 @@ where
         write_escaped(v.as_ref(), out)?;
     }
     out.write_char('}')
+}
+
+/// A streaming JSON writer, compact or pretty (two-space indent): the
+/// workspace's one JSON formatter. [`Json`]'s `Display` and
+/// [`Json::to_string_pretty`] walk their tree through it, and reports
+/// that implement [`WriteJson`] write their fields straight into it
+/// without building a tree.
+///
+/// Containers open with `begin_*` and close with `end_*`; inside an
+/// object every value follows a [`JsonWriter::key`]. Empty containers
+/// print as `[]` and `{}` in both forms. The writer keeps no stack:
+/// closing a container always leaves its parent with at least one item.
+pub struct JsonWriter<'a, W: Write + ?Sized> {
+    out: &'a mut W,
+    pretty: bool,
+    depth: usize,
+    /// Nothing written yet in the innermost open container.
+    empty: bool,
+    /// A key was just written, so the next value follows it directly.
+    after_key: bool,
+}
+
+impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
+    /// A writer that emits no whitespace.
+    pub fn compact(out: &'a mut W) -> Self {
+        JsonWriter {
+            out,
+            pretty: false,
+            depth: 0,
+            empty: true,
+            after_key: false,
+        }
+    }
+
+    /// A writer that puts every array element and object field on its
+    /// own line, indented two spaces per level, with `": "` after keys.
+    pub fn pretty(out: &'a mut W) -> Self {
+        JsonWriter {
+            pretty: true,
+            ..JsonWriter::compact(out)
+        }
+    }
+
+    fn newline(&mut self) -> fmt::Result {
+        if self.pretty {
+            self.out.write_char('\n')?;
+            for _ in 0..self.depth {
+                self.out.write_str("  ")?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The separator before a value: nothing after a key or at the top
+    /// level, otherwise a comma (unless first) and, when pretty, a new
+    /// indented line.
+    fn item(&mut self) -> fmt::Result {
+        if std::mem::take(&mut self.after_key) || self.depth == 0 {
+            return Ok(());
+        }
+        if !std::mem::take(&mut self.empty) {
+            self.out.write_char(',')?;
+        }
+        self.newline()
+    }
+
+    fn open(&mut self, c: char) -> fmt::Result {
+        self.item()?;
+        self.out.write_char(c)?;
+        self.depth += 1;
+        self.empty = true;
+        Ok(())
+    }
+
+    fn close(&mut self, c: char) -> fmt::Result {
+        self.depth -= 1;
+        if !std::mem::replace(&mut self.empty, false) {
+            self.newline()?;
+        }
+        self.out.write_char(c)
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) -> fmt::Result {
+        self.open('{')
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) -> fmt::Result {
+        self.close('}')
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> fmt::Result {
+        self.open('[')
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) -> fmt::Result {
+        self.close(']')
+    }
+
+    /// Writes an object key; the next value written is its value.
+    pub fn key(&mut self, key: &str) -> fmt::Result {
+        self.item()?;
+        write_escaped(key, self.out)?;
+        self.out.write_str(if self.pretty { ": " } else { ":" })?;
+        self.after_key = true;
+        Ok(())
+    }
+
+    /// Writes `key` and then `value`.
+    pub fn field<T: WriteJson + ?Sized>(&mut self, key: &str, value: &T) -> fmt::Result {
+        self.key(key)?;
+        value.write_json(self)
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> fmt::Result {
+        self.item()?;
+        self.out.write_str("null")
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, v: bool) -> fmt::Result {
+        self.item()?;
+        self.out.write_str(if v { "true" } else { "false" })
+    }
+
+    /// Writes an unsigned integer.
+    pub fn u64(&mut self, v: u64) -> fmt::Result {
+        self.item()?;
+        write!(self.out, "{v}")
+    }
+
+    /// Writes a signed integer.
+    pub fn i64(&mut self, v: i64) -> fmt::Result {
+        self.item()?;
+        write!(self.out, "{v}")
+    }
+
+    /// Writes a float with [`write_f64`]'s rules.
+    pub fn f64(&mut self, v: f64) -> fmt::Result {
+        self.item()?;
+        write_f64(v, self.out)
+    }
+
+    /// Writes an escaped string.
+    pub fn str(&mut self, v: &str) -> fmt::Result {
+        self.item()?;
+        write_escaped(v, self.out)
+    }
+}
+
+/// Types that serialize by streaming into a [`JsonWriter`], with no
+/// intermediate [`Json`] tree.
+pub trait WriteJson {
+    /// Writes `self` as one JSON value.
+    fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result;
+
+    /// The compact rendering.
+    fn to_json_compact(&self) -> String {
+        render(0, |out| self.write_json(&mut JsonWriter::compact(out)))
+    }
+
+    /// The pretty rendering (two-space indent).
+    fn to_json_pretty(&self) -> String {
+        render(0, |out| self.write_json(&mut JsonWriter::pretty(out)))
+    }
+}
+
+impl WriteJson for Json {
+    fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        match self {
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Int(i) => w.i64(*i),
+            Json::UInt(u) => w.u64(*u),
+            Json::Num(n) => w.f64(*n),
+            Json::Str(s) => w.str(s),
+            Json::Arr(items) => items.write_json(w),
+            Json::Obj(fields) => {
+                w.begin_object()?;
+                for (k, v) in fields {
+                    w.field(k, v)?;
+                }
+                w.end_object()
+            }
+        }
+    }
+}
+
+impl WriteJson for bool {
+    fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        w.bool(*self)
+    }
+}
+
+impl WriteJson for u64 {
+    fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        w.u64(*self)
+    }
+}
+
+impl WriteJson for usize {
+    fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        w.u64(*self as u64)
+    }
+}
+
+impl WriteJson for f64 {
+    fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        w.f64(*self)
+    }
+}
+
+impl WriteJson for str {
+    fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        w.str(self)
+    }
+}
+
+impl WriteJson for String {
+    fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        w.str(self)
+    }
+}
+
+impl<T: WriteJson> WriteJson for Option<T> {
+    /// `None` is `null`.
+    fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        match self {
+            Some(v) => v.write_json(w),
+            None => w.null(),
+        }
+    }
+}
+
+impl<T: WriteJson> WriteJson for [T] {
+    fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        w.begin_array()?;
+        for v in self {
+            v.write_json(w)?;
+        }
+        w.end_array()
+    }
+}
+
+impl<T: WriteJson> WriteJson for Vec<T> {
+    fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        self.as_slice().write_json(w)
+    }
 }
 
 /// Runs a streaming exporter into a `String` pre-sized to `capacity`.
@@ -298,7 +487,7 @@ impl fmt::Display for Json {
     /// Compact serialization (`.to_string()` is the compact form),
     /// written straight into the formatter.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.write(f)
+        self.write_json(&mut JsonWriter::compact(f))
     }
 }
 

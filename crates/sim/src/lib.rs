@@ -11,15 +11,17 @@
 //!   methodology;
 //! * [`Trace`] — structured phase/event tracing that the benchmark harness
 //!   uses to compute overhead breakdowns;
-//! * [`Span`] / [`SpanBuilder`] — typed, labeled intervals of simulated
-//!   time recorded into the trace;
+//! * [`SpanRef`] / [`Span`] / [`SpanBuilder`] — typed, labeled
+//!   intervals of simulated time: borrowed from the trace's span arena,
+//!   or owned on cold paths;
 //! * [`MetricsRegistry`] — labeled counters, gauges and histograms with
 //!   Prometheus text exposition;
 //! * [`TimeSeriesRecorder`] / [`AlertEngine`] — a virtual-time metric
 //!   scraper with timestamped exporters, and declarative
 //!   threshold/rate/burn alert rules evaluated at each scrape;
-//! * [`Json`] / [`export`] — a dependency-free JSON writer/parser used by
-//!   every exporter in the workspace.
+//! * [`JsonWriter`] / [`Json`] / [`export`] — a dependency-free
+//!   streaming JSON writer and parser used by every exporter and report
+//!   in the workspace.
 //!
 //! Everything in the upper crates (`ninja-net`, `ninja-cluster`,
 //! `ninja-vmm`, `ninja-mpi`, `ninja-symvirt`, `ninja-migration`) is built
@@ -41,10 +43,10 @@ pub mod trace;
 pub mod units;
 
 pub use alerts::{AlertEngine, AlertIncident, AlertRule};
-pub use export::{parse, Json, JsonError, ToJson};
+pub use export::{parse, Json, JsonError, JsonWriter, ToJson, WriteJson};
 pub use metrics::{HistogramMetric, LabelSet, MetricsRegistry, SeriesId};
 pub use rng::SimRng;
-pub use span::{Span, SpanBuilder};
+pub use span::{Span, SpanBuilder, SpanLabels, SpanRef};
 pub use stats::{DurationSamples, Histogram, Summary, TimeSeries};
 pub use time::{SimDuration, SimTime};
 pub use timeseries::{ScrapeSample, SeriesPoint, TimeSeriesRecorder};

@@ -430,7 +430,7 @@ impl TimeSeriesRecorder {
             write_escaped(&col.name, &mut head)?;
             if !col.labels.is_empty() {
                 head.push_str(",\"labels\":");
-                write_str_object(&col.labels, &mut head)?;
+                write_str_object(col.labels.iter().map(|(k, v)| (k, v)), &mut head)?;
             }
             head.push_str(",\"value\":");
             heads.push(head);

@@ -1,7 +1,7 @@
 //! Structured event tracing.
 //!
-//! Components append [`TraceRecord`]s (point events) and typed
-//! [`Span`]s (named intervals, see [`crate::span`]) to a shared
+//! Components append [`TraceRecord`]s (point events) and typed spans
+//! (named intervals, see [`crate::span`]) to a shared
 //! [`Trace`] as the simulation runs. The benchmark regenerators read
 //! the phase spans to compute the paper's overhead breakdowns, the
 //! test suite asserts on causal ordering, and the exporters render
@@ -14,7 +14,7 @@
 //! [`Trace::dropped`].
 
 use crate::export::{render, write_escaped, write_str_object, Json};
-use crate::span::Span;
+use crate::span::{Span, SpanLabels, SpanRef, SpanStore};
 use crate::time::{SimDuration, SimTime};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -80,7 +80,7 @@ impl fmt::Display for TraceRecord {
 #[derive(Debug, Default)]
 pub struct Trace {
     records: Vec<TraceRecord>,
-    spans: Vec<Span>,
+    spans: SpanStore,
     enabled: bool,
     /// Per-store ring cap (`None` = unbounded).
     capacity: Option<usize>,
@@ -92,7 +92,7 @@ impl Trace {
     pub fn new() -> Self {
         Trace {
             records: Vec::new(),
-            spans: Vec::new(),
+            spans: SpanStore::default(),
             enabled: true,
             capacity: None,
             dropped: 0,
@@ -128,7 +128,7 @@ impl Trace {
             }
             if self.spans.len() > c {
                 let excess = self.spans.len() - c;
-                self.spans.drain(..excess);
+                self.spans.evict_oldest(excess);
                 self.dropped += excess as u64;
             }
         }
@@ -155,11 +155,15 @@ impl Trace {
         }
     }
 
+    /// Makes room for one more span: once the store would reach twice
+    /// the cap, the oldest spans are evicted down to `cap - 1`, so the
+    /// new span brings it back to `cap`.
     fn enforce_span_cap(&mut self) {
         if let Some(cap) = self.capacity {
-            if self.spans.len() >= cap.saturating_mul(2) {
-                let excess = self.spans.len() - cap;
-                self.spans.drain(..excess);
+            let len = self.spans.len() + 1;
+            if len >= cap.saturating_mul(2) {
+                let excess = len - cap;
+                self.spans.evict_oldest(excess);
                 self.dropped += excess as u64;
             }
         }
@@ -231,20 +235,33 @@ impl Trace {
         self.emit(at, TraceLevel::Error, component, kind, detail);
     }
 
-    /// Records a completed span.
+    /// Records a completed span from `start` to `end` (clamped to a
+    /// zero-length span if `end < start`) and returns a handle that
+    /// attaches its labels. This is the hot path: it allocates only when
+    /// the trace's arrays grow.
+    pub fn add_span(
+        &mut self,
+        component: &'static str,
+        name: &'static str,
+        start: SimTime,
+        end: SimTime,
+    ) -> SpanLabels<'_> {
+        if !self.enabled {
+            return SpanLabels::new(None);
+        }
+        self.enforce_span_cap();
+        self.spans
+            .push(Cow::Borrowed(component), Cow::Borrowed(name), start, end);
+        SpanLabels::new(Some(&mut self.spans))
+    }
+
+    /// Records an owned span (copying it into the trace's arrays).
     pub fn record_span(&mut self, span: Span) {
         if !self.enabled {
             return;
         }
-        self.spans.push(span);
         self.enforce_span_cap();
-    }
-
-    /// Records several completed spans.
-    pub fn record_spans(&mut self, spans: impl IntoIterator<Item = Span>) {
-        for s in spans {
-            self.record_span(s);
-        }
+        self.spans.push_span(span);
     }
 
     /// Returns the point records.
@@ -252,9 +269,9 @@ impl Trace {
         &self.records
     }
 
-    /// Returns the completed spans, in completion order.
-    pub fn all_spans(&self) -> &[Span] {
-        &self.spans
+    /// The completed spans, in completion order.
+    pub fn all_spans(&self) -> impl ExactSizeIterator<Item = SpanRef<'_>> + DoubleEndedIterator {
+        self.spans.iter()
     }
 
     /// Number of point records.
@@ -299,9 +316,9 @@ impl Trace {
     pub fn span(&self, name: &str) -> Option<SimDuration> {
         let mut start: Option<SimTime> = None;
         let mut end: Option<SimTime> = None;
-        for s in self.spans.iter().filter(|s| s.name == name) {
-            start = Some(start.map_or(s.start, |cur: SimTime| cur.min(s.start)));
-            end = Some(end.map_or(s.end, |cur: SimTime| cur.max(s.end)));
+        for s in self.spans.iter().filter(|s| s.name() == name) {
+            start = Some(start.map_or(s.start(), |cur: SimTime| cur.min(s.start())));
+            end = Some(end.map_or(s.end(), |cur: SimTime| cur.max(s.end())));
         }
         Some(end?.since(start?))
     }
@@ -312,18 +329,18 @@ impl Trace {
         let mut out: Vec<(SimTime, SimTime)> = self
             .spans
             .iter()
-            .filter(|s| s.name == name)
-            .map(|s| (s.start, s.end))
+            .filter(|s| s.name() == name)
+            .map(|s| (s.start(), s.end()))
             .collect();
         out.sort();
         out
     }
 
     /// Spans matching both component and name, in completion order.
-    pub fn spans_of<'a>(&'a self, component: &'a str, name: &'a str) -> Vec<&'a Span> {
+    pub fn spans_of(&self, component: &str, name: &str) -> Vec<SpanRef<'_>> {
         self.spans
             .iter()
-            .filter(|s| s.component == component && s.name == name)
+            .filter(|s| s.component() == component && s.name() == name)
             .collect()
     }
 
@@ -331,8 +348,8 @@ impl Trace {
     pub fn total_span(&self, name: &str) -> SimDuration {
         self.spans
             .iter()
-            .filter(|s| s.name == name)
-            .map(Span::duration)
+            .filter(|s| s.name() == name)
+            .map(|s| s.duration())
             .sum()
     }
 
@@ -357,22 +374,22 @@ impl Trace {
     pub fn write_chrome_json<W: Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         out.write_str("{\"traceEvents\":[")?;
         let mut sep = "";
-        for s in &self.spans {
+        for s in self.spans.iter() {
             write!(out, "{sep}{{\"name\":")?;
             sep = ",";
-            write_escaped(&s.name, out)?;
+            write_escaped(s.name(), out)?;
             out.write_str(",\"cat\":")?;
-            write_escaped(&s.component, out)?;
+            write_escaped(s.component(), out)?;
             write!(
                 out,
                 ",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":",
-                s.start.as_nanos() / 1_000,
+                s.start().as_nanos() / 1_000,
                 s.duration().as_nanos() / 1_000
             )?;
-            write_escaped(&s.component, out)?;
-            if !s.labels.is_empty() {
+            write_escaped(s.component(), out)?;
+            if s.labels().len() > 0 {
                 out.write_str(",\"args\":")?;
-                write_str_object(&s.labels, out)?;
+                write_str_object(s.labels(), out)?;
             }
             out.write_char('}')?;
         }
@@ -409,10 +426,10 @@ impl Trace {
     /// line, spans and records interleaved in time order (a stable
     /// sort: at one instant, spans before records).
     pub fn write_jsonl<W: Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
-        let mut items: Vec<(SimTime, Result<&Span, &TraceRecord>)> = self
+        let mut items: Vec<(SimTime, Result<SpanRef<'_>, &TraceRecord>)> = self
             .spans
             .iter()
-            .map(|s| (s.start, Ok(s)))
+            .map(|s| (s.start(), Ok(s)))
             .chain(self.records.iter().map(|r| (r.at, Err(r))))
             .collect();
         items.sort_by_key(|&(at, _)| at);
@@ -442,7 +459,7 @@ impl Trace {
     /// Reconstruct per-migration critical paths from this trace's
     /// spans. See [`critical_paths`] for the reconstruction rules.
     pub fn critical_paths(&self, phase_names: &[&str]) -> Vec<MigrationPath> {
-        critical_paths(&self.spans, phase_names)
+        critical_paths(self, phase_names)
     }
 
     /// Render the whole trace as text (debugging aid).
@@ -452,15 +469,14 @@ impl Trace {
             s.push_str(&r.to_string());
             s.push('\n');
         }
-        for sp in &self.spans {
+        for sp in self.spans.iter() {
             s.push_str(&format!(
                 "[{:>14}] SPAN  {} {} {} ({})\n",
-                sp.start.to_string(),
-                sp.component,
-                sp.name,
+                sp.start().to_string(),
+                sp.component(),
+                sp.name(),
                 sp.duration(),
-                sp.labels
-                    .iter()
+                sp.labels()
                     .map(|(k, v)| format!("{k}={v}"))
                     .collect::<Vec<_>>()
                     .join(" "),
@@ -521,18 +537,19 @@ impl MigrationPath {
     }
 }
 
-fn span_key(s: &Span) -> (Option<u64>, Option<u64>) {
+fn span_key(s: &SpanRef<'_>) -> (Option<u64>, Option<u64>) {
     let get = |k: &str| s.label(k).and_then(|v| v.parse().ok());
     (get("job"), get("mig"))
 }
 
-/// Rebuild [`Span`]s from a Chrome trace-event document (the format
-/// [`Trace::to_chrome_json`] writes). Only complete (`"ph": "X"`)
-/// events become spans; string `args` become labels. Timestamps are
-/// microseconds of simulated time, so reconstructed spans are exact up
-/// to the export's microsecond truncation.
-pub fn spans_from_chrome(doc: &Json) -> Vec<Span> {
-    let mut out = Vec::new();
+/// Rebuild a [`Trace`]'s spans from a Chrome trace-event document (the
+/// format [`Trace::to_chrome_json`] writes). Only complete (`"ph":
+/// "X"`) events become spans; string `args` become labels. Timestamps
+/// are microseconds of simulated time, so reconstructed spans are exact
+/// up to the export's microsecond truncation. The result is uncapped and
+/// holds no point records.
+pub fn spans_from_chrome(doc: &Json) -> Trace {
+    let mut out = Trace::new();
     let Some(events) = doc["traceEvents"].as_array() else {
         return out;
     };
@@ -554,7 +571,7 @@ pub fn spans_from_chrome(doc: &Json) -> Vec<Span> {
                 }
             }
         }
-        out.push(Span {
+        out.record_span(Span {
             component: Cow::Owned(ev["cat"].as_str().unwrap_or("").to_string()),
             name: Cow::Owned(name.to_string()),
             start,
@@ -565,8 +582,8 @@ pub fn spans_from_chrome(doc: &Json) -> Vec<Span> {
     out
 }
 
-/// Reconstruct every migration's critical path from a flat span list
-/// (a live [`Trace`], or one re-read via [`spans_from_chrome`]).
+/// Reconstruct every migration's critical path from a trace's spans (a
+/// live [`Trace`], or one re-read via [`spans_from_chrome`]).
 ///
 /// Each `("ninja", "ninja")` envelope span is one migration, processed
 /// in record order. Its phase spans are the `"ninja"`-component spans
@@ -578,12 +595,13 @@ pub fn spans_from_chrome(doc: &Json) -> Vec<Span> {
 ///
 /// The spans are indexed once by `(component, name, job, mig)`, so each
 /// match scans only its own bucket, in record order.
-pub fn critical_paths(spans: &[Span], phase_names: &[&str]) -> Vec<MigrationPath> {
+pub fn critical_paths(trace: &Trace, phase_names: &[&str]) -> Vec<MigrationPath> {
     type Key = (Option<u64>, Option<u64>);
+    let spans: Vec<SpanRef<'_>> = trace.all_spans().collect();
     let mut buckets: HashMap<(&str, &str, Key), Vec<usize>> = HashMap::new();
     for (i, s) in spans.iter().enumerate() {
-        if s.component == "ninja" || s.component == "symvirt" {
-            let key = (&*s.component, &*s.name, span_key(s));
+        if s.component() == "ninja" || s.component() == "symvirt" {
+            let key = (s.component(), s.name(), span_key(s));
             buckets.entry(key).or_default().push(i);
         }
     }
@@ -591,7 +609,7 @@ pub fn critical_paths(spans: &[Span], phase_names: &[&str]) -> Vec<MigrationPath
     let mut used = vec![false; spans.len()];
     let mut out = Vec::new();
     for (ei, env) in spans.iter().enumerate() {
-        if env.component != "ninja" || env.name != "ninja" {
+        if env.component() != "ninja" || env.name() != "ninja" {
             continue;
         }
         let key = span_key(env);
@@ -601,7 +619,7 @@ pub fn critical_paths(spans: &[Span], phase_names: &[&str]) -> Vec<MigrationPath
         let mut attributed = 0.0;
         for &pn in phase_names {
             let found = bucket("ninja", pn, key).iter().copied().find(|&pi| {
-                !used[pi] && spans[pi].start >= env.start && spans[pi].start <= env.end
+                !used[pi] && spans[pi].start() >= env.start() && spans[pi].start() <= env.end()
             });
             let Some(pi) = found else {
                 continue;
@@ -616,7 +634,7 @@ pub fn critical_paths(spans: &[Span], phase_names: &[&str]) -> Vec<MigrationPath
             let mut critical: Option<(&str, f64)> = None;
             for &vi in bucket("symvirt", pn, key) {
                 let vs = &spans[vi];
-                if used[vi] || vs.start < p.start || vs.start > p.end {
+                if used[vi] || vs.start() < p.start() || vs.start() > p.end() {
                     continue;
                 }
                 let Some(vm) = vs.label("vm") else { continue };
@@ -649,8 +667,8 @@ pub fn critical_paths(spans: &[Span], phase_names: &[&str]) -> Vec<MigrationPath
         out.push(MigrationPath {
             job,
             mig,
-            start: env.start,
-            end: env.end,
+            start: env.start(),
+            end: env.end(),
             blackout_s: env.duration().as_secs_f64(),
             attributed_s: attributed,
             phases,
@@ -678,7 +696,7 @@ mod tests {
         assert_eq!(tr.len(), 1);
         assert_eq!(tr.of_kind("precopy.round").count(), 1);
         assert_eq!(tr.span("migration"), Some(SimDuration::from_secs(4)));
-        assert_eq!(tr.all_spans()[0].label("vm"), Some("vm0"));
+        assert_eq!(tr.all_spans().next().unwrap().label("vm"), Some("vm0"));
     }
 
     #[test]
@@ -717,8 +735,9 @@ mod tests {
         let mut tr = Trace::disabled();
         tr.info(t(1), "x", "y", "z");
         tr.record_span(SpanBuilder::new("a", "b", t(1)).end(t(2)));
+        tr.add_span("a", "c", t(1), t(2)).label("vm", "x");
         assert!(tr.is_empty());
-        assert!(tr.all_spans().is_empty());
+        assert_eq!(tr.all_spans().len(), 0);
     }
 
     #[test]
@@ -756,6 +775,41 @@ mod tests {
         }
         assert!(tr.all_spans().len() <= 20);
         assert!(tr.dropped() > before);
+    }
+
+    #[test]
+    fn ring_cap_keeps_the_newest_spans_with_their_labels() {
+        // Model: a plain list, drained to `cap` once it reaches 2 * cap.
+        for cap in [1usize, 2, 3, 7] {
+            let mut tr = Trace::new();
+            tr.set_capacity(Some(cap));
+            let mut model: Vec<(u64, String)> = Vec::new();
+            let mut dropped = 0;
+            for i in 0..50u64 {
+                let vm = "v".repeat(i as usize % 4);
+                let span = tr.add_span("x", "s", t(i), t(i + 1)).label_u64("job", i);
+                if i % 3 != 0 {
+                    span.label("vm", &vm);
+                }
+                model.push((i, vm));
+                if model.len() >= 2 * cap {
+                    let excess = model.len() - cap;
+                    model.drain(..excess);
+                    dropped += excess as u64;
+                }
+                assert_eq!(tr.dropped(), dropped, "cap {cap}, span {i}");
+                assert_eq!(tr.all_spans().len(), model.len());
+                for (s, (j, vm)) in tr.all_spans().zip(&model) {
+                    assert_eq!(s.start(), t(*j));
+                    assert_eq!(s.label("job"), Some(j.to_string().as_str()));
+                    let want_vm = (j % 3 != 0).then_some(vm.as_str());
+                    assert_eq!(s.label("vm"), want_vm, "cap {cap}, span {j}");
+                }
+            }
+            tr.set_capacity(Some(1));
+            assert_eq!(tr.all_spans().len(), 1);
+            assert_eq!(tr.all_spans().next().unwrap().label("job"), Some("49"));
+        }
     }
 
     #[test]
@@ -878,7 +932,7 @@ mod tests {
         record_migration(&mut tr, 0, 1, 40, [1, 8, 2]);
         let doc = crate::export::parse(&tr.to_chrome_json()).unwrap();
         let spans = spans_from_chrome(&doc);
-        assert_eq!(spans.len(), tr.all_spans().len());
+        assert_eq!(spans.all_spans().len(), tr.all_spans().len());
         let paths = critical_paths(&spans, &["detach", "migration", "attach"]);
         assert_eq!(paths.len(), 2);
         // Same job, two migrations: record order + span consumption
@@ -897,7 +951,12 @@ mod tests {
         let mut tr = Trace::new();
         tr.info(t(1), "x", "tick", "");
         assert!(tr.critical_paths(&["detach"]).is_empty());
-        assert!(spans_from_chrome(&crate::export::parse("{}").unwrap()).is_empty());
+        assert_eq!(
+            spans_from_chrome(&crate::export::parse("{}").unwrap())
+                .all_spans()
+                .len(),
+            0
+        );
     }
 
     #[test]

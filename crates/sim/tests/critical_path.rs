@@ -4,7 +4,7 @@
 //! per-VM spans with colliding, missing and unparsable `job`/`mig`
 //! labels, VM spans without a `vm` label, and out-of-window starts.
 
-use ninja_sim::{critical_paths, MigrationPath, PhaseAttribution, SimRng, SimTime, Span};
+use ninja_sim::{critical_paths, MigrationPath, PhaseAttribution, SimRng, SimTime, Span, Trace};
 
 const PHASES: [&str; 3] = ["detach", "migration", "attach"];
 
@@ -141,7 +141,11 @@ fn indexed_matcher_equals_the_all_pairs_scan() {
         } else {
             &PHASES
         };
-        let got = critical_paths(&spans, phases);
+        let mut trace = Trace::new();
+        for s in &spans {
+            trace.record_span(s.clone());
+        }
+        let got = critical_paths(&trace, phases);
         let want = critical_paths_reference(&spans, phases);
         assert_eq!(
             format!("{got:?}"),

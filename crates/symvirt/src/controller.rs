@@ -15,7 +15,7 @@
 
 use crate::error::SymVirtError;
 use ninja_cluster::{DataCenter, NodeId};
-use ninja_sim::{SimDuration, SimRng, SimTime, Span, SpanBuilder};
+use ninja_sim::{SimDuration, SimRng, SimTime};
 use ninja_vmm::{MonitorCommand, MonitorReply, PrecopyPlan, QemuMonitor, VmId, VmPool, VmState};
 
 /// One agent's record of a completed action (for the controller's log).
@@ -77,13 +77,16 @@ pub struct PendingMigration {
     pub started: SimTime,
 }
 
+/// One VM's interval in one phase: `(phase, vm, start, end)`.
+pub type VmSpan = (&'static str, VmId, SimTime, SimTime);
+
 /// The VMM-side master program.
 #[derive(Debug)]
 pub struct Controller {
     hostlist: Vec<VmId>,
     monitor: QemuMonitor,
     log: Vec<AgentAction>,
-    spans: Vec<(VmId, Span)>,
+    spans: Vec<VmSpan>,
     hotplug_leaked: u64,
     closed: bool,
     /// Agents whose QEMU monitor connection has dropped (failure
@@ -106,28 +109,16 @@ impl Controller {
         }
     }
 
-    /// Record a per-VM phase span (component `symvirt`, labeled with the
-    /// VM's name) alongside the script-style action log.
-    fn record_vm_span(
-        &mut self,
-        phase: &'static str,
-        pool: &VmPool,
-        vm: VmId,
-        started: SimTime,
-        end: SimTime,
-    ) {
-        self.spans.push((
-            vm,
-            SpanBuilder::new("symvirt", phase, started)
-                .label("vm", pool.get(vm).name.clone())
-                .end(end),
-        ));
+    /// Record a per-VM phase interval alongside the script-style action
+    /// log.
+    fn record_vm_span(&mut self, phase: &'static str, vm: VmId, started: SimTime, end: SimTime) {
+        self.spans.push((phase, vm, started, end));
     }
 
-    /// Drain the typed per-VM spans accumulated since the last call,
-    /// each with the VM it belongs to (the orchestrator records them
-    /// into the world trace).
-    pub fn take_spans(&mut self) -> Vec<(VmId, Span)> {
+    /// Drain the per-VM phase intervals accumulated since the last call
+    /// (the orchestrator records them into the world trace as `symvirt`
+    /// spans labeled with the VM's name).
+    pub fn take_spans(&mut self) -> Vec<VmSpan> {
         std::mem::take(&mut self.spans)
     }
 
@@ -247,7 +238,7 @@ impl Controller {
             {
                 max = max.max(duration);
                 self.hotplug_leaked += leaked as u64;
-                self.record_vm_span("detach", pool, vm, now, now + duration);
+                self.record_vm_span("detach", vm, now, now + duration);
                 self.log.push(AgentAction {
                     vm,
                     action: format!("device_del {tag}"),
@@ -298,7 +289,7 @@ impl Controller {
             {
                 max = max.max(duration);
                 link_max = Some(link_max.map_or(link_active_at, |m| m.max(link_active_at)));
-                self.record_vm_span("attach", pool, vm, now, now + duration);
+                self.record_vm_span("attach", vm, now, now + duration);
                 self.log.push(AgentAction {
                     vm,
                     action: "device_add ib-hca".into(),
@@ -344,7 +335,7 @@ impl Controller {
             )?;
             if let MonitorReply::MigrationDone { plan, completes_at } = reply {
                 completed_at = completed_at.max(completes_at);
-                self.record_vm_span("migration", pool, vm, now, completes_at);
+                self.record_vm_span("migration", vm, now, completes_at);
                 self.log.push(AgentAction {
                     vm,
                     action: format!("migrate -> {}", dc.node(dst).hostname),
@@ -414,7 +405,7 @@ impl Controller {
         pool.complete_migration(p.vm, p.dst, dc);
         pool.get_mut(p.vm).last_migration =
             Some((p.plan.wire_bytes().get(), completes_at.since(p.started)));
-        self.record_vm_span("migration", pool, p.vm, p.started, completes_at);
+        self.record_vm_span("migration", p.vm, p.started, completes_at);
         self.log.push(AgentAction {
             vm: p.vm,
             action: format!("migrate -> {}", dc.node(p.dst).hostname),
@@ -630,16 +621,14 @@ mod tests {
             .unwrap();
         ctl.migration(&eth_nodes, &mut pool, &mut dc, SimTime::ZERO, &mut rng)
             .unwrap();
-        let spans: Vec<Span> = ctl.take_spans().into_iter().map(|(_, s)| s).collect();
+        let spans = ctl.take_spans();
         assert_eq!(spans.len(), 8, "4 detach + 4 migration");
-        for s in &spans {
-            assert_eq!(s.component, "symvirt");
-            assert!(s.end >= s.start, "well-formed span");
-            let vm = s.label("vm").expect("vm label");
-            assert!(vm.starts_with("vm"), "vm name label, got {vm}");
+        for &(_, vm, start, end) in &spans {
+            assert!(end >= start, "well-formed span");
+            assert!(vms.contains(&vm), "a hostlist VM, got {vm:?}");
         }
-        assert_eq!(spans.iter().filter(|s| s.name == "detach").count(), 4);
-        assert_eq!(spans.iter().filter(|s| s.name == "migration").count(), 4);
+        assert_eq!(spans.iter().filter(|s| s.0 == "detach").count(), 4);
+        assert_eq!(spans.iter().filter(|s| s.0 == "migration").count(), 4);
         assert!(ctl.take_spans().is_empty(), "take drains");
         assert_eq!(ctl.hotplug_leaked(), 0, "graceful detach leaks nothing");
     }
@@ -682,7 +671,7 @@ mod tests {
         }
         let spans = ctl.take_spans();
         assert_eq!(
-            spans.iter().filter(|(_, s)| s.name == "migration").count(),
+            spans.iter().filter(|s| s.0 == "migration").count(),
             4,
             "commit records per-VM migration spans"
         );

@@ -22,7 +22,9 @@ pub mod error;
 pub mod faults;
 pub mod generic;
 
-pub use controller::{AgentAction, Controller, DevicePhase, MigrationPhase, PendingMigration};
+pub use controller::{
+    AgentAction, Controller, DevicePhase, MigrationPhase, PendingMigration, VmSpan,
+};
 pub use coordinator::{CoordReport, Coordinator};
 pub use error::SymVirtError;
 pub use faults::{FaultKind, FaultPhase, FaultPlan, FaultSpec, Injected, RetryPolicy};

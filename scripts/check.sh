@@ -60,6 +60,16 @@ echo "$perf_line"
 python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.argv[1])["correct"] is True else 1)' \
     "$perf_line"
 
+# A reader that hangs up early must end the run quietly: the 1024-job
+# report piped into `head` may not panic on the closed pipe.
+"${CARGO_TARGET_DIR:-.bench_build}/release/ninja" fleet --scenario evacuation --jobs 1024 --concurrency 4 --json \
+    2> "$smoke_dir/closed-pipe.stderr" | head -c 64
+echo
+if grep -q panicked "$smoke_dir/closed-pipe.stderr"; then
+    cat "$smoke_dir/closed-pipe.stderr"
+    exit 1
+fi
+
 echo "== cargo build --benches =="
 # Bench binaries (ninja-bench bins) and the criterion-stub [[bench]]
 # targets, which sit behind the off-by-default `bench` feature.

@@ -162,11 +162,11 @@ fn assert_fig4_order(w: &World) {
         let spans = w.trace.spans_of("ninja", name);
         assert_eq!(spans.len(), 1, "{name} ran exactly once");
         assert!(
-            spans[0].start >= last_end,
+            spans[0].start() >= last_end,
             "{name} begins after the previous phase"
         );
-        assert!(spans[0].end >= spans[0].start);
-        last_end = spans[0].end;
+        assert!(spans[0].end() >= spans[0].start());
+        last_end = spans[0].end();
     }
 }
 
@@ -236,7 +236,7 @@ fn every_vm_gets_a_span_per_phase() {
             assert_eq!(
                 spans
                     .iter()
-                    .filter(|s| s.labels.iter().any(|(k, v)| k == "vm" && v == vm))
+                    .filter(|s| s.labels().any(|(k, v)| k == "vm" && v == vm))
                     .count(),
                 1,
                 "exactly one {phase} span for {vm}"
@@ -258,19 +258,19 @@ fn all_spans_are_well_formed_and_round_trip() {
     let orch = NinjaOrchestrator::default();
     orch.migrate(&mut w, &mut rt, &eth).unwrap();
     orch.migrate(&mut w, &mut rt, &ib).unwrap();
-    assert!(!w.trace.all_spans().is_empty());
+    assert!(w.trace.all_spans().len() > 0);
     for s in w.trace.all_spans() {
         assert!(
-            s.end >= s.start,
+            s.end() >= s.start(),
             "span {}/{} ends before it starts",
-            s.component,
-            s.name
+            s.component(),
+            s.name()
         );
         assert!(
-            s.end <= w.clock(),
+            s.end() <= w.clock(),
             "span {}/{} ends in the future",
-            s.component,
-            s.name
+            s.component(),
+            s.name()
         );
     }
     let jsonl = w.trace.to_jsonl();
