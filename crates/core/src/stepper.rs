@@ -536,10 +536,6 @@ fn describe_migration_metrics(m: &mut MetricsRegistry) {
         "Precopy bytes on the wire across all migrations",
     );
     m.describe(
-        "ninja_vm_wire_bytes_total",
-        "Precopy bytes on the wire, per VM",
-    );
-    m.describe(
         "ninja_phase_duration_seconds",
         "Duration of each migration phase",
     );
@@ -621,28 +617,40 @@ pub(crate) fn record_job_telemetry(
 
     // Per-VM spans: the controller's real ones, plus the job window
     // for any (phase, vm) pair it skipped (e.g. detach on an HCA-less
-    // VM), so every VM shows one span per phase.
-    let vm_span = |trace: &mut Trace, name, vm: VmId, start, end| {
-        trace
+    // VM), so every VM shows one span per phase. Each VM's first
+    // `migration` span carries its precopy wire bytes.
+    let vm_span = |trace: &mut Trace, name, vm: VmId, start, end, wire: Option<u64>| {
+        let span = trace
             .add_span("symvirt", name, start, end)
             .label("vm", &pool.get(vm).name)
             .label_u64("job", job)
             .label_u64("mig", mig);
+        if let Some(bytes) = wire {
+            span.label_u64("wire_bytes", bytes);
+        }
+    };
+    let wire_of = |name: &str, v: usize| {
+        let plan = plans.get(v).filter(|_| name == "migration");
+        plan.map(|p| p.wire_bytes().get())
     };
     let covered = &mut world.covered;
     covered.clear();
     covered.resize(vms.len(), 0);
     for &(name, vm, start, end) in vm_spans {
         let phase = windows.iter().position(|w| w.0 == name);
+        let mut wire = None;
         if let (Some(p), Some(v)) = (phase, vms.iter().position(|&x| x == vm)) {
+            if covered[v] & (1 << p) == 0 {
+                wire = wire_of(name, v);
+            }
             covered[v] |= 1 << p;
         }
-        vm_span(trace, name, vm, start, end);
+        vm_span(trace, name, vm, start, end, wire);
     }
     for (p, &(name, start, end)) in windows.iter().enumerate() {
         for (v, &vm) in vms.iter().enumerate() {
             if covered[v] & (1 << p) == 0 {
-                vm_span(trace, name, vm, start, end);
+                vm_span(trace, name, vm, start, end, wire_of(name, v));
             }
         }
     }
@@ -681,14 +689,6 @@ pub(crate) fn record_job_telemetry(
             "Migrations that resumed on TCP because the IB re-attach failed",
         );
         m.inc("ninja_degraded_jobs", &[], 1);
-    }
-    for (&vm, plan) in vms.iter().zip(plans) {
-        let vm_name = world.pool.get(vm).name.as_str();
-        m.inc(
-            "ninja_vm_wire_bytes_total",
-            &[("vm", vm_name)],
-            plan.wire_bytes().get(),
-        );
     }
     for (&(name, start, end), slot) in windows.iter().zip(&mut s.phase_duration) {
         let id = *slot.get_or_insert_with(|| {

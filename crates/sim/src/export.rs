@@ -168,6 +168,34 @@ pub fn write_escaped<W: Write + ?Sized>(s: &str, out: &mut W) -> fmt::Result {
     out.write_char('"')
 }
 
+/// Appends `s` to `out` as a quoted JSON string, escaped exactly as
+/// [`write_escaped`] does. A string with nothing to escape (the common
+/// case) is pushed whole, without going through `fmt`.
+pub(crate) fn push_escaped(out: &mut String, s: &str) {
+    if s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        write_escaped(s, out).expect("writing to a String cannot fail");
+    } else {
+        out.push('"');
+        out.push_str(s);
+        out.push('"');
+    }
+}
+
+/// Appends `v` to `out` in decimal, without going through `fmt`.
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+}
+
 /// Writes string pairs as a compact JSON object, `{"k":"v",...}`.
 pub fn write_str_object<K, V, W>(
     pairs: impl IntoIterator<Item = (K, V)>,

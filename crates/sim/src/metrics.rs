@@ -52,12 +52,14 @@ impl Kind {
     }
 }
 
-/// A histogram series: log-bucketed counts plus streaming moments (the
-/// `Summary` supplies `_sum`, and min/max/mean for the JSON export).
+/// A histogram series: log-bucketed counts, the exact running sum
+/// behind `_sum`, and streaming moments (min/max/mean for the JSON
+/// export).
 #[derive(Debug, Clone)]
 pub struct HistogramMetric {
     hist: Histogram,
     summary: Summary,
+    sum: f64,
 }
 
 impl HistogramMetric {
@@ -73,6 +75,7 @@ impl HistogramMetric {
         self.hist.record_n(v, n);
         for _ in 0..n {
             self.summary.record(v);
+            self.sum += v;
         }
     }
 
@@ -81,13 +84,9 @@ impl HistogramMetric {
         self.summary.count()
     }
 
-    /// Sum of all observations.
+    /// Sum of all observations, added up in observation order.
     pub fn sum(&self) -> f64 {
-        if self.summary.count() == 0 {
-            0.0
-        } else {
-            self.summary.mean() * self.summary.count() as f64
-        }
+        self.sum
     }
 
     /// The underlying bucketed histogram.
@@ -128,6 +127,7 @@ fn histogram_value(first: f64, base: f64, n: usize) -> Value {
     Value::Histogram(Box::new(HistogramMetric {
         hist: Histogram::exponential(first, base, n),
         summary: Summary::new(),
+        sum: 0.0,
     }))
 }
 
@@ -401,6 +401,7 @@ impl MetricsRegistry {
                 (Value::Histogram(mine), Value::Histogram(theirs)) => {
                     mine.summary.merge(&theirs.summary);
                     mine.hist.merge(&theirs.hist);
+                    mine.sum += theirs.sum;
                 }
                 _ => unreachable!("found by kind"),
             }
@@ -668,6 +669,28 @@ mod tests {
             .unwrap();
         assert_eq!(h.count(), 3);
         assert!((h.sum() - 10.03).abs() < 1e-9);
+    }
+
+    #[test]
+    fn histogram_sum_is_the_running_sum_not_mean_times_count() {
+        let mut m = MetricsRegistry::new();
+        let values = [1.0, 1.0, 24.0];
+        for v in values {
+            m.observe("ninja_phase_duration_seconds", &[("phase", "linkup")], v);
+        }
+        let h = m
+            .histogram("ninja_phase_duration_seconds", &[("phase", "linkup")])
+            .unwrap();
+        // The streaming mean rounds on every update: mean x count is
+        // 26.000000000000004 here, while the running sum stays exact.
+        let approx = h.summary().mean() * h.count() as f64;
+        assert_ne!(approx, 26.0);
+        assert_eq!(h.sum(), 26.0);
+        let text = m.to_prometheus();
+        assert!(
+            text.contains("ninja_phase_duration_seconds_sum{phase=\"linkup\"} 26\n"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! exported file ([`spans_from_chrome`](crate::spans_from_chrome)) own
 //! their strings.
 
-use crate::export::{write_escaped, write_f64, write_str_object};
+use crate::export::{push_u64, write_escaped, write_f64, write_str_object};
 use crate::time::{SimDuration, SimTime};
 use std::borrow::Cow;
 use std::fmt::{self, Write};
@@ -344,7 +344,10 @@ impl<'a> SpanLabels<'a> {
     /// Attaches an integer label, written in decimal.
     pub fn label_u64(mut self, key: &'static str, value: u64) -> Self {
         if let Some(store) = self.store.as_deref_mut() {
-            store.push_label(Cow::Borrowed(key), |text| write!(text, "{value}"));
+            store.push_label(Cow::Borrowed(key), |text| {
+                push_u64(text, value);
+                Ok(())
+            });
         }
         self
     }

@@ -13,7 +13,7 @@
 //! keep the newest entries, with evictions counted in
 //! [`Trace::dropped`].
 
-use crate::export::{render, write_escaped, write_str_object, Json};
+use crate::export::{push_escaped, push_u64, render, write_escaped, Json};
 use crate::span::{Span, SpanLabels, SpanRef, SpanStore};
 use crate::time::{SimDuration, SimTime};
 use std::borrow::Cow;
@@ -33,15 +33,21 @@ pub enum TraceLevel {
     Error,
 }
 
-impl fmt::Display for TraceLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl TraceLevel {
+    /// The level's upper-case name, as exported.
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
             TraceLevel::Phase => "PHASE",
             TraceLevel::Info => "INFO",
             TraceLevel::Warn => "WARN",
             TraceLevel::Error => "ERROR",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for TraceLevel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -74,6 +80,9 @@ impl fmt::Display for TraceRecord {
         )
     }
 }
+
+/// Bytes the Chrome trace writer renders before handing them to its sink.
+const CHROME_CHUNK: usize = 64 * 1024;
 
 /// An append-only trace of simulation activity: point records plus
 /// completed spans.
@@ -371,49 +380,67 @@ impl Trace {
     /// order, then all records in emission order; nothing is sorted.
     /// Timestamps are microseconds of simulated time; each component
     /// renders as its own track (`tid`).
+    ///
+    /// Events are rendered into a local chunk without `fmt` (integers
+    /// through [`push_u64`], strings through [`push_escaped`]) and handed
+    /// to `out` about [`CHROME_CHUNK`] bytes at a time.
     pub fn write_chrome_json<W: Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
-        out.write_str("{\"traceEvents\":[")?;
+        let mut buf = String::with_capacity(CHROME_CHUNK + 1024);
+        buf.push_str("{\"traceEvents\":[");
         let mut sep = "";
         for s in self.spans.iter() {
-            write!(out, "{sep}{{\"name\":")?;
+            buf.push_str(sep);
             sep = ",";
-            write_escaped(s.name(), out)?;
-            out.write_str(",\"cat\":")?;
-            write_escaped(s.component(), out)?;
-            write!(
-                out,
-                ",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":",
-                s.start().as_nanos() / 1_000,
-                s.duration().as_nanos() / 1_000
-            )?;
-            write_escaped(s.component(), out)?;
-            if s.labels().len() > 0 {
-                out.write_str(",\"args\":")?;
-                write_str_object(s.labels(), out)?;
+            buf.push_str("{\"name\":");
+            push_escaped(&mut buf, s.name());
+            buf.push_str(",\"cat\":");
+            push_escaped(&mut buf, s.component());
+            buf.push_str(",\"ph\":\"X\",\"ts\":");
+            push_u64(&mut buf, s.start().as_nanos() / 1_000);
+            buf.push_str(",\"dur\":");
+            push_u64(&mut buf, s.duration().as_nanos() / 1_000);
+            buf.push_str(",\"pid\":1,\"tid\":");
+            push_escaped(&mut buf, s.component());
+            let mut open = ",\"args\":{";
+            for (k, v) in s.labels() {
+                buf.push_str(open);
+                open = ",";
+                push_escaped(&mut buf, k);
+                buf.push(':');
+                push_escaped(&mut buf, v);
             }
-            out.write_char('}')?;
+            if s.labels().len() > 0 {
+                buf.push('}');
+            }
+            buf.push('}');
+            if buf.len() >= CHROME_CHUNK {
+                out.write_str(&buf)?;
+                buf.clear();
+            }
         }
         for r in &self.records {
-            write!(out, "{sep}{{\"name\":")?;
+            buf.push_str(sep);
             sep = ",";
-            write_escaped(&r.kind, out)?;
-            out.write_str(",\"cat\":")?;
-            write_escaped(&r.component, out)?;
-            write!(
-                out,
-                ",\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":",
-                r.at.as_nanos() / 1_000
-            )?;
-            write_escaped(&r.component, out)?;
-            write!(
-                out,
-                ",\"s\":\"t\",\"args\":{{\"level\":\"{}\",\"detail\":",
-                r.level
-            )?;
-            write_escaped(&r.detail, out)?;
-            out.write_str("}}")?;
+            buf.push_str("{\"name\":");
+            push_escaped(&mut buf, &r.kind);
+            buf.push_str(",\"cat\":");
+            push_escaped(&mut buf, &r.component);
+            buf.push_str(",\"ph\":\"i\",\"ts\":");
+            push_u64(&mut buf, r.at.as_nanos() / 1_000);
+            buf.push_str(",\"pid\":1,\"tid\":");
+            push_escaped(&mut buf, &r.component);
+            buf.push_str(",\"s\":\"t\",\"args\":{\"level\":\"");
+            buf.push_str(r.level.as_str());
+            buf.push_str("\",\"detail\":");
+            push_escaped(&mut buf, &r.detail);
+            buf.push_str("}}");
+            if buf.len() >= CHROME_CHUNK {
+                out.write_str(&buf)?;
+                buf.clear();
+            }
         }
-        out.write_str("]}")
+        buf.push_str("]}");
+        out.write_str(&buf)
     }
 
     /// Export as a JSONL event stream.

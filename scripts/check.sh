@@ -34,10 +34,16 @@ cargo run -q -p ninja-fleet --bin ninja -- \
     --scrape-interval 30 --alerts default \
     --timeseries-out "$smoke_dir/ts.prom" \
     --trace-out "$smoke_dir/fleet-trace.json" \
+    --metrics-out "$smoke_dir/metrics.prom" \
     > "$smoke_dir/fleet-report.txt"
 grep -q 'ALERT queue-backlog fired' "$smoke_dir/fleet-report.txt"
 grep -q 'resolved' "$smoke_dir/fleet-report.txt"
 grep -q '# TYPE ninja_alerts_active gauge' "$smoke_dir/ts.prom"
+# Per-VM detail belongs in the trace: no metric series has a `vm` label.
+if grep -q 'vm="' "$smoke_dir/metrics.prom" "$smoke_dir/ts.prom"; then
+    echo "a metric series carries a vm label"
+    exit 1
+fi
 # Through a file, as in CI: `grep -q` exits at its first match, and a
 # writer still printing then fails the pipeline on a closed pipe.
 cargo run -q -p ninja-fleet --bin ninja -- \
@@ -69,6 +75,15 @@ if grep -q panicked "$smoke_dir/closed-pipe.stderr"; then
     cat "$smoke_dir/closed-pipe.stderr"
     exit 1
 fi
+
+echo "== telemetry_cost smoke =="
+# Mirrors the CI bench-smoke step: everything off vs. everything on at
+# 256/8 and 1024/4, each run in a fresh child process. Records only (the
+# 4096-job gate is the full run's); run from the smoke directory so
+# the committed BENCH_telemetry.json is left alone.
+root="$(pwd)"
+(cd "$smoke_dir" && TMPDIR="$smoke_dir" cargo run -q --release \
+    --manifest-path "$root/Cargo.toml" -p ninja-bench --bin telemetry_cost -- --quick)
 
 echo "== cargo build --benches =="
 # Bench binaries (ninja-bench bins) and the criterion-stub [[bench]]
