@@ -193,12 +193,14 @@ impl World {
             vms.push(vm);
         }
         self.advance_to(ready);
-        self.trace.info(
-            self.clock,
-            "world",
-            "boot.ib",
-            format!("{n} VMs on InfiniBand, links trained"),
-        );
+        if self.trace.is_enabled() {
+            self.trace.info(
+                self.clock,
+                "world",
+                "boot.ib",
+                format!("{n} VMs on InfiniBand, links trained"),
+            );
+        }
         vms
     }
 
@@ -219,12 +221,14 @@ impl World {
                 .expect("AGC node holds one paper VM");
             vms.push(vm);
         }
-        self.trace.info(
-            self.clock,
-            "world",
-            "boot.eth",
-            format!("{n} VMs on Ethernet"),
-        );
+        if self.trace.is_enabled() {
+            self.trace.info(
+                self.clock,
+                "world",
+                "boot.eth",
+                format!("{n} VMs on Ethernet"),
+            );
+        }
         vms
     }
 
@@ -246,16 +250,18 @@ impl World {
         let report = rt
             .init(&self.pool, &mut self.dc, self.clock)
             .expect("connected cluster");
-        self.trace.info(
-            self.clock,
-            "mpi",
-            "job.launched",
-            format!(
-                "{} ranks, transports {:?}",
-                rt.layout().total_ranks(),
-                report.by_kind
-            ),
-        );
+        if self.trace.is_enabled() {
+            self.trace.info(
+                self.clock,
+                "mpi",
+                "job.launched",
+                format!(
+                    "{} ranks, transports {:?}",
+                    rt.layout().total_ranks(),
+                    report.by_kind
+                ),
+            );
+        }
         rt
     }
 

@@ -49,6 +49,10 @@
 //! - `--trace-cap N` bounds the in-memory trace ring buffer; dropped
 //!   records are counted in `ninja_trace_dropped_records`.
 //!
+//! The run records its trace only when one of `--trace-out`,
+//! `--trace-cap` or `--trace` (print the trace to stderr) is given;
+//! nothing else reads it, so every other output is the same either way.
+//!
 //! Flight-recorder flags (any run command; passing any of them installs
 //! a virtual-time metric scraper, everything off by default so runs
 //! without them stay byte-identical):
@@ -80,7 +84,8 @@ use ninja_migration::{
 };
 use ninja_sim::export::{stream_to, IoSink};
 use ninja_sim::{
-    AlertEngine, Bandwidth, Json, JsonWriter, SimDuration, TimeSeriesRecorder, ToJson, WriteJson,
+    AlertEngine, Bandwidth, Json, JsonWriter, SimDuration, TimeSeriesRecorder, ToJson, Trace,
+    WriteJson,
 };
 use ninja_symvirt::{FaultPlan, FaultSpec, GuestCooperative, RetryPolicy};
 use ninja_vmm::SnapshotStore;
@@ -151,6 +156,19 @@ impl Args {
             FaultPlan::random(seed, jobs)
         } else {
             FaultPlan::new()
+        }
+    }
+
+    /// Sets up the run's trace. It records only when a flag reads it:
+    /// `--trace-out` and `--trace` print it, and `--trace-cap` bounds it
+    /// and reports its evictions in `ninja_trace_dropped_records`.
+    /// Nothing else reads the trace, so without those flags it is
+    /// disabled and the run skips recording it.
+    fn setup_trace(&self, trace: &mut Trace) {
+        if self.trace_out.is_some() || self.trace || self.trace_cap.is_some() {
+            trace.set_capacity(self.trace_cap);
+        } else {
+            *trace = Trace::disabled();
         }
     }
 
@@ -378,7 +396,7 @@ fn fleet_cmd(args: &Args, kind: ScenarioKind, jobs: usize, faults: FaultPlan, wh
         eprintln!("{e}");
         exit(2)
     });
-    s.world.trace.set_capacity(args.trace_cap);
+    args.setup_trace(&mut s.world.trace);
     s.world.faults = faults;
     if let Some(rec) = args.build_recorder() {
         s.world.install_recorder(rec);
@@ -583,7 +601,7 @@ fn main() {
     }
     let args = parse(argv);
     let mut world = World::agc(args.seed);
-    world.trace.set_capacity(args.trace_cap);
+    args.setup_trace(&mut world.trace);
     // Single-job commands run as fleet job 0, migration 0 — that is
     // what untargeted `--fault` specs hit. The empty plan (no fault
     // flags) fires nothing and leaves every run bit-identical.

@@ -19,6 +19,7 @@
 use ninja_cluster::{DataCenterBuilder, FabricKind, NodeId, NodeSpec, StorageId};
 use ninja_migration::{CloudScheduler, TriggerReason, World};
 use ninja_mpi::MpiRuntime;
+use ninja_net::IbFabric;
 use ninja_sim::SimDuration;
 use ninja_vmm::{VmId, VmSpec};
 use std::fmt;
@@ -111,6 +112,15 @@ pub enum ScenarioError {
         /// Nodes on the IB cluster.
         nodes: usize,
     },
+    /// The fleet needs more InfiniBand LIDs than the IB fabric's subnet
+    /// manager hands out ([`IbFabric::LID_CAPACITY`]).
+    TooManyLids {
+        /// One LID per VM booted on InfiniBand, plus one per VM a
+        /// failover attaches on the spare half.
+        needed: usize,
+        /// LIDs the fabric hands out.
+        lids: usize,
+    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -125,6 +135,10 @@ impl fmt::Display for ScenarioError {
             ScenarioError::NoSpareNodes { needed, nodes } => write!(
                 f,
                 "failover needs spare IB nodes: 2 x jobs x vms-per-job = {needed} exceeds the {nodes}-node cluster"
+            ),
+            ScenarioError::TooManyLids { needed, lids } => write!(
+                f,
+                "the fleet needs {needed} InfiniBand LIDs, but the subnet manager hands out only {lids}"
             ),
         }
     }
@@ -174,7 +188,8 @@ pub fn build_scaled(
 /// Build `spec` on the paper's 8-node AGC testbed when it fits, or on
 /// a synthetic cluster sized exactly to the fleet when it doesn't.
 /// Fleets that fit the testbed build byte-identically to [`build`].
-/// Fails only on an empty fleet.
+/// Fails only on an empty fleet or one that needs more InfiniBand LIDs
+/// than the fabric hands out.
 pub fn build_auto(spec: &ScenarioSpec) -> Result<Scenario, ScenarioError> {
     let total = spec.jobs * spec.vms_per_job;
     let need = if spec.kind == ScenarioKind::Failover {
@@ -191,6 +206,7 @@ pub fn build_auto(spec: &ScenarioSpec) -> Result<Scenario, ScenarioError> {
 
 fn check_fit(spec: &ScenarioSpec, nodes: usize) -> Result<(), ScenarioError> {
     let vms = spec.jobs * spec.vms_per_job;
+    let lids = lids_needed(spec);
     if spec.jobs == 0 {
         Err(ScenarioError::NoJobs)
     } else if spec.vms_per_job == 0 {
@@ -202,8 +218,25 @@ fn check_fit(spec: &ScenarioSpec, nodes: usize) -> Result<(), ScenarioError> {
             needed: 2 * vms,
             nodes,
         })
+    } else if lids > IbFabric::LID_CAPACITY {
+        Err(ScenarioError::TooManyLids {
+            needed: lids,
+            lids: IbFabric::LID_CAPACITY,
+        })
     } else {
         Ok(())
+    }
+}
+
+/// LIDs the fleet takes from the IB fabric: one per VM booted on
+/// InfiniBand (every kind but rebalance, which starts on Ethernet), and
+/// for failover one more per VM attached on the spare half.
+fn lids_needed(spec: &ScenarioSpec) -> usize {
+    let vms = spec.jobs * spec.vms_per_job;
+    match spec.kind {
+        ScenarioKind::Rebalance => 0,
+        ScenarioKind::Failover => 2 * vms,
+        ScenarioKind::Evacuation | ScenarioKind::RollingDrain => vms,
     }
 }
 
@@ -418,6 +451,68 @@ mod tests {
         .expect("no VMs per job");
         assert_eq!(err, ScenarioError::NoVms);
         assert_eq!(err.to_string(), "need at least one VM per job");
+    }
+
+    /// `check_fit` for `jobs` one-VM jobs of `kind` on a cluster big
+    /// enough for them, so only the LID count can fail.
+    fn fit_lids(kind: ScenarioKind, jobs: usize) -> Result<(), ScenarioError> {
+        check_fit(
+            &ScenarioSpec {
+                jobs,
+                vms_per_job: 1,
+                ..spec(kind)
+            },
+            2 * jobs,
+        )
+    }
+
+    #[test]
+    fn evacuation_past_the_lid_space_is_rejected() {
+        assert_eq!(fit_lids(ScenarioKind::Evacuation, 65_534), Ok(()));
+        let err = build_auto(&ScenarioSpec {
+            jobs: 65_535,
+            vms_per_job: 1,
+            ..spec(ScenarioKind::Evacuation)
+        })
+        .err()
+        .expect("one boot LID per VM");
+        assert_eq!(
+            err,
+            ScenarioError::TooManyLids {
+                needed: 65_535,
+                lids: 65_534
+            }
+        );
+        assert!(err.to_string().contains("65535 InfiniBand LIDs"), "{err}");
+    }
+
+    #[test]
+    fn drain_past_the_lid_space_is_rejected() {
+        assert_eq!(fit_lids(ScenarioKind::RollingDrain, 65_534), Ok(()));
+        assert_eq!(
+            fit_lids(ScenarioKind::RollingDrain, 65_535),
+            Err(ScenarioError::TooManyLids {
+                needed: 65_535,
+                lids: 65_534
+            })
+        );
+    }
+
+    #[test]
+    fn failover_counts_boot_and_attach_lids() {
+        assert_eq!(fit_lids(ScenarioKind::Failover, 32_767), Ok(()));
+        assert_eq!(
+            fit_lids(ScenarioKind::Failover, 32_768),
+            Err(ScenarioError::TooManyLids {
+                needed: 65_536,
+                lids: 65_534
+            })
+        );
+    }
+
+    #[test]
+    fn rebalance_takes_no_lids() {
+        assert_eq!(fit_lids(ScenarioKind::Rebalance, 65_535), Ok(()));
     }
 
     #[test]

@@ -368,8 +368,8 @@ fn zero_processes_per_vm_is_a_usage_error() {
 
 #[test]
 fn fleet_scales_past_the_source_testbed() {
-    // Over 8 VMs the CLI transparently builds a scaled cluster (with
-    // tracing kept on) instead of rejecting the job count.
+    // Over 8 VMs the CLI transparently builds a scaled cluster instead
+    // of rejecting the job count.
     let out = ninja()
         .args(["fleet", "--jobs", "9", "--concurrency", "3", "--json"])
         .output()
@@ -647,4 +647,80 @@ fn failed_stdout_write_is_reported_and_exits_1() {
         );
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn fleets_past_the_lid_space_exit_2_without_a_panic() {
+    for args in [
+        ["fleet", "--scenario", "evacuation", "--jobs", "65535"],
+        ["fleet", "--scenario", "failover", "--jobs", "32768"],
+    ] {
+        let out = ninja().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("InfiniBand LIDs"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+/// Runs `args`, once as given and once with `--trace-out` added, each
+/// with `--metrics-out`; returns both runs' stdout and metrics bytes.
+fn with_and_without_trace_out(name: &str, args: &[&str]) -> [(Vec<u8>, Vec<u8>); 2] {
+    let dir = std::env::temp_dir().join("ninja-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join(format!("{name}-trace.json"));
+    [false, true].map(|traced| {
+        let metrics = dir.join(format!("{name}-{traced}.prom"));
+        let mut cmd = ninja();
+        cmd.args(args)
+            .args(["--metrics-out", metrics.to_str().unwrap()]);
+        if traced {
+            cmd.args(["--trace-out", trace.to_str().unwrap()]);
+        }
+        let out = cmd.output().unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        (out.stdout, std::fs::read(&metrics).unwrap())
+    })
+}
+
+#[test]
+fn recording_the_trace_changes_no_other_output() {
+    // Without a trace flag the run records no trace; nothing else may
+    // notice.
+    for (name, args) in [
+        (
+            "fleet",
+            &["fleet", "--jobs", "32", "--concurrency", "4", "--json"][..],
+        ),
+        ("migrate", &["migrate", "--vms", "2", "--json"][..]),
+    ] {
+        let [plain, traced] = with_and_without_trace_out(name, args);
+        assert_eq!(plain.0, traced.0, "{name}: stdout changed");
+        assert_eq!(plain.1, traced.1, "{name}: metrics changed");
+    }
+}
+
+#[test]
+fn trace_cap_alone_still_counts_dropped_records() {
+    let dir = std::env::temp_dir().join("ninja-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("cap-only.prom");
+    let out = ninja()
+        .args(["fleet", "--jobs", "16", "--trace-cap", "5", "--metrics-out"])
+        .arg(&metrics)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let prom = std::fs::read_to_string(&metrics).unwrap();
+    let dropped: f64 = prom
+        .lines()
+        .find_map(|l| l.strip_prefix("ninja_trace_dropped_records "))
+        .expect("gauge present")
+        .parse()
+        .unwrap();
+    assert!(dropped > 0.0, "{prom}");
 }

@@ -87,6 +87,10 @@ pub struct IbFabric {
 }
 
 impl IbFabric {
+    /// How many LIDs one fabric hands out before [`IbFabric::assign_lid`]
+    /// fails: LID 0 is reserved and `0xFFFF` is never assigned.
+    pub const LID_CAPACITY: usize = u16::MAX as usize - 1;
+
     /// Creates a new instance.
     pub fn new(name: impl Into<String>) -> Self {
         IbFabric {
@@ -284,6 +288,15 @@ mod tests {
 
     fn t(s: f64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs_f64(s)
+    }
+
+    #[test]
+    fn fabric_hands_out_lid_capacity_lids() {
+        let mut fabric = IbFabric::new("ib0");
+        for _ in 0..IbFabric::LID_CAPACITY {
+            fabric.assign_lid().expect("within the LID space");
+        }
+        assert_eq!(fabric.assign_lid(), Err(IbError::LidSpaceExhausted));
     }
 
     fn active_hca(fabric: &mut IbFabric, rng: &mut SimRng) -> (IbHca, SimTime) {

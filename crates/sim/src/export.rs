@@ -128,14 +128,74 @@ impl Json {
 }
 
 /// Writes an `f64` as a JSON number; non-finite values become `null`,
-/// and `-0` (which reads oddly in reports) becomes `0`.
+/// and `-0` (which reads oddly in reports) becomes `0`. Every other value
+/// is written exactly as `{}` prints it; a whole number of nanoseconds
+/// (most report floats) is rendered without going through `fmt`.
 pub fn write_f64<W: Write + ?Sized>(v: f64, out: &mut W) -> fmt::Result {
     if !v.is_finite() {
         out.write_str("null")
     } else if v == 0.0 {
         out.write_char('0')
+    } else if let Some(n) = whole_nanos(v.abs()) {
+        let mut buf = [0u8; 24];
+        out.write_str(nanos_decimal(v < 0.0, n, &mut buf))
     } else {
         write!(out, "{v}")
+    }
+}
+
+/// `a > 0` as a whole number of nanoseconds `n`, when `0 < n < 10^15`
+/// and `a` is the double nearest `n / 10^9`. That decimal has at most
+/// 15 significant digits, and a double is the nearest double of only
+/// one such decimal, so it is the shortest one that reads back as `a`:
+/// exactly the digits `{}` prints.
+fn whole_nanos(a: f64) -> Option<u64> {
+    let x = a * 1e9;
+    if x >= 1e15 {
+        return None;
+    }
+    let n = x.round() as u64;
+    (n > 0 && n < 1_000_000_000_000_000 && n as f64 / 1e9 == a).then_some(n)
+}
+
+/// Renders `n` nanoseconds as seconds into the tail of `buf`: the whole
+/// part, then a point and the fraction with its trailing zeros trimmed
+/// (no point when the fraction is 0), with a leading `-` if `negative`.
+fn nanos_decimal(negative: bool, n: u64, buf: &mut [u8; 24]) -> &str {
+    let mut i = buf.len();
+    let mut frac = n % 1_000_000_000;
+    if frac != 0 {
+        let mut digits = 9;
+        while frac % 10 == 0 {
+            frac /= 10;
+            digits -= 1;
+        }
+        for _ in 0..digits {
+            i -= 1;
+            buf[i] = b'0' + (frac % 10) as u8;
+            frac /= 10;
+        }
+        i -= 1;
+        buf[i] = b'.';
+    }
+    i = put_digits(buf, i, n / 1_000_000_000);
+    if negative {
+        i -= 1;
+        buf[i] = b'-';
+    }
+    std::str::from_utf8(&buf[i..]).expect("ASCII digits")
+}
+
+/// Writes `v` in decimal into `buf`, ending just before `end`; returns
+/// the index of its first digit.
+fn put_digits(buf: &mut [u8], mut end: usize, mut v: u64) -> usize {
+    loop {
+        end -= 1;
+        buf[end] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            return end;
+        }
     }
 }
 
@@ -168,11 +228,24 @@ pub fn write_escaped<W: Write + ?Sized>(s: &str, out: &mut W) -> fmt::Result {
     out.write_char('"')
 }
 
+/// The bytes a JSON string escapes: control characters, `"` and `\\`.
+static ESCAPED: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = true;
+        b += 1;
+    }
+    table[b'"' as usize] = true;
+    table[b'\\' as usize] = true;
+    table
+};
+
 /// Appends `s` to `out` as a quoted JSON string, escaped exactly as
 /// [`write_escaped`] does. A string with nothing to escape (the common
 /// case) is pushed whole, without going through `fmt`.
 pub(crate) fn push_escaped(out: &mut String, s: &str) {
-    if s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+    if s.bytes().any(|b| ESCAPED[usize::from(b)]) {
         write_escaped(s, out).expect("writing to a String cannot fail");
     } else {
         out.push('"');
@@ -182,17 +255,9 @@ pub(crate) fn push_escaped(out: &mut String, s: &str) {
 }
 
 /// Appends `v` to `out` in decimal, without going through `fmt`.
-pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+pub(crate) fn push_u64(out: &mut String, v: u64) {
     let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
+    let i = put_digits(&mut digits, 20, v);
     out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
 }
 
@@ -218,6 +283,14 @@ where
     out.write_char('}')
 }
 
+/// The size of the pieces the chunked writers ([`JsonWriter`] and the
+/// Chrome trace exporter) hand their sink.
+pub(crate) const CHUNK: usize = 64 * 1024;
+
+/// Two spaces per level for [`JsonWriter`]'s pretty form, pushed as one
+/// slice up to 32 levels deep.
+const INDENT: &str = "                                                                ";
+
 /// A streaming JSON writer, compact or pretty (two-space indent): the
 /// workspace's one JSON formatter. [`Json`]'s `Display` and
 /// [`Json::to_string_pretty`] walk their tree through it, and reports
@@ -228,8 +301,16 @@ where
 /// object every value follows a [`JsonWriter::key`]. Empty containers
 /// print as `[]` and `{}` in both forms. The writer keeps no stack:
 /// closing a container always leaves its parent with at least one item.
+///
+/// The writer renders into a local chunk without going through `fmt`
+/// (apart from floats that are not a whole number of nanoseconds, see
+/// [`write_f64`]) and hands the sink a piece each time the chunk
+/// reaches 64 KiB, and the rest when a top-level value is complete.
+/// Sink errors surface from the call that hands over a piece.
 pub struct JsonWriter<'a, W: Write + ?Sized> {
     out: &'a mut W,
+    /// Rendered text not yet handed to `out`.
+    buf: String,
     pretty: bool,
     depth: usize,
     /// Nothing written yet in the innermost open container.
@@ -243,6 +324,7 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
     pub fn compact(out: &'a mut W) -> Self {
         JsonWriter {
             out,
+            buf: String::new(),
             pretty: false,
             depth: 0,
             empty: true,
@@ -259,32 +341,44 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
         }
     }
 
-    fn newline(&mut self) -> fmt::Result {
+    fn newline(&mut self) {
         if self.pretty {
-            self.out.write_char('\n')?;
-            for _ in 0..self.depth {
-                self.out.write_str("  ")?;
+            self.buf.push('\n');
+            let mut n = 2 * self.depth;
+            while n > 0 {
+                let k = n.min(INDENT.len());
+                self.buf.push_str(&INDENT[..k]);
+                n -= k;
             }
         }
-        Ok(())
     }
 
     /// The separator before a value: nothing after a key or at the top
     /// level, otherwise a comma (unless first) and, when pretty, a new
     /// indented line.
-    fn item(&mut self) -> fmt::Result {
+    fn item(&mut self) {
         if std::mem::take(&mut self.after_key) || self.depth == 0 {
-            return Ok(());
+            return;
         }
         if !std::mem::take(&mut self.empty) {
-            self.out.write_char(',')?;
+            self.buf.push(',');
         }
-        self.newline()
+        self.newline();
+    }
+
+    /// Ends a value: hands the chunk to the sink once it is full, or
+    /// once the top-level value is complete.
+    fn done(&mut self) -> fmt::Result {
+        if self.depth == 0 || self.buf.len() >= CHUNK {
+            self.out.write_str(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
     }
 
     fn open(&mut self, c: char) -> fmt::Result {
-        self.item()?;
-        self.out.write_char(c)?;
+        self.item();
+        self.buf.push(c);
         self.depth += 1;
         self.empty = true;
         Ok(())
@@ -293,9 +387,10 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
     fn close(&mut self, c: char) -> fmt::Result {
         self.depth -= 1;
         if !std::mem::replace(&mut self.empty, false) {
-            self.newline()?;
+            self.newline();
         }
-        self.out.write_char(c)
+        self.buf.push(c);
+        self.done()
     }
 
     /// Opens an object.
@@ -320,9 +415,9 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
 
     /// Writes an object key; the next value written is its value.
     pub fn key(&mut self, key: &str) -> fmt::Result {
-        self.item()?;
-        write_escaped(key, self.out)?;
-        self.out.write_str(if self.pretty { ": " } else { ":" })?;
+        self.item();
+        push_escaped(&mut self.buf, key);
+        self.buf.push_str(if self.pretty { ": " } else { ":" });
         self.after_key = true;
         Ok(())
     }
@@ -333,40 +428,52 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
         value.write_json(self)
     }
 
+    /// Writes a literal token.
+    fn token(&mut self, text: &str) -> fmt::Result {
+        self.item();
+        self.buf.push_str(text);
+        self.done()
+    }
+
     /// Writes `null`.
     pub fn null(&mut self) -> fmt::Result {
-        self.item()?;
-        self.out.write_str("null")
+        self.token("null")
     }
 
     /// Writes `true` or `false`.
     pub fn bool(&mut self, v: bool) -> fmt::Result {
-        self.item()?;
-        self.out.write_str(if v { "true" } else { "false" })
+        self.token(if v { "true" } else { "false" })
     }
 
     /// Writes an unsigned integer.
     pub fn u64(&mut self, v: u64) -> fmt::Result {
-        self.item()?;
-        write!(self.out, "{v}")
+        self.item();
+        push_u64(&mut self.buf, v);
+        self.done()
     }
 
     /// Writes a signed integer.
     pub fn i64(&mut self, v: i64) -> fmt::Result {
-        self.item()?;
-        write!(self.out, "{v}")
+        self.item();
+        if v < 0 {
+            self.buf.push('-');
+        }
+        push_u64(&mut self.buf, v.unsigned_abs());
+        self.done()
     }
 
     /// Writes a float with [`write_f64`]'s rules.
     pub fn f64(&mut self, v: f64) -> fmt::Result {
-        self.item()?;
-        write_f64(v, self.out)
+        self.item();
+        write_f64(v, &mut self.buf)?;
+        self.done()
     }
 
     /// Writes an escaped string.
     pub fn str(&mut self, v: &str) -> fmt::Result {
-        self.item()?;
-        write_escaped(v, self.out)
+        self.item();
+        push_escaped(&mut self.buf, v);
+        self.done()
     }
 }
 

@@ -13,7 +13,7 @@
 //! keep the newest entries, with evictions counted in
 //! [`Trace::dropped`].
 
-use crate::export::{push_escaped, push_u64, render, write_escaped, Json};
+use crate::export::{push_escaped, push_u64, render, write_escaped, Json, CHUNK};
 use crate::span::{Span, SpanLabels, SpanRef, SpanStore};
 use crate::time::{SimDuration, SimTime};
 use std::borrow::Cow;
@@ -80,9 +80,6 @@ impl fmt::Display for TraceRecord {
         )
     }
 }
-
-/// Bytes the Chrome trace writer renders before handing them to its sink.
-const CHROME_CHUNK: usize = 64 * 1024;
 
 /// An append-only trace of simulation activity: point records plus
 /// completed spans.
@@ -383,9 +380,9 @@ impl Trace {
     ///
     /// Events are rendered into a local chunk without `fmt` (integers
     /// through [`push_u64`], strings through [`push_escaped`]) and handed
-    /// to `out` about [`CHROME_CHUNK`] bytes at a time.
+    /// to `out` about [`CHUNK`] bytes at a time.
     pub fn write_chrome_json<W: Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
-        let mut buf = String::with_capacity(CHROME_CHUNK + 1024);
+        let mut buf = String::with_capacity(CHUNK + 1024);
         buf.push_str("{\"traceEvents\":[");
         let mut sep = "";
         for s in self.spans.iter() {
@@ -413,7 +410,7 @@ impl Trace {
                 buf.push('}');
             }
             buf.push('}');
-            if buf.len() >= CHROME_CHUNK {
+            if buf.len() >= CHUNK {
                 out.write_str(&buf)?;
                 buf.clear();
             }
@@ -434,7 +431,7 @@ impl Trace {
             buf.push_str("\",\"detail\":");
             push_escaped(&mut buf, &r.detail);
             buf.push_str("}}");
-            if buf.len() >= CHROME_CHUNK {
+            if buf.len() >= CHUNK {
                 out.write_str(&buf)?;
                 buf.clear();
             }

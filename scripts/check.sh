@@ -76,6 +76,27 @@ if grep -q panicked "$smoke_dir/closed-pipe.stderr"; then
     exit 1
 fi
 
+# The trace is recorded only when a flag reads it: asking for it may not
+# change the report.
+queued=(fleet --scenario evacuation --jobs 1024 --concurrency 4 --json)
+for seed in 1 2; do
+    "${CARGO_TARGET_DIR:-.bench_build}/release/ninja" "${queued[@]}" --seed "$seed" \
+        > "$smoke_dir/plain.json"
+    "${CARGO_TARGET_DIR:-.bench_build}/release/ninja" "${queued[@]}" --seed "$seed" \
+        --trace-out "$smoke_dir/identity-trace.json" > "$smoke_dir/traced.json" 2> /dev/null
+    cmp "$smoke_dir/plain.json" "$smoke_dir/traced.json"
+done
+
+# A fleet past the IB fabric's 65 534 LIDs is a usage error, not a panic.
+status=0
+"${CARGO_TARGET_DIR:-.bench_build}/release/ninja" fleet --jobs 65535 \
+    2> "$smoke_dir/lids.stderr" || status=$?
+if [ "$status" -ne 2 ] || grep -q panicked "$smoke_dir/lids.stderr"; then
+    echo "--jobs 65535 exited $status"
+    cat "$smoke_dir/lids.stderr"
+    exit 1
+fi
+
 echo "== telemetry_cost smoke =="
 # Mirrors the CI bench-smoke step: everything off vs. everything on at
 # 256/8 and 1024/4, each run in a fresh child process. Records only (the
