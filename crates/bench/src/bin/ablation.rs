@@ -43,7 +43,7 @@ struct AblationResults {
     tcp_migration_s: f64,
     rdma_migration_s: f64,
 }
-ninja_bench::impl_to_json!(AblationResults {
+ninja_bench::impl_write_json!(AblationResults {
     compression_on_s,
     compression_off_s,
     flag_on_transport,

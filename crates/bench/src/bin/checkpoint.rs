@@ -25,7 +25,7 @@ struct Row {
     restore_s: f64,
     restart_total_s: f64,
 }
-ninja_bench::impl_to_json!(Row {
+ninja_bench::impl_write_json!(Row {
     footprint_gib,
     save_s,
     checkpoint_total_s,

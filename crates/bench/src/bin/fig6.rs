@@ -23,7 +23,7 @@ struct Row {
     total_s: f64,
     wire_gib: f64,
 }
-ninja_bench::impl_to_json!(Row {
+ninja_bench::impl_write_json!(Row {
     array_gib,
     migration_s,
     hotplug_s,

@@ -25,7 +25,7 @@ struct Row {
     linkup_s: f64,
     footprint_gib_per_vm: f64,
 }
-ninja_bench::impl_to_json!(Row {
+ninja_bench::impl_write_json!(Row {
     bench,
     baseline_s,
     proposed_s,

@@ -20,7 +20,7 @@ struct IterRow {
     app_s: f64,
     overhead_s: f64,
 }
-ninja_bench::impl_to_json!(IterRow {
+ninja_bench::impl_write_json!(IterRow {
     step,
     app_s,
     overhead_s
@@ -32,7 +32,7 @@ struct Setting {
     phase_means: [f64; 4],
     overheads: Vec<f64>,
 }
-ninja_bench::impl_to_json!(Setting {
+ninja_bench::impl_write_json!(Setting {
     procs_per_vm,
     iterations,
     phase_means,

@@ -20,11 +20,12 @@
 //! at 4096 jobs, and per-iteration cost that no longer grows linearly
 //! with fleet size.
 
-use ninja_bench::{claim, finish, render_table, Json, ToJson};
+use ninja_bench::{claim, finish, render_table};
 use ninja_fleet::{
     build_scaled, run_fleet, run_fleet_reference, FleetConfig, ScenarioKind, ScenarioSpec,
 };
-use ninja_sim::{parse, SimDuration, Trace, WriteJson};
+use ninja_sim::export::render;
+use ninja_sim::{parse, Json, JsonWriter, SimDuration, Trace, WriteJson};
 use ninja_symvirt::GuestCooperative;
 use std::time::Instant;
 
@@ -38,7 +39,7 @@ struct Row {
     wall_us_per_iteration: f64,
     makespan_s: f64,
 }
-ninja_bench::impl_to_json!(Row {
+ninja_bench::impl_write_json!(Row {
     jobs,
     concurrency,
     event_wall_s,
@@ -101,7 +102,7 @@ fn append_bench(mode: &str, rows: &[Row]) {
         .map(|d| format!("{d}/../.."))
         .unwrap_or_else(|_| ".".into());
     let path = format!("{root}/BENCH_fleet.json");
-    let mut runs: Vec<Json> = std::fs::read_to_string(&path)
+    let runs: Vec<Json> = std::fs::read_to_string(&path)
         .ok()
         .and_then(|s| parse(&s).ok())
         .and_then(|j| j.as_array().map(<[Json]>::to_vec))
@@ -110,16 +111,21 @@ fn append_bench(mode: &str, rows: &[Row]) {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    runs.push(Json::obj(vec![
-        ("unix_time", Json::UInt(unix_s)),
-        ("mode", Json::Str(mode.into())),
-        ("bench", Json::Str("fleet_scale".into())),
-        (
-            "rows",
-            Json::Arr(rows.iter().map(ToJson::to_json).collect()),
-        ),
-    ]));
-    match std::fs::write(&path, Json::Arr(runs).to_string_pretty()) {
+    let doc = render(0, |out| {
+        let mut w = JsonWriter::pretty(out);
+        w.begin_array()?;
+        for run in &runs {
+            run.write_json(&mut w)?;
+        }
+        w.begin_object()?;
+        w.field("unix_time", &unix_s)?;
+        w.field("mode", mode)?;
+        w.field("bench", "fleet_scale")?;
+        w.field("rows", rows)?;
+        w.end_object()?;
+        w.end_array()
+    });
+    match std::fs::write(&path, doc) {
         Ok(()) => println!("(appended to {path})"),
         Err(e) => eprintln!("warning: could not write {path}: {e}"),
     }

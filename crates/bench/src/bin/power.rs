@@ -22,7 +22,7 @@ struct Row {
     joules_per_iter: f64,
     migration_overhead_s: f64,
 }
-ninja_bench::impl_to_json!(Row {
+ninja_bench::impl_write_json!(Row {
     policy,
     hosts,
     watts,

@@ -26,7 +26,7 @@ struct Row {
     spread_linkup_s: f64,
     funneled_migration_s: f64,
 }
-ninja_bench::impl_to_json!(Row {
+ninja_bench::impl_write_json!(Row {
     vms,
     spread_coord_s,
     spread_hotplug_s,

@@ -20,7 +20,7 @@ struct Row {
     paper_hotplug_s: f64,
     paper_linkup_s: f64,
 }
-ninja_bench::impl_to_json!(Row {
+ninja_bench::impl_write_json!(Row {
     combo,
     hotplug_s,
     linkup_s,

@@ -24,7 +24,7 @@ struct Row {
     hotplug_s: f64,
     total_s: f64,
 }
-ninja_bench::impl_to_json!(Row {
+ninja_bench::impl_write_json!(Row {
     wan,
     gbps,
     latency_ms,

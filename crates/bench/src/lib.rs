@@ -22,11 +22,11 @@ use std::path::Path;
 /// `ninja_workloads::scenarios` so every consumer uses the same setup).
 pub use ninja_workloads::two_ib_clusters;
 
-/// Re-exported so `impl_to_json!` users need only depend on
+/// Re-exported so `impl_write_json!` users need only depend on
 /// `ninja_bench`.
-pub use ninja_sim::{Json, ToJson};
+pub use ninja_sim::{JsonWriter, WriteJson};
 
-/// Derive a [`ToJson`] impl for a plain result struct by listing its
+/// Derive a [`WriteJson`] impl for a plain result struct by listing its
 /// fields — the in-repo stand-in for `#[derive(Serialize)]`:
 ///
 /// ```
@@ -34,18 +34,21 @@ pub use ninja_sim::{Json, ToJson};
 ///     vms: usize,
 ///     total_s: f64,
 /// }
-/// ninja_bench::impl_to_json!(Row { vms, total_s });
-/// let j = ninja_bench::ToJson::to_json(&Row { vms: 4, total_s: 1.5 });
-/// assert_eq!(j["vms"].as_u64(), Some(4));
+/// ninja_bench::impl_write_json!(Row { vms, total_s });
+/// let j = ninja_bench::WriteJson::to_json_compact(&Row { vms: 4, total_s: 1.5 });
+/// assert_eq!(j, r#"{"vms":4,"total_s":1.5}"#);
 /// ```
 #[macro_export]
-macro_rules! impl_to_json {
+macro_rules! impl_write_json {
     ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::ToJson for $ty {
-            fn to_json(&self) -> $crate::Json {
-                $crate::Json::obj(vec![
-                    $((stringify!($field), $crate::ToJson::to_json(&self.$field)),)+
-                ])
+        impl $crate::WriteJson for $ty {
+            fn write_json<W: ::std::fmt::Write + ?Sized>(
+                &self,
+                w: &mut $crate::JsonWriter<'_, W>,
+            ) -> ::std::fmt::Result {
+                w.begin_object()?;
+                $(w.field(stringify!($field), &self.$field)?;)+
+                w.end_object()
             }
         }
     };
@@ -86,14 +89,14 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 
 /// Write a serializable result to `results/<name>.json` (relative to the
 /// workspace root if it exists, else the current directory).
-pub fn write_json<T: ToJson + ?Sized>(name: &str, value: &T) {
+pub fn write_json<T: WriteJson + ?Sized>(name: &str, value: &T) {
     let dir = if Path::new("results").exists() || std::fs::create_dir_all("results").is_ok() {
         "results"
     } else {
         "."
     };
     let path = format!("{dir}/{name}.json");
-    if let Err(e) = std::fs::write(&path, value.to_json().to_string_pretty()) {
+    if let Err(e) = std::fs::write(&path, value.to_json_pretty()) {
         eprintln!("warning: could not write {path}: {e}");
     } else {
         println!("(wrote {path})");

@@ -20,9 +20,10 @@ use crate::stepper::record_vm_spans;
 use crate::world::World;
 use ninja_cluster::NodeId;
 use ninja_mpi::MpiRuntime;
-use ninja_sim::{Json, SimDuration, SimTime, ToJson};
+use ninja_sim::{JsonWriter, SimDuration, SimTime, WriteJson};
 use ninja_symvirt::{Controller, Coordinator, SymVirtError};
 use ninja_vmm::{SnapshotId, SnapshotStore, VmId};
+use std::fmt;
 
 /// A completed coordinated checkpoint: one snapshot per VM, in job
 /// (hostlist) order.
@@ -60,17 +61,17 @@ impl CheckpointReport {
     }
 }
 
-impl ToJson for CheckpointReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("coordination", self.coordination.to_json()),
-            ("detach", self.detach.to_json()),
-            ("save", self.save.to_json()),
-            ("attach", self.attach.to_json()),
-            ("linkup", self.linkup.to_json()),
-            ("total", Json::from(self.total())),
-            ("image_bytes", Json::from(self.image_bytes)),
-        ])
+impl WriteJson for CheckpointReport {
+    fn write_json<W: fmt::Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        w.begin_object()?;
+        w.field("coordination", &self.coordination)?;
+        w.field("detach", &self.detach)?;
+        w.field("save", &self.save)?;
+        w.field("attach", &self.attach)?;
+        w.field("linkup", &self.linkup)?;
+        w.field("total", &self.total())?;
+        w.field("image_bytes", &self.image_bytes)?;
+        w.end_object()
     }
 }
 
@@ -96,15 +97,15 @@ impl RestartReport {
     }
 }
 
-impl ToJson for RestartReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("restore", self.restore.to_json()),
-            ("attach", self.attach.to_json()),
-            ("linkup", self.linkup.to_json()),
-            ("total", Json::from(self.total())),
-            ("transport_after", Json::from(self.transport_after.clone())),
-        ])
+impl WriteJson for RestartReport {
+    fn write_json<W: fmt::Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        w.begin_object()?;
+        w.field("restore", &self.restore)?;
+        w.field("attach", &self.attach)?;
+        w.field("linkup", &self.linkup)?;
+        w.field("total", &self.total())?;
+        w.field("transport_after", &self.transport_after)?;
+        w.end_object()
     }
 }
 

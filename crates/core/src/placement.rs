@@ -11,7 +11,6 @@
 use crate::world::World;
 use ninja_cluster::{ClusterId, FabricKind, NodeId};
 use ninja_mpi::MpiRuntime;
-use ninja_sim::{Json, ToJson};
 
 /// Node-level power model.
 #[derive(Debug, Clone)]
@@ -82,16 +81,6 @@ pub struct PlacementPlan {
     pub watts: f64,
     /// Whether the placement over-commits CPUs.
     pub overcommitted: bool,
-}
-
-impl ToJson for PlacementPlan {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("hosts", Json::from(self.hosts)),
-            ("watts", Json::from(self.watts)),
-            ("overcommitted", Json::from(self.overcommitted)),
-        ])
-    }
 }
 
 /// Plans placements and scores power.

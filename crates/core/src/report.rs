@@ -5,7 +5,7 @@
 //! + *migration*. [`NinjaReport`] carries exactly those fields so the
 //!   benchmark harness can print the same stacked bars as Figs. 6-8.
 
-use ninja_sim::{Bytes, Json, JsonWriter, SimDuration, ToJson, WriteJson};
+use ninja_sim::{Bytes, JsonWriter, SimDuration, WriteJson};
 use std::fmt;
 
 /// The per-phase overhead of one Ninja migration.
@@ -49,9 +49,9 @@ impl From<SimDuration> for SimSecs {
     }
 }
 
-impl ToJson for SimSecs {
-    fn to_json(&self) -> Json {
-        Json::from(self.0)
+impl WriteJson for SimSecs {
+    fn write_json<W: fmt::Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        w.f64(self.0)
     }
 }
 

@@ -8,7 +8,9 @@
 use crate::stepper::MigrationSeries;
 use ninja_cluster::{ClusterId, DataCenter, NodeId, StorageId};
 use ninja_mpi::{CommEnv, JobLayout, MpiConfig, MpiRuntime};
-use ninja_sim::{MetricsRegistry, SimDuration, SimRng, SimTime, TimeSeriesRecorder, Trace};
+use ninja_sim::{
+    MetricsRegistry, SimDuration, SimRng, SimTime, TimeSeriesRecorder, Trace, TraceLevel,
+};
 use ninja_symvirt::FaultPlan;
 use ninja_vmm::{VmId, VmPool, VmSpec};
 
@@ -194,12 +196,9 @@ impl World {
         }
         self.advance_to(ready);
         if self.trace.is_enabled() {
-            self.trace.info(
-                self.clock,
-                "world",
-                "boot.ib",
-                format!("{n} VMs on InfiniBand, links trained"),
-            );
+            self.trace
+                .add_instant("world", "boot.ib", self.clock, TraceLevel::Info)
+                .label("detail", &format!("{n} VMs on InfiniBand, links trained"));
         }
         vms
     }
@@ -222,12 +221,9 @@ impl World {
             vms.push(vm);
         }
         if self.trace.is_enabled() {
-            self.trace.info(
-                self.clock,
-                "world",
-                "boot.eth",
-                format!("{n} VMs on Ethernet"),
-            );
+            self.trace
+                .add_instant("world", "boot.eth", self.clock, TraceLevel::Info)
+                .label("detail", &format!("{n} VMs on Ethernet"));
         }
         vms
     }
@@ -251,16 +247,14 @@ impl World {
             .init(&self.pool, &mut self.dc, self.clock)
             .expect("connected cluster");
         if self.trace.is_enabled() {
-            self.trace.info(
-                self.clock,
-                "mpi",
-                "job.launched",
-                format!(
-                    "{} ranks, transports {:?}",
-                    rt.layout().total_ranks(),
-                    report.by_kind
-                ),
+            let detail = format!(
+                "{} ranks, transports {:?}",
+                rt.layout().total_ranks(),
+                report.by_kind
             );
+            self.trace
+                .add_instant("mpi", "job.launched", self.clock, TraceLevel::Info)
+                .label("detail", &detail);
         }
         rt
     }

@@ -84,8 +84,7 @@ use ninja_migration::{
 };
 use ninja_sim::export::{stream_to, IoSink};
 use ninja_sim::{
-    AlertEngine, Bandwidth, Json, JsonWriter, SimDuration, TimeSeriesRecorder, ToJson, Trace,
-    WriteJson,
+    AlertEngine, Bandwidth, Json, JsonWriter, SimDuration, TimeSeriesRecorder, Trace, WriteJson,
 };
 use ninja_symvirt::{FaultPlan, FaultSpec, GuestCooperative, RetryPolicy};
 use ninja_vmm::SnapshotStore;
@@ -690,11 +689,12 @@ fn main() {
             world.record_wire_metrics(&rt);
             print_report(|out| {
                 if args.json {
-                    let doc = Json::obj(vec![
-                        ("checkpoint", ck.to_json()),
-                        ("restart", rs.to_json()),
-                    ]);
-                    writeln!(out, "{doc}")
+                    let mut w = JsonWriter::compact(out);
+                    w.begin_object()?;
+                    w.field("checkpoint", &ck)?;
+                    w.field("restart", &rs)?;
+                    w.end_object()?;
+                    out.write_char('\n')
                 } else {
                     writeln!(
                         out,

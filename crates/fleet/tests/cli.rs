@@ -67,6 +67,21 @@ fn checkpoint_roundtrip() {
     assert!(stdout.contains("checkpoint:"));
     assert!(stdout.contains("restart:"));
     assert!(stdout.contains("-> tcp"));
+
+    let out = ninja()
+        .args(["checkpoint", "--vms", "2", "--footprint-gib", "4", "--json"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/checkpoint-vms2-footprint4.json"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        std::fs::read_to_string(fixture).unwrap(),
+        "checkpoint --json bytes"
+    );
 }
 
 #[test]
@@ -519,6 +534,40 @@ fn trace_subcommands_accept_an_empty_file() {
         );
         assert_eq!(lines.count(), 0, "trace {sub} prints only the header");
     }
+}
+
+#[test]
+fn critical_path_skips_events_past_the_nanosecond_range() {
+    // `ts` and `dur` are microseconds; each of these overflows a `u64`
+    // of nanoseconds in `ts`, in `dur`, or only in their sum.
+    let dir = std::env::temp_dir().join("ninja-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("out-of-range-trace.json");
+    let event = |ts: u64, dur: u64| {
+        format!(
+            r#"{{"name":"ninja","cat":"ninja","ph":"X","ts":{ts},"dur":{dur},"pid":1,"tid":"ninja","args":{{"job":"0","mig":"0"}}}}"#
+        )
+    };
+    let max_us = u64::MAX / 1_000;
+    let events = [
+        event(20_000_000_000_000_000, 1),
+        event(0, 20_000_000_000_000_000),
+        event(max_us, max_us),
+    ];
+    std::fs::write(
+        &path,
+        format!(r#"{{"traceEvents":[{}]}}"#, events.join(",")),
+    )
+    .unwrap();
+    let out = ninja()
+        .args(["trace", "critical-path", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.lines().count(), 1, "only the header: {stdout}");
 }
 
 #[test]

@@ -11,7 +11,7 @@
 
 use crate::collectives::CommEnv;
 use crate::runtime::MpiRuntime;
-use ninja_sim::{Bytes, SimDuration, SimTime, Span, SpanBuilder};
+use ninja_sim::{Bytes, SimDuration, SimTime};
 
 /// Result of a quiesce.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,14 +30,6 @@ impl QuiesceReport {
     /// Total wall-clock cost of reaching consistency.
     pub fn total(&self) -> SimDuration {
         self.drain_time + self.coordination_time
-    }
-
-    /// The quiesce as a typed telemetry span (component `mpi`), labeled
-    /// with the number of drained messages.
-    pub fn to_span(&self, started: SimTime) -> Span {
-        SpanBuilder::new("mpi", "quiesce", started)
-            .label("drained_messages", self.drained_messages.to_string())
-            .end(self.consistent_at)
     }
 }
 
@@ -124,20 +116,6 @@ mod tests {
         assert_eq!(report.drain_time, SimDuration::ZERO);
         // "The coordination has a negligible impact" — well under 10 ms.
         assert!(report.coordination_time.as_secs_f64() < 0.01);
-    }
-
-    #[test]
-    fn quiesce_report_converts_to_span() {
-        let (mut rt, env, t0) = world();
-        let later = t0 + SimDuration::from_millis(5);
-        rt.record_send(Rank(0), Rank(3), Bytes::from_kib(8), later);
-        let report = Crcp.quiesce(&mut rt, &env, t0);
-        let span = report.to_span(t0);
-        assert_eq!(span.component, "mpi");
-        assert_eq!(span.name, "quiesce");
-        assert_eq!(span.start, t0);
-        assert_eq!(span.end, report.consistent_at);
-        assert_eq!(span.label("drained_messages"), Some("1"));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! out (the paper's Section V scalability discussion).
 
 use crate::calib::TransportCalib;
-use ninja_sim::{Bandwidth, Bytes, SimDuration, SimRng, SimTime, Span, SpanBuilder};
+use ninja_sim::{Bandwidth, Bytes, SimDuration, SimRng, SimTime};
 
 /// Observable state of a network port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,18 +112,6 @@ impl LinkFsm {
             LinkState::Down => None,
         }
     }
-
-    /// The current training interval as a typed telemetry span
-    /// (component `net`, name `link.training`), from `started` to the
-    /// moment the port goes active. `None` unless the port is polling.
-    pub fn training_span(&self, started: SimTime) -> Option<Span> {
-        match self.state {
-            LinkState::Polling { active_at } => {
-                Some(SpanBuilder::new("net", "link.training", started).end(active_at))
-            }
-            _ => None,
-        }
-    }
 }
 
 /// A reservation returned by [`SharedLink::reserve`].
@@ -139,12 +127,6 @@ impl Reservation {
     /// Total time from request to completion.
     pub fn total(&self, requested_at: SimTime) -> SimDuration {
         self.end.since(requested_at)
-    }
-
-    /// The reserved transfer window as a typed telemetry span
-    /// (component `net`) under the given name.
-    pub fn to_span(&self, name: &'static str) -> Span {
-        SpanBuilder::new("net", name, self.start).end(self.end)
     }
 }
 
@@ -255,31 +237,6 @@ mod tests {
         // Once active, training is free.
         let third = fsm.begin_training(first + SimDuration::from_secs(1), &cal, &mut rng);
         assert_eq!(third, first + SimDuration::from_secs(1));
-    }
-
-    #[test]
-    fn training_interval_exports_as_span() {
-        let mut fsm = LinkFsm::down();
-        let mut rng = SimRng::new(4);
-        let cal = calib::infiniband_qdr();
-        assert!(fsm.training_span(t(0.0)).is_none(), "down port has no span");
-        let active_at = fsm.begin_training(t(10.0), &cal, &mut rng);
-        let span = fsm.training_span(t(10.0)).expect("polling port");
-        assert_eq!(span.component, "net");
-        assert_eq!(span.name, "link.training");
-        assert_eq!(span.start, t(10.0));
-        assert_eq!(span.end, active_at);
-    }
-
-    #[test]
-    fn reservation_exports_as_span() {
-        let mut link = SharedLink::new(Bandwidth::from_gbps(8.0));
-        let r = link.reserve(t(2.0), Bytes::from_mib(64), None);
-        let span = r.to_span("wire.transfer");
-        assert_eq!(span.component, "net");
-        assert_eq!(span.name, "wire.transfer");
-        assert_eq!(span.start, r.start);
-        assert_eq!(span.end, r.end);
     }
 
     #[test]

@@ -527,6 +527,12 @@ impl WriteJson for u64 {
     }
 }
 
+impl WriteJson for u32 {
+    fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        w.u64(u64::from(*self))
+    }
+}
+
 impl WriteJson for usize {
     fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
         w.u64(*self as u64)
@@ -568,6 +574,12 @@ impl<T: WriteJson> WriteJson for [T] {
             v.write_json(w)?;
         }
         w.end_array()
+    }
+}
+
+impl<T: WriteJson, const N: usize> WriteJson for [T; N] {
+    fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        self.as_slice().write_json(w)
     }
 }
 
@@ -713,69 +725,6 @@ impl<T: Into<Json>> From<Option<T>> for Json {
             Some(x) => x.into(),
             None => Json::Null,
         }
-    }
-}
-
-/// Types that can render themselves as a [`Json`] value.
-pub trait ToJson {
-    /// The JSON representation.
-    fn to_json(&self) -> Json;
-}
-
-impl ToJson for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
-    }
-}
-
-macro_rules! to_json_via_from {
-    ($($ty:ty),+) => {$(
-        impl ToJson for $ty {
-            fn to_json(&self) -> Json {
-                Json::from(self.clone())
-            }
-        }
-    )+};
-}
-
-to_json_via_from!(bool, i32, i64, u32, u64, usize, f64, String);
-
-impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
-        match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
-        }
-    }
-}
-
-impl<T: ToJson, const N: usize> ToJson for [T; N] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> Json {
-        (*self).to_json()
     }
 }
 

@@ -10,10 +10,10 @@
 //!   measurement collectors implementing the paper's "best of three"
 //!   methodology;
 //! * [`Trace`] — structured phase/event tracing that the benchmark harness
-//!   uses to compute overhead breakdowns;
-//! * [`SpanRef`] / [`Span`] / [`SpanBuilder`] — typed, labeled
-//!   intervals of simulated time: borrowed from the trace's span arena,
-//!   or owned on cold paths;
+//!   uses to compute overhead breakdowns: spans, and instants (zero-length
+//!   spans with `level` and `detail` labels), in one arena layout;
+//! * [`SpanRef`] / [`SpanLabels`] — a recorded span or instant borrowed
+//!   from the trace, and the handle that labels a new one;
 //! * [`MetricsRegistry`] — labeled counters, gauges and histograms with
 //!   Prometheus text exposition;
 //! * [`TimeSeriesRecorder`] / [`AlertEngine`] — a virtual-time metric
@@ -43,15 +43,14 @@ pub mod trace;
 pub mod units;
 
 pub use alerts::{AlertEngine, AlertIncident, AlertRule};
-pub use export::{parse, Json, JsonError, JsonWriter, ToJson, WriteJson};
+pub use export::{parse, Json, JsonError, JsonWriter, WriteJson};
 pub use metrics::{HistogramMetric, LabelSet, MetricsRegistry, SeriesId};
 pub use rng::SimRng;
-pub use span::{Span, SpanBuilder, SpanLabels, SpanRef};
+pub use span::{SpanLabels, SpanRef};
 pub use stats::{DurationSamples, Histogram, Summary, TimeSeries};
 pub use time::{SimDuration, SimTime};
 pub use timeseries::{ScrapeSample, SeriesPoint, TimeSeriesRecorder};
 pub use trace::{
     critical_paths, spans_from_chrome, MigrationPath, PhaseAttribution, Trace, TraceLevel,
-    TraceRecord,
 };
 pub use units::{Bandwidth, Bytes};

@@ -35,7 +35,7 @@ use crate::alerts::AlertEngine;
 use crate::export::{render, write_escaped, write_f64, write_str_object};
 use crate::metrics::{write_labels, write_prom_f64, Kind, LabelSet, MetricsRegistry};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceLevel};
 use std::collections::VecDeque;
 use std::fmt::{self, Write};
 use std::sync::OnceLock;
@@ -337,9 +337,13 @@ impl TimeSeriesRecorder {
                         "Alert rule fire transitions, labeled by rule",
                     );
                     metrics.inc("ninja_alerts_fired_total", &[("rule", &ev.rule)], 1);
-                    trace.warn(at, "alerts", "alert.fired", ev.detail.clone());
+                    trace
+                        .add_instant("alerts", "alert.fired", at, TraceLevel::Warn)
+                        .label("detail", &ev.detail);
                 } else {
-                    trace.info(at, "alerts", "alert.resolved", ev.detail.clone());
+                    trace
+                        .add_instant("alerts", "alert.resolved", at, TraceLevel::Info)
+                        .label("detail", &ev.detail);
                 }
             }
             metrics.describe("ninja_alerts_active", "Alert rules currently firing");
@@ -635,7 +639,10 @@ mod tests {
             1
         );
         assert_eq!(m.gauge("ninja_alerts_active", &[]), Some(1.0));
-        assert_eq!(tr.of_kind("alert.fired").count(), 1);
+        assert_eq!(
+            tr.instants().filter(|i| i.name() == "alert.fired").count(),
+            1
+        );
         // The firing scrape's own snapshot carries the alert series.
         let last = rec.samples().back().unwrap();
         assert!(last
@@ -644,7 +651,12 @@ mod tests {
             .any(|p| p.name == "ninja_alerts_fired_total"));
         m.set_gauge("depth", &[], 0.0);
         rec.advance_to(t(60), &mut m, &mut tr);
-        assert_eq!(tr.of_kind("alert.resolved").count(), 1);
+        assert_eq!(
+            tr.instants()
+                .filter(|i| i.name() == "alert.resolved")
+                .count(),
+            1
+        );
         assert_eq!(m.gauge("ninja_alerts_active", &[]), Some(0.0));
         let inc = rec.alerts().unwrap().incidents();
         assert_eq!(inc.len(), 1);

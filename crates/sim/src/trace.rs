@@ -1,116 +1,75 @@
 //! Structured event tracing.
 //!
-//! Components append [`TraceRecord`]s (point events) and typed spans
-//! (named intervals, see [`crate::span`]) to a shared
-//! [`Trace`] as the simulation runs. The benchmark regenerators read
-//! the phase spans to compute the paper's overhead breakdowns, the
-//! test suite asserts on causal ordering, and the exporters render
-//! Chrome trace-event JSON (Perfetto-loadable) and a JSONL event
-//! stream.
+//! Components record typed spans (named intervals, see [`crate::span`])
+//! and instants (zero-length spans with a `level` and a `detail` label)
+//! in a shared [`Trace`] as the simulation runs. The benchmark
+//! regenerators read the phase spans to compute the paper's overhead
+//! breakdowns, the test suite asserts on causal ordering, and the
+//! exporter renders Chrome trace-event JSON (Perfetto-loadable).
 //!
 //! Memory is bounded by an optional ring-buffer cap
 //! ([`Trace::set_capacity`]); week-long drill scenarios set a cap and
 //! keep the newest entries, with evictions counted in
 //! [`Trace::dropped`].
 
-use crate::export::{push_escaped, push_u64, render, write_escaped, Json, CHUNK};
-use crate::span::{Span, SpanLabels, SpanRef, SpanStore};
+use crate::export::{push_escaped, push_u64, render, Json, CHUNK};
+use crate::span::{SpanLabels, SpanRef, SpanStore};
 use crate::time::{SimDuration, SimTime};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::{self, Write};
 
-/// Severity/kind of a trace record.
+/// Severity of an instant, stored as its `level` label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceLevel {
-    /// Phase boundary markers used for overhead accounting.
-    Phase,
     /// Normal operational records.
     Info,
     /// Unexpected but tolerated conditions.
     Warn,
-    /// Hard failures (also surfaced as `Err` to callers).
-    Error,
 }
 
 impl TraceLevel {
     /// The level's upper-case name, as exported.
-    pub(crate) fn as_str(self) -> &'static str {
+    fn as_str(self) -> &'static str {
         match self {
-            TraceLevel::Phase => "PHASE",
             TraceLevel::Info => "INFO",
             TraceLevel::Warn => "WARN",
-            TraceLevel::Error => "ERROR",
         }
     }
 }
 
-impl fmt::Display for TraceLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// One point-in-time trace record. Component and kind follow the same
-/// string policy as [`Span`]: static names cost no allocation.
-#[derive(Debug, Clone)]
-pub struct TraceRecord {
-    /// The at.
-    pub at: SimTime,
-    /// The level.
-    pub level: TraceLevel,
-    /// Dotted component path, e.g. `vmm.migration` or `mpi.btl`.
-    pub component: Cow<'static, str>,
-    /// Event kind, e.g. `precopy.round`, `boot.ib`.
-    pub kind: Cow<'static, str>,
-    /// Free-form details.
-    pub detail: String,
-}
-
-impl fmt::Display for TraceRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{:>14}] {:5} {} {} {}",
-            self.at.to_string(),
-            self.level,
-            self.component,
-            self.kind,
-            self.detail
-        )
-    }
-}
-
-/// An append-only trace of simulation activity: point records plus
-/// completed spans.
+/// An append-only trace of simulation activity: completed spans plus
+/// instants, each in its own store.
 #[derive(Debug, Default)]
 pub struct Trace {
-    records: Vec<TraceRecord>,
     spans: SpanStore,
+    instants: SpanStore,
     enabled: bool,
     /// Per-store ring cap (`None` = unbounded).
     capacity: Option<usize>,
     dropped: u64,
 }
 
+/// Evicts the oldest entries of `store` beyond `keep`, counting them in
+/// `dropped`.
+fn evict_beyond(store: &mut SpanStore, keep: usize, dropped: &mut u64) {
+    let excess = store.len().saturating_sub(keep);
+    store.evict_oldest(excess);
+    *dropped += excess as u64;
+}
+
 impl Trace {
     /// A trace that records everything, unbounded.
     pub fn new() -> Self {
         Trace {
-            records: Vec::new(),
-            spans: SpanStore::default(),
             enabled: true,
-            capacity: None,
-            dropped: 0,
+            ..Trace::default()
         }
     }
 
     /// A trace that drops everything (for long property-test runs).
     pub fn disabled() -> Self {
-        Trace {
-            enabled: false,
-            ..Trace::new()
-        }
+        Trace::default()
     }
 
     /// Whether this is enabled.
@@ -118,25 +77,16 @@ impl Trace {
         self.enabled
     }
 
-    /// Caps the record and span stores at `cap` entries each; the
+    /// Caps the span and instant stores at `cap` entries each; the
     /// oldest entries are evicted (and counted in [`Trace::dropped`])
     /// once a store exceeds its cap. `None` restores unbounded growth.
-    /// Eviction is amortized: a store briefly holds up to `2 * cap`
-    /// entries before the oldest half-window is drained.
+    /// Eviction is amortized: a store briefly holds up to `2 * cap - 1`
+    /// entries before the oldest are drained down to `cap`.
     pub fn set_capacity(&mut self, cap: Option<usize>) {
         self.capacity = cap.map(|c| c.max(1));
-        let cap = self.capacity;
-        if let Some(c) = cap {
-            if self.records.len() > c {
-                let excess = self.records.len() - c;
-                self.records.drain(..excess);
-                self.dropped += excess as u64;
-            }
-            if self.spans.len() > c {
-                let excess = self.spans.len() - c;
-                self.spans.evict_oldest(excess);
-                self.dropped += excess as u64;
-            }
+        if let Some(c) = self.capacity {
+            evict_beyond(&mut self.spans, c, &mut self.dropped);
+            evict_beyond(&mut self.instants, c, &mut self.dropped);
         }
     }
 
@@ -150,95 +100,33 @@ impl Trace {
         self.dropped
     }
 
-    fn enforce_record_cap(&mut self) {
-        if let Some(cap) = self.capacity {
-            // Amortized O(1): drain half a window at a time.
-            if self.records.len() >= cap.saturating_mul(2) {
-                let excess = self.records.len() - cap;
-                self.records.drain(..excess);
-                self.dropped += excess as u64;
-            }
-        }
-    }
-
-    /// Makes room for one more span: once the store would reach twice
-    /// the cap, the oldest spans are evicted down to `cap - 1`, so the
-    /// new span brings it back to `cap`.
-    fn enforce_span_cap(&mut self) {
-        if let Some(cap) = self.capacity {
-            let len = self.spans.len() + 1;
-            if len >= cap.saturating_mul(2) {
-                let excess = len - cap;
-                self.spans.evict_oldest(excess);
-                self.dropped += excess as u64;
-            }
-        }
-    }
-
-    /// Append a record.
-    pub fn emit(
+    /// Appends to the span or instant store, first making room: once
+    /// the store would reach twice the cap, its oldest entries are
+    /// evicted down to `cap - 1`, so the new entry brings it back to
+    /// `cap`.
+    fn record(
         &mut self,
-        at: SimTime,
-        level: TraceLevel,
-        component: impl Into<Cow<'static, str>>,
-        kind: impl Into<Cow<'static, str>>,
-        detail: impl Into<String>,
-    ) {
+        instant: bool,
+        component: Cow<'static, str>,
+        name: Cow<'static, str>,
+        start: SimTime,
+        end: SimTime,
+    ) -> SpanLabels<'_> {
         if !self.enabled {
-            return;
+            return SpanLabels::new(None);
         }
-        self.records.push(TraceRecord {
-            at,
-            level,
-            component: component.into(),
-            kind: kind.into(),
-            detail: detail.into(),
-        });
-        self.enforce_record_cap();
-    }
-
-    /// Convenience: phase marker.
-    pub fn phase(
-        &mut self,
-        at: SimTime,
-        component: &'static str,
-        kind: &'static str,
-        detail: impl Into<String>,
-    ) {
-        self.emit(at, TraceLevel::Phase, component, kind, detail);
-    }
-
-    /// Convenience: informational record.
-    pub fn info(
-        &mut self,
-        at: SimTime,
-        component: &'static str,
-        kind: &'static str,
-        detail: impl Into<String>,
-    ) {
-        self.emit(at, TraceLevel::Info, component, kind, detail);
-    }
-
-    /// Convenience: warning record.
-    pub fn warn(
-        &mut self,
-        at: SimTime,
-        component: &'static str,
-        kind: &'static str,
-        detail: impl Into<String>,
-    ) {
-        self.emit(at, TraceLevel::Warn, component, kind, detail);
-    }
-
-    /// Convenience: error record.
-    pub fn error(
-        &mut self,
-        at: SimTime,
-        component: &'static str,
-        kind: &'static str,
-        detail: impl Into<String>,
-    ) {
-        self.emit(at, TraceLevel::Error, component, kind, detail);
+        let store = if instant {
+            &mut self.instants
+        } else {
+            &mut self.spans
+        };
+        if let Some(cap) = self.capacity {
+            if store.len() + 1 >= cap.saturating_mul(2) {
+                evict_beyond(store, cap - 1, &mut self.dropped);
+            }
+        }
+        store.push(component, name, start, end);
+        SpanLabels::new(Some(store))
     }
 
     /// Records a completed span from `start` to `end` (clamped to a
@@ -247,32 +135,25 @@ impl Trace {
     /// the trace's arrays grow.
     pub fn add_span(
         &mut self,
-        component: &'static str,
-        name: &'static str,
+        component: impl Into<Cow<'static, str>>,
+        name: impl Into<Cow<'static, str>>,
         start: SimTime,
         end: SimTime,
     ) -> SpanLabels<'_> {
-        if !self.enabled {
-            return SpanLabels::new(None);
-        }
-        self.enforce_span_cap();
-        self.spans
-            .push(Cow::Borrowed(component), Cow::Borrowed(name), start, end);
-        SpanLabels::new(Some(&mut self.spans))
+        self.record(false, component.into(), name.into(), start, end)
     }
 
-    /// Records an owned span (copying it into the trace's arrays).
-    pub fn record_span(&mut self, span: Span) {
-        if !self.enabled {
-            return;
-        }
-        self.enforce_span_cap();
-        self.spans.push_span(span);
-    }
-
-    /// Returns the point records.
-    pub fn records(&self) -> &[TraceRecord] {
-        &self.records
+    /// Records an instant at `at` with its `level` label and returns the
+    /// handle that attaches the rest; producers add a `detail` label.
+    pub fn add_instant(
+        &mut self,
+        component: impl Into<Cow<'static, str>>,
+        name: impl Into<Cow<'static, str>>,
+        at: SimTime,
+        level: TraceLevel,
+    ) -> SpanLabels<'_> {
+        self.record(true, component.into(), name.into(), at, at)
+            .label("level", level.as_str())
     }
 
     /// The completed spans, in completion order.
@@ -280,39 +161,9 @@ impl Trace {
         self.spans.iter()
     }
 
-    /// Number of point records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether there are no point records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// All records of a given kind (exact match).
-    pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a TraceRecord> + 'a {
-        self.records.iter().filter(move |r| r.kind == kind)
-    }
-
-    /// All records whose kind starts with the given prefix.
-    pub fn with_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = &'a TraceRecord> + 'a {
-        self.records
-            .iter()
-            .filter(move |r| r.kind.starts_with(prefix))
-    }
-
-    /// First record of the kind, if any.
-    pub fn first_of(&self, kind: &str) -> Option<&TraceRecord> {
-        self.records.iter().find(|r| r.kind == kind)
-    }
-
-    /// Last record of the kind, if any.
-    pub fn last_of(&self, kind: &str) -> Option<&TraceRecord> {
-        self.records.iter().rev().find(|r| r.kind == kind)
+    /// The instants, in recording order.
+    pub fn instants(&self) -> impl ExactSizeIterator<Item = SpanRef<'_>> + DoubleEndedIterator {
+        self.instants.iter()
     }
 
     /// The envelope duration of all spans named `name` (any
@@ -359,24 +210,19 @@ impl Trace {
             .sum()
     }
 
-    /// True if any error-level records were emitted.
-    pub fn has_errors(&self) -> bool {
-        self.records.iter().any(|r| r.level == TraceLevel::Error)
-    }
-
     /// Export as Chrome trace-event JSON (load in `chrome://tracing`
     /// or <https://ui.perfetto.dev>).
     pub fn to_chrome_json(&self) -> String {
-        let events = self.spans.len() + self.records.len();
+        let events = self.spans.len() + self.instants.len();
         render(events * 192 + 32, |out| self.write_chrome_json(out))
     }
 
     /// Streams the Chrome trace-event document into `out`. Spans become
-    /// complete ("X") events with their labels as `args`; point records
-    /// become instant ("i") events. All spans come first, in completion
-    /// order, then all records in emission order; nothing is sorted.
-    /// Timestamps are microseconds of simulated time; each component
-    /// renders as its own track (`tid`).
+    /// complete ("X") events and instants become instant ("i") events,
+    /// each with its labels as `args`. All spans come first, in
+    /// completion order, then all instants in recording order; nothing
+    /// is sorted. Timestamps are microseconds of simulated time; each
+    /// component renders as its own track (`tid`).
     ///
     /// Events are rendered into a local chunk without `fmt` (integers
     /// through [`push_u64`], strings through [`push_escaped`]) and handed
@@ -385,19 +231,29 @@ impl Trace {
         let mut buf = String::with_capacity(CHUNK + 1024);
         buf.push_str("{\"traceEvents\":[");
         let mut sep = "";
-        for s in self.spans.iter() {
+        let spans = self.spans.iter().map(|s| (s, false));
+        for (s, instant) in spans.chain(self.instants.iter().map(|s| (s, true))) {
             buf.push_str(sep);
             sep = ",";
             buf.push_str("{\"name\":");
             push_escaped(&mut buf, s.name());
             buf.push_str(",\"cat\":");
             push_escaped(&mut buf, s.component());
-            buf.push_str(",\"ph\":\"X\",\"ts\":");
+            buf.push_str(if instant {
+                ",\"ph\":\"i\",\"ts\":"
+            } else {
+                ",\"ph\":\"X\",\"ts\":"
+            });
             push_u64(&mut buf, s.start().as_nanos() / 1_000);
-            buf.push_str(",\"dur\":");
-            push_u64(&mut buf, s.duration().as_nanos() / 1_000);
+            if !instant {
+                buf.push_str(",\"dur\":");
+                push_u64(&mut buf, s.duration().as_nanos() / 1_000);
+            }
             buf.push_str(",\"pid\":1,\"tid\":");
             push_escaped(&mut buf, s.component());
+            if instant {
+                buf.push_str(",\"s\":\"t\"");
+            }
             let mut open = ",\"args\":{";
             for (k, v) in s.labels() {
                 buf.push_str(open);
@@ -415,69 +271,8 @@ impl Trace {
                 buf.clear();
             }
         }
-        for r in &self.records {
-            buf.push_str(sep);
-            sep = ",";
-            buf.push_str("{\"name\":");
-            push_escaped(&mut buf, &r.kind);
-            buf.push_str(",\"cat\":");
-            push_escaped(&mut buf, &r.component);
-            buf.push_str(",\"ph\":\"i\",\"ts\":");
-            push_u64(&mut buf, r.at.as_nanos() / 1_000);
-            buf.push_str(",\"pid\":1,\"tid\":");
-            push_escaped(&mut buf, &r.component);
-            buf.push_str(",\"s\":\"t\",\"args\":{\"level\":\"");
-            buf.push_str(r.level.as_str());
-            buf.push_str("\",\"detail\":");
-            push_escaped(&mut buf, &r.detail);
-            buf.push_str("}}");
-            if buf.len() >= CHUNK {
-                out.write_str(&buf)?;
-                buf.clear();
-            }
-        }
         buf.push_str("]}");
         out.write_str(&buf)
-    }
-
-    /// Export as a JSONL event stream.
-    pub fn to_jsonl(&self) -> String {
-        let events = self.spans.len() + self.records.len();
-        render(events * 192, |out| self.write_jsonl(out))
-    }
-
-    /// Streams the JSONL event stream into `out`: one JSON object per
-    /// line, spans and records interleaved in time order (a stable
-    /// sort: at one instant, spans before records).
-    pub fn write_jsonl<W: Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
-        let mut items: Vec<(SimTime, Result<SpanRef<'_>, &TraceRecord>)> = self
-            .spans
-            .iter()
-            .map(|s| (s.start(), Ok(s)))
-            .chain(self.records.iter().map(|r| (r.at, Err(r))))
-            .collect();
-        items.sort_by_key(|&(at, _)| at);
-        for (_, item) in items {
-            match item {
-                Ok(s) => s.write_json(out)?,
-                Err(r) => {
-                    write!(
-                        out,
-                        "{{\"type\":\"event\",\"at_ns\":{},\"level\":\"{}\",\"component\":",
-                        r.at.as_nanos(),
-                        r.level
-                    )?;
-                    write_escaped(&r.component, out)?;
-                    out.write_str(",\"kind\":")?;
-                    write_escaped(&r.kind, out)?;
-                    out.write_str(",\"detail\":")?;
-                    write_escaped(&r.detail, out)?;
-                    out.write_char('}')?;
-                }
-            }
-            out.write_char('\n')?;
-        }
-        Ok(())
     }
 
     /// Reconstruct per-migration critical paths from this trace's
@@ -486,12 +281,19 @@ impl Trace {
         critical_paths(self, phase_names)
     }
 
-    /// Render the whole trace as text (debugging aid).
+    /// Render the whole trace as text (debugging aid): the instants,
+    /// then the spans.
     pub fn render(&self) -> String {
         let mut s = String::new();
-        for r in &self.records {
-            s.push_str(&r.to_string());
-            s.push('\n');
+        for i in self.instants.iter() {
+            s.push_str(&format!(
+                "[{:>14}] {} {} {} {}\n",
+                i.start().to_string(),
+                i.label("level").unwrap_or(""),
+                i.component(),
+                i.name(),
+                i.label("detail").unwrap_or(""),
+            ));
         }
         for sp in self.spans.iter() {
             s.push_str(&format!(
@@ -570,8 +372,9 @@ fn span_key(s: &SpanRef<'_>) -> (Option<u64>, Option<u64>) {
 /// format [`Trace::to_chrome_json`] writes). Only complete (`"ph":
 /// "X"`) events become spans; string `args` become labels. Timestamps
 /// are microseconds of simulated time, so reconstructed spans are exact
-/// up to the export's microsecond truncation. The result is uncapped and
-/// holds no point records.
+/// up to the export's microsecond truncation; events whose times do not
+/// fit in a `u64` of nanoseconds are skipped. The result is uncapped and
+/// holds no instants.
 pub fn spans_from_chrome(doc: &Json) -> Trace {
     let mut out = Trace::new();
     let Some(events) = doc["traceEvents"].as_array() else {
@@ -586,22 +389,29 @@ pub fn spans_from_chrome(doc: &Json) -> Trace {
         else {
             continue;
         };
-        let start = SimTime::ZERO + SimDuration::from_micros(ts);
-        let mut labels = Vec::new();
+        // Microseconds to nanoseconds; an event whose start or end does
+        // not fit is skipped like one with a missing field.
+        let ns = |us: u64| us.checked_mul(1_000);
+        let (Some(start), Some(dur)) = (ns(ts), ns(dur)) else {
+            continue;
+        };
+        let Some(end) = start.checked_add(dur) else {
+            continue;
+        };
+        let cat = ev["cat"].as_str().unwrap_or("").to_string();
+        let mut labels = out.add_span(
+            cat,
+            name.to_string(),
+            SimTime::from_nanos(start),
+            SimTime::from_nanos(end),
+        );
         if let Json::Obj(args) = &ev["args"] {
             for (k, v) in args {
-                if let Some(s) = v.as_str() {
-                    labels.push((Cow::Owned(k.clone()), s.to_string()));
+                if let Some(v) = v.as_str() {
+                    labels = labels.label(k.clone(), v);
                 }
             }
         }
-        out.record_span(Span {
-            component: Cow::Owned(ev["cat"].as_str().unwrap_or("").to_string()),
-            name: Cow::Owned(name.to_string()),
-            start,
-            end: start + SimDuration::from_micros(dur),
-            labels,
-        });
     }
     out
 }
@@ -705,7 +515,6 @@ pub fn critical_paths(trace: &Trace, phase_names: &[&str]) -> Vec<MigrationPath>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanBuilder;
 
     fn t(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)
@@ -714,11 +523,18 @@ mod tests {
     #[test]
     fn emit_and_query() {
         let mut tr = Trace::new();
-        let sp = SpanBuilder::new("vmm", "migration", t(1)).label("vm", "vm0");
-        tr.info(t(2), "vmm", "precopy.round", "round 1");
-        tr.record_span(sp.end(t(5)));
-        assert_eq!(tr.len(), 1);
-        assert_eq!(tr.of_kind("precopy.round").count(), 1);
+        tr.add_instant("vmm", "precopy.round", t(2), TraceLevel::Info)
+            .label("detail", "round 1");
+        tr.add_span("vmm", "migration", t(1), t(5))
+            .label("vm", "vm0");
+        assert_eq!(tr.instants().len(), 1);
+        let i = tr.instants().next().unwrap();
+        assert_eq!(
+            (i.name(), i.start(), i.end()),
+            ("precopy.round", t(2), t(2))
+        );
+        let labels: Vec<_> = i.labels().collect();
+        assert_eq!(labels, [("level", "INFO"), ("detail", "round 1")]);
         assert_eq!(tr.span("migration"), Some(SimDuration::from_secs(4)));
         assert_eq!(tr.all_spans().next().unwrap().label("vm"), Some("vm0"));
     }
@@ -732,8 +548,8 @@ mod tests {
     #[test]
     fn multiple_spans_sum() {
         let mut tr = Trace::new();
-        tr.record_span(SpanBuilder::new("h", "hotplug", t(1)).end(t(3)));
-        tr.record_span(SpanBuilder::new("h", "hotplug", t(10)).end(t(11)));
+        tr.add_span("h", "hotplug", t(1), t(3));
+        tr.add_span("h", "hotplug", t(10), t(11));
         assert_eq!(tr.spans("hotplug").len(), 2);
         assert_eq!(tr.total_span("hotplug"), SimDuration::from_secs(3));
         // Envelope spans the outer interval.
@@ -743,12 +559,9 @@ mod tests {
     #[test]
     fn spans_of_filters_by_component() {
         let mut tr = Trace::new();
-        tr.record_span(SpanBuilder::new("ninja", "detach", t(1)).end(t(5)));
-        tr.record_span(
-            SpanBuilder::new("symvirt", "detach", t(1))
-                .label("vm", "a")
-                .end(t(2)),
-        );
+        tr.add_span("ninja", "detach", t(1), t(5));
+        tr.add_span("symvirt", "detach", t(1), t(2))
+            .label("vm", "a");
         assert_eq!(tr.spans_of("ninja", "detach").len(), 1);
         assert_eq!(tr.spans_of("symvirt", "detach").len(), 1);
         assert_eq!(tr.spans("detach").len(), 2);
@@ -757,29 +570,11 @@ mod tests {
     #[test]
     fn disabled_trace_drops() {
         let mut tr = Trace::disabled();
-        tr.info(t(1), "x", "y", "z");
-        tr.record_span(SpanBuilder::new("a", "b", t(1)).end(t(2)));
+        tr.add_instant("x", "y", t(1), TraceLevel::Info)
+            .label("detail", "z");
         tr.add_span("a", "c", t(1), t(2)).label("vm", "x");
-        assert!(tr.is_empty());
+        assert_eq!(tr.instants().len(), 0);
         assert_eq!(tr.all_spans().len(), 0);
-    }
-
-    #[test]
-    fn error_detection() {
-        let mut tr = Trace::new();
-        tr.info(t(1), "a", "b", "");
-        assert!(!tr.has_errors());
-        tr.error(t(2), "a", "fail", "boom");
-        assert!(tr.has_errors());
-    }
-
-    #[test]
-    fn prefix_filter() {
-        let mut tr = Trace::new();
-        tr.info(t(1), "m", "btl.select", "");
-        tr.info(t(2), "m", "btl.teardown", "");
-        tr.info(t(3), "m", "crcp.quiesce", "");
-        assert_eq!(tr.with_prefix("btl.").count(), 2);
     }
 
     #[test]
@@ -787,15 +582,19 @@ mod tests {
         let mut tr = Trace::new();
         tr.set_capacity(Some(10));
         for i in 0..100 {
-            tr.info(t(i), "x", "tick", "");
+            tr.add_instant("x", "tick", t(i), TraceLevel::Info);
         }
-        assert!(tr.len() <= 20, "amortized bound: {}", tr.len());
+        assert!(
+            tr.instants().len() <= 20,
+            "amortized bound: {}",
+            tr.instants().len()
+        );
         assert!(tr.dropped() > 0);
-        // The newest record always survives.
-        assert_eq!(tr.records().last().unwrap().at, t(99));
+        // The newest instant always survives.
+        assert_eq!(tr.instants().last().unwrap().start(), t(99));
         let before = tr.dropped();
         for i in 0..50 {
-            tr.record_span(SpanBuilder::new("x", "s", t(i)).end(t(i + 1)));
+            tr.add_span("x", "s", t(i), t(i + 1));
         }
         assert!(tr.all_spans().len() <= 20);
         assert!(tr.dropped() > before);
@@ -803,11 +602,21 @@ mod tests {
 
     #[test]
     fn ring_cap_keeps_the_newest_spans_with_their_labels() {
-        // Model: a plain list, drained to `cap` once it reaches 2 * cap.
+        // Model: one plain list per store, drained to `cap` once it
+        // reaches 2 * cap; both stores count into one `dropped`.
+        type Model = Vec<(u64, String)>;
+        fn push(model: &mut Model, cap: usize, dropped: &mut u64, entry: (u64, String)) {
+            model.push(entry);
+            if model.len() >= 2 * cap {
+                let excess = model.len() - cap;
+                model.drain(..excess);
+                *dropped += excess as u64;
+            }
+        }
         for cap in [1usize, 2, 3, 7] {
             let mut tr = Trace::new();
             tr.set_capacity(Some(cap));
-            let mut model: Vec<(u64, String)> = Vec::new();
+            let (mut spans, mut instants): (Model, Model) = (Vec::new(), Vec::new());
             let mut dropped = 0;
             for i in 0..50u64 {
                 let vm = "v".repeat(i as usize % 4);
@@ -815,24 +624,32 @@ mod tests {
                 if i % 3 != 0 {
                     span.label("vm", &vm);
                 }
-                model.push((i, vm));
-                if model.len() >= 2 * cap {
-                    let excess = model.len() - cap;
-                    model.drain(..excess);
-                    dropped += excess as u64;
+                push(&mut spans, cap, &mut dropped, (i, vm.clone()));
+                if i % 2 == 0 {
+                    tr.add_instant("x", "i", t(i), TraceLevel::Warn)
+                        .label("detail", &vm);
+                    push(&mut instants, cap, &mut dropped, (i, vm));
                 }
-                assert_eq!(tr.dropped(), dropped, "cap {cap}, span {i}");
-                assert_eq!(tr.all_spans().len(), model.len());
-                for (s, (j, vm)) in tr.all_spans().zip(&model) {
+                assert_eq!(tr.dropped(), dropped, "cap {cap}, step {i}");
+                assert_eq!(tr.all_spans().len(), spans.len());
+                for (s, (j, vm)) in tr.all_spans().zip(&spans) {
                     assert_eq!(s.start(), t(*j));
                     assert_eq!(s.label("job"), Some(j.to_string().as_str()));
                     let want_vm = (j % 3 != 0).then_some(vm.as_str());
                     assert_eq!(s.label("vm"), want_vm, "cap {cap}, span {j}");
                 }
+                assert_eq!(tr.instants().len(), instants.len());
+                for (s, (j, vm)) in tr.instants().zip(&instants) {
+                    assert_eq!((s.start(), s.end()), (t(*j), t(*j)));
+                    let labels: Vec<_> = s.labels().collect();
+                    assert_eq!(labels, [("level", "WARN"), ("detail", vm.as_str())]);
+                }
             }
             tr.set_capacity(Some(1));
             assert_eq!(tr.all_spans().len(), 1);
             assert_eq!(tr.all_spans().next().unwrap().label("job"), Some("49"));
+            assert_eq!(tr.instants().len(), 1);
+            assert_eq!(tr.instants().next().unwrap().start(), t(48));
         }
     }
 
@@ -840,19 +657,21 @@ mod tests {
     fn shrinking_capacity_trims_immediately() {
         let mut tr = Trace::new();
         for i in 0..30 {
-            tr.info(t(i), "x", "tick", "");
+            tr.add_instant("x", "tick", t(i), TraceLevel::Info);
+            tr.add_span("x", "s", t(i), t(i));
         }
         tr.set_capacity(Some(5));
-        assert_eq!(tr.len(), 5);
-        assert_eq!(tr.dropped(), 25);
+        assert_eq!(tr.instants().len(), 5);
+        assert_eq!(tr.all_spans().len(), 5);
+        assert_eq!(tr.dropped(), 50);
     }
 
     #[test]
     fn chrome_json_has_complete_and_instant_events() {
         let mut tr = Trace::new();
-        let sp = SpanBuilder::new("vmm", "migration", t(1));
-        tr.info(t(2), "vmm", "precopy.round", "1");
-        tr.record_span(sp.end(t(5)));
+        tr.add_instant("vmm", "precopy.round", t(2), TraceLevel::Info)
+            .label("detail", "1");
+        tr.add_span("vmm", "migration", t(1), t(5));
         let json = tr.to_chrome_json();
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""), "complete span: {json}");
@@ -864,7 +683,8 @@ mod tests {
     #[test]
     fn chrome_json_escapes_quotes() {
         let mut tr = Trace::new();
-        tr.info(t(1), "x", "say \"hi\"", "");
+        tr.add_instant("x", "say \"hi\"", t(1), TraceLevel::Info)
+            .label("detail", "");
         let json = tr.to_chrome_json();
         assert!(json.contains("say \\\"hi\\\""));
     }
@@ -872,30 +692,12 @@ mod tests {
     #[test]
     fn chrome_json_parses_and_labels_become_args() {
         let mut tr = Trace::new();
-        tr.record_span(
-            SpanBuilder::new("symvirt", "detach", t(1))
-                .label("vm", "j0v0")
-                .end(t(2)),
-        );
+        tr.add_span("symvirt", "detach", t(1), t(2))
+            .label("vm", "j0v0");
         let doc = crate::export::parse(&tr.to_chrome_json()).unwrap();
         let ev = &doc["traceEvents"][0];
         assert_eq!(ev["ph"].as_str(), Some("X"));
         assert_eq!(ev["args"]["vm"].as_str(), Some("j0v0"));
-    }
-
-    #[test]
-    fn jsonl_interleaves_in_time_order() {
-        let mut tr = Trace::new();
-        tr.info(t(5), "x", "late", "");
-        tr.record_span(SpanBuilder::new("x", "early", t(1)).end(t(2)));
-        let jsonl = tr.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"early\""));
-        assert!(lines[1].contains("\"late\""));
-        for line in lines {
-            crate::export::parse(line).expect("each line is a JSON document");
-        }
     }
 
     /// Builds the span tree of one migration: envelope, tiled phases,
@@ -904,29 +706,22 @@ mod tests {
         let names = ["detach", "migration", "attach"];
         let mut cur = start;
         for (name, secs) in names.iter().zip(phase_secs) {
-            let sb = SpanBuilder::new("ninja", *name, t(cur))
-                .label("job", job.to_string())
-                .label("mig", mig.to_string());
-            tr.record_span(sb.end(t(cur + secs)));
+            tr.add_span("ninja", *name, t(cur), t(cur + secs))
+                .label_u64("job", job)
+                .label_u64("mig", mig);
             for vm in 0..2u64 {
                 // VM 1 finishes early, so VM 0 is always critical.
                 let end = cur + secs - vm.min(secs.saturating_sub(1));
-                tr.record_span(
-                    SpanBuilder::new("symvirt", *name, t(cur))
-                        .label("vm", format!("j{job}v{vm}"))
-                        .label("job", job.to_string())
-                        .label("mig", mig.to_string())
-                        .end(t(end)),
-                );
+                tr.add_span("symvirt", *name, t(cur), t(end))
+                    .label("vm", &format!("j{job}v{vm}"))
+                    .label_u64("job", job)
+                    .label_u64("mig", mig);
             }
             cur += secs;
         }
-        tr.record_span(
-            SpanBuilder::new("ninja", "ninja", t(start))
-                .label("job", job.to_string())
-                .label("mig", mig.to_string())
-                .end(t(cur)),
-        );
+        tr.add_span("ninja", "ninja", t(start), t(cur))
+            .label_u64("job", job)
+            .label_u64("mig", mig);
     }
 
     #[test]
@@ -973,7 +768,7 @@ mod tests {
     #[test]
     fn critical_paths_on_span_free_trace_is_empty() {
         let mut tr = Trace::new();
-        tr.info(t(1), "x", "tick", "");
+        tr.add_instant("x", "tick", t(1), TraceLevel::Info);
         assert!(tr.critical_paths(&["detach"]).is_empty());
         assert_eq!(
             spans_from_chrome(&crate::export::parse("{}").unwrap())
@@ -986,8 +781,9 @@ mod tests {
     #[test]
     fn render_contains_fields() {
         let mut tr = Trace::new();
-        tr.warn(t(1), "net.ib", "link.polling", "port 1");
-        tr.record_span(SpanBuilder::new("net.ib", "linkup", t(2)).end(t(30)));
+        tr.add_instant("net.ib", "link.polling", t(1), TraceLevel::Warn)
+            .label("detail", "port 1");
+        tr.add_span("net.ib", "linkup", t(2), t(30));
         let s = tr.render();
         assert!(s.contains("WARN"));
         assert!(s.contains("net.ib"));

@@ -5,10 +5,10 @@
 //! that need no escaping whole, so these tests pin what the fast paths
 //! must not change: a fixture line with every field set, and a
 //! round trip through the JSON parser of names, components, label keys
-//! and values, and record details full of characters that need escaping
+//! and values, and instant details full of characters that need escaping
 //! (or look as if they might).
 
-use ninja_sim::{parse, spans_from_chrome, SimDuration, SimTime, SpanBuilder, Trace, TraceLevel};
+use ninja_sim::{parse, spans_from_chrome, SimDuration, SimTime, Trace, TraceLevel};
 use std::fmt::{self, Write};
 
 fn at_us(us: u64) -> SimTime {
@@ -39,13 +39,8 @@ fn fixture_line_with_every_field_set() {
         .label_u64("job", 0)
         .label_u64("mig", 18_446_744_073_709_551_615)
         .label_u64("wire_bytes", 1_654_259_712);
-    tr.emit(
-        at_us(2_000_999),
-        TraceLevel::Warn,
-        "vmm",
-        "precopy.round",
-        "round 1",
-    );
+    tr.add_instant("vmm", "precopy.round", at_us(2_000_999), TraceLevel::Warn)
+        .label("detail", "round 1");
     let expected = concat!(
         r#"{"traceEvents":["#,
         r#"{"name":"migration","cat":"symvirt","ph":"X","ts":1500000,"dur":2250123,"#,
@@ -74,13 +69,12 @@ fn tricky_strings_round_trip_through_the_parser() {
     let mut tr = Trace::new();
     for (i, s) in TRICKY.iter().enumerate() {
         let start = at_us(i as u64 * 10);
-        tr.record_span(
-            SpanBuilder::new(s.to_string(), format!("name {s}"), start)
-                .label(s.to_string(), *s)
-                .label("plain", format!("{s}{s}"))
-                .end(start + SimDuration::from_micros(7)),
-        );
-        tr.emit(start, TraceLevel::Error, s.to_string(), s.to_string(), *s);
+        let end = start + SimDuration::from_micros(7);
+        tr.add_span(s.to_string(), format!("name {s}"), start, end)
+            .label(s.to_string(), s)
+            .label("plain", &format!("{s}{s}"));
+        tr.add_instant(s.to_string(), s.to_string(), start, TraceLevel::Warn)
+            .label("detail", s);
     }
     let doc = parse(&tr.to_chrome_json()).expect("the writer emits valid JSON");
 
@@ -100,13 +94,13 @@ fn tricky_strings_round_trip_through_the_parser() {
         .iter()
         .filter(|e| e["ph"].as_str() == Some("i"))
         .collect();
-    assert_eq!(instants.len(), tr.records().len());
-    for (r, e) in tr.records().iter().zip(instants) {
-        assert_eq!(e["name"].as_str(), Some(&*r.kind));
-        assert_eq!(e["cat"].as_str(), Some(&*r.component));
-        assert_eq!(e["tid"].as_str(), Some(&*r.component));
-        assert_eq!(e["args"]["level"].as_str(), Some("ERROR"));
-        assert_eq!(e["args"]["detail"].as_str(), Some(r.detail.as_str()));
+    assert_eq!(instants.len(), tr.instants().len());
+    for (r, e) in tr.instants().zip(instants) {
+        assert_eq!(e["name"].as_str(), Some(r.name()));
+        assert_eq!(e["cat"].as_str(), Some(r.component()));
+        assert_eq!(e["tid"].as_str(), Some(r.component()));
+        assert_eq!(e["args"]["level"].as_str(), Some("WARN"));
+        assert_eq!(e["args"]["detail"].as_str(), r.label("detail"));
     }
 }
 
@@ -132,7 +126,8 @@ fn large_traces_reach_the_sink_in_chunks_of_about_64_kib() {
         tr.add_span("symvirt", "migration", at_us(i), at_us(i + 5))
             .label("vm", "job0-vm0")
             .label_u64("job", i);
-        tr.info(at_us(i), "vmm", "precopy.round", "round");
+        tr.add_instant("vmm", "precopy.round", at_us(i), TraceLevel::Info)
+            .label("detail", "round");
     }
     let mut sink = Pieces::default();
     tr.write_chrome_json(&mut sink).unwrap();

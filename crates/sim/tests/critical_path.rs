@@ -4,9 +4,34 @@
 //! per-VM spans with colliding, missing and unparsable `job`/`mig`
 //! labels, VM spans without a `vm` label, and out-of-window starts.
 
-use ninja_sim::{critical_paths, MigrationPath, PhaseAttribution, SimRng, SimTime, Span, Trace};
+use ninja_sim::{
+    critical_paths, MigrationPath, PhaseAttribution, SimDuration, SimRng, SimTime, Trace,
+};
 
 const PHASES: [&str; 3] = ["detach", "migration", "attach"];
+
+/// One span of the soup, as the reference matcher sees it.
+#[derive(Debug, Clone)]
+struct Span {
+    component: &'static str,
+    name: &'static str,
+    start: SimTime,
+    end: SimTime,
+    labels: Vec<(&'static str, String)>,
+}
+
+impl Span {
+    fn duration(&self) -> SimDuration {
+        self.end.since(self.start)
+    }
+
+    fn label(&self, key: &str) -> Option<&str> {
+        self.labels
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.as_str())
+    }
+}
 
 fn span_key(s: &Span) -> (Option<u64>, Option<u64>) {
     let get = |k: &str| s.label(k).and_then(|v| v.parse().ok());
@@ -105,22 +130,22 @@ fn random_spans(rng: &mut SimRng, n: usize) -> Vec<Span> {
             let component = pick(rng, &["ninja", "ninja", "symvirt", "symvirt", "mpi"]);
             let name = pick(rng, &["ninja", "detach", "migration", "attach", "linkup"]);
             let start = SimTime::from_nanos(rng.below(40) * 1_000_000_000);
-            let end = start + ninja_sim::SimDuration::from_secs(rng.below(15));
+            let end = start + SimDuration::from_secs(rng.below(15));
             let mut labels = Vec::new();
             for key in ["job", "mig"] {
                 match rng.below(5) {
                     0 => {}
-                    1 => labels.push((key.into(), "x".to_string())),
-                    v => labels.push((key.into(), (v % 2).to_string())),
+                    1 => labels.push((key, "x".to_string())),
+                    v => labels.push((key, (v % 2).to_string())),
                 }
             }
             if rng.below(4) != 0 {
                 // Few VM names, so equal-duration ties break by name.
-                labels.push(("vm".into(), format!("vm{}", rng.below(3))));
+                labels.push(("vm", format!("vm{}", rng.below(3))));
             }
             Span {
-                component: component.into(),
-                name: name.into(),
+                component,
+                name,
                 start,
                 end,
                 labels,
@@ -143,7 +168,10 @@ fn indexed_matcher_equals_the_all_pairs_scan() {
         };
         let mut trace = Trace::new();
         for s in &spans {
-            trace.record_span(s.clone());
+            let mut labels = trace.add_span(s.component, s.name, s.start, s.end);
+            for (k, v) in &s.labels {
+                labels = labels.label(*k, v);
+            }
         }
         let got = critical_paths(&trace, phases);
         let want = critical_paths_reference(&spans, phases);

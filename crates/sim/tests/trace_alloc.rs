@@ -1,14 +1,16 @@
-//! Span recording allocates only when the trace's arrays grow.
+//! Span and instant recording allocates only when the trace's arrays
+//! grow.
 //!
 //! A counting global allocator wraps the system one for this test
 //! binary alone (the library crates stay `forbid(unsafe_code)`). The
 //! test records 10 000 spans in the shape one migration writes: five
 //! job-level phase spans, an envelope, and one per-VM span per phase,
-//! each labeled with `job`, `mig` and (per VM) the VM's name. Growing
-//! the three arrays by doubling costs a few dozen allocations in all;
+//! each labeled with `job`, `mig` and (per VM) the VM's name, plus one
+//! instant with its `level` and `detail` labels. Growing the two
+//! stores' arrays by doubling costs a few dozen allocations in all;
 //! anything per span would cost tens of thousands.
 
-use ninja_sim::{SimDuration, SimTime, Trace};
+use ninja_sim::{SimDuration, SimTime, Trace, TraceLevel};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -71,6 +73,9 @@ fn recording_spans_allocates_only_to_grow_the_arrays() {
                 .label_u64("job", job)
                 .label_u64("mig", 0);
         }
+        trace
+            .add_instant("alerts", "alert.fired", t(start + 5), TraceLevel::Warn)
+            .label("detail", vm);
         job += 1;
     }
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
@@ -87,5 +92,11 @@ fn recording_spans_allocates_only_to_grow_the_arrays() {
     assert_eq!(
         last.label("vm"),
         Some(vm_names[(job as usize - 1) % 8].as_str())
+    );
+    assert_eq!(trace.instants().len(), job as usize);
+    let labels: Vec<_> = trace.instants().last().unwrap().labels().collect();
+    assert_eq!(
+        labels,
+        [("level", "WARN"), ("detail", last.label("vm").unwrap())]
     );
 }

@@ -15,7 +15,7 @@
 //!   the ablation benches compare both.
 
 use crate::memory::GuestMemory;
-use ninja_sim::{Bandwidth, Bytes, SimDuration, SimTime, Span, SpanBuilder};
+use ninja_sim::{Bandwidth, Bytes, SimDuration};
 
 /// Tunables of the migration engine.
 #[derive(Debug, Clone)]
@@ -100,17 +100,6 @@ impl PrecopyPlan {
     /// Returns the round count.
     pub fn round_count(&self) -> usize {
         self.rounds.len()
-    }
-
-    /// The executed plan as a typed telemetry span (component `vmm`,
-    /// name `precopy`) starting at `started`, labeled with the round
-    /// count, wire bytes and convergence outcome.
-    pub fn to_span(&self, started: SimTime) -> Span {
-        SpanBuilder::new("vmm", "precopy", started)
-            .label("rounds", self.round_count().to_string())
-            .label("wire_bytes", self.wire_bytes().get().to_string())
-            .label("converged", self.converged.to_string())
-            .end(started + self.duration())
     }
 }
 
@@ -312,24 +301,6 @@ mod tests {
         let cfgd = MigrationConfig::default();
         let scan = cfgd.page_scan_rate.transfer_time(mem.total());
         assert!(rdma >= scan);
-    }
-
-    #[test]
-    fn plan_exports_as_span() {
-        let mem = vm_mem(4, 0.0, 0.0);
-        let plan = plan_precopy(&mem, false, link(), &MigrationConfig::default());
-        let t0 = SimTime::from_nanos(1_000);
-        let span = plan.to_span(t0);
-        assert_eq!(span.component, "vmm");
-        assert_eq!(span.name, "precopy");
-        assert_eq!(span.start, t0);
-        assert_eq!(span.end, t0 + plan.duration());
-        assert_eq!(span.label("rounds"), Some("1"));
-        assert_eq!(span.label("converged"), Some("true"));
-        assert_eq!(
-            span.label("wire_bytes"),
-            Some(plan.wire_bytes().get().to_string().as_str())
-        );
     }
 
     #[test]

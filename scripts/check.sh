@@ -49,7 +49,7 @@ fi
 cargo run -q -p ninja-fleet --bin ninja -- \
     trace critical-path "$smoke_dir/fleet-trace.json" \
     > "$smoke_dir/critical-path.txt"
-grep -q 'per-phase breakdown' "$smoke_dir/critical-path.txt"
+grep -q '^64 migration(s), .* per-phase breakdown' "$smoke_dir/critical-path.txt"
 
 echo "== perfbench smoke =="
 # Mirrors the CI perfbench-smoke job: a short traced run of the
@@ -86,6 +86,20 @@ for seed in 1 2; do
         --trace-out "$smoke_dir/identity-trace.json" > "$smoke_dir/traced.json" 2> /dev/null
     cmp "$smoke_dir/plain.json" "$smoke_dir/traced.json"
 done
+
+# A trace file whose timestamps overflow nanoseconds is read past, not
+# wrapped into a bogus migration row (release builds do not trap the
+# overflow).
+printf '{"traceEvents":[{"name":"ninja","cat":"ninja","ph":"X","ts":20000000000000000,"dur":1,"pid":1,"tid":"ninja","args":{"job":"0","mig":"0"}}]}' \
+    > "$smoke_dir/out-of-range-trace.json"
+"${CARGO_TARGET_DIR:-.bench_build}/release/ninja" trace critical-path \
+    "$smoke_dir/out-of-range-trace.json" > "$smoke_dir/out-of-range.txt" \
+    2> "$smoke_dir/out-of-range.stderr"
+if [ "$(wc -l < "$smoke_dir/out-of-range.txt")" -ne 1 ] || grep -q panicked "$smoke_dir/out-of-range.stderr"; then
+    echo "an out-of-range trace event was not skipped"
+    cat "$smoke_dir/out-of-range.txt" "$smoke_dir/out-of-range.stderr"
+    exit 1
+fi
 
 # A fleet past the IB fabric's 65 534 LIDs is a usage error, not a panic.
 status=0

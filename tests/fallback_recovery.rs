@@ -214,7 +214,7 @@ fn trace_phase_markers_cover_every_migration() {
             "trace has a complete {phase} span"
         );
     }
-    assert!(!w.trace.has_errors());
+    assert!(w.trace.instants().all(|i| i.label("level") == Some("INFO")));
 }
 
 #[test]
@@ -248,8 +248,8 @@ fn every_vm_gets_a_span_per_phase() {
 #[test]
 fn all_spans_are_well_formed_and_round_trip() {
     // Every span a roundtrip emits is well-formed (end >= start,
-    // within the run window) and survives the JSONL export/parse
-    // round-trip byte-for-value.
+    // within the run window) and survives the Chrome trace
+    // export/parse round trip.
     let mut w = World::agc(14);
     let vms = w.boot_ib_vms(2);
     let mut rt = w.start_job(vms, 1);
@@ -273,14 +273,7 @@ fn all_spans_are_well_formed_and_round_trip() {
             s.name()
         );
     }
-    let jsonl = w.trace.to_jsonl();
-    let mut parsed_spans = 0usize;
-    for line in jsonl.lines() {
-        let v = ninja_sim::parse(line).expect("every JSONL line parses");
-        if v["type"].as_str() == Some("span") {
-            parsed_spans += 1;
-            assert!(v["end_ns"].as_u64() >= v["start_ns"].as_u64());
-        }
-    }
-    assert_eq!(parsed_spans, w.trace.all_spans().len());
+    let doc = ninja_sim::parse(&w.trace.to_chrome_json()).expect("the trace parses");
+    let back = ninja_sim::spans_from_chrome(&doc);
+    assert_eq!(back.all_spans().len(), w.trace.all_spans().len());
 }
