@@ -24,7 +24,7 @@ use ninja_bench::{claim, finish, render_table};
 use ninja_fleet::{
     build_scaled, run_fleet, run_fleet_reference, FleetConfig, ScenarioKind, ScenarioSpec,
 };
-use ninja_sim::export::render;
+use ninja_sim::export::overwrite_file;
 use ninja_sim::{parse, Json, JsonWriter, SimDuration, Trace, WriteJson};
 use ninja_symvirt::GuestCooperative;
 use std::time::Instant;
@@ -111,7 +111,7 @@ fn append_bench(mode: &str, rows: &[Row]) {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let doc = render(0, |out| {
+    let written = overwrite_file(&path, |out| {
         let mut w = JsonWriter::pretty(out);
         w.begin_array()?;
         for run in &runs {
@@ -125,7 +125,7 @@ fn append_bench(mode: &str, rows: &[Row]) {
         w.end_object()?;
         w.end_array()
     });
-    match std::fs::write(&path, doc) {
+    match written {
         Ok(()) => println!("(appended to {path})"),
         Err(e) => eprintln!("warning: could not write {path}: {e}"),
     }

@@ -25,12 +25,12 @@
 use ninja_bench::{claim, finish, render_table};
 use ninja_fleet::{build_auto, run_fleet, FleetConfig, ScenarioKind, ScenarioSpec};
 use ninja_sim::alerts::{default_rules, parse_rules};
-use ninja_sim::export::stream_to;
-use ninja_sim::{parse, AlertEngine, Json, JsonWriter, SimDuration, TimeSeriesRecorder, WriteJson};
+use ninja_sim::export::overwrite_file;
+use ninja_sim::{
+    parse, AlertEngine, Json, JsonWriter, SimDuration, TimeSeriesRecorder, Trace, WriteJson,
+};
 use ninja_symvirt::GuestCooperative;
 use std::fmt::{self, Write as _};
-use std::fs::File;
-use std::io::BufWriter;
 use std::path::Path;
 use std::process::{exit, Command};
 use std::time::Instant;
@@ -107,8 +107,7 @@ fn peak_rss_mib() -> f64 {
 /// Writes one exporter's output to `path`, or exits: a lost output
 /// would make the row meaningless.
 fn write_out(path: &Path, export: impl FnOnce(&mut dyn fmt::Write) -> fmt::Result) {
-    let written = File::create(path).and_then(|f| stream_to(BufWriter::new(f), |w| export(w)));
-    if let Err(e) = written {
+    if let Err(e) = overwrite_file(path, |w| export(w)) {
         eprintln!("could not write {}: {e}", path.display());
         exit(1);
     }
@@ -127,7 +126,7 @@ fn child(jobs_n: usize, concurrency: usize, on: bool, dir: &Path) {
         arrival: SimDuration::from_secs(30),
         seed: 2013,
     };
-    let mut s = build_auto(&spec).expect("scenario fits");
+    let mut s = build_auto(&spec, Trace::new()).expect("scenario fits");
     if on {
         let rules = parse_rules(default_rules()).expect("default rules parse");
         let rec = TimeSeriesRecorder::new(SimDuration::from_secs(30))
@@ -230,17 +229,15 @@ fn append_bench(record: &Record<'_>) {
         .and_then(|s| parse(&s).ok())
         .and_then(|j| j.as_array().map(<[Json]>::to_vec))
         .unwrap_or_default();
-    let written = File::create(path).and_then(|f| {
-        stream_to(BufWriter::new(f), |out| {
-            let mut w = JsonWriter::pretty(out);
-            w.begin_array()?;
-            for run in &old {
-                run.write_json(&mut w)?;
-            }
-            record.write_json(&mut w)?;
-            w.end_array()?;
-            out.write_char('\n')
-        })
+    let written = overwrite_file(path, |out| {
+        let mut w = JsonWriter::pretty(out);
+        w.begin_array()?;
+        for run in &old {
+            run.write_json(&mut w)?;
+        }
+        record.write_json(&mut w)?;
+        w.end_array()?;
+        out.write_char('\n')
     });
     match written {
         Ok(()) => println!("(appended to {path})"),

@@ -96,7 +96,10 @@ pub fn write_json<T: WriteJson + ?Sized>(name: &str, value: &T) {
         "."
     };
     let path = format!("{dir}/{name}.json");
-    if let Err(e) = std::fs::write(&path, value.to_json_pretty()) {
+    let written = ninja_sim::export::overwrite_file(&path, |out| {
+        value.write_json(&mut JsonWriter::pretty(out))
+    });
+    if let Err(e) = written {
         eprintln!("warning: could not write {path}: {e}");
     } else {
         println!("(wrote {path})");

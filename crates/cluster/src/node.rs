@@ -6,7 +6,6 @@
 //! workload models can compute the CPU over-commit factor (the source of
 //! the "2 hosts (TCP)" slowdown in Fig. 8).
 
-use crate::pci::DeviceId;
 use ninja_net::SharedLink;
 use ninja_sim::{Bandwidth, Bytes};
 
@@ -47,8 +46,6 @@ pub struct Node {
     pub spec: NodeSpec,
     /// Cluster this node belongs to (set by the topology builder).
     pub cluster: u32,
-    /// Devices physically present (host pool + passed-through).
-    pub devices: Vec<DeviceId>,
     /// The node's Ethernet link, shared by migration traffic.
     pub eth_link: SharedLink,
     committed_vcpus: u32,
@@ -64,7 +61,6 @@ impl Node {
             hostname: hostname.into(),
             spec,
             cluster,
-            devices: Vec::new(),
             eth_link,
             committed_vcpus: 0,
             committed_memory: Bytes::ZERO,

@@ -6,7 +6,6 @@
 //! (`'tag': 'vf0'`).
 
 use ninja_net::{EthKind, EthNic, IbHca};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a device in the [`DeviceTable`].
@@ -75,7 +74,7 @@ impl DeviceKind {
 }
 
 /// Where a device currently lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Attachment {
     /// In the host's free pool on node `node` (not assigned to any VM).
     /// Host.
@@ -118,14 +117,19 @@ impl PciDevice {
 
 /// Flat arena of all devices in the data center.
 ///
-/// Lookups go through an index from [`Attachment`] to the ids attached
-/// there, each list sorted ascending: a lookup touches only the devices
-/// on one node or VM, and its first match is the lowest id — the device
-/// a scan of the whole table in id order would find.
+/// Lookups go through a dense index of the ids attached at each place
+/// (one list per node, one per VM, one for detached devices), each list
+/// sorted ascending: a lookup touches only the devices on one node or
+/// VM, and its first match is the lowest id — the device a scan of the
+/// whole table in id order would find.
 #[derive(Debug, Default)]
 pub struct DeviceTable {
     devices: Vec<PciDevice>,
-    by_attachment: HashMap<Attachment, Vec<DeviceId>>,
+    /// `host[node]`: the node's free pool.
+    host: Vec<Vec<DeviceId>>,
+    /// `guest[vm]`: the devices passed through to the VM.
+    guest: Vec<Vec<DeviceId>>,
+    detached: Vec<DeviceId>,
 }
 
 impl DeviceTable {
@@ -151,7 +155,7 @@ impl DeviceTable {
             attachment,
         });
         // The new id is the largest, so pushing keeps the list sorted.
-        self.by_attachment.entry(attachment).or_default().push(id);
+        self.list_mut(attachment).push(id);
         id
     }
 
@@ -162,26 +166,40 @@ impl DeviceTable {
         if old == attachment {
             return;
         }
-        let ids = self
-            .by_attachment
-            .get_mut(&old)
-            .expect("indexed under its attachment");
+        // An emptied list stays, keeping its capacity for the next
+        // device to land there.
+        let ids = self.list_mut(old);
         let at = ids
             .binary_search(&id)
             .expect("indexed under its attachment");
-        // An emptied list stays, keeping its capacity for the next
-        // device to land there; the keys are bounded by nodes + VMs.
         ids.remove(at);
-        let ids = self.by_attachment.entry(attachment).or_default();
+        let ids = self.list_mut(attachment);
         let at = ids.binary_search(&id).expect_err("not yet indexed here");
         ids.insert(at, id);
     }
 
+    /// The id list for `attachment`, grown to cover its node or VM.
+    fn list_mut(&mut self, attachment: Attachment) -> &mut Vec<DeviceId> {
+        let (lists, i) = match attachment {
+            Attachment::Host { node } => (&mut self.host, node),
+            Attachment::Guest { vm } => (&mut self.guest, vm),
+            Attachment::Detached => return &mut self.detached,
+        };
+        let i = i as usize;
+        if lists.len() <= i {
+            lists.resize_with(i + 1, Vec::new);
+        }
+        &mut lists[i]
+    }
+
     /// Ids attached at `attachment`, ascending.
     fn attached(&self, attachment: Attachment) -> &[DeviceId] {
-        self.by_attachment
-            .get(&attachment)
-            .map_or(&[], Vec::as_slice)
+        let (lists, i) = match attachment {
+            Attachment::Host { node } => (&self.host, node),
+            Attachment::Guest { vm } => (&self.guest, vm),
+            Attachment::Detached => return &self.detached,
+        };
+        lists.get(i as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Borrow the entry by id.
@@ -345,6 +363,60 @@ mod tests {
         t.set_attachment(ids[0], Attachment::Detached);
         assert_eq!(t.find_by_tag_on_vm(9, "vf0"), Some(ids[1]));
         assert_eq!(t.get(ids[0]).attachment(), Attachment::Detached);
+    }
+
+    /// Random inserts and moves across host pools, guests and detached,
+    /// with repeated tags and both classes on one node: every indexed
+    /// lookup agrees with a scan of the whole table in id order.
+    #[test]
+    fn seeded_churn_matches_a_full_scan() {
+        let mut rng = ninja_sim::SimRng::new(0x9c1);
+        let mut t = DeviceTable::new();
+        let place = |rng: &mut ninja_sim::SimRng| match rng.below(3) {
+            0 => Attachment::Host {
+                node: rng.below(6) as u32,
+            },
+            1 => Attachment::Guest {
+                vm: rng.below(6) as u32,
+            },
+            _ => Attachment::Detached,
+        };
+        for step in 0..2_000u32 {
+            if t.is_empty() || rng.below(4) == 0 {
+                let kind = if rng.chance(0.5) {
+                    ib_hca(u64::from(step))
+                } else {
+                    virtio_nic(u64::from(step))
+                };
+                let at = place(&mut rng);
+                let tag = format!("vf{}", rng.below(3));
+                t.insert(PciAddr::new(4, 0, 0), tag, kind, at);
+            } else {
+                let id = DeviceId(rng.below(t.len() as u64) as u32);
+                let at = place(&mut rng);
+                t.set_attachment(id, at);
+                assert_eq!(t.get(id).attachment(), at);
+            }
+            for x in 0..7u32 {
+                for class in [DeviceClass::IbHca, DeviceClass::EthNic] {
+                    let scan = t
+                        .iter()
+                        .find(|d| {
+                            d.kind.class() == class
+                                && d.attachment() == Attachment::Host { node: x }
+                        })
+                        .map(|d| d.id);
+                    assert_eq!(t.find_free_on_node(x, class), scan, "step {step}");
+                }
+                for tag in ["vf0", "vf1", "vf2"] {
+                    let scan = t
+                        .iter()
+                        .find(|d| d.tag == tag && d.attachment() == Attachment::Guest { vm: x })
+                        .map(|d| d.id);
+                    assert_eq!(t.find_by_tag_on_vm(x, tag), scan, "step {step}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -307,16 +307,15 @@ impl DataCenterBuilder {
         for i in 0..count {
             let nid = NodeId(self.nodes.len() as u32);
             let hostname = format!("{name}-{i:02}");
-            let mut node = Node::new(nid, hostname, spec.clone(), cid.0);
+            let node = Node::new(nid, hostname, spec.clone(), cid.0);
             if fabric == FabricKind::Infiniband {
                 self.guid_counter += 1;
-                let dev = self.devices.insert(
+                self.devices.insert(
                     PciAddr::new(4, 0, 0),
                     format!("hca-{}", nid.0),
                     ib_hca(0x0002_c903_0000_0000 | self.guid_counter),
                     Attachment::Host { node: nid.0 },
                 );
-                node.devices.push(dev);
             }
             node_ids.push(nid);
             self.nodes.push(node);

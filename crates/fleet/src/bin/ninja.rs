@@ -82,7 +82,7 @@ use ninja_migration::{
     plan_evacuation, CloudScheduler, NinjaOrchestrator, NinjaReport, TriggerReason, World,
     PHASE_NAMES,
 };
-use ninja_sim::export::{stream_to, IoSink};
+use ninja_sim::export::{overwrite_file, stream_to, IoSink};
 use ninja_sim::{
     AlertEngine, Bandwidth, Json, JsonWriter, SimDuration, TimeSeriesRecorder, Trace, WriteJson,
 };
@@ -91,6 +91,7 @@ use ninja_vmm::SnapshotStore;
 use std::fmt::{self, Write};
 use std::fs::File;
 use std::io::{self, BufWriter, StdoutLock};
+use std::mem;
 use std::process::exit;
 
 struct Args {
@@ -164,11 +165,17 @@ impl Args {
     /// Nothing else reads the trace, so without those flags it is
     /// disabled and the run skips recording it.
     fn setup_trace(&self, trace: &mut Trace) {
-        if self.trace_out.is_some() || self.trace || self.trace_cap.is_some() {
+        if self.traced() {
             trace.set_capacity(self.trace_cap);
         } else {
             *trace = Trace::disabled();
         }
+    }
+
+    /// Whether a flag reads the trace: `--trace-out`, `--trace` or
+    /// `--trace-cap`.
+    fn traced(&self) -> bool {
+        self.trace_out.is_some() || self.trace || self.trace_cap.is_some()
     }
 
     /// The flight recorder the flags describe, or `None` when no
@@ -390,8 +397,15 @@ fn fleet_cmd(args: &Args, kind: ScenarioKind, jobs: usize, faults: FaultPlan, wh
         seed: args.seed,
     };
     // Fleets beyond the 8-node paper testbed run on a synthetic cluster
-    // sized to fit.
-    let mut s = build_auto(&spec).unwrap_or_else(|e| {
+    // sized to fit. An untraced run records nothing from the first boot
+    // on; a traced one gets its ring cap after the build, so the boot's
+    // records are evicted like the run's.
+    let trace = if args.traced() {
+        Trace::new()
+    } else {
+        Trace::disabled()
+    };
+    let mut s = build_auto(&spec, trace).unwrap_or_else(|e| {
         eprintln!("{e}");
         exit(2)
     });
@@ -422,17 +436,20 @@ fn fleet_cmd(args: &Args, kind: ScenarioKind, jobs: usize, faults: FaultPlan, wh
         s.world.record_wire_metrics(job);
     }
     print_json_or_text(args.json, &report);
+    // `main` exits without teardown once the outputs are written;
+    // freeing the jobs and the report here would only cost time.
+    mem::forget((report, s.jobs));
     s.world
 }
 
-/// Streams one exporter straight into `path` through a buffered writer.
+/// Streams one exporter straight into `path` through a buffered writer,
+/// overwriting an existing file in place.
 fn write_file(
     what: &str,
     path: &str,
-    export: impl FnOnce(&mut IoSink<BufWriter<File>>) -> std::fmt::Result,
+    export: impl FnOnce(&mut IoSink<BufWriter<&File>>) -> std::fmt::Result,
 ) {
-    let written = File::create(path).and_then(|f| stream_to(BufWriter::new(f), export));
-    match written {
+    match overwrite_file(path, export) {
         Ok(()) => eprintln!("(wrote {what} to {path})"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
@@ -867,6 +884,9 @@ fn main() {
             });
         }
     }
+    // Every output is flushed: end the process without dropping the
+    // world (its trace, registry and data center are freed by the OS).
+    exit(0)
 }
 
 /// Minimal inline reimplementation of the workload memory-profile

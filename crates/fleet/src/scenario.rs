@@ -20,7 +20,7 @@ use ninja_cluster::{DataCenterBuilder, FabricKind, NodeId, NodeSpec, StorageId};
 use ninja_migration::{CloudScheduler, TriggerReason, World};
 use ninja_mpi::MpiRuntime;
 use ninja_net::IbFabric;
-use ninja_sim::SimDuration;
+use ninja_sim::{SimDuration, Trace};
 use ninja_vmm::{VmId, VmSpec};
 use std::fmt;
 
@@ -165,6 +165,12 @@ pub fn build_scaled(
     nodes_per_cluster: usize,
 ) -> Result<Scenario, ScenarioError> {
     check_fit(spec, nodes_per_cluster)?;
+    Ok(build_in(spec, scaled_world(spec.seed, nodes_per_cluster)))
+}
+
+/// A world over `nodes_per_cluster` AGC-blade nodes on an IB and an
+/// Ethernet cluster that share one image store.
+fn scaled_world(seed: u64, nodes_per_cluster: usize) -> World {
     let mut b = DataCenterBuilder::new();
     let ib = b.add_cluster(
         "scale-ib",
@@ -179,10 +185,7 @@ pub fn build_scaled(
         NodeSpec::agc_blade(),
     );
     b.shared_storage("vm-images", &[ib, eth]);
-    Ok(build_in(
-        spec,
-        World::from_parts(b.build(), ib, eth, spec.seed),
-    ))
+    World::from_parts(b.build(), ib, eth, seed)
 }
 
 /// Build `spec` on the paper's 8-node AGC testbed when it fits, or on
@@ -190,18 +193,25 @@ pub fn build_scaled(
 /// Fleets that fit the testbed build byte-identically to [`build`].
 /// Fails only on an empty fleet or one that needs more InfiniBand LIDs
 /// than the fabric hands out.
-pub fn build_auto(spec: &ScenarioSpec) -> Result<Scenario, ScenarioError> {
+///
+/// The world records into `trace` from the first boot on: pass
+/// `Trace::new()` for what [`build`] records, or `Trace::disabled()`
+/// when nothing will read the trace, so the boot records none.
+pub fn build_auto(spec: &ScenarioSpec, trace: Trace) -> Result<Scenario, ScenarioError> {
     let total = spec.jobs * spec.vms_per_job;
     let need = if spec.kind == ScenarioKind::Failover {
         2 * total
     } else {
         total
     };
-    if need <= 8 {
-        build(spec)
+    check_fit(spec, need.max(8))?;
+    let mut world = if need <= 8 {
+        World::agc(spec.seed)
     } else {
-        build_scaled(spec, need)
-    }
+        scaled_world(spec.seed, need)
+    };
+    world.trace = trace;
+    Ok(build_in(spec, world))
 }
 
 fn check_fit(spec: &ScenarioSpec, nodes: usize) -> Result<(), ScenarioError> {
@@ -428,10 +438,13 @@ mod tests {
 
     #[test]
     fn empty_fleet_rejected() {
-        let err = build_auto(&ScenarioSpec {
-            jobs: 0,
-            ..spec(ScenarioKind::Evacuation)
-        })
+        let err = build_auto(
+            &ScenarioSpec {
+                jobs: 0,
+                ..spec(ScenarioKind::Evacuation)
+            },
+            Trace::new(),
+        )
         .err()
         .expect("no jobs");
         assert_eq!(err, ScenarioError::NoJobs);
@@ -469,11 +482,14 @@ mod tests {
     #[test]
     fn evacuation_past_the_lid_space_is_rejected() {
         assert_eq!(fit_lids(ScenarioKind::Evacuation, 65_534), Ok(()));
-        let err = build_auto(&ScenarioSpec {
-            jobs: 65_535,
-            vms_per_job: 1,
-            ..spec(ScenarioKind::Evacuation)
-        })
+        let err = build_auto(
+            &ScenarioSpec {
+                jobs: 65_535,
+                vms_per_job: 1,
+                ..spec(ScenarioKind::Evacuation)
+            },
+            Trace::new(),
+        )
         .err()
         .expect("one boot LID per VM");
         assert_eq!(
@@ -539,29 +555,49 @@ mod tests {
 
     #[test]
     fn build_auto_scales_past_the_testbed_with_tracing_on() {
-        let small = build_auto(&spec(ScenarioKind::Evacuation)).unwrap();
+        let small = build_auto(&spec(ScenarioKind::Evacuation), Trace::new()).unwrap();
         assert!(small.world.trace.is_enabled());
         assert_eq!(small.jobs.len(), 4);
-        let big = build_auto(&ScenarioSpec {
-            jobs: 16,
-            vms_per_job: 1,
-            ..spec(ScenarioKind::Evacuation)
-        })
+        let big = build_auto(
+            &ScenarioSpec {
+                jobs: 16,
+                vms_per_job: 1,
+                ..spec(ScenarioKind::Evacuation)
+            },
+            Trace::new(),
+        )
         .unwrap();
         assert_eq!(big.jobs.len(), 16);
         assert!(
             big.world.trace.is_enabled(),
             "auto-scaled worlds keep their spans for the flight recorder"
         );
-        let failover = build_auto(&ScenarioSpec {
-            kind: ScenarioKind::Failover,
-            jobs: 8,
-            vms_per_job: 1,
-            arrival: SimDuration::from_secs(30),
-            seed: 7,
-        })
+        let failover = build_auto(
+            &ScenarioSpec {
+                kind: ScenarioKind::Failover,
+                jobs: 8,
+                vms_per_job: 1,
+                arrival: SimDuration::from_secs(30),
+                seed: 7,
+            },
+            Trace::new(),
+        )
         .unwrap();
         assert_eq!(failover.jobs.len(), 8, "failover doubles the node need");
+    }
+
+    #[test]
+    fn an_untraced_build_records_nothing_and_boots_the_same() {
+        let traced = build_auto(&spec(ScenarioKind::Evacuation), Trace::new()).unwrap();
+        let plain = build_auto(&spec(ScenarioKind::Evacuation), Trace::disabled()).unwrap();
+        assert!(
+            traced.world.trace.instants().len() >= 4,
+            "one launch per job"
+        );
+        assert!(!plain.world.trace.is_enabled());
+        assert_eq!(plain.world.trace.instants().len(), 0);
+        assert_eq!(plain.world.clock(), traced.world.clock());
+        assert_eq!(plain.scheduler.len(), traced.scheduler.len());
     }
 
     #[test]

@@ -773,3 +773,55 @@ fn trace_cap_alone_still_counts_dropped_records() {
         .unwrap();
     assert!(dropped > 0.0, "{prom}");
 }
+
+/// Output files are rewritten in place: a small run over a large run's
+/// files must leave exactly what a fresh directory gets, with no tail
+/// of the old contents.
+#[test]
+fn rewriting_outputs_in_place_leaves_no_stale_tail() {
+    let root = std::env::temp_dir().join("ninja-cli-test");
+    let (reused, fresh) = (root.join("rewrite-reused"), root.join("rewrite-fresh"));
+    for dir in [&reused, &fresh] {
+        let _ = std::fs::remove_dir_all(dir);
+        std::fs::create_dir_all(dir).unwrap();
+    }
+    let files = ["trace.json", "metrics.prom", "series.jsonl"];
+    let run = |dir: &std::path::Path, jobs: &str| {
+        let path = |f: &str| dir.join(f).to_str().unwrap().to_string();
+        let out = ninja()
+            .args(["fleet", "--jobs", jobs, "--concurrency", "4", "--json"])
+            .args(["--trace-out", &path(files[0])])
+            .args(["--metrics-out", &path(files[1])])
+            .args(["--timeseries-out", &path(files[2])])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        files.map(|f| std::fs::read(dir.join(f)).unwrap())
+    };
+    let big = run(&reused, "64");
+    let rewritten = run(&reused, "4");
+    let expected = run(&fresh, "4");
+    for ((f, old), (new, want)) in files.iter().zip(&big).zip(rewritten.iter().zip(&expected)) {
+        assert!(old.len() > want.len(), "{f}: the first run writes more");
+        assert!(new == want, "{f}: rewrite differs from a fresh write");
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn metrics_to_dev_null_succeeds() {
+    let out = ninja()
+        .args(["fleet", "--jobs", "4", "--metrics-out", "/dev/null"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("could not write"));
+}

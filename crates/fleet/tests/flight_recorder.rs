@@ -7,7 +7,7 @@ use ninja_fleet::{
     ScenarioSpec,
 };
 use ninja_migration::{World, PHASE_NAMES};
-use ninja_sim::{alerts, AlertEngine, SimDuration, TimeSeriesRecorder, WriteJson};
+use ninja_sim::{alerts, AlertEngine, SimDuration, TimeSeriesRecorder, Trace, WriteJson};
 use ninja_symvirt::{FaultPlan, GuestCooperative};
 
 fn spec(kind: ScenarioKind, jobs: usize, seed: u64) -> ScenarioSpec {
@@ -30,7 +30,7 @@ fn run_recorded(
     rules: Option<&str>,
     reference: bool,
 ) -> (World, FleetReport) {
-    let mut s = build_auto(&spec(kind, jobs, seed)).expect("scenario fits");
+    let mut s = build_auto(&spec(kind, jobs, seed), Trace::new()).expect("scenario fits");
     if let Some(fs) = fault_seed {
         s.world.faults = FaultPlan::random(fs, jobs);
     }

@@ -7,7 +7,7 @@
 use ninja_fleet::{build_auto, run_fleet, FleetConfig, FleetReport, ScenarioKind, ScenarioSpec};
 use ninja_migration::World;
 use ninja_sim::{
-    alerts, parse, spans_from_chrome, AlertEngine, Bytes, SimDuration, TimeSeriesRecorder,
+    alerts, parse, spans_from_chrome, AlertEngine, Bytes, SimDuration, TimeSeriesRecorder, Trace,
 };
 use ninja_symvirt::{FaultPlan, GuestCooperative};
 use std::collections::BTreeMap;
@@ -28,7 +28,7 @@ fn run(
         arrival: SimDuration::from_secs(20),
         seed: 7,
     };
-    let mut s = build_auto(&spec).expect("scenario fits");
+    let mut s = build_auto(&spec, Trace::new()).expect("scenario fits");
     // A different footprint per VM of a job, so each VM moves its own
     // number of bytes and a label on the wrong VM shows in the sums.
     for rt in &s.jobs {

@@ -12,11 +12,14 @@
 //! `trace summarize` subcommand and by tests that round-trip output.
 //!
 //! The telemetry exporters stream: they write into any `fmt::Write`
-//! ([`render`] for a `String`, [`stream_to`] for a file) with the
-//! helpers below instead of building a [`Json`] tree per record.
+//! ([`render`] for a `String`, [`stream_to`] for an `io::Write` sink,
+//! [`overwrite_file`] for a file path) with the helpers below instead
+//! of building a [`Json`] tree per record.
 
 use std::fmt::{self, Write};
-use std::io;
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufWriter, Seek};
+use std::path::Path;
 
 /// A JSON value.
 ///
@@ -630,6 +633,41 @@ pub fn stream_to<W: io::Write>(
     }
 }
 
+/// Streams `export` into the file at `path` through a buffered writer,
+/// overwriting the file in place: it is opened without truncation,
+/// written from the start, and then cut to the length just written.
+/// The result has exactly the exported bytes and keeps its inode, and
+/// rewriting a file costs no truncation of its old blocks first.
+///
+/// Only a regular file is cut to length. A FIFO or a device
+/// (`/dev/null`, `/dev/stdout` on a pipe) is written as
+/// [`File::create`] would write it.
+///
+/// If the export or a write fails, the file is cut to the bytes that
+/// reached it (best effort) and the first error is returned, so no
+/// tail of the old contents survives. A process killed mid-write
+/// leaves the new prefix over the old tail instead.
+pub fn overwrite_file(
+    path: impl AsRef<Path>,
+    export: impl FnOnce(&mut IoSink<BufWriter<&File>>) -> fmt::Result,
+) -> io::Result<()> {
+    let file = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)?;
+    // On an error the dropped `BufWriter` makes a last attempt to
+    // write what it still buffers; the cut happens after it.
+    let written = stream_to(BufWriter::new(&file), export);
+    if file.metadata().is_ok_and(|m| m.is_file()) {
+        let cut = (&file).stream_position().and_then(|end| file.set_len(end));
+        if written.is_ok() {
+            cut?;
+        }
+    }
+    written
+}
+
 impl fmt::Display for Json {
     /// Compact serialization (`.to_string()` is the compact form),
     /// written straight into the formatter.
@@ -979,6 +1017,54 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn scratch_file(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("ninja-export-{}-{name}", std::process::id()))
+    }
+
+    #[test]
+    fn overwrite_in_place_leaves_no_stale_tail() {
+        let path = scratch_file("shrink.txt");
+        std::fs::write(&path, "x".repeat(100_000)).unwrap();
+        #[cfg(unix)]
+        let inode = |p: &Path| std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(p).unwrap());
+        #[cfg(unix)]
+        let before = inode(&path);
+        overwrite_file(&path, |out| out.write_str("short")).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "short");
+        #[cfg(unix)]
+        assert_eq!(inode(&path), before, "rewritten in place");
+        // Growing works too.
+        let long = "y".repeat(50_000);
+        overwrite_file(&path, |out| out.write_str(&long)).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), long);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_failed_export_keeps_only_the_bytes_it_wrote() {
+        let path = scratch_file("failed.txt");
+        std::fs::write(&path, "old ".repeat(100_000)).unwrap();
+        // More than the writer's buffer reaches the file before the
+        // error, and a buffered remainder follows it.
+        let new = "n".repeat(20_000);
+        let err = overwrite_file(&path, |out| {
+            out.write_str(&new)?;
+            Err(fmt::Error)
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "exporter failed");
+        let left = std::fs::read_to_string(&path).unwrap();
+        assert!(!left.contains("old"), "no tail of the old file remains");
+        assert!(new.starts_with(&left));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn overwrite_writes_devices_as_before() {
+        overwrite_file("/dev/null", |out| out.write_str("discarded")).unwrap();
+    }
 
     #[test]
     fn escapes_quotes_backslashes_and_controls() {

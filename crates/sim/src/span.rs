@@ -19,41 +19,128 @@
 //!   rather than mangled names.
 //!
 //! A [`Trace`](crate::Trace) stores spans in three flat arrays (a
-//! `SpanStore`): fixed-size span heads, label keys with the end offset
-//! of their value, and one shared label-text `String` that integer
-//! values and names are written straight into. Recording a span
+//! `SpanStore`): 32-byte span heads, 8-byte label keys with the end
+//! offset of their value, and one shared label-text `String` that
+//! integer values and names are written straight into. Recording a span
 //! therefore allocates only when one of the arrays grows. Readers get
 //! borrowed [`SpanRef`]s.
 //!
-//! Component, name and label keys are `Cow<'static, str>`: the static
-//! names producers use cost no allocation, while spans rebuilt from an
-//! exported file ([`spans_from_chrome`](crate::spans_from_chrome)) own
-//! their strings.
+//! Components, names and label keys are interned in a per-store name
+//! table; heads and keys hold 32-bit ids into it. The `&'static str`
+//! names producers pass are looked up by address, so recording one
+//! costs no string comparison. The owned strings of spans rebuilt from
+//! an exported file ([`spans_from_chrome`](crate::spans_from_chrome))
+//! are looked up by content. Either way one text gets one id.
 
 use crate::export::push_u64;
 use crate::time::{SimDuration, SimTime};
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt::{self, Write};
-use std::ops::Range;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Index of a string in a store's [`Names`] table.
+type NameId = u32;
 
 /// The fixed-size part of a stored span.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct SpanHead {
-    component: Cow<'static, str>,
-    name: Cow<'static, str>,
     start: SimTime,
     end: SimTime,
-    /// This span's labels, as indices into [`SpanStore::keys`].
-    labels: Range<usize>,
+    /// This span's labels are [`SpanStore::keys`]`[labels_start..labels_end]`.
+    labels_start: u32,
+    labels_end: u32,
+    component: NameId,
+    name: NameId,
 }
 
 /// A label key and where its value ends in [`SpanStore::text`]. The
 /// value starts where the previous key's value ends (at 0 for the
 /// first key).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct LabelKey {
-    key: Cow<'static, str>,
-    end: usize,
+    key: NameId,
+    end: u32,
+}
+
+/// An arena offset as stored in a head or key. The arrays are bounded
+/// by memory long before 4 GiB of label text or 2³² labels; past that
+/// the offsets could not be represented, so recording stops loudly.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("a span store holds under 4 GiB of labels")
+}
+
+/// A multiplicative hash for the `(address, length)` keys of static
+/// names: they are already unique machine words, so SipHash's
+/// flooding protection buys nothing.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A store's interned component, name and key strings.
+#[derive(Debug, Clone, Default)]
+struct Names {
+    strings: Vec<Cow<'static, str>>,
+    /// Every string's id, by content.
+    by_text: HashMap<Cow<'static, str>, NameId>,
+    /// The ids of static strings seen before, by address and length.
+    by_addr: HashMap<(usize, usize), NameId, BuildHasherDefault<AddrHasher>>,
+}
+
+impl Names {
+    fn reserve(&mut self, n: usize) {
+        self.strings.reserve(n);
+        self.by_text.reserve(n);
+        self.by_addr.reserve(n);
+    }
+
+    fn intern(&mut self, s: Cow<'static, str>) -> NameId {
+        match s {
+            Cow::Borrowed(s) => {
+                let addr = (s.as_ptr() as usize, s.len());
+                if let Some(&id) = self.by_addr.get(&addr) {
+                    return id;
+                }
+                let id = self.by_content(Cow::Borrowed(s));
+                self.by_addr.insert(addr, id);
+                id
+            }
+            owned => self.by_content(owned),
+        }
+    }
+
+    fn by_content(&mut self, s: Cow<'static, str>) -> NameId {
+        if let Some(&id) = self.by_text.get(&s) {
+            return id;
+        }
+        let id = offset(self.strings.len());
+        self.strings.push(s.clone());
+        self.by_text.insert(s, id);
+        id
+    }
+
+    fn get(&self, id: NameId) -> &str {
+        &self.strings[id as usize]
+    }
 }
 
 /// Recorded spans in three flat arrays: heads, label keys, and one
@@ -64,6 +151,7 @@ pub(crate) struct SpanStore {
     heads: Vec<SpanHead>,
     keys: Vec<LabelKey>,
     text: String,
+    names: Names,
 }
 
 impl SpanStore {
@@ -83,19 +171,22 @@ impl SpanStore {
         end: SimTime,
     ) {
         if self.heads.capacity() == 0 {
-            // Skip the first doublings of all three arrays at once.
+            // Skip the first doublings of every array at once.
             self.heads.reserve(64);
             self.keys.reserve(128);
             self.text.reserve(1024);
+            self.names.reserve(32);
         }
-        let at = self.keys.len();
-        self.heads.push(SpanHead {
-            component,
-            name,
+        let at = offset(self.keys.len());
+        let head = SpanHead {
             start,
             end: end.max(start),
-            labels: at..at,
-        });
+            labels_start: at,
+            labels_end: at,
+            component: self.names.intern(component),
+            name: self.names.intern(name),
+        };
+        self.heads.push(head);
     }
 
     /// Appends a label to the newest span; `value` writes its text.
@@ -105,28 +196,33 @@ impl SpanStore {
         value: impl FnOnce(&mut String) -> fmt::Result,
     ) {
         value(&mut self.text).expect("writing to a String cannot fail");
-        self.keys.push(LabelKey {
-            key,
-            end: self.text.len(),
-        });
+        let key = LabelKey {
+            key: self.names.intern(key),
+            end: offset(self.text.len()),
+        };
+        self.keys.push(key);
         let head = self.heads.last_mut().expect("a label follows its span");
-        head.labels.end = self.keys.len();
+        head.labels_end = offset(self.keys.len());
     }
 
     /// Drops the `n` oldest spans with their labels and text, moving
     /// the rest to the front. Compacting half a window at a time keeps
-    /// this amortized O(1) per span.
+    /// this amortized O(1) per span. The name table is kept: it holds
+    /// each distinct string once.
     pub(crate) fn evict_oldest(&mut self, n: usize) {
         if n == 0 {
             return;
         }
-        let keys_cut = self.heads[n - 1].labels.end;
-        let text_cut = keys_cut.checked_sub(1).map_or(0, |k| self.keys[k].end);
+        let keys_cut = self.heads[n - 1].labels_end;
+        let text_cut = keys_cut
+            .checked_sub(1)
+            .map_or(0, |k| self.keys[k as usize].end);
         self.heads.drain(..n);
-        self.keys.drain(..keys_cut);
-        self.text.drain(..text_cut);
+        self.keys.drain(..keys_cut as usize);
+        self.text.drain(..text_cut as usize);
         for h in &mut self.heads {
-            h.labels = h.labels.start - keys_cut..h.labels.end - keys_cut;
+            h.labels_start -= keys_cut;
+            h.labels_end -= keys_cut;
         }
         for k in &mut self.keys {
             k.end -= text_cut;
@@ -140,9 +236,13 @@ impl SpanStore {
             .map(move |head| SpanRef { store: self, head })
     }
 
-    fn value(&self, key: usize) -> &str {
-        let start = key.checked_sub(1).map_or(0, |k| self.keys[k].end);
-        &self.text[start..self.keys[key].end]
+    fn label(&self, i: usize) -> (&str, &str) {
+        let start = i.checked_sub(1).map_or(0, |k| self.keys[k].end);
+        let key = self.keys[i];
+        (
+            self.names.get(key.key),
+            &self.text[start as usize..key.end as usize],
+        )
     }
 }
 
@@ -156,12 +256,12 @@ pub struct SpanRef<'a> {
 impl<'a> SpanRef<'a> {
     /// Subsystem that produced the span (`ninja`, `symvirt`, ...).
     pub fn component(&self) -> &'a str {
-        &self.head.component
+        self.store.names.get(self.head.component)
     }
 
     /// Interval kind (`coordination`, `detach`, `migration`, ...).
     pub fn name(&self) -> &'a str {
-        &self.head.name
+        self.store.names.get(self.head.name)
     }
 
     /// Interval start.
@@ -187,10 +287,8 @@ impl<'a> SpanRef<'a> {
     /// The `(key, value)` labels, in the order they were attached.
     pub fn labels(&self) -> impl ExactSizeIterator<Item = (&'a str, &'a str)> + Clone + 'a {
         let store = self.store;
-        self.head
-            .labels
-            .clone()
-            .map(move |i| (&*store.keys[i].key, store.value(i)))
+        (self.head.labels_start as usize..self.head.labels_end as usize)
+            .map(move |i| store.label(i))
     }
 }
 
@@ -269,5 +367,27 @@ mod tests {
         let span = store.iter().next().unwrap();
         assert_eq!(span.start(), span.end());
         assert_eq!(span.duration(), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn heads_and_keys_stay_compact() {
+        assert!(std::mem::size_of::<SpanHead>() <= 32);
+        assert!(std::mem::size_of::<LabelKey>() <= 8);
+    }
+
+    #[test]
+    fn one_text_gets_one_id_whatever_its_origin() {
+        let mut names = Names::default();
+        let a = names.intern(Cow::Borrowed("symvirt"));
+        // The same text at another address, and owned.
+        let copy: &'static str = String::from("symvirt").leak();
+        assert_eq!(names.intern(Cow::Borrowed(copy)), a);
+        assert_eq!(names.intern(Cow::Owned("symvirt".into())), a);
+        assert_eq!(names.intern(Cow::Borrowed("symvirt")), a);
+        let b = names.intern(Cow::Owned("sym".into()));
+        assert_ne!(a, b);
+        assert_eq!(names.get(a), "symvirt");
+        assert_eq!(names.get(b), "sym");
+        assert_eq!(names.strings.len(), 2);
     }
 }

@@ -104,6 +104,31 @@ fn tricky_strings_round_trip_through_the_parser() {
     }
 }
 
+/// A file's own component, span and label names (hundreds of them, each
+/// recurring, none a producer's static name) survive the trip through
+/// `spans_from_chrome` and back out byte for byte.
+#[test]
+fn file_names_outside_the_static_set_round_trip() {
+    let events: Vec<String> = (0..600u64)
+        .map(|i| {
+            let (n, cat) = (i % 300, format!("comp-{}", i % 7));
+            format!(
+                r#"{{"name":"kind-{n}","cat":"{cat}","ph":"X","ts":{i},"dur":{},"pid":1,"tid":"{cat}","args":{{"key-{n}":"v{i}","key-{}":"w"}}}}"#,
+                i % 5,
+                n + 1
+            )
+        })
+        .collect();
+    let text = format!(r#"{{"traceEvents":[{}]}}"#, events.join(","));
+    let back = spans_from_chrome(&parse(&text).unwrap());
+    assert_eq!(back.all_spans().len(), 600);
+    let last = back.all_spans().last().unwrap();
+    assert_eq!((last.component(), last.name()), ("comp-4", "kind-299"));
+    assert_eq!(last.label("key-299"), Some("v599"));
+    assert_eq!(last.label("key-300"), Some("w"));
+    assert_eq!(back.to_chrome_json(), text);
+}
+
 /// A sink that keeps the size of every piece it is handed.
 #[derive(Default)]
 struct Pieces {

@@ -111,6 +111,31 @@ if [ "$status" -ne 2 ] || grep -q panicked "$smoke_dir/lids.stderr"; then
     exit 1
 fi
 
+# On x86-64 Linux the release `ninja` links its C runtime statically
+# (.cargo/config.toml): no shared library may be loaded at start.
+ninja="${CARGO_TARGET_DIR:-.bench_build}/release/ninja"
+if [ "$(uname -s)-$(uname -m)" = Linux-x86_64 ] && readelf -d "$ninja" | grep -q NEEDED; then
+    echo "the release ninja links shared libraries:"
+    readelf -d "$ninja" | grep NEEDED
+    exit 1
+fi
+
+# Output files are rewritten in place: a 4-job fleet over a 64-job
+# fleet's files must leave exactly what a fresh directory gets.
+overwrite_run() {
+    mkdir -p "$smoke_dir/$1"
+    "$ninja" fleet --jobs "$2" --concurrency 4 --json \
+        --trace-out "$smoke_dir/$1/trace.json" \
+        --metrics-out "$smoke_dir/$1/metrics.prom" \
+        --timeseries-out "$smoke_dir/$1/series.jsonl" > /dev/null 2>&1
+}
+overwrite_run reused 64
+overwrite_run reused 4
+overwrite_run fresh 4
+for f in trace.json metrics.prom series.jsonl; do
+    cmp "$smoke_dir/reused/$f" "$smoke_dir/fresh/$f"
+done
+
 echo "== telemetry_cost smoke =="
 # Mirrors the CI bench-smoke step: everything off vs. everything on at
 # 256/8 and 1024/4, each run in a fresh child process. Records only (the
