@@ -348,6 +348,30 @@ fn evacuate_reports_queue_wait() {
     assert!(waits[1].as_f64().unwrap() > 0.0);
 }
 
+/// The text report of the drill, byte for byte: the golden harness only
+/// pins `--json`.
+#[test]
+fn evacuate_text_report_matches_fixture() {
+    let out = ninja()
+        .args(["evacuate", "--vms", "4", "--concurrency", "2"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/evacuate-vms4-c2.txt"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        std::fs::read_to_string(fixture).unwrap(),
+        "evacuate text bytes"
+    );
+}
+
 #[test]
 fn bad_fleet_flags_exit_nonzero() {
     let out = ninja().args(["fleet", "--jobs", "0"]).output().unwrap();

@@ -114,6 +114,47 @@ const CASES: &[Case] = &[
         flags: &["--vms", "4"],
         recorder: true,
     },
+    // The same drill with both jobs in flight at once.
+    Case {
+        name: "evacuate-4-c2",
+        cmd: "evacuate",
+        flags: &["--vms", "4", "--concurrency", "2"],
+        recorder: true,
+    },
+    Case {
+        name: "drain-24",
+        cmd: "fleet",
+        flags: &[
+            "--scenario",
+            "drain",
+            "--jobs",
+            "24",
+            "--concurrency",
+            "4",
+            "--seed",
+            "11",
+        ],
+        recorder: true,
+    },
+    // Faults on a wide-open admission cap: retries and degraded
+    // re-attaches overlap many migrations.
+    Case {
+        name: "rebalance-24-faults",
+        cmd: "fleet",
+        flags: &[
+            "--scenario",
+            "rebalance",
+            "--jobs",
+            "24",
+            "--concurrency",
+            "16",
+            "--seed",
+            "11",
+            "--fault-seed",
+            "5",
+        ],
+        recorder: true,
+    },
 ];
 
 fn run(case: &Case, dir: &Path, outputs: &[(&str, &str)]) -> Vec<u8> {
