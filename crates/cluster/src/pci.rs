@@ -227,10 +227,16 @@ impl DeviceTable {
         self.devices.iter()
     }
 
+    /// Ids attached to VM `vm`, ascending: its passthrough devices and
+    /// its virtio NIC.
+    pub fn on_vm(&self, vm: u32) -> &[DeviceId] {
+        self.attached(Attachment::Guest { vm })
+    }
+
     /// Find a device by its script tag attached to a given VM (the
     /// lowest id when several match).
     pub fn find_by_tag_on_vm(&self, vm: u32, tag: &str) -> Option<DeviceId> {
-        self.attached(Attachment::Guest { vm })
+        self.on_vm(vm)
             .iter()
             .copied()
             .find(|&id| self.get(id).tag == tag)

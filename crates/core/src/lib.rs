@@ -47,7 +47,6 @@
 
 pub mod drill;
 pub mod ft;
-pub mod metrics;
 pub mod orchestrator;
 pub mod placement;
 pub mod report;
@@ -55,9 +54,8 @@ pub mod scheduler;
 pub mod stepper;
 pub mod world;
 
-pub use drill::{plan_evacuation, DrillError, DrillReport};
+pub use drill::{boot_drill_jobs, plan_evacuation, DrillError};
 pub use ft::{CheckpointHandle, CheckpointReport, RestartReport};
-pub use metrics::{MigrationLedger, PhaseStats};
 pub use orchestrator::{NinjaOrchestrator, PHASE_NAMES};
 pub use placement::{PlacementPlan, PlacementPlanner, PlacementPolicy, PowerModel};
 pub use report::{NinjaReport, SimSecs};

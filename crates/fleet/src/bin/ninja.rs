@@ -77,10 +77,12 @@
 //!
 //! Every run is deterministic in `--seed`.
 
-use ninja_fleet::{build_auto, percentile, run_fleet, FleetConfig, ScenarioKind, ScenarioSpec};
+use ninja_fleet::{
+    build_auto, percentile, run_fleet, DrillView, FleetConfig, ScenarioKind, ScenarioSpec,
+};
 use ninja_migration::{
-    plan_evacuation, CloudScheduler, NinjaOrchestrator, NinjaReport, TriggerReason, World,
-    PHASE_NAMES,
+    boot_drill_jobs, plan_evacuation, CloudScheduler, NinjaOrchestrator, NinjaReport,
+    TriggerReason, World, PHASE_NAMES,
 };
 use ninja_sim::export::{overwrite_file, stream_to, IoSink};
 use ninja_sim::{
@@ -735,31 +737,7 @@ fn main() {
             // everything to the Ethernet site, capacity-aware. Runs on
             // the fleet engine — `--concurrency 1` (the default) is the
             // classic serial drill, higher caps overlap the jobs.
-            let a_vms = world.boot_ib_vms(args.vms.min(6));
-            let mut job_a = world.start_job(a_vms, args.procs);
-            let b_start = args.vms.min(6);
-            let mut b_vms = Vec::new();
-            for i in b_start..(b_start + 2).min(8) {
-                let node = world.ib_node(i);
-                let vm = world
-                    .pool
-                    .create(
-                        format!("job-b-{i}"),
-                        ninja_vmm::VmSpec::paper_vm(),
-                        node,
-                        ninja_cluster::StorageId(0),
-                        &mut world.dc,
-                    )
-                    .expect("node free");
-                let now = world.clock();
-                let (_, at) = world
-                    .pool
-                    .attach_ib_hca(vm, &mut world.dc, now, &mut world.rng)
-                    .expect("HCA free");
-                world.advance_to(at);
-                b_vms.push(vm);
-            }
-            let mut job_b = world.start_job(b_vms, 1);
+            let (mut job_a, mut job_b) = boot_drill_jobs(&mut world, args.vms, args.procs);
             let from = world.ib_cluster;
             let to = world.eth_cluster;
             let plans = plan_evacuation(&world, &[&job_a, &job_b], from, to).unwrap_or_else(|e| {
@@ -783,29 +761,9 @@ fn main() {
                     exit(1)
                 })
             };
-            let report = fleet.to_drill_report();
             world.record_wire_metrics(&job_a);
             world.record_wire_metrics(&job_b);
-            print_report(|out| {
-                if args.json {
-                    report.write_json(&mut JsonWriter::pretty(out))?;
-                    return out.write_char('\n');
-                }
-                writeln!(
-                    out,
-                    "evacuated {} jobs ({} VMs) in {:.1}s",
-                    report.jobs, report.vms, report.total_seconds
-                )?;
-                for (i, m) in report.migrations.iter().enumerate() {
-                    writeln!(
-                        out,
-                        "\n--- job {} (queued {:.1}s) ---\n{m}",
-                        i + 1,
-                        report.queue_wait_s.get(i).copied().unwrap_or(0.0)
-                    )?;
-                }
-                Ok(())
-            });
+            print_json_or_text(args.json, &DrillView(&fleet));
         }
         "fleet" => {
             let kind = ScenarioKind::parse(&args.scenario).unwrap_or_else(|| usage());

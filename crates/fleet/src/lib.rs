@@ -52,4 +52,4 @@ pub use reference::run_fleet_reference;
 pub use scenario::{
     build, build_auto, build_scaled, Scenario, ScenarioError, ScenarioKind, ScenarioSpec,
 };
-pub use slo::{percentile, FleetReport, JobFailure, JobOutcome};
+pub use slo::{percentile, DrillView, FleetReport, JobFailure, JobOutcome};

@@ -6,8 +6,9 @@
 //! start), plus the **drain makespan** (first trigger → last job
 //! resumed). [`FleetReport`] carries those, per-job detail, and deadline
 //! accounting, with JSON/CSV exports matching the rest of the repo.
+//! [`DrillView`] reads the same report as a cluster-evacuation drill.
 
-use ninja_migration::{DrillReport, NinjaReport, TriggerReason};
+use ninja_migration::{NinjaReport, TriggerReason};
 use ninja_sim::{AlertIncident, JsonWriter, WriteJson};
 use std::fmt;
 
@@ -209,18 +210,6 @@ impl FleetReport {
             .len()
     }
 
-    /// The run as a cluster-evacuation drill report (`ninja evacuate`):
-    /// one entry per migration, with the makespan as the recovery time.
-    pub fn to_drill_report(&self) -> DrillReport {
-        DrillReport {
-            jobs: self.jobs.len(),
-            vms: self.jobs.iter().map(|j| j.report.vm_count).sum(),
-            total_seconds: self.makespan_s,
-            queue_wait_s: self.waits(),
-            migrations: self.jobs.iter().map(|j| j.report.clone()).collect(),
-        }
-    }
-
     /// CSV export, one row per job.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
@@ -342,6 +331,65 @@ impl fmt::Display for FleetReport {
                 Some(t) => write!(f, ", resolved {:.1}s", t.as_secs_f64())?,
                 None => write!(f, ", unresolved at end of run")?,
             }
+        }
+        Ok(())
+    }
+}
+
+/// A fleet run read as a cluster-evacuation drill (`ninja evacuate`):
+/// one entry per migration, in job order, with the makespan as the
+/// recovery time. Borrows the report; nothing is copied.
+#[derive(Debug, Clone, Copy)]
+pub struct DrillView<'a>(pub &'a FleetReport);
+
+impl DrillView<'_> {
+    /// VMs moved.
+    pub fn vms(&self) -> usize {
+        self.0.jobs.iter().map(|j| j.report.vm_count).sum()
+    }
+}
+
+impl WriteJson for DrillView<'_> {
+    fn write_json<W: fmt::Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        let jobs = &self.0.jobs;
+        w.begin_object()?;
+        w.field("jobs", &jobs.len())?;
+        w.field("vms", &self.vms())?;
+        w.field("total_seconds", &self.0.makespan_s)?;
+        w.key("queue_wait_s")?;
+        w.begin_array()?;
+        for j in jobs {
+            w.f64(j.queue_wait_s)?;
+        }
+        w.end_array()?;
+        w.key("migrations")?;
+        w.begin_array()?;
+        for j in jobs {
+            j.report.write_json(w)?;
+        }
+        w.end_array()?;
+        w.end_object()
+    }
+}
+
+/// The text report, without a trailing newline.
+impl fmt::Display for DrillView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "evacuated {} jobs ({} VMs) in {:.1}s",
+            self.0.jobs.len(),
+            self.vms(),
+            self.0.makespan_s
+        )?;
+        for (i, j) in self.0.jobs.iter().enumerate() {
+            write!(
+                f,
+                "\n\n--- job {} (queued {:.1}s) ---\n{}",
+                i + 1,
+                j.queue_wait_s,
+                j.report
+            )?;
         }
         Ok(())
     }

@@ -322,10 +322,9 @@ impl MpiRuntime {
         now: SimTime,
     ) -> Result<(DeviceId, (ninja_net::Lid, ninja_net::QpNum)), MpiError> {
         let v = pool.get(vm);
-        let dev = *v
-            .passthrough
-            .iter()
-            .find(|&&d| {
+        let dev = v
+            .passthrough(&dc.devices)
+            .find(|&d| {
                 dc.devices
                     .as_ib(d)
                     .map(|h| h.is_active_at(now))
@@ -652,7 +651,7 @@ mod tests {
         assert_eq!(rt.state(), RuntimeState::NetworkReleased);
         // HCAs are now resource-free and detachable.
         for vm in pool.iter() {
-            for &d in &vm.passthrough {
+            for d in vm.passthrough(&dc.devices) {
                 assert!(!dc.devices.as_ib(d).unwrap().has_resources());
             }
         }
@@ -763,15 +762,15 @@ mod tests {
         rt.init(&pool, &mut dc, ready).unwrap();
         let pinned_total: u64 = pool
             .iter()
-            .flat_map(|v| v.passthrough.iter())
-            .map(|&d| dc.devices.as_ib(d).unwrap().pinned_bytes().get())
+            .flat_map(|v| v.passthrough(&dc.devices))
+            .map(|d| dc.devices.as_ib(d).unwrap().pinned_bytes().get())
             .sum();
         assert!(pinned_total > 0, "leave_pinned pins eager buffers");
         rt.release_network(&mut dc, &pool).unwrap();
         let pinned_after: u64 = pool
             .iter()
-            .flat_map(|v| v.passthrough.iter())
-            .map(|&d| dc.devices.as_ib(d).unwrap().pinned_bytes().get())
+            .flat_map(|v| v.passthrough(&dc.devices))
+            .map(|d| dc.devices.as_ib(d).unwrap().pinned_bytes().get())
             .sum();
         assert_eq!(pinned_after, 0, "pre-checkpoint released every MR");
     }

@@ -215,9 +215,8 @@ impl Controller {
             // prefix (the paper tags HCAs 'vf0'; ours are 'hca-<node>').
             let tag = pool
                 .get(vm)
-                .passthrough
-                .iter()
-                .map(|&d| &dc.devices.get(d).tag)
+                .passthrough(&dc.devices)
+                .map(|d| &dc.devices.get(d).tag)
                 .find(|t| t.starts_with(tag_prefix));
             let Some(tag) = tag.cloned() else { continue };
             let reply = self.monitor.execute(
@@ -484,7 +483,7 @@ mod tests {
         assert!((2.7..3.3).contains(&d), "parallel detach {d}");
         assert_eq!(ctl.log().len(), 4);
         for vm in pool.iter() {
-            assert!(vm.passthrough.is_empty());
+            assert_eq!(vm.passthrough(&dc.devices).next(), None);
         }
     }
 
@@ -579,7 +578,7 @@ mod tests {
         assert!(matches!(&err, SymVirtError::AgentsDisconnected(v) if v == &vec![vms[2]]));
         // Nothing happened: every HCA is still attached.
         for &vm in &vms {
-            assert_eq!(pool.get(vm).passthrough.len(), 1);
+            assert_eq!(pool.get(vm).passthrough(&dc.devices).count(), 1);
         }
     }
 

@@ -149,7 +149,7 @@ mod tests {
         assert_eq!(report.quiesce.drained_messages, 1);
         for vm in pool.iter() {
             assert_eq!(vm.state, VmState::SymWait);
-            for &d in &vm.passthrough {
+            for d in vm.passthrough(&dc.devices) {
                 assert!(
                     !dc.devices.as_ib(d).unwrap().has_resources(),
                     "safe to detach"

@@ -291,7 +291,7 @@ mod tests {
             }
             r => panic!("unexpected {r:?}"),
         }
-        assert!(f.pool.get(f.vm).migratable());
+        f.pool.check_migratable(f.vm, f.eth_node, &f.dc).unwrap();
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::error::VmmError;
 use crate::memory::GuestMemory;
-use ninja_cluster::{Attachment, DataCenter, DeviceId, NodeId, StorageId};
+use ninja_cluster::{Attachment, DataCenter, DeviceId, DeviceTable, NodeId, StorageId};
 use ninja_net::TransportKind;
 use ninja_sim::{Bytes, SimRng, SimTime};
 
@@ -64,8 +64,6 @@ pub struct Vm {
     pub node: NodeId,
     /// Lifecycle state.
     pub state: VmState,
-    /// Passthrough (VMM-bypass) devices currently attached.
-    pub passthrough: Vec<DeviceId>,
     /// The always-present para-virtualized NIC.
     pub virtio_nic: DeviceId,
     /// Backing disk (NFS export).
@@ -77,9 +75,15 @@ pub struct Vm {
 }
 
 impl Vm {
-    /// True when a live migration is legal w.r.t. attached devices.
-    pub fn migratable(&self) -> bool {
-        self.passthrough.is_empty()
+    /// Passthrough (VMM-bypass) devices currently attached, ascending:
+    /// every device `devices` attaches to this VM except its virtio NIC.
+    pub fn passthrough<'a>(&self, devices: &'a DeviceTable) -> impl Iterator<Item = DeviceId> + 'a {
+        let nic = self.virtio_nic;
+        devices
+            .on_vm(self.id.0)
+            .iter()
+            .copied()
+            .filter(move |&d| d != nic)
     }
 }
 
@@ -167,7 +171,6 @@ impl VmPool {
             memory,
             node,
             state: VmState::Running,
-            passthrough: Vec::new(),
             virtio_nic: nic,
             disk,
             migrations: 0,
@@ -201,7 +204,6 @@ impl VmPool {
             .expect("IB HCA implies IB cluster");
         dc.devices
             .set_attachment(dev, Attachment::Guest { vm: vm.0 });
-        self.get_mut(vm).passthrough.push(dev);
         Ok((dev, active_at))
     }
 
@@ -238,7 +240,6 @@ impl VmPool {
         let node = self.get(vm).node;
         dc.devices
             .set_attachment(dev, Attachment::Host { node: node.0 });
-        self.get_mut(vm).passthrough.retain(|&d| d != dev);
         Ok((dev, leaked))
     }
 
@@ -269,7 +270,7 @@ impl VmPool {
     /// Validate that `vm` may live-migrate to `dst` right now.
     pub fn check_migratable(&self, vm: VmId, dst: NodeId, dc: &DataCenter) -> Result<(), VmmError> {
         let v = self.get(vm);
-        if let Some(&device) = v.passthrough.first() {
+        if let Some(device) = v.passthrough(&dc.devices).next() {
             return Err(VmmError::PassthroughAttached { device });
         }
         if !dc.storage_reachable(v.disk, dst) {
@@ -318,19 +319,12 @@ impl VmPool {
     /// restored elsewhere): host resources are released, passthrough
     /// devices return to the host pool, the virtio NIC goes away.
     pub fn destroy(&mut self, vm: VmId, dc: &mut DataCenter) {
-        let (vcpus, mem, node, nic, passthrough) = {
-            let v = self.get(vm);
-            (
-                v.spec.vcpus,
-                v.spec.memory,
-                v.node,
-                v.virtio_nic,
-                v.passthrough.clone(),
-            )
-        };
-        if self.get(vm).state != VmState::Stopped {
+        let v = self.get(vm);
+        let (vcpus, mem, node, nic) = (v.spec.vcpus, v.spec.memory, v.node, v.virtio_nic);
+        if v.state != VmState::Stopped {
             dc.node_mut(node).release_vm(vcpus, mem);
         }
+        let passthrough: Vec<DeviceId> = v.passthrough(&dc.devices).collect();
         for dev in passthrough {
             if let Some(hca) = dc.devices.as_ib_mut(dev) {
                 hca.unplug();
@@ -339,9 +333,7 @@ impl VmPool {
                 .set_attachment(dev, Attachment::Host { node: node.0 });
         }
         dc.devices.set_attachment(nic, Attachment::Detached);
-        let v = self.get_mut(vm);
-        v.passthrough.clear();
-        v.state = VmState::Stopped;
+        self.get_mut(vm).state = VmState::Stopped;
     }
 
     /// Boot a fresh VM from a checkpoint image on `node`. The restored
@@ -383,7 +375,7 @@ impl VmPool {
     ) -> Vec<TransportKind> {
         let v = self.get(vm);
         let mut out = Vec::new();
-        for &dev in &v.passthrough {
+        for dev in v.passthrough(&dc.devices) {
             if let Some(hca) = dc.devices.as_ib(dev) {
                 if hca.is_active_at(now) {
                     out.push(TransportKind::OpenIb);
@@ -460,9 +452,68 @@ mod tests {
         let err = pool.check_migratable(vm, dst, &dc).unwrap_err();
         assert!(matches!(err, VmmError::PassthroughAttached { .. }));
         // After detach it becomes migratable.
-        let tag = dc.devices.get(pool.get(vm).passthrough[0]).tag.clone();
+        let hca = pool.get(vm).passthrough(&dc.devices).next().unwrap();
+        let tag = dc.devices.get(hca).tag.clone();
         pool.detach_by_tag(vm, &tag, false, &mut dc).unwrap();
         assert!(pool.check_migratable(vm, dst, &dc).is_ok());
+    }
+
+    /// `Vm::passthrough` reads the device table's guest index: after
+    /// every step of a VM's life it lists exactly the devices attached
+    /// to the VM, in id order, and never the virtio NIC.
+    #[test]
+    fn passthrough_follows_the_device_table() {
+        let (mut dc, ib, _, mut pool, mut rng) = setup();
+        let nodes = dc.cluster(ib).nodes.clone();
+        let passthrough = |pool: &VmPool, dc: &DataCenter, vm: VmId| {
+            let v = pool.get(vm);
+            let read: Vec<DeviceId> = v.passthrough(&dc.devices).collect();
+            let scan: Vec<DeviceId> = dc
+                .devices
+                .iter()
+                .filter(|d| d.attachment() == Attachment::Guest { vm: vm.0 })
+                .map(|d| d.id)
+                .filter(|&d| d != v.virtio_nic)
+                .collect();
+            assert_eq!(read, scan);
+            assert!(!read.contains(&v.virtio_nic));
+            read
+        };
+        let vm = pool
+            .create("vm0", VmSpec::paper_vm(), nodes[0], StorageId(0), &mut dc)
+            .unwrap();
+        // A neighbour with its own HCA, which must never show up.
+        let other = pool
+            .create("vm1", VmSpec::paper_vm(), nodes[2], StorageId(0), &mut dc)
+            .unwrap();
+        pool.attach_ib_hca(other, &mut dc, SimTime::ZERO, &mut rng)
+            .unwrap();
+        assert_eq!(passthrough(&pool, &dc, vm), []);
+
+        let (hca, _) = pool
+            .attach_ib_hca(vm, &mut dc, SimTime::ZERO, &mut rng)
+            .unwrap();
+        assert_eq!(passthrough(&pool, &dc, vm), [hca]);
+
+        let tag = dc.devices.get(hca).tag.clone();
+        pool.detach_by_tag(vm, &tag, false, &mut dc).unwrap();
+        assert_eq!(passthrough(&pool, &dc, vm), []);
+
+        pool.complete_migration(vm, nodes[1], &mut dc);
+        assert_eq!(passthrough(&pool, &dc, vm), []);
+        let (dst_hca, _) = pool
+            .attach_ib_hca(vm, &mut dc, SimTime::ZERO, &mut rng)
+            .unwrap();
+        assert_ne!(dst_hca, hca);
+        assert_eq!(passthrough(&pool, &dc, vm), [dst_hca]);
+
+        pool.destroy(vm, &mut dc);
+        assert_eq!(passthrough(&pool, &dc, vm), []);
+        assert_eq!(
+            dc.devices.get(dst_hca).attachment(),
+            Attachment::Host { node: nodes[1].0 }
+        );
+        assert_eq!(passthrough(&pool, &dc, other).len(), 1);
     }
 
     #[test]

@@ -1,21 +1,21 @@
 //! Placement autopilot: a simulated week of day/night policy.
 //!
-//! Composes the power-aware planner, the cloud scheduler, the workload
-//! runner and the migration ledger into the operations loop the paper's
+//! Composes the power-aware planner, the cloud scheduler and the workload
+//! runner into the operations loop the paper's
 //! "high resource utilization" use case sketches: every evening the job
 //! is packed onto two Ethernet hosts (freeing the InfiniBand rack for
 //! power-down), every morning it spreads back across four IB hosts for
 //! daytime throughput. A long-running bcast+reduce job rides through
 //! all fourteen migrations; the example closes with the week's energy
-//! and overhead ledger.
+//! and migration overhead.
 //!
 //! ```text
 //! cargo run --release --example autopilot_week
 //! ```
 
 use ninja_migration::{
-    CloudScheduler, MigrationLedger, NinjaOrchestrator, PlacementPlanner, PlacementPolicy,
-    PowerModel, TriggerReason, World,
+    CloudScheduler, NinjaOrchestrator, NinjaReport, PlacementPlanner, PlacementPolicy,
+    TriggerReason, World,
 };
 use ninja_sim::SimDuration;
 use ninja_workloads::{run_workload, BcastReduce, IterativeWorkload};
@@ -27,7 +27,6 @@ fn main() {
     let vms = world.boot_ib_vms(4);
     let mut job = world.start_job(vms, 8);
     let planner = PlacementPlanner::default();
-    let power = PowerModel::agc_blade();
     let orch = NinjaOrchestrator::default();
 
     // Plan the week: pack at 20:00, spread at 08:00, every day.
@@ -54,35 +53,53 @@ fn main() {
     let record =
         run_workload(&mut world, &mut job, &bench, &mut scheduler, &orch).expect("autopilot week");
 
-    // Ledger: collect every migration and integrate energy over the
-    // piecewise-constant placement intervals.
-    let mut ledger = MigrationLedger::new();
+    // Collect every migration and integrate energy over the
+    // piecewise-constant placement intervals: watts change only at
+    // migrations, so each iteration is charged the watts of its
+    // placement (day or night pattern known from the plan).
+    let mut moves: Vec<&NinjaReport> = Vec::new();
     let mut energy_joules = 0.0;
-    let mut watts_now = power.world_watts(&world); // final placement watts
-                                                   // Recompute energy by replaying iteration records: watts change only
-                                                   // at migrations; approximate by attributing each iteration the watts
-                                                   // of its placement (day or night pattern known from the plan).
     let day_watts = day_plan.watts;
     let night_watts = night_plan.watts;
     let mut at_night = false;
     for it in &record.iterations {
         if let Some(m) = &it.migration {
-            ledger.push(m.clone());
+            moves.push(m);
             at_night = !at_night;
         }
         let w = if at_night { night_watts } else { day_watts };
         energy_joules += w * it.elapsed().as_secs_f64();
-        watts_now = w;
     }
+    let overhead: f64 = moves.iter().map(|m| m.total()).sum();
+    let wire_bytes: u64 = moves.iter().map(|m| m.wire_bytes).sum();
+    let transitions = |from: &str, to: &str| {
+        moves
+            .iter()
+            .filter(|m| {
+                m.transport_before.as_deref() == Some(from)
+                    && m.transport_after.as_deref() == Some(to)
+            })
+            .count()
+    };
 
     let week_secs = record.total.as_secs_f64();
     let always_day_joules = day_watts * week_secs;
     println!(
         "autopilot week: {:.1} h simulated, {} placement moves",
         week_secs / 3600.0,
-        ledger.len()
+        moves.len()
     );
-    println!("\n{ledger}\n");
+    println!(
+        "\n{} migrations, {:.1}s total overhead, {:.2} GiB on wire",
+        moves.len(),
+        overhead,
+        wire_bytes as f64 / (1u64 << 30) as f64
+    );
+    println!(
+        "  openib -> tcp: {}, tcp -> openib: {}\n",
+        transitions("openib", "tcp"),
+        transitions("tcp", "openib")
+    );
     println!(
         "day placement  : {:>4} hosts, {:>6.0} W",
         day_plan.hosts, day_watts
@@ -99,20 +116,18 @@ fn main() {
     );
     println!(
         "migration overhead for the week: {:.0}s ({:.3}% of wall time)",
-        ledger.total_overhead(),
-        100.0 * ledger.total_overhead() / week_secs
+        overhead,
+        100.0 * overhead / week_secs
     );
-    let _ = watts_now;
 
-    assert_eq!(ledger.len(), 14, "7 nights + 7 mornings");
+    assert_eq!(moves.len(), 14, "7 nights + 7 mornings");
     assert!(energy_joules < always_day_joules, "autopilot saves energy");
     assert!(
-        ledger.total_overhead() / week_secs < 0.01,
+        overhead / week_secs < 0.01,
         "overhead is noise at weekly scale"
     );
-    let transitions = ledger.transitions();
-    assert_eq!(transitions.get(&("openib".into(), "tcp".into())), Some(&7));
-    assert_eq!(transitions.get(&("tcp".into(), "openib".into())), Some(&7));
+    assert_eq!(transitions("openib", "tcp"), 7);
+    assert_eq!(transitions("tcp", "openib"), 7);
     println!("\nok: fourteen interconnect-transparent moves, one uninterrupted job.");
     let _ = bench.iterations();
 }

@@ -23,6 +23,13 @@ echo "== property tests =="
 # workspace (the vendored stub sits behind the `proptest` features).
 cargo test --workspace -q --features proptest
 
+echo "== examples =="
+# Each example asserts its own claims (autopilot_week: fourteen moves,
+# seven each way, and migration overhead under 1% of the week).
+for example in examples/*.rs; do
+    cargo run -q --release -p ninja-workloads --example "$(basename "$example" .rs)" > /dev/null
+done
+
 echo "== flight-recorder alert smoke =="
 # Mirrors the CI alert-smoke job: a 64-job fleet with 30 s scrapes and
 # the default rules must fire and resolve the queue-backlog alert,

@@ -30,11 +30,13 @@ fn uncoordinated_detach_is_refused_then_leaks_under_force() {
     let vms = w.boot_ib_vms(2);
     let mut rt = w.start_job(vms.clone(), 1);
     // The job holds QPs on both HCAs now. Skip quiesce+release:
-    let tag =
-        w.dc.devices
-            .get(w.pool.get(vms[0]).passthrough[0])
-            .tag
-            .clone();
+    let hca = w
+        .pool
+        .get(vms[0])
+        .passthrough(&w.dc.devices)
+        .next()
+        .unwrap();
+    let tag = w.dc.devices.get(hca).tag.clone();
     let err = w
         .pool
         .detach_by_tag(vms[0], &tag, false, &mut w.dc)
@@ -229,7 +231,11 @@ fn failed_migration_is_abortable() {
     // The job is stuck: frozen, HCAs detached.
     for &vm in &vms {
         assert_eq!(w.pool.get(vm).state, ninja_vmm::VmState::SymWait);
-        assert!(w.pool.get(vm).passthrough.is_empty(), "HCAs were detached");
+        assert_eq!(
+            w.pool.get(vm).passthrough(&w.dc.devices).next(),
+            None,
+            "HCAs were detached"
+        );
     }
 
     // Roll back.
@@ -240,7 +246,11 @@ fn failed_migration_is_abortable() {
     );
     for &vm in &vms {
         assert_eq!(w.pool.get(vm).state, ninja_vmm::VmState::Running);
-        assert_eq!(w.pool.get(vm).passthrough.len(), 1, "HCA back");
+        assert_eq!(
+            w.pool.get(vm).passthrough(&w.dc.devices).count(),
+            1,
+            "HCA back"
+        );
     }
     assert_eq!(
         rt.uniform_network_kind(),

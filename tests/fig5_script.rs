@@ -118,7 +118,7 @@ fn fig5_script_call_for_call() {
         let v = w.pool.get(vm);
         assert_eq!(v.node, node);
         assert_eq!(v.state, VmState::Running);
-        assert_eq!(v.passthrough.len(), 1, "HCA re-attached");
+        assert_eq!(v.passthrough(&w.dc.devices).count(), 1, "HCA re-attached");
         assert_eq!(v.migrations, 2, "fallback + recovery");
     }
 }
@@ -162,6 +162,9 @@ fn fig5_and_fig4_agree_on_the_end_state() {
     for (a, b) in w4.pool.iter().zip(w5.pool.iter()) {
         assert_eq!(a.node, b.node);
         assert_eq!(a.state, b.state);
-        assert_eq!(a.passthrough.len(), b.passthrough.len());
+        assert_eq!(
+            a.passthrough(&w4.dc.devices).count(),
+            b.passthrough(&w5.dc.devices).count()
+        );
     }
 }

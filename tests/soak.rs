@@ -71,10 +71,11 @@ fn check_invariants(w: &World, rt: &MpiRuntime, clock_before: SimTime) {
         assert!(mem <= node.spec.memory.get(), "memory oversubscribed");
     }
 
-    // 3. Device table consistency: every VM-attached passthrough device
-    //    points back at its VM; every host-pool HCA is resource-free.
+    // 3. Device table consistency: every device the guest index lists
+    //    under a VM has that VM as its own attachment; every host-pool
+    //    HCA is resource-free.
     for v in w.pool.iter() {
-        for &d in &v.passthrough {
+        for &d in w.dc.devices.on_vm(v.id.0) {
             assert_eq!(
                 w.dc.devices.get(d).attachment(),
                 Attachment::Guest { vm: v.id.0 },
