@@ -323,7 +323,7 @@ fn ablation_rdma_migration(results: &mut AblationResults) -> bool {
         orch.migrate(&mut w, &mut rt, &dsts)
             .expect("fallback")
             .migration
-            .0
+            .as_secs_f64()
     };
     let tcp = run(false, 1500);
     let rdma = run(true, 1501);

@@ -64,11 +64,11 @@ fn run(footprint_gib: u64, seed: u64) -> Row {
 
     Row {
         footprint_gib,
-        save_s: ck.save.0,
-        checkpoint_total_s: ck.total(),
+        save_s: ck.save.as_secs_f64(),
+        checkpoint_total_s: ck.total().as_secs_f64(),
         image_gib: store.stored_bytes().as_f64() / (1u64 << 30) as f64,
-        restore_s: rs.restore.0,
-        restart_total_s: rs.total(),
+        restore_s: rs.restore.as_secs_f64(),
+        restart_total_s: rs.total().as_secs_f64(),
     }
 }
 

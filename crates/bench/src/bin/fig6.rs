@@ -57,10 +57,10 @@ fn run_one(array: Bytes, seed: u64) -> Row {
         .clone();
     Row {
         array_gib: array.get() >> 30,
-        migration_s: report.migration.0,
-        hotplug_s: report.hotplug(),
-        linkup_s: report.linkup.0,
-        total_s: report.total(),
+        migration_s: report.migration.as_secs_f64(),
+        hotplug_s: report.hotplug().as_secs_f64(),
+        linkup_s: report.linkup.as_secs_f64(),
+        total_s: report.total().as_secs_f64(),
         wire_gib: report.wire_gib(),
     }
 }

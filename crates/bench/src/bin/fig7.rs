@@ -76,9 +76,9 @@ fn run_kind(kind: NpbKind, seed: u64) -> Row {
         baseline_s: base.total.as_secs_f64(),
         proposed_s: prop.total.as_secs_f64(),
         app_s: prop.app_total().as_secs_f64(),
-        migration_s: report.migration.0,
-        hotplug_s: report.hotplug(),
-        linkup_s: report.linkup.0,
+        migration_s: report.migration.as_secs_f64(),
+        hotplug_s: report.hotplug().as_secs_f64(),
+        linkup_s: report.linkup.as_secs_f64(),
         footprint_gib_per_vm: npb.footprint_per_vm().as_f64() / (1u64 << 30) as f64,
     }
 }

@@ -90,7 +90,7 @@ fn run_engine(jobs_n: usize, concurrency: usize, reference: bool) -> (f64, u64, 
     (
         wall,
         iterations,
-        report.makespan_s,
+        report.makespan.as_secs_f64(),
         report.to_json_compact(),
     )
 }

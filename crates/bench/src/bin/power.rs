@@ -57,7 +57,7 @@ fn run(policy: PlacementPolicy, label: &str, seed: u64) -> Row {
         watts,
         iter_s: iter,
         joules_per_iter: watts * iter,
-        migration_overhead_s: report.total(),
+        migration_overhead_s: report.total().as_secs_f64(),
     }
 }
 

@@ -68,11 +68,11 @@ fn main() {
         let funneled = run(n, true, 950 + n as u64);
         rows_data.push(Row {
             vms: n,
-            spread_coord_s: spread.coordination.0,
-            spread_hotplug_s: spread.hotplug(),
-            spread_migration_s: spread.migration.0,
-            spread_linkup_s: spread.linkup.0,
-            funneled_migration_s: funneled.migration.0,
+            spread_coord_s: spread.coordination.as_secs_f64(),
+            spread_hotplug_s: spread.hotplug().as_secs_f64(),
+            spread_migration_s: spread.migration.as_secs_f64(),
+            spread_linkup_s: spread.linkup.as_secs_f64(),
+            funneled_migration_s: funneled.migration.as_secs_f64(),
         });
     }
 

@@ -143,9 +143,9 @@ fn main() {
         .migrate(&mut w2, &mut rt, &same)
         .expect("self-migration");
     println!(
-        "end-to-end self-migration (IB -> IB): hotplug {:.2}s, link-up {}",
-        report.hotplug(),
-        report.linkup
+        "end-to-end self-migration (IB -> IB): hotplug {:.2}s, link-up {:.2}s",
+        report.hotplug().as_secs_f64(),
+        report.linkup.as_secs_f64()
     );
 
     println!("\nclaims:");
@@ -171,7 +171,7 @@ fn main() {
     );
     ok &= claim(
         "end-to-end self-migration agrees with component model (hotplug 3.5-5 s)",
-        (3.5..5.0).contains(&report.hotplug()),
+        (3.5..5.0).contains(&report.hotplug().as_secs_f64()),
     );
 
     write_json("table2", &out_rows);

@@ -73,9 +73,9 @@ fn run(name: &str, gbps: f64, latency_ms: u64, seed: u64) -> Row {
         wan: name.to_string(),
         gbps,
         latency_ms,
-        migration_s: report.migration.0,
-        hotplug_s: report.hotplug(),
-        total_s: report.total(),
+        migration_s: report.migration.as_secs_f64(),
+        hotplug_s: report.hotplug().as_secs_f64(),
+        total_s: report.total().as_secs_f64(),
     }
 }
 

@@ -15,7 +15,6 @@
 //! and let the MPI restart path rebuild connections.
 
 use crate::orchestrator::NinjaOrchestrator;
-use crate::report::SimSecs;
 use crate::stepper::record_vm_spans;
 use crate::world::World;
 use ninja_cluster::NodeId;
@@ -41,23 +40,23 @@ pub struct CheckpointHandle {
 #[derive(Debug, Clone)]
 pub struct CheckpointReport {
     /// CRCP quiesce + IB release + SymVirt handshakes.
-    pub coordination: SimSecs,
+    pub coordination: SimDuration,
     /// Parallel `device_del` phase.
-    pub detach: SimSecs,
+    pub detach: SimDuration,
     /// Parallel `savevm` phase (max over VMs; NFS-bandwidth bound).
-    pub save: SimSecs,
+    pub save: SimDuration,
     /// Parallel `device_add` phase.
-    pub attach: SimSecs,
+    pub attach: SimDuration,
     /// Wait for IB link training before the job resumes on openib.
-    pub linkup: SimSecs,
+    pub linkup: SimDuration,
     /// Bytes written to the snapshot store.
     pub image_bytes: u64,
 }
 
 impl CheckpointReport {
     /// Total frozen time the application observes.
-    pub fn total(&self) -> f64 {
-        self.coordination.0 + self.detach.0 + self.save.0 + self.attach.0 + self.linkup.0
+    pub fn total(&self) -> SimDuration {
+        self.coordination + self.detach + self.save + self.attach + self.linkup
     }
 }
 
@@ -79,11 +78,11 @@ impl WriteJson for CheckpointReport {
 #[derive(Debug, Clone)]
 pub struct RestartReport {
     /// Parallel image-restore phase (NFS read; max over VMs).
-    pub restore: SimSecs,
+    pub restore: SimDuration,
     /// Parallel `device_add` phase on the new hosts.
-    pub attach: SimSecs,
+    pub attach: SimDuration,
     /// IB link training wait (zero on Ethernet hosts).
-    pub linkup: SimSecs,
+    pub linkup: SimDuration,
     /// Transport the restarted job bound.
     pub transport_after: Option<String>,
     /// New VM ids, aligned with the old job order (not serialized).
@@ -92,8 +91,8 @@ pub struct RestartReport {
 
 impl RestartReport {
     /// Total time from restart request to the job computing again.
-    pub fn total(&self) -> f64 {
-        self.restore.0 + self.attach.0 + self.linkup.0
+    pub fn total(&self) -> SimDuration {
+        self.restore + self.attach + self.linkup
     }
 }
 
@@ -199,11 +198,11 @@ impl NinjaOrchestrator {
                 procs_per_vm: rt.layout().procs_per_vm(),
             },
             CheckpointReport {
-                coordination: coord.total().into(),
-                detach: detach.duration.into(),
-                save: save_max.into(),
-                attach: attach.duration.into(),
-                linkup: linkup.into(),
+                coordination: coord.total(),
+                detach: detach.duration,
+                save: save_max,
+                attach: attach.duration,
+                linkup,
                 image_bytes,
             },
         ))
@@ -275,9 +274,9 @@ impl NinjaOrchestrator {
         world.metrics.inc("ninja_restarts_total", &[], 1);
 
         Ok(RestartReport {
-            restore: restore_max.into(),
-            attach: attach.duration.into(),
-            linkup: linkup.into(),
+            restore: restore_max,
+            attach: attach.duration,
+            linkup,
             transport_after,
             new_vms,
         })
@@ -306,16 +305,16 @@ mod tests {
         }
         // Checkpoint pays detach + save + attach + linkup.
         assert!(
-            report.save.0 > 1.0,
+            report.save > SimDuration::from_secs(1),
             "NFS write of ~2 GiB/VM: {}",
             report.save
         );
         assert!(
-            report.linkup.0 > 25.0,
+            report.linkup > SimDuration::from_secs(25),
             "IB re-attach trains: {}",
             report.linkup
         );
-        assert!((report.detach.0 + report.attach.0) > 3.0);
+        assert!(report.detach + report.attach > SimDuration::from_secs(3));
     }
 
     #[test]
@@ -339,8 +338,16 @@ mod tests {
             .restart(&mut w, &mut rt, &handle, &store, &dsts)
             .unwrap();
         assert_eq!(report.transport_after.as_deref(), Some("tcp"));
-        assert_eq!(report.linkup.0, 0.0, "Ethernet restart waits for nothing");
-        assert!(report.restore.0 > 1.0, "NFS read: {}", report.restore);
+        assert_eq!(
+            report.linkup,
+            SimDuration::ZERO,
+            "Ethernet restart waits for nothing"
+        );
+        assert!(
+            report.restore > SimDuration::from_secs(1),
+            "NFS read: {}",
+            report.restore
+        );
         // The job is whole again: same shape, new VMs, running.
         assert_eq!(rt.layout().total_ranks(), 8);
         for &vm in &report.new_vms {
@@ -366,7 +373,7 @@ mod tests {
             .restart(&mut w, &mut rt, &handle, &store, &dsts)
             .unwrap();
         assert_eq!(report.transport_after.as_deref(), Some("openib"));
-        assert!(report.linkup.0 > 25.0);
+        assert!(report.linkup > SimDuration::from_secs(25));
     }
 
     #[test]

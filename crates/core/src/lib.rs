@@ -58,7 +58,7 @@ pub use drill::{boot_drill_jobs, plan_evacuation, DrillError};
 pub use ft::{CheckpointHandle, CheckpointReport, RestartReport};
 pub use orchestrator::{NinjaOrchestrator, PHASE_NAMES};
 pub use placement::{PlacementPlan, PlacementPlanner, PlacementPolicy, PowerModel};
-pub use report::{NinjaReport, SimSecs};
+pub use report::NinjaReport;
 pub use scheduler::{CloudScheduler, Trigger, TriggerReason};
 pub use stepper::{MigrationMachine, StepOutcome, WireMode};
 pub use world::World;

@@ -12,17 +12,17 @@ use std::fmt;
 #[derive(Debug, Clone)]
 pub struct NinjaReport {
     /// CRCP quiesce + IB resource release + SymVirt handshakes.
-    pub coordination: SimSecs,
+    pub coordination: SimDuration,
     /// `device_del` phase (parallel across VMs; max).
-    pub detach: SimSecs,
+    pub detach: SimDuration,
     /// The live migration itself (parallel; until the last VM lands).
-    pub migration: SimSecs,
+    pub migration: SimDuration,
     /// `device_add` phase (parallel; max). Zero when falling back to a
     /// cluster without HCAs.
-    pub attach: SimSecs,
+    pub attach: SimDuration,
     /// Wait from resume until the (re-)attached IB links are usable and
     /// BTL reconstruction could bind them. Zero on Ethernet.
-    pub linkup: SimSecs,
+    pub linkup: SimDuration,
     /// Total bytes the migrations put on the wire.
     pub wire_bytes: u64,
     /// Transport uniformly in use before the migration (None if mixed).
@@ -39,38 +39,16 @@ pub struct NinjaReport {
     pub degraded: bool,
 }
 
-/// Seconds wrapper so reports serialize as plain numbers.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-pub struct SimSecs(pub f64);
-
-impl From<SimDuration> for SimSecs {
-    fn from(d: SimDuration) -> Self {
-        SimSecs(d.as_secs_f64())
-    }
-}
-
-impl WriteJson for SimSecs {
-    fn write_json<W: fmt::Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
-        w.f64(self.0)
-    }
-}
-
-impl fmt::Display for SimSecs {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.2}s", self.0)
-    }
-}
-
 impl NinjaReport {
     /// The paper's "hotplug" figure: detach + re-attach (+ confirm,
     /// which our monitor folds into the attach sample).
-    pub fn hotplug(&self) -> f64 {
-        self.detach.0 + self.attach.0
+    pub fn hotplug(&self) -> SimDuration {
+        self.detach + self.attach
     }
 
     /// Total overhead the frozen application observes.
-    pub fn total(&self) -> f64 {
-        self.coordination.0 + self.detach.0 + self.migration.0 + self.attach.0 + self.linkup.0
+    pub fn total(&self) -> SimDuration {
+        self.coordination + self.detach + self.migration + self.attach + self.linkup
     }
 
     /// Wire traffic in GiB (reporting convenience).
@@ -93,11 +71,11 @@ impl NinjaReport {
         vm_count: usize,
     ) -> Self {
         NinjaReport {
-            coordination: coordination.into(),
-            detach: detach.into(),
-            migration: migration.into(),
-            attach: attach.into(),
-            linkup: linkup.into(),
+            coordination,
+            detach,
+            migration,
+            attach,
+            linkup,
             wire_bytes: wire_bytes.get(),
             transport_before,
             transport_after,
@@ -111,11 +89,11 @@ impl NinjaReport {
 impl WriteJson for NinjaReport {
     fn write_json<W: fmt::Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
         w.begin_object()?;
-        w.field("coordination", &self.coordination.0)?;
-        w.field("detach", &self.detach.0)?;
-        w.field("migration", &self.migration.0)?;
-        w.field("attach", &self.attach.0)?;
-        w.field("linkup", &self.linkup.0)?;
+        w.field("coordination", &self.coordination)?;
+        w.field("detach", &self.detach)?;
+        w.field("migration", &self.migration)?;
+        w.field("attach", &self.attach)?;
+        w.field("linkup", &self.linkup)?;
         w.field("hotplug", &self.hotplug())?;
         w.field("total", &self.total())?;
         w.field("wire_bytes", &self.wire_bytes)?;
@@ -141,27 +119,32 @@ impl fmt::Display for NinjaReport {
             self.transport_before.as_deref().unwrap_or("mixed"),
             self.transport_after.as_deref().unwrap_or("mixed"),
         )?;
-        writeln!(f, "  coordination {:>8}", self.coordination.to_string())?;
+        writeln!(f, "  coordination {:>8}", secs(self.coordination))?;
         writeln!(
             f,
             "  hotplug      {:>8}  (detach {} + attach {})",
-            format!("{:.2}s", self.hotplug()),
-            self.detach,
-            self.attach
+            secs(self.hotplug()),
+            secs(self.detach),
+            secs(self.attach)
         )?;
         writeln!(
             f,
             "  migration    {:>8}  ({:.2} GiB on wire)",
-            self.migration.to_string(),
+            secs(self.migration),
             self.wire_gib()
         )?;
-        writeln!(f, "  link-up      {:>8}", self.linkup.to_string())?;
-        write!(f, "  total        {:>8}", format!("{:.2}s", self.total()))?;
+        writeln!(f, "  link-up      {:>8}", secs(self.linkup))?;
+        write!(f, "  total        {:>8}", secs(self.total()))?;
         if self.degraded {
             write!(f, "\n  DEGRADED: IB re-attach failed; running on TCP")?;
         }
         Ok(())
     }
+}
+
+/// `d` in seconds to two decimals, as the report tables print it.
+fn secs(d: SimDuration) -> String {
+    format!("{:.2}s", d.as_secs_f64())
 }
 
 #[cfg(test)]
@@ -186,8 +169,11 @@ mod tests {
     #[test]
     fn totals_add_up() {
         let r = sample();
-        assert!((r.hotplug() - 3.9).abs() < 1e-9);
-        assert!((r.total() - (0.005 + 2.8 + 40.0 + 1.1 + 29.8)).abs() < 1e-9);
+        assert_eq!(r.hotplug(), SimDuration::from_millis(3_900));
+        assert_eq!(
+            r.total(),
+            SimDuration::from_millis(5 + 2_800 + 40_000 + 1_100 + 29_800)
+        );
         assert!((r.wire_gib() - 3.0).abs() < 1e-12);
     }
 
@@ -204,11 +190,11 @@ mod tests {
     fn serializes_to_json() {
         let j = ninja_sim::parse(&sample().to_json_pretty()).unwrap();
         assert_eq!(j["vm_count"].as_u64(), Some(8));
-        assert!((j["linkup"].as_f64().unwrap() - 29.8).abs() < 1e-9);
+        assert_eq!(j["linkup"].as_f64(), Some(29.8));
         assert_eq!(j["transport_after"].as_str(), Some("openib"));
         // Round-trips through the in-repo parser.
         let back = ninja_sim::parse(&sample().to_json_compact()).unwrap();
         assert_eq!(back["btl_reconstructed"].as_bool(), Some(true));
-        assert!((back["hotplug"].as_f64().unwrap() - 3.9).abs() < 1e-9);
+        assert_eq!(back["hotplug"].as_f64(), Some(3.9));
     }
 }

@@ -90,6 +90,7 @@ use ninja_sim::{
 };
 use ninja_symvirt::{FaultPlan, FaultSpec, GuestCooperative, RetryPolicy};
 use ninja_vmm::SnapshotStore;
+use std::collections::BTreeMap;
 use std::fmt::{self, Write};
 use std::fs::File;
 use std::io::{self, BufWriter, StdoutLock};
@@ -487,32 +488,37 @@ fn trace_cmd(mut argv: impl Iterator<Item = String>) {
     });
 }
 
-/// Per-(component, span) duration statistics for a trace document's
-/// complete ("X") events. Rows sort by (component, span),
-/// lexicographically — the pinned, deterministic order.
+/// Per-(component, span) duration statistics over a trace document's
+/// complete ("X") events, read by the same rule as `critical-path`
+/// ([`ninja_sim::spans_from_chrome`]): an event without a name, or
+/// whose `ts` or `dur` is not a whole, in-range number of microseconds,
+/// is skipped. Durations add up in integer nanoseconds. Rows sort by
+/// (component, span), lexicographically — the pinned, deterministic
+/// order.
 fn summarize_trace(json: &Json, out: &mut impl Write) -> fmt::Result {
-    let events = json["traceEvents"].as_array().unwrap_or(&[]);
-    // (component, span) -> (count, total, min, max), durations in
-    // seconds (Chrome events carry microseconds).
-    let mut groups: std::collections::BTreeMap<(String, String), (u64, f64, f64, f64)> =
-        Default::default();
-    let mut instants = 0u64;
-    for ev in events {
-        if ev["ph"].as_str() != Some("X") {
-            instants += 1;
-            continue;
-        }
-        let key = (
-            ev["cat"].as_str().unwrap_or("?").to_string(),
-            ev["name"].as_str().unwrap_or("?").to_string(),
-        );
-        let dur = ev["dur"].as_f64().unwrap_or(0.0) / 1e6;
-        let g = groups.entry(key).or_insert((0, 0.0, f64::INFINITY, 0.0));
+    let spans = ninja_sim::spans_from_chrome(json);
+    // (component, span) -> (count, total, min, max).
+    let mut groups: BTreeMap<(&str, &str), (u64, SimDuration, SimDuration, SimDuration)> =
+        BTreeMap::new();
+    for span in spans.all_spans() {
+        let d = span.duration();
+        let g = groups.entry((span.component(), span.name())).or_insert((
+            0,
+            SimDuration::ZERO,
+            SimDuration::MAX,
+            SimDuration::ZERO,
+        ));
         g.0 += 1;
-        g.1 += dur;
-        g.2 = g.2.min(dur);
-        g.3 = g.3.max(dur);
+        g.1 += d;
+        g.2 = g.2.min(d);
+        g.3 = g.3.max(d);
     }
+    let instants = json["traceEvents"]
+        .as_array()
+        .unwrap_or(&[])
+        .iter()
+        .filter(|ev| ev["ph"].as_str() != Some("X"))
+        .count();
     writeln!(
         out,
         "{:<10} {:<24} {:>6} {:>10} {:>10} {:>10} {:>10}",
@@ -525,10 +531,10 @@ fn summarize_trace(json: &Json, out: &mut impl Write) -> fmt::Result {
             cat,
             name,
             count,
-            total,
-            min,
-            total / *count as f64,
-            max
+            total.as_secs_f64(),
+            min.as_secs_f64(),
+            total.as_secs_f64() / *count as f64,
+            max.as_secs_f64()
         )?;
     }
     if instants > 0 {
@@ -555,7 +561,7 @@ fn critical_path_cmd(json: &Json, out: &mut impl Write) -> fmt::Result {
             .and_then(|ph| {
                 ph.critical_vm
                     .as_deref()
-                    .map(|vm| (vm, ph.critical_vm_seconds))
+                    .map(|vm| (vm, ph.critical_vm_duration))
             });
         writeln!(
             out,
@@ -563,22 +569,22 @@ fn critical_path_cmd(json: &Json, out: &mut impl Write) -> fmt::Result {
             p.job.map_or("-".into(), |j| j.to_string()),
             p.mig.map_or("-".into(), |m| m.to_string()),
             p.start.as_secs_f64(),
-            p.blackout_s,
+            p.blackout.as_secs_f64(),
             100.0 * p.coverage(),
             p.dominant,
             crit.map_or("-", |(vm, _)| vm),
-            crit.map_or(0.0, |(_, s)| s),
+            crit.map_or(0.0, |(_, d)| d.as_secs_f64()),
         )?;
     }
     if paths.is_empty() {
         return Ok(());
     }
-    let total_blackout: f64 = paths.iter().map(|p| p.blackout_s).sum();
+    let total_blackout: SimDuration = paths.iter().map(|p| p.blackout).sum();
     writeln!(
         out,
         "\n{} migration(s), {:.3}s total blackout — per-phase breakdown:",
         paths.len(),
-        total_blackout
+        total_blackout.as_secs_f64()
     )?;
     writeln!(
         out,
@@ -586,24 +592,24 @@ fn critical_path_cmd(json: &Json, out: &mut impl Write) -> fmt::Result {
         "phase", "p50_s", "p99_s", "share%"
     )?;
     for name in PHASE_NAMES {
-        let samples: Vec<f64> = paths
+        let samples: Vec<SimDuration> = paths
             .iter()
             .flat_map(|p| p.phases.iter())
             .filter(|ph| ph.phase == name)
-            .map(|ph| ph.seconds)
+            .map(|ph| ph.duration)
             .collect();
-        let sum: f64 = samples.iter().sum();
-        let share = if total_blackout > 0.0 {
-            100.0 * sum / total_blackout
-        } else {
+        let sum: SimDuration = samples.iter().copied().sum();
+        let share = if total_blackout.is_zero() {
             0.0
+        } else {
+            100.0 * sum.as_secs_f64() / total_blackout.as_secs_f64()
         };
         writeln!(
             out,
             "{:<13} {:>10.3} {:>10.3} {:>8.2}",
             name,
-            percentile(&samples, 50.0),
-            percentile(&samples, 99.0),
+            percentile(&samples, 50.0).as_secs_f64(),
+            percentile(&samples, 99.0).as_secs_f64(),
             share
         )?;
     }
@@ -715,19 +721,20 @@ fn main() {
                     w.end_object()?;
                     out.write_char('\n')
                 } else {
+                    let s = SimDuration::as_secs_f64;
                     writeln!(
                         out,
-                        "checkpoint: coordination {} detach {} save {} attach {} linkup {} (total {:.2}s)",
-                        ck.coordination, ck.detach, ck.save, ck.attach, ck.linkup, ck.total()
+                        "checkpoint: coordination {:.2}s detach {:.2}s save {:.2}s attach {:.2}s linkup {:.2}s (total {:.2}s)",
+                        s(ck.coordination), s(ck.detach), s(ck.save), s(ck.attach), s(ck.linkup), s(ck.total())
                     )?;
                     writeln!(
                         out,
-                        "restart:    restore {} attach {} linkup {} -> {} (total {:.2}s)",
-                        rs.restore,
-                        rs.attach,
-                        rs.linkup,
+                        "restart:    restore {:.2}s attach {:.2}s linkup {:.2}s -> {} (total {:.2}s)",
+                        s(rs.restore),
+                        s(rs.attach),
+                        s(rs.linkup),
                         rs.transport_after.as_deref().unwrap_or("?"),
-                        rs.total()
+                        s(rs.total())
                     )
                 }
             });

@@ -311,7 +311,7 @@ pub fn run_fleet(
                             job: j,
                             reason: r.reason,
                             error: e.to_string(),
-                            failed_at: r.machine.now().as_secs_f64(),
+                            failed_at: r.machine.now(),
                         });
                         adm.release();
                         freed_slot = true;
@@ -351,10 +351,9 @@ pub fn run_fleet(
                         outcomes[j].push(JobOutcome {
                             job: j,
                             reason: r.reason,
-                            triggered_at: r.triggered_at.as_secs_f64(),
-                            started_at: r.started_at.as_secs_f64(),
-                            queue_wait_s: r.started_at.since(r.triggered_at).as_secs_f64(),
-                            finished_at: finished.as_secs_f64(),
+                            triggered_at: r.triggered_at,
+                            started_at: r.started_at,
+                            finished_at: finished,
                             deadline_missed: missed,
                             report,
                         });
@@ -458,14 +457,14 @@ pub fn run_fleet(
     let makespan = jobs_done
         .iter()
         .map(|j| j.finished_at)
-        .fold(started.as_secs_f64(), f64::max)
-        - started.as_secs_f64();
+        .fold(started, SimTime::max)
+        .since(started);
     Ok(FleetReport {
         jobs: jobs_done,
-        makespan_s: makespan,
+        makespan,
         concurrency: cfg.concurrency,
         peak_queue_depth: adm.peak_depth(),
-        deadline_s: cfg.deadline.map(|d| d.as_secs_f64()),
+        deadline: cfg.deadline,
         failures,
         alerts,
     })

@@ -9,7 +9,7 @@
 //! [`DrillView`] reads the same report as a cluster-evacuation drill.
 
 use ninja_migration::{NinjaReport, TriggerReason};
-use ninja_sim::{AlertIncident, JsonWriter, WriteJson};
+use ninja_sim::{AlertIncident, JsonWriter, SimDuration, SimTime, WriteJson};
 use std::fmt;
 
 /// One job's journey through the fleet engine.
@@ -19,14 +19,12 @@ pub struct JobOutcome {
     pub job: usize,
     /// Why the scheduler moved it.
     pub reason: TriggerReason,
-    /// Trigger time (seconds since the run started).
-    pub triggered_at: f64,
+    /// Trigger time.
+    pub triggered_at: SimTime,
     /// When the migration was admitted and began.
-    pub started_at: f64,
-    /// `started_at - triggered_at`.
-    pub queue_wait_s: f64,
+    pub started_at: SimTime,
     /// When the job resumed on its destination.
-    pub finished_at: f64,
+    pub finished_at: SimTime,
     /// Whether `finished_at - triggered_at` exceeded the deadline.
     pub deadline_missed: bool,
     /// The migration's phase breakdown (blackout = its `total()`).
@@ -34,8 +32,13 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
+    /// Trigger to admission: `started_at - triggered_at`.
+    pub fn queue_wait(&self) -> SimDuration {
+        self.started_at.since(self.triggered_at)
+    }
+
     /// The application-observed blackout (Fig. 4 total).
-    pub fn blackout_s(&self) -> f64 {
+    pub fn blackout(&self) -> SimDuration {
         self.report.total()
     }
 
@@ -57,8 +60,8 @@ pub struct JobFailure {
     pub reason: TriggerReason,
     /// The terminal error, rendered.
     pub error: String,
-    /// When the migration gave up (seconds since the run started).
-    pub failed_at: f64,
+    /// When the migration gave up.
+    pub failed_at: SimTime,
 }
 
 impl WriteJson for JobFailure {
@@ -87,9 +90,9 @@ impl WriteJson for JobOutcome {
         w.field("reason", reason_label(self.reason))?;
         w.field("triggered_at", &self.triggered_at)?;
         w.field("started_at", &self.started_at)?;
-        w.field("queue_wait_s", &self.queue_wait_s)?;
+        w.field("queue_wait_s", &self.queue_wait())?;
         w.field("finished_at", &self.finished_at)?;
-        w.field("blackout_s", &self.blackout_s())?;
+        w.field("blackout_s", &self.blackout())?;
         w.field("deadline_missed", &self.deadline_missed)?;
         // `degraded` only appears when true: fault-free runs serialize
         // bit-identically to builds without fault injection.
@@ -107,13 +110,13 @@ pub struct FleetReport {
     /// Per-job outcomes, in job order.
     pub jobs: Vec<JobOutcome>,
     /// First trigger to last job resumed.
-    pub makespan_s: f64,
+    pub makespan: SimDuration,
     /// Concurrency cap the run used.
     pub concurrency: usize,
     /// Deepest the admission queue got.
     pub peak_queue_depth: usize,
     /// Per-job deadline, if one was set.
-    pub deadline_s: Option<f64>,
+    pub deadline: Option<SimDuration>,
     /// Jobs whose migration failed mid-flight (fault injection with
     /// retries exhausted). Empty on every fault-free run.
     pub failures: Vec<JobFailure>,
@@ -124,44 +127,44 @@ pub struct FleetReport {
 }
 
 /// Nearest-rank percentile (the convention SLO dashboards use): the
-/// smallest value such that at least `q`% of samples are ≤ it.
-/// Total-order sort, so a stray NaN sorts last instead of panicking.
-pub fn percentile(values: &[f64], q: f64) -> f64 {
+/// smallest value such that at least `q`% of samples are ≤ it; zero
+/// for no samples.
+pub fn percentile(values: &[SimDuration], q: f64) -> SimDuration {
     if values.is_empty() {
-        return 0.0;
+        return SimDuration::ZERO;
     }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable();
     let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 impl FleetReport {
-    fn blackouts(&self) -> Vec<f64> {
-        self.jobs.iter().map(|j| j.blackout_s()).collect()
+    fn blackouts(&self) -> Vec<SimDuration> {
+        self.jobs.iter().map(JobOutcome::blackout).collect()
     }
 
-    fn waits(&self) -> Vec<f64> {
-        self.jobs.iter().map(|j| j.queue_wait_s).collect()
+    fn waits(&self) -> Vec<SimDuration> {
+        self.jobs.iter().map(JobOutcome::queue_wait).collect()
     }
 
     /// Median application blackout.
-    pub fn p50_blackout_s(&self) -> f64 {
+    pub fn p50_blackout(&self) -> SimDuration {
         percentile(&self.blackouts(), 50.0)
     }
 
     /// Tail application blackout.
-    pub fn p99_blackout_s(&self) -> f64 {
+    pub fn p99_blackout(&self) -> SimDuration {
         percentile(&self.blackouts(), 99.0)
     }
 
     /// Median queue wait.
-    pub fn p50_queue_wait_s(&self) -> f64 {
+    pub fn p50_queue_wait(&self) -> SimDuration {
         percentile(&self.waits(), 50.0)
     }
 
     /// Tail queue wait.
-    pub fn p99_queue_wait_s(&self) -> f64 {
+    pub fn p99_queue_wait(&self) -> SimDuration {
         percentile(&self.waits(), 99.0)
     }
 
@@ -221,11 +224,11 @@ impl FleetReport {
                 j.job,
                 reason_label(j.reason),
                 j.report.vm_count,
-                j.triggered_at,
-                j.started_at,
-                j.queue_wait_s,
-                j.blackout_s(),
-                j.finished_at,
+                j.triggered_at.as_secs_f64(),
+                j.started_at.as_secs_f64(),
+                j.queue_wait().as_secs_f64(),
+                j.blackout().as_secs_f64(),
+                j.finished_at.as_secs_f64(),
                 j.report.wire_bytes,
                 j.deadline_missed,
                 j.degraded(),
@@ -240,14 +243,14 @@ impl WriteJson for FleetReport {
         w.begin_object()?;
         w.field("jobs", &self.jobs.len())?;
         w.field("concurrency", &self.concurrency)?;
-        w.field("makespan_s", &self.makespan_s)?;
-        w.field("p50_blackout_s", &self.p50_blackout_s())?;
-        w.field("p99_blackout_s", &self.p99_blackout_s())?;
-        w.field("p50_queue_wait_s", &self.p50_queue_wait_s())?;
-        w.field("p99_queue_wait_s", &self.p99_queue_wait_s())?;
+        w.field("makespan_s", &self.makespan)?;
+        w.field("p50_blackout_s", &self.p50_blackout())?;
+        w.field("p99_blackout_s", &self.p99_blackout())?;
+        w.field("p50_queue_wait_s", &self.p50_queue_wait())?;
+        w.field("p99_queue_wait_s", &self.p99_queue_wait())?;
         w.field("peak_queue_depth", &self.peak_queue_depth)?;
         w.field("total_wire_bytes", &self.total_wire_bytes())?;
-        w.field("deadline_s", &self.deadline_s)?;
+        w.field("deadline_s", &self.deadline)?;
         w.field("deadline_misses", &self.deadline_misses())?;
         // The fault-accounting keys only appear when nonzero, keeping
         // fault-free output byte-stable.
@@ -279,18 +282,18 @@ impl fmt::Display for FleetReport {
             self.jobs.len(),
             self.concurrency
         )?;
-        writeln!(f, "  makespan     {:>9.2}s", self.makespan_s)?;
+        writeln!(f, "  makespan     {:>9.2}s", self.makespan.as_secs_f64())?;
         writeln!(
             f,
             "  blackout     {:>9.2}s p50   {:>9.2}s p99",
-            self.p50_blackout_s(),
-            self.p99_blackout_s()
+            self.p50_blackout().as_secs_f64(),
+            self.p99_blackout().as_secs_f64()
         )?;
         writeln!(
             f,
             "  queue wait   {:>9.2}s p50   {:>9.2}s p99",
-            self.p50_queue_wait_s(),
-            self.p99_queue_wait_s()
+            self.p50_queue_wait().as_secs_f64(),
+            self.p99_queue_wait().as_secs_f64()
         )?;
         writeln!(f, "  peak queue depth {}", self.peak_queue_depth)?;
         writeln!(
@@ -298,11 +301,11 @@ impl fmt::Display for FleetReport {
             "  wire bytes   {:.2} GiB",
             self.total_wire_bytes() as f64 / (1u64 << 30) as f64
         )?;
-        match self.deadline_s {
+        match self.deadline {
             Some(d) => write!(
                 f,
                 "  deadline     {:.0}s, {} missed",
-                d,
+                d.as_secs_f64(),
                 self.deadline_misses()
             )?,
             None => write!(f, "  deadline     none")?,
@@ -355,11 +358,11 @@ impl WriteJson for DrillView<'_> {
         w.begin_object()?;
         w.field("jobs", &jobs.len())?;
         w.field("vms", &self.vms())?;
-        w.field("total_seconds", &self.0.makespan_s)?;
+        w.field("total_seconds", &self.0.makespan)?;
         w.key("queue_wait_s")?;
         w.begin_array()?;
         for j in jobs {
-            w.f64(j.queue_wait_s)?;
+            j.queue_wait().write_json(w)?;
         }
         w.end_array()?;
         w.key("migrations")?;
@@ -380,14 +383,14 @@ impl fmt::Display for DrillView<'_> {
             "evacuated {} jobs ({} VMs) in {:.1}s",
             self.0.jobs.len(),
             self.vms(),
-            self.0.makespan_s
+            self.0.makespan.as_secs_f64()
         )?;
         for (i, j) in self.0.jobs.iter().enumerate() {
             write!(
                 f,
                 "\n\n--- job {} (queued {:.1}s) ---\n{}",
                 i + 1,
-                j.queue_wait_s,
+                j.queue_wait().as_secs_f64(),
                 j.report
             )?;
         }
@@ -398,9 +401,9 @@ impl fmt::Display for DrillView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ninja_sim::{Bytes, SimDuration};
+    use ninja_sim::Bytes;
 
-    fn outcome(job: usize, wait: f64, mig_s: u64) -> JobOutcome {
+    fn outcome(job: usize, wait_s: u64, mig_s: u64) -> JobOutcome {
         let report = NinjaReport::new(
             SimDuration::from_millis(5),
             SimDuration::from_secs(3),
@@ -413,36 +416,35 @@ mod tests {
             true,
             1,
         );
-        let triggered = 10.0;
+        let triggered = SimTime::ZERO + SimDuration::from_secs(10);
+        let wait = SimDuration::from_secs(wait_s);
         JobOutcome {
             job,
             reason: TriggerReason::Fallback,
             triggered_at: triggered,
             started_at: triggered + wait,
-            queue_wait_s: wait,
             finished_at: triggered + wait + report.total(),
-            deadline_missed: wait > 100.0,
+            deadline_missed: wait_s > 100,
             report,
         }
     }
 
-    #[test]
-    fn nearest_rank_percentiles() {
-        let v = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
-        assert_eq!(percentile(&v, 50.0), 5.0);
-        assert_eq!(percentile(&v, 99.0), 10.0);
-        assert_eq!(percentile(&v, 100.0), 10.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(percentile(&[7.5], 99.0), 7.5);
+    fn ns(values: &[u64]) -> Vec<SimDuration> {
+        values
+            .iter()
+            .copied()
+            .map(SimDuration::from_nanos)
+            .collect()
     }
 
     #[test]
-    fn percentile_tolerates_nan_without_panicking() {
-        // Total-order sort puts NaN last instead of panicking; finite
-        // quantiles below the NaN's rank are unaffected.
-        let v = [3.0, f64::NAN, 1.0, 2.0];
-        assert_eq!(percentile(&v, 50.0), 2.0);
-        assert!(percentile(&v, 100.0).is_nan());
+    fn nearest_rank_percentiles() {
+        let v = ns(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        assert_eq!(percentile(&v, 50.0).as_nanos(), 5);
+        assert_eq!(percentile(&v, 99.0).as_nanos(), 10);
+        assert_eq!(percentile(&v, 100.0).as_nanos(), 10);
+        assert_eq!(percentile(&[], 50.0), SimDuration::ZERO);
+        assert_eq!(percentile(&ns(&[7_500]), 99.0).as_nanos(), 7_500);
     }
 
     /// Property: on degenerate sample sets, nearest-rank `percentile`
@@ -454,26 +456,26 @@ mod tests {
     fn percentile_matches_histogram_quantile_on_degenerate_sets() {
         use ninja_sim::{Histogram, SimRng};
         let mut rng = SimRng::new(0x51_0e);
-        let mut cases: Vec<Vec<f64>> = vec![
-            vec![42.0],                    // n = 1
-            vec![5.0; 7],                  // all ties
-            vec![1.0, 1.0, 2.0, 2.0, 2.0], // partial ties
-            vec![0.0, 0.0, 0.0, 1e9],      // extreme spread with ties
-            (1..=100).map(f64::from).collect(),
+        let mut cases: Vec<Vec<u64>> = vec![
+            vec![42],                     // n = 1
+            vec![5; 7],                   // all ties
+            vec![1, 1, 2, 2, 2],          // partial ties
+            vec![0, 0, 0, 1_000_000_000], // extreme spread with ties
+            (1..=100).collect(),
         ];
         for n in [2usize, 3, 17] {
-            cases.push((0..n).map(|_| (rng.below(5) as f64) * 0.5).collect());
+            cases.push((0..n).map(|_| rng.below(5) * 500_000_000).collect());
         }
         for values in &cases {
-            let mut bounds: Vec<f64> = values.clone();
+            let mut bounds: Vec<f64> = values.iter().map(|&v| v as f64).collect();
             bounds.sort_by(f64::total_cmp);
             bounds.dedup();
             let mut h = Histogram::new(bounds);
             for &v in values {
-                h.record(v);
+                h.record(v as f64);
             }
             for q in [0.0, 50.0, 99.0, 100.0] {
-                let ours = percentile(values, q);
+                let ours = percentile(&ns(values), q).as_nanos() as f64;
                 let hist = h.quantile(q / 100.0).expect("non-empty histogram");
                 assert_eq!(
                     ours, hist,
@@ -485,14 +487,14 @@ mod tests {
 
     #[test]
     fn report_aggregates_and_serializes() {
-        let jobs: Vec<JobOutcome> = (0..4).map(|i| outcome(i, i as f64 * 50.0, 40)).collect();
-        let makespan = jobs.iter().map(|j| j.finished_at).fold(0.0, f64::max) - 10.0;
+        let jobs: Vec<JobOutcome> = (0..4).map(|i| outcome(i, i as u64 * 50, 40)).collect();
+        let last = jobs.iter().map(|j| j.finished_at).max().unwrap();
         let r = FleetReport {
             jobs,
-            makespan_s: makespan,
+            makespan: last.since(SimTime::ZERO + SimDuration::from_secs(10)),
             concurrency: 2,
             peak_queue_depth: 3,
-            deadline_s: Some(120.0),
+            deadline: Some(SimDuration::from_secs(120)),
             failures: Vec::new(),
             alerts: Vec::new(),
         };
@@ -522,14 +524,13 @@ mod tests {
 
     #[test]
     fn alert_incidents_serialize_and_display() {
-        use ninja_sim::SimTime;
         let at = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
         let r = FleetReport {
-            jobs: vec![outcome(0, 0.0, 40)],
-            makespan_s: 50.0,
+            jobs: vec![outcome(0, 0, 40)],
+            makespan: SimDuration::from_secs(50),
             concurrency: 1,
             peak_queue_depth: 1,
-            deadline_s: None,
+            deadline: None,
             failures: Vec::new(),
             alerts: vec![
                 AlertIncident {
@@ -557,21 +558,21 @@ mod tests {
 
     #[test]
     fn degraded_and_recovery_accounting() {
-        let mut degraded = outcome(0, 0.0, 40);
+        let mut degraded = outcome(0, 0, 40);
         degraded.report.degraded = true;
-        let mut recovery = outcome(0, 0.0, 40);
+        let mut recovery = outcome(0, 0, 40);
         recovery.reason = TriggerReason::Recovery;
         let r = FleetReport {
-            jobs: vec![degraded, outcome(1, 5.0, 40), recovery],
-            makespan_s: 100.0,
+            jobs: vec![degraded, outcome(1, 5, 40), recovery],
+            makespan: SimDuration::from_secs(100),
             concurrency: 1,
             peak_queue_depth: 1,
-            deadline_s: None,
+            deadline: None,
             failures: vec![JobFailure {
                 job: 2,
                 reason: TriggerReason::Fallback,
                 error: "QMP command 'detach' timed out".into(),
-                failed_at: 33.0,
+                failed_at: SimTime::ZERO + SimDuration::from_secs(33),
             }],
             alerts: Vec::new(),
         };

@@ -595,6 +595,59 @@ fn critical_path_skips_events_past_the_nanosecond_range() {
 }
 
 #[test]
+fn trace_subcommands_skip_fractional_and_negative_durations_alike() {
+    // `dur` is a whole number of microseconds; both subcommands read the
+    // file through the same rule, so an event with a fractional or a
+    // negative `dur` is skipped by each, leaving its output as if the
+    // event were not there.
+    let dir = std::env::temp_dir().join("ninja-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let event = |name: &str, ts: &str, dur: &str| {
+        format!(
+            r#"{{"name":"{name}","cat":"ninja","ph":"X","ts":{ts},"dur":{dur},"pid":1,"tid":"ninja","args":{{"job":"0","mig":"0"}}}}"#
+        )
+    };
+    let instant = r#"{"name":"fault","cat":"ninja","ph":"i","ts":3,"s":"t"}"#.to_string();
+    let good = [
+        event("ninja", "0", "5000000"),
+        event("migration", "0", "4000000"),
+        event("attach", "4000000", "1000000"),
+        instant,
+    ];
+    let bad = [
+        event("migration", "0", "2500000.5"),
+        event("attach", "10", "-3"),
+    ];
+    let clean = dir.join("durations-clean.json");
+    let mixed = dir.join("durations-mixed.json");
+    let doc = |events: &[String]| format!(r#"{{"traceEvents":[{}]}}"#, events.join(","));
+    std::fs::write(&clean, doc(&good)).unwrap();
+    let mut all = bad.to_vec();
+    all.extend(good.iter().cloned());
+    std::fs::write(&mixed, doc(&all)).unwrap();
+    for sub in ["summarize", "critical-path"] {
+        let run = |path: &std::path::Path| {
+            let out = ninja()
+                .args(["trace", sub, path.to_str().unwrap()])
+                .output()
+                .unwrap();
+            assert!(
+                out.status.success(),
+                "{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            String::from_utf8(out.stdout).unwrap()
+        };
+        let want = run(&clean);
+        assert!(
+            want.lines().count() > 1,
+            "trace {sub} reads the good events: {want}"
+        );
+        assert_eq!(run(&mixed), want, "trace {sub} skips the bad events");
+    }
+}
+
+#[test]
 fn trace_summarize_rows_sort_by_component_then_span() {
     let dir = std::env::temp_dir().join("ninja-cli-test");
     std::fs::create_dir_all(&dir).unwrap();

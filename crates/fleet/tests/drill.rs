@@ -8,7 +8,7 @@ use ninja_fleet::{run_fleet, DrillView, FleetConfig, FleetReport};
 use ninja_migration::{boot_drill_jobs, plan_evacuation, CloudScheduler, TriggerReason, World};
 use ninja_mpi::MpiRuntime;
 use ninja_net::TransportKind;
-use ninja_sim::WriteJson;
+use ninja_sim::{SimDuration, WriteJson};
 use ninja_symvirt::GuestCooperative;
 
 /// Evacuate every job in `jobs` from the IB to the Ethernet cluster,
@@ -61,22 +61,22 @@ fn serial_drill_records_queue_wait() {
     let fleet = evacuate(&mut w, &mut [&mut a, &mut b]);
     assert_eq!(fleet.jobs.len(), 2);
     assert_eq!(
-        fleet.jobs[0].queue_wait_s, 0.0,
+        fleet.jobs[0].queue_wait(),
+        SimDuration::ZERO,
         "first job starts immediately"
     );
     // Concurrency 1: the second job waits out the whole first migration.
     let first_total = fleet.jobs[0].report.total();
-    assert!(
-        (fleet.jobs[1].queue_wait_s - first_total).abs() < 1e-6,
-        "wait {} vs first job total {}",
-        fleet.jobs[1].queue_wait_s,
-        first_total
+    assert_eq!(
+        fleet.jobs[1].queue_wait(),
+        first_total,
+        "second job's wait is the first job's total"
     );
     let j = ninja_sim::parse(&DrillView(&fleet).to_json_compact()).unwrap();
     let waits = j["queue_wait_s"].as_array().unwrap();
     assert_eq!(waits.len(), 2);
     let wait_json = waits[1].as_f64().unwrap();
-    assert!((wait_json - first_total).abs() < 1e-6, "{wait_json}");
+    assert_eq!(wait_json, first_total.as_secs_f64(), "{wait_json}");
     assert_eq!(j["migrations"].as_array().unwrap().len(), 2);
 }
 

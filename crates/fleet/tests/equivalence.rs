@@ -257,7 +257,7 @@ fn serial_fleet_is_bit_identical_to_orchestrator_migrate() {
     );
     assert_eq!(
         fleet_job.finished_at,
-        s2.world.clock().as_secs_f64(),
+        s2.world.clock(),
         "finish instants diverged"
     );
 }

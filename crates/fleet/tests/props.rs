@@ -123,11 +123,11 @@ fn fair_share_conserves_wire_bytes_against_serial() {
                 "{kind:?}/{seed}: contention must reshuffle time, not bytes"
             );
             assert!(
-                fleet.makespan_s <= serial.makespan_s + 1e-9,
+                fleet.makespan <= serial.makespan,
                 "{kind:?}/{seed}: overlap never slows the drain \
                  ({} vs {})",
-                fleet.makespan_s,
-                serial.makespan_s
+                fleet.makespan,
+                serial.makespan
             );
         }
     }
@@ -139,15 +139,15 @@ fn evacuation_burst_speeds_up_strictly_with_concurrency() {
     let (_, serial) = run(&s, 1);
     let (_, fleet) = run(&s, 4);
     assert!(
-        fleet.makespan_s < serial.makespan_s,
+        fleet.makespan < serial.makespan,
         "overlapping 8 queued jobs must beat draining them one by one \
          ({} vs {})",
-        fleet.makespan_s,
-        serial.makespan_s
+        fleet.makespan,
+        serial.makespan
     );
     // Every job but the first waits in the serial queue; at
     // concurrency 4 the median wait collapses.
-    assert!(fleet.p50_queue_wait_s() < serial.p50_queue_wait_s());
+    assert!(fleet.p50_queue_wait() < serial.p50_queue_wait());
 }
 
 #[test]
@@ -157,7 +157,7 @@ fn soak_many_seeds_stay_deterministic() {
         let (_, a) = run(&s, 3);
         let (_, b) = run(&s, 3);
         assert_eq!(a.to_csv(), b.to_csv(), "seed {seed}: bitwise repeatable");
-        assert_eq!(a.makespan_s, b.makespan_s);
+        assert_eq!(a.makespan, b.makespan);
     }
 }
 

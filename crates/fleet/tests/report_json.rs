@@ -26,16 +26,16 @@ fn migration(mig_s: u64, before: Option<&str>, after: Option<&str>) -> NinjaRepo
     )
 }
 
-fn outcome(job: usize, reason: TriggerReason, wait: f64, report: NinjaReport) -> JobOutcome {
-    let triggered = 0.1 + 0.2;
+fn outcome(job: usize, reason: TriggerReason, wait_ns: u64, report: NinjaReport) -> JobOutcome {
+    let triggered = SimTime::from_nanos(300_000_000);
+    let wait = SimDuration::from_nanos(wait_ns);
     JobOutcome {
         job,
         reason,
         triggered_at: triggered,
         started_at: triggered + wait,
-        queue_wait_s: wait,
         finished_at: triggered + wait + report.total(),
-        deadline_missed: wait > 100.0,
+        deadline_missed: wait > SimDuration::from_secs(100),
         report,
     }
 }
@@ -44,42 +44,42 @@ fn outcome(job: usize, reason: TriggerReason, wait: f64, report: NinjaReport) ->
 fn every_key() -> FleetReport {
     let mut degraded = migration(40, Some("openib"), Some("tcp"));
     degraded.degraded = true;
-    let at = |s: f64| SimTime::ZERO + SimDuration::from_secs_f64(s);
+    let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
     FleetReport {
         jobs: vec![
-            outcome(0, TriggerReason::Fallback, 0.0, degraded),
+            outcome(0, TriggerReason::Fallback, 0, degraded),
             outcome(
                 1,
                 TriggerReason::Placement,
-                150.25,
+                150_250_000_000,
                 migration(7, None, Some("openib")),
             ),
             outcome(
                 0,
                 TriggerReason::Recovery,
-                1e-7,
+                100,
                 migration(12, Some("tcp"), Some("openib")),
             ),
         ],
-        makespan_s: 212.000_000_1,
+        makespan: SimDuration::from_nanos(212_000_000_100),
         concurrency: 2,
         peak_queue_depth: 1,
-        deadline_s: Some(120.0),
+        deadline: Some(SimDuration::from_secs(120)),
         failures: vec![JobFailure {
             job: 2,
             reason: TriggerReason::Fallback,
             error: "QMP command \"device_del\" timed out\n\tafter 3 retries \\ \u{1}".into(),
-            failed_at: 33.5,
+            failed_at: SimTime::from_nanos(33_500_000_000),
         }],
         alerts: vec![
             AlertIncident {
                 rule: "queue-backlog".into(),
-                fired_at: at(30.0),
-                resolved_at: Some(at(90.5)),
+                fired_at: at(30_000),
+                resolved_at: Some(at(90_500)),
             },
             AlertIncident {
                 rule: "retry-burn".into(),
-                fired_at: at(60.0),
+                fired_at: at(60_000),
                 resolved_at: None,
             },
         ],
@@ -90,10 +90,10 @@ fn every_key() -> FleetReport {
 fn no_outcomes() -> FleetReport {
     FleetReport {
         jobs: Vec::new(),
-        makespan_s: 0.0,
+        makespan: SimDuration::ZERO,
         concurrency: 4,
         peak_queue_depth: 0,
-        deadline_s: None,
+        deadline: None,
         failures: Vec::new(),
         alerts: Vec::new(),
     }

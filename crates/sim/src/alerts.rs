@@ -350,8 +350,8 @@ impl WriteJson for AlertIncident {
     fn write_json<W: fmt::Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
         w.begin_object()?;
         w.field("rule", &self.rule)?;
-        w.field("fired_at", &self.fired_at.as_secs_f64())?;
-        w.field("resolved_at", &self.resolved_at.map(|t| t.as_secs_f64()))?;
+        w.field("fired_at", &self.fired_at)?;
+        w.field("resolved_at", &self.resolved_at)?;
         w.end_object()
     }
 }

@@ -16,6 +16,7 @@
 //! [`overwrite_file`] for a file path) with the helpers below instead
 //! of building a [`Json`] tree per record.
 
+use crate::{SimDuration, SimTime};
 use std::fmt::{self, Write};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Seek};
@@ -545,6 +546,22 @@ impl WriteJson for usize {
 impl WriteJson for f64 {
     fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
         w.f64(*self)
+    }
+}
+
+/// Exact decimal seconds: the whole nanoseconds with the fraction's
+/// trailing zeros trimmed, never through a float.
+impl WriteJson for SimDuration {
+    fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        let mut buf = [0u8; 24];
+        w.token(nanos_decimal(false, self.as_nanos(), &mut buf))
+    }
+}
+
+/// Seconds since the simulation epoch, written like [`SimDuration`].
+impl WriteJson for SimTime {
+    fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        self.since(SimTime::ZERO).write_json(w)
     }
 }
 

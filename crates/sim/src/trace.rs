@@ -318,14 +318,14 @@ impl Trace {
 pub struct PhaseAttribution {
     /// Phase name (one of the Fig. 4 phases the caller passed in).
     pub phase: String,
-    /// Seconds of the migration's blackout this phase accounts for.
-    pub seconds: f64,
+    /// The share of the migration's blackout this phase accounts for.
+    pub duration: SimDuration,
     /// The VM whose per-VM span of this phase ran longest (ties break
     /// to the lexicographically smallest VM name); `None` when the
     /// trace carries no per-VM spans for the phase.
     pub critical_vm: Option<String>,
-    /// Duration of the critical VM's span, in seconds.
-    pub critical_vm_seconds: f64,
+    /// Duration of the critical VM's span (zero without one).
+    pub critical_vm_duration: SimDuration,
 }
 
 /// One migration's reconstructed span tree: the job envelope, its
@@ -342,10 +342,10 @@ pub struct MigrationPath {
     /// Envelope end (application resumed, links trained).
     pub end: SimTime,
     /// Total application-observed blackout (envelope duration).
-    pub blackout_s: f64,
-    /// Seconds of the blackout covered by matched phase spans; the
-    /// attribution is healthy when this is ≥ 99% of `blackout_s`.
-    pub attributed_s: f64,
+    pub blackout: SimDuration,
+    /// The part of the blackout covered by matched phase spans; the
+    /// attribution is healthy when this is ≥ 99% of `blackout`.
+    pub attributed: SimDuration,
     /// Per-phase attribution, in the caller's phase order.
     pub phases: Vec<PhaseAttribution>,
     /// Name of the phase with the largest share (ties break to the
@@ -356,10 +356,10 @@ pub struct MigrationPath {
 impl MigrationPath {
     /// Fraction of the blackout attributed to named phases, in [0, 1].
     pub fn coverage(&self) -> f64 {
-        if self.blackout_s <= 0.0 {
+        if self.blackout.is_zero() {
             return 1.0;
         }
-        self.attributed_s / self.blackout_s
+        self.attributed.as_nanos() as f64 / self.blackout.as_nanos() as f64
     }
 }
 
@@ -450,7 +450,7 @@ pub fn critical_paths(trace: &Trace, phase_names: &[&str]) -> Vec<MigrationPath>
         let (job, mig) = key;
         used[ei] = true;
         let mut phases = Vec::new();
-        let mut attributed = 0.0;
+        let mut attributed = SimDuration::ZERO;
         for &pn in phase_names {
             let found = bucket("ninja", pn, key).iter().copied().find(|&pi| {
                 !used[pi] && spans[pi].start() >= env.start() && spans[pi].start() <= env.end()
@@ -460,12 +460,11 @@ pub fn critical_paths(trace: &Trace, phase_names: &[&str]) -> Vec<MigrationPath>
             };
             let p = &spans[pi];
             used[pi] = true;
-            let seconds = p.duration().as_secs_f64();
-            attributed += seconds;
+            attributed += p.duration();
             // The phase's critical VM: longest symvirt span of the same
             // phase starting inside the window (start-containment keeps
             // the match robust to the export's microsecond truncation).
-            let mut critical: Option<(&str, f64)> = None;
+            let mut critical: Option<(&str, SimDuration)> = None;
             for &vi in bucket("symvirt", pn, key) {
                 let vs = &spans[vi];
                 if used[vi] || vs.start() < p.start() || vs.start() > p.end() {
@@ -473,7 +472,7 @@ pub fn critical_paths(trace: &Trace, phase_names: &[&str]) -> Vec<MigrationPath>
                 }
                 let Some(vm) = vs.label("vm") else { continue };
                 used[vi] = true;
-                let d = vs.duration().as_secs_f64();
+                let d = vs.duration();
                 let better = match critical {
                     None => true,
                     Some((cur_vm, cur_d)) => d > cur_d || (d == cur_d && vm < cur_vm),
@@ -484,27 +483,26 @@ pub fn critical_paths(trace: &Trace, phase_names: &[&str]) -> Vec<MigrationPath>
             }
             phases.push(PhaseAttribution {
                 phase: pn.to_string(),
-                seconds,
+                duration: p.duration(),
                 critical_vm: critical.map(|(vm, _)| vm.to_string()),
-                critical_vm_seconds: critical.map_or(0.0, |(_, d)| d),
+                critical_vm_duration: critical.map_or(SimDuration::ZERO, |(_, d)| d),
             });
         }
-        let mut dominant = String::new();
-        let mut best = f64::NEG_INFINITY;
+        let mut dominant: Option<&PhaseAttribution> = None;
         for p in &phases {
             // Strict `>` so ties break to the earlier phase.
-            if p.seconds > best {
-                best = p.seconds;
-                dominant = p.phase.clone();
+            if dominant.map_or(true, |d| p.duration > d.duration) {
+                dominant = Some(p);
             }
         }
+        let dominant = dominant.map_or_else(String::new, |p| p.phase.clone());
         out.push(MigrationPath {
             job,
             mig,
             start: env.start(),
             end: env.end(),
-            blackout_s: env.duration().as_secs_f64(),
-            attributed_s: attributed,
+            blackout: env.duration(),
+            attributed,
             phases,
             dominant,
         });
@@ -733,12 +731,12 @@ mod tests {
         assert_eq!(paths.len(), 2);
         let p0 = &paths[0];
         assert_eq!((p0.job, p0.mig), (Some(0), Some(0)));
-        assert_eq!(p0.blackout_s, 36.0);
-        assert_eq!(p0.attributed_s, 36.0);
+        assert_eq!(p0.blackout, SimDuration::from_secs(36));
+        assert_eq!(p0.attributed, SimDuration::from_secs(36));
         assert!(p0.coverage() >= 0.99);
         assert_eq!(p0.dominant, "migration");
         assert_eq!(p0.phases.len(), 3);
-        assert_eq!(p0.phases[1].seconds, 30.0);
+        assert_eq!(p0.phases[1].duration, SimDuration::from_secs(30));
         assert_eq!(p0.phases[1].critical_vm.as_deref(), Some("j0v0"));
         assert_eq!(paths[1].dominant, "attach");
         assert_eq!(paths[1].phases[2].critical_vm.as_deref(), Some("j1v0"));
@@ -758,8 +756,8 @@ mod tests {
         // keeps each envelope matched to its own phases.
         assert_eq!((paths[0].job, paths[0].mig), (Some(0), Some(0)));
         assert_eq!((paths[1].job, paths[1].mig), (Some(0), Some(1)));
-        assert_eq!(paths[0].blackout_s, 24.0);
-        assert_eq!(paths[1].blackout_s, 11.0);
+        assert_eq!(paths[0].blackout, SimDuration::from_secs(24));
+        assert_eq!(paths[1].blackout, SimDuration::from_secs(11));
         for p in &paths {
             assert!(p.coverage() >= 0.99, "coverage {}", p.coverage());
         }

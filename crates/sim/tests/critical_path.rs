@@ -50,7 +50,7 @@ fn critical_paths_reference(spans: &[Span], phase_names: &[&str]) -> Vec<Migrati
         let (job, mig) = key;
         used[ei] = true;
         let mut phases = Vec::new();
-        let mut attributed = 0.0;
+        let mut attributed = SimDuration::ZERO;
         for &pn in phase_names {
             let found = spans.iter().enumerate().find(|(pi, p)| {
                 !used[*pi]
@@ -64,9 +64,8 @@ fn critical_paths_reference(spans: &[Span], phase_names: &[&str]) -> Vec<Migrati
                 continue;
             };
             used[pi] = true;
-            let seconds = p.duration().as_secs_f64();
-            attributed += seconds;
-            let mut critical: Option<(&str, f64)> = None;
+            attributed += p.duration();
+            let mut critical: Option<(&str, SimDuration)> = None;
             for (vi, vs) in spans.iter().enumerate() {
                 if used[vi]
                     || vs.component != "symvirt"
@@ -79,7 +78,7 @@ fn critical_paths_reference(spans: &[Span], phase_names: &[&str]) -> Vec<Migrati
                 }
                 let Some(vm) = vs.label("vm") else { continue };
                 used[vi] = true;
-                let d = vs.duration().as_secs_f64();
+                let d = vs.duration();
                 let better = match critical {
                     None => true,
                     Some((cur_vm, cur_d)) => d > cur_d || (d == cur_d && vm < cur_vm),
@@ -90,16 +89,16 @@ fn critical_paths_reference(spans: &[Span], phase_names: &[&str]) -> Vec<Migrati
             }
             phases.push(PhaseAttribution {
                 phase: pn.to_string(),
-                seconds,
+                duration: p.duration(),
                 critical_vm: critical.map(|(vm, _)| vm.to_string()),
-                critical_vm_seconds: critical.map_or(0.0, |(_, d)| d),
+                critical_vm_duration: critical.map_or(SimDuration::ZERO, |(_, d)| d),
             });
         }
         let mut dominant = String::new();
-        let mut best = f64::NEG_INFINITY;
+        let mut best: Option<SimDuration> = None;
         for p in &phases {
-            if p.seconds > best {
-                best = p.seconds;
+            if best.map_or(true, |b| p.duration > b) {
+                best = Some(p.duration);
                 dominant = p.phase.clone();
             }
         }
@@ -108,8 +107,8 @@ fn critical_paths_reference(spans: &[Span], phase_names: &[&str]) -> Vec<Migrati
             mig,
             start: env.start,
             end: env.end,
-            blackout_s: env.duration().as_secs_f64(),
-            attributed_s: attributed,
+            blackout: env.duration(),
+            attributed,
             phases,
             dominant,
         });

@@ -374,7 +374,7 @@ impl RetryPolicy {
     /// The wait before retry `attempt` (1-based): `backoff · 2^(a-1)`.
     pub fn backoff_before(&self, attempt: u32) -> SimDuration {
         let shift = attempt.saturating_sub(1).min(6);
-        self.backoff.mul_f64((1u64 << shift) as f64)
+        self.backoff * (1 << shift)
     }
 }
 
@@ -476,5 +476,29 @@ mod tests {
         assert_eq!(p.backoff_before(2).as_secs_f64(), 4.0);
         assert_eq!(p.backoff_before(3).as_secs_f64(), 8.0);
         assert_eq!(p.backoff_before(40).as_secs_f64(), 128.0, "capped at 64x");
+    }
+
+    #[test]
+    fn backoff_doubles_exactly_in_nanoseconds() {
+        // Doubling through f64 seconds used to truncate: a 1.001 s
+        // backoff came back 1 ns short (1_000_999_999 ns).
+        let mut rng = ninja_sim::SimRng::new(0xb0ff);
+        let mut backoffs = vec![1_001_000_000];
+        backoffs.extend((0..500).map(|_| rng.below(600_000_000_000)));
+        backoffs.extend((0..500).map(|_| rng.below(600_000) * 1_000_000));
+        for ns in backoffs {
+            let p = RetryPolicy {
+                max_retries: 10,
+                backoff: SimDuration::from_nanos(ns),
+            };
+            for a in 1..=7u32 {
+                assert_eq!(
+                    p.backoff_before(a).as_nanos(),
+                    ns << (a - 1),
+                    "backoff {ns} ns, attempt {a}"
+                );
+            }
+            assert_eq!(p.backoff_before(8), p.backoff_before(7), "capped at 64x");
+        }
     }
 }

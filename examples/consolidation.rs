@@ -44,7 +44,7 @@ fn main() {
     );
     println!(
         "  packing cost: {:.1}s ({} -> {})",
-        pack.total(),
+        pack.total().as_secs_f64(),
         pack.transport_before.as_deref().unwrap_or("?"),
         pack.transport_after.as_deref().unwrap_or("?")
     );
@@ -58,9 +58,9 @@ fn main() {
     let morning_speed = job.bcast_time(Rank(0), probe, &env);
     println!("morning   : 4 IB hosts again, bcast(1 GiB) = {morning_speed}");
     println!(
-        "  spreading cost: {:.1}s (includes {} IB link training)",
-        spread.total(),
-        spread.linkup
+        "  spreading cost: {:.1}s (includes {:.2}s IB link training)",
+        spread.total().as_secs_f64(),
+        spread.linkup.as_secs_f64()
     );
 
     assert!(

@@ -63,11 +63,14 @@ fn main() {
 
     let migrations: Vec<_> = record.migrations().collect();
     assert_eq!(migrations.len(), 2, "evacuation + return");
-    println!("\nevacuation overhead: {:.1}s", migrations[0].total());
     println!(
-        "return overhead:     {:.1}s (includes {} of IB link training)",
-        migrations[1].total(),
-        migrations[1].linkup
+        "\nevacuation overhead: {:.1}s",
+        migrations[0].total().as_secs_f64()
+    );
+    println!(
+        "return overhead:     {:.1}s (includes {:.2}s of IB link training)",
+        migrations[1].total().as_secs_f64(),
+        migrations[1].linkup.as_secs_f64()
     );
     println!(
         "total app time {:.0}s, total overhead {:.0}s",

@@ -80,10 +80,10 @@ fn main() {
         .expect("checkpoint");
     println!("--- periodic checkpoint (job keeps running after) ---");
     println!(
-        "  frozen for {:.1}s (save {}, re-attach+link-up {:.1}s), images {}",
-        ck.total(),
-        ck.save,
-        ck.attach.0 + ck.linkup.0,
+        "  frozen for {:.1}s (save {:.2}s, re-attach+link-up {:.1}s), images {}",
+        ck.total().as_secs_f64(),
+        ck.save.as_secs_f64(),
+        (ck.attach + ck.linkup).as_secs_f64(),
         store.stored_bytes()
     );
 
@@ -97,17 +97,20 @@ fn main() {
         .expect("restart at DR site");
     println!("\n--- unplanned failure: restart from images at the DR site ---");
     println!(
-        "  back online in {:.1}s (restore {}, transport {})",
-        rs.total(),
-        rs.restore,
+        "  back online in {:.1}s (restore {:.2}s, transport {})",
+        rs.total().as_secs_f64(),
+        rs.restore.as_secs_f64(),
         rs.transport_after.as_deref().unwrap_or("?")
     );
     println!(
         "  work since the checkpoint is lost; the live path preserves it\n   at the cost of {:.1}s of WAN-bound downtime.",
-        live.total()
+        live.total().as_secs_f64()
     );
 
     assert_eq!(rs.transport_after.as_deref(), Some("tcp"));
-    assert!(live.migration.0 > 60.0, "WAN-bound evacuation is slow");
+    assert!(
+        live.migration.as_secs_f64() > 60.0,
+        "WAN-bound evacuation is slow"
+    );
     println!("\nok: both recovery paths land the job at the DR site.");
 }

@@ -148,14 +148,16 @@ fn c3_overhead_decomposition() {
         reports.push(r);
     }
     // Coordination negligible.
-    assert!(reports.iter().all(|r| r.coordination.0 < 0.1));
+    assert!(reports.iter().all(|r| r.coordination.as_secs_f64() < 0.1));
     // Hotplug constant.
-    let hp: Vec<f64> = reports.iter().map(|r| r.hotplug()).collect();
+    let hp: Vec<f64> = reports.iter().map(|r| r.hotplug().as_secs_f64()).collect();
     assert!(hp.iter().all(|&h| (hp[0] - h).abs() < 2.0), "{hp:?}");
     // Link-up constant ~30 s.
-    assert!(reports.iter().all(|r| (28.0..31.5).contains(&r.linkup.0)));
+    assert!(reports
+        .iter()
+        .all(|r| (28.0..31.5).contains(&r.linkup.as_secs_f64())));
     // Migration grows, sublinearly.
-    let mig: Vec<f64> = reports.iter().map(|r| r.migration.0).collect();
+    let mig: Vec<f64> = reports.iter().map(|r| r.migration.as_secs_f64()).collect();
     assert!(mig.windows(2).all(|w| w[1] > w[0]), "{mig:?}");
     assert!(mig[3] / mig[0] < 8.0, "sublinear: {mig:?}");
 }
@@ -182,7 +184,7 @@ fn c3_frozen_during_migration() {
     let it3 = &rec.iterations[2];
     let report = it3.migration.as_ref().unwrap();
     assert!(
-        (it3.overhead.as_secs_f64() - report.total()).abs() < 0.5,
+        (it3.overhead.as_secs_f64() - report.total().as_secs_f64()).abs() < 0.5,
         "the full overhead lands in the frozen window"
     );
 }
