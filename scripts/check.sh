@@ -94,6 +94,14 @@ for seed in 1 2; do
     cmp "$smoke_dir/plain.json" "$smoke_dir/traced.json"
 done
 
+# Report times are integer nanoseconds printed as seconds: no
+# time-valued number may carry float noise past the ninth decimal, on
+# the `queued` report or on a faulted one.
+"${CARGO_TARGET_DIR:-.bench_build}/release/ninja" "${queued[@]}" --seed 1 > "$smoke_dir/queued.json"
+"${CARGO_TARGET_DIR:-.bench_build}/release/ninja" faults --jobs 3 --fault-seed 42 --json \
+    > "$smoke_dir/faults.json" 2> /dev/null
+python3 scripts/time_digits.py "$smoke_dir/queued.json" "$smoke_dir/faults.json"
+
 # A trace file whose timestamps overflow nanoseconds is read past, not
 # wrapped into a bogus migration row (release builds do not trap the
 # overflow).
