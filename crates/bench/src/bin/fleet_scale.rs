@@ -2,14 +2,13 @@
 //! pre-optimization baseline, swept over fleet size.
 //!
 //! This is the measurement half of the engine rewrite: the same
-//! evacuation fleet is driven once by the event-driven
-//! [`run_fleet`](ninja_fleet::run_fleet) (heap-keyed wake/recovery
-//! queues, incremental water-filling link) and once by
-//! [`run_fleet_reference`](ninja_fleet::run_fleet_reference) (the
-//! shipped O(J)-per-iteration loop over the from-scratch link). Both
-//! runs must produce bit-identical reports; only the host wall-clock
-//! may differ. Results append to `BENCH_fleet.json` at the workspace
-//! root so the speedup trend survives across PRs.
+//! evacuation fleet is driven once by the event-driven [`run_fleet`]
+//! (heap-keyed wake/recovery queues, incremental water-filling link)
+//! and once by [`run_fleet_reference`] (the shipped O(J)-per-iteration
+//! loop over the from-scratch link). Both runs must produce
+//! bit-identical reports; only the host wall-clock may differ. Results
+//! append to `BENCH_fleet.json` at the workspace root so the speedup
+//! trend survives across PRs.
 //!
 //! ```text
 //! cargo run --release -p ninja-bench --bin fleet_scale           # full sweep, 16..4096 jobs

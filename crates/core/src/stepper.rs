@@ -15,17 +15,18 @@
 //! Each [`step`](MigrationMachine::step) performs exactly one phase and
 //! advances the machine's *job-local* clock; the caller decides when to
 //! advance the world. The serial orchestrator simply steps the machine
-//! to completion, reproducing the old behaviour bit-for-bit (the
-//! monitor's `migrate` path draws nothing from the rng, and the hotplug
-//! draws happen in the same order). The fleet engine instead keeps many
-//! machines in flight, stepping whichever is due next.
+//! to completion. The fleet engine instead keeps many machines in
+//! flight, stepping whichever is due next.
 //!
-//! The migration phase has two wire modes ([`WireMode`]): *queueing*
-//! (the classic serializing [`SharedLink`](ninja_net::SharedLink) path
-//! reservation, used by the serial orchestrator) and *fair-share*, where
-//! every VM's precopy stream becomes a flow on a shared
-//! [`FairShareLink`] uplink and concurrent migrations split bandwidth
-//! max-min fairly — that is what makes fleet contention measurable.
+//! Either way the migration phase opens every VM's migration
+//! ([`Controller::migration_open`]: check, plan, hold the destination
+//! memory) and lands each one with [`Controller::migration_commit`].
+//! The two wire modes ([`WireMode`]) differ only in how a stream's
+//! landing instant is found: *queueing* reserves a serializing
+//! [`SharedLink`](ninja_net::SharedLink) path, and *fair-share* opens a
+//! flow on a shared [`FairShareLink`] uplink, where concurrent
+//! migrations split bandwidth max-min fairly — that is what makes fleet
+//! contention measurable.
 
 use crate::report::NinjaReport;
 use crate::world::World;
@@ -38,15 +39,16 @@ use ninja_symvirt::{
 };
 use ninja_vmm::{PrecopyPlan, QemuMonitor, VmId, VmmError};
 
-/// How the migration phase puts precopy bytes on the wire.
+/// How the migration phase finds when each precopy stream lands.
 pub enum WireMode<'a> {
-    /// The serializing path reservation on the source/destination NICs
-    /// and WAN (`DataCenter::reserve_migration_path`) — concurrent
-    /// transfers queue. This is the single-job orchestrator's mode.
+    /// A path reservation on the source/destination NICs and WAN
+    /// (`DataCenter::reserve_migration_path`, through
+    /// [`Controller::migration`]) — concurrent transfers queue. This is
+    /// the single-job orchestrator's mode.
     Queueing,
-    /// Every VM's stream is a flow on this shared uplink; concurrent
-    /// streams split bandwidth max-min fairly. The caller owns the link
-    /// and must advance it alongside the world clock.
+    /// A flow on this shared uplink; concurrent streams split bandwidth
+    /// max-min fairly. The caller owns the link and must advance it
+    /// alongside the world clock.
     FairShare(&'a mut FairShareLink),
 }
 
@@ -331,16 +333,12 @@ impl MigrationMachine {
                     WireMode::FairShare(link) => {
                         let pending = self.ctl.migration_open(
                             &self.dsts,
-                            &world.pool,
-                            &world.dc,
+                            &mut world.pool,
+                            &mut world.dc,
                             self.now,
+                            &mut world.rng,
                         )?;
-                        let cfg = self.ctl.monitor().config();
-                        let sender_cap = if cfg.rdma_transport {
-                            None
-                        } else {
-                            Some(cfg.sender_cap)
-                        };
+                        let sender_cap = self.ctl.monitor().config().sender_cap();
                         let streams: Vec<Stream> = pending
                             .into_iter()
                             .map(|p| {

@@ -86,10 +86,12 @@ use ninja_migration::{
 };
 use ninja_sim::export::{overwrite_file, stream_to, IoSink};
 use ninja_sim::{
-    AlertEngine, Bandwidth, Json, JsonWriter, SimDuration, TimeSeriesRecorder, Trace, WriteJson,
+    AlertEngine, Bandwidth, Bytes, Json, JsonWriter, SimDuration, TimeSeriesRecorder, Trace,
+    WriteJson,
 };
 use ninja_symvirt::{FaultPlan, FaultSpec, GuestCooperative, RetryPolicy};
 use ninja_vmm::SnapshotStore;
+use ninja_workloads::{install_memory_profile, MemoryProfile};
 use std::collections::BTreeMap;
 use std::fmt::{self, Write};
 use std::fs::File;
@@ -699,7 +701,12 @@ fn main() {
         "checkpoint" => {
             let vms = world.boot_ib_vms(args.vms);
             let mut rt = world.start_job(vms.clone(), args.procs);
-            ninja_workloads_shim::install(&mut world, &rt, args.footprint_gib);
+            let profile = MemoryProfile {
+                touched: Bytes::from_gib(args.footprint_gib),
+                uniform_frac: 0.3,
+                dirty_bytes_per_sec: 1e9,
+            };
+            install_memory_profile(&mut world, &rt, profile);
             let mut store = SnapshotStore::new();
             let (handle, ck) = orch
                 .checkpoint(&mut world, &mut rt, &mut store)
@@ -852,22 +859,4 @@ fn main() {
     // Every output is flushed: end the process without dropping the
     // world (its trace, registry and data center are freed by the OS).
     exit(0)
-}
-
-/// Minimal inline reimplementation of the workload memory-profile
-/// installer, to avoid a circular dependency on `ninja-workloads`.
-mod ninja_workloads_shim {
-    use ninja_migration::World;
-    use ninja_mpi::MpiRuntime;
-    use ninja_sim::Bytes;
-
-    pub fn install(world: &mut World, rt: &MpiRuntime, footprint_gib: u64) {
-        for &vm in rt.layout().vms() {
-            world
-                .pool
-                .get_mut(vm)
-                .memory
-                .set_workload(Bytes::from_gib(footprint_gib), 0.3, 1e9);
-        }
-    }
 }

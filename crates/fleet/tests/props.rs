@@ -164,6 +164,10 @@ fn soak_many_seeds_stay_deterministic() {
 #[cfg(feature = "proptest")]
 mod prop {
     use super::*;
+    use ninja_cluster::NodeId;
+    use ninja_migration::{CloudScheduler, NinjaOrchestrator, TriggerReason};
+    use ninja_mpi::MpiRuntime;
+    use ninja_vmm::{MigrationConfig, QemuMonitor};
     use proptest::prelude::*;
 
     proptest! {
@@ -189,6 +193,76 @@ mod prop {
             assert_phase_order(&world, jobs * vms_per_job);
             let (_, serial) = run(&s, 1);
             prop_assert_eq!(serial.total_wire_bytes(), report.total_wire_bytes());
+        }
+
+        /// One job of random size onto random Ethernet hosts (wrapped,
+        /// repeated) fails or lands alike through the serial orchestrator
+        /// and a one-job fleet, and leaves the same ledger behind. Times
+        /// are not compared: a funnel serializes on the destination NIC
+        /// in queueing mode but shares the uplink in fair-share mode.
+        #[test]
+        fn serial_and_fleet_agree_on_capacity(
+            vms in 1usize..=4,
+            hosts in proptest::collection::vec(0usize..8, 1..=4),
+            seed in 0u64..1000,
+        ) {
+            let rdma = MigrationConfig {
+                rdma_transport: true,
+                ..MigrationConfig::default()
+            };
+            let boot = || {
+                let mut w = World::agc(seed);
+                let job = w.boot_ib_vms(vms);
+                let rt = w.start_job(job, 1);
+                let dsts: Vec<NodeId> = hosts.iter().map(|&i| w.eth_node(i)).collect();
+                (w, rt, dsts)
+            };
+            let placement = |w: &World, rt: &MpiRuntime| -> Vec<NodeId> {
+                rt.layout().vms().iter().map(|&vm| w.pool.get(vm).node).collect()
+            };
+
+            let (mut w, mut rt, dsts) = boot();
+            let serial = NinjaOrchestrator::new(rdma.clone())
+                .migrate(&mut w, &mut rt, &dsts)
+                .err()
+                .map(|e| e.to_string());
+            assert_ledger(&w);
+            let serial_nodes = placement(&w, &rt);
+
+            let (mut w, mut rt, dsts) = boot();
+            let mut scheduler = CloudScheduler::new();
+            scheduler.push_job(w.clock(), dsts, TriggerReason::Fallback, 0);
+            let cfg = FleetConfig {
+                monitor: QemuMonitor::new(rdma),
+                ..FleetConfig::default()
+            };
+            let report = run_fleet(&mut w, &mut [&mut rt as &mut dyn GuestCooperative], scheduler, &cfg)
+                .expect("fleet run");
+            assert_ledger(&w);
+            let fleet = report.failures.first().map(|f| f.error.clone());
+            prop_assert_eq!(serial, fleet);
+            prop_assert_eq!(serial_nodes, placement(&w, &rt));
+        }
+    }
+
+    /// Every node's committed vCPUs and memory are the sums over the VMs
+    /// resident on it.
+    fn assert_ledger(w: &World) {
+        for node in w.dc.nodes() {
+            let (vcpus, mem) = w
+                .pool
+                .iter()
+                .filter(|v| v.node == node.id)
+                .fold((0, 0), |(c, m), v| {
+                    (c + v.spec.vcpus, m + v.spec.memory.get())
+                });
+            assert_eq!(node.committed_vcpus(), vcpus, "vCPUs on {}", node.hostname);
+            assert_eq!(
+                node.committed_memory().get(),
+                mem,
+                "memory on {}",
+                node.hostname
+            );
         }
     }
 }

@@ -225,8 +225,8 @@ impl Trace {
     /// component renders as its own track (`tid`).
     ///
     /// Events are rendered into a local chunk without `fmt` (integers
-    /// through [`push_u64`], strings through [`push_escaped`]) and handed
-    /// to `out` about [`CHUNK`] bytes at a time.
+    /// through `push_u64`, strings through `push_escaped`) and handed to
+    /// `out` about `CHUNK` bytes at a time.
     pub fn write_chrome_json<W: Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         let mut buf = String::with_capacity(CHUNK + 1024);
         buf.push_str("{\"traceEvents\":[");

@@ -49,22 +49,11 @@ pub struct MigrationPhase {
     pub completed_at: SimTime,
 }
 
-impl MigrationPhase {
-    /// Wall-clock cost of the phase from its start.
-    pub fn duration(&self, started: SimTime) -> SimDuration {
-        self.completed_at.since(started)
-    }
-
-    /// Total bytes moved across all VMs.
-    pub fn total_wire_bytes(&self) -> ninja_sim::Bytes {
-        self.plans.iter().map(|p| p.wire_bytes()).sum()
-    }
-}
-
-/// A migration opened under fair-share wire mode: checked and planned,
-/// with the guest still on its source node. The caller owns the wire
-/// time (e.g. a `FairShareLink` flow in `ninja-net`) and lands the VM
-/// via [`Controller::migration_commit`] once the stream drains.
+/// An open migration: checked, planned and holding the guest's memory
+/// on `dst`, with the guest still on its source node. The wire decides
+/// when it lands: [`Controller::migration`] reserves a path, the fleet
+/// engine opens a `FairShareLink` flow (`ninja-net`), and either lands
+/// the VM with [`Controller::migration_commit`] once the stream drains.
 #[derive(Debug, Clone)]
 pub struct PendingMigration {
     /// The VM in flight.
@@ -305,8 +294,11 @@ impl Controller {
 
     /// `migration(src_hostlist, dst_hostlist)`: migrate VM *i* to
     /// `dsts[i % dsts.len()]` (wrapping supports the paper's
-    /// consolidation of 4 VMs onto 2 hosts). All agents start at `now`;
-    /// contention on shared destination NICs emerges from the link model.
+    /// consolidation of 4 VMs onto 2 hosts). All agents start at `now`
+    /// ([`migration_open`](Controller::migration_open)); each stream
+    /// then reserves its path in hostlist order, so contention on shared
+    /// NICs serializes, and lands when both the wire and the precopy
+    /// schedule are done.
     pub fn migration(
         &mut self,
         dsts: &[NodeId],
@@ -315,85 +307,67 @@ impl Controller {
         now: SimTime,
         rng: &mut SimRng,
     ) -> Result<MigrationPhase, SymVirtError> {
-        self.check_open()?;
-        if dsts.is_empty() {
-            return Err(SymVirtError::EmptyHostlist);
-        }
-        self.wait_all(pool)?;
-        let mut plans = Vec::with_capacity(self.hostlist.len());
+        let pending = self.migration_open(dsts, pool, dc, now, rng)?;
+        let sender_cap = self.monitor.config().sender_cap();
         let mut completed_at = now;
-        for i in 0..self.hostlist.len() {
-            let (vm, dst) = (self.hostlist[i], dsts[i % dsts.len()]);
-            let reply = self.monitor.execute(
-                MonitorCommand::Migrate { vm, dst },
-                pool,
-                dc,
-                now,
-                rng,
-                true,
-            )?;
-            if let MonitorReply::MigrationDone { plan, completes_at } = reply {
-                completed_at = completed_at.max(completes_at);
-                self.record_vm_span("migration", vm, now, completes_at);
-                self.log.push(AgentAction {
-                    vm,
-                    action: format!("migrate -> {}", dc.node(dst).hostname),
-                    started: now,
-                    duration: completes_at.since(now),
-                });
-                plans.push(plan);
-            }
+        for p in &pending {
+            let src = pool.get(p.vm).node;
+            let wire = dc.reserve_migration_path(src, p.dst, p.plan.wire_bytes(), sender_cap, now);
+            let completes_at = wire.end.max(now + p.plan.duration());
+            self.migration_commit(p, completes_at, pool, dc);
+            completed_at = completed_at.max(completes_at);
         }
         Ok(MigrationPhase {
-            plans,
+            plans: pending.into_iter().map(|p| p.plan).collect(),
             completed_at,
         })
     }
 
-    /// First half of [`migration`](Controller::migration) for fair-share
-    /// wire mode: every agent checks and plans its VM's precopy, but the
-    /// wire time is left to the caller's contention model — open one
-    /// flow per returned [`PendingMigration`], then land each VM with
-    /// [`migration_commit`](Controller::migration_commit) when its
-    /// stream drains. Guests stay on their source nodes meanwhile.
+    /// Every agent issues `migrate` for its VM: checked, planned, and
+    /// holding its memory on the destination, the guest still on its
+    /// source. The caller's wire model decides when each stream drains;
+    /// land each VM with [`migration_commit`](Controller::migration_commit)
+    /// then. If any agent's `migrate` fails, the migrations already
+    /// started are cancelled, so none is left open.
     pub fn migration_open(
         &mut self,
         dsts: &[NodeId],
-        pool: &VmPool,
-        dc: &DataCenter,
+        pool: &mut VmPool,
+        dc: &mut DataCenter,
         now: SimTime,
+        rng: &mut SimRng,
     ) -> Result<Vec<PendingMigration>, SymVirtError> {
         self.check_open()?;
         if dsts.is_empty() {
             return Err(SymVirtError::EmptyHostlist);
         }
         self.wait_all(pool)?;
-        let cfg = self.monitor.config();
         let mut pending = Vec::with_capacity(self.hostlist.len());
         for (i, &vm) in self.hostlist.iter().enumerate() {
             let dst = dsts[i % dsts.len()];
-            pool.check_migratable(vm, dst, dc)
-                .map_err(SymVirtError::from)?;
-            let guest_running = pool.get(vm).state == VmState::Running;
-            let src = pool.get(vm).node;
-            // Plan against the raw NIC rate, exactly as the monitor's
-            // Migrate path does; the fair-share link applies contention.
-            let link_rate = dc.node(src).spec.eth_bandwidth;
-            let plan = ninja_vmm::plan_precopy(&pool.get(vm).memory, guest_running, link_rate, cfg);
-            pending.push(PendingMigration {
-                vm,
-                dst,
-                plan,
-                started: now,
-            });
+            let cmd = MonitorCommand::Migrate { vm, dst };
+            match self.monitor.execute(cmd, pool, dc, now, rng, true) {
+                Ok(MonitorReply::MigrationStarted { plan }) => pending.push(PendingMigration {
+                    vm,
+                    dst,
+                    plan,
+                    started: now,
+                }),
+                failed => {
+                    for p in pending.iter().rev() {
+                        pool.cancel_migration(p.vm, p.dst, dc);
+                    }
+                    let err = failed.expect_err("`migrate` replies MigrationStarted");
+                    return Err(err.into());
+                }
+            }
         }
         Ok(pending)
     }
 
-    /// Second half of fair-share-mode migration: land `p.vm` on `p.dst`
-    /// at `completes_at` (when its wire stream drained, floored by the
-    /// precopy schedule) and record the agent's span/log entry, exactly
-    /// as the serial [`migration`](Controller::migration) phase does.
+    /// Land `p.vm` on `p.dst` at `completes_at` (when its wire stream
+    /// drained, floored by the precopy schedule) and record the agent's
+    /// span and log entry.
     pub fn migration_commit(
         &mut self,
         p: &PendingMigration,
@@ -432,7 +406,8 @@ impl Controller {
 mod tests {
     use super::*;
     use ninja_cluster::{DataCenter, StorageId};
-    use ninja_vmm::VmSpec;
+    use ninja_sim::Bytes;
+    use ninja_vmm::{VmSpec, VmmError};
 
     fn world() -> (DataCenter, VmPool, Vec<VmId>, SimRng) {
         let (mut dc, ib, _) = DataCenter::agc();
@@ -634,8 +609,8 @@ mod tests {
 
     #[test]
     fn open_commit_matches_serial_migration() {
-        // The fair-mode two-phase path must plan the same precopy and
-        // leave the pool in the same state as the serial phase.
+        // Opening and committing by hand, as the fleet engine does, must
+        // plan the same precopy as `migration` and land the same VMs.
         let plans_serial = {
             let (mut dc, mut pool, vms, mut rng) = world();
             let eth: Vec<NodeId> = dc.cluster(ninja_cluster::ClusterId(1)).nodes[..4].to_vec();
@@ -653,7 +628,9 @@ mod tests {
         let mut ctl = Controller::new(vms.clone(), QemuMonitor::default());
         ctl.device_detach("hca-", &mut pool, &mut dc, SimTime::ZERO, &mut rng, true)
             .unwrap();
-        let pending = ctl.migration_open(&eth, &pool, &dc, SimTime::ZERO).unwrap();
+        let pending = ctl
+            .migration_open(&eth, &mut pool, &mut dc, SimTime::ZERO, &mut rng)
+            .unwrap();
         assert_eq!(pending.len(), 4);
         for (p, serial) in pending.iter().zip(&plans_serial) {
             assert_eq!(p.plan.wire_bytes(), serial.wire_bytes());
@@ -673,6 +650,117 @@ mod tests {
             spans.iter().filter(|s| s.0 == "migration").count(),
             4,
             "commit records per-VM migration spans"
+        );
+    }
+
+    #[test]
+    fn failed_open_lands_nothing() {
+        // Four 20 GiB guests onto one 48 GiB node: the first two open,
+        // the third does not fit beside their held memory.
+        let (mut dc, mut pool, vms, mut rng) = world();
+        let eth = dc.cluster(ninja_cluster::ClusterId(1)).nodes[0];
+        pause_all(&mut pool, &vms);
+        let mut ctl = Controller::new(vms.clone(), QemuMonitor::default());
+        ctl.device_detach("hca-", &mut pool, &mut dc, SimTime::ZERO, &mut rng, true)
+            .unwrap();
+        let sources: Vec<NodeId> = vms.iter().map(|&vm| pool.get(vm).node).collect();
+        let err = ctl
+            .migration(&[eth], &mut pool, &mut dc, SimTime::ZERO, &mut rng)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            SymVirtError::Vmm(VmmError::InsufficientCapacity { dst }) if dst == eth
+        ));
+        for (&vm, &src) in vms.iter().zip(&sources) {
+            assert_eq!(pool.get(vm).node, src);
+            assert_eq!(pool.get(vm).migrations, 0);
+            assert_eq!(dc.node(src).committed_memory(), Bytes::from_gib(20));
+        }
+        assert_eq!(dc.node(eth).committed_memory(), Bytes::ZERO, "cancelled");
+        assert!(ctl.take_spans().iter().all(|s| s.0 != "migration"));
+    }
+
+    /// One paused paper VM (no HCA) on an IB node, and an Ethernet node
+    /// to migrate it to.
+    fn one_vm(touched_gib: u64, dirty: f64) -> (DataCenter, VmPool, VmId, NodeId, SimRng) {
+        let (mut dc, ib, eth) = DataCenter::agc();
+        let mut pool = VmPool::new();
+        let src = dc.cluster(ib).nodes[0];
+        let vm = pool
+            .create("vm0", VmSpec::paper_vm(), src, StorageId(0), &mut dc)
+            .unwrap();
+        let mem = &mut pool.get_mut(vm).memory;
+        mem.set_workload(Bytes::from_gib(touched_gib), 0.0, dirty);
+        pool.pause(vm).unwrap();
+        let dst = dc.cluster(eth).nodes[0];
+        (dc, pool, vm, dst, SimRng::new(11))
+    }
+
+    #[test]
+    fn paused_migration_is_single_pass() {
+        let (mut dc, mut pool, vm, dst, mut rng) = one_vm(4, 1e9);
+        let mut ctl = Controller::new(vec![vm], QemuMonitor::default());
+        let phase = ctl
+            .migration(&[dst], &mut pool, &mut dc, SimTime::ZERO, &mut rng)
+            .unwrap();
+        assert_eq!(phase.plans[0].round_count(), 1, "paused guest: one pass");
+        assert!(phase.completed_at > SimTime::ZERO);
+        assert_eq!(pool.get(vm).node, dst);
+        assert_eq!(pool.get(vm).state, VmState::SymWait, "stays paused");
+    }
+
+    #[test]
+    fn query_migrate_reports_history() {
+        let (mut dc, mut pool, vm, dst, mut rng) = one_vm(0, 0.0);
+        let mon = QemuMonitor::default();
+        let query = |pool: &mut VmPool, dc: &mut DataCenter, rng: &mut SimRng| {
+            let cmd = MonitorCommand::QueryMigrate { vm };
+            match mon
+                .execute(cmd, pool, dc, SimTime::ZERO, rng, false)
+                .unwrap()
+            {
+                MonitorReply::MigrateStatus {
+                    completed,
+                    last_wire_bytes,
+                    last_duration,
+                } => (completed, last_wire_bytes, last_duration),
+                r => panic!("unexpected {r:?}"),
+            }
+        };
+        let (completed, last_wire_bytes, _) = query(&mut pool, &mut dc, &mut rng);
+        assert_eq!(completed, 0);
+        assert_eq!(last_wire_bytes, None);
+        let mut ctl = Controller::new(vec![vm], QemuMonitor::default());
+        ctl.migration(&[dst], &mut pool, &mut dc, SimTime::ZERO, &mut rng)
+            .unwrap();
+        let (completed, last_wire_bytes, last_duration) = query(&mut pool, &mut dc, &mut rng);
+        assert_eq!(completed, 1);
+        assert!(last_wire_bytes.unwrap() > 0);
+        assert!(last_duration.unwrap().as_secs_f64() > 1.0);
+    }
+
+    #[test]
+    fn rdma_migration_is_faster() {
+        // Section V: RDMA-based migration removes the CPU bottleneck.
+        // Fresh fixture per transport so the link reservations do not
+        // interact.
+        let run = |rdma: bool| -> f64 {
+            let (mut dc, mut pool, vm, dst, mut rng) = one_vm(8, 0.0);
+            let mon = QemuMonitor::new(ninja_vmm::MigrationConfig {
+                rdma_transport: rdma,
+                ..ninja_vmm::MigrationConfig::default()
+            });
+            let mut ctl = Controller::new(vec![vm], mon);
+            let phase = ctl
+                .migration(&[dst], &mut pool, &mut dc, SimTime::ZERO, &mut rng)
+                .unwrap();
+            phase.completed_at.as_secs_f64()
+        };
+        let t_tcp = run(false);
+        let t_rdma = run(true);
+        assert!(
+            t_rdma < 0.5 * t_tcp,
+            "rdma migration {t_rdma} vs tcp {t_tcp}"
         );
     }
 

@@ -56,6 +56,15 @@ impl Default for MigrationConfig {
     }
 }
 
+impl MigrationConfig {
+    /// The one rate rule of a precopy stream: the TCP sender's CPU cap,
+    /// or `None` under RDMA, where the HCA copies at link rate. The plan,
+    /// the path reservation and the fair-share flow all read it here.
+    pub fn sender_cap(&self) -> Option<Bandwidth> {
+        (!self.rdma_transport).then_some(self.sender_cap)
+    }
+}
+
 /// One precopy round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrecopyRound {
@@ -124,13 +133,7 @@ pub fn plan_precopy(
     link_rate: Bandwidth,
     cfg: &MigrationConfig,
 ) -> PrecopyPlan {
-    // The TCP sender is CPU-bound at ~1.3 Gb/s; RDMA offloads the copy
-    // to the HCA and runs at link rate.
-    let rate = if cfg.rdma_transport {
-        link_rate
-    } else {
-        cfg.sender_cap.min(link_rate)
-    };
+    let rate = cfg.sender_cap().map_or(link_rate, |cap| cap.min(link_rate));
     let mut rounds = Vec::new();
 
     // Round 0: full pass — walk all of RAM, send the incompressible part

@@ -6,6 +6,13 @@
 //! against the VM pool and data center, sampling realistic durations for
 //! each operation and returning them in the reply so the orchestrator
 //! can advance virtual time accordingly.
+//!
+//! As in QMP, `migrate` only starts a migration: it checks the VM, plans
+//! its precopy and moves its memory to the destination in the node
+//! ledger ([`VmPool::start_migration`]). The wire decides when the
+//! stream drains; the caller then lands the VM
+//! ([`VmPool::complete_migration`]), and `query-migrate` reports the
+//! landed migration.
 
 use crate::error::VmmError;
 use crate::migration::{plan_precopy, MigrationConfig, PrecopyPlan};
@@ -30,14 +37,14 @@ pub enum MonitorCommand {
         /// Target VM.
         vm: VmId,
     },
-    /// `migrate`: precopy live migration to another node.
+    /// `migrate`: start a precopy live migration to another node.
     Migrate {
         /// The vm.
         vm: VmId,
         /// The dst.
         dst: NodeId,
     },
-    /// `query-migrate`: statistics of the VM's last migration.
+    /// `query-migrate`: statistics of the VM's last landed migration.
     QueryMigrate {
         /// Target VM.
         vm: VmId,
@@ -75,12 +82,12 @@ pub enum MonitorReply {
         /// The link active at.
         link_active_at: SimTime,
     },
-    /// Migration executed; state has moved to the destination.
-    MigrationDone {
-        /// The plan.
+    /// Migration started: the destination holds the guest's memory, and
+    /// the guest stays on its source until the caller lands it
+    /// ([`VmPool::complete_migration`]).
+    MigrationStarted {
+        /// The precopy schedule (wire bytes, scan floor).
         plan: PrecopyPlan,
-        /// When the migration completes in virtual time.
-        completes_at: SimTime,
     },
     /// Reply to `query-migrate`.
     MigrateStatus {
@@ -160,34 +167,14 @@ impl QemuMonitor {
             }
             MonitorCommand::Migrate { vm, dst } => {
                 pool.check_migratable(vm, dst, dc)?;
-                let guest_running = pool.get(vm).state == VmState::Running;
-                let src = pool.get(vm).node;
-                let plan = {
-                    let mem = &pool.get(vm).memory;
-                    // Plan against the raw NIC rate; contention is applied
-                    // by the path reservation below.
-                    let link_rate = dc.node(src).spec.eth_bandwidth;
-                    plan_precopy(mem, guest_running, link_rate, &self.cfg)
-                };
-                let sender_cap = if self.cfg.rdma_transport {
-                    None // RDMA: the wire, not a core, is the bottleneck
-                } else {
-                    Some(self.cfg.sender_cap)
-                };
-                let reservation =
-                    dc.reserve_migration_path(src, dst, plan.wire_bytes(), sender_cap, now);
-                // The migration is gated by both the wire (with queueing)
-                // and the page-scan/dirty-iteration schedule.
-                let completes_at = reservation.end.max(now + plan.duration());
-                pool.complete_migration(vm, dst, dc);
-                pool.get_mut(vm).last_migration =
-                    Some((plan.wire_bytes().get(), completes_at.since(now)));
-                pool.get_mut(vm).state = if guest_running {
-                    VmState::Running
-                } else {
-                    pool.get(vm).state
-                };
-                Ok(MonitorReply::MigrationDone { plan, completes_at })
+                let v = pool.get(vm);
+                // Plan against the raw NIC rate; the wire applies
+                // contention.
+                let link_rate = dc.node(v.node).spec.eth_bandwidth;
+                let running = v.state == VmState::Running;
+                let plan = plan_precopy(&v.memory, running, link_rate, &self.cfg);
+                pool.start_migration(vm, dst, dc);
+                Ok(MonitorReply::MigrationStarted { plan })
             }
             MonitorCommand::QueryMigrate { vm } => {
                 let v = pool.get(vm);
@@ -325,12 +312,8 @@ mod tests {
     }
 
     #[test]
-    fn paused_migration_is_single_pass() {
+    fn migrate_holds_memory_without_landing() {
         let mut f = fix();
-        f.pool
-            .get_mut(f.vm)
-            .memory
-            .set_workload(ninja_sim::Bytes::from_gib(4), 0.0, 1e9);
         f.mon
             .execute(
                 MonitorCommand::Stop { vm: f.vm },
@@ -355,15 +338,47 @@ mod tests {
                 false,
             )
             .unwrap();
-        match reply {
-            MonitorReply::MigrationDone { plan, completes_at } => {
-                assert_eq!(plan.round_count(), 1, "paused guest: one pass");
-                assert!(completes_at > SimTime::ZERO);
-            }
-            r => panic!("unexpected {r:?}"),
-        }
-        assert_eq!(f.pool.get(f.vm).node, f.eth_node);
-        assert_eq!(f.pool.get(f.vm).state, VmState::SymWait, "stays paused");
+        let MonitorReply::MigrationStarted { plan } = reply else {
+            panic!("unexpected {reply:?}");
+        };
+        assert!(plan.wire_bytes().get() > 0);
+        // Started, not landed: the guest and its vCPUs stay on the
+        // source, and the destination holds its memory.
+        let v = f.pool.get(f.vm);
+        assert_eq!(
+            (v.node, v.migrations, v.last_migration),
+            (f.ib_node, 0, None)
+        );
+        let dst = f.dc.node(f.eth_node);
+        assert_eq!(dst.committed_memory(), v.spec.memory);
+        assert_eq!(dst.committed_vcpus(), 0);
+        assert_eq!(f.dc.node(f.ib_node).committed_vcpus(), v.spec.vcpus);
+        // The held memory counts: a node holding it beside a resident
+        // guest has no room for another 20 GiB.
+        f.pool
+            .create(
+                "squatter",
+                VmSpec::paper_vm(),
+                f.eth_node,
+                StorageId(0),
+                &mut f.dc,
+            )
+            .unwrap();
+        let err = f
+            .mon
+            .execute(
+                MonitorCommand::Migrate {
+                    vm: f.vm,
+                    dst: f.eth_node,
+                },
+                &mut f.pool,
+                &mut f.dc,
+                SimTime::ZERO,
+                &mut f.rng,
+                false,
+            )
+            .unwrap_err();
+        assert!(matches!(err, VmmError::InsufficientCapacity { .. }));
     }
 
     #[test]
@@ -377,108 +392,6 @@ mod tests {
                 .duration(HotplugOp::Detach, DeviceClass::IbHca, true, &mut f.rng);
         assert!(noisy.as_secs_f64() > 2.0 * quiet.as_secs_f64());
         let _ = f.ib_node;
-    }
-
-    #[test]
-    fn query_migrate_reports_history() {
-        let mut f = fix();
-        let reply = f
-            .mon
-            .execute(
-                MonitorCommand::QueryMigrate { vm: f.vm },
-                &mut f.pool,
-                &mut f.dc,
-                SimTime::ZERO,
-                &mut f.rng,
-                false,
-            )
-            .unwrap();
-        match reply {
-            MonitorReply::MigrateStatus {
-                completed,
-                last_wire_bytes,
-                ..
-            } => {
-                assert_eq!(completed, 0);
-                assert_eq!(last_wire_bytes, None);
-            }
-            r => panic!("unexpected {r:?}"),
-        }
-        f.mon
-            .execute(
-                MonitorCommand::Migrate {
-                    vm: f.vm,
-                    dst: f.eth_node,
-                },
-                &mut f.pool,
-                &mut f.dc,
-                SimTime::ZERO,
-                &mut f.rng,
-                false,
-            )
-            .unwrap();
-        let reply = f
-            .mon
-            .execute(
-                MonitorCommand::QueryMigrate { vm: f.vm },
-                &mut f.pool,
-                &mut f.dc,
-                SimTime::ZERO,
-                &mut f.rng,
-                false,
-            )
-            .unwrap();
-        match reply {
-            MonitorReply::MigrateStatus {
-                completed,
-                last_wire_bytes,
-                last_duration,
-            } => {
-                assert_eq!(completed, 1);
-                assert!(last_wire_bytes.unwrap() > 0);
-                assert!(last_duration.unwrap().as_secs_f64() > 1.0);
-            }
-            r => panic!("unexpected {r:?}"),
-        }
-    }
-
-    #[test]
-    fn rdma_migration_is_faster() {
-        // Section V: RDMA-based migration removes the CPU bottleneck.
-        // Fresh fixture per transport so the link reservations do not
-        // interact.
-        let run = |rdma: bool| -> f64 {
-            let mut f = fix();
-            f.pool
-                .get_mut(f.vm)
-                .memory
-                .set_workload(ninja_sim::Bytes::from_gib(8), 0.0, 0.0);
-            let mon = QemuMonitor::new(crate::migration::MigrationConfig {
-                rdma_transport: rdma,
-                ..crate::migration::MigrationConfig::default()
-            });
-            let dst = f.eth_node;
-            let reply = mon
-                .execute(
-                    MonitorCommand::Migrate { vm: f.vm, dst },
-                    &mut f.pool,
-                    &mut f.dc,
-                    SimTime::ZERO,
-                    &mut f.rng,
-                    false,
-                )
-                .unwrap();
-            match reply {
-                MonitorReply::MigrationDone { completes_at, .. } => completes_at.as_secs_f64(),
-                r => panic!("unexpected {r:?}"),
-            }
-        };
-        let t_tcp = run(false);
-        let t_rdma = run(true);
-        assert!(
-            t_rdma < 0.5 * t_tcp,
-            "rdma migration {t_rdma} vs tcp {t_tcp}"
-        );
     }
 
     #[test]

@@ -292,17 +292,44 @@ impl VmPool {
         Ok(())
     }
 
-    /// Commit the placement change of a completed migration: resources
-    /// move from the source node to `dst`, and the virtio NIC follows.
+    /// Start migrating `vm` to `dst` in the node ledger: its memory
+    /// counts on `dst` from now on, as the destination QEMU allocates
+    /// guest RAM before the first page arrives, and no longer on the
+    /// source, so each guest's memory counts once. Only memory: the
+    /// vCPUs, which CPU contention and NIC derating read, move when the
+    /// VM lands ([`complete_migration`](Self::complete_migration)). A
+    /// self-migration moves nothing.
+    ///
+    /// # Panics
+    ///
+    /// If the memory does not fit on `dst`: call
+    /// [`check_migratable`](Self::check_migratable) first.
+    pub fn start_migration(&self, vm: VmId, dst: NodeId, dc: &mut DataCenter) {
+        let v = self.get(vm);
+        shift_memory(dc, v.spec.memory, v.node, dst);
+    }
+
+    /// Undo [`start_migration`](Self::start_migration) for a migration
+    /// that will not land. Undoing several in the reverse order they
+    /// started restores every node's ledger exactly.
+    pub fn cancel_migration(&self, vm: VmId, dst: NodeId, dc: &mut DataCenter) {
+        let v = self.get(vm);
+        shift_memory(dc, v.spec.memory, dst, v.node);
+    }
+
+    /// Land a migration started by
+    /// [`start_migration`](Self::start_migration): the VM and its vCPUs
+    /// move to `dst`, which already holds its memory, and the virtio NIC
+    /// follows.
     pub fn complete_migration(&mut self, vm: VmId, dst: NodeId, dc: &mut DataCenter) {
-        let (vcpus, mem, src, nic) = {
+        let (vcpus, src, nic) = {
             let v = self.get(vm);
-            (v.spec.vcpus, v.spec.memory, v.node, v.virtio_nic)
+            (v.spec.vcpus, v.node, v.virtio_nic)
         };
         if src != dst {
-            dc.node_mut(src).release_vm(vcpus, mem);
-            let ok = dc.node_mut(dst).commit_vm(vcpus, mem);
-            debug_assert!(ok, "check_migratable validated capacity");
+            dc.node_mut(src).release_vm(vcpus, Bytes::ZERO);
+            // Adds no memory, so it always fits.
+            dc.node_mut(dst).commit_vm(vcpus, Bytes::ZERO);
             let n = self.residents.get_mut(&src.0).expect("src was resident");
             *n -= 1;
             *self.residents.entry(dst.0).or_insert(0) += 1;
@@ -388,6 +415,15 @@ impl VmPool {
             }
         }
         out
+    }
+}
+
+/// Move `mem` of a migrating guest's ledger entry from `from` to `to`.
+fn shift_memory(dc: &mut DataCenter, mem: Bytes, from: NodeId, to: NodeId) {
+    if from != to {
+        dc.node_mut(from).release_vm(0, mem);
+        let fits = dc.node_mut(to).commit_vm(0, mem);
+        assert!(fits, "migration ledger over capacity on {to:?}");
     }
 }
 
@@ -499,6 +535,7 @@ mod tests {
         pool.detach_by_tag(vm, &tag, false, &mut dc).unwrap();
         assert_eq!(passthrough(&pool, &dc, vm), []);
 
+        pool.start_migration(vm, nodes[1], &mut dc);
         pool.complete_migration(vm, nodes[1], &mut dc);
         assert_eq!(passthrough(&pool, &dc, vm), []);
         let (dst_hca, _) = pool
@@ -576,10 +613,24 @@ mod tests {
             .create("vm0", VmSpec::paper_vm(), src, StorageId(0), &mut dc)
             .unwrap();
         pool.check_migratable(vm, dst, &dc).unwrap();
+        // The memory moves when the migration starts; the vCPUs and the
+        // VM itself move only when it lands.
+        pool.start_migration(vm, dst, &mut dc);
+        assert_eq!(pool.get(vm).node, src);
+        assert_eq!(dc.node(dst).committed_memory(), Bytes::from_gib(20));
+        assert_eq!(dc.node(dst).committed_vcpus(), 0);
+        assert_eq!(dc.node(src).committed_memory(), Bytes::ZERO);
+        assert_eq!(dc.node(src).committed_vcpus(), 8);
+        pool.cancel_migration(vm, dst, &mut dc);
+        assert_eq!(dc.node(src).committed_memory(), Bytes::from_gib(20));
+        assert_eq!(dc.node(dst).committed_memory(), Bytes::ZERO);
+        pool.start_migration(vm, dst, &mut dc);
         pool.complete_migration(vm, dst, &mut dc);
         assert_eq!(pool.get(vm).node, dst);
         assert_eq!(dc.node(src).committed_vcpus(), 0);
+        assert_eq!(dc.node(src).committed_memory(), Bytes::ZERO);
         assert_eq!(dc.node(dst).committed_vcpus(), 8);
+        assert_eq!(dc.node(dst).committed_memory(), Bytes::from_gib(20));
         assert_eq!(pool.get(vm).migrations, 1);
     }
 

@@ -15,6 +15,11 @@ cargo fmt --all --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (deny warnings) =="
+# Intra-doc links must resolve: a doc that still links to a deleted or
+# private item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo test =="
 cargo test --workspace -q
 
