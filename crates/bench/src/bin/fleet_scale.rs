@@ -1,39 +1,38 @@
-//! **Perf trajectory**: the event-driven fleet engine vs. the
-//! pre-optimization baseline, swept over fleet size.
+//! **Perf trajectory**: the event-driven fleet engine swept over fleet
+//! size.
 //!
-//! This is the measurement half of the engine rewrite: the same
-//! evacuation fleet is driven once by the event-driven [`run_fleet`]
-//! (heap-keyed wake/recovery queues, incremental water-filling link)
-//! and once by [`run_fleet_reference`] (the shipped O(J)-per-iteration
-//! loop over the from-scratch link). Both runs must produce
-//! bit-identical reports; only the host wall-clock may differ. Results
-//! append to `BENCH_fleet.json` at the workspace root so the speedup
-//! trend survives across PRs.
+//! The same evacuation fleet shape is driven by [`run_fleet`] at each
+//! size, with tracing off so the rows track the engine loop alone. Each
+//! row's wall-clock is the best of [`RUNS`] runs over freshly built
+//! fleets. Results append to `BENCH_fleet.json` at the workspace root so
+//! the trend survives across changes. The engine's outputs at these
+//! shapes are pinned by the digest table
+//! `crates/fleet/tests/golden/matrix.sha256`, not here.
 //!
 //! ```text
 //! cargo run --release -p ninja-bench --bin fleet_scale           # full sweep, 16..4096 jobs
 //! cargo run --release -p ninja-bench --bin fleet_scale -- --quick  # CI smoke, 16..256 jobs
 //! ```
 //!
-//! The full sweep asserts the headline gate: ≥ 10× wall-clock speedup
-//! at 4096 jobs, and per-iteration cost that no longer grows linearly
-//! with fleet size.
+//! The full sweep asserts two scaling bounds: host time per job at
+//! 4096 jobs is at most 3x that at 256 jobs, and per-iteration cost
+//! grows far slower than the fleet.
 
 use ninja_bench::{claim, finish, render_table};
-use ninja_fleet::{
-    build_scaled, run_fleet, run_fleet_reference, FleetConfig, ScenarioKind, ScenarioSpec,
-};
+use ninja_fleet::{build_scaled, run_fleet, FleetConfig, ScenarioKind, ScenarioSpec};
 use ninja_sim::export::overwrite_file;
 use ninja_sim::{parse, Json, JsonWriter, SimDuration, Trace, WriteJson};
 use ninja_symvirt::GuestCooperative;
 use std::time::Instant;
 
+/// Runs per row; the row keeps the fastest, which is the stablest
+/// figure on a shared host.
+const RUNS: usize = 3;
+
 struct Row {
     jobs: usize,
     concurrency: usize,
     event_wall_s: f64,
-    reference_wall_s: f64,
-    speedup: f64,
     iterations: u64,
     wall_us_per_iteration: f64,
     makespan_s: f64,
@@ -42,17 +41,20 @@ ninja_bench::impl_write_json!(Row {
     jobs,
     concurrency,
     event_wall_s,
-    reference_wall_s,
-    speedup,
     iterations,
     wall_us_per_iteration,
     makespan_s
 });
 
-/// One engine over one freshly built evacuation fleet. Returns host
-/// wall-clock seconds, engine iterations, simulated makespan, and the
-/// report JSON (for the bit-identity cross-check).
-fn run_engine(jobs_n: usize, concurrency: usize, reference: bool) -> (f64, u64, f64, String) {
+impl Row {
+    fn wall_us_per_job(&self) -> f64 {
+        self.event_wall_s / self.jobs as f64 * 1e6
+    }
+}
+
+/// One engine run over one freshly built evacuation fleet. Returns host
+/// wall-clock seconds, engine iterations and simulated makespan.
+fn run_engine(jobs_n: usize, concurrency: usize) -> (f64, u64, f64) {
     let spec = ScenarioSpec {
         kind: ScenarioKind::Evacuation,
         jobs: jobs_n,
@@ -74,24 +76,14 @@ fn run_engine(jobs_n: usize, concurrency: usize, reference: bool) -> (f64, u64, 
         .map(|j| j as &mut dyn GuestCooperative)
         .collect();
     let t0 = Instant::now();
-    let report = if reference {
-        run_fleet_reference(&mut s.world, &mut jobs, s.scheduler, &cfg)
-    } else {
-        run_fleet(&mut s.world, &mut jobs, s.scheduler, &cfg)
-    }
-    .expect("fleet run");
+    let report = run_fleet(&mut s.world, &mut jobs, s.scheduler, &cfg).expect("fleet run");
     let wall = t0.elapsed().as_secs_f64();
     drop(jobs);
     let iterations = s
         .world
         .metrics
         .counter_total("ninja_fleet_engine_iterations_total");
-    (
-        wall,
-        iterations,
-        report.makespan.as_secs_f64(),
-        report.to_json_compact(),
-    )
+    (wall, iterations, report.makespan.as_secs_f64())
 }
 
 /// Append this run's rows to `BENCH_fleet.json` (a JSON array of run
@@ -138,7 +130,7 @@ fn main() {
         &[16, 64, 256, 1024, 4096]
     };
     println!(
-        "== fleet_scale: event-driven engine vs. reference, {} sweep ==\n",
+        "== fleet_scale: event-driven engine, {} sweep, best of {RUNS} ==\n",
         if quick { "quick" } else { "full" }
     );
 
@@ -146,23 +138,18 @@ fn main() {
     for &n in sweep {
         // A capped admission window keeps contention bounded (256
         // senders × 1.3 Gb/s caps on a 10 Gb/s uplink ≈ 33× oversub)
-        // while the fleet — and so the reference engine's per-iteration
-        // sweep — grows: exactly the axis the rewrite targets.
+        // while the fleet and its admission queue grow.
         let concurrency = (n / 2).clamp(2, 256);
-        let (ew, ei, em, ej) = run_engine(n, concurrency, false);
-        let (rw, ri, rm, rj) = run_engine(n, concurrency, true);
-        assert_eq!(ej, rj, "engines diverged at {n} jobs — bit-identity broken");
-        assert_eq!(ei, ri, "iteration counts diverged at {n} jobs");
-        assert_eq!(em, rm, "makespans diverged at {n} jobs");
+        let runs: Vec<(f64, u64, f64)> = (0..RUNS).map(|_| run_engine(n, concurrency)).collect();
+        let wall = runs.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
+        let (_, iterations, makespan_s) = runs[0];
         rows.push(Row {
             jobs: n,
             concurrency,
-            event_wall_s: ew,
-            reference_wall_s: rw,
-            speedup: rw / ew,
-            iterations: ei,
-            wall_us_per_iteration: ew / ei as f64 * 1e6,
-            makespan_s: em,
+            event_wall_s: wall,
+            iterations,
+            wall_us_per_iteration: wall / iterations as f64 * 1e6,
+            makespan_s,
         });
     }
 
@@ -173,8 +160,7 @@ fn main() {
                 r.jobs.to_string(),
                 r.concurrency.to_string(),
                 format!("{:.4}", r.event_wall_s),
-                format!("{:.4}", r.reference_wall_s),
-                format!("{:.1}x", r.speedup),
+                format!("{:.1}", r.wall_us_per_job()),
                 r.iterations.to_string(),
                 format!("{:.2}", r.wall_us_per_iteration),
                 format!("{:.0}", r.makespan_s),
@@ -187,31 +173,32 @@ fn main() {
             &[
                 "jobs",
                 "conc",
-                "event wall (s)",
-                "reference wall (s)",
-                "speedup",
+                "wall (s)",
+                "us/job",
                 "iterations",
-                "event us/iter",
+                "us/iter",
                 "sim makespan (s)"
             ],
             &table
         )
     );
 
-    println!("claims:");
     let mut ok = true;
-    ok &= claim(
-        "engines produce bit-identical reports at every scale",
-        true, // asserted hard above; reaching here means it held
-    );
     if !quick {
+        println!("claims:");
         let last = rows.last().expect("nonempty sweep");
+        let mid = rows.iter().find(|r| r.jobs == 256).expect("256-job row");
+        // Host time per job may grow with the admission window and the
+        // fleet, but boundedly: 16x the fleet, at most 3x the cost.
         ok &= claim(
             &format!(
-                "event engine ≥ 10x faster at {} jobs ({:.1}x)",
-                last.jobs, last.speedup
+                "host time per job at {} jobs <= 3x that at {} ({:.1} vs {:.1} us/job)",
+                last.jobs,
+                mid.jobs,
+                last.wall_us_per_job(),
+                mid.wall_us_per_job()
             ),
-            last.speedup >= 10.0,
+            last.wall_us_per_job() <= 3.0 * mid.wall_us_per_job(),
         );
         // Per-iteration cost must stop growing linearly with fleet
         // size: 16 → 4096 is a 256× fleet; allow far-sublinear growth.

@@ -103,7 +103,7 @@ struct Args {
     vms: usize,
     procs: u32,
     seed: u64,
-    footprint_gib: u64,
+    footprint: Bytes,
     ppv: u32,
     to: String,
     jobs: usize,
@@ -111,8 +111,8 @@ struct Args {
     jobs_set: bool,
     vms_per_job: usize,
     concurrency: usize,
-    arrival: u64,
-    deadline: Option<u64>,
+    arrival: SimDuration,
+    deadline: Option<SimDuration>,
     uplink_gbps: f64,
     scenario: String,
     faults: Vec<String>,
@@ -227,19 +227,47 @@ fn usage() -> ! {
     exit(2)
 }
 
+/// Prints `name` and what is wrong with its value, then the usage
+/// line, and exits 2.
+fn bad_value(name: &str, problem: impl fmt::Display) -> ! {
+    eprintln!("{name} {problem}");
+    usage()
+}
+
+/// The flag's value parsed at the field's own width, so an out-of-range
+/// number is an error rather than a silent truncation.
+fn value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, name: &str) -> T
+where
+    T::Err: fmt::Display,
+{
+    let v = it
+        .next()
+        .unwrap_or_else(|| bad_value(name, "needs a value"));
+    v.parse()
+        .unwrap_or_else(|e| bad_value(name, format_args!("{v}: {e}")))
+}
+
+/// A whole number of seconds that fits the nanosecond clock.
+fn seconds(it: &mut impl Iterator<Item = String>, name: &str) -> SimDuration {
+    let secs: u64 = value(it, name);
+    secs.checked_mul(1_000_000_000)
+        .map(SimDuration::from_nanos)
+        .unwrap_or_else(|| bad_value(name, format_args!("{secs}: more than the clock holds")))
+}
+
 fn parse(mut it: impl Iterator<Item = String>) -> Args {
     let mut args = Args {
         vms: 4,
         procs: 1,
         seed: 2013,
-        footprint_gib: 8,
+        footprint: Bytes::from_gib(8),
         ppv: 1,
         to: "eth".into(),
         jobs: 8,
         jobs_set: false,
         vms_per_job: 1,
         concurrency: 1,
-        arrival: 30,
+        arrival: SimDuration::from_secs(30),
         deadline: None,
         uplink_gbps: 10.0,
         scenario: "evacuation".into(),
@@ -257,59 +285,50 @@ fn parse(mut it: impl Iterator<Item = String>) -> Args {
         alerts: None,
     };
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> u64 {
-            it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("{name} needs a numeric value");
-                usage()
-            })
-        };
-        match flag.as_str() {
-            "--vms" => args.vms = value("--vms") as usize,
-            "--procs" => args.procs = value("--procs") as u32,
-            "--ppv" => args.ppv = value("--ppv") as u32,
-            "--seed" => args.seed = value("--seed"),
-            "--footprint-gib" => args.footprint_gib = value("--footprint-gib"),
+        let name = flag.as_str();
+        match name {
+            "--vms" => args.vms = value(&mut it, name),
+            "--procs" => args.procs = value(&mut it, name),
+            "--ppv" => args.ppv = value(&mut it, name),
+            "--seed" => args.seed = value(&mut it, name),
+            "--footprint-gib" => {
+                let gib: u64 = value(&mut it, name);
+                args.footprint = Bytes::new(gib.checked_mul(1 << 30).unwrap_or_else(|| {
+                    bad_value(name, format_args!("{gib}: more bytes than 64 bits count"))
+                }));
+            }
             "--jobs" => {
-                args.jobs = value("--jobs") as usize;
+                args.jobs = value(&mut it, name);
                 args.jobs_set = true;
             }
-            "--vms-per-job" => args.vms_per_job = value("--vms-per-job") as usize,
-            "--concurrency" => args.concurrency = value("--concurrency") as usize,
-            "--arrival" => args.arrival = value("--arrival"),
-            "--deadline" => args.deadline = Some(value("--deadline")),
-            "--fault-seed" => args.fault_seed = Some(value("--fault-seed")),
-            "--max-retries" => args.max_retries = value("--max-retries") as u32,
-            "--trace-cap" => args.trace_cap = Some(value("--trace-cap") as usize),
+            "--vms-per-job" => args.vms_per_job = value(&mut it, name),
+            "--concurrency" => args.concurrency = value(&mut it, name),
+            "--arrival" => args.arrival = seconds(&mut it, name),
+            "--deadline" => args.deadline = Some(seconds(&mut it, name)),
+            "--fault-seed" => args.fault_seed = Some(value(&mut it, name)),
+            "--max-retries" => args.max_retries = value(&mut it, name),
+            "--trace-cap" => args.trace_cap = Some(value(&mut it, name)),
             "--fault" => {
                 args.faults.push(it.next().unwrap_or_else(|| usage()));
             }
             "--backoff" => {
-                args.backoff_s = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|s: &f64| *s >= 0.0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--backoff needs a non-negative number of seconds");
-                        usage()
-                    });
+                args.backoff_s = value(&mut it, name);
+                if !(args.backoff_s.is_finite() && args.backoff_s >= 0.0) {
+                    bad_value(name, "needs a finite, non-negative number of seconds")
+                }
             }
             "--json" => args.json = true,
             "--trace" => args.trace = true,
             "--uplink-gbps" => {
-                args.uplink_gbps = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|g: &f64| *g > 0.0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--uplink-gbps needs a positive numeric value");
-                        usage()
-                    });
+                args.uplink_gbps = value(&mut it, name);
+                if !(args.uplink_gbps.is_finite() && args.uplink_gbps > 0.0) {
+                    bad_value(name, "needs a finite, positive number")
+                }
             }
             "--scenario" => {
                 args.scenario = it.next().unwrap_or_else(|| usage());
                 if ScenarioKind::parse(&args.scenario).is_none() {
-                    eprintln!("--scenario must be evacuation, drain, or rebalance");
-                    usage()
+                    bad_value(name, "must be evacuation, drain, rebalance or failover")
                 }
             }
             "--to" => {
@@ -326,15 +345,11 @@ fn parse(mut it: impl Iterator<Item = String>) -> Args {
                 args.metrics_out = Some(it.next().unwrap_or_else(|| usage()));
             }
             "--scrape-interval" => {
-                args.scrape_interval = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|s: &f64| *s > 0.0)
-                        .unwrap_or_else(|| {
-                            eprintln!("--scrape-interval needs a positive number of seconds");
-                            usage()
-                        }),
-                );
+                let secs: f64 = value(&mut it, name);
+                if secs.is_nan() || secs <= 0.0 {
+                    bad_value(name, "needs a positive number of seconds")
+                }
+                args.scrape_interval = Some(secs);
             }
             "--timeseries-out" => {
                 args.timeseries_out = Some(it.next().unwrap_or_else(|| usage()));
@@ -398,7 +413,7 @@ fn fleet_cmd(args: &Args, kind: ScenarioKind, jobs: usize, faults: FaultPlan, wh
         kind,
         jobs,
         vms_per_job: args.vms_per_job,
-        arrival: SimDuration::from_secs(args.arrival),
+        arrival: args.arrival,
         seed: args.seed,
     };
     // Fleets beyond the 8-node paper testbed run on a synthetic cluster
@@ -421,7 +436,7 @@ fn fleet_cmd(args: &Args, kind: ScenarioKind, jobs: usize, faults: FaultPlan, wh
     }
     let cfg = FleetConfig {
         concurrency: args.concurrency,
-        deadline: args.deadline.map(SimDuration::from_secs),
+        deadline: args.deadline,
         uplink: Bandwidth::from_gbps(args.uplink_gbps),
         retry: args.retry_policy(),
         ..FleetConfig::default()
@@ -702,7 +717,7 @@ fn main() {
             let vms = world.boot_ib_vms(args.vms);
             let mut rt = world.start_job(vms.clone(), args.procs);
             let profile = MemoryProfile {
-                touched: Bytes::from_gib(args.footprint_gib),
+                touched: args.footprint,
                 uniform_frac: 0.3,
                 dirty_bytes_per_sec: 1e9,
             };
@@ -824,7 +839,7 @@ fn main() {
         }
         _ => usage(),
     }
-    // Idempotent: the fleet engines have already drained their
+    // Idempotent: the fleet engine has already drained its
     // recorder; this covers the single-job commands.
     world.finish_recorder();
     if let Some(path) = &args.trace_out {

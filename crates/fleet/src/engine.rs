@@ -35,9 +35,9 @@
 //!
 //! The same reasoning keys recovery migrations by `(not_before, job)`,
 //! replacing the sort-every-iteration pending list. The engine's
-//! results are pinned bit-identical to the pre-optimization loop (kept
-//! as [`run_fleet_reference`](crate::run_fleet_reference)) by
-//! `tests/equivalence.rs`; `docs/fleet.md` has the complexity budget.
+//! outputs are pinned bit-identical to the pre-optimization full-sweep
+//! loop by the digest table `tests/golden/matrix.sha256`, blessed while
+//! that loop still existed; `docs/fleet.md` has the complexity budget.
 
 use crate::admission::{AdmissionController, QueuedJob};
 use crate::slo::{FleetReport, JobFailure, JobOutcome};

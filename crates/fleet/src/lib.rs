@@ -42,13 +42,11 @@
 
 pub mod admission;
 pub mod engine;
-pub mod reference;
 pub mod scenario;
 pub mod slo;
 
 pub use admission::{AdmissionController, QueuedJob};
 pub use engine::{run_fleet, FleetConfig, FleetError};
-pub use reference::run_fleet_reference;
 pub use scenario::{
     build, build_auto, build_scaled, Scenario, ScenarioError, ScenarioKind, ScenarioSpec,
 };

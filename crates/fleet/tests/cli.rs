@@ -394,6 +394,33 @@ fn bad_fleet_flags_exit_nonzero() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("alert rule"));
 }
 
+/// Values that used to be truncated, wrapped or panicked on: each is a
+/// usage error (exit 2) whose first stderr line names the problem.
+#[test]
+fn out_of_range_flag_values_are_usage_errors() {
+    let cases: [(&[&str], &str); 6] = [
+        (&["fleet", "--uplink-gbps", "inf"], "--uplink-gbps"),
+        (&["migrate", "--procs", "4294967297"], "--procs"),
+        (&["faults", "--max-retries", "4294967296"], "--max-retries"),
+        (
+            &["fleet", "--deadline", "18446744074", "--jobs", "3"],
+            "--deadline",
+        ),
+        (
+            &["checkpoint", "--footprint-gib", "17179869184"],
+            "--footprint-gib",
+        ),
+        (&["fleet", "--scenario", "bogus"], "rebalance or failover"),
+    ];
+    for (args, problem) in cases {
+        let out = ninja().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.contains(problem), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn zero_processes_per_vm_is_a_usage_error() {
     for args in [["fig8", "--ppv", "0"], ["migrate", "--procs", "0"]] {

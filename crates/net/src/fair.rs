@@ -29,16 +29,15 @@
 //! slice, so the whole fill is O(n log n) instead of the old
 //! partition-per-round O(n²) with per-call `BTreeMap` allocation.
 //! Within a round the caps are subtracted from the budget in flow-ID
-//! order, reproducing the old algorithm's floating-point operation
-//! order bit-for-bit. `next_completion()` and `advance_to()` share the
-//! cached rates and the cached earliest-drain instant, so a drain of n
-//! concurrent precopies costs O(n²) total instead of O(n³).
+//! order, reproducing the partition algorithm's floating-point
+//! operation order bit-for-bit. `next_completion()` and `advance_to()`
+//! share the cached rates and the cached earliest-drain instant, so a
+//! drain of n concurrent precopies costs O(n²) total instead of O(n³).
 //!
-//! [`FairShareLink::reference`] builds a link that recomputes the
-//! assignment from scratch on every query with the pre-optimization
-//! algorithm. It exists as the baseline for equivalence tests and the
-//! `fleet_scale` benchmark; both variants produce bit-identical
-//! timelines.
+//! `tests/water_fill.rs` and `tests/props.rs` check the cached rates
+//! against a test-local copy of the partition algorithm
+//! (`tests/oracle/mod.rs`), for exact equality at every arrival and
+//! drain.
 
 use ninja_sim::{Bandwidth, Bytes, SimTime};
 use std::collections::BTreeMap;
@@ -85,8 +84,6 @@ pub struct FairShareLink {
     /// computable from the link alone.
     opened: BTreeMap<FlowId, SimTime>,
     bytes_carried: Bytes,
-    /// Pre-optimization query paths (recompute everything per call).
-    reference: bool,
     /// Cached per-flow rates, parallel to `active`; valid while no flow
     /// has arrived or drained since they were filled.
     rates: Vec<f64>,
@@ -115,24 +112,11 @@ impl FairShareLink {
             completed: BTreeMap::new(),
             opened: BTreeMap::new(),
             bytes_carried: Bytes::ZERO,
-            reference: false,
             rates: Vec::new(),
             rates_valid: false,
             next_cache: None,
             by_cap: Vec::new(),
             round: Vec::new(),
-        }
-    }
-
-    /// A link that answers every query by recomputing the max-min
-    /// assignment from scratch with the pre-optimization partition
-    /// algorithm. Timelines are bit-identical to [`new`](Self::new);
-    /// only the work per query differs. Kept as the baseline for the
-    /// `fleet_scale` benchmark and the water-filling equivalence tests.
-    pub fn reference(bandwidth: Bandwidth) -> Self {
-        FairShareLink {
-            reference: true,
-            ..FairShareLink::new(bandwidth)
         }
     }
 
@@ -187,33 +171,6 @@ impl FairShareLink {
         self.rates_valid = false;
         self.next_cache = None;
         id
-    }
-
-    /// Max-min fair rates with the pre-optimization algorithm: repeated
-    /// partition of the unsatisfied set, fresh `BTreeMap` per call.
-    fn rates_reference(&self) -> BTreeMap<FlowId, f64> {
-        let caps: BTreeMap<FlowId, f64> = self.active.iter().map(|f| (f.id, f.cap)).collect();
-        let mut rates = BTreeMap::new();
-        let mut unsatisfied: Vec<FlowId> = caps.keys().copied().collect();
-        let mut budget = self.bandwidth.bytes_per_sec();
-        while !unsatisfied.is_empty() {
-            let share = budget / unsatisfied.len() as f64;
-            let (capped, free): (Vec<FlowId>, Vec<FlowId>) =
-                unsatisfied.iter().partition(|id| caps[id] <= share);
-            if capped.is_empty() {
-                for id in free {
-                    rates.insert(id, share);
-                }
-                break;
-            }
-            for id in capped {
-                let cap = caps[&id];
-                rates.insert(id, cap);
-                budget -= cap;
-            }
-            unsatisfied = free;
-        }
-        rates
     }
 
     /// Fill `self.rates` (parallel to `self.active`) with the max-min
@@ -276,9 +233,6 @@ impl FairShareLink {
     /// order (bytes/sec). Diagnostic view of the water-filling result;
     /// empty when the link is idle.
     pub fn current_rates(&mut self) -> Vec<(FlowId, f64)> {
-        if self.reference {
-            return self.rates_reference().into_iter().collect();
-        }
         self.ensure_rates();
         self.active
             .iter()
@@ -292,14 +246,6 @@ impl FairShareLink {
     fn predict_next(&mut self) -> Option<SimTime> {
         if self.active.is_empty() {
             return None;
-        }
-        if self.reference {
-            let rates = self.rates_reference();
-            return self
-                .active
-                .iter()
-                .map(|f| self.now + seconds(f.remaining / rates[&f.id]))
-                .min();
         }
         if let Some(t) = self.next_cache {
             return Some(t);
@@ -330,15 +276,8 @@ impl FairShareLink {
             let next_done = self.predict_next().expect("active flows");
             let until = next_done.min(t);
             let dt = until.since(self.now).as_secs_f64();
-            if self.reference {
-                let rates = self.rates_reference();
-                for f in self.active.iter_mut() {
-                    f.remaining -= rates[&f.id] * dt;
-                }
-            } else {
-                for (f, &r) in self.active.iter_mut().zip(self.rates.iter()) {
-                    f.remaining -= r * dt;
-                }
+            for (f, &r) in self.active.iter_mut().zip(self.rates.iter()) {
+                f.remaining -= r * dt;
             }
             self.now = until;
             self.next_cache = None;
@@ -403,7 +342,7 @@ fn seconds(s: f64) -> ninja_sim::SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ninja_sim::{SimDuration, SimRng};
+    use ninja_sim::SimDuration;
 
     fn t(s: f64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs_f64(s)
@@ -561,47 +500,5 @@ mod tests {
         // Zero-byte flows report their (instant) open time too.
         let z = link.open(t(200.0), Bytes::ZERO, None);
         assert_eq!(link.opened_at(z), Some(t(200.0)));
-    }
-
-    #[test]
-    fn cached_rates_match_reference_water_fill() {
-        // Randomized workloads: the incremental link and the reference
-        // link see the same arrivals and must report bit-identical rate
-        // assignments and completion timelines at every event.
-        let mut rng = SimRng::new(0xfa12_0001);
-        for case in 0..50u64 {
-            let gbps = 1.0 + rng.uniform() * 39.0;
-            let mut fast = FairShareLink::new(Bandwidth::from_gbps(gbps));
-            let mut slow = FairShareLink::reference(Bandwidth::from_gbps(gbps));
-            let n = 2 + (rng.next_u64() % 24) as usize;
-            let mut flows = Vec::new();
-            let mut at = SimTime::ZERO;
-            for _ in 0..n {
-                at += SimDuration::from_secs_f64(rng.uniform() * 3.0);
-                let bytes = Bytes::new(1 + rng.next_u64() % (4 << 30));
-                let cap = if rng.chance(0.7) {
-                    Some(Bandwidth::from_gbps(0.1 + rng.uniform() * gbps))
-                } else {
-                    None
-                };
-                let a = fast.open(at, bytes, cap);
-                let b = slow.open(at, bytes, cap);
-                assert_eq!(a, b);
-                flows.push(a);
-                assert_eq!(fast.current_rates(), slow.current_rates(), "case {case}");
-                assert_eq!(fast.next_completion(), slow.next_completion());
-            }
-            while let Some(next) = fast.next_completion() {
-                assert_eq!(Some(next), slow.next_completion(), "case {case}");
-                fast.advance_to(next);
-                slow.advance_to(next);
-                assert_eq!(fast.current_rates(), slow.current_rates(), "case {case}");
-            }
-            for f in flows {
-                assert_eq!(fast.completion(f), slow.completion(f), "case {case}");
-                assert_eq!(fast.opened_at(f), slow.opened_at(f));
-            }
-            assert_eq!(fast.bytes_carried(), slow.bytes_carried());
-        }
     }
 }

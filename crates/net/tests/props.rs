@@ -1,9 +1,10 @@
 //! Property-based tests of the interconnect models.
 
-use ninja_net::{
-    calib, models, CostModel, FairShareLink, IbFabric, IbHca, LinkFsm, LinkState, SharedLink,
-};
+mod oracle;
+
+use ninja_net::{calib, models, CostModel, IbFabric, IbHca, LinkFsm, LinkState, SharedLink};
 use ninja_sim::{Bandwidth, Bytes, SimDuration, SimRng, SimTime};
+use oracle::CheckedLink;
 use proptest::prelude::*;
 
 proptest! {
@@ -127,45 +128,28 @@ proptest! {
         prop_assert!(!hca.has_resources());
     }
 
-    /// The incremental cap-sorted water-fill assigns the same max-min
-    /// rates as the pre-optimization partition algorithm (within 1e-9
-    /// relative) and predicts identical drain instants, byte counters,
-    /// and flow ids across arbitrary open/advance interleavings.
+    /// The incremental cap-sorted water-fill assigns exactly the
+    /// partition algorithm's max-min rates across arbitrary open/advance
+    /// interleavings.
     #[test]
-    fn fair_share_water_fill_matches_reference(
+    fn fair_share_water_fill_matches_partition(
         events in prop::collection::vec(
             (any::<bool>(), 1u64..4u64 << 30, 0u64..64, 1u64..5_000_000_000),
             1..60,
         ),
         gbps in 0.5f64..40.0,
     ) {
-        let mut fast = FairShareLink::new(Bandwidth::from_gbps(gbps));
-        let mut slow = FairShareLink::reference(Bandwidth::from_gbps(gbps));
+        let mut link = CheckedLink::new(Bandwidth::from_gbps(gbps));
         let mut now = SimTime::ZERO;
         for &(open, bytes, cap_dgbps, advance_ns) in &events {
             if open {
                 // cap 0 means uncapped; otherwise tenths of a Gb/s, so
                 // caps land both below and above the link rate.
                 let cap = (cap_dgbps > 0).then(|| Bandwidth::from_gbps(cap_dgbps as f64 / 10.0));
-                let a = fast.open(now, Bytes::new(bytes), cap);
-                let b = slow.open(now, Bytes::new(bytes), cap);
-                prop_assert_eq!(a, b, "flow ids diverged");
+                link.open(now, Bytes::new(bytes), cap);
             } else {
                 now += SimDuration::from_nanos(advance_ns);
-                fast.advance_to(now);
-                slow.advance_to(now);
-            }
-            prop_assert_eq!(fast.next_completion(), slow.next_completion());
-            prop_assert_eq!(fast.bytes_carried(), slow.bytes_carried());
-            let ra = fast.current_rates();
-            let rb = slow.current_rates();
-            prop_assert_eq!(ra.len(), rb.len(), "active sets diverged");
-            for (&(ia, va), &(ib, vb)) in ra.iter().zip(rb.iter()) {
-                prop_assert_eq!(ia, ib, "flow ordering diverged");
-                prop_assert!(
-                    (va - vb).abs() <= 1e-9 * vb.abs().max(1.0),
-                    "rate diverged for {:?}: {} vs {}", ia, va, vb
-                );
+                link.advance_to(now);
             }
         }
     }

@@ -7,7 +7,7 @@
 //! `_count` and `_sum`) plus one column of scrape instants. A scrape
 //! appends one value per column; names and labels are copied once, when
 //! a series first appears. The driving loop (the `World` clock in
-//! `ninja-migration`, and the fleet engines, which treat the next scrape
+//! `ninja-migration`, and the fleet engine, which treats the next scrape
 //! deadline as a heap event) calls [`TimeSeriesRecorder::advance_to`]
 //! whenever virtual time moves; every due scrape instant between the old
 //! and new clock gets its own sample, so the series is exactly periodic

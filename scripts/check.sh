@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Pre-PR gate: formatting, lints, and the full test suite — all
-# offline (the workspace has no crates.io dependencies; proptest and
-# criterion are vendored stubs gated behind off-by-default features).
+# offline (the workspace has no crates.io dependencies; proptest is a
+# vendored stub gated behind an off-by-default feature).
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -164,11 +164,5 @@ echo "== telemetry_cost smoke =="
 root="$(pwd)"
 (cd "$smoke_dir" && TMPDIR="$smoke_dir" cargo run -q --release \
     --manifest-path "$root/Cargo.toml" -p ninja-bench --bin telemetry_cost -- --quick)
-
-echo "== cargo build --benches =="
-# Bench binaries (ninja-bench bins) and the criterion-stub [[bench]]
-# targets, which sit behind the off-by-default `bench` feature.
-cargo build --workspace --benches
-cargo build --workspace --benches --features ninja-bench/bench
 
 echo "all checks passed"
