@@ -131,11 +131,11 @@ fn main() {
             .map(|r| r.spread_migration_s)
             .fold(f64::INFINITY, f64::min);
     ok &= claim(
-        &format!("spread migration is ~constant (distinct NIC pairs; spread {mig_spread:.2} s)"),
+        &format!("spread migration is ~constant (distinct port pairs; spread {mig_spread:.2} s)"),
         mig_spread < 3.0,
     );
     ok &= claim(
-        "2:1 consolidation roughly doubles migration time (destination-NIC congestion)",
+        "2:1 consolidation roughly doubles migration time (two streams per destination port)",
         rows_data.iter().all(|r| {
             let ratio = r.funneled_migration_s / r.spread_migration_s;
             (1.6..2.4).contains(&ratio)

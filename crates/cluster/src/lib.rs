@@ -1,11 +1,11 @@
 //! # ninja-cluster — physical data-center substrate
 //!
 //! The hardware layer under the VMM: compute nodes with cores/memory and
-//! a shared Ethernet link ([`node`]), PCI device inventory ([`pci`]), the
-//! ACPI hotplug timing model calibrated from the paper's Table II
+//! an Ethernet NIC ([`node`]), PCI device inventory ([`pci`]), the ACPI
+//! hotplug timing model calibrated from the paper's Table II
 //! ([`hotplug`], [`calib`]), NFS shared storage ([`storage`]), and the
-//! cluster/data-center topology with the AGC testbed preset
-//! ([`topology`]).
+//! cluster/data-center topology with the AGC testbed preset and the
+//! migration fabric its precopy streams cross ([`topology`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

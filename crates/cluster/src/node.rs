@@ -6,7 +6,6 @@
 //! workload models can compute the CPU over-commit factor (the source of
 //! the "2 hosts (TCP)" slowdown in Fig. 8).
 
-use ninja_net::SharedLink;
 use ninja_sim::{Bandwidth, Bytes};
 
 /// Identifier of a node within the [`crate::topology::DataCenter`].
@@ -46,8 +45,6 @@ pub struct Node {
     pub spec: NodeSpec,
     /// Cluster this node belongs to (set by the topology builder).
     pub cluster: u32,
-    /// The node's Ethernet link, shared by migration traffic.
-    pub eth_link: SharedLink,
     committed_vcpus: u32,
     committed_memory: Bytes,
 }
@@ -55,13 +52,11 @@ pub struct Node {
 impl Node {
     /// Creates a new instance.
     pub fn new(id: NodeId, hostname: impl Into<String>, spec: NodeSpec, cluster: u32) -> Self {
-        let eth_link = SharedLink::new(spec.eth_bandwidth);
         Node {
             id,
             hostname: hostname.into(),
             spec,
             cluster,
-            eth_link,
             committed_vcpus: 0,
             committed_memory: Bytes::ZERO,
         }

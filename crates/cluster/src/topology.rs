@@ -11,9 +11,8 @@ use crate::hotplug::AcpiHotplug;
 use crate::node::{Node, NodeId, NodeSpec};
 use crate::pci::{ib_hca, Attachment, DeviceId, DeviceTable, PciAddr};
 use crate::storage::{StorageId, StoragePool};
-use ninja_net::{IbFabric, Reservation, SharedLink};
-use ninja_sim::SimDuration;
-use ninja_sim::{Bandwidth, Bytes, SimTime};
+use ninja_net::{Fabric, FlowId, IbFabric, LinkId};
+use ninja_sim::{Bandwidth, Bytes, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -57,51 +56,21 @@ pub struct Cluster {
 /// A wide-area link between two clusters (sites). The paper's future
 /// work: "wide area migration of VMs for disaster recovery" (Section
 /// VII). Inter-site transfers pay the link's propagation latency and
-/// share its capacity: concurrent sender-capped streams multiplex onto
-/// "lanes" (one lane per sender-rate's worth of capacity), so a 10 Gb/s
-/// pipe carries several 1.3 Gb/s migrations in parallel while a 1 Gb/s
-/// pipe serializes them.
+/// share its capacity max-min fairly on the migration fabric, so a
+/// 10 Gb/s pipe carries several 1.3 Gb/s migrations at full speed while
+/// a 1 Gb/s pipe splits itself among them.
 #[derive(Debug)]
 pub struct WanLink {
     bandwidth: Bandwidth,
     /// One-way propagation latency.
     pub latency: SimDuration,
-    lanes: Vec<SharedLink>,
+    link: LinkId,
 }
 
 impl WanLink {
-    fn new(bandwidth: Bandwidth, latency: SimDuration) -> Self {
-        WanLink {
-            bandwidth,
-            latency,
-            lanes: Vec::new(),
-        }
-    }
-
     /// Total pipe capacity.
     pub fn bandwidth(&self) -> Bandwidth {
         self.bandwidth
-    }
-
-    /// Reserve a `bytes` transfer at `now`, capped to `rate` per stream.
-    /// Streams multiplex across lanes of `rate` each until the pipe is
-    /// full, then queue on the earliest-free lane.
-    pub fn reserve(&mut self, now: SimTime, bytes: Bytes, rate: Bandwidth) -> Reservation {
-        let stream_rate = rate.min(self.bandwidth);
-        let lane_count =
-            ((self.bandwidth.as_gbps() / stream_rate.as_gbps()).floor() as usize).clamp(1, 64);
-        if self.lanes.len() != lane_count {
-            // (Re)provision lanes; existing occupancy is carried over
-            // pessimistically by keeping the busiest lanes.
-            self.lanes
-                .resize_with(lane_count, || SharedLink::new(stream_rate));
-        }
-        let lane = self
-            .lanes
-            .iter_mut()
-            .min_by_key(|l| l.busy_until())
-            .expect("at least one lane");
-        lane.reserve(now, bytes, Some(stream_rate))
     }
 }
 
@@ -119,6 +88,13 @@ pub struct DataCenter {
     /// Wide-area links, keyed by unordered cluster pair. Absent entry =
     /// same-site connectivity (full LAN bandwidth, no extra latency).
     wan: BTreeMap<(u32, u32), WanLink>,
+    /// The links every precopy stream crosses: node migration ports and
+    /// WAN pipes, plus any link a caller adds (a fleet's switch uplink).
+    /// `World::advance_to` keeps its clock on the world clock.
+    pub migration_fabric: Fabric,
+    /// Each node's migration port, keyed by node and rate (the `f64`
+    /// bits of its Gb/s): one per rate rule in use, created at first use.
+    ports: BTreeMap<(u32, u64), LinkId>,
 }
 
 impl DataCenter {
@@ -192,53 +168,67 @@ impl DataCenter {
             .accessible_from(self.cluster_of(node).0)
     }
 
-    /// Reserve the network path for a bulk migration transfer from `src`
-    /// to `dst` at `now`: the transfer occupies both endpoints' Ethernet
-    /// links (migration always travels over TCP/IP per Section V), capped
-    /// by `sender_cap` (the CPU-bound QEMU sender, ~1.3 Gb/s).
-    ///
-    /// Concurrent migrations sharing an endpoint serialize on its link,
-    /// which is what stretches simultaneous-migration scenarios.
-    pub fn reserve_migration_path(
+    /// The one migration rate rule at `node`: the sender's cap, if any,
+    /// bounded by the node's NIC.
+    fn migration_rate(&self, node: NodeId, sender_cap: Option<Bandwidth>) -> Bandwidth {
+        let nic = self.node(node).spec.eth_bandwidth;
+        sender_cap.map_or(nic, |s| s.min(nic))
+    }
+
+    /// `node`'s migration port for streams at `rate`, created at first
+    /// use. A port carries at most the rate rule, as a NIC that sends
+    /// one migration stream at the sender's rate does: streams sharing
+    /// an endpoint split it.
+    fn port(&mut self, node: NodeId, rate: Bandwidth) -> LinkId {
+        let fabric = &mut self.migration_fabric;
+        let key = (node.0, rate.as_gbps().to_bits());
+        *self
+            .ports
+            .entry(key)
+            .or_insert_with(|| fabric.add_link(rate))
+    }
+
+    /// `node`'s migration port under `sender_cap`, if a stream has used
+    /// it.
+    pub fn migration_port(&self, node: NodeId, sender_cap: Option<Bandwidth>) -> Option<LinkId> {
+        let rate = self.migration_rate(node, sender_cap);
+        self.ports.get(&(node.0, rate.as_gbps().to_bits())).copied()
+    }
+
+    /// Open a bulk migration transfer of `bytes` from `src` to `dst` at
+    /// `now` on the migration fabric (migration always travels over
+    /// TCP/IP, per Section V). Its path is the source's migration port,
+    /// the WAN pipe if the transfer crosses sites, the destination's
+    /// port, and `via` if given; the flow is capped by the rate rule at
+    /// `src`. A self-migration loops through the loopback device: no
+    /// link, the rate rule alone. Returns the flow and the path's
+    /// propagation latency, which the stream pays once its last byte is
+    /// on the wire.
+    pub fn open_migration(
         &mut self,
         src: NodeId,
         dst: NodeId,
         bytes: Bytes,
         sender_cap: Option<Bandwidth>,
+        via: Option<LinkId>,
         now: SimTime,
-    ) -> Reservation {
+    ) -> (FlowId, SimDuration) {
+        let rate = self.migration_rate(src, sender_cap);
         if src == dst {
-            // Self-migration loops through the loopback device: only the
-            // sender cap applies, no NIC contention.
-            let mut loopback =
-                SharedLink::new(sender_cap.unwrap_or_else(|| Bandwidth::from_gbps(100.0)));
-            return loopback.reserve(now, bytes, sender_cap);
+            let flow = self.migration_fabric.open(now, bytes, &[], Some(rate));
+            return (flow, SimDuration::ZERO);
         }
-        let r_src = self.nodes[src.0 as usize]
-            .eth_link
-            .reserve(now, bytes, sender_cap);
-        // The destination NIC must also carry the bytes; the transfer
-        // completes when the later of the two is done.
-        let r_dst =
-            self.nodes[dst.0 as usize]
-                .eth_link
-                .reserve(r_src.start.max(now), bytes, sender_cap);
-        let mut reservation = Reservation {
-            start: r_src.start.max(r_dst.start),
-            end: r_src.end.max(r_dst.end),
-        };
-        // Inter-site transfers additionally serialize on the WAN pipe
-        // and pay its propagation latency.
-        let (ca, cb) = (self.cluster_of(src).0, self.cluster_of(dst).0);
-        if ca != cb {
-            let key = if ca < cb { (ca, cb) } else { (cb, ca) };
-            if let Some(wan) = self.wan.get_mut(&key) {
-                let rate = sender_cap.unwrap_or_else(|| wan.bandwidth());
-                let r_wan = wan.reserve(reservation.start, bytes, rate);
-                reservation.end = reservation.end.max(r_wan.end) + wan.latency;
-            }
+        let mut path = vec![self.port(src, rate)];
+        let mut latency = SimDuration::ZERO;
+        if let Some(wan) = self.wan_between(self.cluster_of(src), self.cluster_of(dst)) {
+            path.push(wan.link);
+            latency = wan.latency;
         }
-        reservation
+        let dst_rate = self.migration_rate(dst, sender_cap);
+        path.push(self.port(dst, dst_rate));
+        path.extend(via);
+        let flow = self.migration_fabric.open(now, bytes, &path, Some(rate));
+        (flow, latency)
     }
 
     /// Look up the WAN link between two clusters, if one is configured.
@@ -277,7 +267,7 @@ pub struct DataCenterBuilder {
     storage: StoragePool,
     hotplug_calib: HotplugCalib,
     guid_counter: u64,
-    wan: BTreeMap<(u32, u32), WanLink>,
+    wan: BTreeMap<(u32, u32), (Bandwidth, SimDuration)>,
 }
 
 impl DataCenterBuilder {
@@ -344,7 +334,7 @@ impl DataCenterBuilder {
     ) -> &mut Self {
         assert_ne!(a, b, "a WAN link connects distinct sites");
         let key = if a.0 < b.0 { (a.0, b.0) } else { (b.0, a.0) };
-        self.wan.insert(key, WanLink::new(bandwidth, latency));
+        self.wan.insert(key, (bandwidth, latency));
         self
     }
 
@@ -356,13 +346,29 @@ impl DataCenterBuilder {
 
     /// Returns the build.
     pub fn build(self) -> DataCenter {
+        let mut migration_fabric = Fabric::new();
+        let wan = self
+            .wan
+            .into_iter()
+            .map(|(key, (bandwidth, latency))| {
+                let link = migration_fabric.add_link(bandwidth);
+                let wan = WanLink {
+                    bandwidth,
+                    latency,
+                    link,
+                };
+                (key, wan)
+            })
+            .collect();
         DataCenter {
             clusters: self.clusters,
             nodes: self.nodes,
             devices: self.devices,
             storage: self.storage,
             hotplug: AcpiHotplug::new(self.hotplug_calib),
-            wan: self.wan,
+            wan,
+            migration_fabric,
+            ports: BTreeMap::new(),
         }
     }
 }
@@ -370,7 +376,6 @@ impl DataCenterBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ninja_sim::SimDuration;
 
     #[test]
     fn agc_testbed_shape() {
@@ -405,6 +410,18 @@ mod tests {
         assert!(dc.storage_reachable(sid, eth_node));
     }
 
+    /// Drain the migration fabric; the completion instant of `flow`.
+    fn drained(dc: &mut DataCenter, flow: FlowId) -> SimTime {
+        while let Some(t) = dc.migration_fabric.next_completion() {
+            dc.migration_fabric.advance_to(t);
+        }
+        dc.migration_fabric.completion(flow).expect("drained")
+    }
+
+    fn gib_secs(gbps: f64) -> f64 {
+        (1u64 << 30) as f64 * 8.0 / (gbps * 1e9)
+    }
+
     #[test]
     fn migration_path_contends_on_shared_destination() {
         let (mut dc, ib, eth) = DataCenter::agc();
@@ -413,21 +430,38 @@ mod tests {
         let d = dc.cluster(eth).nodes[0];
         let cap = Some(Bandwidth::from_gbps(1.3));
         let now = SimTime::ZERO;
-        let r1 = dc.reserve_migration_path(s1, d, Bytes::from_gib(2), cap, now);
-        let r2 = dc.reserve_migration_path(s2, d, Bytes::from_gib(2), cap, now);
-        assert!(r2.end > r1.end, "second migration to same dst queues");
+        let (alone, _) = dc.open_migration(s1, d, Bytes::from_gib(2), cap, None, now);
+        let alone = drained(&mut dc, alone).since(now);
+        let t = SimTime::ZERO + SimDuration::from_secs(100);
+        let (f1, _) = dc.open_migration(s1, d, Bytes::from_gib(2), cap, None, t);
+        let (f2, _) = dc.open_migration(s2, d, Bytes::from_gib(2), cap, None, t);
+        let (d1, d2) = (drained(&mut dc, f1).since(t), drained(&mut dc, f2).since(t));
+        // The destination port carries one sender's rate: two streams
+        // into it take twice as long as one.
+        assert_eq!(d1, d2, "equal streams share the port equally");
+        let ratio = d2.as_secs_f64() / alone.as_secs_f64();
+        assert!((ratio - 2.0).abs() < 1e-6, "{ratio}");
     }
 
     #[test]
     fn self_migration_avoids_nic() {
-        let (mut dc, ib, _) = DataCenter::agc();
+        let (mut dc, ib, eth) = DataCenter::agc();
         let n = dc.cluster(ib).nodes[0];
+        let other = dc.cluster(eth).nodes[0];
         let cap = Some(Bandwidth::from_gbps(1.3));
-        let r = dc.reserve_migration_path(n, n, Bytes::from_gib(1), cap, SimTime::ZERO);
-        let expect = (1u64 << 30) as f64 * 8.0 / 1.3e9;
-        assert!((r.end.since(r.start).as_secs_f64() - expect).abs() < 1e-6);
-        // NIC link untouched:
-        assert_eq!(dc.node(n).eth_link.bytes_carried(), Bytes::ZERO);
+        // A stream into `n` holds its port the whole time.
+        let (busy, _) = dc.open_migration(other, n, Bytes::from_gib(4), cap, None, SimTime::ZERO);
+        let (f, latency) = dc.open_migration(n, n, Bytes::from_gib(1), cap, None, SimTime::ZERO);
+        assert_eq!(latency, SimDuration::ZERO);
+        let d = drained(&mut dc, f).as_secs_f64();
+        assert!(
+            (d - gib_secs(1.3)).abs() < 1e-6,
+            "loopback at the sender cap: {d}"
+        );
+        // The loopback flow never touched the port: the other stream
+        // still ran at the full rate.
+        let busy = drained(&mut dc, busy).as_secs_f64();
+        assert!((busy - 4.0 * gib_secs(1.3)).abs() < 1e-6, "{busy}");
     }
 
     #[test]
@@ -457,16 +491,13 @@ mod tests {
         let dst = dc.cluster(c).nodes[0];
         // 1 GiB over a 1 Gb/s WAN: ~8.6 s, even though NICs are 10 GbE
         // and the sender could do 1.3 Gb/s.
-        let r = dc.reserve_migration_path(
-            src,
-            dst,
-            Bytes::from_gib(1),
-            Some(Bandwidth::from_gbps(1.3)),
-            SimTime::ZERO,
-        );
-        let d = r.end.since(r.start).as_secs_f64();
-        let expect = (1u64 << 30) as f64 * 8.0 / 1.0e9 + 0.020;
-        assert!((d - expect).abs() < 0.05, "wan-gated: {d} vs {expect}");
+        let cap = Some(Bandwidth::from_gbps(1.3));
+        let (f, latency) =
+            dc.open_migration(src, dst, Bytes::from_gib(1), cap, None, SimTime::ZERO);
+        assert_eq!(latency, SimDuration::from_millis(20));
+        let d = (drained(&mut dc, f) + latency).as_secs_f64();
+        let expect = gib_secs(1.0) + 0.020;
+        assert!((d - expect).abs() < 1e-6, "wan-gated: {d} vs {expect}");
         assert!(dc.wan_between(a, c).is_some());
         assert!(dc.wan_between(a, a).is_none());
     }
@@ -476,16 +507,12 @@ mod tests {
         let (mut dc, ib, eth) = DataCenter::agc();
         let src = dc.cluster(ib).nodes[0];
         let dst = dc.cluster(eth).nodes[0];
-        let r = dc.reserve_migration_path(
-            src,
-            dst,
-            Bytes::from_gib(1),
-            Some(Bandwidth::from_gbps(1.3)),
-            SimTime::ZERO,
-        );
-        let d = r.end.since(r.start).as_secs_f64();
-        let expect = (1u64 << 30) as f64 * 8.0 / 1.3e9;
-        assert!((d - expect).abs() < 1e-6, "lan: {d}");
+        let cap = Some(Bandwidth::from_gbps(1.3));
+        let (f, latency) =
+            dc.open_migration(src, dst, Bytes::from_gib(1), cap, None, SimTime::ZERO);
+        assert_eq!(latency, SimDuration::ZERO);
+        let d = drained(&mut dc, f).as_secs_f64();
+        assert!((d - gib_secs(1.3)).abs() < 1e-6, "lan: {d}");
     }
 
     #[test]
@@ -500,24 +527,19 @@ mod tests {
             SimDuration::from_millis(20),
         );
         let mut dc = b.build();
-        let r1 = dc.reserve_migration_path(
-            dc.cluster(a).nodes[0],
-            dc.cluster(c).nodes[0],
-            Bytes::from_gib(1),
-            None,
-            SimTime::ZERO,
-        );
-        let r2 = dc.reserve_migration_path(
-            dc.cluster(a).nodes[1],
-            dc.cluster(c).nodes[1],
-            Bytes::from_gib(1),
-            None,
-            SimTime::ZERO,
-        );
-        assert!(
-            r2.end.since(SimTime::ZERO) > r1.end.since(SimTime::ZERO),
-            "distinct node pairs still queue on the shared WAN pipe"
-        );
+        let (s0, s1) = (dc.cluster(a).nodes[0], dc.cluster(a).nodes[1]);
+        let (d0, d1) = (dc.cluster(c).nodes[0], dc.cluster(c).nodes[1]);
+        let gib = Bytes::from_gib(1);
+        let (f1, _) = dc.open_migration(s0, d0, gib, None, None, SimTime::ZERO);
+        let (f2, _) = dc.open_migration(s1, d1, gib, None, None, SimTime::ZERO);
+        // Distinct node pairs still share the 1 Gb/s pipe: each stream
+        // runs at 0.5 Gb/s.
+        for f in [f1, f2] {
+            let d = drained(&mut dc, f).as_secs_f64();
+            assert!((d - gib_secs(0.5)).abs() < 1e-6, "shared wan: {d}");
+        }
+        let wan = dc.wan_between(a, c).expect("wan").link;
+        assert_eq!(dc.migration_fabric.bytes_carried(wan), Bytes::from_gib(2));
     }
 
     #[test]

@@ -96,25 +96,44 @@ proptest! {
         prop_assert_eq!(table.len(), 12);
     }
 
-    /// Migration-path reservations are causally sane for any request
-    /// pattern: start >= request time, end >= start, and a node's link
-    /// time never rewinds.
+    /// Streams on the migration fabric, opened in time order between
+    /// random IB and Ethernet nodes (self-migrations included), land at
+    /// or after their open and never beat the sender cap, and every
+    /// node's port carries exactly the bytes of the streams into and out
+    /// of that node.
     #[test]
-    fn migration_paths_causal(requests in prop::collection::vec((0usize..8, 8usize..16, 0u64..60, 1u64..8), 1..30)) {
-        let (mut dc, ib, eth) = DataCenter::agc();
-        let ib_nodes = dc.cluster(ib).nodes.clone();
-        let eth_nodes = dc.cluster(eth).nodes.clone();
+    fn migration_paths_causal(requests in prop::collection::vec((0usize..16, 0usize..16, 0u64..60, 1u64..8), 1..30)) {
+        let (mut dc, _, _) = DataCenter::agc();
+        let cap = Some(Bandwidth::from_gbps(1.3));
+        let mut requests = requests;
+        requests.sort_by_key(|r| r.2);
+        let mut flows = Vec::new();
+        let mut port_bytes = vec![0u64; dc.node_count()];
         for &(s, d, at_s, gib) in &requests {
             let now = SimTime::ZERO + ninja_sim::SimDuration::from_secs(at_s);
-            let r = dc.reserve_migration_path(
-                ib_nodes[s],
-                eth_nodes[d - 8],
-                Bytes::from_gib(gib),
-                Some(Bandwidth::from_gbps(1.3)),
-                now,
-            );
-            prop_assert!(r.start >= now);
-            prop_assert!(r.end >= r.start);
+            let (src, dst, bytes) = (NodeId(s as u32), NodeId(d as u32), Bytes::from_gib(gib));
+            dc.migration_fabric.advance_to(now);
+            let (flow, latency) = dc.open_migration(src, dst, bytes, cap, None, now);
+            prop_assert_eq!(latency, ninja_sim::SimDuration::ZERO, "one site");
+            if src != dst {
+                port_bytes[s] += bytes.get();
+                port_bytes[d] += bytes.get();
+            }
+            flows.push((flow, now, bytes));
+        }
+        while let Some(t) = dc.migration_fabric.next_completion() {
+            dc.migration_fabric.advance_to(t);
+        }
+        for &(flow, opened, bytes) in &flows {
+            prop_assert_eq!(dc.migration_fabric.opened_at(flow), Some(opened));
+            let landed = dc.migration_fabric.completion(flow).expect("drained");
+            prop_assert!(landed >= opened + Bandwidth::from_gbps(1.3).transfer_time(bytes));
+        }
+        for (n, &bytes) in port_bytes.iter().enumerate() {
+            let carried = dc
+                .migration_port(NodeId(n as u32), cap)
+                .map_or(0, |l| dc.migration_fabric.bytes_carried(l).get());
+            prop_assert_eq!(carried, bytes, "port of node {}", n);
         }
     }
 }

@@ -14,9 +14,14 @@
 //! re-attach through the SymVirt controller/agents (host side), then
 //! SymVirt signal, the link-up wait, and BTL reconstruction — returning
 //! a [`NinjaReport`] with the paper's overhead breakdown.
+//!
+//! The precopy streams land through the data center's migration fabric,
+//! the one every fleet run uses too, so a serial migration reports
+//! exactly what a one-job fleet at concurrency 1 does while the fleet's
+//! uplink does not bind.
 
 use crate::report::NinjaReport;
-use crate::stepper::{record_vm_spans, MigrationMachine, StepOutcome, WireMode};
+use crate::stepper::{record_vm_spans, MigrationMachine, StepOutcome};
 use crate::world::World;
 use ninja_cluster::NodeId;
 use ninja_symvirt::{Controller, GuestCooperative, RetryPolicy, SymVirtError};
@@ -119,9 +124,10 @@ impl NinjaOrchestrator {
 
     /// Migrate any cooperative guest application (MPI or otherwise).
     ///
-    /// Runs a [`MigrationMachine`] to completion in queueing wire mode,
-    /// advancing the world clock through every phase — the single-job
-    /// specialization of the fleet engine's interleaved stepping.
+    /// Runs a [`MigrationMachine`] to completion, advancing the world
+    /// clock through every phase and, while the machine waits on the
+    /// wire, to the migration fabric's next drain — the fleet engine's
+    /// interleaved stepping with one job.
     pub fn migrate_app(
         &self,
         world: &mut World,
@@ -138,16 +144,13 @@ impl NinjaOrchestrator {
             world.clock(),
         )
         .with_retry(self.retry);
-        let mut wire = WireMode::Queueing;
         loop {
-            match machine.step(world, app, &mut wire)? {
+            match machine.step(world, app)? {
                 StepOutcome::Ready => world.advance_to(machine.now()),
+                StepOutcome::Waiting(t) => world.advance_to(t),
                 StepOutcome::Done(report) => {
                     world.advance_to(machine.now());
                     return Ok(report);
-                }
-                StepOutcome::Waiting(_) => {
-                    unreachable!("queueing wire mode never blocks on the wire")
                 }
             }
         }

@@ -20,37 +20,25 @@
 //!
 //! Either way the migration phase opens every VM's migration
 //! ([`Controller::migration_open`]: check, plan, hold the destination
-//! memory) and lands each one with [`Controller::migration_commit`].
-//! The two wire modes ([`WireMode`]) differ only in how a stream's
-//! landing instant is found: *queueing* reserves a serializing
-//! [`SharedLink`](ninja_net::SharedLink) path, and *fair-share* opens a
-//! flow on a shared [`FairShareLink`] uplink, where concurrent
-//! migrations split bandwidth max-min fairly — that is what makes fleet
-//! contention measurable.
+//! memory, and open its precopy stream as a flow on the data center's
+//! migration fabric) and polls them until
+//! [`Controller::migration_land`] lands them all. The fabric is one
+//! max-min model of every stream's path (source port, WAN pipe,
+//! destination port, a fleet's uplink), so concurrent migrations split
+//! bandwidth wherever their paths meet — that is what makes fleet
+//! contention measurable — and a serial run is simply a fabric with
+//! one job on it.
 
 use crate::report::NinjaReport;
 use crate::world::World;
 use ninja_cluster::NodeId;
-use ninja_net::{FairShareLink, FlowId};
+use ninja_net::LinkId;
 use ninja_sim::{Bytes, MetricsRegistry, SeriesId, SimTime, Trace};
 use ninja_symvirt::{
     Controller, FaultKind, FaultPhase, GuestCooperative, PendingMigration, ResumeOutcome,
     RetryPolicy, SymVirtError, VmSpan,
 };
 use ninja_vmm::{PrecopyPlan, QemuMonitor, VmId, VmmError};
-
-/// How the migration phase finds when each precopy stream lands.
-pub enum WireMode<'a> {
-    /// A path reservation on the source/destination NICs and WAN
-    /// (`DataCenter::reserve_migration_path`, through
-    /// [`Controller::migration`]) — concurrent transfers queue. This is
-    /// the single-job orchestrator's mode.
-    Queueing,
-    /// A flow on this shared uplink; concurrent streams split bandwidth
-    /// max-min fairly. The caller owns the link and must advance it
-    /// alongside the world clock.
-    FairShare(&'a mut FairShareLink),
-}
 
 /// What a [`MigrationMachine::step`] call produced.
 #[derive(Debug)]
@@ -59,31 +47,20 @@ pub enum StepOutcome {
     /// [`MigrationMachine::now`] and the next phase can run as soon as
     /// the world reaches that instant.
     Ready,
-    /// The machine is blocked on the wire (fair-share mode): nothing to
-    /// do before the given instant. Advance the link and the world, then
-    /// step again.
+    /// The machine is blocked on the wire: nothing to do before the
+    /// given instant. Advance the world (which drains the migration
+    /// fabric) to it, then step again.
     Waiting(SimTime),
     /// The migration finished; the report is the same breakdown the
     /// one-shot orchestrator returns.
     Done(NinjaReport),
 }
 
-/// One VM's in-flight precopy stream during the fair-share migration
-/// phase.
-struct Stream {
-    pending: PendingMigration,
-    /// `None` for a self-migration (loopback never touches the uplink).
-    flow: Option<FlowId>,
-    /// Page-scan / dirty-iteration schedule floor: the migration cannot
-    /// complete before this even on an idle wire.
-    floor: SimTime,
-}
-
 enum State {
     Start,
     Quiesced,
     Detached,
-    Precopying(Vec<Stream>),
+    Precopying(Vec<PendingMigration>),
     Migrated,
     Attached,
     Done,
@@ -128,6 +105,8 @@ pub struct MigrationMachine {
     mig: usize,
     policy: RetryPolicy,
     degraded: bool,
+    /// An extra link every stream crosses (a fleet's switch uplink).
+    uplink: Option<LinkId>,
 }
 
 impl MigrationMachine {
@@ -154,7 +133,15 @@ impl MigrationMachine {
             mig: 0,
             policy: RetryPolicy::default(),
             degraded: false,
+            uplink: None,
         }
+    }
+
+    /// Route every precopy stream over `link` too (a fleet's shared
+    /// switch uplink) besides its own path.
+    pub fn with_uplink(mut self, link: LinkId) -> Self {
+        self.uplink = Some(link);
+        self
     }
 
     /// Aim the world's fault plan at this machine: it runs migration
@@ -265,16 +252,14 @@ impl MigrationMachine {
         }
     }
 
-    /// Run one phase. The caller must have advanced `world` (and, in
-    /// fair-share mode, the link) to at least [`now`](Self::now) — the
-    /// machine never reads the world clock, so stepping "in the past"
-    /// relative to other machines is the caller's bug, not detectable
-    /// here.
+    /// Run one phase. The caller must have advanced `world` to
+    /// [`now`](Self::now) — the machine never reads the world clock, so
+    /// stepping "in the past" relative to other machines is the caller's
+    /// bug, not detectable here.
     pub fn step(
         &mut self,
         world: &mut World,
         app: &mut dyn GuestCooperative,
-        wire: &mut WireMode<'_>,
     ) -> Result<StepOutcome, SymVirtError> {
         match std::mem::replace(&mut self.state, State::Done) {
             State::Start => {
@@ -315,58 +300,17 @@ impl MigrationMachine {
             }
             State::Detached => {
                 self.preflight(world, FaultPhase::Migration)?;
-                match wire {
-                    WireMode::Queueing => {
-                        let mig = self.ctl.migration(
-                            &self.dsts,
-                            &mut world.pool,
-                            &mut world.dc,
-                            self.now,
-                            &mut world.rng,
-                        )?;
-                        self.now = mig.completed_at;
-                        self.t_mig_end = self.now;
-                        self.plans = mig.plans;
-                        self.state = State::Migrated;
-                        Ok(StepOutcome::Ready)
-                    }
-                    WireMode::FairShare(link) => {
-                        let pending = self.ctl.migration_open(
-                            &self.dsts,
-                            &mut world.pool,
-                            &mut world.dc,
-                            self.now,
-                            &mut world.rng,
-                        )?;
-                        let sender_cap = self.ctl.monitor().config().sender_cap();
-                        let streams: Vec<Stream> = pending
-                            .into_iter()
-                            .map(|p| {
-                                let src = world.pool.get(p.vm).node;
-                                let floor = self.now + p.plan.duration();
-                                let flow = if src == p.dst {
-                                    None // self-migration: loopback, no uplink
-                                } else {
-                                    let nic = world.dc.node(src).spec.eth_bandwidth;
-                                    let rate = sender_cap.map_or(nic, |s| s.min(nic));
-                                    Some(link.open(self.now, p.plan.wire_bytes(), Some(rate)))
-                                };
-                                Stream {
-                                    pending: p,
-                                    flow,
-                                    floor,
-                                }
-                            })
-                            .collect();
-                        self.state = State::Precopying(streams);
-                        self.poll_precopy(world, wire)
-                    }
-                }
+                let pending = self.ctl.migration_open(
+                    &self.dsts,
+                    &mut world.pool,
+                    &mut world.dc,
+                    self.now,
+                    &mut world.rng,
+                    self.uplink,
+                )?;
+                self.poll_precopy(world, pending)
             }
-            State::Precopying(streams) => {
-                self.state = State::Precopying(streams);
-                self.poll_precopy(world, wire)
-            }
+            State::Precopying(pending) => self.poll_precopy(world, pending),
             State::Migrated => {
                 match self.preflight(world, FaultPhase::Attach)? {
                     Preflight::Degrade => {
@@ -455,49 +399,28 @@ impl MigrationMachine {
         }
     }
 
-    /// Fair-share mode: check whether every stream has drained (and its
-    /// scan floor passed); if so, land the VMs and close the phase.
+    /// Land the VMs if every stream has drained (and its scan floor
+    /// passed) and close the phase; otherwise wait for the fabric's next
+    /// drain.
     fn poll_precopy(
         &mut self,
         world: &mut World,
-        wire: &mut WireMode<'_>,
+        pending: Vec<PendingMigration>,
     ) -> Result<StepOutcome, SymVirtError> {
-        let WireMode::FairShare(link) = wire else {
-            unreachable!("precopying state only exists in fair-share mode");
+        let Some(landed) = self
+            .ctl
+            .migration_land(&pending, &mut world.pool, &mut world.dc)
+        else {
+            let next = world.dc.migration_fabric.next_completion();
+            self.state = State::Precopying(pending);
+            return Ok(StepOutcome::Waiting(
+                next.expect("an undrained stream implies a next completion"),
+            ));
         };
-        let State::Precopying(streams) = &self.state else {
-            unreachable!("poll_precopy outside Precopying");
-        };
-        // Every stream's landing time, or the earliest instant we could
-        // learn more.
-        let mut mig_end = self.now;
-        for s in streams.iter() {
-            let wire_done = match s.flow {
-                None => self.now,
-                Some(f) => match link.completion(f) {
-                    Some(t) => t,
-                    None => {
-                        let next = link
-                            .next_completion()
-                            .expect("open flow implies a next completion");
-                        return Ok(StepOutcome::Waiting(next));
-                    }
-                },
-            };
-            mig_end = mig_end.max(wire_done.max(s.floor));
-        }
-        let State::Precopying(streams) = std::mem::replace(&mut self.state, State::Migrated) else {
-            unreachable!();
-        };
-        for s in &streams {
-            let wire_done = s.flow.and_then(|f| link.completion(f)).unwrap_or(self.now);
-            let completes_at = wire_done.max(s.floor);
-            self.ctl
-                .migration_commit(&s.pending, completes_at, &mut world.pool, &mut world.dc);
-        }
-        self.plans = streams.into_iter().map(|s| s.pending.plan).collect();
-        self.now = mig_end;
-        self.t_mig_end = mig_end;
+        self.plans = pending.into_iter().map(|p| p.plan).collect();
+        self.now = self.now.max(landed);
+        self.t_mig_end = self.now;
+        self.state = State::Migrated;
         Ok(StepOutcome::Ready)
     }
 }
@@ -703,16 +626,15 @@ mod tests {
         let mut rt = w.start_job(vms.clone(), 1);
         let dsts: Vec<NodeId> = (0..2).map(|i| w.eth_node(i)).collect();
         let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock());
-        let mut wire = WireMode::Queueing;
         let mut steps = 0;
         let report = loop {
-            match m.step(&mut w, &mut rt, &mut wire).unwrap() {
+            match m.step(&mut w, &mut rt).unwrap() {
                 StepOutcome::Ready => {
                     w.advance_to(m.now());
                     steps += 1;
                 }
+                StepOutcome::Waiting(t) => w.advance_to(t),
                 StepOutcome::Done(r) => break r,
-                StepOutcome::Waiting(_) => panic!("queueing mode never waits"),
             }
         };
         assert_eq!(steps, 4, "quiesce, detach, migrate, attach");
@@ -722,50 +644,53 @@ mod tests {
 
     #[test]
     fn fair_share_mode_waits_on_the_wire() {
+        // Two streams from distinct IB nodes onto one Ethernet node
+        // share its migration port: the machine blocks on the fabric
+        // until both drain, and the phase takes twice one stream's wire
+        // time.
         let mut w = World::agc(62);
         let vms = w.boot_ib_vms(2);
         let mut rt = w.start_job(vms.clone(), 1);
-        let dsts: Vec<NodeId> = (0..2).map(|i| w.eth_node(i)).collect();
-        let mut link = FairShareLink::new(Bandwidth::from_gbps(10.0));
-        let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock());
-        let mut waited = false;
+        let dst = w.eth_node(0);
+        let mut m = MigrationMachine::new(QemuMonitor::default(), vms, vec![dst], w.clock());
+        let mut waits = 0;
         let report = loop {
-            let mut wire = WireMode::FairShare(&mut link);
-            match m.step(&mut w, &mut rt, &mut wire).unwrap() {
+            match m.step(&mut w, &mut rt).unwrap() {
                 StepOutcome::Ready => w.advance_to(m.now()),
                 StepOutcome::Waiting(t) => {
-                    waited = true;
-                    link.advance_to(t);
+                    waits += 1;
+                    assert_eq!(w.dc.migration_fabric.active_flows(), 2, "both on the wire");
                     w.advance_to(t);
                 }
                 StepOutcome::Done(r) => break r,
             }
         };
-        assert!(waited, "fair mode blocks on flow drain");
-        assert!(
-            report.migration > SimDuration::from_secs(10),
-            "{}",
-            report.migration
-        );
-        assert!(link.bytes_carried().get() > 0);
-        assert_eq!(link.active_flows(), 0);
+        assert_eq!(waits, 1, "equal streams drain together");
+        let one = Bandwidth::from_gbps(1.3).transfer_time(Bytes::new(report.wire_bytes / 2));
+        let ratio = report.migration.as_secs_f64() / one.as_secs_f64();
+        assert!((ratio - 2.0).abs() < 1e-3, "{ratio}");
+        let port = w.dc.migration_port(dst, Some(Bandwidth::from_gbps(1.3)));
+        let carried =
+            w.dc.migration_fabric
+                .bytes_carried(port.expect("port used"));
+        assert_eq!(carried.get(), report.wire_bytes);
+        assert_eq!(w.dc.migration_fabric.active_flows(), 0);
     }
 
     use ninja_symvirt::{FaultPlan, FaultSpec};
 
-    /// Drive a machine to completion in queueing mode, or return the
-    /// error it failed with.
+    /// Drive a machine to completion, or return the error it failed
+    /// with.
     fn drive(
         w: &mut World,
         rt: &mut ninja_mpi::MpiRuntime,
         m: &mut MigrationMachine,
     ) -> Result<NinjaReport, SymVirtError> {
-        let mut wire = WireMode::Queueing;
         loop {
-            match m.step(w, rt, &mut wire)? {
+            match m.step(w, rt)? {
                 StepOutcome::Ready => w.advance_to(m.now()),
+                StepOutcome::Waiting(t) => w.advance_to(t),
                 StepOutcome::Done(r) => return Ok(r),
-                StepOutcome::Waiting(_) => panic!("queueing mode never waits"),
             }
         }
     }

@@ -116,16 +116,19 @@ impl World {
         self.advance_to(t);
     }
 
-    /// Advance the clock to `t` if it is later than now. With a
-    /// recorder installed, every scrape instant between the old and
-    /// new clock is snapshotted first (a scrape at virtual time `s`
-    /// sees the registry as of the last event before `s`).
+    /// Advance the clock to `t` if it is later than now, draining the
+    /// data center's migration fabric to the same instant: the world
+    /// clock is the fabric's clock. With a recorder installed, every
+    /// scrape instant between the old and new clock is snapshotted
+    /// first (a scrape at virtual time `s` sees the registry as of the
+    /// last event before `s`).
     pub fn advance_to(&mut self, t: SimTime) {
         let t = self.clock.max(t);
         if let Some(rec) = self.recorder.as_mut() {
             rec.advance_to(t, &mut self.metrics, &mut self.trace);
         }
         self.clock = t;
+        self.dc.migration_fabric.advance_to(t);
     }
 
     /// Installs a time-series recorder, performing its baseline scrape

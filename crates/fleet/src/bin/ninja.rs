@@ -58,7 +58,8 @@
 //! without them stay byte-identical):
 //!
 //! - `--scrape-interval SECS` scrapes the metric registry every SECS of
-//!   simulated time (default 30 when another recorder flag is given).
+//!   simulated time (default 30 when another recorder flag is given;
+//!   at least 1).
 //! - `--timeseries-out FILE` writes the scraped series: timestamped
 //!   Prometheus text by default, JSONL when FILE ends in `.jsonl`, CSV
 //!   when it ends in `.csv`.
@@ -346,8 +347,10 @@ fn parse(mut it: impl Iterator<Item = String>) -> Args {
             }
             "--scrape-interval" => {
                 let secs: f64 = value(&mut it, name);
-                if secs.is_nan() || secs <= 0.0 {
-                    bad_value(name, "needs a positive number of seconds")
+                // A floor, not just a sign check: a scrape every
+                // nanosecond of a ~20 s run would not finish.
+                if secs.is_nan() || secs < 1.0 {
+                    bad_value(name, "needs at least 1 second")
                 }
                 args.scrape_interval = Some(secs);
             }

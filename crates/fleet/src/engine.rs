@@ -1,18 +1,18 @@
 //! The fleet engine: many overlapping Ninja migrations in virtual time.
 //!
-//! An event loop over three clocks that must agree:
+//! An event loop over two clocks that must agree:
 //!
-//! * the **world clock** (`world.clock()`), shared by every job;
+//! * the **world clock** (`world.clock()`), shared by every job; it is
+//!   also the clock of the data center's migration fabric, which drains
+//!   the concurrent precopy flows as the world advances;
 //! * each [`MigrationMachine`]'s job-local clock — where that job's
-//!   next phase may start;
-//! * the **fair-share uplink**'s clock, which drains the concurrent
-//!   precopy flows.
+//!   next phase may start.
 //!
 //! Each iteration: deliver due [`CloudScheduler`] triggers into the
 //! [`AdmissionController`], admit jobs while slots are free, step every
-//! machine that is due at the current instant, then jump the world (and
-//! the link) to the earliest next event — a machine becoming runnable, a
-//! flow draining, or a trigger firing. Everything is deterministic per
+//! machine that is due at the current instant, then jump the world to
+//! the earliest next event — a machine becoming runnable, a flow
+//! draining, or a trigger firing. Everything is deterministic per
 //! seed: jobs are stepped in index order and the only randomness is the
 //! world RNG the machines draw hotplug latencies from.
 //!
@@ -41,10 +41,7 @@
 
 use crate::admission::{AdmissionController, QueuedJob};
 use crate::slo::{FleetReport, JobFailure, JobOutcome};
-use ninja_migration::{
-    CloudScheduler, MigrationMachine, StepOutcome, TriggerReason, WireMode, World,
-};
-use ninja_net::FairShareLink;
+use ninja_migration::{CloudScheduler, MigrationMachine, StepOutcome, TriggerReason, World};
 use ninja_sim::{Bandwidth, SeriesId, SimDuration, SimTime};
 use ninja_symvirt::{GuestCooperative, RetryPolicy};
 use ninja_vmm::QemuMonitor;
@@ -61,7 +58,9 @@ pub struct FleetConfig {
     /// accounting. Missed deadlines are reported, not enforced — the
     /// migration still completes.
     pub deadline: Option<SimDuration>,
-    /// Capacity of the shared switch uplink all precopy streams cross.
+    /// Capacity of the shared switch uplink all precopy streams of the
+    /// run cross, besides their own paths (self-migrations excepted: a
+    /// loopback stream crosses no link).
     pub uplink: Bandwidth,
     /// Migration config (sender cap, scan rate, RDMA) for every job.
     pub monitor: QemuMonitor,
@@ -184,8 +183,7 @@ pub fn run_fleet(
     );
 
     let mut adm = AdmissionController::new(cfg.concurrency);
-    let mut link = FairShareLink::new(cfg.uplink);
-    link.advance_to(world.clock());
+    let uplink = world.dc.migration_fabric.add_link(cfg.uplink);
     let first_trigger = scheduler.next_at();
     let mut running: Vec<Option<Running>> = (0..jobs.len()).map(|_| None).collect();
     // Several outcomes per job: the triggered migration, plus the
@@ -268,7 +266,8 @@ pub fn run_fleet(
                 world.clock(),
             )
             .with_fault_target(q.job, mig_count[q.job])
-            .with_retry(cfg.retry);
+            .with_retry(cfg.retry)
+            .with_uplink(uplink);
             mig_count[q.job] += 1;
             running[q.job] = Some(Running {
                 machine,
@@ -301,8 +300,7 @@ pub fn run_fleet(
                 .is_some_and(|r| r.next_at <= world.clock())
             {
                 let r = running[j].as_mut().expect("checked above");
-                let mut wire = WireMode::FairShare(&mut link);
-                match r.machine.step(world, &mut *jobs[j], &mut wire) {
+                match r.machine.step(world, &mut *jobs[j]) {
                     Err(e) => {
                         // This job is done for; the fleet is not. Record
                         // the failure, free the slot, keep going.
@@ -321,7 +319,7 @@ pub fn run_fleet(
                     Ok(StepOutcome::Waiting(t)) => {
                         r.next_at = t;
                         if t <= world.clock() {
-                            // The wire has been advanced to t already;
+                            // The fabric has been drained to t already;
                             // stepping again makes progress.
                             continue;
                         }
@@ -428,7 +426,6 @@ pub fn run_fleet(
             t_next = t_next.min(rec.next_due());
         }
         world.advance_to(t_next);
-        link.advance_to(world.clock());
     }
 
     // Terminal transition: both gauges return to zero at drain, and the

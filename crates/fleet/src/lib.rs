@@ -7,8 +7,9 @@
 //!
 //! * [`engine`] — an event loop interleaving many
 //!   [`MigrationMachine`](ninja_migration::MigrationMachine)s in
-//!   virtual time, with precopy streams contending on a fair-share
-//!   switch uplink ([`ninja_net::FairShareLink`]);
+//!   virtual time, with precopy streams contending max-min fairly on
+//!   the migration fabric ([`ninja_net::Fabric`]): their ports, any WAN
+//!   pipe, and the fleet's switch uplink;
 //! * [`admission`] — a FIFO admission controller with a concurrency
 //!   cap, the knob that trades drain makespan against contention;
 //! * [`scenario`] — canned Section II-A scenarios (evacuation burst,

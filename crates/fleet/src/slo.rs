@@ -173,7 +173,7 @@ impl FleetReport {
         self.jobs.iter().filter(|j| j.deadline_missed).count()
     }
 
-    /// Total precopy bytes across all jobs (conserved under fair-share
+    /// Total precopy bytes across all jobs (conserved under max-min
     /// contention: the wire reshuffles time, not bytes).
     pub fn total_wire_bytes(&self) -> u64 {
         self.jobs.iter().map(|j| j.report.wire_bytes).sum()

@@ -398,7 +398,7 @@ fn bad_fleet_flags_exit_nonzero() {
 /// usage error (exit 2) whose first stderr line names the problem.
 #[test]
 fn out_of_range_flag_values_are_usage_errors() {
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["fleet", "--uplink-gbps", "inf"], "--uplink-gbps"),
         (&["migrate", "--procs", "4294967297"], "--procs"),
         (&["faults", "--max-retries", "4294967296"], "--max-retries"),
@@ -411,6 +411,8 @@ fn out_of_range_flag_values_are_usage_errors() {
             "--footprint-gib",
         ),
         (&["fleet", "--scenario", "bogus"], "rebalance or failover"),
+        // A scrape every nanosecond of a ~20 s run would not finish.
+        (&["fleet", "--scrape-interval", "1e-9"], "at least 1 second"),
     ];
     for (args, problem) in cases {
         let out = ninja().args(args).output().unwrap();

@@ -167,7 +167,7 @@ mod prop {
     use ninja_cluster::NodeId;
     use ninja_migration::{CloudScheduler, NinjaOrchestrator, TriggerReason};
     use ninja_mpi::MpiRuntime;
-    use ninja_vmm::{MigrationConfig, QemuMonitor};
+    use ninja_sim::WriteJson;
     use proptest::prelude::*;
 
     proptest! {
@@ -197,19 +197,17 @@ mod prop {
 
         /// One job of random size onto random Ethernet hosts (wrapped,
         /// repeated) fails or lands alike through the serial orchestrator
-        /// and a one-job fleet, and leaves the same ledger behind. Times
-        /// are not compared: a funnel serializes on the destination NIC
-        /// in queueing mode but shares the uplink in fair-share mode.
+        /// and a one-job fleet on the default config, and leaves the same
+        /// ledger behind. A landed job reports the same phases and
+        /// finishes at the same instant: a funnel shares its destination
+        /// port alike on both paths, and 4 × 1.3 Gb/s stays under the
+        /// fleet's 10 Gb/s uplink.
         #[test]
         fn serial_and_fleet_agree_on_capacity(
             vms in 1usize..=4,
             hosts in proptest::collection::vec(0usize..8, 1..=4),
             seed in 0u64..1000,
         ) {
-            let rdma = MigrationConfig {
-                rdma_transport: true,
-                ..MigrationConfig::default()
-            };
             let boot = || {
                 let mut w = World::agc(seed);
                 let job = w.boot_ib_vms(vms);
@@ -222,24 +220,29 @@ mod prop {
             };
 
             let (mut w, mut rt, dsts) = boot();
-            let serial = NinjaOrchestrator::new(rdma.clone())
+            let serial = NinjaOrchestrator::default()
                 .migrate(&mut w, &mut rt, &dsts)
-                .err()
-                .map(|e| e.to_string());
+                .map(|r| (r.to_json_compact(), w.clock()))
+                .map_err(|e| e.to_string());
             assert_ledger(&w);
             let serial_nodes = placement(&w, &rt);
 
             let (mut w, mut rt, dsts) = boot();
             let mut scheduler = CloudScheduler::new();
             scheduler.push_job(w.clock(), dsts, TriggerReason::Fallback, 0);
-            let cfg = FleetConfig {
-                monitor: QemuMonitor::new(rdma),
-                ..FleetConfig::default()
-            };
-            let report = run_fleet(&mut w, &mut [&mut rt as &mut dyn GuestCooperative], scheduler, &cfg)
-                .expect("fleet run");
+            let report = run_fleet(
+                &mut w,
+                &mut [&mut rt as &mut dyn GuestCooperative],
+                scheduler,
+                &FleetConfig::default(),
+            )
+            .expect("fleet run");
             assert_ledger(&w);
-            let fleet = report.failures.first().map(|f| f.error.clone());
+            let fleet = match (report.jobs.first(), report.failures.first()) {
+                (Some(j), None) => Ok((j.report.to_json_compact(), j.finished_at)),
+                (None, Some(f)) => Err(f.error.clone()),
+                _ => panic!("one outcome or one failure"),
+            };
             prop_assert_eq!(serial, fleet);
             prop_assert_eq!(serial_nodes, placement(&w, &rt));
         }

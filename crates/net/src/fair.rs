@@ -1,50 +1,74 @@
-//! Fair-share (processor-sharing) link contention.
+//! The migration fabric: max-min fair sharing over a set of links.
 //!
-//! [`SharedLink`](crate::SharedLink) serializes transfers: concurrent
-//! migrations queue in request order, so the *k*-th stream waits for the
-//! first *k−1* to drain. Real switch uplinks do not behave that way — a
-//! 10 GbE port carries simultaneous TCP streams that each get a
-//! max-min-fair share of the capacity. [`FairShareLink`] is that model:
-//! an explicit set of in-flight flows, each optionally rate-capped (the
-//! ~1.3 Gb/s CPU-bound QEMU sender), progressing together through
-//! virtual time with the link bandwidth divided max-min fairly among
-//! them.
+//! Real migration paths do not serialize transfers: a 10 GbE port
+//! carries simultaneous TCP streams that each get a max-min-fair share
+//! of the capacity. A [`Fabric`] is that model over many links at once:
+//! an explicit set of in-flight flows, each crossing a path of links and
+//! optionally rate-capped (the ~1.3 Gb/s CPU-bound QEMU sender),
+//! progressing together through virtual time with every link's capacity
+//! divided max-min fairly among the flows that cross it.
 //!
 //! The model is exact for piecewise-constant rates: between flow
-//! arrivals and departures every flow's rate is constant, so the link
+//! arrivals and departures every flow's rate is constant, so the fabric
 //! advances event-by-event (earliest completion first) and byte
-//! accounting conserves exactly — the total bytes carried equal the sum
-//! of the flows' sizes regardless of how they overlapped. That property
-//! is what makes contention *measurable*: a fleet run with concurrency
-//! N moves the same bytes as the serial run, only faster or slower in
-//! wall-clock.
+//! accounting conserves exactly — the bytes each link carries equal the
+//! sum of the sizes of the flows routed over it, regardless of how they
+//! overlapped. That property is what makes contention *measurable*: a
+//! fleet run with concurrency N moves the same bytes as the serial run,
+//! only faster or slower in wall-clock.
 //!
-//! # Incremental rate assignment
+//! # Progressive filling
 //!
-//! The max-min assignment depends only on the set of active flows and
-//! their caps, not on how many bytes remain — so it is computed once
-//! per arrival/departure epoch and cached, not once per query. The
-//! water-filling itself runs over a cap-sorted index: each round's
-//! capped set (`cap ≤ share`) is a prefix of the still-unsatisfied
-//! slice, so the whole fill is O(n log n) instead of the old
-//! partition-per-round O(n²) with per-call `BTreeMap` allocation.
-//! Within a round the caps are subtracted from the budget in flow-ID
-//! order, reproducing the partition algorithm's floating-point
-//! operation order bit-for-bit. `next_completion()` and `advance_to()`
-//! share the cached rates and the cached earliest-drain instant, so a
-//! drain of n concurrent precopies costs O(n²) total instead of O(n³).
+//! The max-min assignment depends only on the set of active flows, their
+//! paths and their caps, not on how many bytes remain — so it is
+//! computed once per arrival/departure epoch and cached, not once per
+//! query. Each round of the fill computes every link's equal share of
+//! its remaining capacity, and a flow's *level* is the smallest share
+//! along its path:
 //!
-//! `tests/water_fill.rs` and `tests/props.rs` check the cached rates
-//! against a test-local copy of the partition algorithm
-//! (`tests/oracle/mod.rs`), for exact equality at every arrival and
-//! drain.
+//! 1. every flow whose cap is at most its level is frozen at its cap,
+//!    and the caps are subtracted from the links' budgets in flow-id
+//!    order;
+//! 2. if no flow was capped, the link with the smallest share is the
+//!    bottleneck (lowest link id on a tie): every flow crossing it is
+//!    frozen at that share, which is subtracted from the other links on
+//!    its path.
+//!
+//! Freezing never lowers a link's share, so each frozen rate is final.
+//! A flow's cap is clamped to every capacity on its path, so a link
+//! that carries a single flow never binds below that flow's cap: only
+//! shared links take part in the fill.
+//!
+//! On a single link this is the classic partition water-fill, operation
+//! for operation, so its rates are bit-identical to it.
+//! `tests/water_fill.rs` and `tests/props.rs` check the cached rates at
+//! every arrival and drain against test-local oracles
+//! (`tests/oracle/mod.rs`): exactly against the partition algorithm on
+//! one link, and to 1e-9 against textbook progressive filling on many.
+//! `next_completion()` and `advance_to()` share the cached rates and the
+//! cached earliest-drain instant, so a drain of n concurrent precopies
+//! costs O(n²) total instead of O(n³).
 
 use ninja_sim::{Bandwidth, Bytes, SimTime};
-use std::collections::BTreeMap;
 
-/// Identifier of an in-flight (or completed) flow on a [`FairShareLink`].
+/// Identifier of an in-flight (or completed) flow on a [`Fabric`]. Ids
+/// are dense from 0 in open order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub u64);
+
+/// Identifier of a link of a [`Fabric`]. Ids are dense from 0 in
+/// creation order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct LinkId(pub u32);
+
+#[derive(Debug, Clone)]
+struct Link {
+    /// Capacity in bytes/sec.
+    capacity: f64,
+    bytes_carried: Bytes,
+    /// Active flows crossing the link.
+    load: u32,
+}
 
 #[derive(Debug, Clone)]
 struct Flow {
@@ -52,38 +76,40 @@ struct Flow {
     id: FlowId,
     /// Bytes not yet on the wire (fractional during a partial interval).
     remaining: f64,
-    /// Per-flow rate cap in bytes/sec (the sender's CPU bound), already
-    /// clamped to the link bandwidth.
+    /// Rate cap in bytes/sec (the sender's CPU bound), already clamped
+    /// to the smallest capacity on the path.
     cap: f64,
+    /// The links crossed.
+    path: Box<[LinkId]>,
 }
 
-/// A link whose concurrent flows split bandwidth max-min fairly.
+/// A set of links whose concurrent flows split capacity max-min fairly.
 ///
 /// ```
-/// use ninja_net::FairShareLink;
+/// use ninja_net::Fabric;
 /// use ninja_sim::{Bandwidth, Bytes, SimTime};
-/// let mut link = FairShareLink::new(Bandwidth::from_gbps(8.0));
-/// let a = link.open(SimTime::ZERO, Bytes::from_gib(1), None);
-/// let b = link.open(SimTime::ZERO, Bytes::from_gib(1), None);
-/// link.advance_to(SimTime::ZERO + ninja_sim::SimDuration::from_secs(60));
+/// let mut fabric = Fabric::new();
+/// let link = fabric.add_link(Bandwidth::from_gbps(8.0));
+/// let a = fabric.open(SimTime::ZERO, Bytes::from_gib(1), &[link], None);
+/// let b = fabric.open(SimTime::ZERO, Bytes::from_gib(1), &[link], None);
+/// fabric.advance_to(SimTime::ZERO + ninja_sim::SimDuration::from_secs(60));
 /// // Two equal flows share the wire and finish together.
-/// assert_eq!(link.completion(a), link.completion(b));
+/// assert_eq!(fabric.completion(a), fabric.completion(b));
 /// ```
-#[derive(Debug, Clone)]
-pub struct FairShareLink {
-    bandwidth: Bandwidth,
+#[derive(Debug, Clone, Default)]
+pub struct Fabric {
+    links: Vec<Link>,
     now: SimTime,
-    next_id: u64,
     /// Active flows in ascending-id order (ids are handed out in
     /// increasing order and drains remove in place, so pushes keep the
     /// vector sorted).
     active: Vec<Flow>,
-    completed: BTreeMap<FlowId, SimTime>,
-    /// Open instants for every flow ever opened — retained after
-    /// completion so per-flow timing (completion − opened) stays
-    /// computable from the link alone.
-    opened: BTreeMap<FlowId, SimTime>,
-    bytes_carried: Bytes,
+    /// Completion instant of every flow ever opened, indexed by id.
+    completed: Vec<Option<SimTime>>,
+    /// Open instant of every flow ever opened, indexed by id — retained
+    /// after completion so per-flow timing (completion − opened) stays
+    /// computable from the fabric alone.
+    opened: Vec<SimTime>,
     /// Cached per-flow rates, parallel to `active`; valid while no flow
     /// has arrived or drained since they were filled.
     rates: Vec<f64>,
@@ -91,9 +117,17 @@ pub struct FairShareLink {
     /// Cached earliest-drain instant; valid until the next mutation
     /// (arrival, departure, or clock/remaining update).
     next_cache: Option<SimTime>,
-    /// Scratch: flow positions sorted by (cap, id), reused across fills.
-    by_cap: Vec<usize>,
-    /// Scratch: one water-fill round's capped positions, reused.
+    /// Fill scratch, indexed by link: remaining capacity, flows not yet
+    /// frozen, and one round's equal share.
+    budget: Vec<f64>,
+    unfrozen: Vec<u32>,
+    share: Vec<f64>,
+    /// Fill scratch: the links active flows cross that still carry an
+    /// unfrozen flow.
+    touched: Vec<usize>,
+    /// Fill scratch: positions in `active` not yet frozen, in id order,
+    /// and one round's capped positions.
+    left: Vec<usize>,
     round: Vec<usize>,
 }
 
@@ -101,31 +135,30 @@ pub struct FairShareLink {
 /// floating-point remainder of interval arithmetic).
 const DRAIN_EPSILON: f64 = 1e-6;
 
-impl FairShareLink {
-    /// A fair-share link of the given capacity.
-    pub fn new(bandwidth: Bandwidth) -> Self {
-        FairShareLink {
-            bandwidth,
-            now: SimTime::ZERO,
-            next_id: 0,
-            active: Vec::new(),
-            completed: BTreeMap::new(),
-            opened: BTreeMap::new(),
+impl Fabric {
+    /// A fabric with no links, at time zero.
+    pub fn new() -> Self {
+        Fabric::default()
+    }
+
+    /// Add a link of the given capacity.
+    pub fn add_link(&mut self, capacity: Bandwidth) -> LinkId {
+        let id = LinkId(u32::try_from(self.links.len()).expect("fewer than 2^32 links"));
+        self.links.push(Link {
+            capacity: capacity.bytes_per_sec(),
             bytes_carried: Bytes::ZERO,
-            rates: Vec::new(),
-            rates_valid: false,
-            next_cache: None,
-            by_cap: Vec::new(),
-            round: Vec::new(),
-        }
+            load: 0,
+        });
+        id
     }
 
-    /// The link capacity.
-    pub fn bandwidth(&self) -> Bandwidth {
-        self.bandwidth
+    /// Total bytes ever routed over `link` (conserved: equals the sum of
+    /// the sizes of the completed and in-flight flows crossing it).
+    pub fn bytes_carried(&self, link: LinkId) -> Bytes {
+        self.links[link.0 as usize].bytes_carried
     }
 
-    /// The link's current virtual time (the latest instant it has been
+    /// The fabric's current virtual time (the latest instant it has been
     /// advanced to).
     pub fn now(&self) -> SimTime {
         self.now
@@ -136,37 +169,48 @@ impl FairShareLink {
         self.active.len()
     }
 
-    /// Total bytes ever accepted onto this link (conserved: equals the
-    /// sum of completed plus in-flight flow sizes).
-    pub fn bytes_carried(&self) -> Bytes {
-        self.bytes_carried
-    }
-
-    /// Open a flow of `bytes` at `now`, optionally capped to `rate`
-    /// (e.g. the CPU-bound migration sender). Opening a flow in the past
-    /// relative to the link's clock is an error in the caller's event
-    /// ordering, so the arrival is clamped to the link clock.
-    pub fn open(&mut self, now: SimTime, bytes: Bytes, rate: Option<Bandwidth>) -> FlowId {
+    /// Open a flow of `bytes` at `now` over `path`, optionally capped to
+    /// `rate` (e.g. the CPU-bound migration sender). A flow with an empty
+    /// path (a loopback transfer) must carry a cap: nothing else bounds
+    /// it. Opening a flow in the past relative to the fabric's clock is
+    /// an error in the caller's event ordering, so the arrival is clamped
+    /// to the fabric clock.
+    pub fn open(
+        &mut self,
+        now: SimTime,
+        bytes: Bytes,
+        path: &[LinkId],
+        rate: Option<Bandwidth>,
+    ) -> FlowId {
+        assert!(
+            rate.is_some() || !path.is_empty(),
+            "a loopback flow needs a rate cap"
+        );
         self.advance_to(now);
-        let id = FlowId(self.next_id);
-        self.next_id += 1;
-        self.bytes_carried += bytes;
-        self.opened.insert(id, self.now);
-        let cap = rate
-            .map(|r| r.min(self.bandwidth))
-            .unwrap_or(self.bandwidth)
-            .bytes_per_sec();
+        let id = FlowId(self.opened.len() as u64);
+        self.opened.push(self.now);
+        let mut cap = rate.map_or(f64::INFINITY, Bandwidth::bytes_per_sec);
+        for &l in path {
+            let link = &mut self.links[l.0 as usize];
+            link.bytes_carried += bytes;
+            cap = cap.min(link.capacity);
+        }
         let size = bytes.as_f64();
         if size <= DRAIN_EPSILON {
             // Empty transfer: done the instant it starts. The active set
             // is untouched, so the cached rates stay valid.
-            self.completed.insert(id, self.now);
+            self.completed.push(Some(self.now));
             return id;
+        }
+        self.completed.push(None);
+        for &l in path {
+            self.links[l.0 as usize].load += 1;
         }
         self.active.push(Flow {
             id,
             remaining: size,
             cap,
+            path: path.into(),
         });
         self.rates_valid = false;
         self.next_cache = None;
@@ -174,51 +218,95 @@ impl FairShareLink {
     }
 
     /// Fill `self.rates` (parallel to `self.active`) with the max-min
-    /// fair assignment by water-filling over a cap-sorted index.
-    ///
-    /// Each round's capped set — flows whose cap is at most the equal
-    /// share of the remaining budget — is exactly a prefix of the
-    /// still-unsatisfied cap-sorted slice, because every flow left over
-    /// from an earlier round has a cap above that round's (never
-    /// larger) share. The prefix is re-sorted by flow id before its
-    /// caps are subtracted from the budget, so the floating-point
-    /// subtraction order matches the old id-ordered partition algorithm
-    /// bit-for-bit. Total cost O(n log n): the sort dominates, and each
-    /// position is visited by exactly one round.
+    /// fair assignment by progressive filling (see the module docs).
     fn fill_rates(&mut self) {
         let n = self.active.len();
         self.rates.clear();
         self.rates.resize(n, 0.0);
-        self.by_cap.clear();
-        self.by_cap.extend(0..n);
-        let active = &self.active;
-        self.by_cap
-            .sort_unstable_by(|&a, &b| active[a].cap.total_cmp(&active[b].cap).then(a.cmp(&b)));
-        let mut budget = self.bandwidth.bytes_per_sec();
-        let mut consumed = 0; // prefix of `by_cap` already rate-assigned
-        while consumed < n {
-            let share = budget / (n - consumed) as f64;
-            let mut end = consumed;
-            while end < n && self.active[self.by_cap[end]].cap <= share {
-                end += 1;
+        self.budget.resize(self.links.len(), 0.0);
+        self.unfrozen.resize(self.links.len(), 0);
+        self.share.resize(self.links.len(), 0.0);
+        // Only shared links take part (see the module docs).
+        let links = &self.links;
+        let shared = |l: &&LinkId| links[l.0 as usize].load > 1;
+        self.touched.clear();
+        for f in &self.active {
+            for l in f.path.iter().filter(shared) {
+                let l = l.0 as usize;
+                self.touched.push(l);
+                self.budget[l] = links[l].capacity;
+                self.unfrozen[l] = links[l].load;
             }
-            if end == consumed {
-                // Nobody capped below the share: the rest split it.
-                for &i in &self.by_cap[consumed..] {
-                    self.rates[i] = share;
-                }
-                break;
+        }
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        self.left.clear();
+        self.left.extend(0..n);
+        while !self.left.is_empty() {
+            // Every link's equal share, read before any budget moves.
+            let unfrozen = &self.unfrozen;
+            self.touched.retain(|&l| unfrozen[l] > 0);
+            for &l in &self.touched {
+                self.share[l] = self.budget[l] / self.unfrozen[l] as f64;
             }
+            // 1. Freeze every flow capped at or below its level.
             self.round.clear();
-            self.round.extend_from_slice(&self.by_cap[consumed..end]);
-            // Positions ascend with flow ids, so this is id order.
-            self.round.sort_unstable();
-            for &i in &self.round {
-                let cap = self.active[i].cap;
-                self.rates[i] = cap;
-                budget -= cap;
+            for &i in &self.left {
+                let f = &self.active[i];
+                let level = f
+                    .path
+                    .iter()
+                    .filter(shared)
+                    .map(|l| self.share[l.0 as usize])
+                    .fold(f64::INFINITY, f64::min);
+                if f.cap <= level {
+                    self.round.push(i);
+                }
             }
-            consumed = end;
+            if !self.round.is_empty() {
+                for &i in &self.round {
+                    let f = &self.active[i];
+                    self.rates[i] = f.cap;
+                    for l in f.path.iter().filter(shared) {
+                        self.budget[l.0 as usize] -= f.cap;
+                        self.unfrozen[l.0 as usize] -= 1;
+                    }
+                }
+                let round = &self.round;
+                // Both lists ascend, so one merge pass removes the round.
+                let mut k = 0;
+                self.left.retain(|&i| {
+                    let frozen = round.get(k) == Some(&i);
+                    k += frozen as usize;
+                    !frozen
+                });
+                continue;
+            }
+            // 2. Nobody capped: freeze the flows of the bottleneck link,
+            //    the smallest share (`touched` ascends, so the lowest id
+            //    wins a tie).
+            let share = &self.share;
+            let bottleneck = *self
+                .touched
+                .iter()
+                .min_by(|&&a, &&b| share[a].total_cmp(&share[b]))
+                .expect("uncapped flows cross a shared link");
+            let level = self.share[bottleneck];
+            let bottleneck = LinkId(bottleneck as u32);
+            let (active, budget, unfrozen) = (&self.active, &mut self.budget, &mut self.unfrozen);
+            let rates = &mut self.rates;
+            self.left.retain(|&i| {
+                let path = &active[i].path;
+                if !path.contains(&bottleneck) {
+                    return true;
+                }
+                rates[i] = level;
+                for l in path.iter().filter(shared) {
+                    budget[l.0 as usize] -= level;
+                    unfrozen[l.0 as usize] -= 1;
+                }
+                false
+            });
         }
         self.rates_valid = true;
     }
@@ -230,8 +318,8 @@ impl FairShareLink {
     }
 
     /// The current max-min fair rate of every active flow, in flow-id
-    /// order (bytes/sec). Diagnostic view of the water-filling result;
-    /// empty when the link is idle.
+    /// order (bytes/sec). Diagnostic view of the fill; empty when the
+    /// fabric is idle.
     pub fn current_rates(&mut self) -> Vec<(FlowId, f64)> {
         self.ensure_rates();
         self.active
@@ -243,7 +331,7 @@ impl FairShareLink {
 
     /// The earliest instant an active flow drains, assuming no further
     /// arrivals, from the cached rate assignment. `None` when idle.
-    fn predict_next(&mut self) -> Option<SimTime> {
+    pub fn next_completion(&mut self) -> Option<SimTime> {
         if self.active.is_empty() {
             return None;
         }
@@ -262,18 +350,12 @@ impl FairShareLink {
         Some(next)
     }
 
-    /// The earliest instant an active flow drains, assuming no further
-    /// arrivals. `None` when the link is idle.
-    pub fn next_completion(&mut self) -> Option<SimTime> {
-        self.predict_next()
-    }
-
-    /// Advance the link clock to `t`, draining flows event-by-event
+    /// Advance the fabric clock to `t`, draining flows event-by-event
     /// (rates are constant between departures, so each interval is
     /// exact).
     pub fn advance_to(&mut self, t: SimTime) {
         while self.now < t && !self.active.is_empty() {
-            let next_done = self.predict_next().expect("active flows");
+            let next_done = self.next_completion().expect("active flows");
             let until = next_done.min(t);
             let dt = until.since(self.now).as_secs_f64();
             for (f, &r) in self.active.iter_mut().zip(self.rates.iter()) {
@@ -283,12 +365,14 @@ impl FairShareLink {
             self.next_cache = None;
             if self.active.iter().any(|f| f.remaining <= DRAIN_EPSILON) {
                 let now = self.now;
-                let completed = &mut self.completed;
-                // In-place retain visits flows in id order, matching the
-                // old drained-id collection order.
+                let (completed, links) = (&mut self.completed, &mut self.links);
+                // In-place retain visits flows in id order.
                 self.active.retain(|f| {
                     if f.remaining <= DRAIN_EPSILON {
-                        completed.insert(f.id, now);
+                        completed[f.id.0 as usize] = Some(now);
+                        for l in f.path.iter() {
+                            links[l.0 as usize].load -= 1;
+                        }
                         false
                     } else {
                         true
@@ -304,21 +388,16 @@ impl FairShareLink {
     }
 
     /// When `flow` finished, if it has. Completions materialize as the
-    /// link is advanced past them.
+    /// fabric is advanced past them.
     pub fn completion(&self, flow: FlowId) -> Option<SimTime> {
-        self.completed.get(&flow).copied()
+        self.completed.get(flow.0 as usize).copied().flatten()
     }
 
     /// When `flow` was opened. Retained after the flow completes, so
     /// post-hoc per-flow timing (completion − opened) is computable
-    /// from the link alone.
+    /// from the fabric alone.
     pub fn opened_at(&self, flow: FlowId) -> Option<SimTime> {
-        self.opened.get(&flow).copied()
-    }
-
-    /// Have all of `flows` drained?
-    pub fn all_done(&self, flows: &[FlowId]) -> bool {
-        flows.iter().all(|f| self.completed.contains_key(f))
+        self.opened.get(flow.0 as usize).copied()
     }
 }
 
@@ -352,23 +431,35 @@ mod tests {
         (gib << 30) as f64 * 8.0 / (gbps * 1e9)
     }
 
+    /// A fabric of one link of `gbps`.
+    fn one_link(gbps: f64) -> (Fabric, LinkId) {
+        let mut fabric = Fabric::new();
+        let link = fabric.add_link(Bandwidth::from_gbps(gbps));
+        (fabric, link)
+    }
+
     #[test]
     fn single_flow_runs_at_cap() {
-        let mut link = FairShareLink::new(Bandwidth::from_gbps(10.0));
-        let f = link.open(t(0.0), Bytes::from_gib(1), Some(Bandwidth::from_gbps(1.3)));
-        link.advance_to(t(100.0));
-        let done = link.completion(f).unwrap().as_secs_f64();
+        let (mut fab, l) = one_link(10.0);
+        let f = fab.open(
+            t(0.0),
+            Bytes::from_gib(1),
+            &[l],
+            Some(Bandwidth::from_gbps(1.3)),
+        );
+        fab.advance_to(t(100.0));
+        let done = fab.completion(f).unwrap().as_secs_f64();
         assert!((done - gib_secs(1, 1.3)).abs() < 1e-6, "{done}");
     }
 
     #[test]
     fn equal_flows_share_equally() {
-        let mut link = FairShareLink::new(Bandwidth::from_gbps(8.0));
-        let a = link.open(t(0.0), Bytes::from_gib(1), None);
-        let b = link.open(t(0.0), Bytes::from_gib(1), None);
-        link.advance_to(t(100.0));
-        let da = link.completion(a).unwrap().as_secs_f64();
-        let db = link.completion(b).unwrap().as_secs_f64();
+        let (mut fab, l) = one_link(8.0);
+        let a = fab.open(t(0.0), Bytes::from_gib(1), &[l], None);
+        let b = fab.open(t(0.0), Bytes::from_gib(1), &[l], None);
+        fab.advance_to(t(100.0));
+        let da = fab.completion(a).unwrap().as_secs_f64();
+        let db = fab.completion(b).unwrap().as_secs_f64();
         assert!((da - db).abs() < 1e-6, "fair flows finish together");
         // Each ran at 4 Gb/s: 1 GiB takes ~2.15 s.
         assert!((da - gib_secs(1, 4.0)).abs() < 1e-3, "{da}");
@@ -378,14 +469,14 @@ mod tests {
     fn capped_flows_do_not_contend_below_capacity() {
         // Four 1.3 Gb/s senders on a 10 Gb/s uplink: 5.2 < 10, so each
         // runs at its cap exactly as if alone.
-        let mut link = FairShareLink::new(Bandwidth::from_gbps(10.0));
+        let (mut fab, l) = one_link(10.0);
         let cap = Some(Bandwidth::from_gbps(1.3));
         let flows: Vec<FlowId> = (0..4)
-            .map(|_| link.open(t(0.0), Bytes::from_gib(1), cap))
+            .map(|_| fab.open(t(0.0), Bytes::from_gib(1), &[l], cap))
             .collect();
-        link.advance_to(t(100.0));
+        fab.advance_to(t(100.0));
         for f in flows {
-            let d = link.completion(f).unwrap().as_secs_f64();
+            let d = fab.completion(f).unwrap().as_secs_f64();
             assert!((d - gib_secs(1, 1.3)).abs() < 1e-6, "{d}");
         }
     }
@@ -394,14 +485,14 @@ mod tests {
     fn oversubscription_slows_everyone() {
         // Ten 1.3 Gb/s senders on a 10 Gb/s uplink: 13 > 10, each gets
         // 1.0 Gb/s.
-        let mut link = FairShareLink::new(Bandwidth::from_gbps(10.0));
+        let (mut fab, l) = one_link(10.0);
         let cap = Some(Bandwidth::from_gbps(1.3));
         let flows: Vec<FlowId> = (0..10)
-            .map(|_| link.open(t(0.0), Bytes::from_gib(1), cap))
+            .map(|_| fab.open(t(0.0), Bytes::from_gib(1), &[l], cap))
             .collect();
-        link.advance_to(t(100.0));
+        fab.advance_to(t(100.0));
         for f in flows {
-            let d = link.completion(f).unwrap().as_secs_f64();
+            let d = fab.completion(f).unwrap().as_secs_f64();
             assert!((d - gib_secs(1, 1.0)).abs() < 1e-3, "{d}");
         }
     }
@@ -410,49 +501,53 @@ mod tests {
     fn late_arrival_share_shrinks_then_grows() {
         // Flow A alone at 8 Gb/s; B arrives at 0.5 s and the wire splits
         // 4/4; A drains, then B finishes alone at 8 Gb/s again.
-        let mut link = FairShareLink::new(Bandwidth::from_gbps(8.0));
-        let a = link.open(t(0.0), Bytes::from_gib(1), None);
-        let b = link.open(t(0.5), Bytes::from_gib(1), None);
-        link.advance_to(t(100.0));
-        let da = link.completion(a).unwrap().as_secs_f64();
-        let db = link.completion(b).unwrap().as_secs_f64();
+        let (mut fab, l) = one_link(8.0);
+        let a = fab.open(t(0.0), Bytes::from_gib(1), &[l], None);
+        let b = fab.open(t(0.5), Bytes::from_gib(1), &[l], None);
+        fab.advance_to(t(100.0));
+        let da = fab.completion(a).unwrap().as_secs_f64();
+        let db = fab.completion(b).unwrap().as_secs_f64();
         let full = gib_secs(1, 8.0); // ~1.074 s
                                      // A: 0.5 s at 8 Gb/s, remainder at 4 Gb/s.
         let expect_a = 0.5 + (full - 0.5) * 2.0;
         assert!((da - expect_a).abs() < 1e-3, "{da} vs {expect_a}");
         assert!(db > da, "B finishes after A");
-        // Total drain time equals the serial total (work conservation).
-        let serial = 2.0 * full + 0.5 * 0.0; // both fully transferred
-        let busy = db; // link busy from 0 to db
-        assert!(busy < serial + 0.5, "sharing never slower than serial");
+        // The link never idles while B waits: B ends when 2 GiB has
+        // crossed at the full 8 Gb/s.
+        assert!((db - 2.0 * full).abs() < 1e-3, "{db}");
     }
 
     #[test]
     fn bytes_are_conserved() {
-        let mut link = FairShareLink::new(Bandwidth::from_gbps(8.0));
-        link.open(t(0.0), Bytes::from_mib(3), None);
-        link.open(t(0.1), Bytes::from_mib(5), Some(Bandwidth::from_gbps(1.0)));
-        link.open(t(0.2), Bytes::from_mib(7), None);
-        link.advance_to(t(100.0));
-        assert_eq!(link.bytes_carried(), Bytes::from_mib(15));
-        assert_eq!(link.active_flows(), 0);
+        let (mut fab, l) = one_link(8.0);
+        fab.open(t(0.0), Bytes::from_mib(3), &[l], None);
+        fab.open(
+            t(0.1),
+            Bytes::from_mib(5),
+            &[l],
+            Some(Bandwidth::from_gbps(1.0)),
+        );
+        fab.open(t(0.2), Bytes::from_mib(7), &[l], None);
+        fab.advance_to(t(100.0));
+        assert_eq!(fab.bytes_carried(l), Bytes::from_mib(15));
+        assert_eq!(fab.active_flows(), 0);
     }
 
     #[test]
     fn zero_byte_flow_completes_instantly() {
-        let mut link = FairShareLink::new(Bandwidth::from_gbps(8.0));
-        let f = link.open(t(3.0), Bytes::ZERO, None);
-        assert_eq!(link.completion(f), Some(t(3.0)));
+        let (mut fab, l) = one_link(8.0);
+        let f = fab.open(t(3.0), Bytes::ZERO, &[l], None);
+        assert_eq!(fab.completion(f), Some(t(3.0)));
     }
 
     #[test]
     fn next_completion_predicts_drain() {
-        let mut link = FairShareLink::new(Bandwidth::from_gbps(8.0));
-        assert_eq!(link.next_completion(), None);
-        let f = link.open(t(0.0), Bytes::from_gib(1), None);
-        let predicted = link.next_completion().unwrap();
-        link.advance_to(predicted);
-        assert_eq!(link.completion(f), Some(predicted));
+        let (mut fab, l) = one_link(8.0);
+        assert_eq!(fab.next_completion(), None);
+        let f = fab.open(t(0.0), Bytes::from_gib(1), &[l], None);
+        let predicted = fab.next_completion().unwrap();
+        fab.advance_to(predicted);
+        assert_eq!(fab.completion(f), Some(predicted));
     }
 
     #[test]
@@ -462,43 +557,76 @@ mod tests {
         // truncated to zero — next_completion() == now() forever. With
         // awkward sizes/rates, advance_to(next_completion()) must
         // materialize a completion in one hop.
-        let mut link = FairShareLink::new(Bandwidth::from_gbps(10.0));
+        let (mut fab, l) = one_link(10.0);
         let cap = Some(Bandwidth::from_gbps(1.3));
         let flows: Vec<FlowId> = (0..3)
-            .map(|i| link.open(t(0.0), Bytes::new((7 << 30) + 13 * i + 1), cap))
+            .map(|i| fab.open(t(0.0), Bytes::new((7 << 30) + 13 * i + 1), &[l], cap))
             .collect();
         let mut hops = 0;
-        while let Some(next) = link.next_completion() {
-            assert!(next > link.now(), "prediction must make progress");
-            link.advance_to(next);
+        while let Some(next) = fab.next_completion() {
+            assert!(next > fab.now(), "prediction must make progress");
+            fab.advance_to(next);
             hops += 1;
             assert!(hops <= 6, "event-per-completion, not a spin");
         }
-        assert!(link.all_done(&flows));
+        assert!(flows.iter().all(|&f| fab.completion(f).is_some()));
     }
 
     #[test]
     fn partial_advance_keeps_state() {
-        let mut link = FairShareLink::new(Bandwidth::from_gbps(8.0));
-        let f = link.open(t(0.0), Bytes::from_gib(1), None);
-        link.advance_to(t(0.5));
-        assert_eq!(link.active_flows(), 1);
-        assert_eq!(link.completion(f), None);
-        link.advance_to(t(2.0));
-        let d = link.completion(f).unwrap().as_secs_f64();
+        let (mut fab, l) = one_link(8.0);
+        let f = fab.open(t(0.0), Bytes::from_gib(1), &[l], None);
+        fab.advance_to(t(0.5));
+        assert_eq!(fab.active_flows(), 1);
+        assert_eq!(fab.completion(f), None);
+        fab.advance_to(t(2.0));
+        let d = fab.completion(f).unwrap().as_secs_f64();
         assert!((d - gib_secs(1, 8.0)).abs() < 1e-6, "{d}");
     }
 
     #[test]
     fn opened_at_survives_completion() {
-        let mut link = FairShareLink::new(Bandwidth::from_gbps(8.0));
-        let f = link.open(t(1.0), Bytes::from_mib(64), None);
-        assert_eq!(link.opened_at(f), Some(t(1.0)));
-        link.advance_to(t(100.0));
-        assert!(link.completion(f).is_some());
-        assert_eq!(link.opened_at(f), Some(t(1.0)), "retained after drain");
+        let (mut fab, l) = one_link(8.0);
+        let f = fab.open(t(1.0), Bytes::from_mib(64), &[l], None);
+        assert_eq!(fab.opened_at(f), Some(t(1.0)));
+        fab.advance_to(t(100.0));
+        assert!(fab.completion(f).is_some());
+        assert_eq!(fab.opened_at(f), Some(t(1.0)), "retained after drain");
         // Zero-byte flows report their (instant) open time too.
-        let z = link.open(t(200.0), Bytes::ZERO, None);
-        assert_eq!(link.opened_at(z), Some(t(200.0)));
+        let z = fab.open(t(200.0), Bytes::ZERO, &[l], None);
+        assert_eq!(fab.opened_at(z), Some(t(200.0)));
+    }
+
+    #[test]
+    fn loopback_flow_runs_at_its_cap() {
+        let mut fab = Fabric::new();
+        let f = fab.open(
+            t(0.0),
+            Bytes::from_gib(1),
+            &[],
+            Some(Bandwidth::from_gbps(1.3)),
+        );
+        fab.advance_to(t(100.0));
+        let d = fab.completion(f).unwrap().as_secs_f64();
+        assert!((d - gib_secs(1, 1.3)).abs() < 1e-6, "{d}");
+    }
+
+    #[test]
+    fn tightest_link_on_the_path_binds() {
+        // A and B share a 2 Gb/s link; B also crosses a 10 Gb/s link
+        // with C. A and B get 1 Gb/s each, and C takes the 9 Gb/s B
+        // leaves on the wide link.
+        let mut fab = Fabric::new();
+        let narrow = fab.add_link(Bandwidth::from_gbps(2.0));
+        let wide = fab.add_link(Bandwidth::from_gbps(10.0));
+        fab.open(t(0.0), Bytes::from_gib(1), &[narrow], None);
+        fab.open(t(0.0), Bytes::from_gib(1), &[narrow, wide], None);
+        fab.open(t(0.0), Bytes::from_gib(1), &[wide], None);
+        let gbps: Vec<f64> = fab
+            .current_rates()
+            .iter()
+            .map(|&(_, r)| r * 8.0 / 1e9)
+            .collect();
+        assert_eq!(gbps, [1.0, 1.0, 9.0]);
     }
 }

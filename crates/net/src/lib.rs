@@ -6,11 +6,11 @@
 //!   re-attach), pinned memory regions, queue pairs, and the ~30 s port
 //!   training the paper measures as "link-up time";
 //! * [`eth`] — Ethernet / virtio-net with instantaneous link-up;
-//! * [`link`] — the port link-state machine and a serializing
-//!   shared-link contention model;
-//! * [`fair`] — a max-min fair-share (processor-sharing) uplink model
-//!   under which concurrent precopy streams split bandwidth instead of
-//!   queueing, used by the fleet engine;
+//! * [`link`] — the port link-state machine;
+//! * [`fair`] — the migration [`Fabric`]: every precopy stream is a flow
+//!   over a path of links (source port, WAN pipe, destination port, a
+//!   fleet's switch uplink), and concurrent flows split each link's
+//!   capacity max-min fairly;
 //! * [`transport`] — LogGP-style message-cost models (latency, bandwidth,
 //!   per-byte CPU cost) used by the MPI byte-transfer layer, including the
 //!   CPU-contention behaviour that separates TCP from RDMA under
@@ -31,8 +31,8 @@ pub mod transport;
 
 pub use calib::TransportCalib;
 pub use eth::{EthKind, EthNic};
-pub use fair::{FairShareLink, FlowId};
+pub use fair::{Fabric, FlowId, LinkId};
 pub use ib::{IbError, IbFabric, IbHca, Lid, MrKey, QpNum, QueuePair};
-pub use link::{LinkFsm, LinkState, Reservation, SharedLink};
+pub use link::{LinkFsm, LinkState};
 pub use switch::Switch;
 pub use transport::{models, CostModel, MessageCost, TransportKind};

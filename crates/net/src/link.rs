@@ -1,16 +1,12 @@
-//! Link-state machine and shared-link contention.
+//! Link-state machine.
 //!
 //! [`LinkFsm`] models the port training behaviour the paper measures: an
 //! InfiniBand port that has just been hot-plugged stays in POLLING for
 //! about 30 seconds before going ACTIVE (Table II / Section V), while an
 //! Ethernet virtio NIC is usable immediately.
-//!
-//! [`SharedLink`] models serialization on a link: concurrent transfers
-//! queue, so simultaneous migrations over one uplink stretch each other
-//! out (the paper's Section V scalability discussion).
 
 use crate::calib::TransportCalib;
-use ninja_sim::{Bandwidth, Bytes, SimDuration, SimRng, SimTime};
+use ninja_sim::{SimDuration, SimRng, SimTime};
 
 /// Observable state of a network port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,79 +110,6 @@ impl LinkFsm {
     }
 }
 
-/// A reservation returned by [`SharedLink::reserve`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Reservation {
-    /// When the transfer begins (after queued predecessors drain).
-    pub start: SimTime,
-    /// When the last byte is on the wire.
-    pub end: SimTime,
-}
-
-impl Reservation {
-    /// Total time from request to completion.
-    pub fn total(&self, requested_at: SimTime) -> SimDuration {
-        self.end.since(requested_at)
-    }
-}
-
-/// A serializing link: transfers occupy the link one at a time in request
-/// order. This is intentionally the simplest contention model that makes
-/// concurrent bulk transfers (e.g. 8 simultaneous VM migrations through
-/// one switch uplink) interact.
-#[derive(Debug, Clone)]
-pub struct SharedLink {
-    bandwidth: Bandwidth,
-    busy_until: SimTime,
-    bytes_carried: Bytes,
-}
-
-impl SharedLink {
-    /// Creates a new instance.
-    pub fn new(bandwidth: Bandwidth) -> Self {
-        SharedLink {
-            bandwidth,
-            busy_until: SimTime::ZERO,
-            bytes_carried: Bytes::ZERO,
-        }
-    }
-
-    /// Returns the bandwidth.
-    pub fn bandwidth(&self) -> Bandwidth {
-        self.bandwidth
-    }
-
-    /// Total bytes ever reserved through this link.
-    pub fn bytes_carried(&self) -> Bytes {
-        self.bytes_carried
-    }
-
-    /// When the link next becomes free.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
-    /// Reserve the link for a `bytes`-sized transfer requested at `now`,
-    /// optionally capped to `sender_rate` (e.g. the CPU-bound 1.3 Gb/s
-    /// migration sender). Returns when the transfer starts and ends.
-    pub fn reserve(
-        &mut self,
-        now: SimTime,
-        bytes: Bytes,
-        sender_rate: Option<Bandwidth>,
-    ) -> Reservation {
-        let start = now.max(self.busy_until);
-        let rate = match sender_rate {
-            Some(r) => r.min(self.bandwidth),
-            None => self.bandwidth,
-        };
-        let end = start + rate.transfer_time(bytes);
-        self.busy_until = end;
-        self.bytes_carried += bytes;
-        Reservation { start, end }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,44 +167,5 @@ mod tests {
         let mut fsm = LinkFsm::active();
         fsm.take_down();
         assert_eq!(fsm.state_at(t(0.0)), LinkState::Down);
-    }
-
-    #[test]
-    fn shared_link_serializes() {
-        let mut link = SharedLink::new(Bandwidth::from_gbps(8.0));
-        // 1 GiB at 8 Gb/s = 2^30 bytes * 8 bits / 8e9 = ~1.0737 s
-        let r1 = link.reserve(t(0.0), Bytes::from_gib(1), None);
-        let r2 = link.reserve(t(0.0), Bytes::from_gib(1), None);
-        assert_eq!(r1.start, t(0.0));
-        assert_eq!(r2.start, r1.end, "second transfer queues behind first");
-        let d1 = r1.end.since(r1.start).as_secs_f64();
-        assert!((d1 - 1.0737).abs() < 0.01, "{d1}");
-    }
-
-    #[test]
-    fn sender_rate_caps_throughput() {
-        let mut link = SharedLink::new(Bandwidth::from_gbps(10.0));
-        let r = link.reserve(t(0.0), Bytes::from_gib(1), Some(Bandwidth::from_gbps(1.3)));
-        let d = r.end.since(r.start).as_secs_f64();
-        let expect = (1u64 << 30) as f64 * 8.0 / 1.3e9;
-        assert!((d - expect).abs() < 1e-6, "{d} vs {expect}");
-    }
-
-    #[test]
-    fn link_idle_gap_not_billed() {
-        let mut link = SharedLink::new(Bandwidth::from_gbps(8.0));
-        let r1 = link.reserve(t(0.0), Bytes::from_mib(1), None);
-        // Request long after the first completes: starts immediately.
-        let r2 = link.reserve(t(100.0), Bytes::from_mib(1), None);
-        assert!(r1.end < t(100.0));
-        assert_eq!(r2.start, t(100.0));
-    }
-
-    #[test]
-    fn bytes_accounting() {
-        let mut link = SharedLink::new(Bandwidth::from_gbps(1.0));
-        link.reserve(t(0.0), Bytes::from_mib(3), None);
-        link.reserve(t(0.0), Bytes::from_mib(5), None);
-        assert_eq!(link.bytes_carried(), Bytes::from_mib(8));
     }
 }

@@ -2,9 +2,9 @@
 
 mod oracle;
 
-use ninja_net::{calib, models, CostModel, IbFabric, IbHca, LinkFsm, LinkState, SharedLink};
+use ninja_net::{calib, models, CostModel, IbFabric, IbHca, LinkFsm, LinkState};
 use ninja_sim::{Bandwidth, Bytes, SimDuration, SimRng, SimTime};
-use oracle::CheckedLink;
+use oracle::CheckedFabric;
 use proptest::prelude::*;
 
 proptest! {
@@ -50,29 +50,6 @@ proptest! {
                 prop_assert_eq!(fsm.state_at(now), LinkState::Down);
             }
         }
-    }
-
-    /// SharedLink reservations never overlap and always carry the full
-    /// byte count at no more than the configured rate.
-    #[test]
-    fn shared_link_serializes_all_schedules(
-        requests in prop::collection::vec((0u64..100_000_000, 1u64..1u64 << 32), 1..40),
-        gbps in 0.1f64..100.0,
-    ) {
-        let mut link = SharedLink::new(Bandwidth::from_gbps(gbps));
-        let mut prev_end = SimTime::ZERO;
-        let mut total = 0u64;
-        for &(at, bytes) in &requests {
-            let r = link.reserve(SimTime::from_nanos(at), Bytes::new(bytes), None);
-            prop_assert!(r.start >= prev_end || r.start >= SimTime::from_nanos(at));
-            prop_assert!(r.end >= r.start);
-            // No overlap: each new transfer starts at/after the last end.
-            prop_assert!(r.start >= prev_end.min(r.start));
-            prop_assert!(r.end >= prev_end, "link time is monotone");
-            prev_end = r.end;
-            total += bytes;
-        }
-        prop_assert_eq!(link.bytes_carried(), Bytes::new(total));
     }
 
     /// Message cost is monotone in size and contention, bounded below
@@ -128,8 +105,8 @@ proptest! {
         prop_assert!(!hca.has_resources());
     }
 
-    /// The incremental cap-sorted water-fill assigns exactly the
-    /// partition algorithm's max-min rates across arbitrary open/advance
+    /// On one link, the fabric's fill assigns exactly the partition
+    /// algorithm's max-min rates across arbitrary open/advance
     /// interleavings.
     #[test]
     fn fair_share_water_fill_matches_partition(
@@ -139,19 +116,48 @@ proptest! {
         ),
         gbps in 0.5f64..40.0,
     ) {
-        let mut link = CheckedLink::new(Bandwidth::from_gbps(gbps));
+        let mut link = CheckedFabric::new(&[Bandwidth::from_gbps(gbps)]);
         let mut now = SimTime::ZERO;
         for &(open, bytes, cap_dgbps, advance_ns) in &events {
             if open {
                 // cap 0 means uncapped; otherwise tenths of a Gb/s, so
                 // caps land both below and above the link rate.
                 let cap = (cap_dgbps > 0).then(|| Bandwidth::from_gbps(cap_dgbps as f64 / 10.0));
-                link.open(now, Bytes::new(bytes), cap);
+                link.open(now, Bytes::new(bytes), &[0], cap);
             } else {
                 now += SimDuration::from_nanos(advance_ns);
                 link.advance_to(now);
             }
         }
+    }
+
+    /// On many links, the fabric's fill matches progressive filling
+    /// across arbitrary open/advance interleavings, and every link
+    /// carries exactly the bytes of the flows routed over it.
+    #[test]
+    fn fabric_fill_matches_progressive_filling(
+        events in prop::collection::vec(
+            (any::<bool>(), 1u64..4u64 << 30, 1u64..64, 0u8..16, 1u64..5_000_000_000),
+            1..60,
+        ),
+        gbps in prop::collection::vec(0.5f64..40.0, 4),
+    ) {
+        let capacities: Vec<Bandwidth> = gbps.iter().map(|&g| Bandwidth::from_gbps(g)).collect();
+        let mut fabric = CheckedFabric::new(&capacities);
+        let mut now = SimTime::ZERO;
+        for &(open, bytes, cap_dgbps, links, advance_ns) in &events {
+            if open {
+                // Bit l of `links` routes the flow over link l; no bit
+                // is a capped loopback.
+                let path: Vec<usize> = (0..4).filter(|l| links & (1 << l) != 0).collect();
+                let cap = Some(Bandwidth::from_gbps(cap_dgbps as f64 / 10.0));
+                fabric.open(now, Bytes::new(bytes), &path, cap);
+            } else {
+                now += SimDuration::from_nanos(advance_ns);
+                fabric.advance_to(now);
+            }
+        }
+        fabric.drain_and_check_bytes();
     }
 
     /// Effective bandwidth never exceeds the configured link rate.

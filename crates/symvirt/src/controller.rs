@@ -5,7 +5,11 @@
 //! monitor interface, and executes a procedure corresponding to the
 //! event" (Section III-B). Its Python script API (Fig. 5) is reproduced
 //! here method-for-method: `wait_all`, `device_detach`, `migration`,
-//! `device_attach`, `signal`, `close`.
+//! `device_attach`, `signal`, `close`. The script's blocking `migration`
+//! is split in two, [`Controller::migration_open`] and
+//! [`Controller::migration_land`], because the wire decides when it
+//! returns: the streams share the data center's migration fabric with
+//! every other migration in flight, and only the world clock drains it.
 //!
 //! Agents operate on all VMs **in parallel** (one agent per QEMU), so a
 //! phase's wall-clock cost is the *maximum* over the per-VM operations,
@@ -15,6 +19,7 @@
 
 use crate::error::SymVirtError;
 use ninja_cluster::{DataCenter, NodeId};
+use ninja_net::{Fabric, FlowId, LinkId};
 use ninja_sim::{SimDuration, SimRng, SimTime};
 use ninja_vmm::{MonitorCommand, MonitorReply, PrecopyPlan, QemuMonitor, VmId, VmPool, VmState};
 
@@ -40,20 +45,10 @@ pub struct DevicePhase {
     pub link_active_at: Option<SimTime>,
 }
 
-/// Result of a parallel migration phase.
-#[derive(Debug, Clone)]
-pub struct MigrationPhase {
-    /// Per-VM plans, in hostlist order.
-    pub plans: Vec<PrecopyPlan>,
-    /// When the last VM's migration completed.
-    pub completed_at: SimTime,
-}
-
-/// An open migration: checked, planned and holding the guest's memory
-/// on `dst`, with the guest still on its source node. The wire decides
-/// when it lands: [`Controller::migration`] reserves a path, the fleet
-/// engine opens a `FairShareLink` flow (`ninja-net`), and either lands
-/// the VM with [`Controller::migration_commit`] once the stream drains.
+/// An open migration: checked, planned, holding the guest's memory on
+/// `dst`, and streaming its precopy as a flow on the data center's
+/// migration fabric, with the guest still on its source node.
+/// [`Controller::migration_land`] lands it once the stream drains.
 #[derive(Debug, Clone)]
 pub struct PendingMigration {
     /// The VM in flight.
@@ -64,6 +59,22 @@ pub struct PendingMigration {
     pub plan: PrecopyPlan,
     /// When the agent issued `migrate`.
     pub started: SimTime,
+    /// The precopy stream on the migration fabric.
+    pub flow: FlowId,
+    /// The path's propagation latency (a WAN pipe's), paid once the
+    /// last byte is on the wire.
+    pub latency: SimDuration,
+}
+
+impl PendingMigration {
+    /// When the VM lands, once its stream has drained: the drain plus
+    /// the path latency, floored by the precopy schedule (the page scan
+    /// and dirty iterations cannot finish earlier even on an idle wire).
+    /// `None` while the stream is on the wire.
+    pub fn lands_at(&self, fabric: &Fabric) -> Option<SimTime> {
+        let drained = fabric.completion(self.flow)?;
+        Some((drained + self.latency).max(self.started + self.plan.duration()))
+    }
 }
 
 /// One VM's interval in one phase: `(phase, vm, start, end)`.
@@ -292,43 +303,17 @@ impl Controller {
         })
     }
 
-    /// `migration(src_hostlist, dst_hostlist)`: migrate VM *i* to
-    /// `dsts[i % dsts.len()]` (wrapping supports the paper's
-    /// consolidation of 4 VMs onto 2 hosts). All agents start at `now`
-    /// ([`migration_open`](Controller::migration_open)); each stream
-    /// then reserves its path in hostlist order, so contention on shared
-    /// NICs serializes, and lands when both the wire and the precopy
-    /// schedule are done.
-    pub fn migration(
-        &mut self,
-        dsts: &[NodeId],
-        pool: &mut VmPool,
-        dc: &mut DataCenter,
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> Result<MigrationPhase, SymVirtError> {
-        let pending = self.migration_open(dsts, pool, dc, now, rng)?;
-        let sender_cap = self.monitor.config().sender_cap();
-        let mut completed_at = now;
-        for p in &pending {
-            let src = pool.get(p.vm).node;
-            let wire = dc.reserve_migration_path(src, p.dst, p.plan.wire_bytes(), sender_cap, now);
-            let completes_at = wire.end.max(now + p.plan.duration());
-            self.migration_commit(p, completes_at, pool, dc);
-            completed_at = completed_at.max(completes_at);
-        }
-        Ok(MigrationPhase {
-            plans: pending.into_iter().map(|p| p.plan).collect(),
-            completed_at,
-        })
-    }
-
-    /// Every agent issues `migrate` for its VM: checked, planned, and
-    /// holding its memory on the destination, the guest still on its
-    /// source. The caller's wire model decides when each stream drains;
-    /// land each VM with [`migration_commit`](Controller::migration_commit)
-    /// then. If any agent's `migrate` fails, the migrations already
-    /// started are cancelled, so none is left open.
+    /// `migration(src_hostlist, dst_hostlist)`, opened: every agent
+    /// issues `migrate` for its VM *i* to `dsts[i % dsts.len()]`
+    /// (wrapping supports the paper's consolidation of 4 VMs onto 2
+    /// hosts). Each VM is checked, planned and holds its memory on the
+    /// destination, the guest still on its source; then each stream
+    /// opens on the data center's migration fabric at `now`, in hostlist
+    /// order, over its path plus `via` (a fleet's uplink) if given. Land
+    /// the VMs with [`migration_land`](Controller::migration_land) as
+    /// the fabric drains. If any agent's `migrate` fails, the migrations
+    /// already started are cancelled, so none is left open and no
+    /// stream is on the wire.
     pub fn migration_open(
         &mut self,
         dsts: &[NodeId],
@@ -336,55 +321,77 @@ impl Controller {
         dc: &mut DataCenter,
         now: SimTime,
         rng: &mut SimRng,
+        via: Option<LinkId>,
     ) -> Result<Vec<PendingMigration>, SymVirtError> {
         self.check_open()?;
         if dsts.is_empty() {
             return Err(SymVirtError::EmptyHostlist);
         }
         self.wait_all(pool)?;
-        let mut pending = Vec::with_capacity(self.hostlist.len());
+        let mut plans = Vec::with_capacity(self.hostlist.len());
         for (i, &vm) in self.hostlist.iter().enumerate() {
             let dst = dsts[i % dsts.len()];
             let cmd = MonitorCommand::Migrate { vm, dst };
             match self.monitor.execute(cmd, pool, dc, now, rng, true) {
-                Ok(MonitorReply::MigrationStarted { plan }) => pending.push(PendingMigration {
-                    vm,
-                    dst,
-                    plan,
-                    started: now,
-                }),
+                Ok(MonitorReply::MigrationStarted { plan }) => plans.push((vm, dst, plan)),
                 failed => {
-                    for p in pending.iter().rev() {
-                        pool.cancel_migration(p.vm, p.dst, dc);
+                    for &(vm, dst, _) in plans.iter().rev() {
+                        pool.cancel_migration(vm, dst, dc);
                     }
                     let err = failed.expect_err("`migrate` replies MigrationStarted");
                     return Err(err.into());
                 }
             }
         }
+        let sender_cap = self.monitor.config().sender_cap();
+        let pending = plans
+            .into_iter()
+            .map(|(vm, dst, plan)| {
+                let src = pool.get(vm).node;
+                let (flow, latency) =
+                    dc.open_migration(src, dst, plan.wire_bytes(), sender_cap, via, now);
+                PendingMigration {
+                    vm,
+                    dst,
+                    plan,
+                    started: now,
+                    flow,
+                    latency,
+                }
+            })
+            .collect();
         Ok(pending)
     }
 
-    /// Land `p.vm` on `p.dst` at `completes_at` (when its wire stream
-    /// drained, floored by the precopy schedule) and record the agent's
-    /// span and log entry.
-    pub fn migration_commit(
+    /// Land every VM of `pending` once all their streams have drained
+    /// on the migration fabric: each lands on its destination at
+    /// [`PendingMigration::lands_at`], with its span and log entry.
+    /// Returns the last landing instant (`None`, landing nothing, while
+    /// any stream is still on the wire).
+    pub fn migration_land(
         &mut self,
-        p: &PendingMigration,
-        completes_at: SimTime,
+        pending: &[PendingMigration],
         pool: &mut VmPool,
         dc: &mut DataCenter,
-    ) {
-        pool.complete_migration(p.vm, p.dst, dc);
-        pool.get_mut(p.vm).last_migration =
-            Some((p.plan.wire_bytes().get(), completes_at.since(p.started)));
-        self.record_vm_span("migration", p.vm, p.started, completes_at);
-        self.log.push(AgentAction {
-            vm: p.vm,
-            action: format!("migrate -> {}", dc.node(p.dst).hostname),
-            started: p.started,
-            duration: completes_at.since(p.started),
-        });
+    ) -> Option<SimTime> {
+        let mut last = SimTime::ZERO;
+        for p in pending {
+            last = last.max(p.lands_at(&dc.migration_fabric)?);
+        }
+        for p in pending {
+            let landed = p.lands_at(&dc.migration_fabric).expect("drained");
+            let took = landed.since(p.started);
+            pool.complete_migration(p.vm, p.dst, dc);
+            pool.get_mut(p.vm).last_migration = Some((p.plan.wire_bytes().get(), took));
+            self.record_vm_span("migration", p.vm, p.started, landed);
+            self.log.push(AgentAction {
+                vm: p.vm,
+                action: format!("migrate -> {}", dc.node(p.dst).hostname),
+                started: p.started,
+                duration: took,
+            });
+        }
+        Some(last)
     }
 
     /// `signal`: resume every VM (SymVirt signal hypercall).
@@ -431,6 +438,26 @@ mod tests {
         (dc, pool, vms, rng)
     }
 
+    /// The Fig. 5 `migration` call: open every stream at time zero,
+    /// drain the migration fabric, and land. Returns the pending
+    /// migrations and the last landing instant.
+    fn migrate(
+        ctl: &mut Controller,
+        dsts: &[NodeId],
+        pool: &mut VmPool,
+        dc: &mut DataCenter,
+        rng: &mut SimRng,
+    ) -> Result<(Vec<PendingMigration>, SimTime), SymVirtError> {
+        let pending = ctl.migration_open(dsts, pool, dc, SimTime::ZERO, rng, None)?;
+        loop {
+            if let Some(end) = ctl.migration_land(&pending, pool, dc) {
+                return Ok((pending, end));
+            }
+            let t = dc.migration_fabric.next_completion().expect("on the wire");
+            dc.migration_fabric.advance_to(t);
+        }
+    }
+
     fn pause_all(pool: &mut VmPool, vms: &[VmId]) {
         for &vm in vms {
             pool.pause(vm).unwrap();
@@ -473,10 +500,8 @@ mod tests {
         ctl.wait_all(&pool).unwrap();
         ctl.device_detach("hca-", &mut pool, &mut dc, SimTime::ZERO, &mut rng, true)
             .unwrap();
-        let phase = ctl
-            .migration(&eth_nodes, &mut pool, &mut dc, SimTime::ZERO, &mut rng)
-            .unwrap();
-        assert_eq!(phase.plans.len(), 4);
+        let (pending, _) = migrate(&mut ctl, &eth_nodes, &mut pool, &mut dc, &mut rng).unwrap();
+        assert_eq!(pending.len(), 4);
         for (i, vm) in pool.iter().enumerate() {
             assert_eq!(vm.node, eth_nodes[i]);
         }
@@ -494,8 +519,7 @@ mod tests {
         let mut ctl = Controller::new(vms.clone(), QemuMonitor::default());
         ctl.device_detach("hca-", &mut pool, &mut dc, SimTime::ZERO, &mut rng, true)
             .unwrap();
-        ctl.migration(&eth_nodes, &mut pool, &mut dc, SimTime::ZERO, &mut rng)
-            .unwrap();
+        migrate(&mut ctl, &eth_nodes, &mut pool, &mut dc, &mut rng).unwrap();
         // 4 VMs on 2 hosts: 2 each, CPU over-committed.
         assert_eq!(dc.node(eth_nodes[0]).committed_vcpus(), 16);
         assert_eq!(dc.node(eth_nodes[0]).cpu_contention(), 2.0);
@@ -593,8 +617,7 @@ mod tests {
         let mut ctl = Controller::new(vms.clone(), QemuMonitor::default());
         ctl.device_detach("hca-", &mut pool, &mut dc, SimTime::ZERO, &mut rng, true)
             .unwrap();
-        ctl.migration(&eth_nodes, &mut pool, &mut dc, SimTime::ZERO, &mut rng)
-            .unwrap();
+        migrate(&mut ctl, &eth_nodes, &mut pool, &mut dc, &mut rng).unwrap();
         let spans = ctl.take_spans();
         assert_eq!(spans.len(), 8, "4 detach + 4 migration");
         for &(_, vm, start, end) in &spans {
@@ -608,20 +631,10 @@ mod tests {
     }
 
     #[test]
-    fn open_commit_matches_serial_migration() {
-        // Opening and committing by hand, as the fleet engine does, must
-        // plan the same precopy as `migration` and land the same VMs.
-        let plans_serial = {
-            let (mut dc, mut pool, vms, mut rng) = world();
-            let eth: Vec<NodeId> = dc.cluster(ninja_cluster::ClusterId(1)).nodes[..4].to_vec();
-            pause_all(&mut pool, &vms);
-            let mut ctl = Controller::new(vms.clone(), QemuMonitor::default());
-            ctl.device_detach("hca-", &mut pool, &mut dc, SimTime::ZERO, &mut rng, true)
-                .unwrap();
-            ctl.migration(&eth, &mut pool, &mut dc, SimTime::ZERO, &mut rng)
-                .unwrap()
-                .plans
-        };
+    fn land_waits_for_the_wire() {
+        // Opened migrations hold their guests on the source until every
+        // stream has drained; then each lands at its own drain, floored
+        // by its precopy schedule.
         let (mut dc, mut pool, vms, mut rng) = world();
         let eth: Vec<NodeId> = dc.cluster(ninja_cluster::ClusterId(1)).nodes[..4].to_vec();
         pause_all(&mut pool, &vms);
@@ -629,27 +642,35 @@ mod tests {
         ctl.device_detach("hca-", &mut pool, &mut dc, SimTime::ZERO, &mut rng, true)
             .unwrap();
         let pending = ctl
-            .migration_open(&eth, &mut pool, &mut dc, SimTime::ZERO, &mut rng)
+            .migration_open(&eth, &mut pool, &mut dc, SimTime::ZERO, &mut rng, None)
             .unwrap();
         assert_eq!(pending.len(), 4);
-        for (p, serial) in pending.iter().zip(&plans_serial) {
-            assert_eq!(p.plan.wire_bytes(), serial.wire_bytes());
-            // Guest still on the source node until committed.
-            assert_ne!(pool.get(p.vm).node, p.dst);
-        }
+        assert_eq!(dc.migration_fabric.active_flows(), 4, "one stream per VM");
+        assert_eq!(ctl.migration_land(&pending, &mut pool, &mut dc), None);
         for p in &pending {
-            let done = SimTime::ZERO + p.plan.duration();
-            ctl.migration_commit(p, done, &mut pool, &mut dc);
+            // Guest still on the source node until landed.
+            assert_ne!(pool.get(p.vm).node, p.dst);
+            assert_eq!(p.lands_at(&dc.migration_fabric), None);
         }
-        for (i, vm) in pool.iter().enumerate() {
-            assert_eq!(vm.node, eth[i]);
-            assert!(vm.last_migration.is_some());
+        while let Some(t) = dc.migration_fabric.next_completion() {
+            dc.migration_fabric.advance_to(t);
+        }
+        let end = ctl.migration_land(&pending, &mut pool, &mut dc).unwrap();
+        for (p, vm) in pending.iter().zip(pool.iter()) {
+            let landed = p.lands_at(&dc.migration_fabric).unwrap();
+            assert!(landed >= SimTime::ZERO + p.plan.duration());
+            assert!(landed <= end);
+            assert_eq!(vm.node, p.dst);
+            assert_eq!(
+                vm.last_migration,
+                Some((p.plan.wire_bytes().get(), landed.since(p.started)))
+            );
         }
         let spans = ctl.take_spans();
         assert_eq!(
             spans.iter().filter(|s| s.0 == "migration").count(),
             4,
-            "commit records per-VM migration spans"
+            "landing records per-VM migration spans"
         );
     }
 
@@ -664,9 +685,7 @@ mod tests {
         ctl.device_detach("hca-", &mut pool, &mut dc, SimTime::ZERO, &mut rng, true)
             .unwrap();
         let sources: Vec<NodeId> = vms.iter().map(|&vm| pool.get(vm).node).collect();
-        let err = ctl
-            .migration(&[eth], &mut pool, &mut dc, SimTime::ZERO, &mut rng)
-            .unwrap_err();
+        let err = migrate(&mut ctl, &[eth], &mut pool, &mut dc, &mut rng).unwrap_err();
         assert!(matches!(
             err,
             SymVirtError::Vmm(VmmError::InsufficientCapacity { dst }) if dst == eth
@@ -678,6 +697,7 @@ mod tests {
         }
         assert_eq!(dc.node(eth).committed_memory(), Bytes::ZERO, "cancelled");
         assert!(ctl.take_spans().iter().all(|s| s.0 != "migration"));
+        assert_eq!(dc.migration_fabric.active_flows(), 0, "no stream opened");
     }
 
     /// One paused paper VM (no HCA) on an IB node, and an Ethernet node
@@ -697,14 +717,47 @@ mod tests {
     }
 
     #[test]
+    fn landing_pays_the_wan_latency() {
+        // Across a 1 Gb/s, 20 ms WAN the wire is slower than the 1.3 Gb/s
+        // sender the precopy schedule assumes, so the VM lands at its
+        // stream's drain plus the pipe's latency.
+        use ninja_cluster::{DataCenterBuilder, FabricKind, NodeSpec};
+        let mut b = DataCenterBuilder::new();
+        let a = b.add_cluster("site-a", FabricKind::Ethernet, 1, NodeSpec::agc_blade());
+        let c = b.add_cluster("site-b", FabricKind::Ethernet, 1, NodeSpec::agc_blade());
+        let storage = b.shared_storage("geo-nfs", &[a, c]);
+        let latency = SimDuration::from_millis(20);
+        b.wan_link(a, c, ninja_sim::Bandwidth::from_gbps(1.0), latency);
+        let mut dc = b.build();
+        let (src, dst) = (dc.cluster(a).nodes[0], dc.cluster(c).nodes[0]);
+        let mut pool = VmPool::new();
+        let vm = pool
+            .create("vm0", VmSpec::paper_vm(), src, storage, &mut dc)
+            .unwrap();
+        pool.get_mut(vm)
+            .memory
+            .set_workload(Bytes::from_gib(4), 0.0, 0.0);
+        pool.pause(vm).unwrap();
+        let mut ctl = Controller::new(vec![vm], QemuMonitor::default());
+        let (pending, end) =
+            migrate(&mut ctl, &[dst], &mut pool, &mut dc, &mut SimRng::new(12)).unwrap();
+        let drained = dc.migration_fabric.completion(pending[0].flow).unwrap();
+        assert_eq!(pending[0].latency, latency);
+        assert!(
+            drained > SimTime::ZERO + pending[0].plan.duration(),
+            "wire-bound"
+        );
+        assert_eq!(end, drained + latency);
+        assert_eq!(pool.get(vm).node, dst);
+    }
+
+    #[test]
     fn paused_migration_is_single_pass() {
         let (mut dc, mut pool, vm, dst, mut rng) = one_vm(4, 1e9);
         let mut ctl = Controller::new(vec![vm], QemuMonitor::default());
-        let phase = ctl
-            .migration(&[dst], &mut pool, &mut dc, SimTime::ZERO, &mut rng)
-            .unwrap();
-        assert_eq!(phase.plans[0].round_count(), 1, "paused guest: one pass");
-        assert!(phase.completed_at > SimTime::ZERO);
+        let (pending, end) = migrate(&mut ctl, &[dst], &mut pool, &mut dc, &mut rng).unwrap();
+        assert_eq!(pending[0].plan.round_count(), 1, "paused guest: one pass");
+        assert!(end > SimTime::ZERO);
         assert_eq!(pool.get(vm).node, dst);
         assert_eq!(pool.get(vm).state, VmState::SymWait, "stays paused");
     }
@@ -731,8 +784,7 @@ mod tests {
         assert_eq!(completed, 0);
         assert_eq!(last_wire_bytes, None);
         let mut ctl = Controller::new(vec![vm], QemuMonitor::default());
-        ctl.migration(&[dst], &mut pool, &mut dc, SimTime::ZERO, &mut rng)
-            .unwrap();
+        migrate(&mut ctl, &[dst], &mut pool, &mut dc, &mut rng).unwrap();
         let (completed, last_wire_bytes, last_duration) = query(&mut pool, &mut dc, &mut rng);
         assert_eq!(completed, 1);
         assert!(last_wire_bytes.unwrap() > 0);
@@ -742,8 +794,8 @@ mod tests {
     #[test]
     fn rdma_migration_is_faster() {
         // Section V: RDMA-based migration removes the CPU bottleneck.
-        // Fresh fixture per transport so the link reservations do not
-        // interact.
+        // Fresh fixture per transport so the streams do not share the
+        // fabric.
         let run = |rdma: bool| -> f64 {
             let (mut dc, mut pool, vm, dst, mut rng) = one_vm(8, 0.0);
             let mon = QemuMonitor::new(ninja_vmm::MigrationConfig {
@@ -751,10 +803,8 @@ mod tests {
                 ..ninja_vmm::MigrationConfig::default()
             });
             let mut ctl = Controller::new(vec![vm], mon);
-            let phase = ctl
-                .migration(&[dst], &mut pool, &mut dc, SimTime::ZERO, &mut rng)
-                .unwrap();
-            phase.completed_at.as_secs_f64()
+            let (_, end) = migrate(&mut ctl, &[dst], &mut pool, &mut dc, &mut rng).unwrap();
+            end.as_secs_f64()
         };
         let t_tcp = run(false);
         let t_rdma = run(true);

@@ -9,7 +9,8 @@
 //!   the VM;
 //! * the host-side [`controller`] (+ one agent per QEMU) waits for all
 //!   guests (`wait_all`), drives monitor commands (`device_detach`,
-//!   `migration`, `device_attach`) in parallel, and resumes the guests
+//!   `migration_open`/`migration_land`, `device_attach`) in parallel,
+//!   and resumes the guests
 //!   with **SymVirt signal** — the exact script API of the paper's
 //!   Fig. 5.
 
@@ -22,9 +23,7 @@ pub mod error;
 pub mod faults;
 pub mod generic;
 
-pub use controller::{
-    AgentAction, Controller, DevicePhase, MigrationPhase, PendingMigration, VmSpan,
-};
+pub use controller::{AgentAction, Controller, DevicePhase, PendingMigration, VmSpan};
 pub use coordinator::{CoordReport, Coordinator};
 pub use error::SymVirtError;
 pub use faults::{FaultKind, FaultPhase, FaultPlan, FaultSpec, Injected, RetryPolicy};

@@ -58,8 +58,8 @@ impl Default for MigrationConfig {
 
 impl MigrationConfig {
     /// The one rate rule of a precopy stream: the TCP sender's CPU cap,
-    /// or `None` under RDMA, where the HCA copies at link rate. The plan,
-    /// the path reservation and the fair-share flow all read it here.
+    /// or `None` under RDMA, where the HCA copies at link rate. The plan
+    /// and the migration fabric's ports and flows all read it here.
     pub fn sender_cap(&self) -> Option<Bandwidth> {
         (!self.rdma_transport).then_some(self.sender_cap)
     }
@@ -112,7 +112,7 @@ impl PrecopyPlan {
     }
 }
 
-/// Plan a precopy migration of `mem` at `link_rate` (the reserved path
+/// Plan a precopy migration of `mem` at `link_rate` (the migration path
 /// bandwidth; the sender cap is applied on top). `guest_running` selects
 /// between Ninja's paused-guest single pass and iterative precopy.
 ///

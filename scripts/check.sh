@@ -35,6 +35,13 @@ for example in examples/*.rs; do
     cargo run -q --release -p ninja-workloads --example "$(basename "$example" .rs)" > /dev/null
 done
 
+echo "== paper regenerators =="
+# Mirrors the CI step: every regenerator (Table II, Figs. 6-8 and the
+# extension studies) asserts its EXPERIMENTS.md claims and exits
+# nonzero on a regression. Release build; each binary runs in well
+# under a second.
+bash scripts/reproduce.sh
+
 echo "== flight-recorder alert smoke =="
 # Mirrors the CI alert-smoke job: a 64-job fleet with 30 s scrapes and
 # the default rules must fire and resolve the queue-backlog alert,

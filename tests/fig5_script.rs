@@ -9,6 +9,7 @@
 //! does, proving the public API supports the paper's own choreography,
 //! and that the job still ends up back on InfiniBand.
 
+use ninja_cluster::NodeId;
 use ninja_migration::World;
 use ninja_mpi::CommEnv;
 use ninja_net::TransportKind;
@@ -23,6 +24,24 @@ fn guest_round(w: &mut World, rt: &mut ninja_mpi::MpiRuntime) {
     Coordinator
         .checkpoint_and_wait(rt, &env, &mut w.pool, &mut w.dc, now)
         .expect("coordinators reach SymVirt wait");
+}
+
+/// The script's blocking `ctl.migration(...)`: open every stream on the
+/// migration fabric, then let the world clock run until they have all
+/// landed.
+fn migration(ctl: &mut Controller, w: &mut World, dsts: &[NodeId]) {
+    let now = w.clock();
+    let pending = ctl
+        .migration_open(dsts, &mut w.pool, &mut w.dc, now, &mut w.rng, None)
+        .unwrap();
+    loop {
+        if let Some(landed) = ctl.migration_land(&pending, &mut w.pool, &mut w.dc) {
+            w.advance_to(landed);
+            return;
+        }
+        let next = w.dc.migration_fabric.next_completion();
+        w.advance_to(next.expect("streams on the wire"));
+    }
 }
 
 /// After SymVirt signal, the continue callback re-establishes whatever
@@ -66,9 +85,7 @@ fn fig5_script_call_for_call() {
     // ctl.migration(config.ib_hostlist, config.eth_hostlist); ctl.quit()
     guest_round(&mut w, &mut rt);
     ctl.wait_all(&w.pool).unwrap();
-    let now = w.clock();
-    ctl.migration(&eth_hostlist, &mut w.pool, &mut w.dc, now, &mut w.rng)
-        .unwrap();
+    migration(&mut ctl, &mut w, &eth_hostlist);
     ctl.signal(&mut w.pool).unwrap(); // the script's next round resumes them
     ctl.close(); // ctl.quit()
     guest_continue(&mut w, &mut rt);
@@ -85,9 +102,7 @@ fn fig5_script_call_for_call() {
     // ctl.migration(config.eth_hostlist, config.ib_hostlist); ctl.quit()
     guest_round(&mut w, &mut rt);
     ctl.wait_all(&w.pool).unwrap();
-    let now = w.clock();
-    ctl.migration(&ib_hostlist, &mut w.pool, &mut w.dc, now, &mut w.rng)
-        .unwrap();
+    migration(&mut ctl, &mut w, &ib_hostlist);
     ctl.signal(&mut w.pool).unwrap();
     ctl.close();
     guest_continue(&mut w, &mut rt);
@@ -150,9 +165,7 @@ fn fig5_and_fig4_agree_on_the_end_state() {
     guest_continue(&mut w5, &mut rt5);
     guest_round(&mut w5, &mut rt5);
     ctl.wait_all(&w5.pool).unwrap();
-    let now = w5.clock();
-    ctl.migration(&eth5, &mut w5.pool, &mut w5.dc, now, &mut w5.rng)
-        .unwrap();
+    migration(&mut ctl, &mut w5, &eth5);
     ctl.signal(&mut w5.pool).unwrap();
     ctl.close();
     guest_continue(&mut w5, &mut rt5);
