@@ -114,11 +114,6 @@ impl DataCenter {
         &self.clusters[id.0 as usize]
     }
 
-    /// Returns the cluster mut.
-    pub fn cluster_mut(&mut self, id: ClusterId) -> &mut Cluster {
-        &mut self.clusters[id.0 as usize]
-    }
-
     /// Returns the clusters.
     pub fn clusters(&self) -> impl Iterator<Item = &Cluster> {
         self.clusters.iter()
@@ -152,13 +147,6 @@ impl DataCenter {
     /// The fabric kind at a node.
     pub fn fabric_at(&self, node: NodeId) -> FabricKind {
         self.cluster(self.cluster_of(node)).fabric
-    }
-
-    /// Mutable access to the IB subnet manager of the cluster containing
-    /// `node`, if that cluster is InfiniBand.
-    pub fn ib_fabric_at_mut(&mut self, node: NodeId) -> Option<&mut IbFabric> {
-        let cid = self.cluster_of(node);
-        self.clusters[cid.0 as usize].ib_fabric.as_mut()
     }
 
     /// Is `storage` reachable from the cluster containing `node`?

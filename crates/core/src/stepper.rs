@@ -177,11 +177,6 @@ impl MigrationMachine {
         &self.vms
     }
 
-    /// Has the machine produced its report?
-    pub fn is_done(&self) -> bool {
-        matches!(self.state, State::Done)
-    }
-
     /// Consult the world's fault plan before executing `phase`, driving
     /// the retry-with-bounded-backoff loop in virtual time. Each fired
     /// fault counts in `ninja_fault_injections_total`; each retry adds
@@ -189,9 +184,12 @@ impl MigrationMachine {
     /// counts in `ninja_retries_total`. When retries are exhausted the
     /// fault becomes terminal: a failed IB re-attach degrades the job
     /// to TCP, a stall is absorbed as extra virtual time, and the rest
-    /// fail the migration cleanly with a typed error. With an empty
-    /// plan this is a single hash-free lookup: no RNG draws, no clock
-    /// movement, no metrics — fault-free runs stay bit-identical.
+    /// fail the migration cleanly with a typed error. A fault that keeps
+    /// firing is taken as one run ([`ninja_symvirt::FaultPlan::fire`]),
+    /// so the loop turns once per spec however many retries the policy
+    /// allows. With an empty plan this is a single hash-free lookup: no
+    /// RNG draws, no clock movement, no metrics — fault-free runs stay
+    /// bit-identical.
     fn preflight(
         &mut self,
         world: &mut World,
@@ -199,7 +197,12 @@ impl MigrationMachine {
     ) -> Result<Preflight, SymVirtError> {
         let mut attempt: u32 = 0;
         loop {
-            let Some(inj) = world.faults.fire(self.job, self.mig, phase) else {
+            let left = self.policy.max_retries - attempt;
+            let Some((inj, fires)) =
+                world
+                    .faults
+                    .fire(self.job, self.mig, phase, u64::from(left) + 1)
+            else {
                 return Ok(Preflight::Proceed);
             };
             let m = &mut world.metrics;
@@ -210,53 +213,86 @@ impl MigrationMachine {
             m.inc(
                 "ninja_fault_injections_total",
                 &[("kind", inj.kind.name()), ("phase", phase.name())],
-                1,
+                fires,
             );
             if inj.kind == FaultKind::AgentDisconnect {
                 if let Some(&vm) = self.vms.first() {
                     self.ctl.inject_agent_failure(vm);
                 }
             }
-            if attempt >= self.policy.max_retries {
-                // Retries exhausted: degrade, absorb, or fail cleanly.
-                return match inj.kind {
-                    FaultKind::HotplugAttach => Ok(Preflight::Degrade),
-                    FaultKind::PrecopyStall => {
-                        self.now += inj.stall;
-                        Ok(Preflight::Proceed)
-                    }
-                    FaultKind::QmpTimeout => Err(SymVirtError::Vmm(VmmError::MonitorTimeout {
-                        command: phase.name().into(),
-                    })),
-                    FaultKind::PrecopyAbort => Err(SymVirtError::Vmm(VmmError::MigrationAborted)),
-                    FaultKind::AgentDisconnect => {
-                        Err(SymVirtError::AgentsDisconnected(self.ctl.failed_agents()))
-                    }
-                };
+            // Every fire but a last one past the budget is retried.
+            let retries = fires.min(u64::from(left)) as u32;
+            if retries > 0 {
+                world
+                    .metrics
+                    .describe("ninja_retries_total", "Phase retries after injected faults");
+                world.metrics.inc(
+                    "ninja_retries_total",
+                    &[("phase", phase.name())],
+                    u64::from(retries),
+                );
             }
-            attempt += 1;
-            world
-                .metrics
-                .describe("ninja_retries_total", "Phase retries after injected faults");
-            world
-                .metrics
-                .inc("ninja_retries_total", &[("phase", phase.name())], 1);
-            // Back off in virtual time, then repair and try again.
-            match inj.kind {
-                FaultKind::PrecopyStall => self.now += inj.stall,
-                _ => self.now += self.policy.backoff_before(attempt),
+            // Each retry backs off in virtual time first; a stall delays
+            // every fire instead, the one past the budget too.
+            self.now += match inj.kind {
+                FaultKind::PrecopyStall => inj.stall * fires,
+                _ => self
+                    .policy
+                    .backoff_before_each(attempt + 1, attempt + retries),
+            };
+            attempt += retries;
+            if self.now == SimTime::MAX {
+                return Err(SymVirtError::ClockExhausted);
             }
-            if inj.kind == FaultKind::AgentDisconnect {
-                self.ctl.repair_agents();
+            if u64::from(retries) == fires {
+                if inj.kind == FaultKind::AgentDisconnect {
+                    self.ctl.repair_agents();
+                }
+                continue;
             }
+            // Retries exhausted: degrade, absorb the stall, or fail
+            // cleanly.
+            return match inj.kind {
+                FaultKind::HotplugAttach => Ok(Preflight::Degrade),
+                FaultKind::PrecopyStall => Ok(Preflight::Proceed),
+                FaultKind::QmpTimeout => Err(SymVirtError::Vmm(VmmError::MonitorTimeout {
+                    command: phase.name().into(),
+                })),
+                FaultKind::PrecopyAbort => Err(SymVirtError::Vmm(VmmError::MigrationAborted)),
+                FaultKind::AgentDisconnect => {
+                    Err(SymVirtError::AgentsDisconnected(self.ctl.failed_agents()))
+                }
+            };
         }
     }
 
     /// Run one phase. The caller must have advanced `world` to
     /// [`now`](Self::now) — the machine never reads the world clock, so
     /// stepping "in the past" relative to other machines is the caller's
-    /// bug, not detectable here.
+    /// bug, not detectable here. A phase that would end or wait at
+    /// [`SimTime::MAX`] (where clock arithmetic saturates, and which
+    /// event loops read as "nothing pending") fails the migration with
+    /// [`SymVirtError::ClockExhausted`].
     pub fn step(
+        &mut self,
+        world: &mut World,
+        app: &mut dyn GuestCooperative,
+    ) -> Result<StepOutcome, SymVirtError> {
+        if matches!(self.state, State::Done) {
+            return Ok(StepOutcome::Waiting(SimTime::MAX));
+        }
+        let out = self.run_phase(world, app)?;
+        let wake = match out {
+            StepOutcome::Waiting(t) => t,
+            _ => self.now,
+        };
+        if wake == SimTime::MAX {
+            return Err(SymVirtError::ClockExhausted);
+        }
+        Ok(out)
+    }
+
+    fn run_phase(
         &mut self,
         world: &mut World,
         app: &mut dyn GuestCooperative,
@@ -395,7 +431,7 @@ impl MigrationMachine {
                 self.state = State::Done;
                 Ok(StepOutcome::Done(report))
             }
-            State::Done => Ok(StepOutcome::Waiting(SimTime::MAX)),
+            State::Done => unreachable!("`step` answers a finished machine"),
         }
     }
 

@@ -94,6 +94,9 @@ pub enum FleetError {
     /// The event loop stopped making progress (same-instant spin
     /// bound exceeded) — an engine bug, surfaced instead of hanging.
     Stalled,
+    /// This many jobs were scheduled but neither finished nor failed:
+    /// their triggers fell at the end of the clock ([`SimTime::MAX`]).
+    Unfinished(usize),
 }
 
 impl fmt::Display for FleetError {
@@ -107,6 +110,10 @@ impl fmt::Display for FleetError {
             FleetError::Stalled => write!(
                 f,
                 "fleet event loop stalled: no progress over the spin bound"
+            ),
+            FleetError::Unfinished(n) => write!(
+                f,
+                "{n} job(s) neither finished nor failed before the end of simulated time"
             ),
         }
     }
@@ -414,18 +421,38 @@ pub fn run_fleet(
             t_next = t_next.min(t);
         }
         if t_next == SimTime::MAX {
-            debug_assert_eq!(adm.depth(), 0, "queued job with nothing running");
             break;
         }
         // With a flight recorder installed, pending scrapes are heap
         // events too: cap the jump at the next scrape instant so the
         // clock lands exactly on it. Scrapes never keep the loop alive
         // (the MAX-break above already ran), and `next_due` is always
-        // strictly ahead of the clock, so progress is preserved.
+        // strictly ahead of the clock, so progress is preserved. A gap
+        // holding more scrape instants than the recorder's ring keeps
+        // (years of simulated time, from a stall or a starved uplink)
+        // is crossed in one jump instead: the recorder still takes
+        // every scrape on the way, and the fabric drains the gap as one
+        // interval.
         if let Some(rec) = world.recorder.as_ref() {
-            t_next = t_next.min(rec.next_due());
+            if rec.scrapes_before(t_next) <= rec.capacity() as u64 {
+                t_next = t_next.min(rec.next_due());
+            }
         }
         world.advance_to(t_next);
+    }
+
+    // Nothing left to do but what is due at `SimTime::MAX`: every job
+    // must have reached the report, as an outcome or a failure.
+    let mut reported: Vec<bool> = outcomes.iter().map(|o| !o.is_empty()).collect();
+    for f in &failures {
+        reported[f.job] = true;
+    }
+    let unfinished = scheduler.len()
+        + (0..jobs.len())
+            .filter(|&j| externally_triggered[j] && !reported[j])
+            .count();
+    if unfinished > 0 {
+        return Err(FleetError::Unfinished(unfinished));
     }
 
     // Terminal transition: both gauges return to zero at drain, and the

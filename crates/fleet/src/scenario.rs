@@ -121,6 +121,8 @@ pub enum ScenarioError {
         /// LIDs the fabric hands out.
         lids: usize,
     },
+    /// The fleet's VM or node count does not fit a `usize`.
+    SizeOverflow,
 }
 
 impl fmt::Display for ScenarioError {
@@ -140,6 +142,9 @@ impl fmt::Display for ScenarioError {
                 f,
                 "the fleet needs {needed} InfiniBand LIDs, but the subnet manager hands out only {lids}"
             ),
+            ScenarioError::SizeOverflow => {
+                write!(f, "jobs x vms-per-job is more VMs than a machine word counts")
+            }
         }
     }
 }
@@ -198,13 +203,7 @@ fn scaled_world(seed: u64, nodes_per_cluster: usize) -> World {
 /// `Trace::new()` for what [`build`] records, or `Trace::disabled()`
 /// when nothing will read the trace, so the boot records none.
 pub fn build_auto(spec: &ScenarioSpec, trace: Trace) -> Result<Scenario, ScenarioError> {
-    let total = spec.jobs * spec.vms_per_job;
-    let need = if spec.kind == ScenarioKind::Failover {
-        2 * total
-    } else {
-        total
-    };
-    check_fit(spec, need.max(8))?;
+    let need = spec.auto_nodes()?;
     let mut world = if need <= 8 {
         World::agc(spec.seed)
     } else {
@@ -214,18 +213,52 @@ pub fn build_auto(spec: &ScenarioSpec, trace: Trace) -> Result<Scenario, Scenari
     Ok(build_in(spec, world))
 }
 
+impl ScenarioSpec {
+    /// The nodes per cluster [`build_auto`] needs for this fleet: the
+    /// paper testbed's 8 while they suffice, else one per VM (two per
+    /// VM for failover). An error says why the fleet cannot be built.
+    pub fn auto_nodes(&self) -> Result<usize, ScenarioError> {
+        let total = total_vms(self)?;
+        let need = if self.kind == ScenarioKind::Failover {
+            total.checked_mul(2).ok_or(ScenarioError::SizeOverflow)?
+        } else {
+            total
+        };
+        check_fit(self, need.max(8))?;
+        // A synthetic data center is one InfiniBand subnet on each
+        // side, so no cluster outgrows the LID space. Only a rebalance
+        // fleet, which takes no LIDs, gets past `check_fit` that large.
+        if need > IbFabric::LID_CAPACITY {
+            return Err(ScenarioError::TooManyVms {
+                vms: total,
+                nodes: IbFabric::LID_CAPACITY,
+            });
+        }
+        Ok(need.max(8))
+    }
+}
+
+/// `jobs × vms_per_job`, or [`ScenarioError::SizeOverflow`].
+fn total_vms(spec: &ScenarioSpec) -> Result<usize, ScenarioError> {
+    spec.jobs
+        .checked_mul(spec.vms_per_job)
+        .ok_or(ScenarioError::SizeOverflow)
+}
+
 fn check_fit(spec: &ScenarioSpec, nodes: usize) -> Result<(), ScenarioError> {
-    let vms = spec.jobs * spec.vms_per_job;
-    let lids = lids_needed(spec);
     if spec.jobs == 0 {
-        Err(ScenarioError::NoJobs)
+        return Err(ScenarioError::NoJobs);
     } else if spec.vms_per_job == 0 {
-        Err(ScenarioError::NoVms)
-    } else if vms > nodes {
+        return Err(ScenarioError::NoVms);
+    }
+    let vms = total_vms(spec)?;
+    let lids = lids_needed(spec.kind, vms)?;
+    if vms > nodes {
         Err(ScenarioError::TooManyVms { vms, nodes })
-    } else if spec.kind == ScenarioKind::Failover && 2 * vms > nodes {
+    } else if spec.kind == ScenarioKind::Failover && lids > nodes {
+        // A failover's spare nodes match its LIDs: one per VM per side.
         Err(ScenarioError::NoSpareNodes {
-            needed: 2 * vms,
+            needed: lids,
             nodes,
         })
     } else if lids > IbFabric::LID_CAPACITY {
@@ -238,15 +271,15 @@ fn check_fit(spec: &ScenarioSpec, nodes: usize) -> Result<(), ScenarioError> {
     }
 }
 
-/// LIDs the fleet takes from the IB fabric: one per VM booted on
-/// InfiniBand (every kind but rebalance, which starts on Ethernet), and
-/// for failover one more per VM attached on the spare half.
-fn lids_needed(spec: &ScenarioSpec) -> usize {
-    let vms = spec.jobs * spec.vms_per_job;
-    match spec.kind {
-        ScenarioKind::Rebalance => 0,
-        ScenarioKind::Failover => 2 * vms,
-        ScenarioKind::Evacuation | ScenarioKind::RollingDrain => vms,
+/// LIDs a fleet of `vms` VMs takes from the IB fabric: one per VM
+/// booted on InfiniBand (every kind but rebalance, which starts on
+/// Ethernet), and for failover one more per VM attached on the spare
+/// half.
+fn lids_needed(kind: ScenarioKind, vms: usize) -> Result<usize, ScenarioError> {
+    match kind {
+        ScenarioKind::Rebalance => Ok(0),
+        ScenarioKind::Failover => vms.checked_mul(2).ok_or(ScenarioError::SizeOverflow),
+        ScenarioKind::Evacuation | ScenarioKind::RollingDrain => Ok(vms),
     }
 }
 
@@ -529,6 +562,39 @@ mod tests {
     #[test]
     fn rebalance_takes_no_lids() {
         assert_eq!(fit_lids(ScenarioKind::Rebalance, 65_535), Ok(()));
+    }
+
+    #[test]
+    fn fleet_sizes_that_overflow_are_rejected() {
+        let huge = |kind, jobs, vms_per_job| {
+            build_auto(
+                &ScenarioSpec {
+                    jobs,
+                    vms_per_job,
+                    ..spec(kind)
+                },
+                Trace::disabled(),
+            )
+            .err()
+        };
+        let word = 1usize << (usize::BITS / 2);
+        for kind in [ScenarioKind::Evacuation, ScenarioKind::Rebalance] {
+            assert_eq!(huge(kind, word, word), Some(ScenarioError::SizeOverflow));
+        }
+        assert_eq!(
+            huge(ScenarioKind::Failover, usize::MAX / 2 + 1, 1),
+            Some(ScenarioError::SizeOverflow),
+            "the spare half doubles the count"
+        );
+        // A rebalance takes no LIDs, but its synthetic cluster is still
+        // one subnet.
+        assert_eq!(
+            huge(ScenarioKind::Rebalance, 65_535, 1),
+            Some(ScenarioError::TooManyVms {
+                vms: 65_535,
+                nodes: 65_534
+            })
+        );
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Integration tests of the `ninja` CLI binary.
 
+mod timed;
+
 use std::process::Command;
+use timed::run_within_10_s;
 
 fn ninja() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ninja"))
@@ -930,4 +933,132 @@ fn metrics_to_dev_null_succeeds() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(!String::from_utf8_lossy(&out.stderr).contains("could not write"));
+}
+
+/// A failed migration in a single-job command is reported the way
+/// `migrate` reports it: `migration failed: ...` and exit 1.
+#[test]
+fn single_job_commands_report_failed_migrations() {
+    for args in [
+        &["roundtrip", "--fault", "qmp-timeout:phase=migration"][..],
+        &["selfmig", "--fault", "precopy-abort"],
+        &["fig8", "--fault", "qmp-timeout"],
+    ] {
+        let run = run_within_10_s(args);
+        assert_eq!(run.code, 1, "{args:?}: {}", run.stderr);
+        assert!(
+            run.stderr.starts_with("migration failed: "),
+            "{args:?}: {}",
+            run.stderr
+        );
+        assert!(!run.stderr.contains("panicked"), "{args:?}: {}", run.stderr);
+    }
+}
+
+/// A stall or backoff that runs a migration to the end of simulated
+/// time fails it, and a scrape interval that long ends the recorder;
+/// none of these runs hangs or drops a job.
+#[test]
+fn runs_that_reach_the_end_of_the_clock_finish() {
+    let end = "the migration ran past the end of simulated time";
+    for (args, code) in [
+        (
+            &["migrate", "--fault", "precopy-stall:stall=18446744073"][..],
+            1,
+        ),
+        (
+            &[
+                "migrate",
+                "--backoff",
+                "18446744073",
+                "--fault",
+                "qmp-timeout:times=1",
+            ],
+            1,
+        ),
+        (
+            &["fleet", "--jobs", "2", "--scrape-interval", "18446744073"],
+            0,
+        ),
+    ] {
+        let run = run_within_10_s(args);
+        assert_eq!(run.code, code, "{args:?}: {}", run.stderr);
+        assert!(
+            code == 0 || run.stderr.contains(end),
+            "{args:?}: {}",
+            run.stderr
+        );
+    }
+    let args = [
+        "fleet",
+        "--jobs",
+        "2",
+        "--fault",
+        "precopy-stall:stall=18446744073",
+        "--json",
+    ];
+    let run = run_within_10_s(&args);
+    assert_eq!(run.code, 0, "{}", run.stderr);
+    let report = ninja_sim::parse(&run.stdout).expect("report JSON");
+    let failures = report["failures"].as_array().expect("failures listed");
+    assert_eq!(failures.len(), 1, "the one-shot stall fails one job");
+    assert_eq!(failures[0]["error"].as_str(), Some(end));
+    let finished = report["outcomes"].as_array().map_or(0, |o| o.len());
+    assert_eq!(finished + failures.len(), 2, "both jobs are reported");
+}
+
+#[test]
+fn job_count_products_that_overflow_are_usage_errors() {
+    let run = run_within_10_s(&[
+        "fleet",
+        "--jobs",
+        "4294967296",
+        "--vms-per-job",
+        "4294967296",
+    ]);
+    assert_eq!(run.code, 2, "{}", run.stderr);
+    assert!(run.stderr.contains("machine word"), "{}", run.stderr);
+    assert!(!run.stderr.contains("panicked"), "{}", run.stderr);
+}
+
+/// Edge values that hung, ran away or were accepted past the testbed:
+/// each run now ends within 10 s with its own exit code.
+#[test]
+fn edge_values_end_with_a_verdict() {
+    for (args, code) in [
+        // A persistent fault under four billion retries, with and
+        // without backoff: the retries are taken as one run.
+        (&["faults", "--max-retries", "4294967295"][..], 0),
+        (
+            &[
+                "migrate",
+                "--max-retries",
+                "4294967295",
+                "--backoff",
+                "0",
+                "--fault",
+                "qmp-timeout",
+            ],
+            1,
+        ),
+        // A 1 b/s uplink with 1 s scrapes: the gap is crossed in one jump.
+        (
+            &["fleet", "--uplink-gbps", "1e-9", "--scrape-interval", "1"],
+            0,
+        ),
+        // Arrivals past the end of the clock can never be served.
+        (
+            &["fleet", "--scenario", "drain", "--arrival", "18446744073"],
+            1,
+        ),
+        // The AGC blade has 8 cores.
+        (&["fig8", "--ppv", "9"], 2),
+        (&["fleet", "--deadline", "nan"], 2),
+        (&["fleet", "--arrival", "inf"], 2),
+        (&["faults", "--fault", "precopy-stall:stall=1e30"], 2),
+    ] {
+        let run = run_within_10_s(args);
+        assert_eq!(run.code, code, "{args:?}: {}", run.stderr);
+        assert!(!run.stderr.contains("panicked"), "{args:?}: {}", run.stderr);
+    }
 }

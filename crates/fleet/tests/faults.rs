@@ -8,10 +8,12 @@
 //! and per-VM Fig. 4 phase spans stay causally ordered however the
 //! faults perturb the interleaving.
 
-use ninja_fleet::{build, run_fleet, FleetConfig, FleetReport, ScenarioKind, ScenarioSpec};
-use ninja_migration::{TriggerReason, World};
-use ninja_sim::SimDuration;
-use ninja_symvirt::{FaultPlan, GuestCooperative};
+use ninja_fleet::{
+    build, run_fleet, FleetConfig, FleetError, FleetReport, ScenarioKind, ScenarioSpec,
+};
+use ninja_migration::{CloudScheduler, TriggerReason, World};
+use ninja_sim::{SimDuration, SimTime};
+use ninja_symvirt::{FaultKind, FaultPlan, FaultSpec, GuestCooperative};
 
 const JOBS: usize = 3;
 const PHASES: [&str; 5] = ["coordination", "detach", "migration", "attach", "linkup"];
@@ -196,3 +198,68 @@ fn fault_free_failover_report_carries_no_fault_keys() {
 }
 
 use ninja_sim::WriteJson;
+
+/// A stall that runs a migration's clock to the end of simulated time
+/// fails that job; it does not hang the engine or drop the job from
+/// the report.
+#[test]
+fn stalls_past_the_end_of_the_clock_fail_their_jobs() {
+    let spec = ScenarioSpec {
+        kind: ScenarioKind::Evacuation,
+        jobs: 2,
+        vms_per_job: 1,
+        arrival: SimDuration::from_secs(20),
+        seed: 2013,
+    };
+    let mut s = build(&spec).expect("scenario fits");
+    let stall = |job| FaultSpec {
+        job: Some(job),
+        stall: SimDuration::MAX,
+        ..FaultSpec::new(FaultKind::PrecopyStall)
+    };
+    s.world.faults = FaultPlan::from_specs(vec![stall(0), stall(1)]);
+    let report = {
+        let mut jobs: Vec<&mut dyn GuestCooperative> = s
+            .jobs
+            .iter_mut()
+            .map(|j| j as &mut dyn GuestCooperative)
+            .collect();
+        let cfg = FleetConfig {
+            concurrency: 2,
+            ..FleetConfig::default()
+        };
+        run_fleet(&mut s.world, &mut jobs, s.scheduler, &cfg).expect("the run ends")
+    };
+    assert!(report.jobs.is_empty(), "no job finished");
+    let failed: Vec<usize> = report.failures.iter().map(|f| f.job).collect();
+    assert_eq!(failed, vec![0, 1]);
+    for f in &report.failures {
+        assert!(f.error.contains("end of simulated time"), "{}", f.error);
+    }
+}
+
+/// A trigger at the last instant of the clock can never be served: the
+/// run says so instead of reporting a fleet without that job.
+#[test]
+fn a_trigger_at_the_end_of_the_clock_is_an_error() {
+    let spec = ScenarioSpec {
+        kind: ScenarioKind::Evacuation,
+        jobs: 1,
+        vms_per_job: 1,
+        arrival: SimDuration::from_secs(20),
+        seed: 2013,
+    };
+    let mut s = build(&spec).expect("scenario fits");
+    let mut late = CloudScheduler::new();
+    let dsts = vec![s.world.eth_node(0)];
+    late.push_job(SimTime::MAX, dsts, TriggerReason::Fallback, 0);
+    let mut jobs: Vec<&mut dyn GuestCooperative> = s
+        .jobs
+        .iter_mut()
+        .map(|j| j as &mut dyn GuestCooperative)
+        .collect();
+    let Err(err) = run_fleet(&mut s.world, &mut jobs, late, &FleetConfig::default()) else {
+        panic!("the job never ran, so the run cannot succeed");
+    };
+    assert!(matches!(err, FleetError::Unfinished(1)), "{err}");
+}

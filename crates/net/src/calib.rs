@@ -96,16 +96,6 @@ pub fn shared_memory() -> TransportCalib {
     }
 }
 
-/// Raw link rate of the physical 10 GbE NIC (migration traffic path).
-pub fn raw_10gbe() -> Bandwidth {
-    Bandwidth::from_gbps(10.0)
-}
-
-/// Raw effective link rate of QDR InfiniBand.
-pub fn raw_ib_qdr() -> Bandwidth {
-    Bandwidth::from_gbps(32.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

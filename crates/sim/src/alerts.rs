@@ -409,6 +409,15 @@ impl AlertEngine {
         self.state.iter().filter(|s| s.active.is_some()).count()
     }
 
+    /// Whether no rule is part-way through its `for` count: each is
+    /// either firing or not holding. Scraped again on the same values,
+    /// a settled engine emits no transition.
+    pub fn settled(&self) -> bool {
+        self.state
+            .iter()
+            .all(|s| s.active.is_some() || s.consecutive == 0)
+    }
+
     /// The incident log, in firing order.
     pub fn incidents(&self) -> &[AlertIncident] {
         &self.incidents
@@ -458,7 +467,7 @@ impl AlertEngine {
                 AlertCmp::Lt => v < rule.value,
             });
             if holds {
-                st.consecutive += 1;
+                st.consecutive = st.consecutive.saturating_add(1);
             } else {
                 st.consecutive = 0;
             }

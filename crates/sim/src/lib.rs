@@ -6,7 +6,7 @@
 //! * [`SimRng`] — a platform-stable seeded RNG with forkable streams;
 //! * [`Bytes`] / [`Bandwidth`] — data-size and rate units with explicit
 //!   bits-vs-bytes semantics;
-//! * [`Summary`], [`DurationSamples`], [`TimeSeries`], [`Histogram`] —
+//! * [`Summary`], [`DurationSamples`], [`Histogram`] —
 //!   measurement collectors implementing the paper's "best of three"
 //!   methodology;
 //! * [`Trace`] — structured phase/event tracing that the benchmark harness
@@ -47,7 +47,7 @@ pub use export::{parse, Json, JsonError, JsonWriter, WriteJson};
 pub use metrics::{HistogramMetric, LabelSet, MetricsRegistry, SeriesId};
 pub use rng::SimRng;
 pub use span::{SpanLabels, SpanRef};
-pub use stats::{DurationSamples, Histogram, Summary, TimeSeries};
+pub use stats::{DurationSamples, Histogram, Summary};
 pub use time::{SimDuration, SimTime};
 pub use timeseries::{ScrapeSample, SeriesPoint, TimeSeriesRecorder};
 pub use trace::{

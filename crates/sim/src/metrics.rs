@@ -276,23 +276,6 @@ impl MetricsRegistry {
         self.observe_n(id, value, 1);
     }
 
-    /// Records an observation, creating the series with an explicit
-    /// exponential bucket layout if it does not exist yet.
-    pub fn observe_with_buckets(
-        &mut self,
-        name: &str,
-        labels: &[(&str, &str)],
-        value: f64,
-        first: f64,
-        base: f64,
-        n: usize,
-    ) {
-        let id = self.intern(Kind::Histogram, name, labels, || {
-            histogram_value(first, base, n)
-        });
-        self.observe_n(id, value, 1);
-    }
-
     /// Records a duration observation in seconds.
     pub fn observe_duration(&mut self, name: &str, labels: &[(&str, &str)], d: SimDuration) {
         self.observe(name, labels, d.as_secs_f64());

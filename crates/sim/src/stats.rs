@@ -5,7 +5,7 @@
 //! alongside the usual moments. Variance uses Welford's algorithm to stay
 //! numerically stable over long simulations.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use std::fmt;
 
 /// Streaming summary statistics over `f64` samples.
@@ -191,45 +191,6 @@ impl DurationSamples {
     /// Iterates over the entries.
     pub fn iter(&self) -> impl Iterator<Item = SimDuration> + '_ {
         self.samples.iter().copied()
-    }
-}
-
-/// A time series of (time, value) points, e.g. per-iteration elapsed times
-/// for the Fig. 8 plots.
-#[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates a new instance.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append an entry.
-    pub fn push(&mut self, at: SimTime, value: f64) {
-        self.points.push((at, value));
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether this is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Returns the points.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Returns the values.
-    pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
-        self.points.iter().map(|&(_, v)| v)
     }
 }
 
@@ -432,14 +393,5 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn histogram_rejects_bad_bounds() {
         Histogram::new(vec![2.0, 1.0]);
-    }
-
-    #[test]
-    fn timeseries_collects() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_nanos(1), 10.0);
-        ts.push(SimTime::from_nanos(2), 20.0);
-        assert_eq!(ts.len(), 2);
-        assert_eq!(ts.values().sum::<f64>(), 30.0);
     }
 }

@@ -53,6 +53,13 @@ impl SimTime {
     pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
         self.0.checked_sub(earlier.0).map(SimDuration)
     }
+
+    /// Checked addition; `None` past the last representable instant
+    /// (where `+` saturates).
+    #[inline]
+    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+        self.0.checked_add(d.0).map(SimTime)
+    }
 }
 
 impl SimDuration {
@@ -97,6 +104,14 @@ impl SimDuration {
         } else {
             SimDuration(ns as u64)
         }
+    }
+
+    /// Construct from fractional seconds, rounding down to the tick as
+    /// [`SimDuration::from_secs_f64`] does, but without clamping:
+    /// `None` for a negative or non-finite input, or one past
+    /// [`SimDuration::MAX`].
+    pub fn checked_from_secs_f64(s: f64) -> Option<Self> {
+        (s.is_finite() && s >= 0.0 && s * 1e9 < u64::MAX as f64).then(|| Self::from_secs_f64(s))
     }
 
     /// Raw nanoseconds.
@@ -255,6 +270,17 @@ mod tests {
         // saturating in the "wrong" direction
         assert_eq!(earlier.since(t), SimDuration::ZERO);
         assert_eq!(earlier.checked_since(t), None);
+    }
+
+    #[test]
+    fn checked_secs_reject_what_would_clamp() {
+        let ok = SimDuration::checked_from_secs_f64;
+        assert_eq!(ok(1.5), Some(SimDuration::from_millis(1500)));
+        assert_eq!(ok(-0.0), Some(SimDuration::ZERO));
+        assert!(ok(18_446_744_073.0).is_some(), "just under the clock's end");
+        for bad in [-1e-9, f64::NAN, f64::INFINITY, 18_446_744_074.0, 1e30] {
+            assert_eq!(ok(bad), None, "{bad}");
+        }
     }
 
     #[test]

@@ -106,7 +106,8 @@ impl Column {
 #[derive(Debug)]
 pub struct TimeSeriesRecorder {
     interval: SimDuration,
-    next_due: SimTime,
+    /// `None` once the next scrape would fall past [`SimTime::MAX`].
+    next_due: Option<SimTime>,
     capacity: usize,
     /// Instants of the retained scrapes, oldest first.
     times: VecDeque<SimTime>,
@@ -131,7 +132,7 @@ impl TimeSeriesRecorder {
     pub fn new(interval: SimDuration) -> Self {
         TimeSeriesRecorder {
             interval: interval.max(SimDuration::from_nanos(1)),
-            next_due: SimTime::ZERO,
+            next_due: Some(SimTime::ZERO),
             capacity: DEFAULT_CAPACITY,
             times: VecDeque::new(),
             dropped: 0,
@@ -166,28 +167,79 @@ impl TimeSeriesRecorder {
         self.interval
     }
 
-    /// The next scrape deadline. Always strictly in the future of the
-    /// last time passed to [`TimeSeriesRecorder::advance_to`], so event
-    /// loops can treat it as an always-finite heap event.
+    /// The next scrape deadline: strictly in the future of the last
+    /// time passed to [`TimeSeriesRecorder::advance_to`], so event loops
+    /// can treat it as a heap event. [`SimTime::MAX`] once no scrape is
+    /// left before the end of the clock.
     pub fn next_due(&self) -> SimTime {
-        self.next_due
+        self.next_due.unwrap_or(SimTime::MAX)
+    }
+
+    /// How many samples the ring keeps.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// How many scrapes are due strictly before `t`.
+    pub fn scrapes_before(&self, t: SimTime) -> u64 {
+        match self.next_due {
+            Some(due) if due < t => (t.since(due).as_nanos() - 1) / self.interval.as_nanos() + 1,
+            _ => 0,
+        }
     }
 
     /// Performs the baseline scrape at `at` and schedules the next one
     /// an interval later. Called once when the recorder is installed.
     pub fn start_at(&mut self, at: SimTime, metrics: &mut MetricsRegistry, trace: &mut Trace) {
-        self.next_due = at;
+        self.next_due = Some(at);
         self.advance_to(at, metrics, trace);
     }
 
     /// Scrapes every due instant ≤ `t`, in order. Postcondition:
-    /// `next_due() > t`.
+    /// `next_due() > t`, or no scrape is left before the end of the
+    /// clock.
+    ///
+    /// The registry does not change between the scrapes of one call
+    /// except through the alert series. Once a scrape repeats the one
+    /// before it and no alert is part-way through its `for` count,
+    /// every later scrape of the call repeats it too; when more of them
+    /// are due than the ring keeps, they are filled in at once. So a
+    /// jump across years of simulated time costs at most a ring's worth
+    /// of scrapes.
     pub fn advance_to(&mut self, t: SimTime, metrics: &mut MetricsRegistry, trace: &mut Trace) {
-        while self.next_due <= t {
-            let at = self.next_due;
-            self.scrape(at, metrics, trace);
-            self.next_due = at + self.interval;
+        while let Some(at) = self.next_due.filter(|&at| at <= t) {
+            let repeated = self.scrape(at, metrics, trace);
+            self.next_due = at.checked_add(self.interval);
+            let Some(next) = self.next_due.filter(|&next| next <= t) else {
+                continue;
+            };
+            let due = t.since(next).as_nanos() / self.interval.as_nanos() + 1;
+            if repeated && due > self.capacity as u64 {
+                self.repeat_last(next, due);
+            }
         }
+    }
+
+    /// Records `n` (≥ the ring capacity) more copies of the last
+    /// scrape, the first at `first`, `interval` apart. Only the newest
+    /// `capacity` survive the ring, so those are written directly.
+    fn repeat_last(&mut self, first: SimTime, n: u64) {
+        self.view.take();
+        let kept = self.capacity as u64;
+        self.dropped += self.times.len() as u64 + n - kept;
+        let last = first + self.interval * (n - 1);
+        self.times = (0..kept)
+            .rev()
+            .map(|back| last - self.interval * back)
+            .collect();
+        for col in &mut self.columns {
+            let v = *col
+                .values
+                .back()
+                .expect("a repeated scrape has every column");
+            col.values = std::iter::repeat(v).take(self.capacity).collect();
+        }
+        self.next_due = last.checked_add(self.interval);
     }
 
     /// Final drain at end of run: one trailing scrape at the next
@@ -200,13 +252,11 @@ impl TimeSeriesRecorder {
             return;
         }
         self.finished = true;
-        let due = self.next_due;
-        self.advance_to(due, metrics, trace);
-        for _ in 0..3 {
-            if self.active_alerts() == 0 {
+        for extra in 0..4 {
+            let Some(due) = self.next_due else { break };
+            if extra > 0 && self.active_alerts() == 0 {
                 break;
             }
-            let due = self.next_due;
             self.advance_to(due, metrics, trace);
         }
     }
@@ -308,9 +358,14 @@ impl TimeSeriesRecorder {
         }
     }
 
-    fn scrape(&mut self, at: SimTime, metrics: &mut MetricsRegistry, trace: &mut Trace) {
+    /// Appends one sample at `at`. Returns whether it repeats the
+    /// previous one: no new series, no alert transition, no alert
+    /// part-way through its `for` count, and every value unchanged.
+    fn scrape(&mut self, at: SimTime, metrics: &mut MetricsRegistry, trace: &mut Trace) -> bool {
         self.view.take();
+        let known = self.columns.len();
         self.sync(metrics);
+        let mut repeated = true;
         if let Some(engine) = self.alerts.as_mut() {
             // Current values come from the registry (before this
             // scrape's own alert series move); previous ones are each
@@ -348,11 +403,14 @@ impl TimeSeriesRecorder {
             }
             metrics.describe("ninja_alerts_active", "Alert rules currently firing");
             metrics.set_gauge("ninja_alerts_active", &[], engine.active() as f64);
+            repeated = events.is_empty() && engine.settled();
             self.sync(metrics);
         }
+        repeated &= self.columns.len() == known;
         for col in &mut self.columns {
-            col.values
-                .push_back(metrics.scrape_value(col.series, col.sum));
+            let v = metrics.scrape_value(col.series, col.sum);
+            repeated &= col.values.back().map(|p| p.to_bits()) == Some(v.to_bits());
+            col.values.push_back(v);
         }
         self.times.push_back(at);
         while self.times.len() > self.capacity {
@@ -364,6 +422,7 @@ impl TimeSeriesRecorder {
             }
             self.dropped += 1;
         }
+        repeated
     }
 
     /// Timestamped Prometheus text exposition.
@@ -537,6 +596,61 @@ mod tests {
         // The counter shows up from the second sample on.
         assert!(rec.samples()[0].points.is_empty());
         assert_eq!(rec.samples()[1].points[0].value, 5.0);
+    }
+
+    #[test]
+    fn scrapes_stop_at_the_end_of_the_clock() {
+        let mut m = MetricsRegistry::new();
+        let mut tr = Trace::new();
+        let mut rec = TimeSeriesRecorder::new(SimDuration::MAX);
+        rec.start_at(t(1), &mut m, &mut tr);
+        assert_eq!(
+            rec.next_due(),
+            SimTime::MAX,
+            "the next scrape is past the clock"
+        );
+        rec.advance_to(SimTime::MAX, &mut m, &mut tr);
+        rec.finish(&mut m, &mut tr);
+        assert_eq!(rec.samples().len(), 1);
+    }
+
+    /// One jump over many scrapes equals stepping through them one at a
+    /// time, alert transitions and ring evictions included.
+    #[test]
+    fn a_long_jump_equals_scraping_each_instant() {
+        let rules = "backlog: depth > 2 for 3\nchurn: rate moves_total > 0";
+        let run = |stepwise: bool| {
+            let mut m = MetricsRegistry::new();
+            let mut tr = Trace::new();
+            let mut rec = rec30()
+                .with_capacity(7)
+                .with_alerts(AlertEngine::new(parse_rules(rules).unwrap()));
+            rec.start_at(t(0), &mut m, &mut tr);
+            for (end, depth, moves) in [(600, 5.0, 1), (3000, 1.0, 2), (30_000, 4.0, 0)] {
+                m.set_gauge("depth", &[], depth);
+                m.inc("moves_total", &[], moves);
+                if stepwise {
+                    while rec.next_due() <= t(end) {
+                        let due = rec.next_due();
+                        rec.advance_to(due, &mut m, &mut tr);
+                    }
+                } else {
+                    rec.advance_to(t(end), &mut m, &mut tr);
+                }
+            }
+            rec.finish(&mut m, &mut tr);
+            (
+                rec.to_csv(),
+                rec.dropped(),
+                rec.next_due(),
+                tr.to_chrome_json(),
+            )
+        };
+        let jumped = run(false);
+        assert_eq!(jumped, run(true));
+        // 1001 scrapes up to 30 000 s, then `finish`'s trailing one and
+        // three more while `backlog` still fires; the ring keeps 7.
+        assert_eq!(jumped.1, 1001 + 4 - 7, "every scrape counted");
     }
 
     #[test]

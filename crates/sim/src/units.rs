@@ -152,17 +152,6 @@ impl Bandwidth {
         }
     }
 
-    /// Construct from megabits per second.
-    pub fn from_mbps(m: f64) -> Self {
-        assert!(
-            m >= 0.0 && m.is_finite(),
-            "bandwidth must be finite and >= 0"
-        );
-        Bandwidth {
-            bits_per_sec: m * 1e6,
-        }
-    }
-
     /// Construct from bytes per second.
     pub fn from_bytes_per_sec(b: f64) -> Self {
         assert!(

@@ -22,6 +22,9 @@ pub enum SymVirtError {
     /// failed VM is listed (sorted), so an operator sees the full blast
     /// radius in one report rather than one VM per attempt.
     AgentsDisconnected(Vec<VmId>),
+    /// The migration's clock reached the last representable instant
+    /// (a stall or backoff ran it off the end of simulated time).
+    ClockExhausted,
 }
 
 impl fmt::Display for SymVirtError {
@@ -42,6 +45,9 @@ impl fmt::Display for SymVirtError {
                     "{} SymVirt agent(s) lost their monitor connections: {vms:?}",
                     vms.len()
                 )
+            }
+            SymVirtError::ClockExhausted => {
+                write!(f, "the migration ran past the end of simulated time")
             }
         }
     }
@@ -89,5 +95,8 @@ mod tests {
         let s = multi.to_string();
         assert!(s.contains("VmId(1)") && s.contains("VmId(3)"), "{s}");
         assert!(s.starts_with("2 SymVirt agent(s)"), "{s}");
+        assert!(SymVirtError::ClockExhausted
+            .to_string()
+            .contains("end of simulated time"));
     }
 }

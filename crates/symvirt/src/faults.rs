@@ -224,10 +224,12 @@ impl FaultSpec {
                     let secs: f64 = value
                         .parse()
                         .map_err(|_| format!("fault stall '{value}' is not seconds"))?;
-                    if !secs.is_finite() || secs <= 0.0 {
+                    if secs <= 0.0 {
                         return Err("fault stall must be positive seconds".into());
                     }
-                    spec.stall = SimDuration::from_secs_f64(secs);
+                    spec.stall = SimDuration::checked_from_secs_f64(secs).ok_or_else(|| {
+                        format!("fault stall '{value}' is not a finite time the clock holds")
+                    })?;
                 }
                 _ => return Err(format!("unknown fault option '{key}'")),
             }
@@ -326,10 +328,19 @@ impl FaultPlan {
     }
 
     /// Consult the plan before executing `phase` of migration `mig` of
-    /// job `job`. Returns the first matching armed fault (consuming one
-    /// fire from its budget), or `None`. Pure bookkeeping: no RNG, no
-    /// clock.
-    pub fn fire(&mut self, job: usize, mig: usize, phase: FaultPhase) -> Option<Injected> {
+    /// job `job`, up to `up_to` (≥ 1) times in a row. Returns the first
+    /// matching armed fault and how often it fires: `up_to`, or fewer if
+    /// its budget runs out first (the fires are taken from the budget).
+    /// Until then it stays the first armed match, so the next calls
+    /// would have returned it one fire at a time. `None` if nothing
+    /// fires. Pure bookkeeping: no RNG, no clock.
+    pub fn fire(
+        &mut self,
+        job: usize,
+        mig: usize,
+        phase: FaultPhase,
+        up_to: u64,
+    ) -> Option<(Injected, u64)> {
         for (i, spec) in self.specs.iter().enumerate() {
             if spec.phase != phase || spec.mig != mig {
                 continue;
@@ -337,16 +348,19 @@ impl FaultPlan {
             if spec.job.is_some_and(|j| j != job) {
                 continue;
             }
-            if let Some(times) = spec.times {
-                if self.fired[i] >= times {
-                    continue;
-                }
+            let budget = spec.times.map_or(u64::MAX, |times| {
+                u64::from(times.saturating_sub(self.fired[i]))
+            });
+            if budget == 0 {
+                continue;
             }
-            self.fired[i] += 1;
-            return Some(Injected {
+            let fires = up_to.min(budget);
+            self.fired[i] = self.fired[i].saturating_add(u32::try_from(fires).unwrap_or(u32::MAX));
+            let injected = Injected {
                 kind: spec.kind,
                 stall: spec.stall,
-            });
+            };
+            return Some((injected, fires));
         }
         None
     }
@@ -375,6 +389,15 @@ impl RetryPolicy {
     pub fn backoff_before(&self, attempt: u32) -> SimDuration {
         let shift = attempt.saturating_sub(1).min(6);
         self.backoff * (1 << shift)
+    }
+
+    /// The waits before retries `first..=last`, summed (saturating).
+    /// From retry 7 on every wait is the capped 64×, so this takes at
+    /// most six steps however many retries it covers.
+    pub fn backoff_before_each(&self, first: u32, last: u32) -> SimDuration {
+        let doubling: SimDuration = (first..=last.min(6)).map(|a| self.backoff_before(a)).sum();
+        let capped = u64::from(last.saturating_add(1).saturating_sub(first.max(7)));
+        doubling + self.backoff_before(7) * capped
     }
 }
 
@@ -407,6 +430,11 @@ mod tests {
         assert!(FaultSpec::parse("hotplug-attach:phase=detach").is_err());
         assert!(FaultSpec::parse("qmp-timeout:times=0").is_err());
         assert!(FaultSpec::parse("qmp-timeout:stall=-3").is_err());
+        for stall in ["inf", "nan", "1e30", "18446744074"] {
+            let spec = format!("precopy-stall:stall={stall}");
+            assert!(FaultSpec::parse(&spec).is_err(), "{spec}");
+        }
+        assert!(FaultSpec::parse("precopy-stall:stall=18446744073").is_ok());
         assert!(FaultSpec::parse("qmp-timeout:bogus=1").is_err());
     }
 
@@ -423,25 +451,58 @@ mod tests {
             "qmp-timeout:phase=detach:job=1:times=2",
         )
         .unwrap()]);
-        assert!(plan.fire(0, 0, FaultPhase::Detach).is_none(), "wrong job");
-        assert!(plan.fire(1, 1, FaultPhase::Detach).is_none(), "wrong mig");
-        assert!(plan.fire(1, 0, FaultPhase::Attach).is_none(), "wrong phase");
-        assert!(plan.fire(1, 0, FaultPhase::Detach).is_some());
-        assert!(plan.fire(1, 0, FaultPhase::Detach).is_some());
         assert!(
-            plan.fire(1, 0, FaultPhase::Detach).is_none(),
+            plan.fire(0, 0, FaultPhase::Detach, 1).is_none(),
+            "wrong job"
+        );
+        assert!(
+            plan.fire(1, 1, FaultPhase::Detach, 1).is_none(),
+            "wrong mig"
+        );
+        assert!(
+            plan.fire(1, 0, FaultPhase::Attach, 1).is_none(),
+            "wrong phase"
+        );
+        assert!(plan.fire(1, 0, FaultPhase::Detach, 1).is_some());
+        assert!(plan.fire(1, 0, FaultPhase::Detach, 1).is_some());
+        assert!(
+            plan.fire(1, 0, FaultPhase::Detach, 1).is_none(),
             "budget spent"
         );
+    }
+
+    #[test]
+    fn fire_takes_a_run_from_one_spec() {
+        let mut plan = FaultPlan::from_specs(vec![
+            FaultSpec::parse("qmp-timeout:phase=detach:times=5").unwrap(),
+            FaultSpec::parse("qmp-timeout:phase=detach").unwrap(),
+        ]);
+        let mut fire = |up_to| plan.fire(0, 0, FaultPhase::Detach, up_to).map(|(_, n)| n);
+        assert_eq!(fire(3), Some(3));
+        assert_eq!(fire(3), Some(2), "the rest of the first spec's budget");
+        assert_eq!(fire(u64::MAX), Some(u64::MAX), "then the persistent one");
+        assert_eq!(fire(1), Some(1), "which never clears");
+    }
+
+    #[test]
+    fn summed_backoff_matches_each_retry() {
+        let p = RetryPolicy::default();
+        for (first, last) in [(1, 0), (1, 1), (1, 6), (2, 9), (7, 12), (5, 40)] {
+            let each: SimDuration = (first..=last).map(|a| p.backoff_before(a)).sum();
+            assert_eq!(p.backoff_before_each(first, last), each, "{first}..={last}");
+        }
+        let all = p.backoff_before_each(1, u32::MAX);
+        assert_eq!(all, SimDuration::MAX, "saturates instead of looping");
     }
 
     #[test]
     fn persistent_fault_never_clears() {
         let mut plan = FaultPlan::from_specs(vec![FaultSpec::parse("precopy-abort").unwrap()]);
         for _ in 0..100 {
-            assert!(plan.fire(3, 0, FaultPhase::Migration).is_some());
+            assert!(plan.fire(3, 0, FaultPhase::Migration, 1).is_some());
         }
         assert!(
-            plan.fire(3, 1, FaultPhase::Migration).is_none(),
+            plan.fire(3, 1, FaultPhase::Migration, 1).is_none(),
             "mig 1 untouched"
         );
     }
