@@ -7,10 +7,13 @@
 //! (`--metrics-out`, Prometheus text), the flight recorder scraping
 //! every 30 s with its JSONL export (`--scrape-interval 30
 //! --timeseries-out x.jsonl`) and the default alert rules (`--alerts
-//! default`). Every run happens in a fresh child process (this binary
-//! re-executed with `--child`), which reports its own wall time and
-//! peak RSS (`VmHWM` from `/proc/self/status`), so no run inherits
-//! another's heap. A row is the median of the runs.
+//! default`). The "off" run records no trace at all (`Trace::disabled()`),
+//! as `ninja fleet` runs without a trace flag. Every run happens in a
+//! fresh child process (this binary re-executed with `--child`), which
+//! reports its own wall time and peak RSS (`VmHWM` from
+//! `/proc/self/status`), so no run inherits another's heap. The off and
+//! on runs of a shape alternate, so host drift lands in both rows alike;
+//! a row is the median of its runs.
 //!
 //! ```text
 //! cargo run --release -p ninja-bench --bin telemetry_cost            # 4 shapes, asserts the gate
@@ -126,7 +129,8 @@ fn child(jobs_n: usize, concurrency: usize, on: bool, dir: &Path) {
         arrival: SimDuration::from_secs(30),
         seed: 2013,
     };
-    let mut s = build_auto(&spec, Trace::new()).expect("scenario fits");
+    let trace = if on { Trace::new() } else { Trace::disabled() };
+    let mut s = build_auto(&spec, trace).expect("scenario fits");
     if on {
         let rules = parse_rules(default_rules()).expect("default rules parse");
         let rec = TimeSeriesRecorder::new(SimDuration::from_secs(30))
@@ -145,9 +149,7 @@ fn child(jobs_n: usize, concurrency: usize, on: bool, dir: &Path) {
             .collect();
         run_fleet(&mut s.world, &mut jobs, s.scheduler, &cfg).expect("fleet run")
     };
-    for job in &s.jobs {
-        s.world.record_wire_metrics(job);
-    }
+    s.world.record_wire_metrics(&s.jobs);
     write_out(&dir.join("report.json"), |w| {
         report.write_json(&mut JsonWriter::pretty(w))
     });
@@ -266,8 +268,14 @@ fn main() {
 
     let mut rows = Vec::new();
     for &(jobs, concurrency) in shapes {
-        for on in [false, true] {
-            let samples: Vec<Sample> = (0..RUNS).map(|_| spawn(jobs, concurrency, on)).collect();
+        // Off and on alternate, run by run.
+        let mut samples: [Vec<Sample>; 2] = [Vec::new(), Vec::new()];
+        for _ in 0..RUNS {
+            for on in [false, true] {
+                samples[usize::from(on)].push(spawn(jobs, concurrency, on));
+            }
+        }
+        for (on, samples) in [false, true].into_iter().zip(samples) {
             rows.push(Row {
                 jobs,
                 concurrency,

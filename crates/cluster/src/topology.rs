@@ -11,7 +11,7 @@ use crate::hotplug::AcpiHotplug;
 use crate::node::{Node, NodeId, NodeSpec};
 use crate::pci::{ib_hca, Attachment, DeviceId, DeviceTable, PciAddr};
 use crate::storage::{StorageId, StoragePool};
-use ninja_net::{Fabric, FlowId, IbFabric, LinkId};
+use ninja_net::{Fabric, FlowId, IbFabric, LinkId, MAX_PATH};
 use ninja_sim::{Bandwidth, Bytes, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -206,16 +206,24 @@ impl DataCenter {
             let flow = self.migration_fabric.open(now, bytes, &[], Some(rate));
             return (flow, SimDuration::ZERO);
         }
-        let mut path = vec![self.port(src, rate)];
+        let mut path = [self.port(src, rate); MAX_PATH];
+        let mut len = 1;
         let mut latency = SimDuration::ZERO;
         if let Some(wan) = self.wan_between(self.cluster_of(src), self.cluster_of(dst)) {
-            path.push(wan.link);
+            path[len] = wan.link;
+            len += 1;
             latency = wan.latency;
         }
         let dst_rate = self.migration_rate(dst, sender_cap);
-        path.push(self.port(dst, dst_rate));
-        path.extend(via);
-        let flow = self.migration_fabric.open(now, bytes, &path, Some(rate));
+        path[len] = self.port(dst, dst_rate);
+        len += 1;
+        if let Some(link) = via {
+            path[len] = link;
+            len += 1;
+        }
+        let flow = self
+            .migration_fabric
+            .open(now, bytes, &path[..len], Some(rate));
         (flow, latency)
     }
 

@@ -19,6 +19,7 @@ use crate::stepper::record_vm_spans;
 use crate::world::World;
 use ninja_cluster::NodeId;
 use ninja_mpi::MpiRuntime;
+use ninja_net::TransportKind;
 use ninja_sim::{JsonWriter, SimDuration, SimTime, WriteJson};
 use ninja_symvirt::{Controller, Coordinator, SymVirtError};
 use ninja_vmm::{SnapshotId, SnapshotStore, VmId};
@@ -84,7 +85,7 @@ pub struct RestartReport {
     /// IB link training wait (zero on Ethernet hosts).
     pub linkup: SimDuration,
     /// Transport the restarted job bound.
-    pub transport_after: Option<String>,
+    pub transport_after: Option<&'static str>,
     /// New VM ids, aligned with the old job order (not serialized).
     pub new_vms: Vec<VmId>,
 }
@@ -261,14 +262,14 @@ impl NinjaOrchestrator {
         let now = world.clock();
         rt.restart_on(new_vms.clone(), &world.pool, &mut world.dc, now)
             .map_err(SymVirtError::Runtime)?;
-        let transport_after = rt.uniform_network_kind().map(|k| k.to_string());
+        let transport_after = rt.uniform_network_kind().map(TransportKind::name);
         record_vm_spans(world, &ctl.take_spans());
         let now = world.clock();
         let span = world
             .trace
             .add_span("ninja", "restart", t_start, now)
             .label_u64("images", handle.snapshots.len() as u64);
-        if let Some(t) = &transport_after {
+        if let Some(t) = transport_after {
             span.label("transport_after", t);
         }
         world.metrics.inc("ninja_restarts_total", &[], 1);
@@ -337,7 +338,7 @@ mod tests {
         let report = orch
             .restart(&mut w, &mut rt, &handle, &store, &dsts)
             .unwrap();
-        assert_eq!(report.transport_after.as_deref(), Some("tcp"));
+        assert_eq!(report.transport_after, Some("tcp"));
         assert_eq!(
             report.linkup,
             SimDuration::ZERO,
@@ -372,7 +373,7 @@ mod tests {
         let report = orch
             .restart(&mut w, &mut rt, &handle, &store, &dsts)
             .unwrap();
-        assert_eq!(report.transport_after.as_deref(), Some("openib"));
+        assert_eq!(report.transport_after, Some("openib"));
         assert!(report.linkup > SimDuration::from_secs(25));
     }
 

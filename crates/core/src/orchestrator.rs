@@ -94,8 +94,7 @@ impl NinjaOrchestrator {
         app: &mut dyn GuestCooperative,
     ) -> Result<ninja_sim::SimDuration, SymVirtError> {
         let started = world.clock();
-        let vms = app.vms();
-        let mut ctl = Controller::new(vms.clone(), self.monitor.clone());
+        let mut ctl = Controller::new(app.vms().to_vec(), self.monitor.clone());
         // Only VMs still frozen participate; a half-signalled job is
         // not recoverable this way.
         ctl.wait_all(&world.pool)?;
@@ -117,7 +116,7 @@ impl NinjaOrchestrator {
         world
             .trace
             .add_span("ninja", "abort", started, now)
-            .label_u64("vms", vms.len() as u64);
+            .label_u64("vms", ctl.hostlist().len() as u64);
         world.metrics.inc("ninja_aborts_total", &[], 1);
         Ok(world.clock().since(started))
     }
@@ -139,7 +138,7 @@ impl NinjaOrchestrator {
         }
         let mut machine = MigrationMachine::new(
             self.monitor.clone(),
-            app.vms(),
+            app.vms().to_vec(),
             dsts.to_vec(),
             world.clock(),
         )
@@ -174,8 +173,8 @@ mod tests {
             .migrate(&mut w, &mut rt, &dsts)
             .unwrap();
         assert_eq!(rt.uniform_network_kind(), Some(TransportKind::Tcp));
-        assert_eq!(report.transport_before.as_deref(), Some("openib"));
-        assert_eq!(report.transport_after.as_deref(), Some("tcp"));
+        assert_eq!(report.transport_before, Some("openib"));
+        assert_eq!(report.transport_after, Some("tcp"));
         assert!(report.btl_reconstructed);
         assert!(report.linkup.is_zero(), "Ethernet destination: no link-up");
         assert!(report.attach.is_zero(), "no HCAs to attach on Ethernet");
@@ -321,7 +320,7 @@ mod tests {
             .migrate_app(&mut w, &mut svc, &dsts)
             .unwrap();
         assert_eq!(svc.inflight(), 0, "requests drained before blackout");
-        assert_eq!(report.transport_before.as_deref(), Some("tcp"));
+        assert_eq!(report.transport_before, Some("tcp"));
         assert!(!report.btl_reconstructed, "sockets survive live migration");
         assert!(report.linkup.is_zero());
         assert!(

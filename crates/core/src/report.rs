@@ -26,9 +26,9 @@ pub struct NinjaReport {
     /// Total bytes the migrations put on the wire.
     pub wire_bytes: u64,
     /// Transport uniformly in use before the migration (None if mixed).
-    pub transport_before: Option<String>,
+    pub transport_before: Option<&'static str>,
     /// Transport uniformly in use after BTL reconstruction.
-    pub transport_after: Option<String>,
+    pub transport_after: Option<&'static str>,
     /// Whether BTL modules were rebuilt (vs. kept).
     pub btl_reconstructed: bool,
     /// Number of VMs migrated.
@@ -65,8 +65,8 @@ impl NinjaReport {
         attach: SimDuration,
         linkup: SimDuration,
         wire_bytes: Bytes,
-        transport_before: Option<String>,
-        transport_after: Option<String>,
+        transport_before: Option<&'static str>,
+        transport_after: Option<&'static str>,
         btl_reconstructed: bool,
         vm_count: usize,
     ) -> Self {
@@ -116,8 +116,8 @@ impl fmt::Display for NinjaReport {
             f,
             "ninja migration: {} VMs, {} -> {}",
             self.vm_count,
-            self.transport_before.as_deref().unwrap_or("mixed"),
-            self.transport_after.as_deref().unwrap_or("mixed"),
+            self.transport_before.unwrap_or("mixed"),
+            self.transport_after.unwrap_or("mixed"),
         )?;
         writeln!(f, "  coordination {:>8}", secs(self.coordination))?;
         writeln!(
@@ -159,8 +159,8 @@ mod tests {
             SimDuration::from_millis(1100),
             SimDuration::from_millis(29_800),
             Bytes::from_gib(3),
-            Some("openib".into()),
-            Some("openib".into()),
+            Some("openib"),
+            Some("openib"),
             true,
             8,
         )

@@ -28,6 +28,14 @@
 //! bandwidth wherever their paths meet — that is what makes fleet
 //! contention measurable — and a serial run is simply a fabric with
 //! one job on it.
+//!
+//! Per migration the machine copies the application's VM list once,
+//! into its controller's hostlist, which is the machine's one VM list
+//! ([`GuestCooperative::vms`] lends it). The open migrations that
+//! [`Controller::migration_open`] returns stay with the machine as its
+//! record of what each VM put on the wire. The controller records its
+//! per-VM intervals only when the world's trace is on, since the trace
+//! is their one reader.
 
 use crate::report::NinjaReport;
 use crate::world::World;
@@ -38,7 +46,7 @@ use ninja_symvirt::{
     Controller, FaultKind, FaultPhase, GuestCooperative, PendingMigration, ResumeOutcome,
     RetryPolicy, SymVirtError, VmSpan,
 };
-use ninja_vmm::{PrecopyPlan, QemuMonitor, VmId, VmmError};
+use ninja_vmm::{QemuMonitor, VmId, VmmError};
 
 /// What a [`MigrationMachine::step`] call produced.
 #[derive(Debug)]
@@ -60,7 +68,7 @@ enum State {
     Start,
     Quiesced,
     Detached,
-    Precopying(Vec<PendingMigration>),
+    Precopying,
     Migrated,
     Attached,
     Done,
@@ -78,8 +86,8 @@ enum Preflight {
 
 /// A single Ninja migration, resumable one phase at a time.
 pub struct MigrationMachine {
+    /// The controller; its hostlist is the machine's one VM list.
     ctl: Controller,
-    vms: Vec<VmId>,
     dsts: Vec<NodeId>,
     state: State,
     now: SimTime,
@@ -92,9 +100,11 @@ pub struct MigrationMachine {
     t_detach_end: SimTime,
     t_mig_end: SimTime,
     t_attach_end: SimTime,
-    transport_before: Option<String>,
+    transport_before: Option<&'static str>,
     real_move: bool,
-    plans: Vec<PrecopyPlan>,
+    /// The VMs' migrations, in hostlist order: open while precopying,
+    /// then the record of what each put on the wire.
+    pending: Vec<PendingMigration>,
     /// When the re-attached IB links become usable (`None` without an
     /// attach, or when it attached no HCA).
     link_active_at: Option<SimTime>,
@@ -111,12 +121,12 @@ pub struct MigrationMachine {
 
 impl MigrationMachine {
     /// A machine migrating `vms` so VM *i* lands on `dsts[i % len]`,
-    /// starting at `start`. `monitor` carries the migration config.
+    /// starting at `start`. `monitor` carries the migration config. The
+    /// list becomes the controller's hostlist.
     pub fn new(monitor: QemuMonitor, vms: Vec<VmId>, dsts: Vec<NodeId>, start: SimTime) -> Self {
         assert!(!dsts.is_empty(), "empty hostlist");
         MigrationMachine {
-            ctl: Controller::new(vms.clone(), monitor),
-            vms,
+            ctl: Controller::new(vms, monitor),
             dsts,
             state: State::Start,
             now: start,
@@ -127,7 +137,7 @@ impl MigrationMachine {
             t_attach_end: start,
             transport_before: None,
             real_move: false,
-            plans: Vec::new(),
+            pending: Vec::new(),
             link_active_at: None,
             job: 0,
             mig: 0,
@@ -172,9 +182,9 @@ impl MigrationMachine {
         self.now
     }
 
-    /// The VMs this machine migrates.
+    /// The VMs this machine migrates (its controller's hostlist).
     pub fn vms(&self) -> &[VmId] {
-        &self.vms
+        self.ctl.hostlist()
     }
 
     /// Consult the world's fault plan before executing `phase`, driving
@@ -216,7 +226,7 @@ impl MigrationMachine {
                 fires,
             );
             if inj.kind == FaultKind::AgentDisconnect {
-                if let Some(&vm) = self.vms.first() {
+                if let Some(&vm) = self.ctl.hostlist().first() {
                     self.ctl.inject_agent_failure(vm);
                 }
             }
@@ -302,9 +312,10 @@ impl MigrationMachine {
                 // Degrade is impossible here (hotplug faults only fire
                 // at attach); errors fail the job before any state moved.
                 self.preflight(world, FaultPhase::Coordination)?;
+                self.ctl.record_spans(world.trace.is_enabled());
                 self.transport_before = app.transport_label();
                 let prep = app.prepare_for_blackout(&world.pool, &mut world.dc, self.now)?;
-                for &vm in &self.vms {
+                for &vm in self.ctl.hostlist() {
                     world.pool.pause(vm).map_err(SymVirtError::Vmm)?;
                 }
                 self.now += prep.duration;
@@ -312,7 +323,8 @@ impl MigrationMachine {
                 self.ctl.wait_all(&world.pool)?;
                 // A "real" move (to different nodes) makes hotplug noisy.
                 self.real_move = self
-                    .vms
+                    .ctl
+                    .hostlist()
                     .iter()
                     .enumerate()
                     .any(|(i, &vm)| world.pool.get(vm).node != self.dsts[i % self.dsts.len()]);
@@ -336,7 +348,7 @@ impl MigrationMachine {
             }
             State::Detached => {
                 self.preflight(world, FaultPhase::Migration)?;
-                let pending = self.ctl.migration_open(
+                self.pending = self.ctl.migration_open(
                     &self.dsts,
                     &mut world.pool,
                     &mut world.dc,
@@ -344,9 +356,9 @@ impl MigrationMachine {
                     &mut world.rng,
                     self.uplink,
                 )?;
-                self.poll_precopy(world, pending)
+                self.poll_precopy(world)
             }
-            State::Precopying(pending) => self.poll_precopy(world, pending),
+            State::Precopying => self.poll_precopy(world),
             State::Migrated => {
                 match self.preflight(world, FaultPhase::Attach)? {
                     Preflight::Degrade => {
@@ -402,7 +414,7 @@ impl MigrationMachine {
                 let phase = |i: usize| instants[i + 1].since(instants[i]);
                 let outcome = app.resume_after_blackout(&world.pool, &mut world.dc, self.now)?;
                 let btl_reconstructed = matches!(outcome, ResumeOutcome::Rebuilt);
-                let wire: Bytes = self.plans.iter().map(|p| p.wire_bytes()).sum();
+                let wire: Bytes = self.pending.iter().map(|p| p.plan.wire_bytes()).sum();
                 let mut report = NinjaReport::new(
                     phase(0),
                     phase(1),
@@ -410,19 +422,19 @@ impl MigrationMachine {
                     phase(3),
                     phase(4),
                     wire,
-                    self.transport_before.clone(),
+                    self.transport_before,
                     app.transport_label(),
                     btl_reconstructed,
-                    self.vms.len(),
+                    self.ctl.hostlist().len(),
                 );
                 report.degraded = self.degraded;
                 record_job_telemetry(
                     world,
                     &report,
-                    &self.vms,
+                    self.ctl.hostlist(),
                     &windows,
                     &vm_spans,
-                    &self.plans,
+                    &self.pending,
                     hotplug_leaked,
                     self.t_start,
                     self.job,
@@ -438,22 +450,17 @@ impl MigrationMachine {
     /// Land the VMs if every stream has drained (and its scan floor
     /// passed) and close the phase; otherwise wait for the fabric's next
     /// drain.
-    fn poll_precopy(
-        &mut self,
-        world: &mut World,
-        pending: Vec<PendingMigration>,
-    ) -> Result<StepOutcome, SymVirtError> {
+    fn poll_precopy(&mut self, world: &mut World) -> Result<StepOutcome, SymVirtError> {
         let Some(landed) = self
             .ctl
-            .migration_land(&pending, &mut world.pool, &mut world.dc)
+            .migration_land(&self.pending, &mut world.pool, &mut world.dc)
         else {
             let next = world.dc.migration_fabric.next_completion();
-            self.state = State::Precopying(pending);
+            self.state = State::Precopying;
             return Ok(StepOutcome::Waiting(
                 next.expect("an undrained stream implies a next completion"),
             ));
         };
-        self.plans = pending.into_iter().map(|p| p.plan).collect();
         self.now = self.now.max(landed);
         self.t_mig_end = self.now;
         self.state = State::Migrated;
@@ -531,74 +538,77 @@ pub(crate) fn record_job_telemetry(
     vms: &[VmId],
     windows: &[(&'static str, SimTime, SimTime); 5],
     vm_spans: &[VmSpan],
-    plans: &[PrecopyPlan],
+    migrations: &[PendingMigration],
     hotplug_leaked: u64,
     t_start: SimTime,
     job: usize,
     mig: usize,
 ) {
-    let (job, mig) = (job as u64, mig as u64);
-    let (trace, pool) = (&mut world.trace, &world.pool);
-    // Job-level phase spans (component "ninja").
-    for &(name, start, end) in windows {
-        let span = trace
-            .add_span("ninja", name, start, end)
-            .label_u64("job", job)
-            .label_u64("mig", mig);
-        if name == "migration" {
-            span.label_u64("wire_bytes", report.wire_bytes);
-        }
-    }
-    // The whole migration as one envelope span.
-    let t_end = windows[4].2;
-    let mut overall = trace
-        .add_span("ninja", "ninja", t_start, t_end)
-        .label_u64("job", job)
-        .label_u64("mig", mig)
-        .label_u64("vms", report.vm_count as u64);
-    if let Some(t) = &report.transport_before {
-        overall = overall.label("transport_before", t);
-    }
-    if let Some(t) = &report.transport_after {
-        overall.label("transport_after", t);
-    }
-
-    // Per-VM spans: the controller's real ones, plus the job window
-    // for any (phase, vm) pair it skipped (e.g. detach on an HCA-less
-    // VM), so every VM shows one span per phase. Each VM's first
-    // `migration` span carries its precopy wire bytes.
-    let vm_span = |trace: &mut Trace, name, vm: VmId, start, end, wire: Option<u64>| {
-        let span = trace
-            .add_span("symvirt", name, start, end)
-            .label("vm", &pool.get(vm).name)
-            .label_u64("job", job)
-            .label_u64("mig", mig);
-        if let Some(bytes) = wire {
-            span.label_u64("wire_bytes", bytes);
-        }
-    };
-    let wire_of = |name: &str, v: usize| {
-        let plan = plans.get(v).filter(|_| name == "migration");
-        plan.map(|p| p.wire_bytes().get())
-    };
-    let covered = &mut world.covered;
-    covered.clear();
-    covered.resize(vms.len(), 0);
-    for &(name, vm, start, end) in vm_spans {
-        let phase = windows.iter().position(|w| w.0 == name);
-        let mut wire = None;
-        if let (Some(p), Some(v)) = (phase, vms.iter().position(|&x| x == vm)) {
-            if covered[v] & (1 << p) == 0 {
-                wire = wire_of(name, v);
+    // Spans: nothing to record when the trace is off.
+    if world.trace.is_enabled() {
+        let (job, mig) = (job as u64, mig as u64);
+        let (trace, pool) = (&mut world.trace, &world.pool);
+        // Job-level phase spans (component "ninja").
+        for &(name, start, end) in windows {
+            let span = trace
+                .add_span("ninja", name, start, end)
+                .label_u64("job", job)
+                .label_u64("mig", mig);
+            if name == "migration" {
+                span.label_u64("wire_bytes", report.wire_bytes);
             }
-            covered[v] |= 1 << p;
         }
-        vm_span(trace, name, vm, start, end, wire);
-    }
-    for (p, &(name, start, end)) in windows.iter().enumerate() {
-        for (v, &vm) in vms.iter().enumerate() {
-            if covered[v] & (1 << p) == 0 {
-                vm_span(trace, name, vm, start, end, wire_of(name, v));
+        // The whole migration as one envelope span.
+        let t_end = windows[4].2;
+        let mut overall = trace
+            .add_span("ninja", "ninja", t_start, t_end)
+            .label_u64("job", job)
+            .label_u64("mig", mig)
+            .label_u64("vms", report.vm_count as u64);
+        if let Some(t) = report.transport_before {
+            overall = overall.label("transport_before", t);
+        }
+        if let Some(t) = report.transport_after {
+            overall.label("transport_after", t);
+        }
+
+        // Per-VM spans: the controller's real ones, plus the job window
+        // for any (phase, vm) pair it skipped (e.g. detach on an HCA-less
+        // VM), so every VM shows one span per phase. Each VM's first
+        // `migration` span carries its precopy wire bytes.
+        let vm_span = |trace: &mut Trace, name, vm: VmId, start, end, wire: Option<u64>| {
+            let span = trace
+                .add_span("symvirt", name, start, end)
+                .label("vm", &pool.get(vm).name)
+                .label_u64("job", job)
+                .label_u64("mig", mig);
+            if let Some(bytes) = wire {
+                span.label_u64("wire_bytes", bytes);
+            }
+        };
+        let wire_of = |name: &str, v: usize| {
+            let mig = migrations.get(v).filter(|_| name == "migration");
+            mig.map(|p| p.plan.wire_bytes().get())
+        };
+        let covered = &mut world.covered;
+        covered.clear();
+        covered.resize(vms.len(), 0);
+        for &(name, vm, start, end) in vm_spans {
+            let phase = windows.iter().position(|w| w.0 == name);
+            let mut wire = None;
+            if let (Some(p), Some(v)) = (phase, vms.iter().position(|&x| x == vm)) {
+                if covered[v] & (1 << p) == 0 {
+                    wire = wire_of(name, v);
+                }
+                covered[v] |= 1 << p;
+            }
+            vm_span(trace, name, vm, start, end, wire);
+        }
+        for (p, &(name, start, end)) in windows.iter().enumerate() {
+            for (v, &vm) in vms.iter().enumerate() {
+                if covered[v] & (1 << p) == 0 {
+                    vm_span(trace, name, vm, start, end, wire_of(name, v));
+                }
             }
         }
     }
@@ -794,7 +804,7 @@ mod tests {
         let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock());
         let report = drive(&mut w, &mut rt, &mut m).expect("degrades, not fails");
         assert!(report.degraded);
-        assert_eq!(report.transport_after.as_deref(), Some("tcp"));
+        assert_eq!(report.transport_after, Some("tcp"));
         // No device_add happened: each guest holds only its virtio NIC.
         for &vm in m.vms() {
             let nic = w.pool.get(vm).virtio_nic;
@@ -851,7 +861,7 @@ mod tests {
         let mut m = MigrationMachine::new(QemuMonitor::default(), vms, dsts, w.clock());
         let report = drive(&mut w, &mut rt, &mut m).expect("respawned agent retries");
         assert!(!report.degraded);
-        assert_eq!(report.transport_after.as_deref(), Some("openib"));
+        assert_eq!(report.transport_after, Some("openib"));
         assert_eq!(
             w.metrics
                 .counter("ninja_retries_total", &[("phase", "attach")]),

@@ -9,7 +9,7 @@ use crate::stepper::MigrationSeries;
 use ninja_cluster::{ClusterId, DataCenter, NodeId, StorageId};
 use ninja_mpi::{CommEnv, JobLayout, MpiConfig, MpiRuntime};
 use ninja_sim::{
-    MetricsRegistry, SimDuration, SimRng, SimTime, TimeSeriesRecorder, Trace, TraceLevel,
+    MetricsRegistry, SeriesId, SimDuration, SimRng, SimTime, TimeSeriesRecorder, Trace, TraceLevel,
 };
 use ninja_symvirt::FaultPlan;
 use ninja_vmm::{VmId, VmPool, VmSpec};
@@ -268,37 +268,46 @@ impl World {
         CommEnv::from_world(&self.pool, &self.dc)
     }
 
-    /// Fold the runtime's per-transport wire census into the metrics
+    /// Fold the runtimes' per-transport wire censuses into the metrics
     /// registry: message/byte counters and a latency histogram per
-    /// transport kind.
-    pub fn record_wire_metrics(&mut self, rt: &MpiRuntime) {
-        self.metrics.describe(
+    /// transport kind. The metrics are described and each series is
+    /// resolved once per call, however many runtimes it folds in.
+    pub fn record_wire_metrics<'a>(&mut self, runtimes: impl IntoIterator<Item = &'a MpiRuntime>) {
+        let m = &mut self.metrics;
+        m.describe(
             "ninja_mpi_messages_total",
             "MPI messages sent, by transport",
         );
-        self.metrics.describe(
+        m.describe(
             "ninja_mpi_message_bytes_total",
             "MPI payload bytes sent, by transport",
         );
-        self.metrics.describe(
+        m.describe(
             "ninja_mpi_message_latency_seconds",
             "MPI message latency (send to delivery), by transport",
         );
-        for (kind, stats) in rt.wire_census() {
-            let kind = kind.to_string();
-            let labels = [("transport", kind.as_str())];
-            self.metrics
-                .inc("ninja_mpi_messages_total", &labels, stats.messages);
-            self.metrics
-                .inc("ninja_mpi_message_bytes_total", &labels, stats.bytes);
-            if stats.latency.count() > 0 {
-                // The summary only keeps moments; feed the histogram the
-                // mean once per observed message to preserve count+sum.
-                let id = self
-                    .metrics
-                    .histogram_id("ninja_mpi_message_latency_seconds", &labels);
-                self.metrics
-                    .observe_n(id, stats.latency.mean(), stats.latency.count());
+        // Per transport kind: the message, byte and latency series, each
+        // resolved where its first write is.
+        let mut ids = [[None::<SeriesId>; 3]; 4];
+        for rt in runtimes {
+            for (&kind, stats) in rt.wire_census() {
+                let labels = [("transport", kind.name())];
+                let [messages, bytes, latency] = &mut ids[kind as usize];
+                let id = *messages
+                    .get_or_insert_with(|| m.counter_id("ninja_mpi_messages_total", &labels));
+                m.add(id, stats.messages);
+                let id = *bytes
+                    .get_or_insert_with(|| m.counter_id("ninja_mpi_message_bytes_total", &labels));
+                m.add(id, stats.bytes);
+                if stats.latency.count() > 0 {
+                    // The summary only keeps moments; feed the histogram
+                    // the mean once per observed message to preserve
+                    // count+sum.
+                    let id = *latency.get_or_insert_with(|| {
+                        m.histogram_id("ninja_mpi_message_latency_seconds", &labels)
+                    });
+                    m.observe_n(id, stats.latency.mean(), stats.latency.count());
+                }
             }
         }
     }

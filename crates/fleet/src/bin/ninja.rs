@@ -529,9 +529,7 @@ fn fleet_run(
         .collect();
     let report =
         run_fleet(world, &mut guests, sched, &cfg).unwrap_or_else(|e| fail(args.what(), e));
-    for job in jobs.iter() {
-        world.record_wire_metrics(job);
-    }
+    world.record_wire_metrics(jobs.iter());
     report
 }
 
@@ -605,13 +603,13 @@ fn single_job_cmd(args: &Args) -> World {
         Cmd::Migrate | Cmd::Fallback | Cmd::Selfmig => {
             let to_ib = args.cmd == Cmd::Selfmig || args.cmd == Cmd::Migrate && args.to == To::Ib;
             let report = migrate(&mut world, if to_ib { &ib } else { &eth });
-            world.record_wire_metrics(&rt);
+            world.record_wire_metrics([&rt]);
             print_json_or_text(args.json, &report);
         }
         Cmd::Roundtrip => {
             let fallback = migrate(&mut world, &eth);
             let recovery = migrate(&mut world, &ib);
-            world.record_wire_metrics(&rt);
+            world.record_wire_metrics([&rt]);
             print_pair(
                 args.json,
                 ("fallback", &fallback),
@@ -630,7 +628,7 @@ fn single_job_cmd(args: &Args) -> World {
                 let report = migrate(&mut world, dsts);
                 print_report(|out| writeln!(out, "== {label} ==\n{report}\n"));
             }
-            world.record_wire_metrics(&rt);
+            world.record_wire_metrics([&rt]);
         }
         Cmd::Checkpoint => {
             let profile = MemoryProfile {
@@ -649,7 +647,7 @@ fn single_job_cmd(args: &Args) -> World {
             let rs = orch
                 .restart(&mut world, &mut rt, &handle, &store, &eth)
                 .unwrap_or_else(|e| fail(args.what(), e));
-            world.record_wire_metrics(&rt);
+            world.record_wire_metrics([&rt]);
             let s = SimDuration::as_secs_f64;
             print_pair(
                 args.json,
@@ -659,7 +657,7 @@ fn single_job_cmd(args: &Args) -> World {
                     "checkpoint: coordination {:.2}s detach {:.2}s save {:.2}s attach {:.2}s linkup {:.2}s (total {:.2}s)\n\
                      restart:    restore {:.2}s attach {:.2}s linkup {:.2}s -> {} (total {:.2}s)",
                     s(ck.coordination), s(ck.detach), s(ck.save), s(ck.attach), s(ck.linkup), s(ck.total()),
-                    s(rs.restore), s(rs.attach), s(rs.linkup), rs.transport_after.as_deref().unwrap_or("?"), s(rs.total())
+                    s(rs.restore), s(rs.attach), s(rs.linkup), rs.transport_after.unwrap_or("?"), s(rs.total())
                 ),
             );
         }

@@ -30,17 +30,26 @@
 //!   in ascending job index, the documented tie-break;
 //! * a machine's wake time changes only while it is being stepped, so
 //!   each running job has exactly one live heap entry; entries that
-//!   stopped matching `running[j].next_at` (the job finished or failed
-//!   meanwhile) are discarded lazily on pop.
+//!   stopped matching their slot's job and `next_at` (the job finished
+//!   or failed meanwhile) are discarded lazily on pop.
 //!
 //! The same reasoning keys recovery migrations by `(not_before, job)`,
 //! replacing the sort-every-iteration pending list. The engine's
 //! outputs are pinned bit-identical to the pre-optimization full-sweep
 //! loop by the digest table `tests/golden/matrix.sha256`, blessed while
 //! that loop still existed; `docs/fleet.md` has the complexity budget.
+//!
+//! # Per-job state
+//!
+//! Only in-flight migrations hold a [`MigrationMachine`]: they live in a
+//! slot array as long as the most migrations ever in flight at once (at
+//! most `concurrency`), and a finished job's slot is reused. A queued job
+//! costs its admission-queue entry and two bytes of bookkeeping. Every
+//! outcome lands in one vector, ordered once at the end.
 
 use crate::admission::{AdmissionController, QueuedJob};
 use crate::slo::{FleetReport, JobFailure, JobOutcome};
+use ninja_cluster::NodeId;
 use ninja_migration::{CloudScheduler, MigrationMachine, StepOutcome, TriggerReason, World};
 use ninja_sim::{Bandwidth, SeriesId, SimDuration, SimTime};
 use ninja_symvirt::{GuestCooperative, RetryPolicy};
@@ -121,7 +130,13 @@ impl fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {}
 
+/// An in-flight migration, in its slot.
 struct Running {
+    job: usize,
+    /// Which of the job's migrations this is (0 = the triggered one,
+    /// 1 = its automatic recovery): the `mig` coordinate fault specs
+    /// target.
+    mig: usize,
     machine: MigrationMachine,
     /// When the machine can next do work (its clock, or the wire-drain
     /// instant it reported).
@@ -192,29 +207,40 @@ pub fn run_fleet(
     let mut adm = AdmissionController::new(cfg.concurrency);
     let uplink = world.dc.migration_fabric.add_link(cfg.uplink);
     let first_trigger = scheduler.next_at();
-    let mut running: Vec<Option<Running>> = (0..jobs.len()).map(|_| None).collect();
-    // Several outcomes per job: the triggered migration, plus the
-    // automatic recovery migration when the first one degraded.
-    let mut outcomes: Vec<Vec<JobOutcome>> = (0..jobs.len()).map(|_| Vec::new()).collect();
+    // In-flight migrations by slot; `free` lists the empty slots.
+    let mut running: Vec<Option<Running>> = Vec::new();
+    let mut free: Vec<usize> = Vec::new();
+    // Every outcome of the run: one per job, plus one per automatic
+    // recovery migration. Ordered by `(job, is_recovery)` at the end.
+    let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(jobs.len());
     let mut failures: Vec<JobFailure> = Vec::new();
     let mut externally_triggered = vec![false; jobs.len()];
+    // Jobs whose triggered migration (`mig` 0) has finished or failed.
+    let mut first_done = 0usize;
     // How many migrations each job has started — the `mig` coordinate
     // fault specs target (0 = the triggered one, 1 = recovery).
-    let mut mig_count = vec![0usize; jobs.len()];
-    // Machine wake queue: one live entry per running job, keyed by its
-    // `next_at`. Entries left behind by a job that finished or failed
-    // are discarded lazily (they no longer match `running[j].next_at`).
-    let mut wake: BinaryHeap<Reverse<(SimTime, usize)>> = BinaryHeap::new();
+    let mut mig_count = vec![0u8; jobs.len()];
+    // Machine wake queue: one live entry `(next_at, job, slot)` per
+    // running job. Entries left behind by a job that finished or failed
+    // are discarded lazily (their slot no longer holds that job at that
+    // `next_at`).
+    let mut wake: BinaryHeap<Reverse<(SimTime, usize, usize)>> = BinaryHeap::new();
+    let live = |running: &[Option<Running>], (t, j, slot): (SimTime, usize, usize)| {
+        running[slot]
+            .as_ref()
+            .is_some_and(|r| r.job == j && r.next_at == t)
+    };
     // Recovery migrations waiting for the world clock to reach the
-    // instant their degraded predecessor finished (causal order). At
-    // most one per job, so the heap carries `(not_before, job)` and the
-    // payload lives in a per-job slot.
-    let mut recovery_q: BinaryHeap<Reverse<(SimTime, usize)>> = BinaryHeap::new();
-    let mut recovery_slot: Vec<Option<QueuedJob>> = (0..jobs.len()).map(|_| None).collect();
+    // instant their degraded predecessor finished (causal order), keyed
+    // `(not_before, job)` with their destinations. At most one per job,
+    // so the key is unique and the heap never compares destinations.
+    let mut recovery_q: BinaryHeap<Reverse<(SimTime, usize, Vec<NodeId>)>> = BinaryHeap::new();
     let mut queue_depth = TransitionGauge::new("ninja_fleet_queue_depth");
     let mut inflight = TransitionGauge::new("ninja_fleet_inflight_migrations");
-    // Resolved at the first admission, like the gauges' ids.
+    // Resolved at the first admission (and the first finish under a
+    // recorder), like the gauges' ids.
     let mut queue_wait: Option<SeriesId> = None;
+    let mut deadline_misses: Option<SeriesId> = None;
     // Same-instant spin bound: a correct loop makes progress (clock
     // advance, admission, or completion) long before this.
     let mut spins = 0u32;
@@ -253,11 +279,15 @@ pub fn run_fleet(
         }
         while recovery_q
             .peek()
-            .is_some_and(|&Reverse((t, _))| t <= world.clock())
+            .is_some_and(|Reverse((t, _, _))| *t <= world.clock())
         {
-            let Reverse((_, j)) = recovery_q.pop().expect("peeked");
-            let q = recovery_slot[j].take().expect("queued recovery");
-            adm.enqueue(q);
+            let Reverse((not_before, job, dsts)) = recovery_q.pop().expect("peeked");
+            adm.enqueue(QueuedJob {
+                job,
+                dsts,
+                triggered_at: not_before,
+                reason: TriggerReason::Recovery,
+            });
         }
         // 2. Admit while slots are free.
         while let Some(q) = adm.admit() {
@@ -266,24 +296,37 @@ pub fn run_fleet(
             let id = *queue_wait
                 .get_or_insert_with(|| m.histogram_id("ninja_fleet_queue_wait_seconds", &[]));
             m.observe_n(id, wait.as_secs_f64(), 1);
+            let mig = usize::from(mig_count[q.job]);
+            mig_count[q.job] += 1;
             let machine = MigrationMachine::new(
                 cfg.monitor.clone(),
-                jobs[q.job].vms(),
+                jobs[q.job].vms().to_vec(),
                 q.dsts,
                 world.clock(),
             )
-            .with_fault_target(q.job, mig_count[q.job])
+            .with_fault_target(q.job, mig)
             .with_retry(cfg.retry)
             .with_uplink(uplink);
-            mig_count[q.job] += 1;
-            running[q.job] = Some(Running {
+            let r = Running {
+                job: q.job,
+                mig,
                 machine,
                 next_at: world.clock(),
                 triggered_at: q.triggered_at,
                 started_at: world.clock(),
                 reason: q.reason,
-            });
-            wake.push(Reverse((world.clock(), q.job)));
+            };
+            let slot = match free.pop() {
+                Some(slot) => {
+                    running[slot] = Some(r);
+                    slot
+                }
+                None => {
+                    running.push(Some(r));
+                    running.len() - 1
+                }
+            };
+            wake.push(Reverse((world.clock(), q.job, slot)));
         }
         queue_depth.set(world, adm.depth() as f64);
         inflight.set(world, adm.inflight() as f64);
@@ -296,22 +339,25 @@ pub fn run_fleet(
         let mut freed_slot = false;
         while wake
             .peek()
-            .is_some_and(|&Reverse((t, _))| t <= world.clock())
+            .is_some_and(|&Reverse((t, _, _))| t <= world.clock())
         {
-            let Reverse((t, j)) = wake.pop().expect("peeked");
-            if !running[j].as_ref().is_some_and(|r| r.next_at == t) {
+            let Reverse(entry) = wake.pop().expect("peeked");
+            if !live(&running, entry) {
                 continue; // stale: the job finished, failed, or moved
             }
-            while running[j]
+            let (_, j, slot) = entry;
+            while running[slot]
                 .as_ref()
                 .is_some_and(|r| r.next_at <= world.clock())
             {
-                let r = running[j].as_mut().expect("checked above");
+                let r = running[slot].as_mut().expect("checked above");
                 match r.machine.step(world, &mut *jobs[j]) {
                     Err(e) => {
                         // This job is done for; the fleet is not. Record
                         // the failure, free the slot, keep going.
-                        let r = running[j].take().expect("was running");
+                        let r = running[slot].take().expect("was running");
+                        free.push(slot);
+                        first_done += usize::from(r.mig == 0);
                         failures.push(JobFailure {
                             job: j,
                             reason: r.reason,
@@ -333,7 +379,9 @@ pub fn run_fleet(
                         break;
                     }
                     Ok(StepOutcome::Done(report)) => {
-                        let r = running[j].take().expect("was running");
+                        let r = running[slot].take().expect("was running");
+                        free.push(slot);
+                        first_done += usize::from(r.mig == 0);
                         let finished = r.machine.now();
                         let turnaround = finished.since(r.triggered_at);
                         let degraded = report.degraded;
@@ -343,17 +391,17 @@ pub fn run_fleet(
                             // recorder stay byte-identical: burn-rate
                             // alert rules need the series to exist (at
                             // 0) from the first miss-free scrape on.
-                            world.metrics.describe(
-                                "ninja_fleet_deadline_misses_total",
-                                "Jobs whose trigger-to-resume turnaround exceeded the deadline",
-                            );
-                            world.metrics.inc(
-                                "ninja_fleet_deadline_misses_total",
-                                &[],
-                                missed as u64,
-                            );
+                            let m = &mut world.metrics;
+                            let id = *deadline_misses.get_or_insert_with(|| {
+                                m.describe(
+                                    "ninja_fleet_deadline_misses_total",
+                                    "Jobs whose trigger-to-resume turnaround exceeded the deadline",
+                                );
+                                m.counter_id("ninja_fleet_deadline_misses_total", &[])
+                            });
+                            m.add(id, missed as u64);
                         }
-                        outcomes[j].push(JobOutcome {
+                        outcomes.push(JobOutcome {
                             job: j,
                             reason: r.reason,
                             triggered_at: r.triggered_at,
@@ -379,22 +427,16 @@ pub fn run_fleet(
                                 "Automatic recovery migrations after degraded jobs",
                             );
                             world.metrics.inc("ninja_recovery_migrations_total", &[], 1);
-                            recovery_q.push(Reverse((finished, j)));
-                            recovery_slot[j] = Some(QueuedJob {
-                                job: j,
-                                dsts,
-                                triggered_at: finished,
-                                reason: TriggerReason::Recovery,
-                            });
+                            recovery_q.push(Reverse((finished, j, dsts)));
                         }
                         adm.release();
                         freed_slot = true;
                     }
                 }
             }
-            if let Some(r) = running[j].as_ref() {
+            if let Some(r) = running[slot].as_ref() {
                 debug_assert!(r.next_at > world.clock(), "stepped until not due");
-                wake.push(Reverse((r.next_at, j)));
+                wake.push(Reverse((r.next_at, j, slot)));
             }
         }
         if freed_slot && adm.depth() > 0 {
@@ -404,21 +446,21 @@ pub fn run_fleet(
         // 4. Jump to the next event. Discard stale wake entries until
         //    the top one is live; it is then the earliest machine wake
         //    (every running job keeps exactly one live entry).
-        while let Some(&Reverse((t, j))) = wake.peek() {
-            if running[j].as_ref().is_some_and(|r| r.next_at == t) {
+        while let Some(&Reverse(entry)) = wake.peek() {
+            if live(&running, entry) {
                 break;
             }
             wake.pop();
         }
         let mut t_next = SimTime::MAX;
-        if let Some(&Reverse((t, _))) = wake.peek() {
+        if let Some(&Reverse((t, _, _))) = wake.peek() {
             t_next = t_next.min(t);
         }
         if let Some(t) = scheduler.next_at() {
             t_next = t_next.min(t);
         }
-        if let Some(&Reverse((t, _))) = recovery_q.peek() {
-            t_next = t_next.min(t);
+        if let Some(Reverse((t, _, _))) = recovery_q.peek() {
+            t_next = t_next.min(*t);
         }
         if t_next == SimTime::MAX {
             break;
@@ -441,16 +483,11 @@ pub fn run_fleet(
         world.advance_to(t_next);
     }
 
-    // Nothing left to do but what is due at `SimTime::MAX`: every job
-    // must have reached the report, as an outcome or a failure.
-    let mut reported: Vec<bool> = outcomes.iter().map(|o| !o.is_empty()).collect();
-    for f in &failures {
-        reported[f.job] = true;
-    }
-    let unfinished = scheduler.len()
-        + (0..jobs.len())
-            .filter(|&j| externally_triggered[j] && !reported[j])
-            .count();
+    // Nothing left to do but what is due at `SimTime::MAX`: every
+    // triggered job must have reached the report, as an outcome or a
+    // failure of its first migration.
+    let triggered = externally_triggered.iter().filter(|&&t| t).count();
+    let unfinished = scheduler.len() + (triggered - first_done);
     if unfinished > 0 {
         return Err(FleetError::Unfinished(unfinished));
     }
@@ -476,15 +513,17 @@ pub fn run_fleet(
         .map(|a| a.incidents().to_vec())
         .unwrap_or_default();
 
-    let jobs_done: Vec<JobOutcome> = outcomes.into_iter().flatten().collect();
+    // A job's triggered migration, then its recovery (keys are unique:
+    // one of each at most).
+    outcomes.sort_unstable_by_key(|o| (o.job, o.reason == TriggerReason::Recovery));
     let started = first_trigger.unwrap_or(world.clock());
-    let makespan = jobs_done
+    let makespan = outcomes
         .iter()
         .map(|j| j.finished_at)
         .fold(started, SimTime::max)
         .since(started);
     Ok(FleetReport {
-        jobs: jobs_done,
+        jobs: outcomes,
         makespan,
         concurrency: cfg.concurrency,
         peak_queue_depth: adm.peak_depth(),

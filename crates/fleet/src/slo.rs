@@ -130,42 +130,72 @@ pub struct FleetReport {
 /// smallest value such that at least `q`% of samples are ≤ it; zero
 /// for no samples.
 pub fn percentile(values: &[SimDuration], q: f64) -> SimDuration {
-    if values.is_empty() {
-        return SimDuration::ZERO;
-    }
     let mut sorted = values.to_vec();
     sorted.sort_unstable();
+    nearest_rank(&sorted, q)
+}
+
+/// [`percentile`] of samples already sorted ascending.
+fn nearest_rank(sorted: &[SimDuration], q: f64) -> SimDuration {
+    if sorted.is_empty() {
+        return SimDuration::ZERO;
+    }
     let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// A report's blackout and queue-wait samples, gathered in one pass
+/// over the jobs and sorted once each, for every percentile the JSON and
+/// text outputs print.
+struct Distributions {
+    blackout: Vec<SimDuration>,
+    queue_wait: Vec<SimDuration>,
+}
+
+impl Distributions {
+    fn of(jobs: &[JobOutcome]) -> Self {
+        let mut blackout = Vec::with_capacity(jobs.len());
+        let mut queue_wait = Vec::with_capacity(jobs.len());
+        for j in jobs {
+            blackout.push(j.blackout());
+            queue_wait.push(j.queue_wait());
+        }
+        blackout.sort_unstable();
+        queue_wait.sort_unstable();
+        Distributions {
+            blackout,
+            queue_wait,
+        }
+    }
+
+    fn blackout(&self, q: f64) -> SimDuration {
+        nearest_rank(&self.blackout, q)
+    }
+
+    fn queue_wait(&self, q: f64) -> SimDuration {
+        nearest_rank(&self.queue_wait, q)
+    }
+}
+
 impl FleetReport {
-    fn blackouts(&self) -> Vec<SimDuration> {
-        self.jobs.iter().map(JobOutcome::blackout).collect()
-    }
-
-    fn waits(&self) -> Vec<SimDuration> {
-        self.jobs.iter().map(JobOutcome::queue_wait).collect()
-    }
-
     /// Median application blackout.
     pub fn p50_blackout(&self) -> SimDuration {
-        percentile(&self.blackouts(), 50.0)
+        Distributions::of(&self.jobs).blackout(50.0)
     }
 
     /// Tail application blackout.
     pub fn p99_blackout(&self) -> SimDuration {
-        percentile(&self.blackouts(), 99.0)
+        Distributions::of(&self.jobs).blackout(99.0)
     }
 
     /// Median queue wait.
     pub fn p50_queue_wait(&self) -> SimDuration {
-        percentile(&self.waits(), 50.0)
+        Distributions::of(&self.jobs).queue_wait(50.0)
     }
 
     /// Tail queue wait.
     pub fn p99_queue_wait(&self) -> SimDuration {
-        percentile(&self.waits(), 99.0)
+        Distributions::of(&self.jobs).queue_wait(99.0)
     }
 
     /// Jobs that blew their deadline.
@@ -200,17 +230,16 @@ impl FleetReport {
     /// Jobs that degraded to TCP and whose recovery migration then
     /// restored a non-degraded transport.
     pub fn recovered_jobs(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| j.degraded())
-            .filter(|d| {
-                self.jobs
-                    .iter()
-                    .any(|r| r.job == d.job && r.reason == TriggerReason::Recovery && !r.degraded())
-            })
-            .map(|j| j.job)
-            .collect::<std::collections::BTreeSet<_>>()
-            .len()
+        let mut degraded = std::collections::BTreeSet::new();
+        let mut restored = std::collections::BTreeSet::new();
+        for j in &self.jobs {
+            if j.degraded() {
+                degraded.insert(j.job);
+            } else if j.reason == TriggerReason::Recovery {
+                restored.insert(j.job);
+            }
+        }
+        degraded.intersection(&restored).count()
     }
 
     /// CSV export, one row per job.
@@ -244,10 +273,11 @@ impl WriteJson for FleetReport {
         w.field("jobs", &self.jobs.len())?;
         w.field("concurrency", &self.concurrency)?;
         w.field("makespan_s", &self.makespan)?;
-        w.field("p50_blackout_s", &self.p50_blackout())?;
-        w.field("p99_blackout_s", &self.p99_blackout())?;
-        w.field("p50_queue_wait_s", &self.p50_queue_wait())?;
-        w.field("p99_queue_wait_s", &self.p99_queue_wait())?;
+        let d = Distributions::of(&self.jobs);
+        w.field("p50_blackout_s", &d.blackout(50.0))?;
+        w.field("p99_blackout_s", &d.blackout(99.0))?;
+        w.field("p50_queue_wait_s", &d.queue_wait(50.0))?;
+        w.field("p99_queue_wait_s", &d.queue_wait(99.0))?;
         w.field("peak_queue_depth", &self.peak_queue_depth)?;
         w.field("total_wire_bytes", &self.total_wire_bytes())?;
         w.field("deadline_s", &self.deadline)?;
@@ -283,17 +313,18 @@ impl fmt::Display for FleetReport {
             self.concurrency
         )?;
         writeln!(f, "  makespan     {:>9.2}s", self.makespan.as_secs_f64())?;
+        let d = Distributions::of(&self.jobs);
         writeln!(
             f,
             "  blackout     {:>9.2}s p50   {:>9.2}s p99",
-            self.p50_blackout().as_secs_f64(),
-            self.p99_blackout().as_secs_f64()
+            d.blackout(50.0).as_secs_f64(),
+            d.blackout(99.0).as_secs_f64()
         )?;
         writeln!(
             f,
             "  queue wait   {:>9.2}s p50   {:>9.2}s p99",
-            self.p50_queue_wait().as_secs_f64(),
-            self.p99_queue_wait().as_secs_f64()
+            d.queue_wait(50.0).as_secs_f64(),
+            d.queue_wait(99.0).as_secs_f64()
         )?;
         writeln!(f, "  peak queue depth {}", self.peak_queue_depth)?;
         writeln!(
@@ -310,11 +341,12 @@ impl fmt::Display for FleetReport {
             )?,
             None => write!(f, "  deadline     none")?,
         }
-        if self.degraded_jobs() > 0 {
+        let degraded = self.degraded_jobs();
+        if degraded > 0 {
             write!(
                 f,
                 "\n  degraded     {} job(s) fell back to TCP, {} recovered to IB",
-                self.degraded_jobs(),
+                degraded,
                 self.recovered_jobs()
             )?;
         }
@@ -411,8 +443,8 @@ mod tests {
             SimDuration::ZERO,
             SimDuration::ZERO,
             Bytes::from_gib(1),
-            Some("openib".into()),
-            Some("tcp".into()),
+            Some("openib"),
+            Some("tcp"),
             true,
             1,
         );

@@ -1,0 +1,78 @@
+//! The heap allocations one more job costs `run_fleet`.
+//!
+//! A counting global allocator wraps the system one for this test
+//! binary alone (the library crates stay `forbid(unsafe_code)`). The
+//! test counts the allocations of `run_fleet` alone (not the scenario
+//! build) on fault-free one-VM evacuations of 256 and 1024 jobs at
+//! concurrency 4, with the trace off as `ninja fleet` runs without a
+//! trace flag. Fixed costs (the run's arrays, the fabric's first flows)
+//! cancel in the difference, so the slope is what each job adds: its
+//! migration machine, its streams, its transports and its outcome.
+
+use ninja_fleet::{build_auto, run_fleet, FleetConfig, ScenarioKind, ScenarioSpec};
+use ninja_sim::{SimDuration, Trace};
+use ninja_symvirt::GuestCooperative;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations `run_fleet` makes on a fault-free evacuation of `jobs`
+/// one-VM jobs at concurrency 4.
+fn run_fleet_allocations(jobs: usize) -> usize {
+    let spec = ScenarioSpec {
+        kind: ScenarioKind::Evacuation,
+        jobs,
+        vms_per_job: 1,
+        arrival: SimDuration::from_secs(20),
+        seed: 1,
+    };
+    let mut s = build_auto(&spec, Trace::disabled()).expect("scenario fits");
+    let cfg = FleetConfig {
+        concurrency: 4,
+        ..FleetConfig::default()
+    };
+    let mut guests: Vec<&mut dyn GuestCooperative> = s
+        .jobs
+        .iter_mut()
+        .map(|j| j as &mut dyn GuestCooperative)
+        .collect();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let report = run_fleet(&mut s.world, &mut guests, s.scheduler, &cfg).expect("fleet run");
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(report.jobs.len(), jobs, "every job migrated once");
+    assert!(report.failures.is_empty());
+    allocations
+}
+
+#[test]
+fn each_job_costs_at_most_six_allocations() {
+    let small = run_fleet_allocations(256);
+    let large = run_fleet_allocations(1024);
+    let per_job = (large - small) as f64 / 768.0;
+    assert!(
+        per_job <= 6.0,
+        "{per_job:.2} allocations per job ({small} at 256 jobs, {large} at 1024)"
+    );
+}

@@ -11,7 +11,7 @@ use ninja_migration::{NinjaReport, TriggerReason};
 use ninja_sim::{AlertIncident, Bytes, SimDuration, SimTime, WriteJson};
 use std::path::Path;
 
-fn migration(mig_s: u64, before: Option<&str>, after: Option<&str>) -> NinjaReport {
+fn migration(mig_s: u64, before: Option<&'static str>, after: Option<&'static str>) -> NinjaReport {
     NinjaReport::new(
         SimDuration::from_millis(5),
         SimDuration::from_nanos(2_800_000_001),
@@ -19,8 +19,8 @@ fn migration(mig_s: u64, before: Option<&str>, after: Option<&str>) -> NinjaRepo
         SimDuration::from_nanos(100),
         SimDuration::ZERO,
         Bytes::from_gib(3) + Bytes::new(7),
-        before.map(str::to_string),
-        after.map(str::to_string),
+        before,
+        after,
         true,
         2,
     )

@@ -56,9 +56,7 @@ fn run(
             .collect();
         run_fleet(&mut s.world, &mut dyn_jobs, s.scheduler, &cfg).expect("fleet run")
     };
-    for job in &s.jobs {
-        s.world.record_wire_metrics(job);
-    }
+    s.world.record_wire_metrics(&s.jobs);
     s.world.finish_recorder();
     (s.world, report)
 }

@@ -70,6 +70,11 @@ struct Link {
     load: u32,
 }
 
+/// The most links a flow's path may cross: a migration stream crosses
+/// its source port, a WAN pipe, its destination port and a fleet's
+/// uplink at most.
+pub const MAX_PATH: usize = 4;
+
 #[derive(Debug, Clone)]
 struct Flow {
     /// The flow id (entries are kept in ascending-id order).
@@ -79,8 +84,16 @@ struct Flow {
     /// Rate cap in bytes/sec (the sender's CPU bound), already clamped
     /// to the smallest capacity on the path.
     cap: f64,
-    /// The links crossed.
-    path: Box<[LinkId]>,
+    /// The links crossed, inline: the first `len` entries.
+    links: [LinkId; MAX_PATH],
+    len: u8,
+}
+
+impl Flow {
+    /// The links the flow crosses.
+    fn path(&self) -> &[LinkId] {
+        &self.links[..usize::from(self.len)]
+    }
 }
 
 /// A set of links whose concurrent flows split capacity max-min fairly.
@@ -169,12 +182,12 @@ impl Fabric {
         self.active.len()
     }
 
-    /// Open a flow of `bytes` at `now` over `path`, optionally capped to
-    /// `rate` (e.g. the CPU-bound migration sender). A flow with an empty
-    /// path (a loopback transfer) must carry a cap: nothing else bounds
-    /// it. Opening a flow in the past relative to the fabric's clock is
-    /// an error in the caller's event ordering, so the arrival is clamped
-    /// to the fabric clock.
+    /// Open a flow of `bytes` at `now` over `path` (at most [`MAX_PATH`]
+    /// links), optionally capped to `rate` (e.g. the CPU-bound migration
+    /// sender). A flow with an empty path (a loopback transfer) must
+    /// carry a cap: nothing else bounds it. Opening a flow in the past
+    /// relative to the fabric's clock is an error in the caller's event
+    /// ordering, so the arrival is clamped to the fabric clock.
     pub fn open(
         &mut self,
         now: SimTime,
@@ -186,6 +199,7 @@ impl Fabric {
             rate.is_some() || !path.is_empty(),
             "a loopback flow needs a rate cap"
         );
+        assert!(path.len() <= MAX_PATH, "a path of at most {MAX_PATH} links");
         self.advance_to(now);
         let id = FlowId(self.opened.len() as u64);
         self.opened.push(self.now);
@@ -206,11 +220,14 @@ impl Fabric {
         for &l in path {
             self.links[l.0 as usize].load += 1;
         }
+        let mut links = [LinkId(0); MAX_PATH];
+        links[..path.len()].copy_from_slice(path);
         self.active.push(Flow {
             id,
             remaining: size,
             cap,
-            path: path.into(),
+            links,
+            len: path.len() as u8,
         });
         self.rates_valid = false;
         self.next_cache = None;
@@ -231,7 +248,7 @@ impl Fabric {
         let shared = |l: &&LinkId| links[l.0 as usize].load > 1;
         self.touched.clear();
         for f in &self.active {
-            for l in f.path.iter().filter(shared) {
+            for l in f.path().iter().filter(shared) {
                 let l = l.0 as usize;
                 self.touched.push(l);
                 self.budget[l] = links[l].capacity;
@@ -254,7 +271,7 @@ impl Fabric {
             for &i in &self.left {
                 let f = &self.active[i];
                 let level = f
-                    .path
+                    .path()
                     .iter()
                     .filter(shared)
                     .map(|l| self.share[l.0 as usize])
@@ -267,7 +284,7 @@ impl Fabric {
                 for &i in &self.round {
                     let f = &self.active[i];
                     self.rates[i] = f.cap;
-                    for l in f.path.iter().filter(shared) {
+                    for l in f.path().iter().filter(shared) {
                         self.budget[l.0 as usize] -= f.cap;
                         self.unfrozen[l.0 as usize] -= 1;
                     }
@@ -296,7 +313,7 @@ impl Fabric {
             let (active, budget, unfrozen) = (&self.active, &mut self.budget, &mut self.unfrozen);
             let rates = &mut self.rates;
             self.left.retain(|&i| {
-                let path = &active[i].path;
+                let path = active[i].path();
                 if !path.contains(&bottleneck) {
                     return true;
                 }
@@ -370,7 +387,7 @@ impl Fabric {
                 self.active.retain(|f| {
                     if f.remaining <= DRAIN_EPSILON {
                         completed[f.id.0 as usize] = Some(now);
-                        for l in f.path.iter() {
+                        for l in f.path() {
                             links[l.0 as usize].load -= 1;
                         }
                         false

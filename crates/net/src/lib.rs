@@ -31,7 +31,7 @@ pub mod transport;
 
 pub use calib::TransportCalib;
 pub use eth::{EthKind, EthNic};
-pub use fair::{Fabric, FlowId, LinkId};
+pub use fair::{Fabric, FlowId, LinkId, MAX_PATH};
 pub use ib::{IbError, IbFabric, IbHca, Lid, MrKey, QpNum, QueuePair};
 pub use link::{LinkFsm, LinkState};
 pub use switch::Switch;

@@ -26,15 +26,22 @@ pub enum TransportKind {
     SelfLoop,
 }
 
-impl std::fmt::Display for TransportKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl TransportKind {
+    /// The Open MPI BTL name of the transport (`tcp`, `openib`, `sm`,
+    /// `self`), as reports and metric labels print it.
+    pub fn name(self) -> &'static str {
+        match self {
             TransportKind::Tcp => "tcp",
             TransportKind::OpenIb => "openib",
             TransportKind::SharedMemory => "sm",
             TransportKind::SelfLoop => "self",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for TransportKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -142,9 +142,23 @@ pub fn write_f64<W: Write + ?Sized>(v: f64, out: &mut W) -> fmt::Result {
         out.write_char('0')
     } else if let Some(n) = whole_nanos(v.abs()) {
         let mut buf = [0u8; 24];
-        out.write_str(nanos_decimal(v < 0.0, n, &mut buf))
+        let i = nanos_decimal(v < 0.0, n, &mut buf);
+        out.write_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"))
     } else {
         write!(out, "{v}")
+    }
+}
+
+/// Appends `v` to `out` with [`write_f64`]'s rules.
+fn push_f64(out: &mut Vec<u8>, v: f64) {
+    if !v.is_finite() {
+        out.extend_from_slice(b"null");
+    } else if v == 0.0 {
+        out.push(b'0');
+    } else if let Some(n) = whole_nanos(v.abs()) {
+        push_nanos(out, v < 0.0, n);
+    } else {
+        io::Write::write_fmt(out, format_args!("{v}")).expect("writing to a Vec cannot fail");
     }
 }
 
@@ -165,7 +179,8 @@ fn whole_nanos(a: f64) -> Option<u64> {
 /// Renders `n` nanoseconds as seconds into the tail of `buf`: the whole
 /// part, then a point and the fraction with its trailing zeros trimmed
 /// (no point when the fraction is 0), with a leading `-` if `negative`.
-fn nanos_decimal(negative: bool, n: u64, buf: &mut [u8; 24]) -> &str {
+/// Returns the index of the first byte.
+fn nanos_decimal(negative: bool, n: u64, buf: &mut [u8; 24]) -> usize {
     let mut i = buf.len();
     let mut frac = n % 1_000_000_000;
     if frac != 0 {
@@ -187,7 +202,14 @@ fn nanos_decimal(negative: bool, n: u64, buf: &mut [u8; 24]) -> &str {
         i -= 1;
         buf[i] = b'-';
     }
-    std::str::from_utf8(&buf[i..]).expect("ASCII digits")
+    i
+}
+
+/// Appends `n` nanoseconds to `out` as exact decimal seconds.
+fn push_nanos(out: &mut Vec<u8>, negative: bool, n: u64) {
+    let mut buf = [0u8; 24];
+    let i = nanos_decimal(negative, n, &mut buf);
+    out.extend_from_slice(&buf[i..]);
 }
 
 /// Writes `v` in decimal into `buf`, ending just before `end`; returns
@@ -203,35 +225,6 @@ fn put_digits(buf: &mut [u8], mut end: usize, mut v: u64) -> usize {
     }
 }
 
-/// Writes `s` as a quoted JSON string with full RFC 8259 escaping. Runs
-/// of characters that need no escape are written in one piece.
-pub fn write_escaped<W: Write + ?Sized>(s: &str, out: &mut W) -> fmt::Result {
-    out.write_char('"')?;
-    let mut start = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let escape = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0x08 => "\\b",
-            0x0c => "\\f",
-            0..=0x1f => "",
-            _ => continue,
-        };
-        out.write_str(&s[start..i])?;
-        if escape.is_empty() {
-            write!(out, "\\u{b:04x}")?;
-        } else {
-            out.write_str(escape)?;
-        }
-        start = i + 1;
-    }
-    out.write_str(&s[start..])?;
-    out.write_char('"')
-}
-
 /// The bytes a JSON string escapes: control characters, `"` and `\\`.
 static ESCAPED: [bool; 256] = {
     let mut table = [false; 256];
@@ -245,24 +238,89 @@ static ESCAPED: [bool; 256] = {
     table
 };
 
-/// Appends `s` to `out` as a quoted JSON string, escaped exactly as
-/// [`write_escaped`] does. A string with nothing to escape (the common
-/// case) is pushed whole, without going through `fmt`.
-pub(crate) fn push_escaped(out: &mut String, s: &str) {
-    if s.bytes().any(|b| ESCAPED[usize::from(b)]) {
-        write_escaped(s, out).expect("writing to a String cannot fail");
-    } else {
-        out.push('"');
-        out.push_str(s);
-        out.push('"');
+/// `\u00XX` for each control character.
+static CONTROL: [[u8; 6]; 0x20] = {
+    let hex = b"0123456789abcdef";
+    let mut table = [*b"\\u0000"; 0x20];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b][4] = hex[b >> 4];
+        table[b][5] = hex[b & 0xf];
+        b += 1;
+    }
+    table
+};
+
+/// What a JSON string holds in place of byte `b`, one of [`ESCAPED`].
+fn escape(b: u8) -> &'static [u8] {
+    match b {
+        b'"' => b"\\\"",
+        b'\\' => b"\\\\",
+        b'\n' => b"\\n",
+        b'\r' => b"\\r",
+        b'\t' => b"\\t",
+        0x08 => b"\\b",
+        0x0c => b"\\f",
+        _ => &CONTROL[usize::from(b)],
     }
 }
 
+/// Writes `s` as a quoted JSON string with full RFC 8259 escaping. Runs
+/// of characters that need no escape are written in one piece.
+pub fn write_escaped<W: Write + ?Sized>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if ESCAPED[usize::from(b)] {
+            out.write_str(&s[start..i])?;
+            out.write_str(std::str::from_utf8(escape(b)).expect("ASCII escape"))?;
+            start = i + 1;
+        }
+    }
+    out.write_str(&s[start..])?;
+    out.write_char('"')
+}
+
+/// Appends `s` to `out` as a quoted JSON string, escaped exactly as
+/// [`write_escaped`] does. A string with nothing to escape (the common
+/// case) is pushed whole.
+pub(crate) fn push_escaped(out: &mut Vec<u8>, s: &str) {
+    let bytes = s.as_bytes();
+    out.reserve(bytes.len() + 2);
+    out.push(b'"');
+    if bytes.iter().any(|&b| ESCAPED[usize::from(b)]) {
+        let mut start = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            if ESCAPED[usize::from(b)] {
+                out.extend_from_slice(&bytes[start..i]);
+                out.extend_from_slice(escape(b));
+                start = i + 1;
+            }
+        }
+        out.extend_from_slice(&bytes[start..]);
+    } else {
+        out.extend_from_slice(bytes);
+    }
+    out.push(b'"');
+}
+
 /// Appends `v` to `out` in decimal, without going through `fmt`.
-pub(crate) fn push_u64(out: &mut String, v: u64) {
+pub(crate) fn push_u64(out: &mut Vec<u8>, v: u64) {
     let mut digits = [0u8; 20];
     let i = put_digits(&mut digits, 20, v);
-    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+    out.extend_from_slice(&digits[i..]);
+}
+
+/// `v` in decimal, rendered into `buf`.
+pub(crate) fn u64_decimal(v: u64, buf: &mut [u8; 20]) -> &str {
+    let i = put_digits(buf, 20, v);
+    std::str::from_utf8(&buf[i..]).expect("ASCII digits")
+}
+
+/// Hands a rendered chunk to `out`. The chunk holds whole UTF-8 strings
+/// and ASCII only, so it is checked once here rather than per piece.
+pub(crate) fn hand_off<W: Write + ?Sized>(chunk: &[u8], out: &mut W) -> fmt::Result {
+    out.write_str(std::str::from_utf8(chunk).expect("chunks hold whole UTF-8 strings"))
 }
 
 /// Writes string pairs as a compact JSON object, `{"k":"v",...}`.
@@ -293,7 +351,7 @@ pub(crate) const CHUNK: usize = 64 * 1024;
 
 /// Two spaces per level for [`JsonWriter`]'s pretty form, pushed as one
 /// slice up to 32 levels deep.
-const INDENT: &str = "                                                                ";
+const INDENT: &[u8] = b"                                                                ";
 
 /// A streaming JSON writer, compact or pretty (two-space indent): the
 /// workspace's one JSON formatter. [`Json`]'s `Display` and
@@ -306,15 +364,17 @@ const INDENT: &str = "                                                          
 /// print as `[]` and `{}` in both forms. The writer keeps no stack:
 /// closing a container always leaves its parent with at least one item.
 ///
-/// The writer renders into a local chunk without going through `fmt`
-/// (apart from floats that are not a whole number of nanoseconds, see
-/// [`write_f64`]) and hands the sink a piece each time the chunk
-/// reaches 64 KiB, and the rest when a top-level value is complete.
-/// Sink errors surface from the call that hands over a piece.
+/// The writer renders bytes into a local chunk, allocated once at its
+/// full size, without going through `fmt` (apart from floats that are
+/// not a whole number of nanoseconds, see [`write_f64`]). It hands the
+/// sink a piece each time the chunk reaches 64 KiB, and the rest when a
+/// top-level value is complete; each piece is checked as UTF-8 once, on
+/// the way out. Sink errors surface from the call that hands over a
+/// piece.
 pub struct JsonWriter<'a, W: Write + ?Sized> {
     out: &'a mut W,
     /// Rendered text not yet handed to `out`.
-    buf: String,
+    buf: Vec<u8>,
     pretty: bool,
     depth: usize,
     /// Nothing written yet in the innermost open container.
@@ -328,7 +388,7 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
     pub fn compact(out: &'a mut W) -> Self {
         JsonWriter {
             out,
-            buf: String::new(),
+            buf: Vec::with_capacity(CHUNK + CHUNK / 8),
             pretty: false,
             depth: 0,
             empty: true,
@@ -347,11 +407,11 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
 
     fn newline(&mut self) {
         if self.pretty {
-            self.buf.push('\n');
+            self.buf.push(b'\n');
             let mut n = 2 * self.depth;
             while n > 0 {
                 let k = n.min(INDENT.len());
-                self.buf.push_str(&INDENT[..k]);
+                self.buf.extend_from_slice(&INDENT[..k]);
                 n -= k;
             }
         }
@@ -365,7 +425,7 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
             return;
         }
         if !std::mem::take(&mut self.empty) {
-            self.buf.push(',');
+            self.buf.push(b',');
         }
         self.newline();
     }
@@ -374,13 +434,13 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
     /// once the top-level value is complete.
     fn done(&mut self) -> fmt::Result {
         if self.depth == 0 || self.buf.len() >= CHUNK {
-            self.out.write_str(&self.buf)?;
+            hand_off(&self.buf, self.out)?;
             self.buf.clear();
         }
         Ok(())
     }
 
-    fn open(&mut self, c: char) -> fmt::Result {
+    fn open(&mut self, c: u8) -> fmt::Result {
         self.item();
         self.buf.push(c);
         self.depth += 1;
@@ -388,7 +448,7 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
         Ok(())
     }
 
-    fn close(&mut self, c: char) -> fmt::Result {
+    fn close(&mut self, c: u8) -> fmt::Result {
         self.depth -= 1;
         if !std::mem::replace(&mut self.empty, false) {
             self.newline();
@@ -399,29 +459,30 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
 
     /// Opens an object.
     pub fn begin_object(&mut self) -> fmt::Result {
-        self.open('{')
+        self.open(b'{')
     }
 
     /// Closes the innermost object.
     pub fn end_object(&mut self) -> fmt::Result {
-        self.close('}')
+        self.close(b'}')
     }
 
     /// Opens an array.
     pub fn begin_array(&mut self) -> fmt::Result {
-        self.open('[')
+        self.open(b'[')
     }
 
     /// Closes the innermost array.
     pub fn end_array(&mut self) -> fmt::Result {
-        self.close(']')
+        self.close(b']')
     }
 
     /// Writes an object key; the next value written is its value.
     pub fn key(&mut self, key: &str) -> fmt::Result {
         self.item();
         push_escaped(&mut self.buf, key);
-        self.buf.push_str(if self.pretty { ": " } else { ":" });
+        self.buf
+            .extend_from_slice(if self.pretty { b": " } else { b":" });
         self.after_key = true;
         Ok(())
     }
@@ -433,20 +494,20 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
     }
 
     /// Writes a literal token.
-    fn token(&mut self, text: &str) -> fmt::Result {
+    fn token(&mut self, text: &[u8]) -> fmt::Result {
         self.item();
-        self.buf.push_str(text);
+        self.buf.extend_from_slice(text);
         self.done()
     }
 
     /// Writes `null`.
     pub fn null(&mut self) -> fmt::Result {
-        self.token("null")
+        self.token(b"null")
     }
 
     /// Writes `true` or `false`.
     pub fn bool(&mut self, v: bool) -> fmt::Result {
-        self.token(if v { "true" } else { "false" })
+        self.token(if v { b"true" } else { b"false" })
     }
 
     /// Writes an unsigned integer.
@@ -460,7 +521,7 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
     pub fn i64(&mut self, v: i64) -> fmt::Result {
         self.item();
         if v < 0 {
-            self.buf.push('-');
+            self.buf.push(b'-');
         }
         push_u64(&mut self.buf, v.unsigned_abs());
         self.done()
@@ -469,7 +530,7 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
     /// Writes a float with [`write_f64`]'s rules.
     pub fn f64(&mut self, v: f64) -> fmt::Result {
         self.item();
-        write_f64(v, &mut self.buf)?;
+        push_f64(&mut self.buf, v);
         self.done()
     }
 
@@ -553,8 +614,9 @@ impl WriteJson for f64 {
 /// trailing zeros trimmed, never through a float.
 impl WriteJson for SimDuration {
     fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
-        let mut buf = [0u8; 24];
-        w.token(nanos_decimal(false, self.as_nanos(), &mut buf))
+        w.item();
+        push_nanos(&mut w.buf, false, self.as_nanos());
+        w.done()
     }
 }
 
@@ -574,6 +636,12 @@ impl WriteJson for str {
 impl WriteJson for String {
     fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
         w.str(self)
+    }
+}
+
+impl<T: WriteJson + ?Sized> WriteJson for &T {
+    fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
+        (**self).write_json(w)
     }
 }
 

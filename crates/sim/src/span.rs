@@ -32,7 +32,7 @@
 //! an exported file ([`spans_from_chrome`](crate::spans_from_chrome))
 //! are looked up by content. Either way one text gets one id.
 
-use crate::export::push_u64;
+use crate::export::u64_decimal;
 use crate::time::{SimDuration, SimTime};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -328,8 +328,7 @@ impl<'a> SpanLabels<'a> {
     pub fn label_u64(mut self, key: &'static str, value: u64) -> Self {
         if let Some(store) = self.store.as_deref_mut() {
             store.push_label(Cow::Borrowed(key), |text| {
-                push_u64(text, value);
-                Ok(())
+                text.write_str(u64_decimal(value, &mut [0; 20]))
             });
         }
         self

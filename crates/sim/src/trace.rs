@@ -12,7 +12,7 @@
 //! keep the newest entries, with evictions counted in
 //! [`Trace::dropped`].
 
-use crate::export::{push_escaped, push_u64, render, Json, CHUNK};
+use crate::export::{hand_off, push_escaped, push_u64, render, Json, CHUNK};
 use crate::span::{SpanLabels, SpanRef, SpanStore};
 use crate::time::{SimDuration, SimTime};
 use std::borrow::Cow;
@@ -224,55 +224,56 @@ impl Trace {
     /// is sorted. Timestamps are microseconds of simulated time; each
     /// component renders as its own track (`tid`).
     ///
-    /// Events are rendered into a local chunk without `fmt` (integers
-    /// through `push_u64`, strings through `push_escaped`) and handed to
+    /// Events are rendered as bytes into a local chunk without `fmt`
+    /// (integers through `push_u64`, strings through `push_escaped`,
+    /// the helpers [`JsonWriter`](crate::JsonWriter) uses) and handed to
     /// `out` about `CHUNK` bytes at a time.
     pub fn write_chrome_json<W: Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
-        let mut buf = String::with_capacity(CHUNK + 1024);
-        buf.push_str("{\"traceEvents\":[");
-        let mut sep = "";
+        let mut buf = Vec::with_capacity(CHUNK + 1024);
+        buf.extend_from_slice(b"{\"traceEvents\":[");
+        let mut sep: &[u8] = b"";
         let spans = self.spans.iter().map(|s| (s, false));
         for (s, instant) in spans.chain(self.instants.iter().map(|s| (s, true))) {
-            buf.push_str(sep);
-            sep = ",";
-            buf.push_str("{\"name\":");
+            buf.extend_from_slice(sep);
+            sep = b",";
+            buf.extend_from_slice(b"{\"name\":");
             push_escaped(&mut buf, s.name());
-            buf.push_str(",\"cat\":");
+            buf.extend_from_slice(b",\"cat\":");
             push_escaped(&mut buf, s.component());
-            buf.push_str(if instant {
-                ",\"ph\":\"i\",\"ts\":"
+            buf.extend_from_slice(if instant {
+                b",\"ph\":\"i\",\"ts\":"
             } else {
-                ",\"ph\":\"X\",\"ts\":"
+                b",\"ph\":\"X\",\"ts\":"
             });
             push_u64(&mut buf, s.start().as_nanos() / 1_000);
             if !instant {
-                buf.push_str(",\"dur\":");
+                buf.extend_from_slice(b",\"dur\":");
                 push_u64(&mut buf, s.duration().as_nanos() / 1_000);
             }
-            buf.push_str(",\"pid\":1,\"tid\":");
+            buf.extend_from_slice(b",\"pid\":1,\"tid\":");
             push_escaped(&mut buf, s.component());
             if instant {
-                buf.push_str(",\"s\":\"t\"");
+                buf.extend_from_slice(b",\"s\":\"t\"");
             }
-            let mut open = ",\"args\":{";
+            let mut open: &[u8] = b",\"args\":{";
             for (k, v) in s.labels() {
-                buf.push_str(open);
-                open = ",";
+                buf.extend_from_slice(open);
+                open = b",";
                 push_escaped(&mut buf, k);
-                buf.push(':');
+                buf.push(b':');
                 push_escaped(&mut buf, v);
             }
             if s.labels().len() > 0 {
-                buf.push('}');
+                buf.push(b'}');
             }
-            buf.push('}');
+            buf.push(b'}');
             if buf.len() >= CHUNK {
-                out.write_str(&buf)?;
+                hand_off(&buf, out)?;
                 buf.clear();
             }
         }
-        buf.push_str("]}");
-        out.write_str(&buf)
+        buf.extend_from_slice(b"]}");
+        hand_off(&buf, out)
     }
 
     /// Reconstruct per-migration critical paths from this trace's

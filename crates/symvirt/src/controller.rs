@@ -16,25 +16,17 @@
 //! not the sum — that is why the paper's overhead is flat in the number
 //! of VMs (Fig. 8: "the total overhead is identical as the number of
 //! process per VM increases").
+//!
+//! The controller keeps no log of its agents' actions. Its one record
+//! is each VM's interval per phase ([`VmSpan`], drained with
+//! [`Controller::take_spans`]), which a migration turns off when its
+//! world records no trace.
 
 use crate::error::SymVirtError;
 use ninja_cluster::{DataCenter, NodeId};
 use ninja_net::{Fabric, FlowId, LinkId};
 use ninja_sim::{SimDuration, SimRng, SimTime};
 use ninja_vmm::{MonitorCommand, MonitorReply, PrecopyPlan, QemuMonitor, VmId, VmPool, VmState};
-
-/// One agent's record of a completed action (for the controller's log).
-#[derive(Debug, Clone)]
-pub struct AgentAction {
-    /// The vm.
-    pub vm: VmId,
-    /// The action.
-    pub action: String,
-    /// The started.
-    pub started: SimTime,
-    /// The duration.
-    pub duration: SimDuration,
-}
 
 /// Result of a parallel device phase.
 #[derive(Debug, Clone)]
@@ -85,8 +77,9 @@ pub type VmSpan = (&'static str, VmId, SimTime, SimTime);
 pub struct Controller {
     hostlist: Vec<VmId>,
     monitor: QemuMonitor,
-    log: Vec<AgentAction>,
     spans: Vec<VmSpan>,
+    /// Whether `spans` records (see [`Controller::record_spans`]).
+    recording: bool,
     hotplug_leaked: u64,
     closed: bool,
     /// Agents whose QEMU monitor connection has dropped (failure
@@ -101,18 +94,27 @@ impl Controller {
         Controller {
             hostlist,
             monitor,
-            log: Vec::new(),
             spans: Vec::new(),
+            recording: true,
             hotplug_leaked: 0,
             closed: false,
             failed_agents: std::collections::BTreeSet::new(),
         }
     }
 
-    /// Record a per-VM phase interval alongside the script-style action
-    /// log.
+    /// Record a per-VM phase interval: the controller's one record of
+    /// what its agents did.
     fn record_vm_span(&mut self, phase: &'static str, vm: VmId, started: SimTime, end: SimTime) {
-        self.spans.push((phase, vm, started, end));
+        if self.recording {
+            self.spans.push((phase, vm, started, end));
+        }
+    }
+
+    /// Whether to record per-VM phase intervals (on by default). A
+    /// migration in a world whose trace is off turns it off: nothing
+    /// would read the spans.
+    pub fn record_spans(&mut self, on: bool) {
+        self.recording = on;
     }
 
     /// Drain the per-VM phase intervals accumulated since the last call
@@ -150,14 +152,9 @@ impl Controller {
         self.failed_agents.clear();
     }
 
-    /// Returns the hostlist.
+    /// The VMs this controller drives, in hostlist order.
     pub fn hostlist(&self) -> &[VmId] {
         &self.hostlist
-    }
-
-    /// Returns the log.
-    pub fn log(&self) -> &[AgentAction] {
-        &self.log
     }
 
     /// Returns the monitor.
@@ -222,7 +219,7 @@ impl Controller {
             let reply = self.monitor.execute(
                 MonitorCommand::DeviceDel {
                     vm,
-                    tag: tag.clone(),
+                    tag,
                     force: false,
                 },
                 pool,
@@ -238,12 +235,6 @@ impl Controller {
                 max = max.max(duration);
                 self.hotplug_leaked += leaked as u64;
                 self.record_vm_span("detach", vm, now, now + duration);
-                self.log.push(AgentAction {
-                    vm,
-                    action: format!("device_del {tag}"),
-                    started: now,
-                    duration,
-                });
             }
         }
         Ok(DevicePhase {
@@ -289,12 +280,6 @@ impl Controller {
                 max = max.max(duration);
                 link_max = Some(link_max.map_or(link_active_at, |m| m.max(link_active_at)));
                 self.record_vm_span("attach", vm, now, now + duration);
-                self.log.push(AgentAction {
-                    vm,
-                    action: "device_add ib-hca".into(),
-                    started: now,
-                    duration,
-                });
             }
         }
         Ok(DevicePhase {
@@ -328,15 +313,24 @@ impl Controller {
             return Err(SymVirtError::EmptyHostlist);
         }
         self.wait_all(pool)?;
-        let mut plans = Vec::with_capacity(self.hostlist.len());
+        // Every VM is checked and planned before any stream opens; the
+        // flows are filled in below.
+        let mut pending = Vec::with_capacity(self.hostlist.len());
         for (i, &vm) in self.hostlist.iter().enumerate() {
             let dst = dsts[i % dsts.len()];
             let cmd = MonitorCommand::Migrate { vm, dst };
             match self.monitor.execute(cmd, pool, dc, now, rng, true) {
-                Ok(MonitorReply::MigrationStarted { plan }) => plans.push((vm, dst, plan)),
+                Ok(MonitorReply::MigrationStarted { plan }) => pending.push(PendingMigration {
+                    vm,
+                    dst,
+                    plan,
+                    started: now,
+                    flow: FlowId(0),
+                    latency: SimDuration::ZERO,
+                }),
                 failed => {
-                    for &(vm, dst, _) in plans.iter().rev() {
-                        pool.cancel_migration(vm, dst, dc);
+                    for p in pending.iter().rev() {
+                        pool.cancel_migration(p.vm, p.dst, dc);
                     }
                     let err = failed.expect_err("`migrate` replies MigrationStarted");
                     return Err(err.into());
@@ -344,28 +338,17 @@ impl Controller {
             }
         }
         let sender_cap = self.monitor.config().sender_cap();
-        let pending = plans
-            .into_iter()
-            .map(|(vm, dst, plan)| {
-                let src = pool.get(vm).node;
-                let (flow, latency) =
-                    dc.open_migration(src, dst, plan.wire_bytes(), sender_cap, via, now);
-                PendingMigration {
-                    vm,
-                    dst,
-                    plan,
-                    started: now,
-                    flow,
-                    latency,
-                }
-            })
-            .collect();
+        for p in &mut pending {
+            let src = pool.get(p.vm).node;
+            (p.flow, p.latency) =
+                dc.open_migration(src, p.dst, p.plan.wire_bytes(), sender_cap, via, now);
+        }
         Ok(pending)
     }
 
     /// Land every VM of `pending` once all their streams have drained
     /// on the migration fabric: each lands on its destination at
-    /// [`PendingMigration::lands_at`], with its span and log entry.
+    /// [`PendingMigration::lands_at`], with its span.
     /// Returns the last landing instant (`None`, landing nothing, while
     /// any stream is still on the wire).
     pub fn migration_land(
@@ -384,12 +367,6 @@ impl Controller {
             pool.complete_migration(p.vm, p.dst, dc);
             pool.get_mut(p.vm).last_migration = Some((p.plan.wire_bytes().get(), took));
             self.record_vm_span("migration", p.vm, p.started, landed);
-            self.log.push(AgentAction {
-                vm: p.vm,
-                action: format!("migrate -> {}", dc.node(p.dst).hostname),
-                started: p.started,
-                duration: took,
-            });
         }
         Some(last)
     }
@@ -483,7 +460,7 @@ mod tests {
         // One IB detach is ~2.8 s; four in parallel must not be ~11 s.
         let d = phase.duration.as_secs_f64();
         assert!((2.7..3.3).contains(&d), "parallel detach {d}");
-        assert_eq!(ctl.log().len(), 4);
+        assert_eq!(ctl.take_spans().len(), 4, "one detach span per VM");
         for vm in pool.iter() {
             assert_eq!(vm.passthrough(&dc.devices).next(), None);
         }

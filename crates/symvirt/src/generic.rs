@@ -12,10 +12,16 @@
 //! Ninja-migrated. The MPI runtime implements it (via CRCP + CRS); so
 //! does [`SocketService`], a model of an ordinary request/response
 //! service, demonstrating the mechanism on a non-MPI application.
+//!
+//! The contract lends rather than copies: [`GuestCooperative::vms`]
+//! borrows the application's VM list, and
+//! [`GuestCooperative::transport_label`] names the transport with a
+//! static string, so asking costs a migration no allocation.
 
 use crate::error::SymVirtError;
 use ninja_cluster::DataCenter;
 use ninja_mpi::{CommEnv, ContinueOutcome, Crcp, MpiRuntime};
+use ninja_net::TransportKind;
 use ninja_sim::{SimDuration, SimTime};
 use ninja_vmm::{VmId, VmPool};
 
@@ -38,8 +44,9 @@ pub enum ResumeOutcome {
 /// The guest-side cooperation contract SymVirt needs from an
 /// application, independent of its communication middleware.
 pub trait GuestCooperative {
-    /// The VMs hosting the application.
-    fn vms(&self) -> Vec<VmId>;
+    /// The VMs hosting the application, borrowed: a migration copies
+    /// the list once, into its controller's hostlist.
+    fn vms(&self) -> &[VmId];
 
     /// Bring the distributed application to a globally consistent state
     /// and release every device-pinned resource (QPs, MRs, ...), so the
@@ -64,13 +71,14 @@ pub trait GuestCooperative {
         now: SimTime,
     ) -> Result<ResumeOutcome, SymVirtError>;
 
-    /// A short label of the transport currently in use (reporting).
-    fn transport_label(&self) -> Option<String>;
+    /// A short label of the transport currently in use (reporting),
+    /// `None` when the application uses several.
+    fn transport_label(&self) -> Option<&'static str>;
 }
 
 impl GuestCooperative for MpiRuntime {
-    fn vms(&self) -> Vec<VmId> {
-        self.layout().vms().to_vec()
+    fn vms(&self) -> &[VmId] {
+        self.layout().vms()
     }
 
     fn prepare_for_blackout(
@@ -116,8 +124,8 @@ impl GuestCooperative for MpiRuntime {
         }
     }
 
-    fn transport_label(&self) -> Option<String> {
-        self.uniform_network_kind().map(|k| k.to_string())
+    fn transport_label(&self) -> Option<&'static str> {
+        self.uniform_network_kind().map(TransportKind::name)
     }
 }
 
@@ -164,8 +172,8 @@ impl SocketService {
 }
 
 impl GuestCooperative for SocketService {
-    fn vms(&self) -> Vec<VmId> {
-        self.vms.clone()
+    fn vms(&self) -> &[VmId] {
+        &self.vms
     }
 
     fn prepare_for_blackout(
@@ -197,8 +205,8 @@ impl GuestCooperative for SocketService {
         Ok(ResumeOutcome::Kept)
     }
 
-    fn transport_label(&self) -> Option<String> {
-        Some("tcp".into())
+    fn transport_label(&self) -> Option<&'static str> {
+        Some("tcp")
     }
 }
 
@@ -242,7 +250,7 @@ mod tests {
         rt.init(&pool, &mut dc, ready).unwrap();
         let app: &mut dyn GuestCooperative = &mut rt;
         assert_eq!(app.vms(), vms);
-        assert_eq!(app.transport_label().as_deref(), Some("openib"));
+        assert_eq!(app.transport_label(), Some("openib"));
         let report = app.prepare_for_blackout(&pool, &mut dc, ready).unwrap();
         assert!(report.duration.as_secs_f64() < 0.1);
         assert!(app.needs_link_wait());

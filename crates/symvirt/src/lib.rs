@@ -23,7 +23,7 @@ pub mod error;
 pub mod faults;
 pub mod generic;
 
-pub use controller::{AgentAction, Controller, DevicePhase, PendingMigration, VmSpan};
+pub use controller::{Controller, DevicePhase, PendingMigration, VmSpan};
 pub use coordinator::{CoordReport, Coordinator};
 pub use error::SymVirtError;
 pub use faults::{FaultKind, FaultPhase, FaultPlan, FaultSpec, Injected, RetryPolicy};

@@ -79,10 +79,7 @@ fn main() {
     let transitions = |from: &str, to: &str| {
         moves
             .iter()
-            .filter(|m| {
-                m.transport_before.as_deref() == Some(from)
-                    && m.transport_after.as_deref() == Some(to)
-            })
+            .filter(|m| m.transport_before == Some(from) && m.transport_after == Some(to))
             .count()
     };
 

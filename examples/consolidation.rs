@@ -45,8 +45,8 @@ fn main() {
     println!(
         "  packing cost: {:.1}s ({} -> {})",
         pack.total().as_secs_f64(),
-        pack.transport_before.as_deref().unwrap_or("?"),
-        pack.transport_after.as_deref().unwrap_or("?")
+        pack.transport_before.unwrap_or("?"),
+        pack.transport_after.unwrap_or("?")
     );
 
     // Morning: spread back over the InfiniBand hosts.

@@ -49,8 +49,8 @@ fn main() {
         let note = match &it.migration {
             Some(m) => format!(
                 "<- Ninja migration ({} -> {})",
-                m.transport_before.as_deref().unwrap_or("?"),
-                m.transport_after.as_deref().unwrap_or("?")
+                m.transport_before.unwrap_or("?"),
+                m.transport_after.unwrap_or("?")
             ),
             None => String::new(),
         };

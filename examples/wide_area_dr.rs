@@ -100,14 +100,14 @@ fn main() {
         "  back online in {:.1}s (restore {:.2}s, transport {})",
         rs.total().as_secs_f64(),
         rs.restore.as_secs_f64(),
-        rs.transport_after.as_deref().unwrap_or("?")
+        rs.transport_after.unwrap_or("?")
     );
     println!(
         "  work since the checkpoint is lost; the live path preserves it\n   at the cost of {:.1}s of WAN-bound downtime.",
         live.total().as_secs_f64()
     );
 
-    assert_eq!(rs.transport_after.as_deref(), Some("tcp"));
+    assert_eq!(rs.transport_after, Some("tcp"));
     assert!(
         live.migration.as_secs_f64() > 60.0,
         "WAN-bound evacuation is slow"

@@ -58,16 +58,16 @@ fn migrations_fire_exactly_at_plan_steps() {
 #[test]
 fn transport_sequence_is_ib_tcp_ib_tcp() {
     let rec = run_scenario(1, 3);
-    let transitions: Vec<(Option<String>, Option<String>)> = rec
+    let transitions: Vec<(Option<&str>, Option<&str>)> = rec
         .migrations()
-        .map(|m| (m.transport_before.clone(), m.transport_after.clone()))
+        .map(|m| (m.transport_before, m.transport_after))
         .collect();
     assert_eq!(
         transitions,
         vec![
-            (Some("openib".into()), Some("tcp".into())),
-            (Some("tcp".into()), Some("openib".into())),
-            (Some("openib".into()), Some("tcp".into())),
+            (Some("openib"), Some("tcp")),
+            (Some("tcp"), Some("openib")),
+            (Some("openib"), Some("tcp")),
         ]
     );
 }
