@@ -9,19 +9,21 @@
 //! [`NinjaOrchestrator::checkpoint`] runs the same choreography as a
 //! migration with `savevm` in place of `migrate`: quiesce → release IB
 //! → SymVirt wait → detach → snapshot every VM to NFS → re-attach →
-//! signal → rebuild BTL modules. [`NinjaOrchestrator::restart`] brings
+//! signal → rebuild BTL modules. The freeze is the migration's own
+//! ([`ninja_symvirt::freeze`]), and the thaw is the one abort recovery
+//! and restart use too. [`NinjaOrchestrator::restart`] brings
 //! a checkpointed job back on a (possibly different-interconnect)
 //! cluster: restore the images, re-attach HCAs where available, resume,
 //! and let the MPI restart path rebuild connections.
 
 use crate::orchestrator::NinjaOrchestrator;
-use crate::stepper::record_vm_spans;
+use crate::stepper::thaw;
 use crate::world::World;
 use ninja_cluster::NodeId;
 use ninja_mpi::MpiRuntime;
 use ninja_net::TransportKind;
 use ninja_sim::{JsonWriter, SimDuration, SimTime, WriteJson};
-use ninja_symvirt::{Controller, Coordinator, SymVirtError};
+use ninja_symvirt::{freeze, Controller, GuestCooperative, SymVirtError};
 use ninja_vmm::{SnapshotId, SnapshotStore, VmId};
 use std::fmt;
 
@@ -118,17 +120,13 @@ impl NinjaOrchestrator {
         rt: &mut MpiRuntime,
         store: &mut SnapshotStore,
     ) -> Result<(CheckpointHandle, CheckpointReport), SymVirtError> {
-        let vms = Coordinator::vms_of(rt);
         let t_start = world.clock();
 
         // Guest side: consistent state, IB released, VMs paused.
-        let env = world.comm_env();
-        let now = world.clock();
-        let coord =
-            Coordinator.checkpoint_and_wait(rt, &env, &mut world.pool, &mut world.dc, now)?;
-        world.advance(coord.total());
+        let coordination = freeze(rt, &mut world.pool, &mut world.dc, t_start)?.duration;
+        world.advance(coordination);
 
-        let mut ctl = Controller::new(vms.clone(), self.monitor().clone());
+        let mut ctl = Controller::new(rt.vms().to_vec(), self.monitor().clone());
         ctl.wait_all(&world.pool)?;
 
         // Detach passthrough devices: qcow2 snapshots cannot capture a
@@ -146,10 +144,10 @@ impl NinjaOrchestrator {
 
         // savevm on every VM in parallel: phase cost = max.
         let mut save_max = SimDuration::ZERO;
-        let mut snapshots = Vec::with_capacity(vms.len());
+        let mut snapshots = Vec::with_capacity(ctl.hostlist().len());
         let taken_at = world.clock();
-        for &vm in &vms {
-            let (id, dur) = store.save(world.pool.get(vm), world.clock());
+        for &vm in ctl.hostlist() {
+            let (id, dur) = store.save(world.pool.get(vm), taken_at);
             snapshots.push(id);
             save_max = save_max.max(dur);
         }
@@ -162,30 +160,13 @@ impl NinjaOrchestrator {
             .label_u64("stored_bytes", store.stored_bytes().get());
 
         // Re-attach, resume, wait out link training, rebuild modules.
+        let (attach, linkup) = thaw(world, ctl, rt.needs_link_wait())?;
         let now = world.clock();
-        let attach =
-            ctl.device_attach(&mut world.pool, &mut world.dc, now, &mut world.rng, false)?;
-        world.advance(attach.duration);
-        ctl.signal(&mut world.pool)?;
-        ctl.close();
-
-        let mut linkup = SimDuration::ZERO;
-        if rt.needs_reconstruction() {
-            if let Some(active_at) = attach.link_active_at {
-                if active_at > world.clock() {
-                    linkup = active_at.since(world.clock());
-                    world.advance_to(active_at);
-                }
-            }
-        }
-        let now = world.clock();
-        Coordinator.continue_callback(rt, &world.pool, &mut world.dc, now)?;
-        record_vm_spans(world, &ctl.take_spans());
-        let now = world.clock();
+        rt.resume_after_blackout(&world.pool, &mut world.dc, now)?;
         world
             .trace
             .add_span("ninja", "checkpoint", t_start, now)
-            .label_u64("vms", vms.len() as u64);
+            .label_u64("vms", snapshots.len() as u64);
         world.metrics.inc("ninja_checkpoints_total", &[], 1);
 
         let image_bytes: u64 = snapshots
@@ -199,10 +180,10 @@ impl NinjaOrchestrator {
                 procs_per_vm: rt.layout().procs_per_vm(),
             },
             CheckpointReport {
-                coordination: coord.total(),
+                coordination,
                 detach: detach.duration,
                 save: save_max,
-                attach: attach.duration,
+                attach,
                 linkup,
                 image_bytes,
             },
@@ -240,31 +221,17 @@ impl NinjaOrchestrator {
         }
         world.advance(restore_max);
 
-        // Attach HCAs where the destination has them, then resume.
-        let mut ctl = Controller::new(new_vms.clone(), self.monitor().clone());
+        // Attach HCAs where the destination has them, then resume. The
+        // restored runtime rebuilds every connection from the
+        // checkpointed state, so it always waits out link training.
+        let ctl = Controller::new(new_vms.clone(), self.monitor().clone());
         ctl.wait_all(&world.pool)?;
-        let now = world.clock();
-        let attach =
-            ctl.device_attach(&mut world.pool, &mut world.dc, now, &mut world.rng, false)?;
-        world.advance(attach.duration);
-        ctl.signal(&mut world.pool)?;
-        ctl.close();
-
-        // The restored runtime rebuilds from the checkpointed state.
+        let (attach, linkup) = thaw(world, ctl, true)?;
         rt.mark_restored_from_checkpoint();
-        let mut linkup = SimDuration::ZERO;
-        if let Some(active_at) = attach.link_active_at {
-            if active_at > world.clock() {
-                linkup = active_at.since(world.clock());
-                world.advance_to(active_at);
-            }
-        }
         let now = world.clock();
         rt.restart_on(new_vms.clone(), &world.pool, &mut world.dc, now)
             .map_err(SymVirtError::Runtime)?;
         let transport_after = rt.uniform_network_kind().map(TransportKind::name);
-        record_vm_spans(world, &ctl.take_spans());
-        let now = world.clock();
         let span = world
             .trace
             .add_span("ninja", "restart", t_start, now)
@@ -276,7 +243,7 @@ impl NinjaOrchestrator {
 
         Ok(RestartReport {
             restore: restore_max,
-            attach: attach.duration,
+            attach,
             linkup,
             transport_after,
             new_vms,

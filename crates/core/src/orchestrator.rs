@@ -21,7 +21,7 @@
 //! uplink does not bind.
 
 use crate::report::NinjaReport;
-use crate::stepper::{record_vm_spans, MigrationMachine, StepOutcome};
+use crate::stepper::{thaw, MigrationMachine, StepOutcome};
 use crate::world::World;
 use ninja_cluster::NodeId;
 use ninja_symvirt::{Controller, GuestCooperative, RetryPolicy, SymVirtError};
@@ -94,29 +94,17 @@ impl NinjaOrchestrator {
         app: &mut dyn GuestCooperative,
     ) -> Result<ninja_sim::SimDuration, SymVirtError> {
         let started = world.clock();
-        let mut ctl = Controller::new(app.vms().to_vec(), self.monitor.clone());
+        let ctl = Controller::new(app.vms().to_vec(), self.monitor.clone());
         // Only VMs still frozen participate; a half-signalled job is
         // not recoverable this way.
         ctl.wait_all(&world.pool)?;
-        let now = world.clock();
-        let attach =
-            ctl.device_attach(&mut world.pool, &mut world.dc, now, &mut world.rng, false)?;
-        world.advance(attach.duration);
-        ctl.signal(&mut world.pool)?;
-        record_vm_spans(world, &ctl.take_spans());
-        ctl.close();
-        if app.needs_link_wait() {
-            if let Some(active_at) = attach.link_active_at {
-                world.advance_to(active_at);
-            }
-        }
+        thaw(world, ctl, app.needs_link_wait())?;
         let now = world.clock();
         app.resume_after_blackout(&world.pool, &mut world.dc, now)?;
-        let now = world.clock();
         world
             .trace
             .add_span("ninja", "abort", started, now)
-            .label_u64("vms", ctl.hostlist().len() as u64);
+            .label_u64("vms", app.vms().len() as u64);
         world.metrics.inc("ninja_aborts_total", &[], 1);
         Ok(world.clock().since(started))
     }

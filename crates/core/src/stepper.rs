@@ -41,9 +41,9 @@ use crate::report::NinjaReport;
 use crate::world::World;
 use ninja_cluster::NodeId;
 use ninja_net::LinkId;
-use ninja_sim::{Bytes, MetricsRegistry, SeriesId, SimTime, Trace};
+use ninja_sim::{Bytes, MetricsRegistry, SeriesId, SimDuration, SimTime, Trace};
 use ninja_symvirt::{
-    Controller, FaultKind, FaultPhase, GuestCooperative, PendingMigration, ResumeOutcome,
+    freeze, Controller, FaultKind, FaultPhase, GuestCooperative, PendingMigration, ResumeOutcome,
     RetryPolicy, SymVirtError, VmSpan,
 };
 use ninja_vmm::{QemuMonitor, VmId, VmmError};
@@ -314,10 +314,7 @@ impl MigrationMachine {
                 self.preflight(world, FaultPhase::Coordination)?;
                 self.ctl.record_spans(world.trace.is_enabled());
                 self.transport_before = app.transport_label();
-                let prep = app.prepare_for_blackout(&world.pool, &mut world.dc, self.now)?;
-                for &vm in self.ctl.hostlist() {
-                    world.pool.pause(vm).map_err(SymVirtError::Vmm)?;
-                }
+                let prep = freeze(app, &mut world.pool, &mut world.dc, self.now)?;
                 self.now += prep.duration;
                 self.t_coord_end = self.now;
                 self.ctl.wait_all(&world.pool)?;
@@ -511,16 +508,38 @@ fn describe_migration_metrics(m: &mut MetricsRegistry) {
     );
 }
 
-/// Record a controller's per-VM phase intervals as `symvirt` spans
-/// labeled with the VM's name (the paths outside a full migration:
-/// abort recovery, checkpoint and restart).
-pub(crate) fn record_vm_spans(world: &mut World, spans: &[VmSpan]) {
-    for &(name, vm, start, end) in spans {
+/// The thaw of Fig. 4 outside a full migration (abort recovery,
+/// checkpoint and restart), with `ctl`'s guests waiting: re-attach HCAs
+/// where their current hosts have them, SymVirt signal, record the
+/// controller's per-VM intervals as `symvirt` spans labeled with the
+/// VM's name, close the controller and, under `link_wait`, wait out IB
+/// link training. Returns the attach and link-up durations; the
+/// application resumes after.
+pub(crate) fn thaw(
+    world: &mut World,
+    mut ctl: Controller,
+    link_wait: bool,
+) -> Result<(SimDuration, SimDuration), SymVirtError> {
+    let now = world.clock();
+    let attach = ctl.device_attach(&mut world.pool, &mut world.dc, now, &mut world.rng, false)?;
+    world.advance(attach.duration);
+    ctl.signal(&mut world.pool)?;
+    for (name, vm, start, end) in ctl.take_spans() {
         world
             .trace
             .add_span("symvirt", name, start, end)
             .label("vm", &world.pool.get(vm).name);
     }
+    ctl.close();
+    let mut linkup = SimDuration::ZERO;
+    if let Some(active_at) = attach
+        .link_active_at
+        .filter(|&t| link_wait && t > world.clock())
+    {
+        linkup = active_at.since(world.clock());
+        world.advance_to(active_at);
+    }
+    Ok((attach.duration, linkup))
 }
 
 /// Record the job-level phase spans, fill in per-VM spans for phases the

@@ -17,8 +17,9 @@
 //! trace back: per-span latencies, or each migration's blackout split
 //! over the Fig. 4 phases.
 //!
-//! Every run command takes every flag; each is declared once, in
-//! `FLAGS`, with its value's type and range:
+//! Every run command takes every flag but one pair (`checkpoint` runs no
+//! migration, so it refuses `--fault` and `--fault-seed`); each flag is
+//! declared once, in `FLAGS`, with its value's type and range:
 //!
 //! | flag | value |
 //! |---|---|
@@ -41,7 +42,8 @@
 //! count, the IB fabric's 65 534 LIDs). Fault kinds are `qmp-timeout`,
 //! `precopy-stall`, `precopy-abort`, `hotplug-attach` and
 //! `agent-disconnect`; faults retry with bounded exponential backoff in
-//! virtual time. Single-job commands are job 0, migration 0 to them.
+//! virtual time. To a fault plan, every migration of a single-job
+//! command is job 0, migration 0.
 //!
 //! Telemetry: `--trace-out` writes the run's spans as Chrome trace-event
 //! JSON; `--metrics-out` the metric registry as Prometheus text (JSON
@@ -371,6 +373,18 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, ArgError> {
             }
         }
     }
+    // A checkpoint runs no migration for a fault plan to strike.
+    if args.cmd == Cmd::Checkpoint {
+        if !args.faults.is_empty() {
+            return Err(ArgError::new("--fault", "does not apply to checkpoint"));
+        }
+        if args.fault_seed.is_some() {
+            return Err(ArgError::new(
+                "--fault-seed",
+                "does not apply to checkpoint",
+            ));
+        }
+    }
     if let Some(spec) = args.scenario_spec() {
         spec.auto_nodes()
             .map_err(|e| ArgError::new("fleet", format!("cannot be built: {e}")))?;
@@ -663,7 +677,7 @@ fn single_job_cmd(args: &Args) -> World {
         }
         _ => unreachable!("not a single-job command"),
     }
-    if args.trace && !matches!(args.cmd, Cmd::Fig8 | Cmd::Checkpoint) {
+    if args.trace {
         eprintln!("\n--- trace ---\n{}", world.trace.render());
     }
     world

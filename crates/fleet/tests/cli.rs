@@ -87,6 +87,36 @@ fn checkpoint_roundtrip() {
     );
 }
 
+/// `--trace` prints the trace to stderr for `checkpoint` too, and
+/// recording it leaves the report's bytes alone.
+#[test]
+fn checkpoint_prints_its_trace() {
+    let out = ninja()
+        .args([
+            "checkpoint",
+            "--vms",
+            "2",
+            "--footprint-gib",
+            "4",
+            "--json",
+            "--trace",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/checkpoint-vms2-footprint4.json"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        std::fs::read_to_string(fixture).unwrap(),
+        "checkpoint --json --trace bytes"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--- trace ---"), "{stderr}");
+}
+
 #[test]
 fn chrome_trace_written() {
     let dir = std::env::temp_dir().join("ninja-cli-test");
@@ -397,11 +427,12 @@ fn bad_fleet_flags_exit_nonzero() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("alert rule"));
 }
 
-/// Values that used to be truncated, wrapped or panicked on: each is a
-/// usage error (exit 2) whose first stderr line names the problem.
+/// Values that used to be truncated, wrapped, panicked on or ignored:
+/// each is a usage error (exit 2) whose first stderr line names the
+/// problem.
 #[test]
 fn out_of_range_flag_values_are_usage_errors() {
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["fleet", "--uplink-gbps", "inf"], "--uplink-gbps"),
         (&["migrate", "--procs", "4294967297"], "--procs"),
         (&["faults", "--max-retries", "4294967296"], "--max-retries"),
@@ -414,6 +445,9 @@ fn out_of_range_flag_values_are_usage_errors() {
             "--footprint-gib",
         ),
         (&["fleet", "--scenario", "bogus"], "rebalance or failover"),
+        // A checkpoint runs no migration for a fault plan to strike.
+        (&["checkpoint", "--fault", "qmp-timeout"], "--fault "),
+        (&["checkpoint", "--fault-seed", "3"], "--fault-seed "),
         // A scrape every nanosecond of a ~20 s run would not finish.
         (&["fleet", "--scrape-interval", "1e-9"], "at least 1 second"),
     ];

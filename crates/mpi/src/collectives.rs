@@ -43,10 +43,6 @@ impl Default for VmEnv {
 #[derive(Debug, Clone, Default)]
 pub struct CommEnv {
     per_vm: BTreeMap<u32, VmEnv>,
-    /// Extra multiplicative wire slowdown from fabric oversubscription
-    /// (see [`ninja_net::Switch::fabric_derate`]); 0.0 means "unset"
-    /// and reads as 1.0.
-    fabric_derate: f64,
 }
 
 impl CommEnv {
@@ -87,34 +83,12 @@ impl CommEnv {
                 },
             );
         }
-        CommEnv {
-            per_vm,
-            fabric_derate: 1.0,
-        }
+        CommEnv { per_vm }
     }
 
     /// Set one VM's environment explicitly (tests, what-if analyses).
     pub fn set(&mut self, vm: VmId, env: VmEnv) {
         self.per_vm.insert(vm.0, env);
-    }
-
-    /// Apply a fabric-wide derate (switch oversubscription). The AGC
-    /// testbed's switches are non-blocking, so `from_world` leaves this
-    /// at 1; larger modelled fabrics can set it from
-    /// [`ninja_net::Switch::fabric_derate`].
-    pub fn with_fabric_derate(mut self, derate: f64) -> Self {
-        assert!(derate >= 1.0 && derate.is_finite());
-        self.fabric_derate = derate;
-        self
-    }
-
-    /// The current fabric derate (>= 1).
-    pub fn fabric_derate(&self) -> f64 {
-        if self.fabric_derate < 1.0 {
-            1.0
-        } else {
-            self.fabric_derate
-        }
     }
 
     fn env(&self, vm: VmId) -> VmEnv {
@@ -164,7 +138,7 @@ impl MpiRuntime {
         let ea = env.env(va);
         let eb = env.env(vb);
         let contention = ea.cpu_contention.max(eb.cpu_contention);
-        let share = (ea.nic_share.max(eb.nic_share) as f64 * env.fabric_derate()).round() as u64;
+        let share = ea.nic_share.max(eb.nic_share);
         let model = match kind {
             TransportKind::OpenIb => ninja_net::models::openib(),
             // TCP between two IB-cluster VMs rides IPoIB; anywhere else
@@ -544,22 +518,6 @@ mod tests {
             on_ib.as_secs_f64() < 0.8 * on_eth.as_secs_f64(),
             "IPoIB {on_ib} vs virtio {on_eth}"
         );
-    }
-
-    #[test]
-    fn fabric_derate_slows_network_transfers() {
-        let (rt, env, _, _) = world(true, 4, 1);
-        let slow_env = env.clone().with_fabric_derate(4.0);
-        let data = Bytes::from_gib(1);
-        let fast = rt.bcast_time(Rank(0), data, &env);
-        let slow = rt.bcast_time(Rank(0), data, &slow_env);
-        assert!(
-            slow.as_secs_f64() > 3.0 * fast.as_secs_f64(),
-            "oversubscribed fabric: {fast} -> {slow}"
-        );
-        // Non-blocking switch derate of 1.0 is a no-op.
-        let same = rt.bcast_time(Rank(0), data, &env.clone().with_fabric_derate(1.0));
-        assert_eq!(same, fast);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   bookmark exchange / drain).
 //!
 //! The OPAL CRS "SELF component" callbacks of the paper are realized by
-//! the `ninja-symvirt` coordinator, which calls [`runtime::MpiRuntime::release_network`]
-//! in its checkpoint handler and [`runtime::MpiRuntime::continue_after`] in its
+//! `ninja-symvirt`'s `GuestCooperative` implementation for the runtime,
+//! which calls [`runtime::MpiRuntime::release_network`] in its checkpoint
+//! handler and [`runtime::MpiRuntime::continue_after`] in its
 //! continue/restart handler.
 
 #![forbid(unsafe_code)]

@@ -5,7 +5,7 @@
 //! are non-blocking at the paper's scale, which is why the evaluation
 //! never hits a fabric bottleneck — but a library user modelling larger
 //! or oversubscribed fabrics needs the general model: per-port rate, a
-//! backplane capacity, and the resulting per-flow derate when many
+//! backplane capacity, and the resulting per-flow bandwidth when many
 //! flows cross the fabric at once.
 
 use ninja_sim::Bandwidth;
@@ -99,17 +99,6 @@ impl Switch {
         let fair = self.backplane.scale(1.0 / flows as f64);
         self.port_bandwidth.min(fair)
     }
-
-    /// Multiplicative slowdown of a flow when `flows` cross the fabric
-    /// together (>= 1.0).
-    pub fn fabric_derate(&self, flows: u32) -> f64 {
-        let per = self.per_flow_bandwidth(flows);
-        if per.as_gbps() <= 0.0 {
-            f64::INFINITY
-        } else {
-            (self.port_bandwidth.as_gbps() / per.as_gbps()).max(1.0)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +109,8 @@ mod tests {
     fn paper_switches_are_nonblocking() {
         for sw in [Switch::mellanox_m3601q(), Switch::dell_m8024()] {
             assert!(sw.is_nonblocking(), "{} must be non-blocking", sw.name());
-            assert_eq!(sw.fabric_derate(sw.ports()), 1.0);
+            let line_rate = sw.port_bandwidth().as_gbps();
+            assert_eq!(sw.per_flow_bandwidth(sw.ports()).as_gbps(), line_rate);
         }
     }
 
@@ -136,8 +126,7 @@ mod tests {
         assert!(!sw.is_nonblocking());
         assert!((sw.oversubscription() - 2.0).abs() < 1e-9);
         // Up to 24 concurrent flows: line rate. At 48: half rate.
-        assert_eq!(sw.fabric_derate(24), 1.0);
-        assert!((sw.fabric_derate(48) - 2.0).abs() < 1e-9);
+        assert!((sw.per_flow_bandwidth(24).as_gbps() - 10.0).abs() < 1e-9);
         assert!((sw.per_flow_bandwidth(48).as_gbps() - 5.0).abs() < 1e-9);
     }
 
@@ -155,11 +144,11 @@ mod tests {
             Bandwidth::from_gbps(10.0),
             Bandwidth::from_gbps(80.0),
         );
-        let mut prev = 0.0;
+        let mut prev = f64::INFINITY;
         for flows in [1, 8, 16, 32, 64] {
-            let d = sw.fabric_derate(flows);
-            assert!(d >= prev);
-            prev = d;
+            let per = sw.per_flow_bandwidth(flows).as_gbps();
+            assert!(per <= prev);
+            prev = per;
         }
     }
 }

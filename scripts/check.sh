@@ -20,6 +20,9 @@ echo "== rustdoc (deny warnings) =="
 # private item fails here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+echo "== non-test lines (record only) =="
+bash scripts/loc.sh
+
 echo "== cargo test =="
 cargo test --workspace -q
 

@@ -148,11 +148,8 @@ fn agent_crash_before_signal_is_recoverable() {
     let vms = w.boot_ib_vms(2);
     let mut rt = w.start_job(vms.clone(), 1);
     // Guest side runs: quiesce, release, pause.
-    let env = w.comm_env();
     let now = w.clock();
-    ninja_symvirt::Coordinator
-        .checkpoint_and_wait(&mut rt, &env, &mut w.pool, &mut w.dc, now)
-        .unwrap();
+    ninja_symvirt::freeze(&mut rt, &mut w.pool, &mut w.dc, now).unwrap();
     let mut ctl = Controller::new(vms.clone(), QemuMonitor::default());
     ctl.wait_all(&w.pool).unwrap();
     let now = w.clock();

@@ -11,19 +11,15 @@
 
 use ninja_cluster::NodeId;
 use ninja_migration::World;
-use ninja_mpi::CommEnv;
 use ninja_net::TransportKind;
-use ninja_symvirt::{Controller, Coordinator};
+use ninja_symvirt::{freeze, Controller, GuestCooperative};
 use ninja_vmm::{QemuMonitor, VmState};
 
 /// One guest-side SymVirt round: quiesce + release + wait (what the
 /// coordinators do when the cloud scheduler delivers a trigger).
 fn guest_round(w: &mut World, rt: &mut ninja_mpi::MpiRuntime) {
-    let env = CommEnv::from_world(&w.pool, &w.dc);
     let now = w.clock();
-    Coordinator
-        .checkpoint_and_wait(rt, &env, &mut w.pool, &mut w.dc, now)
-        .expect("coordinators reach SymVirt wait");
+    freeze(rt, &mut w.pool, &mut w.dc, now).expect("coordinators reach SymVirt wait");
 }
 
 /// The script's blocking `ctl.migration(...)`: open every stream on the
@@ -48,8 +44,7 @@ fn migration(ctl: &mut Controller, w: &mut World, dsts: &[NodeId]) {
 /// is reachable.
 fn guest_continue(w: &mut World, rt: &mut ninja_mpi::MpiRuntime) {
     let now = w.clock();
-    Coordinator
-        .continue_callback(rt, &w.pool, &mut w.dc, now)
+    rt.resume_after_blackout(&w.pool, &mut w.dc, now)
         .expect("BTL modules come back");
 }
 
