@@ -13,13 +13,8 @@
 //! does [`SocketService`], a model of an ordinary request/response
 //! service, demonstrating the mechanism on a non-MPI application.
 //!
-//! [`freeze`] is the guest side of Fig. 4's freeze, shared by migration
-//! and checkpoint. In the paper a SymVirt coordinator lives inside each
-//! MPI process (`libsymvirt.so` via `LD_PRELOAD`), invoked through the
-//! Open MPI CRS SELF callbacks: CRCP brings the job to a consistent
-//! state, the pre-checkpoint callback releases InfiniBand, and the
-//! **SymVirt wait** hypercall pauses the VM. The per-process callbacks
-//! do the same thing in lockstep, so here they are one job-scoped call.
+//! [`freeze`](crate::coordinator::freeze) drives the contract's first
+//! half and then pauses each VM in SymVirt wait.
 //!
 //! The contract lends rather than copies: [`GuestCooperative::vms`]
 //! borrows the application's VM list, and
@@ -82,22 +77,6 @@ pub trait GuestCooperative {
     /// A short label of the transport currently in use (reporting),
     /// `None` when the application uses several.
     fn transport_label(&self) -> Option<&'static str>;
-}
-
-/// Freeze `app` at `now`: [`GuestCooperative::prepare_for_blackout`],
-/// then SymVirt wait pauses each of its VMs. Returns when all are
-/// paused; the report's duration is the guest-side coordination cost.
-pub fn freeze(
-    app: &mut dyn GuestCooperative,
-    pool: &mut VmPool,
-    dc: &mut DataCenter,
-    now: SimTime,
-) -> Result<PrepareReport, SymVirtError> {
-    let prep = app.prepare_for_blackout(pool, dc, now)?;
-    for &vm in app.vms() {
-        pool.pause(vm).map_err(SymVirtError::Vmm)?;
-    }
-    Ok(prep)
 }
 
 impl GuestCooperative for MpiRuntime {
@@ -238,9 +217,9 @@ impl GuestCooperative for SocketService {
 mod tests {
     use super::*;
     use ninja_cluster::{DataCenter, StorageId};
-    use ninja_mpi::{JobLayout, MpiConfig, Rank};
-    use ninja_sim::{Bytes, SimRng};
-    use ninja_vmm::{VmSpec, VmState};
+    use ninja_mpi::{JobLayout, MpiConfig};
+    use ninja_sim::SimRng;
+    use ninja_vmm::VmSpec;
 
     fn world() -> (DataCenter, VmPool, Vec<VmId>, SimTime) {
         let (mut dc, ib, _) = DataCenter::agc();
@@ -269,39 +248,17 @@ mod tests {
 
     #[test]
     fn mpi_runtime_implements_the_contract() {
-        let (mut dc, mut pool, vms, ready) = world();
+        let (mut dc, pool, vms, ready) = world();
         let mut rt = MpiRuntime::new(JobLayout::new(vms.clone(), 1), MpiConfig::default());
         rt.init(&pool, &mut dc, ready).unwrap();
-        let in_flight = SimDuration::from_millis(5);
-        rt.record_send(Rank(0), Rank(1), Bytes::from_mib(1), ready + in_flight);
-        assert_eq!(rt.inflight_count(), 1);
         let app: &mut dyn GuestCooperative = &mut rt;
         assert_eq!(app.vms(), vms);
         assert_eq!(app.transport_label(), Some("openib"));
-        let report = freeze(app, &mut pool, &mut dc, ready).unwrap();
-        // The in-flight message drains first; coordination stays well
-        // under a second.
-        assert!(report.duration >= in_flight, "{}", report.duration);
+        let report = app.prepare_for_blackout(&pool, &mut dc, ready).unwrap();
         assert!(report.duration.as_secs_f64() < 0.1);
-        for vm in pool.iter() {
-            assert_eq!(vm.state, VmState::SymWait);
-            for d in vm.passthrough(&dc.devices) {
-                let hca = dc.devices.as_ib(d).unwrap();
-                assert!(!hca.has_resources(), "safe to detach");
-            }
-        }
-        assert!(matches!(
-            freeze(app, &mut pool, &mut dc, ready),
-            Err(SymVirtError::Runtime(_))
-        ));
         assert!(app.needs_link_wait());
-        for &vm in &vms {
-            pool.resume(vm).unwrap();
-        }
         let out = app.resume_after_blackout(&pool, &mut dc, ready).unwrap();
         assert_eq!(out, ResumeOutcome::Rebuilt);
-        assert_eq!(rt.inflight_count(), 0);
-        assert!(rt.conservation_holds(), "drained, not dropped");
     }
 
     #[test]
