@@ -7,6 +7,7 @@
 
 use ninja_net::{EthKind, EthNic, IbHca};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a device in the [`DeviceTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -99,8 +100,9 @@ pub struct PciDevice {
     pub id: DeviceId,
     /// The addr.
     pub addr: PciAddr,
-    /// SymVirt script tag (e.g. `vf0`).
-    pub tag: String,
+    /// SymVirt script tag (e.g. `vf0`). Shared, so a `device_del`
+    /// naming the device clones it without allocating.
+    pub tag: Arc<str>,
     /// The kind.
     pub kind: DeviceKind,
     /// Private so that [`DeviceTable::set_attachment`] is the only
@@ -142,7 +144,7 @@ impl DeviceTable {
     pub fn insert(
         &mut self,
         addr: PciAddr,
-        tag: impl Into<String>,
+        tag: impl Into<Arc<str>>,
         kind: DeviceKind,
         attachment: Attachment,
     ) -> DeviceId {
@@ -239,7 +241,7 @@ impl DeviceTable {
         self.on_vm(vm)
             .iter()
             .copied()
-            .find(|&id| self.get(id).tag == tag)
+            .find(|&id| *self.get(id).tag == *tag)
     }
 
     /// Find a free (host-pool) device of a class on a node (the lowest
@@ -314,7 +316,7 @@ mod tests {
             Attachment::Guest { vm: 7 },
         );
         assert_eq!(t.len(), 1);
-        assert_eq!(t.get(id).tag, "vf0");
+        assert_eq!(&*t.get(id).tag, "vf0");
         assert_eq!(t.find_by_tag_on_vm(7, "vf0"), Some(id));
         assert_eq!(t.find_by_tag_on_vm(8, "vf0"), None);
         assert_eq!(t.get(id).kind.class(), DeviceClass::IbHca);
@@ -417,7 +419,7 @@ mod tests {
                 for tag in ["vf0", "vf1", "vf2"] {
                     let scan = t
                         .iter()
-                        .find(|d| d.tag == tag && d.attachment() == Attachment::Guest { vm: x })
+                        .find(|d| *d.tag == *tag && d.attachment() == Attachment::Guest { vm: x })
                         .map(|d| d.id);
                     assert_eq!(t.find_by_tag_on_vm(x, tag), scan, "step {step}");
                 }

@@ -87,7 +87,7 @@ proptest! {
                 for tag in ["dev0", "dev1", "dev2"] {
                     let scan = table
                         .iter()
-                        .find(|d| d.tag == tag && d.attachment() == Attachment::Guest { vm: x })
+                        .find(|d| *d.tag == *tag && d.attachment() == Attachment::Guest { vm: x })
                         .map(|d| d.id);
                     prop_assert_eq!(table.find_by_tag_on_vm(x, tag), scan);
                 }

@@ -312,7 +312,9 @@ impl MigrationMachine {
                 // Degrade is impossible here (hotplug faults only fire
                 // at attach); errors fail the job before any state moved.
                 self.preflight(world, FaultPhase::Coordination)?;
-                self.ctl.record_spans(world.trace.is_enabled());
+                let traced = world.trace.is_enabled();
+                let buf = traced.then(|| world.span_bufs.pop().unwrap_or_default());
+                self.ctl.record_spans(buf);
                 self.transport_before = app.transport_label();
                 let prep = freeze(app, &mut world.pool, &mut world.dc, self.now)?;
                 self.now += prep.duration;
@@ -437,6 +439,9 @@ impl MigrationMachine {
                     self.job,
                     self.mig,
                 );
+                if world.trace.is_enabled() {
+                    world.span_bufs.push(vm_spans);
+                }
                 self.state = State::Done;
                 Ok(StepOutcome::Done(report))
             }
@@ -540,6 +545,14 @@ pub(crate) fn thaw(
         world.advance_to(active_at);
     }
     Ok((attach.duration, linkup))
+}
+
+/// Makes room in `trace` for the spans a [`MigrationMachine`] records
+/// for `migrations` migrations moving `vms` VMs in all: per migration, six
+/// job-level spans (the five phases and the envelope) with 16 labels
+/// among them; per VM, one span per phase with 16 labels among them.
+pub fn reserve_job_telemetry(trace: &mut Trace, migrations: usize, vms: usize) {
+    trace.reserve(6 * migrations + 5 * vms, 16 * (migrations + vms));
 }
 
 /// Record the job-level phase spans, fill in per-VM spans for phases the

@@ -11,7 +11,7 @@ use ninja_mpi::{CommEnv, JobLayout, MpiConfig, MpiRuntime};
 use ninja_sim::{
     MetricsRegistry, SeriesId, SimDuration, SimRng, SimTime, TimeSeriesRecorder, Trace, TraceLevel,
 };
-use ninja_symvirt::FaultPlan;
+use ninja_symvirt::{FaultPlan, VmSpan};
 use ninja_vmm::{VmId, VmPool, VmSpec};
 
 /// All mutable simulation state for one scenario.
@@ -35,6 +35,10 @@ pub struct World {
     /// Reused phase × VM bitmap of the per-VM spans one migration has
     /// recorded (one byte per VM, one bit per phase).
     pub(crate) covered: Vec<u8>,
+    /// Buffers for the controller's per-VM intervals, returned by the
+    /// migrations that recorded them into the trace for the next ones
+    /// to reuse (one per migration in flight at once).
+    pub(crate) span_bufs: Vec<Vec<VmSpan>>,
     /// The virtual clock. Private so that only [`World::advance_to`]
     /// moves it, and only forwards.
     clock: SimTime,
@@ -64,6 +68,7 @@ impl World {
             metrics: MetricsRegistry::new(),
             migration_series: MigrationSeries::default(),
             covered: Vec::new(),
+            span_bufs: Vec::new(),
             clock: SimTime::ZERO,
             ib_cluster: ib,
             eth_cluster: eth,
@@ -91,6 +96,7 @@ impl World {
             metrics: MetricsRegistry::new(),
             migration_series: MigrationSeries::default(),
             covered: Vec::new(),
+            span_bufs: Vec::new(),
             clock: SimTime::ZERO,
             ib_cluster: primary,
             eth_cluster: secondary,
@@ -201,7 +207,10 @@ impl World {
         if self.trace.is_enabled() {
             self.trace
                 .add_instant("world", "boot.ib", self.clock, TraceLevel::Info)
-                .label("detail", &format!("{n} VMs on InfiniBand, links trained"));
+                .label_fmt(
+                    "detail",
+                    format_args!("{n} VMs on InfiniBand, links trained"),
+                );
         }
         vms
     }
@@ -226,7 +235,7 @@ impl World {
         if self.trace.is_enabled() {
             self.trace
                 .add_instant("world", "boot.eth", self.clock, TraceLevel::Info)
-                .label("detail", &format!("{n} VMs on Ethernet"));
+                .label_fmt("detail", format_args!("{n} VMs on Ethernet"));
         }
         vms
     }
@@ -250,14 +259,13 @@ impl World {
             .init(&self.pool, &mut self.dc, self.clock)
             .expect("connected cluster");
         if self.trace.is_enabled() {
-            let detail = format!(
-                "{} ranks, transports {:?}",
-                rt.layout().total_ranks(),
-                report.by_kind
-            );
+            let ranks = rt.layout().total_ranks();
             self.trace
                 .add_instant("mpi", "job.launched", self.clock, TraceLevel::Info)
-                .label("detail", &detail);
+                .label_fmt(
+                    "detail",
+                    format_args!("{ranks} ranks, transports {:?}", report.by_kind),
+                );
         }
         rt
     }

@@ -50,7 +50,9 @@
 use crate::admission::{AdmissionController, QueuedJob};
 use crate::slo::{FleetReport, JobFailure, JobOutcome};
 use ninja_cluster::NodeId;
-use ninja_migration::{CloudScheduler, MigrationMachine, StepOutcome, TriggerReason, World};
+use ninja_migration::{
+    reserve_job_telemetry, CloudScheduler, MigrationMachine, StepOutcome, TriggerReason, World,
+};
 use ninja_sim::{Bandwidth, SeriesId, SimDuration, SimTime};
 use ninja_symvirt::{GuestCooperative, RetryPolicy};
 use ninja_vmm::QemuMonitor;
@@ -203,6 +205,11 @@ pub fn run_fleet(
         "ninja_fleet_inflight_migrations",
         "Migrations currently holding an admission slot",
     );
+
+    // Room in the trace for every job's migration, recorded without
+    // growing its arrays.
+    let vms = jobs.iter().map(|j| j.vms().len()).sum();
+    reserve_job_telemetry(&mut world.trace, jobs.len(), vms);
 
     let mut adm = AdmissionController::new(cfg.concurrency);
     let uplink = world.dc.migration_fabric.add_link(cfg.uplink);

@@ -115,6 +115,20 @@ fn checkpoint_prints_its_trace() {
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--- trace ---"), "{stderr}");
+    // Spans print by start time: the enclosing checkpoint (29.747 s),
+    // the per-VM detaches (29.747 s), then the save (32.567 s).
+    let spans: Vec<&str> = stderr.lines().filter(|l| l.contains("] SPAN ")).collect();
+    let start = |line: &str| -> f64 {
+        let stamp = line[1..line.find(']').unwrap()].trim();
+        stamp.trim_end_matches('s').parse().unwrap()
+    };
+    assert!(
+        spans.windows(2).all(|w| start(w[0]) <= start(w[1])),
+        "{stderr}"
+    );
+    let at = |what: &str| spans.iter().position(|l| l.contains(what)).unwrap();
+    assert!(at("ninja checkpoint") < at("symvirt detach"), "{stderr}");
+    assert!(at("symvirt detach") < at("ninja save"), "{stderr}");
 }
 
 #[test]

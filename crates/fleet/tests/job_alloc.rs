@@ -67,12 +67,12 @@ fn run_fleet_allocations(jobs: usize) -> usize {
 }
 
 #[test]
-fn each_job_costs_at_most_six_allocations() {
+fn each_job_costs_at_most_four_allocations() {
     let small = run_fleet_allocations(256);
     let large = run_fleet_allocations(1024);
     let per_job = (large - small) as f64 / 768.0;
     assert!(
-        per_job <= 6.0,
+        per_job <= 4.0,
         "{per_job:.2} allocations per job ({small} at 256 jobs, {large} at 1024)"
     );
 }

@@ -7,7 +7,8 @@
 use ninja_fleet::{build_auto, run_fleet, FleetConfig, FleetReport, ScenarioKind, ScenarioSpec};
 use ninja_migration::World;
 use ninja_sim::{
-    alerts, parse, spans_from_chrome, AlertEngine, Bytes, SimDuration, TimeSeriesRecorder, Trace,
+    alerts, parse, spans_from_chrome, AlertEngine, Bytes, LabelValue, SimDuration,
+    TimeSeriesRecorder, Trace,
 };
 use ninja_symvirt::{FaultPlan, GuestCooperative};
 use std::collections::BTreeMap;
@@ -79,10 +80,10 @@ fn cases() -> Vec<(String, World, FleetReport)> {
     out
 }
 
-fn label_u64(v: Option<&str>, what: &str) -> u64 {
-    v.unwrap_or_else(|| panic!("missing {what}"))
-        .parse()
-        .unwrap_or_else(|e| panic!("{what}: {e}"))
+fn label_u64(v: Option<LabelValue<'_>>, what: &str) -> u64 {
+    let v = v.unwrap_or_else(|| panic!("missing {what}"));
+    v.as_u64()
+        .unwrap_or_else(|| panic!("{what}: {v} is not an integer"))
 }
 
 #[test]

@@ -39,6 +39,23 @@ impl Default for VmEnv {
     }
 }
 
+/// Where the cost model reads each VM's environment: a [`CommEnv`]
+/// snapshot, or the current placement itself through a [`LiveEnv`].
+pub trait EnvSource {
+    /// The environment of `vm`.
+    fn env(&self, vm: VmId) -> VmEnv;
+}
+
+/// What the placement in `pool` and `dc` gives VM `id`.
+fn placement_env(pool: &VmPool, dc: &DataCenter, id: VmId) -> VmEnv {
+    let vm = pool.get(id);
+    VmEnv {
+        cpu_contention: dc.node(vm.node).cpu_contention(),
+        nic_share: pool.residents_on(vm.node).max(1),
+        ipoib: dc.fabric_at(vm.node) == ninja_cluster::FabricKind::Infiniband,
+    }
+}
+
 /// Environment snapshot for a whole job.
 #[derive(Debug, Clone, Default)]
 pub struct CommEnv {
@@ -55,44 +72,43 @@ impl CommEnv {
     /// contention from each node's vCPU commitment, NIC share from the
     /// number of co-resident VMs.
     pub fn from_world(pool: &VmPool, dc: &DataCenter) -> Self {
-        Self::snapshot(pool, dc, pool.iter().map(|vm| vm.id))
-    }
-
-    /// Snapshot the environment for `vms` only. Identical to
-    /// [`from_world`](Self::from_world) for every VM in the set (the
-    /// per-node resident counts come from the pool's incrementally
-    /// maintained index, not a scan); lookups outside the set read the
-    /// default environment. Use this on per-job paths — a job's
-    /// collectives only ever consult its own VMs, and a full-pool
-    /// snapshot is O(pool) per migration, which at fleet scale turns
-    /// the whole run quadratic.
-    pub fn for_vms(pool: &VmPool, dc: &DataCenter, vms: &[VmId]) -> Self {
-        Self::snapshot(pool, dc, vms.iter().copied())
-    }
-
-    fn snapshot(pool: &VmPool, dc: &DataCenter, vms: impl Iterator<Item = VmId>) -> Self {
-        let mut per_vm = BTreeMap::new();
-        for id in vms {
-            let vm = pool.get(id);
-            per_vm.insert(
-                vm.id.0,
-                VmEnv {
-                    cpu_contention: dc.node(vm.node).cpu_contention(),
-                    nic_share: pool.residents_on(vm.node).max(1),
-                    ipoib: dc.fabric_at(vm.node) == ninja_cluster::FabricKind::Infiniband,
-                },
-            );
+        let per_vm = pool
+            .iter()
+            .map(|vm| (vm.id.0, placement_env(pool, dc, vm.id)));
+        CommEnv {
+            per_vm: per_vm.collect(),
         }
-        CommEnv { per_vm }
     }
 
     /// Set one VM's environment explicitly (tests, what-if analyses).
     pub fn set(&mut self, vm: VmId, env: VmEnv) {
         self.per_vm.insert(vm.0, env);
     }
+}
 
+impl EnvSource for CommEnv {
+    /// The snapshot's entry for `vm`; the default environment outside it.
     fn env(&self, vm: VmId) -> VmEnv {
         self.per_vm.get(&vm.0).copied().unwrap_or_default()
+    }
+}
+
+/// The environment of the current placement, read VM by VM when asked:
+/// what [`CommEnv::from_world`] would snapshot, with no snapshot. Use
+/// it on per-job paths that cost at one instant (a migration's
+/// quiesce): a job's collectives consult only its own VMs, so nothing
+/// is built for the rest of the pool, and nothing is allocated.
+#[derive(Debug, Clone, Copy)]
+pub struct LiveEnv<'a> {
+    /// The VMs and where they run.
+    pub pool: &'a VmPool,
+    /// The nodes and fabrics they run on.
+    pub dc: &'a DataCenter,
+}
+
+impl EnvSource for LiveEnv<'_> {
+    fn env(&self, vm: VmId) -> VmEnv {
+        placement_env(self.pool, self.dc, vm)
     }
 }
 
@@ -122,7 +138,7 @@ fn ceil_log2(n: u32) -> u32 {
 impl MpiRuntime {
     /// Wall-clock time of one point-to-point message between two ranks
     /// over the currently established connection.
-    pub fn p2p_time(&self, a: Rank, b: Rank, bytes: Bytes, env: &CommEnv) -> SimDuration {
+    pub fn p2p_time(&self, a: Rank, b: Rank, bytes: Bytes, env: &impl EnvSource) -> SimDuration {
         let kind = self
             .transport_between(a, b)
             .expect("ranks are connected after init");
@@ -169,7 +185,7 @@ impl MpiRuntime {
         algo: CollectiveAlgo,
         root: Rank,
         bytes: Bytes,
-        env: &CommEnv,
+        env: &impl EnvSource,
     ) -> SimDuration {
         match algo {
             CollectiveAlgo::Binomial => self.bcast_time(root, bytes, env),
@@ -182,7 +198,12 @@ impl MpiRuntime {
     /// Latency-heavy for small messages, but asymptotically
     /// bandwidth-optimal for large ones — the algorithm Open MPI's
     /// `tuned` component switches to above ~128 KiB.
-    pub fn bcast_time_pipelined(&self, root: Rank, bytes: Bytes, env: &CommEnv) -> SimDuration {
+    pub fn bcast_time_pipelined(
+        &self,
+        root: Rank,
+        bytes: Bytes,
+        env: &impl EnvSource,
+    ) -> SimDuration {
         let p = self.layout().total_ranks();
         if p <= 1 || bytes.is_zero() {
             return SimDuration::ZERO;
@@ -202,7 +223,7 @@ impl MpiRuntime {
     }
 
     /// Binomial-tree broadcast of `bytes` from `root`.
-    pub fn bcast_time(&self, root: Rank, bytes: Bytes, env: &CommEnv) -> SimDuration {
+    pub fn bcast_time(&self, root: Rank, bytes: Bytes, env: &impl EnvSource) -> SimDuration {
         let p = self.layout().total_ranks();
         if p <= 1 {
             return SimDuration::ZERO;
@@ -227,7 +248,7 @@ impl MpiRuntime {
 
     /// Binomial-tree reduction of `bytes` to `root` (communication
     /// mirror of broadcast plus the arithmetic at each combining step).
-    pub fn reduce_time(&self, root: Rank, bytes: Bytes, env: &CommEnv) -> SimDuration {
+    pub fn reduce_time(&self, root: Rank, bytes: Bytes, env: &impl EnvSource) -> SimDuration {
         let p = self.layout().total_ranks();
         if p <= 1 {
             return SimDuration::ZERO;
@@ -255,19 +276,19 @@ impl MpiRuntime {
     }
 
     /// Allreduce = reduce to rank 0 + broadcast from rank 0.
-    pub fn allreduce_time(&self, bytes: Bytes, env: &CommEnv) -> SimDuration {
+    pub fn allreduce_time(&self, bytes: Bytes, env: &impl EnvSource) -> SimDuration {
         self.reduce_time(Rank(0), bytes, env) + self.bcast_time(Rank(0), bytes, env)
     }
 
     /// Barrier: binomial fan-in plus fan-out of empty messages.
-    pub fn barrier_time(&self, env: &CommEnv) -> SimDuration {
+    pub fn barrier_time(&self, env: &impl EnvSource) -> SimDuration {
         let probe = Bytes::new(0);
         self.reduce_time(Rank(0), probe, env) + self.bcast_time(Rank(0), probe, env)
     }
 
     /// All-to-all personalized exchange, `bytes` per rank pair
     /// (pairwise-exchange algorithm: P-1 rounds).
-    pub fn alltoall_time(&self, bytes: Bytes, env: &CommEnv) -> SimDuration {
+    pub fn alltoall_time(&self, bytes: Bytes, env: &impl EnvSource) -> SimDuration {
         let p = self.layout().total_ranks();
         if p <= 1 {
             return SimDuration::ZERO;
@@ -288,7 +309,7 @@ impl MpiRuntime {
 
     /// Nearest-neighbour halo exchange along a ring: every rank swaps
     /// `bytes` with both neighbours (two concurrent-phase rounds).
-    pub fn ring_exchange_time(&self, bytes: Bytes, env: &CommEnv) -> SimDuration {
+    pub fn ring_exchange_time(&self, bytes: Bytes, env: &impl EnvSource) -> SimDuration {
         let p = self.layout().total_ranks();
         if p <= 1 {
             return SimDuration::ZERO;

@@ -9,7 +9,7 @@
 //! the drain (waiting out the in-flight horizon) and the small
 //! coordination cost the paper reports as "negligible" (Section V).
 
-use crate::collectives::CommEnv;
+use crate::collectives::EnvSource;
 use crate::runtime::MpiRuntime;
 use ninja_sim::{Bytes, SimDuration, SimTime};
 
@@ -40,7 +40,12 @@ pub struct Crcp;
 impl Crcp {
     /// Quiesce the job at `now`: exchange bookmarks, drain in-flight
     /// traffic, and leave the runtime with zero in-flight messages.
-    pub fn quiesce(&self, rt: &mut MpiRuntime, env: &CommEnv, now: SimTime) -> QuiesceReport {
+    pub fn quiesce(
+        &self,
+        rt: &mut MpiRuntime,
+        env: &impl EnvSource,
+        now: SimTime,
+    ) -> QuiesceReport {
         let drained_messages = rt.inflight_count();
         // Bookmark exchange: an allreduce of the per-pair byte counts
         // (tiny payload) plus a confirming barrier.
@@ -61,6 +66,7 @@ impl Crcp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives::CommEnv;
     use crate::layout::{JobLayout, Rank};
     use crate::runtime::MpiConfig;
     use ninja_cluster::{DataCenter, StorageId};

@@ -281,34 +281,88 @@ pub fn write_escaped<W: Write + ?Sized>(s: &str, out: &mut W) -> fmt::Result {
     out.write_char('"')
 }
 
-/// Appends `s` to `out` as a quoted JSON string, escaped exactly as
-/// [`write_escaped`] does. A string with nothing to escape (the common
-/// case) is pushed whole.
-pub(crate) fn push_escaped(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    out.reserve(bytes.len() + 2);
+/// Appends the UTF-8 text `s` to `out` as a quoted JSON string, escaped
+/// exactly as [`write_escaped`] does. Text with nothing to escape (the
+/// common case) is pushed whole.
+pub(crate) fn push_escaped(out: &mut Vec<u8>, s: &[u8]) {
+    out.reserve(s.len() + 2);
     out.push(b'"');
-    if bytes.iter().any(|&b| ESCAPED[usize::from(b)]) {
+    if s.iter().any(|&b| ESCAPED[usize::from(b)]) {
         let mut start = 0;
-        for (i, &b) in bytes.iter().enumerate() {
+        for (i, &b) in s.iter().enumerate() {
             if ESCAPED[usize::from(b)] {
-                out.extend_from_slice(&bytes[start..i]);
+                out.extend_from_slice(&s[start..i]);
                 out.extend_from_slice(escape(b));
                 start = i + 1;
             }
         }
-        out.extend_from_slice(&bytes[start..]);
+        out.extend_from_slice(&s[start..]);
     } else {
-        out.extend_from_slice(bytes);
+        out.extend_from_slice(s);
     }
     out.push(b'"');
 }
 
-/// Appends `v` to `out` in decimal, without going through `fmt`.
+/// The number of decimal digits of `v`: ⌊log10⌋ estimated from the bit
+/// length (1233 / 4096 ≈ log10 2), plus one unless `v` is below the
+/// power of ten that estimate names. `v | 1` counts 0 as one digit and
+/// moves no other count, as every power of ten past 1 is even.
+fn digits(v: u64) -> usize {
+    static POW10: [u64; 20] = {
+        let mut table = [1; 20];
+        let mut i = 1;
+        while i < 20 {
+            table[i] = table[i - 1] * 10;
+            i += 1;
+        }
+        table
+    };
+    let v = v | 1;
+    let t = (((64 - v.leading_zeros()) * 1233) >> 12) as usize;
+    t + usize::from(v >= POW10[t])
+}
+
+/// The eight decimal digits of `v < 10^8`, zero-padded, as ASCII in
+/// printing order (the first digit in the lowest byte), computed in one
+/// register: `v` splits into two 4-digit lanes of 32 bits, each of
+/// those into two 2-digit lanes of 16 bits, each of those into two
+/// digits of 8 bits. The multiply-shifts divide exactly in the ranges
+/// they see: `n * 5243 >> 19 = n / 100` for `n < 10^4`, and
+/// `n * 103 >> 10 = n / 10` for `n < 100`, and no product carries into
+/// the next lane.
+fn eight_digits(v: u32) -> u64 {
+    let x = u64::from(v / 10_000) | u64::from(v % 10_000) << 32;
+    let hundreds = ((x * 5243) >> 19) & 0x0000_007f_0000_007f;
+    let x = hundreds | (x - hundreds * 100) << 16;
+    let tens = ((x * 103) >> 10) & 0x000f_000f_000f_000f;
+    let x = tens | (x - tens * 10) << 8;
+    x | 0x3030_3030_3030_3030
+}
+
+/// Appends `v` to `out` in decimal, without going through `fmt`: each
+/// group of up to eight digits is one 8-byte store, the leading group
+/// cut to its digits' count. Inlined: the exporters call it for every
+/// number they write.
+#[inline(always)]
 pub(crate) fn push_u64(out: &mut Vec<u8>, v: u64) {
-    let mut digits = [0u8; 20];
-    let i = put_digits(&mut digits, 20, v);
-    out.extend_from_slice(&digits[i..]);
+    const E8: u64 = 100_000_000;
+    // The leading group, and how many full groups of eight follow it.
+    let (lead, full) = if v < E8 {
+        (v, 0)
+    } else if v < E8 * E8 {
+        (v / E8, 1)
+    } else {
+        (v / (E8 * E8), 2)
+    };
+    let n = digits(lead);
+    let end = out.len() + n;
+    let digits = eight_digits(lead as u32) >> (8 * (8 - n as u32));
+    out.extend_from_slice(&digits.to_le_bytes());
+    out.truncate(end);
+    for g in (0..full).rev() {
+        let group = v / E8.pow(g) % E8;
+        out.extend_from_slice(&eight_digits(group as u32).to_le_bytes());
+    }
 }
 
 /// `v` in decimal, rendered into `buf`.
@@ -480,7 +534,7 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
     /// Writes an object key; the next value written is its value.
     pub fn key(&mut self, key: &str) -> fmt::Result {
         self.item();
-        push_escaped(&mut self.buf, key);
+        push_escaped(&mut self.buf, key.as_bytes());
         self.buf
             .extend_from_slice(if self.pretty { b": " } else { b":" });
         self.after_key = true;
@@ -537,7 +591,7 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
     /// Writes an escaped string.
     pub fn str(&mut self, v: &str) -> fmt::Result {
         self.item();
-        push_escaped(&mut self.buf, v);
+        push_escaped(&mut self.buf, v.as_bytes());
         self.done()
     }
 }
@@ -1102,6 +1156,35 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn integers_render_as_display_does() {
+        let mut edges = vec![0, u64::MAX, u64::MAX - 1];
+        for p in 0..20 {
+            let pow = 10u64.pow(p);
+            let nines = pow.saturating_mul(9).saturating_add(pow - 1);
+            edges.extend([pow - 1, pow, pow + 1, pow.saturating_mul(2), nines]);
+        }
+        // A xorshift sweep over every magnitude.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let sweep = (0..20_000).map(|i| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x >> (i % 64)
+        });
+        let mut out = Vec::new();
+        for v in (0..100_000).chain(edges).chain(sweep) {
+            // After a byte already in the buffer, and twice in a row.
+            out.clear();
+            out.push(b'[');
+            push_u64(&mut out, v);
+            push_u64(&mut out, v);
+            assert_eq!(String::from_utf8(out.clone()).unwrap(), format!("[{v}{v}"));
+            assert_eq!(digits(v), v.to_string().len(), "{v}");
+            assert_eq!(u64_decimal(v, &mut [0; 20]), v.to_string());
+        }
+    }
 
     fn scratch_file(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("ninja-export-{}-{name}", std::process::id()))

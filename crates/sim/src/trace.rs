@@ -12,8 +12,8 @@
 //! keep the newest entries, with evictions counted in
 //! [`Trace::dropped`].
 
-use crate::export::{hand_off, push_escaped, push_u64, render, Json, CHUNK};
-use crate::span::{SpanLabels, SpanRef, SpanStore};
+use crate::export::{hand_off, render, Json, CHUNK};
+use crate::span::{LabelValue, SpanLabels, SpanRef, SpanStore};
 use crate::time::{SimDuration, SimTime};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -88,6 +88,22 @@ impl Trace {
             evict_beyond(&mut self.spans, c, &mut self.dropped);
             evict_beyond(&mut self.instants, c, &mut self.dropped);
         }
+    }
+
+    /// Makes room for `spans` more spans carrying `labels` labels in
+    /// all, so that recording them grows no array: no copying of what
+    /// is recorded, and no touching of pages a doubling would leave
+    /// half empty. A size hint only; past it the arrays grow as usual.
+    /// A capped trace makes room for no more than its ring holds.
+    pub fn reserve(&mut self, spans: usize, labels: usize) {
+        if !self.enabled || spans == 0 {
+            return;
+        }
+        let room = self
+            .capacity
+            .map_or(spans, |c| spans.min(c.saturating_mul(2)));
+        self.spans
+            .reserve(room, labels.saturating_mul(room) / spans);
     }
 
     /// The configured ring cap, if any.
@@ -219,59 +235,23 @@ impl Trace {
 
     /// Streams the Chrome trace-event document into `out`. Spans become
     /// complete ("X") events and instants become instant ("i") events,
-    /// each with its labels as `args`. All spans come first, in
-    /// completion order, then all instants in recording order; nothing
-    /// is sorted. Timestamps are microseconds of simulated time; each
-    /// component renders as its own track (`tid`).
+    /// each with its labels as `args` (integer labels as decimal
+    /// strings). All spans come first, in completion order, then all
+    /// instants in recording order; nothing is sorted. Timestamps are
+    /// microseconds of simulated time; each component renders as its own
+    /// track (`tid`).
     ///
-    /// Events are rendered as bytes into a local chunk without `fmt`
-    /// (integers through `push_u64`, strings through `push_escaped`,
-    /// the helpers [`JsonWriter`](crate::JsonWriter) uses) and handed to
-    /// `out` about `CHUNK` bytes at a time.
+    /// Events are rendered as bytes into a local chunk without `fmt`,
+    /// each store's names escaped once up front, and handed to `out`
+    /// about `CHUNK` bytes at a time.
     pub fn write_chrome_json<W: Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         let mut buf = Vec::with_capacity(CHUNK + 1024);
         buf.extend_from_slice(b"{\"traceEvents\":[");
-        let mut sep: &[u8] = b"";
-        let spans = self.spans.iter().map(|s| (s, false));
-        for (s, instant) in spans.chain(self.instants.iter().map(|s| (s, true))) {
-            buf.extend_from_slice(sep);
-            sep = b",";
-            buf.extend_from_slice(b"{\"name\":");
-            push_escaped(&mut buf, s.name());
-            buf.extend_from_slice(b",\"cat\":");
-            push_escaped(&mut buf, s.component());
-            buf.extend_from_slice(if instant {
-                b",\"ph\":\"i\",\"ts\":"
-            } else {
-                b",\"ph\":\"X\",\"ts\":"
-            });
-            push_u64(&mut buf, s.start().as_nanos() / 1_000);
-            if !instant {
-                buf.extend_from_slice(b",\"dur\":");
-                push_u64(&mut buf, s.duration().as_nanos() / 1_000);
-            }
-            buf.extend_from_slice(b",\"pid\":1,\"tid\":");
-            push_escaped(&mut buf, s.component());
-            if instant {
-                buf.extend_from_slice(b",\"s\":\"t\"");
-            }
-            let mut open: &[u8] = b",\"args\":{";
-            for (k, v) in s.labels() {
-                buf.extend_from_slice(open);
-                open = b",";
-                push_escaped(&mut buf, k);
-                buf.push(b':');
-                push_escaped(&mut buf, v);
-            }
-            if s.labels().len() > 0 {
-                buf.push(b'}');
-            }
-            buf.push(b'}');
-            if buf.len() >= CHUNK {
-                hand_off(&buf, out)?;
-                buf.clear();
-            }
-        }
+        let mut comma = false;
+        self.spans
+            .write_chrome_events(false, &mut comma, &mut buf, out)?;
+        self.instants
+            .write_chrome_events(true, &mut comma, &mut buf, out)?;
         buf.extend_from_slice(b"]}");
         hand_off(&buf, out)
     }
@@ -282,21 +262,25 @@ impl Trace {
         critical_paths(self, phase_names)
     }
 
-    /// Render the whole trace as text (debugging aid): the instants,
-    /// then the spans.
+    /// Render the whole trace as text (debugging aid): the instants in
+    /// recording order, then the spans by start time (ties in recording
+    /// order).
     pub fn render(&self) -> String {
         let mut s = String::new();
+        let text = |v: Option<LabelValue<'_>>| v.map(|v| v.to_string()).unwrap_or_default();
         for i in self.instants.iter() {
             s.push_str(&format!(
                 "[{:>14}] {} {} {} {}\n",
                 i.start().to_string(),
-                i.label("level").unwrap_or(""),
+                text(i.label("level")),
                 i.component(),
                 i.name(),
-                i.label("detail").unwrap_or(""),
+                text(i.label("detail")),
             ));
         }
-        for sp in self.spans.iter() {
+        let mut spans: Vec<SpanRef<'_>> = self.spans.iter().collect();
+        spans.sort_by_key(|sp| sp.start());
+        for sp in spans {
             s.push_str(&format!(
                 "[{:>14}] SPAN  {} {} {} ({})\n",
                 sp.start().to_string(),
@@ -365,7 +349,7 @@ impl MigrationPath {
 }
 
 fn span_key(s: &SpanRef<'_>) -> (Option<u64>, Option<u64>) {
-    let get = |k: &str| s.label(k).and_then(|v| v.parse().ok());
+    let get = |k: &str| s.label(k).and_then(LabelValue::as_u64);
     (get("job"), get("mig"))
 }
 
@@ -471,7 +455,9 @@ pub fn critical_paths(trace: &Trace, phase_names: &[&str]) -> Vec<MigrationPath>
                 if used[vi] || vs.start() < p.start() || vs.start() > p.end() {
                     continue;
                 }
-                let Some(vm) = vs.label("vm") else { continue };
+                let Some(vm) = vs.label("vm").and_then(LabelValue::as_str) else {
+                    continue;
+                };
                 used[vi] = true;
                 let d = vs.duration();
                 let better = match critical {
@@ -514,6 +500,7 @@ pub fn critical_paths(trace: &Trace, phase_names: &[&str]) -> Vec<MigrationPath>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use LabelValue::Str;
 
     fn t(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)
@@ -533,9 +520,9 @@ mod tests {
             ("precopy.round", t(2), t(2))
         );
         let labels: Vec<_> = i.labels().collect();
-        assert_eq!(labels, [("level", "INFO"), ("detail", "round 1")]);
+        assert_eq!(labels, [("level", Str("INFO")), ("detail", Str("round 1"))]);
         assert_eq!(tr.span("migration"), Some(SimDuration::from_secs(4)));
-        assert_eq!(tr.all_spans().next().unwrap().label("vm"), Some("vm0"));
+        assert_eq!(tr.all_spans().next().unwrap().label("vm"), Some(Str("vm0")));
     }
 
     #[test]
@@ -633,20 +620,20 @@ mod tests {
                 assert_eq!(tr.all_spans().len(), spans.len());
                 for (s, (j, vm)) in tr.all_spans().zip(&spans) {
                     assert_eq!(s.start(), t(*j));
-                    assert_eq!(s.label("job"), Some(j.to_string().as_str()));
-                    let want_vm = (j % 3 != 0).then_some(vm.as_str());
+                    assert_eq!(s.label("job"), Some(LabelValue::U64(*j)));
+                    let want_vm = (j % 3 != 0).then_some(Str(vm));
                     assert_eq!(s.label("vm"), want_vm, "cap {cap}, span {j}");
                 }
                 assert_eq!(tr.instants().len(), instants.len());
                 for (s, (j, vm)) in tr.instants().zip(&instants) {
                     assert_eq!((s.start(), s.end()), (t(*j), t(*j)));
                     let labels: Vec<_> = s.labels().collect();
-                    assert_eq!(labels, [("level", "WARN"), ("detail", vm.as_str())]);
+                    assert_eq!(labels, [("level", Str("WARN")), ("detail", Str(vm))]);
                 }
             }
             tr.set_capacity(Some(1));
             assert_eq!(tr.all_spans().len(), 1);
-            assert_eq!(tr.all_spans().next().unwrap().label("job"), Some("49"));
+            assert_eq!(tr.all_spans().next().unwrap().label("job"), Some(Str("49")));
             assert_eq!(tr.instants().len(), 1);
             assert_eq!(tr.instants().next().unwrap().start(), t(48));
         }

@@ -1,12 +1,16 @@
 //! The Chrome trace writer: exact byte layout, string escaping, and the
 //! chunks it hands its sink.
 //!
-//! `Trace::write_chrome_json` renders without `fmt` and pushes strings
-//! that need no escaping whole, so these tests pin what the fast paths
-//! must not change: a fixture line with every field set, and a
-//! round trip through the JSON parser of names, components, label keys
-//! and values, and instant details full of characters that need escaping
-//! (or look as if they might).
+//! `Trace::write_chrome_json` renders without `fmt`: it escapes each
+//! name once per export into a table of pre-rendered pieces, copies
+//! those into every event, and writes integer labels, kept as integers
+//! until then, in decimal. These tests pin what the fast paths must not
+//! change: a fixture line with every field set; a round trip through
+//! the JSON parser of names, components, label keys and values, and
+//! instant details full of characters that need escaping (or look as if
+//! they might); a store rebuilt from a file (owned names, escapes,
+//! non-ASCII text) exporting the file's own bytes; a ring-capped trace
+//! after eviction; and integer labels from 0 to `u64::MAX`.
 
 use ninja_sim::{parse, spans_from_chrome, SimDuration, SimTime, Trace, TraceLevel};
 use std::fmt::{self, Write};
@@ -100,7 +104,10 @@ fn tricky_strings_round_trip_through_the_parser() {
         assert_eq!(e["cat"].as_str(), Some(r.component()));
         assert_eq!(e["tid"].as_str(), Some(r.component()));
         assert_eq!(e["args"]["level"].as_str(), Some("WARN"));
-        assert_eq!(e["args"]["detail"].as_str(), r.label("detail"));
+        assert_eq!(
+            e["args"]["detail"].as_str(),
+            r.label("detail").and_then(|v| v.as_str())
+        );
     }
 }
 
@@ -124,9 +131,121 @@ fn file_names_outside_the_static_set_round_trip() {
     assert_eq!(back.all_spans().len(), 600);
     let last = back.all_spans().last().unwrap();
     assert_eq!((last.component(), last.name()), ("comp-4", "kind-299"));
-    assert_eq!(last.label("key-299"), Some("v599"));
-    assert_eq!(last.label("key-300"), Some("w"));
+    assert_eq!(last.label("key-299").unwrap(), "v599");
+    assert_eq!(last.label("key-300").unwrap(), "w");
     assert_eq!(back.to_chrome_json(), text);
+}
+
+/// A store rebuilt from a file holds owned names, not a producer's
+/// static ones. Exported again, it gives back the file it was read from
+/// byte for byte, escapes and non-ASCII text included, and integer
+/// labels read back as the text they were written as.
+#[test]
+fn rebuilt_store_with_escapes_exports_the_same_bytes() {
+    let mut tr = Trace::new();
+    for (i, s) in TRICKY.iter().enumerate() {
+        let start = at_us(i as u64 * 10);
+        tr.add_span(
+            s.to_string(),
+            format!("kind {s}"),
+            start,
+            start + SimDuration::from_micros(3),
+        )
+        .label(format!("key {s}"), s)
+        .label_u64("n", i as u64)
+        .label("vm", &format!("{s}-vm0"));
+    }
+    let text = tr.to_chrome_json();
+    let back = spans_from_chrome(&parse(&text).expect("valid JSON"));
+    assert_eq!(back.to_chrome_json(), text);
+    let last = back.all_spans().last().unwrap();
+    assert_eq!(last.label("n").and_then(|v| v.as_str()), Some("9"));
+    assert_eq!(last.label("n").and_then(|v| v.as_u64()), Some(9));
+}
+
+/// After the ring cap has evicted spans and instants, the export holds
+/// exactly the survivors, byte for byte what a trace that recorded only
+/// them writes, though names that only evicted records used stay in the
+/// capped trace's name table.
+#[test]
+fn capped_trace_exports_what_an_uncapped_trace_of_the_survivors_does() {
+    // Span `i` and, for even `i`, instant `i`, with names that repeat
+    // every 7 spans and text that needs escaping.
+    fn span(tr: &mut Trace, i: u64) {
+        tr.add_span(
+            "symvirt",
+            format!("phase-{}", i % 7),
+            at_us(i),
+            at_us(i + 2),
+        )
+        .label("vm", &format!("job{i}-vm\"{}\"", i % 3))
+        .label_u64("job", i)
+        .label_u64("wire_bytes", i * 1_000_003);
+    }
+    fn instant(tr: &mut Trace, i: u64) {
+        tr.add_instant(
+            "alerts",
+            format!("alert-{}", i % 5),
+            at_us(i),
+            TraceLevel::Warn,
+        )
+        .label("detail", &format!("ü{i}"));
+    }
+    let evens: Vec<u64> = (0..200).step_by(2).collect();
+    for cap in [1, 3, 10] {
+        let mut capped = Trace::new();
+        capped.set_capacity(Some(cap));
+        for i in 0..200 {
+            span(&mut capped, i);
+            if i % 2 == 0 {
+                instant(&mut capped, i);
+            }
+        }
+        assert!(capped.dropped() > 0);
+        let spans = capped.all_spans().len() as u64;
+        let instants = capped.instants().len();
+        assert_eq!(
+            capped.all_spans().next().unwrap().start(),
+            at_us(200 - spans)
+        );
+        let mut survivors = Trace::new();
+        for i in 200 - spans..200 {
+            span(&mut survivors, i);
+        }
+        for &i in &evens[evens.len() - instants..] {
+            instant(&mut survivors, i);
+        }
+        assert_eq!(
+            capped.to_chrome_json(),
+            survivors.to_chrome_json(),
+            "cap {cap}"
+        );
+    }
+}
+
+/// Integer labels keep their value until export and print in decimal:
+/// 0, `u64::MAX`, and every boundary of a power of ten.
+#[test]
+fn integer_labels_export_in_decimal_across_their_range() {
+    let mut values = vec![0, 1, u64::MAX, u64::MAX - 1];
+    for p in 1..20 {
+        let pow = 10u64.pow(p);
+        values.extend([pow - 1, pow, pow + 1]);
+    }
+    let mut tr = Trace::new();
+    for (i, &v) in values.iter().enumerate() {
+        tr.add_span("net", "flow", at_us(i as u64), at_us(v % 1_000_000))
+            .label_u64("bytes", v);
+    }
+    let doc = parse(&tr.to_chrome_json()).expect("valid JSON");
+    let events = doc["traceEvents"].as_array().unwrap();
+    for (e, &v) in events.iter().zip(&values) {
+        assert_eq!(e["args"]["bytes"].as_str(), Some(v.to_string().as_str()));
+    }
+    for (s, &v) in tr.all_spans().zip(&values) {
+        assert_eq!(s.label("bytes").and_then(|l| l.as_u64()), Some(v));
+        assert_eq!(s.label("bytes").unwrap(), v.to_string().as_str());
+    }
 }
 
 /// A sink that keeps the size of every piece it is handed.

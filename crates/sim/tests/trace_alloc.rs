@@ -10,6 +10,7 @@
 //! stores' arrays by doubling costs a few dozen allocations in all;
 //! anything per span would cost tens of thousands.
 
+use ninja_sim::LabelValue::Str;
 use ninja_sim::{SimDuration, SimTime, Trace, TraceLevel};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -88,15 +89,13 @@ fn recording_spans_allocates_only_to_grow_the_arrays() {
     let last = trace.all_spans().last().unwrap();
     assert_eq!(last.component(), "symvirt");
     assert_eq!(last.name(), "linkup");
-    assert_eq!(last.label("job"), Some((job - 1).to_string().as_str()));
-    assert_eq!(
-        last.label("vm"),
-        Some(vm_names[(job as usize - 1) % 8].as_str())
-    );
+    assert_eq!(last.label("job").and_then(|v| v.as_u64()), Some(job - 1));
+    let vm = last.label("vm").and_then(|v| v.as_str());
+    assert_eq!(vm, Some(vm_names[(job as usize - 1) % 8].as_str()));
     assert_eq!(trace.instants().len(), job as usize);
     let labels: Vec<_> = trace.instants().last().unwrap().labels().collect();
     assert_eq!(
         labels,
-        [("level", "WARN"), ("detail", last.label("vm").unwrap())]
+        [("level", Str("WARN")), ("detail", Str(vm.unwrap()))]
     );
 }

@@ -19,8 +19,9 @@
 //!
 //! The controller keeps no log of its agents' actions. Its one record
 //! is each VM's interval per phase ([`VmSpan`], drained with
-//! [`Controller::take_spans`]), which a migration turns off when its
-//! world records no trace.
+//! [`Controller::take_spans`]). A migration hands it a reused buffer
+//! for them, or turns them off when its world records no trace
+//! ([`Controller::record_spans`]).
 
 use crate::error::SymVirtError;
 use ninja_cluster::{DataCenter, NodeId};
@@ -77,9 +78,9 @@ pub type VmSpan = (&'static str, VmId, SimTime, SimTime);
 pub struct Controller {
     hostlist: Vec<VmId>,
     monitor: QemuMonitor,
-    spans: Vec<VmSpan>,
-    /// Whether `spans` records (see [`Controller::record_spans`]).
-    recording: bool,
+    /// The per-VM intervals, or `None` when they are not recorded (see
+    /// [`Controller::record_spans`]).
+    spans: Option<Vec<VmSpan>>,
     hotplug_leaked: u64,
     closed: bool,
     /// Agents whose QEMU monitor connection has dropped (failure
@@ -94,8 +95,7 @@ impl Controller {
         Controller {
             hostlist,
             monitor,
-            spans: Vec::new(),
-            recording: true,
+            spans: Some(Vec::new()),
             hotplug_leaked: 0,
             closed: false,
             failed_agents: std::collections::BTreeSet::new(),
@@ -105,23 +105,29 @@ impl Controller {
     /// Record a per-VM phase interval: the controller's one record of
     /// what its agents did.
     fn record_vm_span(&mut self, phase: &'static str, vm: VmId, started: SimTime, end: SimTime) {
-        if self.recording {
-            self.spans.push((phase, vm, started, end));
+        if let Some(spans) = &mut self.spans {
+            spans.push((phase, vm, started, end));
         }
     }
 
-    /// Whether to record per-VM phase intervals (on by default). A
-    /// migration in a world whose trace is off turns it off: nothing
-    /// would read the spans.
-    pub fn record_spans(&mut self, on: bool) {
-        self.recording = on;
+    /// Where to record per-VM phase intervals: into `buf`, cleared
+    /// first, or (with `None`) nowhere. A new controller records into an
+    /// empty vector. A migration passes a buffer an earlier migration
+    /// returned, so recording allocates only to grow it, or turns
+    /// recording off when its world's trace is off: nothing would read
+    /// the spans.
+    pub fn record_spans(&mut self, buf: Option<Vec<VmSpan>>) {
+        self.spans = buf.map(|mut buf| {
+            buf.clear();
+            buf
+        });
     }
 
     /// Drain the per-VM phase intervals accumulated since the last call
     /// (the orchestrator records them into the world trace as `symvirt`
-    /// spans labeled with the VM's name).
+    /// spans labeled with the VM's name); empty when recording is off.
     pub fn take_spans(&mut self) -> Vec<VmSpan> {
-        std::mem::take(&mut self.spans)
+        self.spans.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Total IB resources the monitor reported as leaked during device

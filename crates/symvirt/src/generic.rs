@@ -23,7 +23,7 @@
 
 use crate::error::SymVirtError;
 use ninja_cluster::DataCenter;
-use ninja_mpi::{CommEnv, ContinueOutcome, Crcp, MpiRuntime};
+use ninja_mpi::{ContinueOutcome, Crcp, LiveEnv, MpiRuntime};
 use ninja_net::TransportKind;
 use ninja_sim::{SimDuration, SimTime};
 use ninja_vmm::{VmId, VmPool};
@@ -93,11 +93,10 @@ impl GuestCooperative for MpiRuntime {
         if self.state() != ninja_mpi::RuntimeState::Active {
             return Err(SymVirtError::Runtime(ninja_mpi::MpiError::NotActive));
         }
-        // Job-scoped snapshot: quiesce only ever costs collectives over
-        // this runtime's own ranks, and a full-pool `from_world` here
-        // is O(pool) per migration — quadratic across a fleet run.
-        let env = CommEnv::for_vms(pool, dc, self.layout().vms());
-        let quiesce = Crcp.quiesce(self, &env, now);
+        // The placement read live: quiesce only ever costs collectives
+        // over this runtime's own ranks, and a full-pool `from_world`
+        // here is O(pool) per migration — quadratic across a fleet run.
+        let quiesce = Crcp.quiesce(self, &LiveEnv { pool, dc }, now);
         let conns: usize = self.kind_census().values().sum();
         self.release_network(dc, pool)
             .map_err(SymVirtError::Runtime)?;

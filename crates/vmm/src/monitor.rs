@@ -19,6 +19,7 @@ use crate::migration::{plan_precopy, MigrationConfig, PrecopyPlan};
 use crate::vm::{VmId, VmPool, VmState};
 use ninja_cluster::{DataCenter, DeviceClass, DeviceId, HotplugOp, NodeId};
 use ninja_sim::{SimDuration, SimRng, SimTime};
+use std::sync::Arc;
 
 /// A command sent to a VMM's monitor.
 #[derive(Debug, Clone)]
@@ -28,7 +29,7 @@ pub enum MonitorCommand {
         /// The vm.
         vm: VmId,
         /// The tag.
-        tag: String,
+        tag: Arc<str>,
         /// Skip the resource-safety check (used by failure injection).
         force: bool,
     },
@@ -133,10 +134,11 @@ impl QemuMonitor {
         match cmd {
             MonitorCommand::DeviceDel { vm, tag, force } => {
                 let class = {
-                    let dev = dc
-                        .devices
-                        .find_by_tag_on_vm(vm.0, &tag)
-                        .ok_or_else(|| VmmError::NoSuchDeviceTag { tag: tag.clone() })?;
+                    let dev = dc.devices.find_by_tag_on_vm(vm.0, &tag).ok_or_else(|| {
+                        VmmError::NoSuchDeviceTag {
+                            tag: tag.to_string(),
+                        }
+                    })?;
                     dc.devices.get(dev).kind.class()
                 };
                 let duration =

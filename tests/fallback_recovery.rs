@@ -214,7 +214,10 @@ fn trace_phase_markers_cover_every_migration() {
             "trace has a complete {phase} span"
         );
     }
-    assert!(w.trace.instants().all(|i| i.label("level") == Some("INFO")));
+    assert!(w
+        .trace
+        .instants()
+        .all(|i| i.label("level").is_some_and(|l| l == "INFO")));
 }
 
 #[test]
@@ -236,7 +239,7 @@ fn every_vm_gets_a_span_per_phase() {
             assert_eq!(
                 spans
                     .iter()
-                    .filter(|s| s.labels().any(|(k, v)| k == "vm" && v == vm))
+                    .filter(|s| s.labels().any(|(k, v)| k == "vm" && v == vm.as_str()))
                     .count(),
                 1,
                 "exactly one {phase} span for {vm}"
