@@ -1,10 +1,12 @@
 //! **Perf trajectory**: the event-driven fleet engine swept over fleet
 //! size.
 //!
-//! The same evacuation fleet shape is driven by [`run_fleet`] at each
-//! size, with tracing off so the rows track the engine loop alone. Each
-//! row's wall-clock is the best of [`RUNS`] runs over freshly built
-//! fleets. Results append to `BENCH_fleet.json` at the workspace root so
+//! The same evacuation fleet shape is built by [`build_auto`] and driven
+//! by [`run_fleet`] at each size, with tracing off as `ninja fleet` runs
+//! without a trace flag. Each row times three layers, each the best of
+//! [`RUNS`] runs over freshly built fleets: the build
+//! (`build_wall_s`), the engine loop (`event_wall_s`) and the pretty
+//! JSON report rendered into memory (`report_wall_s`). Results append to `BENCH_fleet.json` at the workspace root so
 //! the trend survives across changes. The engine's outputs at these
 //! shapes are pinned by the digest table
 //! `crates/fleet/tests/golden/matrix.sha256`, not here.
@@ -19,7 +21,7 @@
 //! grows far slower than the fleet.
 
 use ninja_bench::{claim, finish, render_table};
-use ninja_fleet::{build_scaled, run_fleet, FleetConfig, ScenarioKind, ScenarioSpec};
+use ninja_fleet::{build_auto, run_fleet, FleetConfig, ScenarioKind, ScenarioSpec};
 use ninja_sim::export::overwrite_file;
 use ninja_sim::{parse, Json, JsonWriter, SimDuration, Trace, WriteJson};
 use ninja_symvirt::GuestCooperative;
@@ -32,7 +34,9 @@ const RUNS: usize = 3;
 struct Row {
     jobs: usize,
     concurrency: usize,
+    build_wall_s: f64,
     event_wall_s: f64,
+    report_wall_s: f64,
     iterations: u64,
     wall_us_per_iteration: f64,
     makespan_s: f64,
@@ -40,7 +44,9 @@ struct Row {
 ninja_bench::impl_write_json!(Row {
     jobs,
     concurrency,
+    build_wall_s,
     event_wall_s,
+    report_wall_s,
     iterations,
     wall_us_per_iteration,
     makespan_s
@@ -52,9 +58,16 @@ impl Row {
     }
 }
 
-/// One engine run over one freshly built evacuation fleet. Returns host
-/// wall-clock seconds, engine iterations and simulated makespan.
-fn run_engine(jobs_n: usize, concurrency: usize) -> (f64, u64, f64) {
+/// The host wall-clock seconds of one run's three layers.
+struct Walls {
+    build: f64,
+    event: f64,
+    report: f64,
+}
+
+/// One run over one freshly built evacuation fleet. Returns the layers'
+/// host wall-clock, engine iterations and simulated makespan.
+fn run_engine(jobs_n: usize, concurrency: usize) -> (Walls, u64, f64) {
     let spec = ScenarioSpec {
         kind: ScenarioKind::Evacuation,
         jobs: jobs_n,
@@ -62,10 +75,11 @@ fn run_engine(jobs_n: usize, concurrency: usize) -> (f64, u64, f64) {
         arrival: SimDuration::from_secs(20),
         seed: 2013,
     };
-    let mut s = build_scaled(&spec, jobs_n.max(8)).expect("scenario fits");
-    // The trajectory tracks the engine loop alone: a 4096-job trace is
-    // ring-buffer churn that would swamp it.
-    s.world.trace = Trace::disabled();
+    // The trajectory tracks the untraced layers: a 4096-job trace is
+    // ring-buffer churn that would swamp them.
+    let t0 = Instant::now();
+    let mut s = build_auto(&spec, Trace::disabled()).expect("scenario fits");
+    let build = t0.elapsed().as_secs_f64();
     let cfg = FleetConfig {
         concurrency,
         ..FleetConfig::default()
@@ -77,13 +91,22 @@ fn run_engine(jobs_n: usize, concurrency: usize) -> (f64, u64, f64) {
         .collect();
     let t0 = Instant::now();
     let report = run_fleet(&mut s.world, &mut jobs, s.scheduler, &cfg).expect("fleet run");
-    let wall = t0.elapsed().as_secs_f64();
+    let event = t0.elapsed().as_secs_f64();
     drop(jobs);
+    let t0 = Instant::now();
+    let json = report.to_json_pretty();
+    let report_wall = t0.elapsed().as_secs_f64();
+    assert!(json.ends_with('}'));
     let iterations = s
         .world
         .metrics
         .counter_total("ninja_fleet_engine_iterations_total");
-    (wall, iterations, report.makespan.as_secs_f64())
+    let walls = Walls {
+        build,
+        event,
+        report: report_wall,
+    };
+    (walls, iterations, report.makespan.as_secs_f64())
 }
 
 /// Append this run's rows to `BENCH_fleet.json` (a JSON array of run
@@ -140,13 +163,20 @@ fn main() {
         // senders × 1.3 Gb/s caps on a 10 Gb/s uplink ≈ 33× oversub)
         // while the fleet and its admission queue grow.
         let concurrency = (n / 2).clamp(2, 256);
-        let runs: Vec<(f64, u64, f64)> = (0..RUNS).map(|_| run_engine(n, concurrency)).collect();
-        let wall = runs.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
+        let runs: Vec<(Walls, u64, f64)> = (0..RUNS).map(|_| run_engine(n, concurrency)).collect();
+        let best = |layer: fn(&Walls) -> f64| {
+            runs.iter()
+                .map(|r| layer(&r.0))
+                .fold(f64::INFINITY, f64::min)
+        };
+        let wall = best(|w| w.event);
         let (_, iterations, makespan_s) = runs[0];
         rows.push(Row {
             jobs: n,
             concurrency,
+            build_wall_s: best(|w| w.build),
             event_wall_s: wall,
+            report_wall_s: best(|w| w.report),
             iterations,
             wall_us_per_iteration: wall / iterations as f64 * 1e6,
             makespan_s,
@@ -159,7 +189,9 @@ fn main() {
             vec![
                 r.jobs.to_string(),
                 r.concurrency.to_string(),
+                format!("{:.4}", r.build_wall_s),
                 format!("{:.4}", r.event_wall_s),
+                format!("{:.4}", r.report_wall_s),
                 format!("{:.1}", r.wall_us_per_job()),
                 r.iterations.to_string(),
                 format!("{:.2}", r.wall_us_per_iteration),
@@ -173,7 +205,9 @@ fn main() {
             &[
                 "jobs",
                 "conc",
+                "build (s)",
                 "wall (s)",
+                "report (s)",
                 "us/job",
                 "iterations",
                 "us/iter",
