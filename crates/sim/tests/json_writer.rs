@@ -6,11 +6,14 @@
 //! `-0` is `0`). Strings skip `fmt` when they need no escape, and must
 //! still escape exactly as `write_escaped` does. The writer hands its
 //! sink 64 KiB pieces and the rest at the end of the top-level value,
-//! and a sink error reaches the caller.
+//! and a sink error reaches the caller. One document that takes every
+//! structural path (deep nesting, odd keys, empty containers, duration
+//! edges) is pinned byte for byte in `tests/fixtures/`.
 
 use ninja_sim::export::{write_escaped, write_f64};
-use ninja_sim::{JsonWriter, SimRng};
+use ninja_sim::{JsonWriter, SimDuration, SimRng, SimTime, WriteJson};
 use std::fmt::{self, Write};
+use std::path::Path;
 
 const CHUNK: usize = 64 * 1024;
 
@@ -208,4 +211,148 @@ fn sink_errors_reach_the_caller() {
     assert!(jobs_document(3, &mut JsonWriter::compact(&mut Full { room: 0 })).is_err());
     assert!(JsonWriter::compact(&mut Full { room: 0 }).null().is_err());
     assert!(jobs_document(5_000, &mut JsonWriter::pretty(&mut Full { room: 1 << 20 })).is_ok());
+}
+
+/// Levels of nesting in [`structure_document`]'s `deep` value: past 32,
+/// so its indentation outgrows any fixed block of spaces.
+const DEEP: u64 = 40;
+
+/// A document that takes every structural path of the writer: empty
+/// containers in each position, keys that need escapes, non-ASCII keys
+/// and keys longer than any fixed block, every scalar, `SimDuration`
+/// and `SimTime` edge values, and nesting [`DEEP`] levels down with a
+/// value after each close.
+fn structure_document<W: Write>(w: &mut JsonWriter<'_, W>) -> fmt::Result {
+    w.begin_object()?;
+    w.key("empty_array")?;
+    w.begin_array()?;
+    w.end_array()?;
+    w.key("empty_object")?;
+    w.begin_object()?;
+    w.end_object()?;
+    w.key("empties")?;
+    w.begin_array()?;
+    w.begin_array()?;
+    w.end_array()?;
+    w.begin_object()?;
+    w.end_object()?;
+    w.begin_array()?;
+    w.begin_object()?;
+    w.end_object()?;
+    w.end_array()?;
+    w.begin_object()?;
+    w.key("inner")?;
+    w.begin_array()?;
+    w.end_array()?;
+    w.end_object()?;
+    w.end_array()?;
+
+    w.field("", &0u64)?;
+    w.field("quote\"back\\slash", &1u64)?;
+    w.field("tab\tnewline\ncr\rbell\u{7}unit\u{1f}", &2u64)?;
+    w.field("blackout_é_ö_日本_🦀", &3u64)?;
+    let long = "a_key_longer_than_any_fixed_block_".repeat(4);
+    w.field(&long, &4u64)?;
+    let long_escaped = format!("{long}\"quoted\"\u{0}é{long}");
+    w.field(&long_escaped, &5u64)?;
+    let long_wide = "日本語のキー🦀".repeat(8);
+    w.field(&long_wide, &6u64)?;
+
+    w.key("scalars")?;
+    w.begin_object()?;
+    w.field("null", &None::<u64>)?;
+    w.field("true", &true)?;
+    w.field("false", &false)?;
+    w.field("u64_max", &u64::MAX)?;
+    w.field("u64_zero", &0u64)?;
+    w.key("i64_min")?;
+    w.i64(i64::MIN)?;
+    w.key("i64_negative")?;
+    w.i64(-42)?;
+    w.field("f64_nan", &f64::NAN)?;
+    w.field("f64_negative_zero", &-0.0f64)?;
+    w.field("f64_whole_nanos", &1.000_000_001f64)?;
+    w.field("f64_other", &0.1f64)?;
+    w.field("str_escapes", "line\nquote\"tab\t\u{0}")?;
+    w.field("str_wide", "é日本🦀")?;
+    w.field("str_empty", "")?;
+    w.end_object()?;
+
+    w.key("durations")?;
+    w.begin_array()?;
+    for ns in [
+        0,
+        1,
+        10,
+        100_000_000,
+        999_999_999,
+        1_000_000_000,
+        1_000_000_001,
+        1_500_000_000,
+        60_000_000_000,
+        86_400_000_000_000,
+        u64::MAX,
+    ] {
+        SimDuration::from_nanos(ns).write_json(w)?;
+    }
+    w.end_array()?;
+    w.key("times")?;
+    w.begin_array()?;
+    for t in [SimTime::ZERO, SimTime::from_nanos(1), SimTime::MAX] {
+        t.write_json(w)?;
+    }
+    w.end_array()?;
+
+    w.key("deep")?;
+    for level in 0..DEEP {
+        if level % 2 == 0 {
+            w.begin_array()?;
+            w.u64(level)?;
+        } else {
+            w.begin_object()?;
+            w.field("level", &level)?;
+            w.key("next")?;
+        }
+    }
+    w.str("bottom")?;
+    for level in (0..DEEP).rev() {
+        if level % 2 == 0 {
+            w.end_array()?;
+        } else {
+            w.end_object()?;
+        }
+        // A value after each close, so the separator and indentation
+        // of every depth are written after a container ends.
+        // Level `level - 1` is an object when odd, an array when even.
+        if level % 2 == 0 && level > 0 {
+            w.field("after", &SimDuration::from_nanos(level))?;
+        } else if level % 2 == 1 {
+            w.str("after")?;
+        }
+    }
+    w.field("last", &SimDuration::MAX)?;
+    w.end_object()
+}
+
+fn fixture(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+#[test]
+fn writer_structure_matches_its_fixtures() {
+    let mut pretty = String::new();
+    structure_document(&mut JsonWriter::pretty(&mut pretty)).unwrap();
+    let mut compact = String::new();
+    structure_document(&mut JsonWriter::compact(&mut compact)).unwrap();
+    assert_eq!(pretty, fixture("writer-structure.json"));
+    assert_eq!(compact, fixture("writer-structure.compact.json"));
+    // Both forms read back as the same value.
+    let value = ninja_sim::parse(&pretty).unwrap();
+    assert_eq!(ninja_sim::parse(&compact).unwrap(), value);
+    // The innermost key sits inside the root object and DEEP containers.
+    let indent = " ".repeat(2 * (DEEP as usize + 1));
+    assert!(pretty.contains(&format!("\n{indent}\"next\": \"bottom\"\n")));
 }
