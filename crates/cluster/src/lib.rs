@@ -20,6 +20,8 @@ pub mod topology;
 pub use calib::HotplugCalib;
 pub use hotplug::{AcpiHotplug, HotplugOp};
 pub use node::{Node, NodeId, NodeSpec};
-pub use pci::{Attachment, DeviceClass, DeviceId, DeviceKind, DeviceTable, PciAddr, PciDevice};
+pub use pci::{
+    Attachment, DeviceClass, DeviceId, DeviceKind, DeviceTable, DeviceTag, PciAddr, PciDevice,
+};
 pub use storage::{NfsExport, StorageId, StoragePool};
 pub use topology::{Cluster, ClusterId, DataCenter, DataCenterBuilder, FabricKind, WanLink};

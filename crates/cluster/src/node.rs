@@ -39,8 +39,6 @@ impl NodeSpec {
 pub struct Node {
     /// The id.
     pub id: NodeId,
-    /// The hostname.
-    pub hostname: String,
     /// The spec.
     pub spec: NodeSpec,
     /// Cluster this node belongs to (set by the topology builder).
@@ -51,10 +49,9 @@ pub struct Node {
 
 impl Node {
     /// Creates a new instance.
-    pub fn new(id: NodeId, hostname: impl Into<String>, spec: NodeSpec, cluster: u32) -> Self {
+    pub fn new(id: NodeId, spec: NodeSpec, cluster: u32) -> Self {
         Node {
             id,
-            hostname: hostname.into(),
             spec,
             cluster,
             committed_vcpus: 0,
@@ -113,7 +110,7 @@ mod tests {
     use super::*;
 
     fn node() -> Node {
-        Node::new(NodeId(0), "agc01", NodeSpec::agc_blade(), 0)
+        Node::new(NodeId(0), NodeSpec::agc_blade(), 0)
     }
 
     #[test]

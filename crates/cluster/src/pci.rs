@@ -7,7 +7,6 @@
 
 use ninja_net::{EthKind, EthNic, IbHca};
 use std::fmt;
-use std::sync::Arc;
 
 /// Identifier of a device in the [`DeviceTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -93,6 +92,100 @@ pub enum Attachment {
     Detached,
 }
 
+/// A device's SymVirt script tag (the paper's `vf0`): a fixed name,
+/// followed for the tags the topology and the VM pool give out by the
+/// id of the node or VM the device was made for (`hca-3`,
+/// `virtio-17`). The text is rendered when read, so a tag is two words
+/// that copy without allocating.
+#[derive(Debug, Clone, Copy)]
+pub struct DeviceTag {
+    name: &'static str,
+    index: Option<u32>,
+}
+
+impl DeviceTag {
+    /// The tag `{name}{index}`: `indexed("hca-", 3)` reads `hca-3`.
+    pub const fn indexed(name: &'static str, index: u32) -> Self {
+        DeviceTag {
+            name,
+            index: Some(index),
+        }
+    }
+
+    /// The tag's text in two pieces: the name and the index's digits,
+    /// rendered into `digits`.
+    fn parts<'a>(&self, digits: &'a mut [u8; 10]) -> (&'static str, &'a str) {
+        let Some(mut v) = self.index else {
+            return (self.name, "");
+        };
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        let digits = std::str::from_utf8(&digits[at..]).expect("ASCII digits");
+        (self.name, digits)
+    }
+
+    /// Whether the tag's text starts with `prefix`.
+    pub fn starts_with(&self, prefix: &str) -> bool {
+        let mut buf = [0; 10];
+        let (name, digits) = self.parts(&mut buf);
+        match prefix.strip_prefix(name) {
+            Some(rest) => digits.starts_with(rest),
+            None => name.starts_with(prefix),
+        }
+    }
+}
+
+/// A tag with no index: the text is `name` itself.
+impl From<&'static str> for DeviceTag {
+    fn from(name: &'static str) -> Self {
+        DeviceTag { name, index: None }
+    }
+}
+
+impl PartialEq<str> for DeviceTag {
+    fn eq(&self, text: &str) -> bool {
+        let mut buf = [0; 10];
+        let (name, digits) = self.parts(&mut buf);
+        text.len() == name.len() + digits.len() && text.starts_with(name) && text.ends_with(digits)
+    }
+}
+
+impl PartialEq<&str> for DeviceTag {
+    fn eq(&self, text: &&str) -> bool {
+        *self == **text
+    }
+}
+
+/// Tags are equal when their texts are: `indexed("vf", 0)` equals
+/// `"vf0".into()`.
+impl PartialEq for DeviceTag {
+    fn eq(&self, other: &DeviceTag) -> bool {
+        let (mut x, mut y) = ([0; 10], [0; 10]);
+        let (a, b) = self.parts(&mut x);
+        let (c, d) = other.parts(&mut y);
+        a.len() + b.len() == c.len() + d.len()
+            && a.bytes().chain(b.bytes()).eq(c.bytes().chain(d.bytes()))
+    }
+}
+
+impl Eq for DeviceTag {}
+
+impl fmt::Display for DeviceTag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut buf = [0; 10];
+        let (name, digits) = self.parts(&mut buf);
+        f.write_str(name)?;
+        f.write_str(digits)
+    }
+}
+
 /// One PCI device.
 #[derive(Debug, Clone)]
 pub struct PciDevice {
@@ -100,14 +193,16 @@ pub struct PciDevice {
     pub id: DeviceId,
     /// The addr.
     pub addr: PciAddr,
-    /// SymVirt script tag (e.g. `vf0`). Shared, so a `device_del`
-    /// naming the device clones it without allocating.
-    pub tag: Arc<str>,
+    /// SymVirt script tag (e.g. `vf0`).
+    pub tag: DeviceTag,
     /// The kind.
     pub kind: DeviceKind,
     /// Private so that [`DeviceTable::set_attachment`] is the only
     /// writer and the table's attachment index cannot go stale.
     attachment: Attachment,
+    /// The next device at the same attachment, in id order; [`END`] for
+    /// the last.
+    next: u32,
 }
 
 impl PciDevice {
@@ -117,21 +212,38 @@ impl PciDevice {
     }
 }
 
+/// The end of an attachment's device list.
+const END: u32 = u32::MAX;
+
 /// Flat arena of all devices in the data center.
 ///
-/// Lookups go through a dense index of the ids attached at each place
-/// (one list per node, one per VM, one for detached devices), each list
-/// sorted ascending: a lookup touches only the devices on one node or
-/// VM, and its first match is the lowest id — the device a scan of the
-/// whole table in id order would find.
-#[derive(Debug, Default)]
+/// Lookups go through an index of the devices attached at each place
+/// (one list per node, one per VM, one for detached devices), each
+/// list linked through the devices themselves in ascending id order
+/// from a head per place: a lookup touches only the devices on one
+/// node or VM, and its first match is the lowest id — the device a
+/// scan of the whole table in id order would find. The index holds no
+/// allocation per list.
+#[derive(Debug)]
 pub struct DeviceTable {
     devices: Vec<PciDevice>,
-    /// `host[node]`: the node's free pool.
-    host: Vec<Vec<DeviceId>>,
-    /// `guest[vm]`: the devices passed through to the VM.
-    guest: Vec<Vec<DeviceId>>,
-    detached: Vec<DeviceId>,
+    /// `host[node]`: the first device in the node's free pool.
+    host: Vec<u32>,
+    /// `guest[vm]`: the first device passed through to the VM.
+    guest: Vec<u32>,
+    /// The first detached device.
+    detached: u32,
+}
+
+impl Default for DeviceTable {
+    fn default() -> Self {
+        DeviceTable {
+            devices: Vec::new(),
+            host: Vec::new(),
+            guest: Vec::new(),
+            detached: END,
+        }
+    }
 }
 
 impl DeviceTable {
@@ -140,11 +252,16 @@ impl DeviceTable {
         Self::default()
     }
 
+    /// Makes room for `additional` more devices.
+    pub fn reserve(&mut self, additional: usize) {
+        self.devices.reserve(additional);
+    }
+
     /// Register a device and return its id.
     pub fn insert(
         &mut self,
         addr: PciAddr,
-        tag: impl Into<Arc<str>>,
+        tag: impl Into<DeviceTag>,
         kind: DeviceKind,
         attachment: Attachment,
     ) -> DeviceId {
@@ -155,53 +272,89 @@ impl DeviceTable {
             tag: tag.into(),
             kind,
             attachment,
+            next: END,
         });
-        // The new id is the largest, so pushing keeps the list sorted.
-        self.list_mut(attachment).push(id);
+        self.link(id);
         id
     }
 
     /// Moves device `id` to `attachment` (hotplug, migration, teardown).
     pub fn set_attachment(&mut self, id: DeviceId, attachment: Attachment) {
-        let dev = &mut self.devices[id.0 as usize];
-        let old = std::mem::replace(&mut dev.attachment, attachment);
+        let old = self.devices[id.0 as usize].attachment;
         if old == attachment {
             return;
         }
-        // An emptied list stays, keeping its capacity for the next
-        // device to land there.
-        let ids = self.list_mut(old);
-        let at = ids
-            .binary_search(&id)
-            .expect("indexed under its attachment");
-        ids.remove(at);
-        let ids = self.list_mut(attachment);
-        let at = ids.binary_search(&id).expect_err("not yet indexed here");
-        ids.insert(at, id);
+        self.unlink(id);
+        self.devices[id.0 as usize].attachment = attachment;
+        self.link(id);
     }
 
-    /// The id list for `attachment`, grown to cover its node or VM.
-    fn list_mut(&mut self, attachment: Attachment) -> &mut Vec<DeviceId> {
-        let (lists, i) = match attachment {
+    /// Links `id` into its attachment's list, before the first larger
+    /// id.
+    fn link(&mut self, id: DeviceId) {
+        let at = self.devices[id.0 as usize].attachment;
+        let mut prev = END;
+        let mut cur = self.head(at);
+        while cur < id.0 {
+            prev = cur;
+            cur = self.devices[cur as usize].next;
+        }
+        debug_assert_ne!(cur, id.0, "not yet indexed here");
+        self.devices[id.0 as usize].next = cur;
+        match prev {
+            END => *self.head_mut(at) = id.0,
+            p => self.devices[p as usize].next = id.0,
+        }
+    }
+
+    /// Unlinks `id` from its attachment's list.
+    fn unlink(&mut self, id: DeviceId) {
+        let at = self.devices[id.0 as usize].attachment;
+        let mut prev = END;
+        let mut cur = self.head(at);
+        while cur != id.0 {
+            assert_ne!(cur, END, "indexed under its attachment");
+            prev = cur;
+            cur = self.devices[cur as usize].next;
+        }
+        let next = self.devices[id.0 as usize].next;
+        match prev {
+            END => *self.head_mut(at) = next,
+            p => self.devices[p as usize].next = next,
+        }
+    }
+
+    /// The head of `attachment`'s list, grown to cover its node or VM.
+    fn head_mut(&mut self, attachment: Attachment) -> &mut u32 {
+        let (heads, i) = match attachment {
             Attachment::Host { node } => (&mut self.host, node),
             Attachment::Guest { vm } => (&mut self.guest, vm),
             Attachment::Detached => return &mut self.detached,
         };
         let i = i as usize;
-        if lists.len() <= i {
-            lists.resize_with(i + 1, Vec::new);
+        if heads.len() <= i {
+            heads.resize(i + 1, END);
         }
-        &mut lists[i]
+        &mut heads[i]
+    }
+
+    /// The first device attached at `attachment`, or [`END`].
+    fn head(&self, attachment: Attachment) -> u32 {
+        let (heads, i) = match attachment {
+            Attachment::Host { node } => (&self.host, node),
+            Attachment::Guest { vm } => (&self.guest, vm),
+            Attachment::Detached => return self.detached,
+        };
+        heads.get(i as usize).copied().unwrap_or(END)
     }
 
     /// Ids attached at `attachment`, ascending.
-    fn attached(&self, attachment: Attachment) -> &[DeviceId] {
-        let (lists, i) = match attachment {
-            Attachment::Host { node } => (&self.host, node),
-            Attachment::Guest { vm } => (&self.guest, vm),
-            Attachment::Detached => return &self.detached,
-        };
-        lists.get(i as usize).map_or(&[], Vec::as_slice)
+    fn attached(&self, attachment: Attachment) -> impl Iterator<Item = DeviceId> + '_ {
+        let first = Some(self.head(attachment)).filter(|&d| d != END);
+        std::iter::successors(first, |&d| {
+            Some(self.devices[d as usize].next).filter(|&n| n != END)
+        })
+        .map(DeviceId)
     }
 
     /// Borrow the entry by id.
@@ -231,25 +384,24 @@ impl DeviceTable {
 
     /// Ids attached to VM `vm`, ascending: its passthrough devices and
     /// its virtio NIC.
-    pub fn on_vm(&self, vm: u32) -> &[DeviceId] {
+    pub fn on_vm(&self, vm: u32) -> impl Iterator<Item = DeviceId> + '_ {
         self.attached(Attachment::Guest { vm })
     }
 
-    /// Find a device by its script tag attached to a given VM (the
-    /// lowest id when several match).
-    pub fn find_by_tag_on_vm(&self, vm: u32, tag: &str) -> Option<DeviceId> {
-        self.on_vm(vm)
-            .iter()
-            .copied()
-            .find(|&id| *self.get(id).tag == *tag)
+    /// Find a device by its script tag (a `&str` or a [`DeviceTag`])
+    /// attached to a given VM (the lowest id when several match).
+    pub fn find_by_tag_on_vm<T>(&self, vm: u32, tag: &T) -> Option<DeviceId>
+    where
+        T: ?Sized,
+        DeviceTag: PartialEq<T>,
+    {
+        self.on_vm(vm).find(|&id| self.get(id).tag == *tag)
     }
 
     /// Find a free (host-pool) device of a class on a node (the lowest
     /// id when several match).
     pub fn find_free_on_node(&self, node: u32, class: DeviceClass) -> Option<DeviceId> {
         self.attached(Attachment::Host { node })
-            .iter()
-            .copied()
             .find(|&id| self.get(id).kind.class() == class)
     }
 
@@ -316,7 +468,7 @@ mod tests {
             Attachment::Guest { vm: 7 },
         );
         assert_eq!(t.len(), 1);
-        assert_eq!(&*t.get(id).tag, "vf0");
+        assert_eq!(t.get(id).tag, "vf0");
         assert_eq!(t.find_by_tag_on_vm(7, "vf0"), Some(id));
         assert_eq!(t.find_by_tag_on_vm(8, "vf0"), None);
         assert_eq!(t.get(id).kind.class(), DeviceClass::IbHca);
@@ -397,7 +549,7 @@ mod tests {
                     virtio_nic(u64::from(step))
                 };
                 let at = place(&mut rng);
-                let tag = format!("vf{}", rng.below(3));
+                let tag = DeviceTag::indexed("vf", rng.below(3) as u32);
                 t.insert(PciAddr::new(4, 0, 0), tag, kind, at);
             } else {
                 let id = DeviceId(rng.below(t.len() as u64) as u32);
@@ -419,12 +571,37 @@ mod tests {
                 for tag in ["vf0", "vf1", "vf2"] {
                     let scan = t
                         .iter()
-                        .find(|d| *d.tag == *tag && d.attachment() == Attachment::Guest { vm: x })
+                        .find(|d| d.tag == *tag && d.attachment() == Attachment::Guest { vm: x })
                         .map(|d| d.id);
                     assert_eq!(t.find_by_tag_on_vm(x, tag), scan, "step {step}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn tags_read_as_their_text() {
+        let hca = DeviceTag::indexed("hca-", 3);
+        assert_eq!(hca.to_string(), "hca-3");
+        assert_eq!(hca, "hca-3");
+        for other in ["hca-03", "hca-", "hca-30", "hca-3 ", "", "hca-4"] {
+            assert!(hca != other, "{other:?}");
+        }
+        for prefix in ["", "h", "hca", "hca-", "hca-3"] {
+            assert!(hca.starts_with(prefix), "{prefix:?}");
+        }
+        for prefix in ["hca-4", "hca-33", "vf", "hca-3-"] {
+            assert!(!hca.starts_with(prefix), "{prefix:?}");
+        }
+        assert_eq!(DeviceTag::indexed("vf", 0), DeviceTag::from("vf0"));
+        assert_ne!(DeviceTag::indexed("vf", 1), DeviceTag::from("vf0"));
+        // Equal texts are equal tags, however they split.
+        assert_eq!(DeviceTag::indexed("vf", 10), DeviceTag::indexed("vf1", 0));
+        assert_ne!(DeviceTag::indexed("vf", 10), DeviceTag::indexed("vf1", 1));
+        let max = DeviceTag::indexed("virtio-", u32::MAX);
+        assert_eq!(max.to_string(), "virtio-4294967295");
+        assert_eq!(max, "virtio-4294967295");
+        assert_eq!(DeviceTag::from("vf0").to_string(), "vf0");
     }
 
     #[test]

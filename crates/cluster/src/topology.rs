@@ -9,7 +9,7 @@
 use crate::calib::HotplugCalib;
 use crate::hotplug::AcpiHotplug;
 use crate::node::{Node, NodeId, NodeSpec};
-use crate::pci::{ib_hca, Attachment, DeviceId, DeviceTable, PciAddr};
+use crate::pci::{ib_hca, Attachment, DeviceId, DeviceTable, DeviceTag, PciAddr};
 use crate::storage::{StorageId, StoragePool};
 use ninja_net::{Fabric, FlowId, IbFabric, LinkId, MAX_PATH};
 use ninja_sim::{Bandwidth, Bytes, SimDuration, SimTime};
@@ -272,6 +272,16 @@ impl DataCenterBuilder {
         Self::default()
     }
 
+    /// A builder with room for `nodes` nodes and `devices` devices in
+    /// all, so that building a data center of that size (and booting
+    /// its VMs' NICs into it) grows no array.
+    pub fn with_capacity(nodes: usize, devices: usize) -> Self {
+        let mut b = Self::default();
+        b.nodes.reserve_exact(nodes);
+        b.devices.reserve(devices);
+        b
+    }
+
     /// Override the hotplug calibration.
     pub fn hotplug_calib(&mut self, calib: HotplugCalib) -> &mut Self {
         self.hotplug_calib = calib;
@@ -290,15 +300,18 @@ impl DataCenterBuilder {
         let cid = ClusterId(self.clusters.len() as u32);
         let name = name.into();
         let mut node_ids = Vec::with_capacity(count);
-        for i in 0..count {
+        self.nodes.reserve(count);
+        if fabric == FabricKind::Infiniband {
+            self.devices.reserve(count);
+        }
+        for _ in 0..count {
             let nid = NodeId(self.nodes.len() as u32);
-            let hostname = format!("{name}-{i:02}");
-            let node = Node::new(nid, hostname, spec.clone(), cid.0);
+            let node = Node::new(nid, spec.clone(), cid.0);
             if fabric == FabricKind::Infiniband {
                 self.guid_counter += 1;
                 self.devices.insert(
                     PciAddr::new(4, 0, 0),
-                    format!("hca-{}", nid.0),
+                    DeviceTag::indexed("hca-", nid.0),
                     ib_hca(0x0002_c903_0000_0000 | self.guid_counter),
                     Attachment::Host { node: nid.0 },
                 );

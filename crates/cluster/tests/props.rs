@@ -1,8 +1,8 @@
 //! Property-based tests of the cluster substrate.
 
 use ninja_cluster::{
-    Attachment, DataCenter, DeviceClass, DeviceId, DeviceTable, HotplugCalib, HotplugOp, Node,
-    NodeId, NodeSpec, PciAddr,
+    Attachment, DataCenter, DeviceClass, DeviceId, DeviceTable, DeviceTag, HotplugCalib, HotplugOp,
+    Node, NodeId, NodeSpec, PciAddr,
 };
 use ninja_sim::{Bandwidth, Bytes, SimRng, SimTime};
 use proptest::prelude::*;
@@ -12,7 +12,7 @@ proptest! {
     /// is exactly committed/cores when over-committed.
     #[test]
     fn node_accounting(ops in prop::collection::vec((any::<bool>(), 1u32..16, 1u64..30), 1..60)) {
-        let mut node = Node::new(NodeId(0), "n", NodeSpec::agc_blade(), 0);
+        let mut node = Node::new(NodeId(0), NodeSpec::agc_blade(), 0);
         let mut live: Vec<(u32, Bytes)> = Vec::new();
         for &(add, vcpus, mem_gib) in &ops {
             let mem = Bytes::from_gib(mem_gib);
@@ -65,7 +65,7 @@ proptest! {
                 } else {
                     (ninja_cluster::pci::virtio_nic(u64::from(i)), Attachment::Guest { vm: i % 4 })
                 };
-                table.insert(PciAddr::new(4, i as u8, 0), format!("dev{}", i % 3), kind, at)
+                table.insert(PciAddr::new(4, i as u8, 0), DeviceTag::indexed("dev", i % 3), kind, at)
             })
             .collect();
         for &(which, place, target) in &moves {
@@ -87,7 +87,7 @@ proptest! {
                 for tag in ["dev0", "dev1", "dev2"] {
                     let scan = table
                         .iter()
-                        .find(|d| *d.tag == *tag && d.attachment() == Attachment::Guest { vm: x })
+                        .find(|d| d.tag == *tag && d.attachment() == Attachment::Guest { vm: x })
                         .map(|d| d.id);
                     prop_assert_eq!(table.find_by_tag_on_vm(x, tag), scan);
                 }

@@ -147,7 +147,7 @@ impl NinjaOrchestrator {
         let mut snapshots = Vec::with_capacity(ctl.hostlist().len());
         let taken_at = world.clock();
         for &vm in ctl.hostlist() {
-            let (id, dur) = store.save(world.pool.get(vm), taken_at);
+            let (id, dur) = store.save(&world.pool, vm, taken_at);
             snapshots.push(id);
             save_max = save_max.max(dur);
         }

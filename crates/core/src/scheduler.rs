@@ -53,6 +53,13 @@ impl CloudScheduler {
         Self::default()
     }
 
+    /// An empty queue with room for `triggers` triggers.
+    pub fn with_capacity(triggers: usize) -> Self {
+        CloudScheduler {
+            queue: VecDeque::with_capacity(triggers),
+        }
+    }
+
     /// Append a trigger. Triggers must be pushed in nondecreasing time
     /// order (the scheduler plans ahead).
     pub fn push(&mut self, at: SimTime, dsts: Vec<NodeId>, reason: TriggerReason) {

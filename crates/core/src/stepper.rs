@@ -533,7 +533,7 @@ pub(crate) fn thaw(
         world
             .trace
             .add_span("symvirt", name, start, end)
-            .label("vm", &world.pool.get(vm).name);
+            .label("vm", world.pool.name(vm));
     }
     ctl.close();
     let mut linkup = SimDuration::ZERO;
@@ -611,7 +611,7 @@ pub(crate) fn record_job_telemetry(
         let vm_span = |trace: &mut Trace, name, vm: VmId, start, end, wire: Option<u64>| {
             let span = trace
                 .add_span("symvirt", name, start, end)
-                .label("vm", &pool.get(vm).name)
+                .label("vm", pool.name(vm))
                 .label_u64("job", job)
                 .label_u64("mig", mig);
             if let Some(bytes) = wire {
@@ -840,7 +840,8 @@ mod tests {
         // No device_add happened: each guest holds only its virtio NIC.
         for &vm in m.vms() {
             let nic = w.pool.get(vm).virtio_nic;
-            assert_eq!(w.dc.devices.on_vm(vm.0), [nic], "no device_add on {vm:?}");
+            let devices: Vec<_> = w.dc.devices.on_vm(vm.0).collect();
+            assert_eq!(devices, [nic], "no device_add on {vm:?}");
         }
         // The attach phase lasted exactly the retries' backoff.
         let policy = RetryPolicy::default();

@@ -189,7 +189,7 @@ impl World {
             let vm = self
                 .pool
                 .create(
-                    format!("vm{i}"),
+                    format_args!("vm{i}"),
                     VmSpec::paper_vm(),
                     node,
                     StorageId(0),
@@ -223,7 +223,7 @@ impl World {
             let vm = self
                 .pool
                 .create(
-                    format!("vm{i}"),
+                    format_args!("vm{i}"),
                     VmSpec::paper_vm(),
                     node,
                     StorageId(0),

@@ -170,13 +170,15 @@ pub fn build_scaled(
     nodes_per_cluster: usize,
 ) -> Result<Scenario, ScenarioError> {
     check_fit(spec, nodes_per_cluster)?;
-    Ok(build_in(spec, scaled_world(spec.seed, nodes_per_cluster)))
+    let world = scaled_world(spec.seed, nodes_per_cluster, total_vms(spec)?);
+    Ok(build_in(spec, world))
 }
 
 /// A world over `nodes_per_cluster` AGC-blade nodes on an IB and an
-/// Ethernet cluster that share one image store.
-fn scaled_world(seed: u64, nodes_per_cluster: usize) -> World {
-    let mut b = DataCenterBuilder::new();
+/// Ethernet cluster that share one image store, with room for `vms`
+/// VMs' NICs in its device table.
+fn scaled_world(seed: u64, nodes_per_cluster: usize, vms: usize) -> World {
+    let mut b = DataCenterBuilder::with_capacity(2 * nodes_per_cluster, nodes_per_cluster + vms);
     let ib = b.add_cluster(
         "scale-ib",
         FabricKind::Infiniband,
@@ -207,7 +209,7 @@ pub fn build_auto(spec: &ScenarioSpec, trace: Trace) -> Result<Scenario, Scenari
     let mut world = if need <= 8 {
         World::agc(spec.seed)
     } else {
-        scaled_world(spec.seed, need)
+        scaled_world(spec.seed, need, total_vms(spec)?)
     };
     world.trace = trace;
     Ok(build_in(spec, world))
@@ -286,7 +288,7 @@ fn lids_needed(kind: ScenarioKind, vms: usize) -> Result<usize, ScenarioError> {
 fn build_in(spec: &ScenarioSpec, mut world: World) -> Scenario {
     let on_ib = spec.kind != ScenarioKind::Rebalance;
     let jobs = boot_jobs(&mut world, spec.jobs, spec.vms_per_job, on_ib);
-    let mut scheduler = CloudScheduler::new();
+    let mut scheduler = CloudScheduler::with_capacity(spec.jobs);
     let t0 = world.clock();
     let mut arrivals = world.rng.fork(0xf1ee7);
     let mut at = t0;
@@ -318,6 +320,9 @@ fn reason(kind: ScenarioKind) -> TriggerReason {
 /// consecutive source-cluster nodes (with HCAs and trained links on the
 /// IB side).
 fn boot_jobs(world: &mut World, jobs: usize, vms_per_job: usize, on_ib: bool) -> Vec<MpiRuntime> {
+    let total = jobs * vms_per_job;
+    world.pool.reserve(total);
+    world.dc.devices.reserve(total);
     let mut runtimes = Vec::with_capacity(jobs);
     let mut ready = world.clock();
     let mut job_vms: Vec<Vec<VmId>> = Vec::with_capacity(jobs);
@@ -333,7 +338,7 @@ fn boot_jobs(world: &mut World, jobs: usize, vms_per_job: usize, on_ib: bool) ->
             let vm = world
                 .pool
                 .create(
-                    format!("job{j}-vm{k}"),
+                    format_args!("job{j}-vm{k}"),
                     VmSpec::paper_vm(),
                     node,
                     StorageId(0),

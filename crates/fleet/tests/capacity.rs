@@ -25,17 +25,17 @@ fn assert_ledger(w: &World) {
             .fold((0, 0), |(c, m), v| {
                 (c + v.spec.vcpus, m + v.spec.memory.get())
             });
-        assert_eq!(node.committed_vcpus(), vcpus, "vCPUs on {}", node.hostname);
+        assert_eq!(node.committed_vcpus(), vcpus, "vCPUs on {:?}", node.id);
         assert_eq!(
             node.committed_memory().get(),
             mem,
-            "memory on {}",
-            node.hostname
+            "memory on {:?}",
+            node.id
         );
         assert!(
             mem <= node.spec.memory.get(),
-            "{} oversubscribed",
-            node.hostname
+            "{:?} oversubscribed",
+            node.id
         );
     }
 }
@@ -78,7 +78,12 @@ fn fleet(w: &mut World, jobs: &mut [MpiRuntime], dst: NodeId, concurrency: usize
 fn assert_unmoved(w: &World, job: &MpiRuntime, sources: &[NodeId]) {
     for (&vm, &src) in job.layout().vms().iter().zip(sources) {
         let v = w.pool.get(vm);
-        assert_eq!((v.node, v.migrations), (src, 0), "{} moved", v.name);
+        assert_eq!(
+            (v.node, v.migrations),
+            (src, 0),
+            "{} moved",
+            w.pool.name(vm)
+        );
     }
 }
 

@@ -16,7 +16,9 @@
 //! seeds; the `proptest` feature (off by default, mirroring
 //! `ninja-migration`) fuzzes the same invariants over random specs.
 
-use ninja_fleet::{build, run_fleet, FleetConfig, ScenarioKind, ScenarioSpec};
+use ninja_fleet::{
+    build, percentile, run_fleet, FleetConfig, FleetReport, ScenarioKind, ScenarioSpec,
+};
 use ninja_migration::World;
 use ninja_sim::SimDuration;
 use ninja_symvirt::GuestCooperative;
@@ -147,7 +149,11 @@ fn evacuation_burst_speeds_up_strictly_with_concurrency() {
     );
     // Every job but the first waits in the serial queue; at
     // concurrency 4 the median wait collapses.
-    assert!(fleet.p50_queue_wait() < serial.p50_queue_wait());
+    let p50_queue_wait = |r: &FleetReport| {
+        let waits: Vec<_> = r.jobs.iter().map(|j| j.queue_wait()).collect();
+        percentile(&waits, 50.0)
+    };
+    assert!(p50_queue_wait(&fleet) < p50_queue_wait(&serial));
 }
 
 #[test]
@@ -259,12 +265,12 @@ mod prop {
                 .fold((0, 0), |(c, m), v| {
                     (c + v.spec.vcpus, m + v.spec.memory.get())
                 });
-            assert_eq!(node.committed_vcpus(), vcpus, "vCPUs on {}", node.hostname);
+            assert_eq!(node.committed_vcpus(), vcpus, "vCPUs on {:?}", node.id);
             assert_eq!(
                 node.committed_memory().get(),
                 mem,
-                "memory on {}",
-                node.hostname
+                "memory on {:?}",
+                node.id
             );
         }
     }

@@ -63,18 +63,25 @@ impl BtlComponent {
 /// restricted by the `--mca btl` parameter.
 #[derive(Debug, Clone)]
 pub struct BtlRegistry {
-    components: Vec<BtlComponent>,
+    /// Which of the stock components (`self`, `sm`, `openib`, `tcp`, in
+    /// that order) are registered. A component is rendered from its
+    /// kind when read, so a registry is one byte per kind and every
+    /// runtime can hold its own.
+    registered: [bool; 4],
 }
+
+/// The stock runtime's components, in its order.
+const STOCK: [TransportKind; 4] = [
+    TransportKind::SelfLoop,
+    TransportKind::SharedMemory,
+    TransportKind::OpenIb,
+    TransportKind::Tcp,
+];
 
 impl Default for BtlRegistry {
     fn default() -> Self {
         BtlRegistry {
-            components: vec![
-                BtlComponent::stock(TransportKind::SelfLoop),
-                BtlComponent::stock(TransportKind::SharedMemory),
-                BtlComponent::stock(TransportKind::OpenIb),
-                BtlComponent::stock(TransportKind::Tcp),
-            ],
+            registered: [true; 4],
         }
     }
 }
@@ -82,29 +89,27 @@ impl Default for BtlRegistry {
 impl BtlRegistry {
     /// Restrict to the listed kinds — models `--mca btl tcp,self,...`.
     pub fn restricted(kinds: &[TransportKind]) -> Self {
-        let all = BtlRegistry::default();
         BtlRegistry {
-            components: all
-                .components
-                .into_iter()
-                .filter(|c| kinds.contains(&c.kind))
-                .collect(),
+            registered: STOCK.map(|kind| kinds.contains(&kind)),
         }
     }
 
     /// Returns the contains.
     pub fn contains(&self, kind: TransportKind) -> bool {
-        self.components.iter().any(|c| c.kind == kind)
+        self.kinds().any(|k| k == kind)
     }
 
-    /// Returns the component.
-    pub fn component(&self, kind: TransportKind) -> Option<&BtlComponent> {
-        self.components.iter().find(|c| c.kind == kind)
+    /// The registered component of `kind`, if any.
+    pub fn component(&self, kind: TransportKind) -> Option<BtlComponent> {
+        self.contains(kind).then(|| BtlComponent::stock(kind))
     }
 
-    /// Returns the kinds.
+    /// Returns the kinds, in the stock order.
     pub fn kinds(&self) -> impl Iterator<Item = TransportKind> + '_ {
-        self.components.iter().map(|c| c.kind)
+        STOCK
+            .into_iter()
+            .zip(self.registered)
+            .filter_map(|(kind, on)| on.then_some(kind))
     }
 
     /// Select the BTL for a pair of ranks at `now`, following Open MPI's
@@ -137,9 +142,8 @@ impl BtlRegistry {
         let ta = pool.available_transports(va, dc, now);
         let tb = pool.available_transports(vb, dc, now);
         let same_fabric = dc.cluster_of(pool.get(va).node) == dc.cluster_of(pool.get(vb).node);
-        self.components
-            .iter()
-            .filter(|c| match c.kind {
+        self.kinds()
+            .filter(|&kind| match kind {
                 TransportKind::OpenIb => {
                     same_fabric
                         && ta.contains(&TransportKind::OpenIb)
@@ -151,8 +155,7 @@ impl BtlRegistry {
                 // Loopback/shared-memory never reach across VMs.
                 TransportKind::SharedMemory | TransportKind::SelfLoop => false,
             })
-            .max_by_key(|c| c.exclusivity)
-            .map(|c| c.kind)
+            .max_by_key(|&kind| exclusivity(kind))
     }
 }
 

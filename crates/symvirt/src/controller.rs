@@ -219,9 +219,9 @@ impl Controller {
             let tag = pool
                 .get(vm)
                 .passthrough(&dc.devices)
-                .map(|d| &dc.devices.get(d).tag)
+                .map(|d| dc.devices.get(d).tag)
                 .find(|t| t.starts_with(tag_prefix));
-            let Some(tag) = tag.cloned() else { continue };
+            let Some(tag) = tag else { continue };
             let reply = self.monitor.execute(
                 MonitorCommand::DeviceDel {
                     vm,

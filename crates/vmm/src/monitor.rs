@@ -17,9 +17,8 @@
 use crate::error::VmmError;
 use crate::migration::{plan_precopy, MigrationConfig, PrecopyPlan};
 use crate::vm::{VmId, VmPool, VmState};
-use ninja_cluster::{DataCenter, DeviceClass, DeviceId, HotplugOp, NodeId};
+use ninja_cluster::{DataCenter, DeviceClass, DeviceId, DeviceTag, HotplugOp, NodeId};
 use ninja_sim::{SimDuration, SimRng, SimTime};
-use std::sync::Arc;
 
 /// A command sent to a VMM's monitor.
 #[derive(Debug, Clone)]
@@ -29,7 +28,7 @@ pub enum MonitorCommand {
         /// The vm.
         vm: VmId,
         /// The tag.
-        tag: Arc<str>,
+        tag: DeviceTag,
         /// Skip the resource-safety check (used by failure injection).
         force: bool,
     },
@@ -255,7 +254,7 @@ mod tests {
             r => panic!("unexpected {r:?}"),
         };
         assert!(add_dur.as_secs_f64() > 1.0, "IB attach is slow: {add_dur}");
-        let tag = f.dc.devices.get(device).tag.clone();
+        let tag = f.dc.devices.get(device).tag;
         let reply = f
             .mon
             .execute(

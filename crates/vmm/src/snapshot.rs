@@ -13,7 +13,7 @@
 //! bandwidth gates the save/restore time.
 
 use crate::memory::GuestMemory;
-use crate::vm::{Vm, VmSpec};
+use crate::vm::{VmId, VmPool, VmSpec};
 use ninja_cluster::StorageId;
 use ninja_sim::{Bandwidth, Bytes, SimDuration, SimTime};
 
@@ -59,15 +59,16 @@ impl SnapshotStore {
         Self::default()
     }
 
-    /// Save a snapshot of `vm` at `now`. The VM must be paused (callers
-    /// go through the SymVirt choreography); returns the id and how long
-    /// the qcow2 write takes at NFS speed.
-    pub fn save(&mut self, vm: &Vm, now: SimTime) -> (SnapshotId, SimDuration) {
+    /// Save a snapshot of `pool`'s VM `id` at `now`. The VM must be
+    /// paused (callers go through the SymVirt choreography); returns the
+    /// snapshot id and how long the qcow2 write takes at NFS speed.
+    pub fn save(&mut self, pool: &VmPool, id: VmId, now: SimTime) -> (SnapshotId, SimDuration) {
+        let (vm, vm_name) = (pool.get(id), pool.name(id));
         let image_bytes = vm.memory.full_pass_wire_bytes() + Bytes::new(DEVICE_STATE_BYTES);
         let id = SnapshotId(self.snapshots.len() as u32);
         self.snapshots.push(VmSnapshot {
             id,
-            vm_name: vm.name.clone(),
+            vm_name: vm_name.to_string(),
             spec: vm.spec.clone(),
             memory: vm.memory.clone(),
             disk: vm.disk,
@@ -133,7 +134,7 @@ mod tests {
     fn save_captures_memory_stats() {
         let (_dc, pool, vm) = paused_vm();
         let mut store = SnapshotStore::new();
-        let (id, dur) = store.save(pool.get(vm), SimTime::ZERO);
+        let (id, dur) = store.save(&pool, vm, SimTime::ZERO);
         let snap = store.get(id);
         assert_eq!(snap.vm_name, "vm0");
         assert_eq!(snap.memory.workload_touched(), Bytes::from_gib(4));
@@ -150,7 +151,7 @@ mod tests {
     fn image_is_compressed() {
         let (_dc, pool, vm) = paused_vm();
         let mut store = SnapshotStore::new();
-        let (id, _) = store.save(pool.get(vm), SimTime::ZERO);
+        let (id, _) = store.save(&pool, vm, SimTime::ZERO);
         // 20 GiB RAM, but mostly zero pages + half-uniform workload.
         assert!(store.get(id).image_bytes.get() < Bytes::from_gib(5).get());
     }
@@ -159,7 +160,7 @@ mod tests {
     fn restore_duration_symmetric_with_save() {
         let (_dc, pool, vm) = paused_vm();
         let mut store = SnapshotStore::new();
-        let (id, save_dur) = store.save(pool.get(vm), SimTime::ZERO);
+        let (id, save_dur) = store.save(&pool, vm, SimTime::ZERO);
         assert_eq!(store.restore_duration(id), save_dur);
     }
 
@@ -168,8 +169,8 @@ mod tests {
         let (_dc, pool, vm) = paused_vm();
         let mut store = SnapshotStore::new();
         assert!(store.is_empty());
-        let (a, _) = store.save(pool.get(vm), SimTime::ZERO);
-        let (b, _) = store.save(pool.get(vm), SimTime::ZERO);
+        let (a, _) = store.save(&pool, vm, SimTime::ZERO);
+        let (b, _) = store.save(&pool, vm, SimTime::ZERO);
         assert_ne!(a, b);
         assert_eq!(store.len(), 2);
         assert_eq!(

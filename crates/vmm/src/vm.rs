@@ -9,9 +9,12 @@
 
 use crate::error::VmmError;
 use crate::memory::GuestMemory;
-use ninja_cluster::{Attachment, DataCenter, DeviceId, DeviceTable, NodeId, StorageId};
+use ninja_cluster::{
+    Attachment, DataCenter, DeviceId, DeviceTable, DeviceTag, NodeId, PciAddr, StorageId,
+};
 use ninja_net::TransportKind;
 use ninja_sim::{Bytes, SimRng, SimTime};
+use std::fmt::{self, Write};
 
 /// Identifier of a VM in the [`VmPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -52,10 +55,8 @@ impl VmSpec {
 /// One virtual machine.
 #[derive(Debug)]
 pub struct Vm {
-    /// The id.
+    /// The id. Its name is [`VmPool::name`].
     pub id: VmId,
-    /// The name.
-    pub name: String,
     /// The spec.
     pub spec: VmSpec,
     /// Migration-relevant memory statistics.
@@ -79,11 +80,7 @@ impl Vm {
     /// every device `devices` attaches to this VM except its virtio NIC.
     pub fn passthrough<'a>(&self, devices: &'a DeviceTable) -> impl Iterator<Item = DeviceId> + 'a {
         let nic = self.virtio_nic;
-        devices
-            .on_vm(self.id.0)
-            .iter()
-            .copied()
-            .filter(move |&d| d != nic)
+        devices.on_vm(self.id.0).filter(move |&d| d != nic)
     }
 }
 
@@ -91,11 +88,17 @@ impl Vm {
 #[derive(Debug, Default)]
 pub struct VmPool {
     vms: Vec<Vm>,
-    /// VMs currently placed on each node (keyed by `NodeId.0`),
-    /// maintained at the two points a VM's `node` field is written
-    /// (`create`, `complete_migration`). Destroyed VMs keep counting on
-    /// their last node, exactly as a scan over the pool would.
-    residents: std::collections::BTreeMap<u32, u32>,
+    /// Every VM's name, back to back in id order.
+    names: String,
+    /// `name_ends[i]`: where VM `i`'s name ends in `names` (it starts
+    /// where VM `i - 1`'s ends).
+    name_ends: Vec<u32>,
+    /// `residents[node]`: VMs currently placed on the node, maintained
+    /// at the two points a VM's `node` field is written (`create`,
+    /// `complete_migration`) and sized to the data center at the first
+    /// boot. Destroyed VMs keep counting on their last node, exactly as
+    /// a scan over the pool would.
+    residents: Vec<u32>,
 }
 
 impl VmPool {
@@ -104,9 +107,25 @@ impl VmPool {
         Self::default()
     }
 
+    /// Makes room for `additional` more VMs.
+    pub fn reserve(&mut self, additional: usize) {
+        self.vms.reserve(additional);
+        self.name_ends.reserve(additional);
+    }
+
     /// Borrow the entry by id.
     pub fn get(&self, id: VmId) -> &Vm {
         &self.vms[id.0 as usize]
+    }
+
+    /// The name VM `id` was booted with.
+    pub fn name(&self, id: VmId) -> &str {
+        let i = id.0 as usize;
+        let start = match i {
+            0 => 0,
+            _ => self.name_ends[i - 1] as usize,
+        };
+        &self.names[start..self.name_ends[i] as usize]
     }
 
     /// Mutably borrow the entry by id.
@@ -139,14 +158,16 @@ impl VmPool {
     /// per-job snapshots (e.g. `CommEnv` construction in `ninja-mpi`)
     /// stay O(job) rather than O(pool).
     pub fn residents_on(&self, node: NodeId) -> u32 {
-        self.residents.get(&node.0).copied().unwrap_or(0)
+        self.residents.get(node.0 as usize).copied().unwrap_or(0)
     }
 
-    /// Boot a VM on `node` with its disk on `disk`. Fails if the node
-    /// cannot hold the VM's memory. A virtio NIC is created with it.
+    /// Boot a VM named `name` (any `Display`: a `&str`, or
+    /// `format_args!` rendered straight into the pool's name text) on
+    /// `node` with its disk on `disk`. Fails if the node cannot hold the
+    /// VM's memory. A virtio NIC is created with it.
     pub fn create(
         &mut self,
-        name: impl Into<String>,
+        name: impl fmt::Display,
         spec: VmSpec,
         node: NodeId,
         disk: StorageId,
@@ -157,16 +178,21 @@ impl VmPool {
         }
         let id = VmId(self.vms.len() as u32);
         let nic = dc.devices.insert(
-            ninja_cluster::PciAddr::new(0, 3, 0),
-            format!("virtio-{}", id.0),
+            PciAddr::new(0, 3, 0),
+            DeviceTag::indexed("virtio-", id.0),
             ninja_cluster::pci::virtio_nic(0x0200_0000_0000 | id.0 as u64),
             Attachment::Guest { vm: id.0 },
         );
         let memory = GuestMemory::new(spec.memory);
-        *self.residents.entry(node.0).or_insert(0) += 1;
+        if self.residents.len() <= node.0 as usize {
+            self.residents
+                .resize(dc.node_count().max(node.0 as usize + 1), 0);
+        }
+        self.residents[node.0 as usize] += 1;
+        write!(self.names, "{name}").expect("writing to a String cannot fail");
+        self.name_ends.push(self.names.len() as u32);
         self.vms.push(Vm {
             id,
-            name: name.into(),
             spec,
             memory,
             node,
@@ -212,17 +238,23 @@ impl VmPool {
     /// the guest must release resources first (CRS pre-checkpoint).
     /// With `force = true` the detach proceeds and the number of leaked
     /// resources is returned (data loss).
-    pub fn detach_by_tag(
+    pub fn detach_by_tag<T>(
         &mut self,
         vm: VmId,
-        tag: &str,
+        tag: &T,
         force: bool,
         dc: &mut DataCenter,
-    ) -> Result<(DeviceId, usize), VmmError> {
-        let dev = dc
-            .devices
-            .find_by_tag_on_vm(vm.0, tag)
-            .ok_or_else(|| VmmError::NoSuchDeviceTag { tag: tag.into() })?;
+    ) -> Result<(DeviceId, usize), VmmError>
+    where
+        T: fmt::Display + ?Sized,
+        DeviceTag: PartialEq<T>,
+    {
+        let dev =
+            dc.devices
+                .find_by_tag_on_vm(vm.0, tag)
+                .ok_or_else(|| VmmError::NoSuchDeviceTag {
+                    tag: tag.to_string(),
+                })?;
         let leaked = if let Some(hca) = dc.devices.as_ib_mut(dev) {
             if hca.has_resources() && !force {
                 return Err(VmmError::DeviceBusy {
@@ -330,9 +362,8 @@ impl VmPool {
             dc.node_mut(src).release_vm(vcpus, Bytes::ZERO);
             // Adds no memory, so it always fits.
             dc.node_mut(dst).commit_vm(vcpus, Bytes::ZERO);
-            let n = self.residents.get_mut(&src.0).expect("src was resident");
-            *n -= 1;
-            *self.residents.entry(dst.0).or_insert(0) += 1;
+            self.residents[src.0 as usize] -= 1;
+            self.residents[dst.0 as usize] += 1;
         }
         let v = self.get_mut(vm);
         v.node = dst;
@@ -379,7 +410,7 @@ impl VmPool {
             });
         }
         let vm = self.create(
-            format!("{}:restored", snapshot.vm_name),
+            format_args!("{}:restored", snapshot.vm_name),
             snapshot.spec.clone(),
             node,
             snapshot.disk,
@@ -489,7 +520,7 @@ mod tests {
         assert!(matches!(err, VmmError::PassthroughAttached { .. }));
         // After detach it becomes migratable.
         let hca = pool.get(vm).passthrough(&dc.devices).next().unwrap();
-        let tag = dc.devices.get(hca).tag.clone();
+        let tag = dc.devices.get(hca).tag;
         pool.detach_by_tag(vm, &tag, false, &mut dc).unwrap();
         assert!(pool.check_migratable(vm, dst, &dc).is_ok());
     }
@@ -531,7 +562,7 @@ mod tests {
             .unwrap();
         assert_eq!(passthrough(&pool, &dc, vm), [hca]);
 
-        let tag = dc.devices.get(hca).tag.clone();
+        let tag = dc.devices.get(hca).tag;
         pool.detach_by_tag(vm, &tag, false, &mut dc).unwrap();
         assert_eq!(passthrough(&pool, &dc, vm), []);
 
@@ -573,7 +604,7 @@ mod tests {
                 .unwrap();
         })
         .unwrap();
-        let tag = dc.devices.get(dev).tag.clone();
+        let tag = dc.devices.get(dev).tag;
         let err = pool.detach_by_tag(vm, &tag, false, &mut dc).unwrap_err();
         assert!(matches!(err, VmmError::DeviceBusy { .. }));
         // Forced detach leaks.

@@ -36,10 +36,14 @@ fn main() {
     println!("job epoch (connection rebuilds): {}", job.epoch());
     println!("VM placements:");
     for vm in world.pool.iter() {
+        // Hosts are named after their cluster and place in it.
+        let cluster = world.dc.cluster(world.dc.cluster_of(vm.node));
+        let slot = cluster.nodes.iter().position(|&n| n == vm.node);
         println!(
-            "  {} -> {} ({} migrations)",
-            vm.name,
-            world.dc.node(vm.node).hostname,
+            "  {} -> {}-{:02} ({} migrations)",
+            world.pool.name(vm.id),
+            cluster.name,
+            slot.expect("a node is in its cluster"),
             vm.migrations
         );
     }

@@ -36,7 +36,7 @@ fn uncoordinated_detach_is_refused_then_leaks_under_force() {
         .passthrough(&w.dc.devices)
         .next()
         .unwrap();
-    let tag = w.dc.devices.get(hca).tag.clone();
+    let tag = w.dc.devices.get(hca).tag;
     let err = w
         .pool
         .detach_by_tag(vms[0], &tag, false, &mut w.dc)

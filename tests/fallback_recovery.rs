@@ -227,7 +227,7 @@ fn every_vm_gets_a_span_per_phase() {
     // a phase (e.g. no HCA to detach).
     let mut w = World::agc(13);
     let vms = w.boot_ib_vms(3);
-    let names: Vec<String> = vms.iter().map(|&v| w.pool.get(v).name.clone()).collect();
+    let names: Vec<String> = vms.iter().map(|&v| w.pool.name(v).to_string()).collect();
     let mut rt = w.start_job(vms, 1);
     let eth: Vec<_> = (0..3).map(|i| w.eth_node(i)).collect();
     NinjaOrchestrator::default()

@@ -59,14 +59,14 @@ fn check_invariants(w: &World, rt: &MpiRuntime, clock_before: SimTime) {
         assert_eq!(
             node.committed_vcpus(),
             vcpus,
-            "vcpu ledger on {}",
-            node.hostname
+            "vcpu ledger on {:?}",
+            node.id
         );
         assert_eq!(
             node.committed_memory().get(),
             mem,
-            "memory ledger on {}",
-            node.hostname
+            "memory ledger on {:?}",
+            node.id
         );
         assert!(mem <= node.spec.memory.get(), "memory oversubscribed");
     }
@@ -75,7 +75,7 @@ fn check_invariants(w: &World, rt: &MpiRuntime, clock_before: SimTime) {
     //    under a VM has that VM as its own attachment; every host-pool
     //    HCA is resource-free.
     for v in w.pool.iter() {
-        for &d in w.dc.devices.on_vm(v.id.0) {
+        for d in w.dc.devices.on_vm(v.id.0) {
             assert_eq!(
                 w.dc.devices.get(d).attachment(),
                 Attachment::Guest { vm: v.id.0 },
