@@ -38,6 +38,8 @@ struct Row {
     event_wall_s: f64,
     report_wall_s: f64,
     iterations: u64,
+    /// Machine steps the engine made (`FleetReport::machine_steps`).
+    steps: u64,
     wall_us_per_iteration: f64,
     makespan_s: f64,
 }
@@ -48,6 +50,7 @@ ninja_bench::impl_write_json!(Row {
     event_wall_s,
     report_wall_s,
     iterations,
+    steps,
     wall_us_per_iteration,
     makespan_s
 });
@@ -65,9 +68,17 @@ struct Walls {
     report: f64,
 }
 
+/// What one run counted: engine iterations, machine steps and the
+/// simulated makespan in seconds.
+struct Counts {
+    iterations: u64,
+    steps: u64,
+    makespan_s: f64,
+}
+
 /// One run over one freshly built evacuation fleet. Returns the layers'
-/// host wall-clock, engine iterations and simulated makespan.
-fn run_engine(jobs_n: usize, concurrency: usize) -> (Walls, u64, f64) {
+/// host wall-clock and the run's counts.
+fn run_engine(jobs_n: usize, concurrency: usize) -> (Walls, Counts) {
     let spec = ScenarioSpec {
         kind: ScenarioKind::Evacuation,
         jobs: jobs_n,
@@ -106,7 +117,12 @@ fn run_engine(jobs_n: usize, concurrency: usize) -> (Walls, u64, f64) {
         event,
         report: report_wall,
     };
-    (walls, iterations, report.makespan.as_secs_f64())
+    let counts = Counts {
+        iterations,
+        steps: report.machine_steps,
+        makespan_s: report.makespan.as_secs_f64(),
+    };
+    (walls, counts)
 }
 
 /// Append this run's rows to `BENCH_fleet.json` (a JSON array of run
@@ -163,23 +179,24 @@ fn main() {
         // senders × 1.3 Gb/s caps on a 10 Gb/s uplink ≈ 33× oversub)
         // while the fleet and its admission queue grow.
         let concurrency = (n / 2).clamp(2, 256);
-        let runs: Vec<(Walls, u64, f64)> = (0..RUNS).map(|_| run_engine(n, concurrency)).collect();
+        let runs: Vec<(Walls, Counts)> = (0..RUNS).map(|_| run_engine(n, concurrency)).collect();
         let best = |layer: fn(&Walls) -> f64| {
             runs.iter()
                 .map(|r| layer(&r.0))
                 .fold(f64::INFINITY, f64::min)
         };
         let wall = best(|w| w.event);
-        let (_, iterations, makespan_s) = runs[0];
+        let counts = &runs[0].1;
         rows.push(Row {
             jobs: n,
             concurrency,
             build_wall_s: best(|w| w.build),
             event_wall_s: wall,
             report_wall_s: best(|w| w.report),
-            iterations,
-            wall_us_per_iteration: wall / iterations as f64 * 1e6,
-            makespan_s,
+            iterations: counts.iterations,
+            steps: counts.steps,
+            wall_us_per_iteration: wall / counts.iterations as f64 * 1e6,
+            makespan_s: counts.makespan_s,
         });
     }
 
@@ -194,6 +211,7 @@ fn main() {
                 format!("{:.4}", r.report_wall_s),
                 format!("{:.1}", r.wall_us_per_job()),
                 r.iterations.to_string(),
+                r.steps.to_string(),
                 format!("{:.2}", r.wall_us_per_iteration),
                 format!("{:.0}", r.makespan_s),
             ]
@@ -210,6 +228,7 @@ fn main() {
                 "report (s)",
                 "us/job",
                 "iterations",
+                "steps",
                 "us/iter",
                 "sim makespan (s)"
             ],

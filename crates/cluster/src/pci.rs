@@ -167,6 +167,11 @@ impl PartialEq<&str> for DeviceTag {
 /// `"vf0".into()`.
 impl PartialEq for DeviceTag {
     fn eq(&self, other: &DeviceTag) -> bool {
+        // One name: the texts are equal exactly when the indices are
+        // (an index renders at least one digit).
+        if std::ptr::eq(self.name, other.name) || self.name == other.name {
+            return self.index == other.index;
+        }
         let (mut x, mut y) = ([0; 10], [0; 10]);
         let (a, b) = self.parts(&mut x);
         let (c, d) = other.parts(&mut y);
@@ -595,6 +600,7 @@ mod tests {
         }
         assert_eq!(DeviceTag::indexed("vf", 0), DeviceTag::from("vf0"));
         assert_ne!(DeviceTag::indexed("vf", 1), DeviceTag::from("vf0"));
+        assert_ne!(DeviceTag::indexed("vf", 0), DeviceTag::from("vf"));
         // Equal texts are equal tags, however they split.
         assert_eq!(DeviceTag::indexed("vf", 10), DeviceTag::indexed("vf1", 0));
         assert_ne!(DeviceTag::indexed("vf", 10), DeviceTag::indexed("vf1", 1));

@@ -92,9 +92,12 @@ pub struct DataCenter {
     /// WAN pipes, plus any link a caller adds (a fleet's switch uplink).
     /// `World::advance_to` keeps its clock on the world clock.
     pub migration_fabric: Fabric,
-    /// Each node's migration port, keyed by node and rate (the `f64`
-    /// bits of its Gb/s): one per rate rule in use, created at first use.
-    ports: BTreeMap<(u32, u64), LinkId>,
+    /// The rate rules migration ports were created for (the `f64` bits
+    /// of their Gb/s), in first-use order.
+    port_rates: Vec<u64>,
+    /// Each node's migration port, created at first use: one row of
+    /// per-node slots for each rate in `port_rates`.
+    ports: Vec<Option<LinkId>>,
 }
 
 impl DataCenter {
@@ -168,19 +171,31 @@ impl DataCenter {
     /// one migration stream at the sender's rate does: streams sharing
     /// an endpoint split it.
     fn port(&mut self, node: NodeId, rate: Bandwidth) -> LinkId {
+        let slot = match self.port_slot(node, rate) {
+            Some(slot) => slot,
+            None => {
+                self.port_rates.push(rate.as_gbps().to_bits());
+                self.ports.resize(self.ports.len() + self.nodes.len(), None);
+                self.port_slot(node, rate).expect("row just added")
+            }
+        };
         let fabric = &mut self.migration_fabric;
-        let key = (node.0, rate.as_gbps().to_bits());
-        *self
-            .ports
-            .entry(key)
-            .or_insert_with(|| fabric.add_link(rate))
+        *self.ports[slot].get_or_insert_with(|| fabric.add_link(rate))
+    }
+
+    /// Where `node`'s port for `rate` lives in `ports`, if that rate has
+    /// a row.
+    fn port_slot(&self, node: NodeId, rate: Bandwidth) -> Option<usize> {
+        let bits = rate.as_gbps().to_bits();
+        let row = self.port_rates.iter().position(|&r| r == bits)?;
+        Some(row * self.nodes.len() + node.0 as usize)
     }
 
     /// `node`'s migration port under `sender_cap`, if a stream has used
     /// it.
     pub fn migration_port(&self, node: NodeId, sender_cap: Option<Bandwidth>) -> Option<LinkId> {
         let rate = self.migration_rate(node, sender_cap);
-        self.ports.get(&(node.0, rate.as_gbps().to_bits())).copied()
+        self.ports[self.port_slot(node, rate)?]
     }
 
     /// Open a bulk migration transfer of `bytes` from `src` to `dst` at
@@ -377,7 +392,8 @@ impl DataCenterBuilder {
             hotplug: AcpiHotplug::new(self.hotplug_calib),
             wan,
             migration_fabric,
-            ports: BTreeMap::new(),
+            port_rates: Vec::new(),
+            ports: Vec::new(),
         }
     }
 }

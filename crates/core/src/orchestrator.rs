@@ -134,7 +134,7 @@ impl NinjaOrchestrator {
         loop {
             match machine.step(world, app)? {
                 StepOutcome::Ready => world.advance_to(machine.now()),
-                StepOutcome::Waiting(t) => world.advance_to(t),
+                StepOutcome::OnLink => world.advance_to_next_drain()?,
                 StepOutcome::Done(report) => {
                     world.advance_to(machine.now());
                     return Ok(report);

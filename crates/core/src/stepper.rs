@@ -40,7 +40,7 @@
 use crate::report::NinjaReport;
 use crate::world::World;
 use ninja_cluster::NodeId;
-use ninja_net::LinkId;
+use ninja_net::{FlowId, LinkId};
 use ninja_sim::{Bytes, MetricsRegistry, SeriesId, SimDuration, SimTime, Trace};
 use ninja_symvirt::{
     freeze, Controller, FaultKind, FaultPhase, GuestCooperative, PendingMigration, ResumeOutcome,
@@ -55,10 +55,12 @@ pub enum StepOutcome {
     /// [`MigrationMachine::now`] and the next phase can run as soon as
     /// the world reaches that instant.
     Ready,
-    /// The machine is blocked on the wire: nothing to do before the
-    /// given instant. Advance the world (which drains the migration
-    /// fabric) to it, then step again.
-    Waiting(SimTime),
+    /// The machine is parked on the wire: its precopy streams
+    /// ([`MigrationMachine::flows`]) are on the migration fabric, and
+    /// it has nothing to do until one of them drains. Advance the world
+    /// (which drains the fabric) past such a drain, then step again; a
+    /// serial driver uses [`World::advance_to_next_drain`].
+    OnLink,
     /// The migration finished; the report is the same breakdown the
     /// one-shot orchestrator returns.
     Done(NinjaReport),
@@ -276,27 +278,33 @@ impl MigrationMachine {
         }
     }
 
+    /// The precopy streams of the migration phase, in hostlist order
+    /// (empty before the phase opens them): what an
+    /// [`OnLink`](StepOutcome::OnLink) machine waits on.
+    pub fn flows(&self) -> impl Iterator<Item = FlowId> + '_ {
+        self.pending.iter().map(|p| p.flow)
+    }
+
     /// Run one phase. The caller must have advanced `world` to
     /// [`now`](Self::now) — the machine never reads the world clock, so
     /// stepping "in the past" relative to other machines is the caller's
-    /// bug, not detectable here. A phase that would end or wait at
+    /// bug, not detectable here. A phase that would end at
     /// [`SimTime::MAX`] (where clock arithmetic saturates, and which
     /// event loops read as "nothing pending") fails the migration with
-    /// [`SymVirtError::ClockExhausted`].
+    /// [`SymVirtError::ClockExhausted`]; so does a wait on streams that
+    /// cannot drain before it (the driver's to detect, as
+    /// [`World::advance_to_next_drain`] does).
+    ///
+    /// # Panics
+    ///
+    /// If the machine already returned [`StepOutcome::Done`].
     pub fn step(
         &mut self,
         world: &mut World,
         app: &mut dyn GuestCooperative,
     ) -> Result<StepOutcome, SymVirtError> {
-        if matches!(self.state, State::Done) {
-            return Ok(StepOutcome::Waiting(SimTime::MAX));
-        }
         let out = self.run_phase(world, app)?;
-        let wake = match out {
-            StepOutcome::Waiting(t) => t,
-            _ => self.now,
-        };
-        if wake == SimTime::MAX {
+        if self.now == SimTime::MAX {
             return Err(SymVirtError::ClockExhausted);
         }
         Ok(out)
@@ -450,18 +458,14 @@ impl MigrationMachine {
     }
 
     /// Land the VMs if every stream has drained (and its scan floor
-    /// passed) and close the phase; otherwise wait for the fabric's next
-    /// drain.
+    /// passed) and close the phase; otherwise park on the streams.
     fn poll_precopy(&mut self, world: &mut World) -> Result<StepOutcome, SymVirtError> {
         let Some(landed) = self
             .ctl
             .migration_land(&self.pending, &mut world.pool, &mut world.dc)
         else {
-            let next = world.dc.migration_fabric.next_completion();
             self.state = State::Precopying;
-            return Ok(StepOutcome::Waiting(
-                next.expect("an undrained stream implies a next completion"),
-            ));
+            return Ok(StepOutcome::OnLink);
         };
         self.now = self.now.max(landed);
         self.t_mig_end = self.now;
@@ -711,7 +715,7 @@ mod tests {
                     w.advance_to(m.now());
                     steps += 1;
                 }
-                StepOutcome::Waiting(t) => w.advance_to(t),
+                StepOutcome::OnLink => w.advance_to_next_drain().unwrap(),
                 StepOutcome::Done(r) => break r,
             }
         };
@@ -735,10 +739,10 @@ mod tests {
         let report = loop {
             match m.step(&mut w, &mut rt).unwrap() {
                 StepOutcome::Ready => w.advance_to(m.now()),
-                StepOutcome::Waiting(t) => {
+                StepOutcome::OnLink => {
                     waits += 1;
                     assert_eq!(w.dc.migration_fabric.active_flows(), 2, "both on the wire");
-                    w.advance_to(t);
+                    w.advance_to_next_drain().unwrap();
                 }
                 StepOutcome::Done(r) => break r,
             }
@@ -767,7 +771,7 @@ mod tests {
         loop {
             match m.step(w, rt)? {
                 StepOutcome::Ready => w.advance_to(m.now()),
-                StepOutcome::Waiting(t) => w.advance_to(t),
+                StepOutcome::OnLink => w.advance_to_next_drain()?,
                 StepOutcome::Done(r) => return Ok(r),
             }
         }

@@ -11,7 +11,7 @@ use ninja_mpi::{CommEnv, JobLayout, MpiConfig, MpiRuntime};
 use ninja_sim::{
     MetricsRegistry, SeriesId, SimDuration, SimRng, SimTime, TimeSeriesRecorder, Trace, TraceLevel,
 };
-use ninja_symvirt::{FaultPlan, VmSpan};
+use ninja_symvirt::{FaultPlan, SymVirtError, VmSpan};
 use ninja_vmm::{VmId, VmPool, VmSpec};
 
 /// All mutable simulation state for one scenario.
@@ -135,6 +135,20 @@ impl World {
         }
         self.clock = t;
         self.dc.migration_fabric.advance_to(t);
+    }
+
+    /// Advance to the migration fabric's next drain: a serial driver's
+    /// answer to [`StepOutcome::OnLink`](crate::StepOutcome::OnLink).
+    /// Fails with [`SymVirtError::ClockExhausted`] when no stream can
+    /// drain before the end of the clock.
+    pub fn advance_to_next_drain(&mut self) -> Result<(), SymVirtError> {
+        match self.dc.migration_fabric.next_completion() {
+            Some(t) if t < SimTime::MAX => {
+                self.advance_to(t);
+                Ok(())
+            }
+            _ => Err(SymVirtError::ClockExhausted),
+        }
     }
 
     /// Installs a time-series recorder, performing its baseline scrape

@@ -11,12 +11,27 @@
 //! Each iteration: deliver due [`CloudScheduler`] triggers into the
 //! [`AdmissionController`], admit jobs while slots are free, step every
 //! machine that is due at the current instant, then jump the world to
-//! the earliest next event — a machine becoming runnable, a flow
-//! draining, or a trigger firing. Everything is deterministic per
-//! seed: jobs are stepped in index order and the only randomness is the
-//! world RNG the machines draw hotplug latencies from.
+//! the earliest next event. Everything is deterministic per seed: jobs
+//! are stepped in index order and the only randomness is the world RNG
+//! the machines draw hotplug latencies from.
 //!
 //! # Event queues
+//!
+//! The engine does work only at real events. A machine becomes due from
+//! one of three wake sources:
+//!
+//! * **its clock**: the instant its last phase ended;
+//! * **an owned drain**: a machine parked on the wire
+//!   ([`StepOutcome::OnLink`]) wakes when one of its own streams drains
+//!   on the migration fabric, which reports the flows it drained; the
+//!   other parked machines sleep on;
+//! * **a trigger**: a scheduler trigger or a due recovery admits a new
+//!   machine.
+//!
+//! The next event is the earliest machine wake, trigger, recovery or
+//! fabric drain. A flight-recorder scrape is not an event: the world
+//! takes every scrape due on the way (the scrape rule in
+//! `ninja_sim::timeseries`), so a recorder never changes the run.
 //!
 //! Due-machine discovery, the recovery queue, and the next-event search
 //! all run over `BinaryHeap`s keyed `(time, job)`, so one iteration
@@ -28,10 +43,11 @@
 //!   time, so every due machine at the top of an iteration satisfies
 //!   `next_at == world.clock()` — min-heap pops at one instant come out
 //!   in ascending job index, the documented tie-break;
-//! * a machine's wake time changes only while it is being stepped, so
-//!   each running job has exactly one live heap entry; entries that
-//!   stopped matching their slot's job and `next_at` (the job finished
-//!   or failed meanwhile) are discarded lazily on pop.
+//! * a machine's wake time changes only while it is being stepped or
+//!   when an owned drain wakes it, so each running job that is not
+//!   parked has exactly one live heap entry (a parked one has none);
+//!   entries that stopped matching their slot's job and `next_at` (the
+//!   job finished or failed meanwhile) are discarded lazily on pop.
 //!
 //! The same reasoning keys recovery migrations by `(not_before, job)`,
 //! replacing the sort-every-iteration pending list. The engine's
@@ -54,7 +70,7 @@ use ninja_migration::{
     reserve_job_telemetry, CloudScheduler, MigrationMachine, StepOutcome, TriggerReason, World,
 };
 use ninja_sim::{Bandwidth, SeriesId, SimDuration, SimTime};
-use ninja_symvirt::{GuestCooperative, RetryPolicy};
+use ninja_symvirt::{GuestCooperative, RetryPolicy, SymVirtError};
 use ninja_vmm::QemuMonitor;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -140,9 +156,12 @@ struct Running {
     /// target.
     mig: usize,
     machine: MigrationMachine,
-    /// When the machine can next do work (its clock, or the wire-drain
-    /// instant it reported).
+    /// When the machine can next do work: its clock, or the instant one
+    /// of its streams drained.
     next_at: SimTime,
+    /// Parked on the wire ([`StepOutcome::OnLink`]): no wake entry
+    /// until one of its streams drains.
+    parked: bool,
     triggered_at: SimTime,
     started_at: SimTime,
     reason: ninja_migration::TriggerReason,
@@ -237,6 +256,9 @@ pub fn run_fleet(
             .as_ref()
             .is_some_and(|r| r.job == j && r.next_at == t)
     };
+    // The slot of the machine each stream was opened by, indexed by
+    // flow id (`u32::MAX` for none), set when the machine parks on it.
+    let mut flow_owner: Vec<u32> = Vec::new();
     // Recovery migrations waiting for the world clock to reach the
     // instant their degraded predecessor finished (causal order), keyed
     // `(not_before, job)` with their destinations. At most one per job,
@@ -244,10 +266,11 @@ pub fn run_fleet(
     let mut recovery_q: BinaryHeap<Reverse<(SimTime, usize, Vec<NodeId>)>> = BinaryHeap::new();
     let mut queue_depth = TransitionGauge::new("ninja_fleet_queue_depth");
     let mut inflight = TransitionGauge::new("ninja_fleet_inflight_migrations");
-    // Resolved at the first admission (and the first finish under a
-    // recorder), like the gauges' ids.
+    // Resolved at the first admission and the first finish, like the
+    // gauges' ids.
     let mut queue_wait: Option<SeriesId> = None;
     let mut deadline_misses: Option<SeriesId> = None;
+    let mut machine_steps: u64 = 0;
     // Same-instant spin bound: a correct loop makes progress (clock
     // advance, admission, or completion) long before this.
     let mut spins = 0u32;
@@ -319,6 +342,7 @@ pub fn run_fleet(
                 mig,
                 machine,
                 next_at: world.clock(),
+                parked: false,
                 triggered_at: q.triggered_at,
                 started_at: world.clock(),
                 reason: q.reason,
@@ -335,8 +359,6 @@ pub fn run_fleet(
             };
             wake.push(Reverse((world.clock(), q.job, slot)));
         }
-        queue_depth.set(world, adm.depth() as f64);
-        inflight.set(world, adm.inflight() as f64);
 
         // 3. Step every machine due at this instant. All due entries
         //    carry `next_at == world.clock()` (the clock only jumps to
@@ -358,6 +380,7 @@ pub fn run_fleet(
                 .is_some_and(|r| r.next_at <= world.clock())
             {
                 let r = running[slot].as_mut().expect("checked above");
+                machine_steps += 1;
                 match r.machine.step(world, &mut *jobs[j]) {
                     Err(e) => {
                         // This job is done for; the fleet is not. Record
@@ -365,23 +388,21 @@ pub fn run_fleet(
                         let r = running[slot].take().expect("was running");
                         free.push(slot);
                         first_done += usize::from(r.mig == 0);
-                        failures.push(JobFailure {
-                            job: j,
-                            reason: r.reason,
-                            error: e.to_string(),
-                            failed_at: r.machine.now(),
-                        });
+                        failures.push(failure(r, &e));
                         adm.release();
                         freed_slot = true;
                         break;
                     }
                     Ok(StepOutcome::Ready) => r.next_at = r.machine.now(),
-                    Ok(StepOutcome::Waiting(t)) => {
-                        r.next_at = t;
-                        if t <= world.clock() {
-                            // The fabric has been drained to t already;
-                            // stepping again makes progress.
-                            continue;
+                    Ok(StepOutcome::OnLink) => {
+                        // Parked until one of its streams drains.
+                        r.parked = true;
+                        for flow in r.machine.flows() {
+                            let i = flow.0 as usize;
+                            if flow_owner.len() <= i {
+                                flow_owner.resize(i + 1, u32::MAX);
+                            }
+                            flow_owner[i] = slot as u32;
                         }
                         break;
                     }
@@ -393,21 +414,18 @@ pub fn run_fleet(
                         let turnaround = finished.since(r.triggered_at);
                         let degraded = report.degraded;
                         let missed = cfg.deadline.is_some_and(|d| turnaround > d);
-                        if world.recorder.is_some() {
-                            // Recorder-gated so runs without a flight
-                            // recorder stay byte-identical: burn-rate
-                            // alert rules need the series to exist (at
-                            // 0) from the first miss-free scrape on.
-                            let m = &mut world.metrics;
-                            let id = *deadline_misses.get_or_insert_with(|| {
-                                m.describe(
-                                    "ninja_fleet_deadline_misses_total",
-                                    "Jobs whose trigger-to-resume turnaround exceeded the deadline",
-                                );
-                                m.counter_id("ninja_fleet_deadline_misses_total", &[])
-                            });
-                            m.add(id, missed as u64);
-                        }
+                        // From the first finish on, so burn-rate alert
+                        // rules see the series at 0 from the first
+                        // miss-free scrape.
+                        let m = &mut world.metrics;
+                        let id = *deadline_misses.get_or_insert_with(|| {
+                            m.describe(
+                                "ninja_fleet_deadline_misses_total",
+                                "Jobs whose trigger-to-resume turnaround exceeded the deadline",
+                            );
+                            m.counter_id("ninja_fleet_deadline_misses_total", &[])
+                        });
+                        m.add(id, missed as u64);
                         outcomes.push(JobOutcome {
                             job: j,
                             reason: r.reason,
@@ -441,24 +459,34 @@ pub fn run_fleet(
                     }
                 }
             }
-            if let Some(r) = running[slot].as_ref() {
+            if let Some(r) = running[slot].as_ref().filter(|r| !r.parked) {
                 debug_assert!(r.next_at > world.clock(), "stepped until not due");
                 wake.push(Reverse((r.next_at, j, slot)));
             }
         }
+        // The gauges after admitting and stepping, releases included,
+        // so that every scrape of the next jump reads them fresh.
+        queue_depth.set(world, adm.depth() as f64);
+        inflight.set(world, adm.inflight() as f64);
         if freed_slot && adm.depth() > 0 {
             continue; // admit into the freed slots at this same instant
         }
 
-        // 4. Jump to the next event. Discard stale wake entries until
+        // 4. Jump to the next event: the earliest machine wake, trigger,
+        //    recovery or stream drain. Discard stale wake entries until
         //    the top one is live; it is then the earliest machine wake
-        //    (every running job keeps exactly one live entry).
+        //    (every running job that is not parked keeps exactly one
+        //    live entry).
         while let Some(&Reverse(entry)) = wake.peek() {
             if live(&running, entry) {
                 break;
             }
             wake.pop();
         }
+        // A stream opened in the world's future (a machine clock ahead
+        // of the world's, after a stall) may have drained others on the
+        // way: their owners wake at those drains.
+        wake_owners(world, &mut running, &flow_owner, &mut wake);
         let mut t_next = SimTime::MAX;
         if let Some(&Reverse((t, _, _))) = wake.peek() {
             t_next = t_next.min(t);
@@ -469,25 +497,37 @@ pub fn run_fleet(
         if let Some(Reverse((t, _, _))) = recovery_q.peek() {
             t_next = t_next.min(*t);
         }
+        match world.dc.migration_fabric.next_completion() {
+            Some(t) if t == SimTime::MAX => {
+                // No stream drains before the end of the clock, so no
+                // parked machine can ever land: fail each, in job order.
+                let mut stuck: Vec<(usize, usize)> = running
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(slot, r)| Some((r.as_ref().filter(|r| r.parked)?.job, slot)))
+                    .collect();
+                if !stuck.is_empty() {
+                    stuck.sort_unstable();
+                    for (_, slot) in stuck {
+                        let r = running[slot].take().expect("parked");
+                        free.push(slot);
+                        first_done += usize::from(r.mig == 0);
+                        failures.push(failure(r, &SymVirtError::ClockExhausted));
+                        adm.release();
+                    }
+                    continue; // admit into the freed slots at this instant
+                }
+            }
+            Some(t) => t_next = t_next.min(t),
+            None => {}
+        }
         if t_next == SimTime::MAX {
             break;
         }
-        // With a flight recorder installed, pending scrapes are heap
-        // events too: cap the jump at the next scrape instant so the
-        // clock lands exactly on it. Scrapes never keep the loop alive
-        // (the MAX-break above already ran), and `next_due` is always
-        // strictly ahead of the clock, so progress is preserved. A gap
-        // holding more scrape instants than the recorder's ring keeps
-        // (years of simulated time, from a stall or a starved uplink)
-        // is crossed in one jump instead: the recorder still takes
-        // every scrape on the way, and the fabric drains the gap as one
-        // interval.
-        if let Some(rec) = world.recorder.as_ref() {
-            if rec.scrapes_before(t_next) <= rec.capacity() as u64 {
-                t_next = t_next.min(rec.next_due());
-            }
-        }
+        // Scrapes are not events: the world takes every scrape due on
+        // the way.
         world.advance_to(t_next);
+        wake_owners(world, &mut running, &flow_owner, &mut wake);
     }
 
     // Nothing left to do but what is due at `SimTime::MAX`: every
@@ -537,5 +577,44 @@ pub fn run_fleet(
         deadline: cfg.deadline,
         failures,
         alerts,
+        machine_steps,
     })
+}
+
+/// Wake the parked owner of every stream the migration fabric drained
+/// since the last call, at that drain (or now, if later), and only
+/// them.
+fn wake_owners(
+    world: &mut World,
+    running: &mut [Option<Running>],
+    flow_owner: &[u32],
+    wake: &mut BinaryHeap<Reverse<(SimTime, usize, usize)>>,
+) {
+    let now = world.clock();
+    let fabric = &mut world.dc.migration_fabric;
+    for &flow in fabric.drained() {
+        let Some(&slot) = flow_owner.get(flow.0 as usize) else {
+            continue;
+        };
+        let Some(r) = running.get_mut(slot as usize).and_then(Option::as_mut) else {
+            continue;
+        };
+        if r.parked {
+            let at = fabric.completion(flow).expect("drained").max(now);
+            r.parked = false;
+            r.next_at = at;
+            wake.push(Reverse((at, r.job, slot as usize)));
+        }
+    }
+    fabric.clear_drained();
+}
+
+/// The failure record of an in-flight migration that failed with `error`.
+fn failure(r: Running, error: &SymVirtError) -> JobFailure {
+    JobFailure {
+        job: r.job,
+        reason: r.reason,
+        error: error.to_string(),
+        failed_at: r.machine.now(),
+    }
 }

@@ -124,6 +124,9 @@ pub struct FleetReport {
     /// order. Always empty when no recorder/alert rules were installed,
     /// so default runs serialize bit-identically to older builds.
     pub alerts: Vec<AlertIncident>,
+    /// [`MigrationMachine::step`](ninja_migration::MigrationMachine::step)
+    /// calls the engine made: host-side bookkeeping, part of no export.
+    pub machine_steps: u64,
 }
 
 /// Nearest-rank percentile (the convention SLO dashboards use): the
@@ -526,6 +529,7 @@ mod tests {
             deadline: Some(SimDuration::from_secs(120)),
             failures: Vec::new(),
             alerts: Vec::new(),
+            machine_steps: 0,
         };
         assert_eq!(r.deadline_misses(), 1, "the 150 s wait missed");
         assert_eq!(r.total_wire_bytes(), 4 * (1u64 << 30));
@@ -573,6 +577,7 @@ mod tests {
                     resolved_at: None,
                 },
             ],
+            machine_steps: 0,
         };
         let j = ninja_sim::parse(&r.to_json_compact()).unwrap();
         let alerts = j["alerts"].as_array().unwrap();
@@ -604,6 +609,7 @@ mod tests {
                 failed_at: SimTime::ZERO + SimDuration::from_secs(33),
             }],
             alerts: Vec::new(),
+            machine_steps: 0,
         };
         assert_eq!(r.degraded_jobs(), 1);
         assert_eq!(r.recovery_migrations(), 1);

@@ -528,8 +528,9 @@ fn recorder_flags_leave_report_stdout_byte_identical() {
 
 #[test]
 fn plain_metrics_out_carries_no_recorder_series() {
-    // Without any flight-recorder flag, the recorder-gated series must
-    // not leak into the classic metrics export, even with a deadline.
+    // Without any flight-recorder flag, the alert engine's series must
+    // not leak into the classic metrics export. The deadline-miss
+    // counter is the engine's, recorder or not.
     let dir = std::env::temp_dir().join("ninja-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
     let metrics = dir.join("gating-metrics.prom");
@@ -549,13 +550,13 @@ fn plain_metrics_out_carries_no_recorder_series() {
         .unwrap();
     assert!(out.status.success());
     let prom = std::fs::read_to_string(&metrics).unwrap();
-    for absent in [
-        "ninja_alerts_fired_total",
-        "ninja_alerts_active",
-        "ninja_fleet_deadline_misses_total",
-    ] {
+    for absent in ["ninja_alerts_fired_total", "ninja_alerts_active"] {
         assert!(!prom.contains(absent), "{absent} leaked without recorder");
     }
+    assert!(
+        prom.contains("\nninja_fleet_deadline_misses_total "),
+        "{prom}"
+    );
 }
 
 #[test]

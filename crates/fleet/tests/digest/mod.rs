@@ -138,8 +138,7 @@ fn matrix_cases() -> Vec<MatrixCase> {
             }
         }
     }
-    // The recorder turns scrape deadlines into engine events, and its
-    // alert rules write back into the registry.
+    // The recorder's alert rules write back into the registry.
     for kind in [ScenarioKind::Evacuation, ScenarioKind::Failover] {
         for fs in [None, Some(0xfa17)] {
             let name = format!("recorder-{}-{}-c3", kind.name(), faults_tag(fs));

@@ -7,7 +7,7 @@ mod digest;
 use digest::{check_matrix, Group};
 use ninja_fleet::{build_auto, run_fleet, FleetConfig, FleetReport, ScenarioKind, ScenarioSpec};
 use ninja_migration::{World, PHASE_NAMES};
-use ninja_sim::{alerts, AlertEngine, SimDuration, TimeSeriesRecorder, Trace, WriteJson};
+use ninja_sim::{alerts, AlertEngine, SimDuration, SimRng, TimeSeriesRecorder, Trace, WriteJson};
 use ninja_symvirt::{FaultPlan, GuestCooperative};
 
 fn spec(kind: ScenarioKind, jobs: usize, seed: u64) -> ScenarioSpec {
@@ -194,5 +194,101 @@ fn critical_paths_attribute_fleet_blackout_from_the_chrome_export() {
         // Reconstructed job indices cover the fleet.
         let covered: std::collections::BTreeSet<_> = paths.iter().filter_map(|p| p.job).collect();
         assert_eq!(covered.len(), jobs);
+    }
+}
+
+/// One fleet of the recorder-independence property: scenario, jobs,
+/// concurrency, world seed and fault seed.
+type Fleet = (ScenarioKind, usize, usize, u64, Option<u64>);
+
+/// Runs `fleet` (30 s arrivals, as `ninja fleet` spaces them), with a
+/// recorder scraping every `scrape` seconds under the default alert
+/// rules if given. Returns the report, the Chrome trace and the
+/// Prometheus metrics, each without the alert engine's own records:
+/// incidents, `alert.*` instants and `ninja_alerts_*` series.
+fn observed(fleet: Fleet, scrape: Option<u64>) -> [String; 3] {
+    let (kind, jobs, concurrency, seed, fault_seed) = fleet;
+    let spec = ScenarioSpec {
+        arrival: SimDuration::from_secs(30),
+        ..spec(kind, jobs, seed)
+    };
+    let mut s = build_auto(&spec, Trace::new()).expect("scenario fits");
+    if let Some(fs) = fault_seed {
+        s.world.faults = FaultPlan::random(fs, jobs);
+    }
+    if let Some(secs) = scrape {
+        let rules = alerts::parse_rules(alerts::default_rules()).unwrap();
+        s.world.install_recorder(
+            TimeSeriesRecorder::new(SimDuration::from_secs(secs))
+                .with_alerts(AlertEngine::new(rules)),
+        );
+    }
+    let cfg = FleetConfig {
+        concurrency,
+        ..FleetConfig::default()
+    };
+    let mut report = {
+        let mut dyn_jobs: Vec<&mut dyn GuestCooperative> = s
+            .jobs
+            .iter_mut()
+            .map(|j| j as &mut dyn GuestCooperative)
+            .collect();
+        run_fleet(&mut s.world, &mut dyn_jobs, s.scheduler, &cfg).unwrap()
+    };
+    report.alerts.clear();
+    let trace = ninja_sim::parse(&s.world.trace.to_chrome_json()).expect("trace JSON");
+    let events: Vec<String> = trace["traceEvents"]
+        .as_array()
+        .expect("traceEvents")
+        .iter()
+        .filter(|ev| !ev["name"].as_str().is_some_and(|n| n.starts_with("alert.")))
+        .map(WriteJson::to_json_compact)
+        .collect();
+    let metrics: String = s
+        .world
+        .metrics
+        .to_prometheus()
+        .lines()
+        .filter(|l| !l.contains("ninja_alerts_"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    [report.to_json_pretty(), events.join("\n"), metrics]
+}
+
+/// The scrape rule (`ninja_sim::timeseries`): a flight recorder at any
+/// interval changes nothing else the run computes. Random fleets run
+/// without a recorder and with one at 1 s, 7 s and 30 s; the report,
+/// the trace and the metrics, less the alert engine's own records, are
+/// byte-identical to the unrecorded run's. The first fleet is `ninja
+/// fleet --jobs 256 --concurrency 8 --seed 1`, whose report a recorder
+/// used to shift by 1 ns where its scrapes split a fabric interval.
+#[test]
+fn recorder_never_changes_the_run() {
+    let kinds = [
+        ScenarioKind::Evacuation,
+        ScenarioKind::RollingDrain,
+        ScenarioKind::Rebalance,
+        ScenarioKind::Failover,
+    ];
+    let mut rng = SimRng::new(0x0b5e_7e18);
+    let mut fleets: Vec<Fleet> = vec![(ScenarioKind::Evacuation, 256, 8, 1, None)];
+    for _ in 0..8 {
+        let kind = kinds[rng.below(kinds.len() as u64) as usize];
+        let jobs = 1 + rng.below(48) as usize;
+        let concurrency = 1 + rng.below(16) as usize;
+        let fault_seed = rng.chance(0.5).then(|| rng.next_u64());
+        fleets.push((kind, jobs, concurrency, rng.next_u64(), fault_seed));
+    }
+    for fleet in fleets {
+        let plain = observed(fleet, None);
+        for secs in [1, 7, 30] {
+            let recorded = observed(fleet, Some(secs));
+            for (file, (a, b)) in ["report", "trace", "metrics"]
+                .iter()
+                .zip(plain.iter().zip(&recorded))
+            {
+                assert!(a == b, "{fleet:?}, {secs} s scrapes: the {file} moved");
+            }
+        }
     }
 }

@@ -83,6 +83,7 @@ fn every_key() -> FleetReport {
                 resolved_at: None,
             },
         ],
+        machine_steps: 0,
     }
 }
 
@@ -96,6 +97,7 @@ fn no_outcomes() -> FleetReport {
         deadline: None,
         failures: Vec::new(),
         alerts: Vec::new(),
+        machine_steps: 0,
     }
 }
 

@@ -39,6 +39,19 @@
 //! that carries a single flow never binds below that flow's cap: only
 //! shared links take part in the fill.
 //!
+//! # Refilling only under contention
+//!
+//! Each link keeps its *demand*, the summed caps of the flows crossing
+//! it, up to date as flows open and drain. While no shared link's
+//! demand comes within a relative margin (`CONTENTION_MARGIN`, 1e-9) of
+//! its capacity, the fill can never reach step 2: every flow is frozen
+//! at its cap. The fabric then skips the rounds and keeps the rates
+//! incrementally — an arrival appends its cap, a drain removes its
+//! entry — and runs the fill again only once some shared link is within
+//! the margin of over-subscription. The margin is far wider than the
+//! rounding of the fill's budget arithmetic, so the skipped fill would
+//! have assigned exactly the caps.
+//!
 //! On a single link this is the classic partition water-fill, operation
 //! for operation, so its rates are bit-identical to it.
 //! `tests/water_fill.rs` and `tests/props.rs` check the cached rates at
@@ -68,6 +81,32 @@ struct Link {
     bytes_carried: Bytes,
     /// Active flows crossing the link.
     load: u32,
+    /// Summed caps of the active flows crossing the link (bytes/sec).
+    demand: f64,
+}
+
+/// A shared link whose demand exceeds this fraction below its capacity
+/// counts as contended (see the module docs).
+const CONTENTION_MARGIN: f64 = 1e-9;
+
+impl Link {
+    /// Whether the fill could bind this link below some flow's cap.
+    fn contended(&self) -> bool {
+        self.load > 1 && self.demand > self.capacity * (1.0 - CONTENTION_MARGIN)
+    }
+
+    /// Add (`sign` 1) or remove (`sign` -1) one flow of cap `cap`.
+    /// Returns the change in the link's contended state (-1, 0 or 1).
+    fn carry(&mut self, cap: f64, sign: i32) -> i32 {
+        let was = i32::from(self.contended());
+        self.load = self.load.wrapping_add_signed(sign);
+        self.demand = if self.load == 0 {
+            0.0 // no drift left behind by an idle link
+        } else {
+            self.demand + f64::from(sign) * cap
+        };
+        i32::from(self.contended()) - was
+    }
 }
 
 /// The most links a flow's path may cross: a migration stream crosses
@@ -124,9 +163,16 @@ pub struct Fabric {
     /// computable from the fabric alone.
     opened: Vec<SimTime>,
     /// Cached per-flow rates, parallel to `active`; valid while no flow
-    /// has arrived or drained since they were filled.
+    /// has arrived or drained since they were filled, or while no link
+    /// is contended (then every rate is its flow's cap, kept as flows
+    /// open and drain).
     rates: Vec<f64>,
     rates_valid: bool,
+    /// How many links are contended (see the module docs).
+    contended: u32,
+    /// The flows drained since the last [`Fabric::clear_drained`], in
+    /// drain order.
+    drained: Vec<FlowId>,
     /// Cached earliest-drain instant; valid until the next mutation
     /// (arrival, departure, or clock/remaining update).
     next_cache: Option<SimTime>,
@@ -138,6 +184,9 @@ pub struct Fabric {
     /// Fill scratch: the links active flows cross that still carry an
     /// unfrozen flow.
     touched: Vec<usize>,
+    /// Fill scratch, parallel to `active`: which links of each flow's
+    /// path are shared, bit `k` for the `k`-th.
+    masks: Vec<u8>,
     /// Fill scratch: positions in `active` not yet frozen, in id order,
     /// and one round's capped positions.
     left: Vec<usize>,
@@ -161,6 +210,7 @@ impl Fabric {
             capacity: capacity.bytes_per_sec(),
             bytes_carried: Bytes::ZERO,
             load: 0,
+            demand: 0.0,
         });
         id
     }
@@ -218,7 +268,15 @@ impl Fabric {
         }
         self.completed.push(None);
         for &l in path {
-            self.links[l.0 as usize].load += 1;
+            let hot = self.links[l.0 as usize].carry(cap, 1);
+            self.contended = self.contended.wrapping_add_signed(hot);
+        }
+        // An arrival never relieves a link: without contention now,
+        // there was none before, and valid rates are the caps.
+        if self.contended == 0 && self.rates_valid {
+            self.rates.push(cap);
+        } else {
+            self.rates_valid = false;
         }
         let mut links = [LinkId(0); MAX_PATH];
         links[..path.len()].copy_from_slice(path);
@@ -229,7 +287,6 @@ impl Fabric {
             links,
             len: path.len() as u8,
         });
-        self.rates_valid = false;
         self.next_cache = None;
         id
     }
@@ -237,26 +294,40 @@ impl Fabric {
     /// Fill `self.rates` (parallel to `self.active`) with the max-min
     /// fair assignment by progressive filling (see the module docs).
     fn fill_rates(&mut self) {
-        let n = self.active.len();
+        self.rates_valid = true;
         self.rates.clear();
+        if self.contended == 0 {
+            // No link can bind: every flow is frozen at its cap.
+            self.rates.extend(self.active.iter().map(|f| f.cap));
+            return;
+        }
+        let n = self.active.len();
         self.rates.resize(n, 0.0);
         self.budget.resize(self.links.len(), 0.0);
         self.unfrozen.resize(self.links.len(), 0);
         self.share.resize(self.links.len(), 0.0);
-        // Only shared links take part (see the module docs).
-        let links = &self.links;
-        let shared = |l: &&LinkId| links[l.0 as usize].load > 1;
+        // Only shared links take part (see the module docs). Each
+        // flow's are noted once, as a mask over its path, and each link
+        // gets its budget at its first flow: `unfrozen` is all zero
+        // between fills, since a fill freezes every flow.
         self.touched.clear();
+        self.masks.clear();
         for f in &self.active {
-            for l in f.path().iter().filter(shared) {
-                let l = l.0 as usize;
-                self.touched.push(l);
-                self.budget[l] = links[l].capacity;
-                self.unfrozen[l] = links[l].load;
+            let mut mask = 0u8;
+            for (k, l) in f.path().iter().enumerate() {
+                let (l, link) = (l.0 as usize, &self.links[l.0 as usize]);
+                if link.load > 1 {
+                    mask |= 1 << k;
+                    if self.unfrozen[l] == 0 {
+                        self.touched.push(l);
+                        self.budget[l] = link.capacity;
+                        self.unfrozen[l] = link.load;
+                    }
+                }
             }
+            self.masks.push(mask);
         }
         self.touched.sort_unstable();
-        self.touched.dedup();
         self.left.clear();
         self.left.extend(0..n);
         while !self.left.is_empty() {
@@ -270,11 +341,8 @@ impl Fabric {
             self.round.clear();
             for &i in &self.left {
                 let f = &self.active[i];
-                let level = f
-                    .path()
-                    .iter()
-                    .filter(shared)
-                    .map(|l| self.share[l.0 as usize])
+                let level = shared_links(f.path(), self.masks[i])
+                    .map(|l| self.share[l])
                     .fold(f64::INFINITY, f64::min);
                 if f.cap <= level {
                     self.round.push(i);
@@ -284,9 +352,9 @@ impl Fabric {
                 for &i in &self.round {
                     let f = &self.active[i];
                     self.rates[i] = f.cap;
-                    for l in f.path().iter().filter(shared) {
-                        self.budget[l.0 as usize] -= f.cap;
-                        self.unfrozen[l.0 as usize] -= 1;
+                    for l in shared_links(f.path(), self.masks[i]) {
+                        self.budget[l] -= f.cap;
+                        self.unfrozen[l] -= 1;
                     }
                 }
                 let round = &self.round;
@@ -310,7 +378,8 @@ impl Fabric {
                 .expect("uncapped flows cross a shared link");
             let level = self.share[bottleneck];
             let bottleneck = LinkId(bottleneck as u32);
-            let (active, budget, unfrozen) = (&self.active, &mut self.budget, &mut self.unfrozen);
+            let (active, masks) = (&self.active, &self.masks);
+            let (budget, unfrozen) = (&mut self.budget, &mut self.unfrozen);
             let rates = &mut self.rates;
             self.left.retain(|&i| {
                 let path = active[i].path();
@@ -318,14 +387,13 @@ impl Fabric {
                     return true;
                 }
                 rates[i] = level;
-                for l in path.iter().filter(shared) {
-                    budget[l.0 as usize] -= level;
-                    unfrozen[l.0 as usize] -= 1;
+                for l in shared_links(path, masks[i]) {
+                    budget[l] -= level;
+                    unfrozen[l] -= 1;
                 }
                 false
             });
         }
-        self.rates_valid = true;
     }
 
     fn ensure_rates(&mut self) {
@@ -356,52 +424,90 @@ impl Fabric {
             return Some(t);
         }
         self.ensure_rates();
-        let next = self
+        // `seconds` rounds monotonically, so the earliest drain is the
+        // smallest time left, rounded once.
+        let left = self
             .active
             .iter()
             .zip(self.rates.iter())
-            .map(|(f, &r)| self.now + seconds(f.remaining / r))
-            .min()
-            .expect("active flows");
+            .map(|(f, &r)| f.remaining / r)
+            .fold(f64::INFINITY, f64::min);
+        let next = self.now + seconds(left);
         self.next_cache = Some(next);
         Some(next)
     }
 
     /// Advance the fabric clock to `t`, draining flows event-by-event
     /// (rates are constant between departures, so each interval is
-    /// exact).
+    /// exact). The flows drained on the way join
+    /// [`drained`](Fabric::drained).
     pub fn advance_to(&mut self, t: SimTime) {
         while self.now < t && !self.active.is_empty() {
             let next_done = self.next_completion().expect("active flows");
             let until = next_done.min(t);
             let dt = until.since(self.now).as_secs_f64();
+            let mut drained = false;
             for (f, &r) in self.active.iter_mut().zip(self.rates.iter()) {
                 f.remaining -= r * dt;
+                drained |= f.remaining <= DRAIN_EPSILON;
             }
             self.now = until;
             self.next_cache = None;
-            if self.active.iter().any(|f| f.remaining <= DRAIN_EPSILON) {
-                let now = self.now;
-                let (completed, links) = (&mut self.completed, &mut self.links);
-                // In-place retain visits flows in id order.
-                self.active.retain(|f| {
-                    if f.remaining <= DRAIN_EPSILON {
-                        completed[f.id.0 as usize] = Some(now);
-                        for l in f.path() {
-                            links[l.0 as usize].load -= 1;
-                        }
-                        false
-                    } else {
-                        true
-                    }
-                });
-                self.rates_valid = false;
+            if drained {
+                self.remove_drained();
             }
         }
         if t > self.now {
             self.now = t;
             self.next_cache = None;
         }
+    }
+
+    /// Complete every flow with no bytes left, in id order. Without
+    /// contention before the drain the rates stay valid: each drained
+    /// flow's entry leaves with it.
+    fn remove_drained(&mut self) {
+        let now = self.now;
+        let keep_rates = self.rates_valid && self.contended == 0;
+        let (completed, links, drained) = (&mut self.completed, &mut self.links, &mut self.drained);
+        let (rates, contended) = (&mut self.rates, &mut self.contended);
+        let (mut read, mut write) = (0, 0);
+        // In-place retain visits flows in id order.
+        self.active.retain(|f| {
+            let gone = f.remaining <= DRAIN_EPSILON;
+            if gone {
+                completed[f.id.0 as usize] = Some(now);
+                drained.push(f.id);
+                for l in f.path() {
+                    *contended =
+                        contended.wrapping_add_signed(links[l.0 as usize].carry(f.cap, -1));
+                }
+            } else if keep_rates {
+                rates[write] = rates[read];
+                write += 1;
+            }
+            read += 1;
+            !gone
+        });
+        if keep_rates {
+            rates.truncate(write);
+        } else {
+            self.rates_valid = false;
+        }
+    }
+
+    /// The flows drained since the last
+    /// [`clear_drained`](Fabric::clear_drained), in drain order (id
+    /// order within one instant). A flow drains when the fabric's clock
+    /// passes its completion, which can be ahead of a caller's clock: a
+    /// flow opened in the caller's future advances the fabric to it.
+    pub fn drained(&self) -> &[FlowId] {
+        &self.drained
+    }
+
+    /// Forget the flows drained so far.
+    pub fn clear_drained(&mut self) {
+        self.drained.clear();
     }
 
     /// When `flow` finished, if it has. Completions materialize as the
@@ -416,6 +522,15 @@ impl Fabric {
     pub fn opened_at(&self, flow: FlowId) -> Option<SimTime> {
         self.opened.get(flow.0 as usize).copied()
     }
+}
+
+/// The indices of the links of `path` that `mask` selects (bit `k` for
+/// the `k`-th), in path order.
+fn shared_links(path: &[LinkId], mask: u8) -> impl Iterator<Item = usize> + '_ {
+    path.iter()
+        .enumerate()
+        .filter(move |&(k, _)| mask >> k & 1 != 0)
+        .map(|(_, l)| l.0 as usize)
 }
 
 /// Seconds → `SimDuration`, rounded **up** to the clock tick. Completion
@@ -626,6 +741,45 @@ mod tests {
         fab.advance_to(t(100.0));
         let d = fab.completion(f).unwrap().as_secs_f64();
         assert!((d - gib_secs(1, 1.3)).abs() < 1e-6, "{d}");
+    }
+
+    #[test]
+    fn drained_lists_flows_in_drain_order_until_cleared() {
+        let (mut fab, l) = one_link(8.0);
+        let cap = Some(Bandwidth::from_gbps(1.0));
+        let big = fab.open(t(0.0), Bytes::from_gib(2), &[l], cap);
+        let small = fab.open(t(0.0), Bytes::from_gib(1), &[l], cap);
+        fab.advance_to(t(1.0));
+        assert!(fab.drained().is_empty());
+        fab.advance_to(t(100.0));
+        assert_eq!(fab.drained(), [small, big]);
+        fab.clear_drained();
+        assert!(fab.drained().is_empty());
+    }
+
+    #[test]
+    fn uncontended_rates_are_the_caps_and_contention_refills() {
+        // Caps summing to the capacity stay within the margin: the fill
+        // runs and still freezes every flow at its cap. One more flow
+        // over-subscribes the link; its drain brings the caps back.
+        let (mut fab, l) = one_link(10.0);
+        let gbps = |fab: &mut Fabric| -> Vec<f64> {
+            let rates = fab.current_rates();
+            rates.iter().map(|&(_, r)| r * 8.0 / 1e9).collect()
+        };
+        let cap = |g| Some(Bandwidth::from_gbps(g));
+        fab.open(t(0.0), Bytes::from_gib(4), &[l], cap(2.0));
+        fab.open(t(0.0), Bytes::from_gib(4), &[l], cap(3.0));
+        assert_eq!(gbps(&mut fab), [2.0, 3.0]);
+        fab.open(t(0.0), Bytes::from_gib(4), &[l], cap(5.0));
+        assert_eq!(gbps(&mut fab), [2.0, 3.0, 5.0]);
+        fab.open(t(0.0), Bytes::from_mib(1), &[l], cap(4.0));
+        let shared = gbps(&mut fab);
+        assert_eq!(shared[0], 2.0);
+        assert!(shared[1..].iter().all(|r| (r - 8.0 / 3.0).abs() < 1e-9));
+        fab.advance_to(t(0.01));
+        assert_eq!(fab.active_flows(), 3, "the 1 MiB flow drained");
+        assert_eq!(gbps(&mut fab), [2.0, 3.0, 5.0]);
     }
 
     #[test]

@@ -6,13 +6,20 @@
 //! one column of `f64` per registry series (two for a histogram, its
 //! `_count` and `_sum`) plus one column of scrape instants. A scrape
 //! appends one value per column; names and labels are copied once, when
-//! a series first appears. The driving loop (the `World` clock in
-//! `ninja-migration`, and the fleet engine, which treats the next scrape
-//! deadline as a heap event) calls [`TimeSeriesRecorder::advance_to`]
-//! whenever virtual time moves; every due scrape instant between the old
-//! and new clock gets its own sample, so the series is exactly periodic
-//! regardless of how the simulation jumps. A recorder scrapes one
-//! registry for its whole life.
+//! a series first appears. A recorder scrapes one registry for its
+//! whole life.
+//!
+//! # The scrape rule
+//!
+//! A scrape is not an event. The driving loop (the `World` clock in
+//! `ninja-migration`) calls [`TimeSeriesRecorder::advance_to`] whenever
+//! virtual time moves, and never moves it for the recorder's sake;
+//! every scrape instant due between the old and the new clock gets its
+//! own sample, so the series is exactly periodic however the simulation
+//! jumps. The scrape at instant `s` sees every event strictly before
+//! `s` and none at or after it. So installing a recorder, at any
+//! interval, changes nothing else a run computes: only the alert
+//! engine's own series and trace instants are added.
 //!
 //! Each scrape may also drive an [`AlertEngine`](crate::alerts): every
 //! rule's series reference is resolved once per new column, and rules
@@ -168,24 +175,11 @@ impl TimeSeriesRecorder {
     }
 
     /// The next scrape deadline: strictly in the future of the last
-    /// time passed to [`TimeSeriesRecorder::advance_to`], so event loops
-    /// can treat it as a heap event. [`SimTime::MAX`] once no scrape is
-    /// left before the end of the clock.
+    /// time passed to [`TimeSeriesRecorder::advance_to`].
+    /// [`SimTime::MAX`] once no scrape is left before the end of the
+    /// clock.
     pub fn next_due(&self) -> SimTime {
         self.next_due.unwrap_or(SimTime::MAX)
-    }
-
-    /// How many samples the ring keeps.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// How many scrapes are due strictly before `t`.
-    pub fn scrapes_before(&self, t: SimTime) -> u64 {
-        match self.next_due {
-            Some(due) if due < t => (t.since(due).as_nanos() - 1) / self.interval.as_nanos() + 1,
-            _ => 0,
-        }
     }
 
     /// Performs the baseline scrape at `at` and schedules the next one
