@@ -16,6 +16,13 @@
 //!   file checks its `fleet_scale --quick` shapes; `equivalence.rs` and
 //!   `flight_recorder.rs` check the rest.
 //!
+//! * `commands.sha256`, the single-job commands (`migrate`, `roundtrip`,
+//!   `selfmig`, `checkpoint`, `fig8`, `fallback`): one line per command
+//!   line × output, `<sha256>  <case>/<output>`, over stdout, stderr, the
+//!   exit code and every `--*-out` file. Each case runs in its own
+//!   directory with relative output paths, so stderr's `(wrote ...)`
+//!   lines are the same everywhere.
+//!
 //! The fixtures change only on purpose: run
 //!
 //! ```text
@@ -247,6 +254,116 @@ fn telemetry_outputs_match_goldens() {
         ));
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// The single-job command lines of `commands.sha256`, by case name.
+/// Output paths are relative to the case's directory.
+const COMMANDS: &[(&str, &[&str])] = &[
+    (
+        "migrate-eth",
+        &[
+            "migrate",
+            "--vms",
+            "2",
+            "--json",
+            "--trace-out",
+            "trace.json",
+            "--metrics-out",
+            "metrics.prom",
+        ],
+    ),
+    (
+        "migrate-ib",
+        &[
+            "migrate",
+            "--to",
+            "ib",
+            "--vms",
+            "2",
+            "--json",
+            "--metrics-out",
+            "metrics.json",
+        ],
+    ),
+    // A retried detach timeout and a 5 s precopy stall: the run
+    // succeeds late.
+    (
+        "migrate-faulted",
+        &[
+            "migrate",
+            "--vms",
+            "2",
+            "--fault",
+            "qmp-timeout:phase=detach:times=1",
+            "--fault",
+            "precopy-stall:stall=5",
+            "--json",
+            "--metrics-out",
+            "metrics.prom",
+        ],
+    ),
+    // A persistent migration timeout: exit 1.
+    (
+        "migrate-failed",
+        &[
+            "migrate",
+            "--vms",
+            "2",
+            "--fault",
+            "qmp-timeout:phase=migration",
+        ],
+    ),
+    (
+        "roundtrip",
+        &["roundtrip", "--json", "--metrics-out", "metrics.prom"],
+    ),
+    ("selfmig", &["selfmig", "--json"]),
+    ("checkpoint", &["checkpoint"]),
+    ("checkpoint-json", &["checkpoint", "--json"]),
+    (
+        "checkpoint-1vm-json",
+        &["checkpoint", "--vms", "1", "--json"],
+    ),
+    (
+        "checkpoint-telemetry",
+        &["checkpoint", "--trace", "--metrics-out", "metrics.prom"],
+    ),
+    ("fig8", &["fig8"]),
+    ("fallback", &["fallback", "--trace-out", "trace.json"]),
+];
+
+#[test]
+fn single_job_commands_match_goldens() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden-commands");
+    let mut actual = String::new();
+    for &(name, args) in COMMANDS {
+        let dir = root.join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_ninja"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn ninja");
+        let code = out.status.code().expect("exited");
+        let mut files = BTreeMap::from([
+            ("stdout".to_string(), out.stdout),
+            ("stderr".to_string(), out.stderr),
+            ("exit".to_string(), format!("{code}\n").into_bytes()),
+        ]);
+        for pair in args.windows(2) {
+            if pair[0].ends_with("-out") {
+                let bytes = std::fs::read(dir.join(pair[1])).expect("output written");
+                files.insert(pair[1].to_string(), bytes);
+            }
+        }
+        for (file, bytes) in &files {
+            std::fs::write(dir.join(file), bytes).unwrap();
+            actual.push_str(&format!("{}  {name}/{file}\n", sha256_hex(bytes)));
+        }
+    }
+    let failure = check_fixture("commands", &fixture_path("commands"), &root, &actual);
+    assert!(failure.is_none(), "{}", failure.unwrap_or_default());
 }
 
 /// The `fleet_scale --quick` shapes (16/8, 64/32 and 256/128 through

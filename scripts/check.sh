@@ -44,6 +44,9 @@ echo "== paper regenerators =="
 # nonzero on a regression. Release build; each binary runs in well
 # under a second.
 bash scripts/reproduce.sh
+# The committed results/ are the regenerators' pinned outputs: a byte
+# that moves fails here, so a rebless is a reviewable diff.
+git diff --exit-code results/
 
 echo "== smoke checks =="
 # The end-to-end checks of the release binary; CI runs the same script.
