@@ -113,7 +113,7 @@ proptest! {
             let now = SimTime::ZERO + ninja_sim::SimDuration::from_secs(at_s);
             let (src, dst, bytes) = (NodeId(s as u32), NodeId(d as u32), Bytes::from_gib(gib));
             dc.migration_fabric.advance_to(now);
-            let (flow, latency) = dc.open_migration(src, dst, bytes, cap, None, now);
+            let (flow, latency) = dc.open_migration(src, dst, bytes, cap, None);
             prop_assert_eq!(latency, ninja_sim::SimDuration::ZERO, "one site");
             if src != dst {
                 port_bytes[s] += bytes.get();

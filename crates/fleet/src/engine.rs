@@ -483,10 +483,6 @@ pub fn run_fleet(
             }
             wake.pop();
         }
-        // A stream opened in the world's future (a machine clock ahead
-        // of the world's, after a stall) may have drained others on the
-        // way: their owners wake at those drains.
-        wake_owners(world, &mut running, &flow_owner, &mut wake);
         let mut t_next = SimTime::MAX;
         if let Some(&Reverse((t, _, _))) = wake.peek() {
             t_next = t_next.min(t);

@@ -142,8 +142,8 @@ impl Flow {
 /// use ninja_sim::{Bandwidth, Bytes, SimTime};
 /// let mut fabric = Fabric::new();
 /// let link = fabric.add_link(Bandwidth::from_gbps(8.0));
-/// let a = fabric.open(SimTime::ZERO, Bytes::from_gib(1), &[link], None);
-/// let b = fabric.open(SimTime::ZERO, Bytes::from_gib(1), &[link], None);
+/// let a = fabric.open(Bytes::from_gib(1), &[link], None);
+/// let b = fabric.open(Bytes::from_gib(1), &[link], None);
 /// fabric.advance_to(SimTime::ZERO + ninja_sim::SimDuration::from_secs(60));
 /// // Two equal flows share the wire and finish together.
 /// assert_eq!(fabric.completion(a), fabric.completion(b));
@@ -232,25 +232,18 @@ impl Fabric {
         self.active.len()
     }
 
-    /// Open a flow of `bytes` at `now` over `path` (at most [`MAX_PATH`]
-    /// links), optionally capped to `rate` (e.g. the CPU-bound migration
-    /// sender). A flow with an empty path (a loopback transfer) must
-    /// carry a cap: nothing else bounds it. Opening a flow in the past
-    /// relative to the fabric's clock is an error in the caller's event
-    /// ordering, so the arrival is clamped to the fabric clock.
-    pub fn open(
-        &mut self,
-        now: SimTime,
-        bytes: Bytes,
-        path: &[LinkId],
-        rate: Option<Bandwidth>,
-    ) -> FlowId {
+    /// Open a flow of `bytes` at the fabric's clock over `path` (at most
+    /// [`MAX_PATH`] links), optionally capped to `rate` (e.g. the
+    /// CPU-bound migration sender). A flow with an empty path (a loopback
+    /// transfer) must carry a cap: nothing else bounds it. Every flow
+    /// opens now: a caller with a later arrival advances the fabric to
+    /// it first, so no open ever moves the shared clock.
+    pub fn open(&mut self, bytes: Bytes, path: &[LinkId], rate: Option<Bandwidth>) -> FlowId {
         assert!(
             rate.is_some() || !path.is_empty(),
             "a loopback flow needs a rate cap"
         );
         assert!(path.len() <= MAX_PATH, "a path of at most {MAX_PATH} links");
-        self.advance_to(now);
         let id = FlowId(self.opened.len() as u64);
         self.opened.push(self.now);
         let mut cap = rate.map_or(f64::INFINITY, Bandwidth::bytes_per_sec);
@@ -498,9 +491,8 @@ impl Fabric {
 
     /// The flows drained since the last
     /// [`clear_drained`](Fabric::clear_drained), in drain order (id
-    /// order within one instant). A flow drains when the fabric's clock
-    /// passes its completion, which can be ahead of a caller's clock: a
-    /// flow opened in the caller's future advances the fabric to it.
+    /// order within one instant). A flow drains when
+    /// [`advance_to`](Fabric::advance_to) passes its completion.
     pub fn drained(&self) -> &[FlowId] {
         &self.drained
     }
@@ -573,12 +565,7 @@ mod tests {
     #[test]
     fn single_flow_runs_at_cap() {
         let (mut fab, l) = one_link(10.0);
-        let f = fab.open(
-            t(0.0),
-            Bytes::from_gib(1),
-            &[l],
-            Some(Bandwidth::from_gbps(1.3)),
-        );
+        let f = fab.open(Bytes::from_gib(1), &[l], Some(Bandwidth::from_gbps(1.3)));
         fab.advance_to(t(100.0));
         let done = fab.completion(f).unwrap().as_secs_f64();
         assert!((done - gib_secs(1, 1.3)).abs() < 1e-6, "{done}");
@@ -587,8 +574,8 @@ mod tests {
     #[test]
     fn equal_flows_share_equally() {
         let (mut fab, l) = one_link(8.0);
-        let a = fab.open(t(0.0), Bytes::from_gib(1), &[l], None);
-        let b = fab.open(t(0.0), Bytes::from_gib(1), &[l], None);
+        let a = fab.open(Bytes::from_gib(1), &[l], None);
+        let b = fab.open(Bytes::from_gib(1), &[l], None);
         fab.advance_to(t(100.0));
         let da = fab.completion(a).unwrap().as_secs_f64();
         let db = fab.completion(b).unwrap().as_secs_f64();
@@ -604,7 +591,7 @@ mod tests {
         let (mut fab, l) = one_link(10.0);
         let cap = Some(Bandwidth::from_gbps(1.3));
         let flows: Vec<FlowId> = (0..4)
-            .map(|_| fab.open(t(0.0), Bytes::from_gib(1), &[l], cap))
+            .map(|_| fab.open(Bytes::from_gib(1), &[l], cap))
             .collect();
         fab.advance_to(t(100.0));
         for f in flows {
@@ -620,7 +607,7 @@ mod tests {
         let (mut fab, l) = one_link(10.0);
         let cap = Some(Bandwidth::from_gbps(1.3));
         let flows: Vec<FlowId> = (0..10)
-            .map(|_| fab.open(t(0.0), Bytes::from_gib(1), &[l], cap))
+            .map(|_| fab.open(Bytes::from_gib(1), &[l], cap))
             .collect();
         fab.advance_to(t(100.0));
         for f in flows {
@@ -634,8 +621,9 @@ mod tests {
         // Flow A alone at 8 Gb/s; B arrives at 0.5 s and the wire splits
         // 4/4; A drains, then B finishes alone at 8 Gb/s again.
         let (mut fab, l) = one_link(8.0);
-        let a = fab.open(t(0.0), Bytes::from_gib(1), &[l], None);
-        let b = fab.open(t(0.5), Bytes::from_gib(1), &[l], None);
+        let a = fab.open(Bytes::from_gib(1), &[l], None);
+        fab.advance_to(t(0.5));
+        let b = fab.open(Bytes::from_gib(1), &[l], None);
         fab.advance_to(t(100.0));
         let da = fab.completion(a).unwrap().as_secs_f64();
         let db = fab.completion(b).unwrap().as_secs_f64();
@@ -652,14 +640,11 @@ mod tests {
     #[test]
     fn bytes_are_conserved() {
         let (mut fab, l) = one_link(8.0);
-        fab.open(t(0.0), Bytes::from_mib(3), &[l], None);
-        fab.open(
-            t(0.1),
-            Bytes::from_mib(5),
-            &[l],
-            Some(Bandwidth::from_gbps(1.0)),
-        );
-        fab.open(t(0.2), Bytes::from_mib(7), &[l], None);
+        fab.open(Bytes::from_mib(3), &[l], None);
+        fab.advance_to(t(0.1));
+        fab.open(Bytes::from_mib(5), &[l], Some(Bandwidth::from_gbps(1.0)));
+        fab.advance_to(t(0.2));
+        fab.open(Bytes::from_mib(7), &[l], None);
         fab.advance_to(t(100.0));
         assert_eq!(fab.bytes_carried(l), Bytes::from_mib(15));
         assert_eq!(fab.active_flows(), 0);
@@ -668,7 +653,8 @@ mod tests {
     #[test]
     fn zero_byte_flow_completes_instantly() {
         let (mut fab, l) = one_link(8.0);
-        let f = fab.open(t(3.0), Bytes::ZERO, &[l], None);
+        fab.advance_to(t(3.0));
+        let f = fab.open(Bytes::ZERO, &[l], None);
         assert_eq!(fab.completion(f), Some(t(3.0)));
     }
 
@@ -676,7 +662,7 @@ mod tests {
     fn next_completion_predicts_drain() {
         let (mut fab, l) = one_link(8.0);
         assert_eq!(fab.next_completion(), None);
-        let f = fab.open(t(0.0), Bytes::from_gib(1), &[l], None);
+        let f = fab.open(Bytes::from_gib(1), &[l], None);
         let predicted = fab.next_completion().unwrap();
         fab.advance_to(predicted);
         assert_eq!(fab.completion(f), Some(predicted));
@@ -692,7 +678,7 @@ mod tests {
         let (mut fab, l) = one_link(10.0);
         let cap = Some(Bandwidth::from_gbps(1.3));
         let flows: Vec<FlowId> = (0..3)
-            .map(|i| fab.open(t(0.0), Bytes::new((7 << 30) + 13 * i + 1), &[l], cap))
+            .map(|i| fab.open(Bytes::new((7 << 30) + 13 * i + 1), &[l], cap))
             .collect();
         let mut hops = 0;
         while let Some(next) = fab.next_completion() {
@@ -707,7 +693,7 @@ mod tests {
     #[test]
     fn partial_advance_keeps_state() {
         let (mut fab, l) = one_link(8.0);
-        let f = fab.open(t(0.0), Bytes::from_gib(1), &[l], None);
+        let f = fab.open(Bytes::from_gib(1), &[l], None);
         fab.advance_to(t(0.5));
         assert_eq!(fab.active_flows(), 1);
         assert_eq!(fab.completion(f), None);
@@ -719,25 +705,22 @@ mod tests {
     #[test]
     fn opened_at_survives_completion() {
         let (mut fab, l) = one_link(8.0);
-        let f = fab.open(t(1.0), Bytes::from_mib(64), &[l], None);
+        fab.advance_to(t(1.0));
+        let f = fab.open(Bytes::from_mib(64), &[l], None);
         assert_eq!(fab.opened_at(f), Some(t(1.0)));
         fab.advance_to(t(100.0));
         assert!(fab.completion(f).is_some());
         assert_eq!(fab.opened_at(f), Some(t(1.0)), "retained after drain");
         // Zero-byte flows report their (instant) open time too.
-        let z = fab.open(t(200.0), Bytes::ZERO, &[l], None);
+        fab.advance_to(t(200.0));
+        let z = fab.open(Bytes::ZERO, &[l], None);
         assert_eq!(fab.opened_at(z), Some(t(200.0)));
     }
 
     #[test]
     fn loopback_flow_runs_at_its_cap() {
         let mut fab = Fabric::new();
-        let f = fab.open(
-            t(0.0),
-            Bytes::from_gib(1),
-            &[],
-            Some(Bandwidth::from_gbps(1.3)),
-        );
+        let f = fab.open(Bytes::from_gib(1), &[], Some(Bandwidth::from_gbps(1.3)));
         fab.advance_to(t(100.0));
         let d = fab.completion(f).unwrap().as_secs_f64();
         assert!((d - gib_secs(1, 1.3)).abs() < 1e-6, "{d}");
@@ -747,8 +730,8 @@ mod tests {
     fn drained_lists_flows_in_drain_order_until_cleared() {
         let (mut fab, l) = one_link(8.0);
         let cap = Some(Bandwidth::from_gbps(1.0));
-        let big = fab.open(t(0.0), Bytes::from_gib(2), &[l], cap);
-        let small = fab.open(t(0.0), Bytes::from_gib(1), &[l], cap);
+        let big = fab.open(Bytes::from_gib(2), &[l], cap);
+        let small = fab.open(Bytes::from_gib(1), &[l], cap);
         fab.advance_to(t(1.0));
         assert!(fab.drained().is_empty());
         fab.advance_to(t(100.0));
@@ -768,12 +751,12 @@ mod tests {
             rates.iter().map(|&(_, r)| r * 8.0 / 1e9).collect()
         };
         let cap = |g| Some(Bandwidth::from_gbps(g));
-        fab.open(t(0.0), Bytes::from_gib(4), &[l], cap(2.0));
-        fab.open(t(0.0), Bytes::from_gib(4), &[l], cap(3.0));
+        fab.open(Bytes::from_gib(4), &[l], cap(2.0));
+        fab.open(Bytes::from_gib(4), &[l], cap(3.0));
         assert_eq!(gbps(&mut fab), [2.0, 3.0]);
-        fab.open(t(0.0), Bytes::from_gib(4), &[l], cap(5.0));
+        fab.open(Bytes::from_gib(4), &[l], cap(5.0));
         assert_eq!(gbps(&mut fab), [2.0, 3.0, 5.0]);
-        fab.open(t(0.0), Bytes::from_mib(1), &[l], cap(4.0));
+        fab.open(Bytes::from_mib(1), &[l], cap(4.0));
         let shared = gbps(&mut fab);
         assert_eq!(shared[0], 2.0);
         assert!(shared[1..].iter().all(|r| (r - 8.0 / 3.0).abs() < 1e-9));
@@ -790,9 +773,9 @@ mod tests {
         let mut fab = Fabric::new();
         let narrow = fab.add_link(Bandwidth::from_gbps(2.0));
         let wide = fab.add_link(Bandwidth::from_gbps(10.0));
-        fab.open(t(0.0), Bytes::from_gib(1), &[narrow], None);
-        fab.open(t(0.0), Bytes::from_gib(1), &[narrow, wide], None);
-        fab.open(t(0.0), Bytes::from_gib(1), &[wide], None);
+        fab.open(Bytes::from_gib(1), &[narrow], None);
+        fab.open(Bytes::from_gib(1), &[narrow, wide], None);
+        fab.open(Bytes::from_gib(1), &[wide], None);
         let gbps: Vec<f64> = fab
             .current_rates()
             .iter()

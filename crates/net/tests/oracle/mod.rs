@@ -126,7 +126,7 @@ impl CheckedFabric {
     ) -> FlowId {
         let ids: Vec<LinkId> = path.iter().map(|&l| self.links[l]).collect();
         self.step_to(at);
-        let id = self.fabric.open(at, bytes, &ids, cap);
+        let id = self.fabric.open(bytes, &ids, cap);
         let cap = path
             .iter()
             .map(|&l| self.capacities[l])
