@@ -112,15 +112,6 @@ impl EnvSource for LiveEnv<'_> {
     }
 }
 
-/// Which collective algorithm to cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollectiveAlgo {
-    /// Binomial tree (the default; matches the executor's algorithms).
-    Binomial,
-    /// Segmented chain pipeline (bandwidth-optimal for large payloads).
-    Pipelined,
-}
-
 /// Segment size for pipelined collectives (Open MPI's default segment).
 pub const PIPELINE_SEGMENT: Bytes = Bytes::from_kib(128);
 
@@ -177,20 +168,6 @@ impl MpiRuntime {
             model
         };
         derated.message(bytes, contention).elapsed
-    }
-
-    /// Broadcast with an explicit algorithm choice.
-    pub fn bcast_time_with(
-        &self,
-        algo: CollectiveAlgo,
-        root: Rank,
-        bytes: Bytes,
-        env: &impl EnvSource,
-    ) -> SimDuration {
-        match algo {
-            CollectiveAlgo::Binomial => self.bcast_time(root, bytes, env),
-            CollectiveAlgo::Pipelined => self.bcast_time_pipelined(root, bytes, env),
-        }
     }
 
     /// Pipelined (chain) broadcast: the payload is cut into
@@ -487,11 +464,6 @@ mod tests {
         let b_small = rt.bcast_time(Rank(0), tiny, &env);
         let p_small = rt.bcast_time_pipelined(Rank(0), tiny, &env);
         assert!(p_small >= b_small, "{p_small} vs {b_small}");
-        // The explicit-algorithm entry point dispatches correctly.
-        assert_eq!(
-            rt.bcast_time_with(CollectiveAlgo::Pipelined, Rank(0), big, &env),
-            pipelined
-        );
     }
 
     #[test]

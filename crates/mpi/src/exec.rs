@@ -231,11 +231,6 @@ impl Comm {
         self.reduce_with(root, data, tag, |a, b| a + b)
     }
 
-    /// Binomial-tree max-reduction to `root` (MPI_MAX).
-    pub fn reduce_max(&mut self, root: u32, data: Vec<f64>, tag: Tag) -> Option<Vec<f64>> {
-        self.reduce_with(root, data, tag, f64::max)
-    }
-
     /// Allreduce (sum): reduce to 0 then broadcast.
     pub fn allreduce_sum(&mut self, data: Vec<f64>, tag: Tag) -> Vec<f64> {
         let reduced = self.reduce_sum(0, data, tag);
@@ -246,14 +241,6 @@ impl Comm {
     /// Barrier: a zero-payload allreduce.
     pub fn barrier(&mut self, tag: Tag) {
         self.allreduce_sum(vec![], tag);
-    }
-
-    /// Combined send+receive with the same peer (deadlock-safe on the
-    /// buffered fabric): ships `payload` to `peer` and returns what the
-    /// peer shipped to us under the same tag.
-    pub fn sendrecv(&mut self, peer: u32, tag: Tag, payload: Vec<f64>) -> Vec<f64> {
-        self.send(peer, tag, payload);
-        self.recv(peer, tag).0
     }
 
     /// Gather: every rank's payload arrives at `root`, indexed by
@@ -273,36 +260,6 @@ impl Comm {
             self.send(root, tag, mine);
             None
         }
-    }
-
-    /// Scatter: `root` distributes `chunks[i]` to rank `i`; every rank
-    /// returns its chunk.
-    pub fn scatter(&mut self, root: u32, chunks: Option<Vec<Vec<f64>>>, tag: Tag) -> Vec<f64> {
-        if self.rank == root {
-            let chunks = chunks.expect("root provides the chunks");
-            assert_eq!(chunks.len(), self.size as usize);
-            for (dst, chunk) in chunks.iter().enumerate() {
-                if dst as u32 != root {
-                    self.send(dst as u32, tag, chunk.clone());
-                }
-            }
-            chunks[root as usize].clone()
-        } else {
-            self.recv(root, tag).0
-        }
-    }
-
-    /// Allgather: everyone ends with every rank's payload, indexed by
-    /// source (gather to 0, then broadcast the concatenation).
-    pub fn allgather(&mut self, mine: Vec<f64>, tag: Tag) -> Vec<Vec<f64>> {
-        let len = mine.len();
-        let gathered = self.gather(0, mine, tag);
-        let flat = match gathered {
-            Some(parts) => parts.concat(),
-            None => Vec::new(),
-        };
-        let flat = self.bcast(0, flat, tag.wrapping_add(1));
-        flat.chunks(len.max(1)).map(|c| c.to_vec()).collect()
     }
 
     /// All-to-all personalized exchange: `chunks[i]` goes to rank `i`;
@@ -508,24 +465,9 @@ mod tests {
         let routes = RouteTable::uniform(5, TransportKind::OpenIb);
         let (results, _) = run_job(5, routes, |comm| {
             let mine = vec![comm.rank() as f64, -(comm.rank() as f64)];
-            let maxed = comm.reduce_max(0, mine.clone(), 11);
-            let mined = comm.reduce_with(0, mine, 12, f64::min);
-            (maxed, mined)
+            comm.reduce_with(0, mine, 12, f64::min)
         });
-        let (maxed, mined) = &results[0];
-        assert_eq!(maxed.as_ref().unwrap(), &vec![4.0, 0.0]);
-        assert_eq!(mined.as_ref().unwrap(), &vec![0.0, -4.0]);
-    }
-
-    #[test]
-    fn sendrecv_swaps() {
-        let routes = RouteTable::uniform(2, TransportKind::OpenIb);
-        let (results, _) = run_job(2, routes, |comm| {
-            let peer = 1 - comm.rank();
-            comm.sendrecv(peer, 9, vec![comm.rank() as f64])
-        });
-        assert_eq!(results[0], vec![1.0]);
-        assert_eq!(results[1], vec![0.0]);
+        assert_eq!(results[0].as_ref().unwrap(), &vec![0.0, -4.0]);
     }
 
     #[test]
@@ -540,36 +482,6 @@ mod tests {
         }
         for (i, r) in results.iter().enumerate() {
             assert_eq!(r.is_some(), i == 2);
-        }
-    }
-
-    #[test]
-    fn scatter_distributes() {
-        let routes = RouteTable::uniform(4, TransportKind::Tcp);
-        let (results, _) = run_job(4, routes, |comm| {
-            let chunks = if comm.rank() == 1 {
-                Some((0..4).map(|i| vec![i as f64 + 0.5]).collect())
-            } else {
-                None
-            };
-            comm.scatter(1, chunks, 70)
-        });
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(r, &vec![i as f64 + 0.5]);
-        }
-    }
-
-    #[test]
-    fn allgather_everyone_sees_everything() {
-        let routes = RouteTable::uniform(6, TransportKind::SharedMemory);
-        let (results, _) = run_job(6, routes, |comm| {
-            comm.allgather(vec![comm.rank() as f64, -(comm.rank() as f64)], 80)
-        });
-        for r in &results {
-            assert_eq!(r.len(), 6);
-            for (src, c) in r.iter().enumerate() {
-                assert_eq!(c, &vec![src as f64, -(src as f64)]);
-            }
         }
     }
 

@@ -33,7 +33,7 @@ pub mod layout;
 pub mod runtime;
 
 pub use btl::{exclusivity, BtlComponent, BtlRegistry, Connection, Endpoint};
-pub use collectives::{CollectiveAlgo, CommEnv, EnvSource, LiveEnv, VmEnv, PIPELINE_SEGMENT};
+pub use collectives::{CommEnv, EnvSource, LiveEnv, VmEnv, PIPELINE_SEGMENT};
 pub use crcp::{Crcp, QuiesceReport};
 pub use exec::{run_job, Comm, RouteTable, TrafficCensus};
 pub use layout::{JobLayout, Rank};

@@ -6,9 +6,8 @@
 //! link-up time from the guest's perspective (Table II reports 0.00 s),
 //! in contrast to InfiniBand's ~30 s training.
 
-use crate::calib::TransportCalib;
 use crate::link::LinkFsm;
-use ninja_sim::{SimRng, SimTime};
+use ninja_sim::SimTime;
 
 /// The kind of Ethernet device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,15 +27,6 @@ pub struct EthNic {
 }
 
 impl EthNic {
-    /// A detached NIC.
-    pub fn new(kind: EthKind, mac: u64) -> Self {
-        EthNic {
-            kind,
-            mac,
-            link: LinkFsm::down(),
-        }
-    }
-
     /// A NIC that was present at boot and is already up.
     pub fn up(kind: EthKind, mac: u64) -> Self {
         EthNic {
@@ -54,12 +44,6 @@ impl EthNic {
     /// Returns the mac.
     pub fn mac(&self) -> u64 {
         self.mac
-    }
-
-    /// Plug in at `now`; Ethernet links come up per the calibration
-    /// (instantaneous for virtio). Returns the time the link is usable.
-    pub fn plug_in(&mut self, now: SimTime, calib: &TransportCalib, rng: &mut SimRng) -> SimTime {
-        self.link.begin_training(now, calib, rng)
     }
 
     /// Unplug the device.
@@ -81,20 +65,10 @@ impl EthNic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calib;
-    use ninja_sim::{SimDuration, SimTime};
+    use ninja_sim::SimDuration;
 
     fn t(s: f64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs_f64(s)
-    }
-
-    #[test]
-    fn virtio_link_is_instant() {
-        let mut nic = EthNic::new(EthKind::Virtio, 0x02_00_00_00_00_01);
-        let mut rng = SimRng::new(1);
-        let up = nic.plug_in(t(3.0), &calib::tcp_virtio_10gbe(), &mut rng);
-        assert_eq!(up, t(3.0));
-        assert!(nic.is_active_at(t(3.0)));
     }
 
     #[test]

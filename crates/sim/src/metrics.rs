@@ -21,7 +21,6 @@
 
 use crate::export::{render, write_escaped, write_f64};
 use crate::stats::{Histogram, Summary};
-use crate::time::SimDuration;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::{self, Write};
@@ -274,11 +273,6 @@ impl MetricsRegistry {
     pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
         let id = self.histogram_id(name, labels);
         self.observe_n(id, value, 1);
-    }
-
-    /// Records a duration observation in seconds.
-    pub fn observe_duration(&mut self, name: &str, labels: &[(&str, &str)], d: SimDuration) {
-        self.observe(name, labels, d.as_secs_f64());
     }
 
     fn get(&self, kind: Kind, name: &str, labels: &[(&str, &str)]) -> Option<&Value> {
@@ -682,11 +676,7 @@ mod tests {
         m.describe("ninja_wire_bytes_total", "Bytes moved over the wire");
         m.inc("ninja_wire_bytes_total", &[], 1234);
         m.set_gauge("ninja_vms", &[("cluster", "ib")], 4.0);
-        m.observe_duration(
-            "ninja_phase_duration_seconds",
-            &[("phase", "linkup")],
-            SimDuration::from_secs(30),
-        );
+        m.observe("ninja_phase_duration_seconds", &[("phase", "linkup")], 30.0);
         let text = m.to_prometheus();
         assert!(text.contains("# HELP ninja_wire_bytes_total Bytes moved over the wire"));
         assert!(text.contains("# TYPE ninja_wire_bytes_total counter"));

@@ -217,15 +217,6 @@ impl Trace {
             .collect()
     }
 
-    /// Total duration covered by all spans named `name`.
-    pub fn total_span(&self, name: &str) -> SimDuration {
-        self.spans
-            .iter()
-            .filter(|s| s.name() == name)
-            .map(|s| s.duration())
-            .sum()
-    }
-
     /// Export as Chrome trace-event JSON (load in `chrome://tracing`
     /// or <https://ui.perfetto.dev>).
     pub fn to_chrome_json(&self) -> String {
@@ -537,7 +528,6 @@ mod tests {
         tr.add_span("h", "hotplug", t(1), t(3));
         tr.add_span("h", "hotplug", t(10), t(11));
         assert_eq!(tr.spans("hotplug").len(), 2);
-        assert_eq!(tr.total_span("hotplug"), SimDuration::from_secs(3));
         // Envelope spans the outer interval.
         assert_eq!(tr.span("hotplug"), Some(SimDuration::from_secs(10)));
     }

@@ -39,19 +39,6 @@ impl NpbKind {
         [NpbKind::Bt, NpbKind::Cg, NpbKind::Ft, NpbKind::Lu]
     }
 
-    /// The full implemented set (paper kernels + extras).
-    pub fn full_set() -> [NpbKind; 7] {
-        [
-            NpbKind::Bt,
-            NpbKind::Cg,
-            NpbKind::Ft,
-            NpbKind::Lu,
-            NpbKind::Ep,
-            NpbKind::Mg,
-            NpbKind::Is,
-        ]
-    }
-
     /// NPB name (`bt`, `cg`, ...).
     pub fn name(self) -> &'static str {
         match self {
@@ -247,8 +234,11 @@ mod tests {
         let comm = is.comm_per_iteration(&rt, &env).as_secs_f64();
         assert!(comm > 0.05, "IS moves real data: {comm}");
         // All seven kernels construct and expose distinct names.
-        let names: std::collections::HashSet<_> =
-            NpbKind::full_set().iter().map(|k| k.name()).collect();
+        use NpbKind::*;
+        let names: std::collections::HashSet<_> = [Bt, Cg, Ft, Lu, Ep, Mg, Is]
+            .iter()
+            .map(|k| k.name())
+            .collect();
         assert_eq!(names.len(), 7);
     }
 
