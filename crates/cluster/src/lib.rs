@@ -23,5 +23,5 @@ pub use node::{Node, NodeId, NodeSpec};
 pub use pci::{
     Attachment, DeviceClass, DeviceId, DeviceKind, DeviceTable, DeviceTag, PciAddr, PciDevice,
 };
-pub use storage::{NfsExport, StorageId, StoragePool};
+pub use storage::{NfsExport, StorageId, StoragePool, NFS_STREAM_BW};
 pub use topology::{Cluster, ClusterId, DataCenter, DataCenterBuilder, FabricKind, WanLink};

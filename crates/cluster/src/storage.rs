@@ -9,6 +9,11 @@
 
 use std::collections::BTreeSet;
 
+/// NFS throughput for streaming qcow2 snapshot data, in bytes/sec: the
+/// capacity of each export's link on the migration fabric. NFSv3 over
+/// the 10 GbE network in the paper's testbed sustains roughly 0.9 GB/s.
+pub const NFS_STREAM_BW: f64 = 0.9e9;
+
 /// Identifier of an NFS export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StorageId(pub u32);

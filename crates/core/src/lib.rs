@@ -60,7 +60,7 @@ pub use orchestrator::{NinjaOrchestrator, PHASE_NAMES};
 pub use placement::{PlacementPlan, PlacementPlanner, PlacementPolicy, PowerModel};
 pub use report::NinjaReport;
 pub use scheduler::{CloudScheduler, Trigger, TriggerReason};
-pub use stepper::{reserve_job_telemetry, MigrationMachine, StepOutcome};
+pub use stepper::{reserve_job_telemetry, MachineKind, MigrationMachine, StepOutcome};
 pub use world::World;
 
 // Re-export the substrate crates so downstream users need one dependency.

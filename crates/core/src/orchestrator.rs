@@ -18,13 +18,15 @@
 //! The precopy streams land through the data center's migration fabric,
 //! the one every fleet run uses too, so a serial migration reports
 //! exactly what a one-job fleet at concurrency 1 does while the fleet's
-//! uplink does not bind.
+//! uplink does not bind. Checkpoint, restart ([`crate::ft`]) and
+//! [`NinjaOrchestrator::abort_and_resume`] run the same machine, as
+//! kinds of it, through the same serial loop.
 
 use crate::report::NinjaReport;
-use crate::stepper::{thaw, MigrationMachine, StepOutcome};
+use crate::stepper::{MachineKind, MigrationMachine, StepOutcome};
 use crate::world::World;
 use ninja_cluster::NodeId;
-use ninja_symvirt::{Controller, GuestCooperative, RetryPolicy, SymVirtError};
+use ninja_symvirt::{GuestCooperative, RetryPolicy, SymVirtError};
 use ninja_vmm::{MigrationConfig, QemuMonitor};
 
 /// The five phases of Fig. 4, in causal order. Every migration records
@@ -54,11 +56,6 @@ impl NinjaOrchestrator {
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
-    }
-
-    /// The monitor (and thus migration config) in use.
-    pub fn monitor(&self) -> &QemuMonitor {
-        &self.monitor
     }
 
     /// Migrate an MPI job: VM *i* goes to `dsts[i % dsts.len()]`.
@@ -93,44 +90,48 @@ impl NinjaOrchestrator {
         world: &mut World,
         app: &mut dyn GuestCooperative,
     ) -> Result<ninja_sim::SimDuration, SymVirtError> {
-        let started = world.clock();
-        let ctl = Controller::new(app.vms().to_vec(), self.monitor.clone());
         // Only VMs still frozen participate; a half-signalled job is
         // not recoverable this way.
-        ctl.wait_all(&world.pool)?;
-        thaw(world, ctl, app.needs_link_wait())?;
-        let now = world.clock();
-        app.resume_after_blackout(&world.pool, &mut world.dc, now)?;
-        world
-            .trace
-            .add_span("ninja", "abort", started, now)
-            .label_u64("vms", app.vms().len() as u64);
-        world.metrics.inc("ninja_aborts_total", &[], 1);
-        Ok(world.clock().since(started))
+        Ok(self.run(world, app, MachineKind::Abort, None)?.total())
     }
 
     /// Migrate any cooperative guest application (MPI or otherwise).
-    ///
-    /// Runs a [`MigrationMachine`] to completion, advancing the world
-    /// clock through every phase and, while the machine waits on the
-    /// wire, to the migration fabric's next drain — the fleet engine's
-    /// interleaved stepping with one job.
     pub fn migrate_app(
         &self,
         world: &mut World,
         app: &mut dyn GuestCooperative,
         dsts: &[NodeId],
     ) -> Result<NinjaReport, SymVirtError> {
+        self.run(world, app, MachineKind::Migrate, Some(dsts))
+    }
+
+    /// The one serial loop: runs a [`MigrationMachine`] of `kind` over
+    /// `app`'s VMs (to `dsts`, or on their current hosts) to completion,
+    /// advancing the world clock through every phase and, while the
+    /// machine waits on the wire, to the migration fabric's next drain:
+    /// the fleet engine's interleaved stepping with one job.
+    pub(crate) fn run(
+        &self,
+        world: &mut World,
+        app: &mut dyn GuestCooperative,
+        kind: MachineKind,
+        dsts: Option<&[NodeId]>,
+    ) -> Result<NinjaReport, SymVirtError> {
+        let dsts: Vec<_> = match dsts {
+            Some(dsts) => dsts.to_vec(),
+            None => app
+                .vms()
+                .iter()
+                .map(|&vm| world.pool.get(vm).node)
+                .collect(),
+        };
         if dsts.is_empty() {
             return Err(SymVirtError::EmptyHostlist);
         }
-        let mut machine = MigrationMachine::new(
-            self.monitor.clone(),
-            app.vms().to_vec(),
-            dsts.to_vec(),
-            world.clock(),
-        )
-        .with_retry(self.retry);
+        let vms = app.vms().to_vec();
+        let mut machine = MigrationMachine::new(self.monitor.clone(), vms, dsts, world.clock())
+            .with_kind(kind)
+            .with_retry(self.retry);
         loop {
             match machine.step(world, app)? {
                 StepOutcome::Ready => world.advance_to(machine.now()),

@@ -1,9 +1,9 @@
 //! Scenario world: the bundle of simulated state a scenario runs over.
 //!
-//! [`World`] owns the data center, the VM pool, the RNG, the trace, and
-//! the virtual clock, and provides the setup helpers every experiment
-//! starts from (boot VMs on a cluster, attach HCAs, wait for link
-//! training, start an MPI job).
+//! [`World`] owns the data center, the VM pool, the snapshot store, the
+//! RNG, the trace, and the virtual clock, and provides the setup helpers
+//! every experiment starts from (boot VMs on a cluster, attach HCAs,
+//! wait for link training, start an MPI job).
 
 use crate::stepper::MigrationSeries;
 use ninja_cluster::{ClusterId, DataCenter, NodeId, StorageId};
@@ -12,7 +12,7 @@ use ninja_sim::{
     MetricsRegistry, SeriesId, SimDuration, SimRng, SimTime, TimeSeriesRecorder, Trace, TraceLevel,
 };
 use ninja_symvirt::{FaultPlan, SymVirtError, VmSpan};
-use ninja_vmm::{VmId, VmPool, VmSpec};
+use ninja_vmm::{SnapshotStore, VmId, VmPool, VmSpec};
 
 /// All mutable simulation state for one scenario.
 #[derive(Debug)]
@@ -21,6 +21,8 @@ pub struct World {
     pub dc: DataCenter,
     /// All VMs.
     pub pool: VmPool,
+    /// The checkpoint images on the shared NFS export.
+    pub snapshots: SnapshotStore,
     /// Scenario RNG (forked per subsystem as needed).
     pub rng: SimRng,
     /// Structured trace (typed spans feed the benchmark harness and the
@@ -63,6 +65,7 @@ impl World {
         World {
             dc,
             pool: VmPool::new(),
+            snapshots: SnapshotStore::new(),
             rng: SimRng::new(seed),
             trace: Trace::new(),
             metrics: MetricsRegistry::new(),
@@ -91,6 +94,7 @@ impl World {
         World {
             dc,
             pool: VmPool::new(),
+            snapshots: SnapshotStore::new(),
             rng: SimRng::new(seed),
             trace: Trace::new(),
             metrics: MetricsRegistry::new(),

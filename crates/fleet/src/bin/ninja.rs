@@ -78,7 +78,6 @@ use ninja_sim::{
     Trace, WriteJson,
 };
 use ninja_symvirt::{FaultPlan, FaultSpec, GuestCooperative, RetryPolicy};
-use ninja_vmm::SnapshotStore;
 use ninja_workloads::{install_memory_profile, MemoryProfile};
 use std::collections::BTreeMap;
 use std::fmt::{self, Display, Write};
@@ -651,15 +650,14 @@ fn single_job_cmd(args: &Args) -> World {
                 dirty_bytes_per_sec: 1e9,
             };
             install_memory_profile(&mut world, &rt, profile);
-            let mut store = SnapshotStore::new();
             let (handle, ck) = orch
-                .checkpoint(&mut world, &mut rt, &mut store)
+                .checkpoint(&mut world, &mut rt)
                 .unwrap_or_else(|e| fail(args.what(), e));
             for &vm in &vms {
                 world.pool.destroy(vm, &mut world.dc);
             }
             let rs = orch
-                .restart(&mut world, &mut rt, &handle, &store, &eth)
+                .restart(&mut world, &mut rt, &handle, &eth)
                 .unwrap_or_else(|e| fail(args.what(), e));
             world.record_wire_metrics([&rt]);
             let s = SimDuration::as_secs_f64;

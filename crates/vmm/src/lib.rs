@@ -29,5 +29,5 @@ pub use guestos::{DriverTimings, GuestDeviceState, GuestDriver, GuestPciView};
 pub use memory::{GuestMemory, COMPRESSED_PAGE_BYTES, PAGE_SIZE};
 pub use migration::{plan_precopy, MigrationConfig, PrecopyPlan, PrecopyRound};
 pub use monitor::{MonitorCommand, MonitorReply, QemuMonitor};
-pub use snapshot::{SnapshotId, SnapshotStore, VmSnapshot, NFS_STREAM_BW};
+pub use snapshot::{SnapshotId, SnapshotStore, VmSnapshot};
 pub use vm::{Vm, VmId, VmPool, VmSpec, VmState};

@@ -9,13 +9,16 @@
 //!
 //! A snapshot captures the VM's device-model state plus its RAM image —
 //! compressed with the same zero/uniform-page scheme the migration path
-//! uses, and written to (later read from) the shared NFS export, whose
-//! bandwidth gates the save/restore time.
+//! uses, and written to (later read from) one shared NFS export. The
+//! store only records images; moving them is a flow per image on the
+//! export's link of the migration fabric
+//! (`ninja_cluster::DataCenter::open_image`), so parallel images share
+//! the export's bandwidth.
 
 use crate::memory::GuestMemory;
 use crate::vm::{VmId, VmPool, VmSpec};
 use ninja_cluster::StorageId;
-use ninja_sim::{Bandwidth, Bytes, SimDuration, SimTime};
+use ninja_sim::{Bytes, SimTime};
 
 /// Identifier of a stored snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,12 +43,14 @@ pub struct VmSnapshot {
     pub image_bytes: Bytes,
 }
 
-/// NFS throughput for streaming qcow2 snapshot data. NFSv3 over the
-/// 10 GbE network in the paper's testbed sustains roughly 0.9 GB/s.
-pub const NFS_STREAM_BW: f64 = 0.9e9;
-
 /// Fixed device-model state per snapshot (CPU, APIC, virtio rings...).
 const DEVICE_STATE_BYTES: u64 = 8 << 20;
+
+/// The on-disk size of a snapshot of a VM with this memory: the
+/// compressed RAM image plus the device state.
+pub fn image_bytes(memory: &GuestMemory) -> Bytes {
+    memory.full_pass_wire_bytes() + Bytes::new(DEVICE_STATE_BYTES)
+}
 
 /// The snapshot repository on shared storage.
 #[derive(Debug, Default)]
@@ -59,12 +64,11 @@ impl SnapshotStore {
         Self::default()
     }
 
-    /// Save a snapshot of `pool`'s VM `id` at `now`. The VM must be
-    /// paused (callers go through the SymVirt choreography); returns the
-    /// snapshot id and how long the qcow2 write takes at NFS speed.
-    pub fn save(&mut self, pool: &VmPool, id: VmId, now: SimTime) -> (SnapshotId, SimDuration) {
+    /// Record a snapshot of `pool`'s VM `id` taken at `now`. The VM must
+    /// be paused (callers go through the SymVirt choreography).
+    pub fn save(&mut self, pool: &VmPool, id: VmId, now: SimTime) -> SnapshotId {
         let (vm, vm_name) = (pool.get(id), pool.name(id));
-        let image_bytes = vm.memory.full_pass_wire_bytes() + Bytes::new(DEVICE_STATE_BYTES);
+        let image_bytes = image_bytes(&vm.memory);
         let id = SnapshotId(self.snapshots.len() as u32);
         self.snapshots.push(VmSnapshot {
             id,
@@ -75,18 +79,12 @@ impl SnapshotStore {
             taken_at: now,
             image_bytes,
         });
-        let duration = Bandwidth::from_bytes_per_sec(NFS_STREAM_BW).transfer_time(image_bytes);
-        (id, duration)
+        id
     }
 
     /// Borrow a stored snapshot.
     pub fn get(&self, id: SnapshotId) -> &VmSnapshot {
         &self.snapshots[id.0 as usize]
-    }
-
-    /// Time to stream a snapshot back from NFS.
-    pub fn restore_duration(&self, id: SnapshotId) -> SimDuration {
-        Bandwidth::from_bytes_per_sec(NFS_STREAM_BW).transfer_time(self.get(id).image_bytes)
     }
 
     /// Number of stored snapshots.
@@ -134,7 +132,7 @@ mod tests {
     fn save_captures_memory_stats() {
         let (_dc, pool, vm) = paused_vm();
         let mut store = SnapshotStore::new();
-        let (id, dur) = store.save(&pool, vm, SimTime::ZERO);
+        let id = store.save(&pool, vm, SimTime::ZERO);
         let snap = store.get(id);
         assert_eq!(snap.vm_name, "vm0");
         assert_eq!(snap.memory.workload_touched(), Bytes::from_gib(4));
@@ -143,25 +141,16 @@ mod tests {
             "{}",
             snap.image_bytes
         );
-        // ~3.5-4 GiB at 0.9 GB/s: a few seconds.
-        assert!((2.0..10.0).contains(&dur.as_secs_f64()), "{dur}");
+        assert_eq!(snap.image_bytes, image_bytes(&pool.get(vm).memory));
     }
 
     #[test]
     fn image_is_compressed() {
         let (_dc, pool, vm) = paused_vm();
         let mut store = SnapshotStore::new();
-        let (id, _) = store.save(&pool, vm, SimTime::ZERO);
+        let id = store.save(&pool, vm, SimTime::ZERO);
         // 20 GiB RAM, but mostly zero pages + half-uniform workload.
         assert!(store.get(id).image_bytes.get() < Bytes::from_gib(5).get());
-    }
-
-    #[test]
-    fn restore_duration_symmetric_with_save() {
-        let (_dc, pool, vm) = paused_vm();
-        let mut store = SnapshotStore::new();
-        let (id, save_dur) = store.save(&pool, vm, SimTime::ZERO);
-        assert_eq!(store.restore_duration(id), save_dur);
     }
 
     #[test]
@@ -169,8 +158,8 @@ mod tests {
         let (_dc, pool, vm) = paused_vm();
         let mut store = SnapshotStore::new();
         assert!(store.is_empty());
-        let (a, _) = store.save(&pool, vm, SimTime::ZERO);
-        let (b, _) = store.save(&pool, vm, SimTime::ZERO);
+        let a = store.save(&pool, vm, SimTime::ZERO);
+        let b = store.save(&pool, vm, SimTime::ZERO);
         assert_ne!(a, b);
         assert_eq!(store.len(), 2);
         assert_eq!(

@@ -17,7 +17,6 @@
 use ninja_cluster::{DataCenterBuilder, FabricKind, NodeSpec};
 use ninja_migration::{NinjaOrchestrator, World};
 use ninja_sim::{Bandwidth, Bytes, SimDuration};
-use ninja_vmm::SnapshotStore;
 use ninja_workloads::{install_memory_profile, MemoryProfile};
 
 fn geo_world(seed: u64) -> World {
@@ -74,17 +73,14 @@ fn main() {
             dirty_bytes_per_sec: 1e9,
         },
     );
-    let mut store = SnapshotStore::new();
-    let (handle, ck) = orch
-        .checkpoint(&mut w, &mut job, &mut store)
-        .expect("checkpoint");
+    let (handle, ck) = orch.checkpoint(&mut w, &mut job).expect("checkpoint");
     println!("--- periodic checkpoint (job keeps running after) ---");
     println!(
         "  frozen for {:.1}s (save {:.2}s, re-attach+link-up {:.1}s), images {}",
         ck.total().as_secs_f64(),
         ck.save.as_secs_f64(),
         (ck.attach + ck.linkup).as_secs_f64(),
-        store.stored_bytes()
+        w.snapshots.stored_bytes()
     );
 
     // The earthquake hits: the primary site is lost without warning.
@@ -93,7 +89,7 @@ fn main() {
     }
     let dr_nodes: Vec<_> = (0..4).map(|i| w.cluster_node(w.eth_cluster, i)).collect();
     let rs = orch
-        .restart(&mut w, &mut job, &handle, &store, &dr_nodes)
+        .restart(&mut w, &mut job, &handle, &dr_nodes)
         .expect("restart at DR site");
     println!("\n--- unplanned failure: restart from images at the DR site ---");
     println!(

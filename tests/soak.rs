@@ -12,7 +12,7 @@ use ninja_cluster::Attachment;
 use ninja_migration::{NinjaOrchestrator, World};
 use ninja_mpi::MpiRuntime;
 use ninja_sim::SimTime;
-use ninja_vmm::{SnapshotStore, VmState};
+use ninja_vmm::VmState;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -102,7 +102,7 @@ fn check_invariants(w: &World, rt: &MpiRuntime, clock_before: SimTime) {
     }
 }
 
-fn apply(op: Op, w: &mut World, rt: &mut MpiRuntime, store: &mut SnapshotStore) {
+fn apply(op: Op, w: &mut World, rt: &mut MpiRuntime) {
     let orch = NinjaOrchestrator::default();
     let n = rt.layout().vms().len();
     match op {
@@ -129,10 +129,10 @@ fn apply(op: Op, w: &mut World, rt: &mut MpiRuntime, store: &mut SnapshotStore) 
             orch.migrate(w, rt, &dsts).expect("self migrate");
         }
         Op::Checkpoint => {
-            orch.checkpoint(w, rt, store).expect("checkpoint");
+            orch.checkpoint(w, rt).expect("checkpoint");
         }
         Op::CrashAndRestart => {
-            let (handle, _) = orch.checkpoint(w, rt, store).expect("checkpoint");
+            let (handle, _) = orch.checkpoint(w, rt).expect("checkpoint");
             let old: Vec<_> = rt.layout().vms().to_vec();
             // Which cluster is the job on? (Decide before destroying.)
             let was_ib = w.dc.cluster_of(w.pool.get(old[0]).node) == w.ib_cluster;
@@ -143,7 +143,7 @@ fn apply(op: Op, w: &mut World, rt: &mut MpiRuntime, store: &mut SnapshotStore) 
             let dsts: Vec<_> = (0..n)
                 .map(|i| if was_ib { w.eth_node(i) } else { w.ib_node(i) })
                 .collect();
-            orch.restart(w, rt, &handle, store, &dsts).expect("restart");
+            orch.restart(w, rt, &handle, &dsts).expect("restart");
         }
     }
 }
@@ -161,11 +161,10 @@ proptest! {
         let mut w = World::agc_untraced(seed);
         let job_vms = w.boot_ib_vms(vms);
         let mut rt = w.start_job(job_vms, procs);
-        let mut store = SnapshotStore::new();
         check_invariants(&w, &rt, SimTime::ZERO);
         for &op in &ops {
             let before = w.clock();
-            apply(op, &mut w, &mut rt, &mut store);
+            apply(op, &mut w, &mut rt);
             check_invariants(&w, &rt, before);
         }
     }
@@ -177,7 +176,6 @@ fn deterministic_long_soak() {
     let mut w = World::agc_untraced(20_13);
     let job_vms = w.boot_ib_vms(4);
     let mut rt = w.start_job(job_vms, 2);
-    let mut store = SnapshotStore::new();
     let script = [
         Op::SpreadEth,
         Op::Checkpoint,
@@ -195,13 +193,13 @@ fn deterministic_long_soak() {
     ];
     for (i, &op) in script.iter().enumerate() {
         let before = w.clock();
-        apply(op, &mut w, &mut rt, &mut store);
+        apply(op, &mut w, &mut rt);
         check_invariants(&w, &rt, before);
         assert!(w.clock() > before, "step {i} advanced time");
     }
     // The job survived 13 operations including two crash/restart cycles.
     assert_eq!(rt.layout().total_ranks(), 8);
-    assert!(store.len() >= 4 * 4, "four checkpoint rounds stored");
+    assert!(w.snapshots.len() >= 4 * 4, "four checkpoint rounds stored");
     assert_eq!(
         rt.uniform_network_kind(),
         Some(ninja_net::TransportKind::OpenIb),
