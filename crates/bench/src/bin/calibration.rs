@@ -64,7 +64,7 @@ fn main() {
         ],
         vec![
             "guest page-scan rate".into(),
-            format!("{:.1} GB/s", mig.page_scan_rate.bytes_per_sec() / 1e9),
+            format!("{:.1} GB/s", mig.page_scan_rate.bits_per_sec() as f64 / 8e9),
             "SIV-B.2: 'a VMM traverses the whole of the guest OS's memory'".into(),
         ],
         vec![

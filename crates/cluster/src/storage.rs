@@ -7,12 +7,13 @@
 //! of clusters; the VMM refuses to live-migrate a VM whose disk is not
 //! reachable from the destination — one of the failure-injection tests.
 
+use ninja_sim::Bandwidth;
 use std::collections::BTreeSet;
 
-/// NFS throughput for streaming qcow2 snapshot data, in bytes/sec: the
-/// capacity of each export's link on the migration fabric. NFSv3 over
-/// the 10 GbE network in the paper's testbed sustains roughly 0.9 GB/s.
-pub const NFS_STREAM_BW: f64 = 0.9e9;
+/// NFS throughput for streaming qcow2 snapshot data: the capacity of
+/// each export's link on the migration fabric. NFSv3 over the 10 GbE
+/// network in the paper's testbed sustains roughly 0.9 GB/s (7.2 Gb/s).
+pub const NFS_STREAM_BW: Bandwidth = Bandwidth::from_bits_per_sec(7_200_000_000);
 
 /// Identifier of an NFS export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -282,44 +282,34 @@ mod tests {
         (ck, rs)
     }
 
-    /// Every image crosses the one export: a save takes the job's total
-    /// image bytes over its bandwidth, to within one tick, and a restore
-    /// as long. A lone image runs at the export's full rate, so one VM
-    /// reads what it did when each image had the whole export to itself
-    /// (the fabric rounds a drain up to the tick: at most 1 ns later).
+    /// Every image crosses the one export: equal images share it
+    /// equally and finish together, so a save takes exactly the job's
+    /// total image bytes over its bandwidth, and a restore as long.
     #[test]
     fn images_share_the_export() {
         for n in [1, 2, 4, 8] {
             let (ck, rs) = checkpoint_and_restart(n);
-            let ideal_ns = ck.image_bytes as f64 / ninja_cluster::NFS_STREAM_BW * 1e9;
-            let off = ck.save.as_nanos() as f64 - ideal_ns;
-            assert!(
-                off.abs() <= 1.0,
-                "{n} VMs: save {} is {off} ns off",
-                ck.save
-            );
+            let bytes = ninja_sim::Bytes::new(ck.image_bytes);
+            let ideal = ninja_cluster::NFS_STREAM_BW.transfer_time(bytes);
+            assert_eq!(ck.save, ideal, "{n} VMs");
             assert_eq!(rs.restore, ck.save, "{n} VMs");
             if n == 1 {
-                // `checkpoint --vms 1 --footprint-gib 4 --json` when each
-                // image had the whole export to itself.
+                // `checkpoint --vms 1 --footprint-gib 4 --json`.
                 let ns = SimDuration::from_nanos;
-                let before = [
+                let fields = [
                     (ck.coordination, ns(0)),
                     (ck.detach, ns(2_821_281_922)),
-                    (ck.save, ns(5_180_577_111)),
+                    (ck.save, ns(5_180_577_112)),
                     (ck.attach, ns(1_144_302_497)),
                     (ck.linkup, ns(29_725_694_293)),
-                    (ck.total(), ns(38_871_855_823)),
-                    (rs.restore, ns(5_180_577_111)),
+                    (ck.total(), ns(38_871_855_824)),
+                    (rs.restore, ns(5_180_577_112)),
                     (rs.attach, ns(0)),
                     (rs.linkup, ns(0)),
-                    (rs.total(), ns(5_180_577_111)),
+                    (rs.total(), ns(5_180_577_112)),
                 ];
-                for (i, (now, then)) in before.into_iter().enumerate() {
-                    assert!(
-                        now >= then && now <= then + ns(1),
-                        "field {i}: {now} vs {then}"
-                    );
+                for (i, (got, want)) in fields.into_iter().enumerate() {
+                    assert_eq!(got, want, "field {i}");
                 }
                 assert_eq!(ck.image_bytes, 4_662_519_400);
                 assert_eq!(rs.transport_after, None);

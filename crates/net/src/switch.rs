@@ -5,8 +5,7 @@
 //! are non-blocking at the paper's scale, which is why the evaluation
 //! never hits a fabric bottleneck — but a library user modelling larger
 //! or oversubscribed fabrics needs the general model: per-port rate, a
-//! backplane capacity, and the resulting per-flow bandwidth when many
-//! flows cross the fabric at once.
+//! backplane capacity, and the oversubscription ratio between them.
 
 use ninja_sim::Bandwidth;
 
@@ -86,18 +85,8 @@ impl Switch {
 
     /// True when every port can run at line rate simultaneously.
     pub fn is_nonblocking(&self) -> bool {
-        self.oversubscription() <= 1.0 + 1e-9
-    }
-
-    /// The bandwidth one of `flows` concurrent port-to-port flows gets:
-    /// line rate while the backplane has room, a fair share of the
-    /// backplane beyond that.
-    pub fn per_flow_bandwidth(&self, flows: u32) -> Bandwidth {
-        if flows == 0 {
-            return self.port_bandwidth;
-        }
-        let fair = self.backplane.scale(1.0 / flows as f64);
-        self.port_bandwidth.min(fair)
+        let full = u128::from(self.port_bandwidth.bits_per_sec()) * u128::from(self.ports);
+        u128::from(self.backplane.bits_per_sec()) >= full
     }
 }
 
@@ -109,8 +98,7 @@ mod tests {
     fn paper_switches_are_nonblocking() {
         for sw in [Switch::mellanox_m3601q(), Switch::dell_m8024()] {
             assert!(sw.is_nonblocking(), "{} must be non-blocking", sw.name());
-            let line_rate = sw.port_bandwidth().as_gbps();
-            assert_eq!(sw.per_flow_bandwidth(sw.ports()).as_gbps(), line_rate);
+            assert_eq!(sw.oversubscription(), 1.0);
         }
     }
 
@@ -124,31 +112,6 @@ mod tests {
             Bandwidth::from_gbps(240.0),
         );
         assert!(!sw.is_nonblocking());
-        assert!((sw.oversubscription() - 2.0).abs() < 1e-9);
-        // Up to 24 concurrent flows: line rate. At 48: half rate.
-        assert!((sw.per_flow_bandwidth(24).as_gbps() - 10.0).abs() < 1e-9);
-        assert!((sw.per_flow_bandwidth(48).as_gbps() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_flows_is_line_rate() {
-        let sw = Switch::dell_m8024();
-        assert!((sw.per_flow_bandwidth(0).as_gbps() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn derate_monotone_in_flows() {
-        let sw = Switch::new(
-            "t",
-            32,
-            Bandwidth::from_gbps(10.0),
-            Bandwidth::from_gbps(80.0),
-        );
-        let mut prev = f64::INFINITY;
-        for flows in [1, 8, 16, 32, 64] {
-            let per = sw.per_flow_bandwidth(flows).as_gbps();
-            assert!(per <= prev);
-            prev = per;
-        }
+        assert_eq!(sw.oversubscription(), 2.0);
     }
 }

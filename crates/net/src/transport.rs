@@ -109,19 +109,6 @@ impl CostModel {
             cpu_seconds: cpu,
         }
     }
-
-    /// Convenience: uncontended message time.
-    pub fn message_time(&self, bytes: Bytes) -> SimDuration {
-        self.message(bytes, 1.0).elapsed
-    }
-
-    /// Effective bandwidth for large messages under the given contention
-    /// (for reporting).
-    pub fn effective_bandwidth(&self, cpu_contention: f64) -> Bandwidth {
-        let probe = Bytes::from_mib(256);
-        let t = self.message(probe, cpu_contention).elapsed;
-        Bandwidth::from_bytes_per_sec(probe.as_f64() / t.as_secs_f64())
-    }
 }
 
 /// Pre-built cost models for the paper's testbed.
@@ -154,6 +141,11 @@ pub mod models {
 mod tests {
     use super::*;
 
+    /// Uncontended message time.
+    fn message_time(model: &CostModel, bytes: Bytes) -> SimDuration {
+        model.message(bytes, 1.0).elapsed
+    }
+
     #[test]
     fn ib_beats_tcp_at_every_size() {
         let ib = models::openib();
@@ -161,10 +153,10 @@ mod tests {
         for kib in [1u64, 64, 1024, 65536, 1 << 20] {
             let b = Bytes::from_kib(kib);
             assert!(
-                ib.message_time(b) < tcp.message_time(b),
+                message_time(&ib, b) < message_time(&tcp, b),
                 "size {kib}KiB: ib {} vs tcp {}",
-                ib.message_time(b),
-                tcp.message_time(b)
+                message_time(&ib, b),
+                message_time(&tcp, b)
             );
         }
     }
@@ -172,7 +164,7 @@ mod tests {
     #[test]
     fn latency_dominates_small_messages() {
         let tcp = models::tcp();
-        let t = tcp.message_time(Bytes::new(8));
+        let t = message_time(&tcp, Bytes::new(8));
         // within 10% of pure latency
         let lat = tcp.latency().as_secs_f64();
         assert!((t.as_secs_f64() - lat) / lat < 0.25, "{t}");
@@ -182,7 +174,7 @@ mod tests {
     fn bandwidth_dominates_large_messages() {
         let ib = models::openib();
         let b = Bytes::from_gib(1);
-        let t = ib.message_time(b).as_secs_f64();
+        let t = message_time(&ib, b).as_secs_f64();
         let wire = ib.bandwidth().transfer_time(b).as_secs_f64();
         assert!((t - wire).abs() / wire < 0.01, "{t} vs {wire}");
     }
@@ -205,19 +197,11 @@ mod tests {
         for model in [models::openib(), models::tcp(), models::sm()] {
             let mut prev = SimDuration::ZERO;
             for mib in [1u64, 2, 4, 8, 16, 32] {
-                let t = model.message_time(Bytes::from_mib(mib));
+                let t = message_time(&model, Bytes::from_mib(mib));
                 assert!(t >= prev, "{}: {t} < {prev}", model.kind());
                 prev = t;
             }
         }
-    }
-
-    #[test]
-    fn effective_bandwidth_under_contention() {
-        let tcp = models::tcp();
-        let free = tcp.effective_bandwidth(1.0);
-        let packed = tcp.effective_bandwidth(2.0);
-        assert!(packed.as_gbps() < free.as_gbps());
     }
 
     #[test]

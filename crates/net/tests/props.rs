@@ -2,7 +2,7 @@
 
 mod oracle;
 
-use ninja_net::{calib, models, CostModel, IbFabric, IbHca, LinkFsm, LinkState};
+use ninja_net::{calib, models, CostModel, Fabric, IbFabric, IbHca, LinkFsm, LinkId, LinkState};
 use ninja_sim::{Bandwidth, Bytes, SimDuration, SimRng, SimTime};
 use oracle::CheckedFabric;
 use proptest::prelude::*;
@@ -160,14 +160,44 @@ proptest! {
         fabric.drain_and_check_bytes();
     }
 
-    /// Effective bandwidth never exceeds the configured link rate.
+    /// Where an advance stops changes nothing: on random multi-link
+    /// fabrics of capped flows opened at random instants, stopping at
+    /// random instants on the way to the last leaves every completion,
+    /// and the next predicted one, exactly where advancing straight to
+    /// it does.
     #[test]
-    fn effective_bandwidth_bounded(contention in 1.0f64..8.0) {
-        for m in [models::openib(), models::tcp(), models::sm()] {
-            let eff = m.effective_bandwidth(contention);
-            prop_assert!(eff.as_gbps() <= m.bandwidth().as_gbps() * 1.001,
-                "{}: {} > {}", m.kind(), eff, m.bandwidth());
+    fn split_advances_change_nothing(
+        flows in prop::collection::vec(
+            (1u64..4u64 << 30, 1u64..64, 0u8..16, 0u64..2_000_000_000),
+            2..12,
+        ),
+        gbps in prop::collection::vec(0.5f64..40.0, 4),
+        stops in prop::collection::vec(1u64..60_000_000_000, 1..6),
+    ) {
+        let mut fabric = Fabric::new();
+        let links: Vec<LinkId> = gbps.iter().map(|&g| fabric.add_link(Bandwidth::from_gbps(g))).collect();
+        let mut ids = Vec::new();
+        let mut now = SimTime::ZERO;
+        for &(bytes, cap_dgbps, mask, gap_ns) in &flows {
+            now += SimDuration::from_nanos(gap_ns);
+            fabric.advance_to(now);
+            // Bit l of `mask` routes the flow over link l; no bit is a
+            // loopback.
+            let path: Vec<LinkId> = (0..4).filter(|l| mask & (1 << l) != 0).map(|l| links[l]).collect();
+            let cap = Some(Bandwidth::from_gbps(cap_dgbps as f64 / 10.0));
+            ids.push(fabric.open(Bytes::new(bytes), &path, cap));
         }
+        let mut stops: Vec<SimTime> = stops.iter().map(|&ns| now + SimDuration::from_nanos(ns)).collect();
+        stops.sort_unstable();
+        let mut split = fabric.clone();
+        for &t in &stops {
+            split.advance_to(t);
+        }
+        fabric.advance_to(*stops.last().expect("one stop"));
+        for &id in &ids {
+            prop_assert_eq!(split.completion(id), fabric.completion(id), "flow {:?}", id);
+        }
+        prop_assert_eq!(split.next_completion(), fabric.next_completion());
     }
 }
 
@@ -184,5 +214,5 @@ fn derated_model_preserves_latency() {
         },
     );
     assert_eq!(derated.latency(), m.latency());
-    assert!(derated.bandwidth().as_gbps() < m.bandwidth().as_gbps());
+    assert!(derated.bandwidth() < m.bandwidth());
 }

@@ -87,3 +87,30 @@ fn funnels_match_progressive_filling() {
         fabric.drain_and_check_bytes();
     }
 }
+
+/// Links of a few bits/s shared by uncapped flows of a few bytes:
+/// exact ties between links are common, and so are remainders (10 b/s
+/// over six flows), so the remainder rule meets links it could overload.
+#[test]
+fn tied_links_match_progressive_filling() {
+    let mut rng = SimRng::new(0xfa12_0004);
+    for _ in 0..200 {
+        let links = 2 + (rng.next_u64() % 2) as usize;
+        let capacities: Vec<Bandwidth> = (0..links)
+            .map(|_| Bandwidth::from_gbps((1 + rng.next_u64() % 12) as f64 * 1e-9))
+            .collect();
+        let mut fabric = CheckedFabric::new(&capacities);
+        let mut at = SimTime::ZERO;
+        for _ in 0..2 + rng.next_u64() % 16 {
+            at += SimDuration::from_secs(rng.next_u64() % 4);
+            let bytes = Bytes::new(1 + rng.next_u64() % 8);
+            let mut path = vec![(rng.next_u64() % links as u64) as usize];
+            let other = (rng.next_u64() % links as u64) as usize;
+            if !path.contains(&other) {
+                path.push(other);
+            }
+            fabric.open(at, bytes, &path, None);
+        }
+        fabric.drain_and_check_bytes();
+    }
+}
