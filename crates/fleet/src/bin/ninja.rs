@@ -30,7 +30,7 @@
 //! | `--footprint-gib` (8) | GiB whose bytes fit 64 bits |
 //! | `--arrival` (30), `--deadline`, `--backoff` (5) | seconds, whole or fractional, that fit the nanosecond clock |
 //! | `--scrape-interval` | seconds as above, at least 1 |
-//! | `--uplink-gbps` (10) | finite, positive Gb/s |
+//! | `--uplink-gbps` (10) | 1e-9 to 1.8e10 Gb/s (whole bit/s) |
 //! | `--to` | `eth` (default) or `ib` |
 //! | `--scenario` | `evacuation` (default), `drain`, `rebalance` or `failover` |
 //! | `--fault` | `KIND[:phase=P][:job=J][:mig=M][:times=N][:stall=SECS]`, repeatable |
@@ -264,11 +264,13 @@ fn scrape(v: &str) -> Result<SimDuration, String> {
     }
 }
 
-/// Finite, positive Gb/s.
+/// Gb/s that round to a whole bit/s rate of at least 1 and below 2^64.
 fn gbps(v: &str) -> Result<Bandwidth, String> {
     match number(v)? {
-        g if f64::is_finite(g) && g > 0.0 => Ok(Bandwidth::from_gbps(g)),
-        _ => Err(format!("{v}: needs a finite, positive number")),
+        g if (0.5..u64::MAX as f64).contains(&(g * 1e9)) => Ok(Bandwidth::from_gbps(g)),
+        _ => Err(format!(
+            "{v}: needs 1e-9 to 1.8e10 Gb/s (1 bit/s up to 2^64 bit/s)"
+        )),
     }
 }
 

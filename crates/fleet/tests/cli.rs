@@ -471,8 +471,12 @@ fn bad_fleet_flags_exit_nonzero() {
 /// problem.
 #[test]
 fn out_of_range_flag_values_are_usage_errors() {
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 11] = [
         (&["fleet", "--uplink-gbps", "inf"], "--uplink-gbps"),
+        // Below 0.5 bit/s rounds to a link that carries nothing; 1e30
+        // Gb/s does not fit a whole bit/s count.
+        (&["fleet", "--uplink-gbps", "1e-10"], "1e-9 to 1.8e10 Gb/s"),
+        (&["fleet", "--uplink-gbps", "1e30"], "1e-9 to 1.8e10 Gb/s"),
         (&["migrate", "--procs", "4294967297"], "--procs"),
         (&["faults", "--max-retries", "4294967296"], "--max-retries"),
         (
@@ -1120,6 +1124,9 @@ fn edge_values_end_with_a_verdict() {
             &["fleet", "--uplink-gbps", "1e-9", "--scrape-interval", "1"],
             0,
         ),
+        // An uplink below 1 b/s, or past 2^64 b/s, is no whole rate.
+        (&["fleet", "--uplink-gbps", "1e-10"], 2),
+        (&["fleet", "--uplink-gbps", "1e30"], 2),
         // Arrivals past the end of the clock can never be served.
         (
             &["fleet", "--scenario", "drain", "--arrival", "18446744073"],
