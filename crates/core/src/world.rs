@@ -295,9 +295,9 @@ impl World {
     }
 
     /// Fold the runtimes' per-transport wire censuses into the metrics
-    /// registry: message/byte counters and a latency histogram per
-    /// transport kind. The metrics are described and each series is
-    /// resolved once per call, however many runtimes it folds in.
+    /// registry: message and byte counters per transport kind. The
+    /// metrics are described and each series is resolved once per call,
+    /// however many runtimes it folds in.
     pub fn record_wire_metrics<'a>(&mut self, runtimes: impl IntoIterator<Item = &'a MpiRuntime>) {
         let m = &mut self.metrics;
         m.describe(
@@ -308,32 +308,19 @@ impl World {
             "ninja_mpi_message_bytes_total",
             "MPI payload bytes sent, by transport",
         );
-        m.describe(
-            "ninja_mpi_message_latency_seconds",
-            "MPI message latency (send to delivery), by transport",
-        );
-        // Per transport kind: the message, byte and latency series, each
-        // resolved where its first write is.
-        let mut ids = [[None::<SeriesId>; 3]; 4];
+        // Per transport kind: the message and byte series, each resolved
+        // where its first write is.
+        let mut ids = [[None::<SeriesId>; 2]; 4];
         for rt in runtimes {
             for (&kind, stats) in rt.wire_census() {
                 let labels = [("transport", kind.name())];
-                let [messages, bytes, latency] = &mut ids[kind as usize];
+                let [messages, bytes] = &mut ids[kind as usize];
                 let id = *messages
                     .get_or_insert_with(|| m.counter_id("ninja_mpi_messages_total", &labels));
                 m.add(id, stats.messages);
                 let id = *bytes
                     .get_or_insert_with(|| m.counter_id("ninja_mpi_message_bytes_total", &labels));
                 m.add(id, stats.bytes);
-                if stats.latency.count() > 0 {
-                    // The summary only keeps moments; feed the histogram
-                    // the mean once per observed message to preserve
-                    // count+sum.
-                    let id = *latency.get_or_insert_with(|| {
-                        m.histogram_id("ninja_mpi_message_latency_seconds", &labels)
-                    });
-                    m.observe_n(id, stats.latency.mean(), stats.latency.count());
-                }
             }
         }
     }

@@ -24,7 +24,7 @@ use crate::btl::{BtlRegistry, Connection, Endpoint};
 use crate::layout::{JobLayout, Rank};
 use ninja_cluster::{DataCenter, DeviceId};
 use ninja_net::{IbError, MrKey, TransportKind};
-use ninja_sim::{Bytes, SimTime, Summary};
+use ninja_sim::{Bytes, SimTime};
 use ninja_vmm::{VmId, VmPool};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -141,16 +141,13 @@ pub enum ContinueOutcome {
 }
 
 /// Per-transport wire accounting: how many messages and bytes a job has
-/// pushed over each transport kind, and the observed message latencies
-/// when the caller knows the send time.
+/// pushed over each transport kind.
 #[derive(Debug, Clone, Default)]
 pub struct TransportStats {
     /// Messages sent over this transport.
     pub messages: u64,
     /// Payload bytes sent over this transport.
     pub bytes: u64,
-    /// Message latency samples in seconds (send → delivery), when known.
-    pub latency: Summary,
 }
 
 /// One in-flight point-to-point message.
@@ -692,7 +689,6 @@ mod tests {
         assert_eq!(ib.bytes, Bytes::from_kib(64).get());
         let lo = &census[&TransportKind::SelfLoop];
         assert_eq!(lo.messages, 1);
-        assert_eq!(lo.latency.count(), 0, "record_send takes no latency sample");
         rt.deliver_due(later);
     }
 
