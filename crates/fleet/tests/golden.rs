@@ -22,6 +22,11 @@
 //!   exit code and every `--*-out` file. Each case runs in its own
 //!   directory with relative output paths, so stderr's `(wrote ...)`
 //!   lines are the same everywhere.
+//! * `trace-readers.sha256`, `ninja trace summarize` and `ninja trace
+//!   critical-path` over the traces of two runs, the edge documents in
+//!   `tests/fixtures/trace-edges/` and 64 seeded random Chrome-like
+//!   documents: one line per input × subcommand, `<sha256>
+//!   <input>.<subcommand>`, over the exit code, stdout and stderr.
 //!
 //! The fixtures change only on purpose: run
 //!
@@ -363,6 +368,186 @@ fn single_job_commands_match_goldens() {
         }
     }
     let failure = check_fixture("commands", &fixture_path("commands"), &root, &actual);
+    assert!(failure.is_none(), "{}", failure.unwrap_or_default());
+}
+
+/// Runs both `ninja trace` subcommands on `file` in `dir` (a relative
+/// path, so error messages are the same everywhere), keeps each
+/// result as `<file>.<subcommand>` and appends its digest line.
+fn trace_reader_lines(dir: &Path, file: &str, actual: &mut String) {
+    for sub in ["summarize", "critical-path"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ninja"))
+            .args(["trace", sub, file])
+            .current_dir(dir)
+            .output()
+            .expect("spawn ninja");
+        let code = out.status.code().expect("exited");
+        let mut text = format!("exit {code}\n--- stdout\n").into_bytes();
+        text.extend(out.stdout);
+        text.extend(b"--- stderr\n");
+        text.extend(out.stderr);
+        let name = format!("{file}.{sub}");
+        std::fs::write(dir.join(&name), &text).unwrap();
+        actual.push_str(&format!("{}  {name}\n", sha256_hex(&text)));
+    }
+}
+
+/// A xorshift stream for the random trace documents.
+struct Xorshift(u64);
+
+impl Xorshift {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n
+    }
+
+    fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
+        items[self.below(items.len() as u64) as usize]
+    }
+}
+
+/// A seeded Chrome-like trace document: events over the Fig. 4 phases
+/// with the value forms a reader meets (odd numbers, escapes, duplicate
+/// and missing keys, nested `args`, elements that are not objects) and
+/// random whitespace; one document in eight is cut short.
+fn random_trace(seed: u64) -> String {
+    const NAMES: &[&str] = &[
+        "ninja",
+        "ninja",
+        "ninja",
+        "coordination",
+        "detach",
+        "migration",
+        "attach",
+        "linkup",
+        "precopy",
+        r#"a\"b"#,
+        r"caf\u00e9",
+        r"\ud83d\ude00",
+    ];
+    const CATS: &[&str] = &["ninja", "ninja", "ninja", "symvirt", "symvirt", "vmm"];
+    const PHS: &[&str] = &["X", "X", "X", "X", "i", "B"];
+    const SPACE: &[&str] = &["", "", "", " ", "\n", "\t "];
+    const OTHER: &[&str] = &[
+        "1",
+        r#""s""#,
+        "null",
+        "[]",
+        r#"{"ph":"X"}"#,
+        "true",
+        "-2.5e1",
+    ];
+    let mut rng = Xorshift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+    for _ in 0..8 {
+        rng.below(2);
+    }
+    let number = |rng: &mut Xorshift, v: u64| match rng.below(16) {
+        0 => format!("{v}.0"),
+        1 => format!("{v}e0"),
+        2 => format!("{v}.5"),
+        3 => format!("-{v}"),
+        4 => format!("0{v}"),
+        5 => format!("{}e3", v / 1000),
+        6 => ["1e30", "18446744073709551616", "null", r#""7""#][rng.below(4) as usize].to_string(),
+        _ => v.to_string(),
+    };
+    let mut doc = String::from("{\"traceEvents\":[");
+    for i in 0..rng.below(40) {
+        if i > 0 {
+            doc.push(',');
+        }
+        doc.push_str(rng.pick(SPACE));
+        if rng.below(12) == 0 {
+            doc.push_str(rng.pick(OTHER));
+            continue;
+        }
+        let job = rng.below(3);
+        let ts = rng.below(20) * 1_000_000 + rng.below(1000);
+        let dur = rng.below(6_000_000);
+        let mut fields = vec![
+            format!(r#""name":"{}""#, rng.pick(NAMES)),
+            format!(r#""cat":"{}""#, rng.pick(CATS)),
+            format!(r#""ph":"{}""#, rng.pick(PHS)),
+            format!(r#""ts":{}"#, number(&mut rng, ts)),
+            format!(r#""dur":{}"#, number(&mut rng, dur)),
+            r#""pid":1"#.to_string(),
+            format!(
+                r#""args":{{"job":"{job}","mig":"{}","vm":"j{job}v{}"{}}}"#,
+                rng.below(2),
+                rng.below(3),
+                [
+                    "",
+                    "",
+                    r#","n":1"#,
+                    r#","job":"9""#,
+                    r#","deep":{"a":[1,{"b":"c"}]}"#
+                ][rng.below(5) as usize]
+            ),
+        ];
+        fields.retain(|_| rng.below(16) != 0);
+        if rng.below(10) == 0 && !fields.is_empty() {
+            let dup = fields[rng.below(fields.len() as u64) as usize].clone();
+            fields.push(dup);
+        }
+        for k in (1..fields.len()).rev() {
+            fields.swap(k, rng.below(k as u64 + 1) as usize);
+        }
+        let gap = rng.pick(SPACE);
+        doc.push('{');
+        doc.push_str(&fields.join(&format!(",{gap}")));
+        doc.push('}');
+    }
+    doc.push_str("]}");
+    if rng.below(8) == 0 {
+        doc.truncate(rng.below(doc.len() as u64) as usize);
+    }
+    doc
+}
+
+/// `ninja trace summarize` and `critical-path` print exactly what they
+/// printed when these goldens were blessed, on run traces, on every
+/// edge of the reading rule and on invalid input.
+#[test]
+fn trace_readers_match_goldens() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden-trace-readers");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut actual = String::new();
+    for (file, args) in [
+        ("fallback.json", &["fallback"][..]),
+        (
+            "fleet.json",
+            &["fleet", "--jobs", "8", "--concurrency", "4"][..],
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ninja"))
+            .args(args)
+            .args(["--trace-out", file])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn ninja");
+        assert!(out.status.success(), "{args:?}");
+        trace_reader_lines(&dir, file, &mut actual);
+    }
+    let edges = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/trace-edges");
+    let mut files: Vec<_> = std::fs::read_dir(&edges)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    for file in &files {
+        std::fs::copy(edges.join(file), dir.join(file)).unwrap();
+        trace_reader_lines(&dir, file, &mut actual);
+    }
+    for seed in 0..64 {
+        let file = format!("random-{seed:02}.json");
+        std::fs::write(dir.join(&file), random_trace(seed)).unwrap();
+        trace_reader_lines(&dir, &file, &mut actual);
+    }
+    let fixture = fixture_path("trace-readers");
+    let failure = check_fixture("trace-readers", &fixture, &dir, &actual);
     assert!(failure.is_none(), "{}", failure.unwrap_or_default());
 }
 
