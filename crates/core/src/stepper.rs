@@ -780,7 +780,7 @@ pub(crate) fn record_job_telemetry(
         let id = *slot.get_or_insert_with(|| {
             m.histogram_id("ninja_phase_duration_seconds", &[("phase", name)])
         });
-        m.observe_n(id, end.since(start).as_secs_f64(), 1);
+        m.record(id, end.since(start).as_secs_f64());
     }
     let id = *s
         .trace_dropped

@@ -325,7 +325,7 @@ pub fn run_fleet(
             let m = &mut world.metrics;
             let id = *queue_wait
                 .get_or_insert_with(|| m.histogram_id("ninja_fleet_queue_wait_seconds", &[]));
-            m.observe_n(id, wait.as_secs_f64(), 1);
+            m.record(id, wait.as_secs_f64());
             let mig = usize::from(mig_count[q.job]);
             mig_count[q.job] += 1;
             let machine = MigrationMachine::new(

@@ -64,18 +64,9 @@ pub struct HistogramMetric {
 impl HistogramMetric {
     /// Records one observation.
     pub fn observe(&mut self, v: f64) {
-        self.observe_n(v, 1);
-    }
-
-    /// Records `n` observations of `v`: one bucket lookup, and the
-    /// moments come out bit-identical to `n` calls of
-    /// [`HistogramMetric::observe`].
-    pub fn observe_n(&mut self, v: f64, n: u64) {
-        self.hist.record_n(v, n);
-        for _ in 0..n {
-            self.summary.record(v);
-            self.sum += v;
-        }
+        self.hist.record(v);
+        self.summary.record(v);
+        self.sum += v;
     }
 
     /// Number of observations.
@@ -244,11 +235,10 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records `n` observations of `value` into the histogram `id`,
-    /// bit-identical to `n` single observations.
-    pub fn observe_n(&mut self, id: SeriesId, value: f64, n: u64) {
+    /// Records one observation of `value` into the histogram `id`.
+    pub fn record(&mut self, id: SeriesId, value: f64) {
         match &mut self.values[id.0 as usize] {
-            Value::Histogram(h) => h.observe_n(value, n),
+            Value::Histogram(h) => h.observe(value),
             other => panic!(
                 "series {id:?} is a {}, not a histogram",
                 other.kind().name()
@@ -272,7 +262,7 @@ impl MetricsRegistry {
     /// log-bucket layout.
     pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
         let id = self.histogram_id(name, labels);
-        self.observe_n(id, value, 1);
+        self.record(id, value);
     }
 
     fn get(&self, kind: Kind, name: &str, labels: &[(&str, &str)]) -> Option<&Value> {
@@ -596,43 +586,6 @@ mod tests {
         let g = m.gauge_id("g", &[]);
         m.set(g, 2.5);
         assert_eq!(m.gauge("g", &[]), Some(2.5));
-    }
-
-    #[test]
-    fn observe_n_is_bit_identical_to_repeated_observe() {
-        for (v, n) in [(0.0123, 1u64), (1e-5, 7), (3.7, 1000), (1e9, 3), (0.1, 0)] {
-            let mut single = MetricsRegistry::new();
-            let mut bulk = MetricsRegistry::new();
-            for _ in 0..n {
-                single.observe("lat_seconds", &[("t", "tcp")], v);
-            }
-            let id = bulk.histogram_id("lat_seconds", &[("t", "tcp")]);
-            bulk.observe_n(id, v, n);
-            let (a, b) = (
-                single.histogram("lat_seconds", &[("t", "tcp")]),
-                bulk.histogram("lat_seconds", &[("t", "tcp")]).unwrap(),
-            );
-            if n == 0 {
-                assert!(a.is_none());
-                continue;
-            }
-            let a = a.unwrap();
-            assert_eq!(a.count(), b.count());
-            assert_eq!(a.sum().to_bits(), b.sum().to_bits());
-            let (sa, sb) = (a.summary(), b.summary());
-            for (x, y) in [
-                (sa.mean(), sb.mean()),
-                (sa.variance(), sb.variance()),
-                (sa.min(), sb.min()),
-                (sa.max(), sb.max()),
-            ] {
-                assert_eq!(x.to_bits(), y.to_bits(), "v={v} n={n}");
-            }
-            assert!(a.histogram().buckets().eq(b.histogram().buckets()));
-            assert_eq!(a.histogram().overflow(), b.histogram().overflow());
-            assert_eq!(single.to_prometheus(), bulk.to_prometheus());
-            assert_eq!(single.to_json(), bulk.to_json());
-        }
     }
 
     #[test]

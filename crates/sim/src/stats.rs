@@ -235,15 +235,10 @@ impl Histogram {
 
     /// Record one sample.
     pub fn record(&mut self, x: f64) {
-        self.record_n(x, 1);
-    }
-
-    /// Record `n` copies of one sample with a single bucket lookup.
-    pub fn record_n(&mut self, x: f64, n: u64) {
-        self.total += n;
+        self.total += 1;
         match self.bounds.iter().position(|&b| x <= b) {
-            Some(i) => self.counts[i] += n,
-            None => self.overflow += n,
+            Some(i) => self.counts[i] += 1,
+            None => self.overflow += 1,
         }
     }
 
