@@ -423,21 +423,6 @@ impl AlertEngine {
         &self.incidents
     }
 
-    /// Evaluates every rule at scrape instant `at`. `prev` is the
-    /// previous scrape (time + snapshot) if any; `cur` is the current
-    /// snapshot. Returns the fire/resolve transitions of this scrape.
-    pub fn evaluate(
-        &mut self,
-        at: SimTime,
-        prev: Option<(SimTime, &[SeriesPoint])>,
-        cur: &[SeriesPoint],
-    ) -> Vec<AlertEvent> {
-        self.evaluate_with(at, prev.map(|(t, _)| t), |_, s, previous| match prev {
-            Some((_, points)) if previous => s.read(points),
-            _ => s.read(cur),
-        })
-    }
-
     /// Evaluates every rule at scrape instant `at` against values
     /// supplied by `read(rule_index, series, previous)`: the series'
     /// value at this scrape, or (`previous`) at the scrape at `prev_at`.
@@ -505,6 +490,21 @@ mod tests {
 
     fn t(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)
+    }
+
+    /// Evaluates every rule of `e` at scrape instant `at`. `prev` is
+    /// the previous scrape (time + snapshot) if any; `cur` is the
+    /// current snapshot.
+    fn evaluate(
+        e: &mut AlertEngine,
+        at: SimTime,
+        prev: Option<(SimTime, &[SeriesPoint])>,
+        cur: &[SeriesPoint],
+    ) -> Vec<AlertEvent> {
+        e.evaluate_with(at, prev.map(|(t, _)| t), |_, s, previous| match prev {
+            Some((_, points)) if previous => s.read(points),
+            _ => s.read(cur),
+        })
     }
 
     fn pt(name: &str, value: f64) -> SeriesPoint {
@@ -582,15 +582,15 @@ mod tests {
     #[test]
     fn threshold_fires_and_resolves() {
         let mut e = AlertEngine::new(parse_rules("q: depth > 2").unwrap());
-        let ev = e.evaluate(t(0), None, &[pt("depth", 1.0)]);
+        let ev = evaluate(&mut e, t(0), None, &[pt("depth", 1.0)]);
         assert!(ev.is_empty());
-        let ev = e.evaluate(t(30), None, &[pt("depth", 5.0)]);
+        let ev = evaluate(&mut e, t(30), None, &[pt("depth", 5.0)]);
         assert_eq!(ev.len(), 1);
         assert!(ev[0].fired);
         assert_eq!(e.active(), 1);
         // Still above: no new event, same incident.
-        assert!(e.evaluate(t(60), None, &[pt("depth", 9.0)]).is_empty());
-        let ev = e.evaluate(t(90), None, &[pt("depth", 0.0)]);
+        assert!(evaluate(&mut e, t(60), None, &[pt("depth", 9.0)]).is_empty());
+        let ev = evaluate(&mut e, t(90), None, &[pt("depth", 0.0)]);
         assert_eq!(ev.len(), 1);
         assert!(!ev[0].fired);
         assert_eq!(e.active(), 0);
@@ -627,15 +627,15 @@ mod tests {
         .unwrap();
         let mut e = AlertEngine::new(rules);
         // First scrape: rate/burn undefined, nothing fires.
-        assert!(e.evaluate(t(0), None, &[pt("total", 100.0)]).is_empty());
+        assert!(evaluate(&mut e, t(0), None, &[pt("total", 100.0)]).is_empty());
         // 30 s later +60 => rate 2/s; burn = 2 / (60/3600) = 120.
         let prev = [pt("total", 100.0)];
-        let ev = e.evaluate(t(30), Some((t(0), &prev)), &[pt("total", 160.0)]);
+        let ev = evaluate(&mut e, t(30), Some((t(0), &prev)), &[pt("total", 160.0)]);
         assert_eq!(ev.len(), 2, "{ev:?}");
         assert!(ev.iter().all(|e| e.fired));
         // Flat: both resolve.
         let prev = [pt("total", 160.0)];
-        let ev = e.evaluate(t(60), Some((t(30), &prev)), &[pt("total", 160.0)]);
+        let ev = evaluate(&mut e, t(60), Some((t(30), &prev)), &[pt("total", 160.0)]);
         assert_eq!(ev.len(), 2);
         assert!(ev.iter().all(|e| !e.fired));
     }
@@ -643,17 +643,17 @@ mod tests {
     #[test]
     fn for_clause_requires_consecutive_scrapes() {
         let mut e = AlertEngine::new(parse_rules("q: depth > 0 for 3").unwrap());
-        assert!(e.evaluate(t(0), None, &[pt("depth", 1.0)]).is_empty());
-        assert!(e.evaluate(t(30), None, &[pt("depth", 1.0)]).is_empty());
-        let ev = e.evaluate(t(60), None, &[pt("depth", 1.0)]);
+        assert!(evaluate(&mut e, t(0), None, &[pt("depth", 1.0)]).is_empty());
+        assert!(evaluate(&mut e, t(30), None, &[pt("depth", 1.0)]).is_empty());
+        let ev = evaluate(&mut e, t(60), None, &[pt("depth", 1.0)]);
         assert_eq!(ev.len(), 1);
         assert!(ev[0].fired);
         // A dip resets the streak.
         let mut e2 = AlertEngine::new(parse_rules("q: depth > 0 for 3").unwrap());
-        e2.evaluate(t(0), None, &[pt("depth", 1.0)]);
-        e2.evaluate(t(30), None, &[pt("depth", 0.0)]);
-        e2.evaluate(t(60), None, &[pt("depth", 1.0)]);
-        assert!(e2.evaluate(t(90), None, &[pt("depth", 1.0)]).is_empty());
+        evaluate(&mut e2, t(0), None, &[pt("depth", 1.0)]);
+        evaluate(&mut e2, t(30), None, &[pt("depth", 0.0)]);
+        evaluate(&mut e2, t(60), None, &[pt("depth", 1.0)]);
+        assert!(evaluate(&mut e2, t(90), None, &[pt("depth", 1.0)]).is_empty());
         assert_eq!(e2.active(), 0);
     }
 

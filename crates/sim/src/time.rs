@@ -48,12 +48,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked difference; `None` if `earlier` is later than `self`.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// Checked addition; `None` past the last representable instant
     /// (where `+` saturates).
     #[inline]
@@ -269,7 +263,6 @@ mod tests {
         assert_eq!(t.since(earlier), SimDuration::from_secs(6));
         // saturating in the "wrong" direction
         assert_eq!(earlier.since(t), SimDuration::ZERO);
-        assert_eq!(earlier.checked_since(t), None);
     }
 
     #[test]

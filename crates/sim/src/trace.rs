@@ -209,14 +209,6 @@ impl Trace {
         out
     }
 
-    /// Spans matching both component and name, in completion order.
-    pub fn spans_of(&self, component: &str, name: &str) -> Vec<SpanRef<'_>> {
-        self.spans
-            .iter()
-            .filter(|s| s.component() == component && s.name() == name)
-            .collect()
-    }
-
     /// Export as Chrome trace-event JSON (load in `chrome://tracing`
     /// or <https://ui.perfetto.dev>).
     pub fn to_chrome_json(&self) -> String {
@@ -530,17 +522,6 @@ mod tests {
         assert_eq!(tr.spans("hotplug").len(), 2);
         // Envelope spans the outer interval.
         assert_eq!(tr.span("hotplug"), Some(SimDuration::from_secs(10)));
-    }
-
-    #[test]
-    fn spans_of_filters_by_component() {
-        let mut tr = Trace::new();
-        tr.add_span("ninja", "detach", t(1), t(5));
-        tr.add_span("symvirt", "detach", t(1), t(2))
-            .label("vm", "a");
-        assert_eq!(tr.spans_of("ninja", "detach").len(), 1);
-        assert_eq!(tr.spans_of("symvirt", "detach").len(), 1);
-        assert_eq!(tr.spans("detach").len(), 2);
     }
 
     #[test]
