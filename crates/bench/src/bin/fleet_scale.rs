@@ -22,9 +22,10 @@
 
 use ninja_bench::{claim, finish, render_table};
 use ninja_fleet::{build_auto, run_fleet, FleetConfig, ScenarioKind, ScenarioSpec};
-use ninja_sim::export::overwrite_file;
-use ninja_sim::{parse, Json, JsonWriter, SimDuration, Trace, WriteJson};
+use ninja_sim::{SimDuration, Trace, WriteJson};
 use ninja_symvirt::GuestCooperative;
+use std::path::Path;
+use std::process::exit;
 use std::time::Instant;
 
 /// Runs per row; the row keeps the fastest, which is the stablest
@@ -125,39 +126,44 @@ fn run_engine(jobs_n: usize, concurrency: usize) -> (Walls, Counts) {
     (walls, counts)
 }
 
+/// One invocation's record in `BENCH_fleet.json`.
+struct Record<'a> {
+    unix_time: u64,
+    mode: &'a str,
+    bench: &'a str,
+    rows: &'a [Row],
+}
+ninja_bench::impl_write_json!(Record<'_> {
+    unix_time,
+    mode,
+    bench,
+    rows
+});
+
 /// Append this run's rows to `BENCH_fleet.json` (a JSON array of run
-/// records) at the workspace root.
+/// records) at the workspace root, or exit nonzero if the file is not
+/// such an array.
 fn append_bench(mode: &str, rows: &[Row]) {
     let root = std::env::var("CARGO_MANIFEST_DIR")
         .map(|d| format!("{d}/../.."))
         .unwrap_or_else(|_| ".".into());
     let path = format!("{root}/BENCH_fleet.json");
-    let runs: Vec<Json> = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|s| parse(&s).ok())
-        .and_then(|j| j.as_array().map(<[Json]>::to_vec))
-        .unwrap_or_default();
-    let unix_s = std::time::SystemTime::now()
+    let unix_time = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let written = overwrite_file(&path, |out| {
-        let mut w = JsonWriter::pretty(out);
-        w.begin_array()?;
-        for run in &runs {
-            run.write_json(&mut w)?;
-        }
-        w.begin_object()?;
-        w.field("unix_time", &unix_s)?;
-        w.field("mode", mode)?;
-        w.field("bench", "fleet_scale")?;
-        w.field("rows", rows)?;
-        w.end_object()?;
-        w.end_array()
-    });
-    match written {
+    let record = Record {
+        unix_time,
+        mode,
+        bench: "fleet_scale",
+        rows,
+    };
+    match ninja_bench::append_run(Path::new(&path), &record) {
         Ok(()) => println!("(appended to {path})"),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
+        Err(e) => {
+            eprintln!("error: could not append to {path}: {e}");
+            exit(1)
+        }
     }
 }
 

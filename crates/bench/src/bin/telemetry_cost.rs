@@ -29,11 +29,9 @@ use ninja_bench::{claim, finish, render_table};
 use ninja_fleet::{build_auto, run_fleet, FleetConfig, ScenarioKind, ScenarioSpec};
 use ninja_sim::alerts::{default_rules, parse_rules};
 use ninja_sim::export::overwrite_file;
-use ninja_sim::{
-    parse, AlertEngine, Json, JsonWriter, SimDuration, TimeSeriesRecorder, Trace, WriteJson,
-};
+use ninja_sim::{AlertEngine, JsonWriter, SimDuration, TimeSeriesRecorder, Trace, WriteJson};
 use ninja_symvirt::GuestCooperative;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::path::Path;
 use std::process::{exit, Command};
 use std::time::Instant;
@@ -118,8 +116,8 @@ fn write_out(path: &Path, export: impl FnOnce(&mut dyn fmt::Write) -> fmt::Resul
 
 /// The child: one fleet run as `ninja fleet --json` does it, with the
 /// report and (when `on`) every telemetry output written under `dir`.
-/// Prints one JSON line: wall time, peak RSS, series points, trace
-/// bytes.
+/// Prints one line of four numbers: wall time in ms, peak RSS in MiB,
+/// series points and trace bytes.
 fn child(jobs_n: usize, concurrency: usize, on: bool, dir: &Path) {
     let t0 = Instant::now();
     let spec = ScenarioSpec {
@@ -171,15 +169,7 @@ fn child(jobs_n: usize, concurrency: usize, on: bool, dir: &Path) {
         rec.samples().iter().map(|s| s.points.len() as u64).sum()
     });
     let trace_bytes = std::fs::metadata(&trace_path).map_or(0, |m| m.len());
-    println!(
-        "{}",
-        Json::obj(vec![
-            ("wall_ms", Json::Num(wall_ms)),
-            ("peak_rss_mib", Json::Num(peak)),
-            ("series_points", Json::UInt(series_points)),
-            ("trace_bytes", Json::UInt(trace_bytes)),
-        ])
-    );
+    println!("{wall_ms} {peak} {series_points} {trace_bytes}");
 }
 
 /// Runs one configuration in a fresh child process.
@@ -202,13 +192,15 @@ fn spawn(jobs: usize, concurrency: usize, on: bool) -> Sample {
         exit(1);
     }
     let text = String::from_utf8_lossy(&out.stdout);
-    let doc = parse(text.trim()).expect("child prints one JSON line");
-    let num = |k: &str| doc[k].as_f64().expect("numeric field");
+    let mut fields = text.split_whitespace();
+    let mut next = || fields.next().expect("child prints four numbers");
+    let wall_ms = next().parse().expect("wall ms");
+    let peak_rss_mib = next().parse().expect("peak RSS");
     Sample {
-        wall_ms: num("wall_ms"),
-        peak_rss_mib: num("peak_rss_mib"),
-        series_points: doc["series_points"].as_u64().unwrap_or(0),
-        trace_bytes: doc["trace_bytes"].as_u64().unwrap_or(0),
+        wall_ms,
+        peak_rss_mib,
+        series_points: next().parse().expect("series points"),
+        trace_bytes: next().parse().expect("trace bytes"),
     }
 }
 
@@ -223,27 +215,16 @@ fn median(mut v: Vec<f64>) -> f64 {
 }
 
 /// Appends this invocation's record to `BENCH_telemetry.json` (a JSON
-/// array of records) in the current directory.
+/// array of records) in the current directory, or exits nonzero if the
+/// file is not such an array.
 fn append_bench(record: &Record<'_>) {
     let path = "BENCH_telemetry.json";
-    let old: Vec<Json> = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| parse(&s).ok())
-        .and_then(|j| j.as_array().map(<[Json]>::to_vec))
-        .unwrap_or_default();
-    let written = overwrite_file(path, |out| {
-        let mut w = JsonWriter::pretty(out);
-        w.begin_array()?;
-        for run in &old {
-            run.write_json(&mut w)?;
-        }
-        record.write_json(&mut w)?;
-        w.end_array()?;
-        out.write_char('\n')
-    });
-    match written {
+    match ninja_bench::append_run(Path::new(path), record) {
         Ok(()) => println!("(appended to {path})"),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
+        Err(e) => {
+            eprintln!("error: could not append to {path}: {e}");
+            exit(1)
+        }
     }
 }
 

@@ -16,6 +16,9 @@
 //! wins, what is constant, what grows) so a regression in the model
 //! fails the harness loudly.
 
+use ninja_sim::{JsonReader, JsonToken};
+use std::fmt::Write as _;
+use std::io;
 use std::path::Path;
 
 /// The Fig. 6 / 7 testbed builder (re-exported from
@@ -104,6 +107,51 @@ pub fn write_json<T: WriteJson + ?Sized>(name: &str, value: &T) {
     } else {
         println!("(wrote {path})");
     }
+}
+
+/// Appends `run` to the JSON array of run records in the file at `path`
+/// (the `BENCH_*.json` trend files) as text: the file's bytes up to its
+/// last run stay as they are, and `,`, the run rendered pretty one
+/// level in and a new closing `]` are written over the line break and
+/// `]` that followed it (what follows the `]` is kept), with
+/// [`overwrite_file`](ninja_sim::export::overwrite_file)'s in-place
+/// rule. A missing or blank file starts a new array. Any other file that
+/// is not one JSON array (a truncated one, say) is left untouched and
+/// reported as an error, so no append ever loses the history before it.
+pub fn append_run<T: WriteJson + ?Sized>(path: &Path, run: &T) -> io::Result<()> {
+    let old = match std::fs::read_to_string(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
+        read => read?,
+    };
+    let (head, tail) = if old.trim().is_empty() {
+        ("[", "\n")
+    } else {
+        let close = closing_bracket(&old).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("not a JSON array of runs: {e}"),
+            )
+        })?;
+        (old[..close].trim_end(), &old[close + 1..])
+    };
+    let comma = if head.ends_with('[') { "" } else { "," };
+    let run = run.to_json_pretty().replace('\n', "\n  ");
+    ninja_sim::export::overwrite_file(path, |out| write!(out, "{head}{comma}\n  {run}\n]{tail}"))
+}
+
+/// The offset of the closing `]` of `text`, when `text` is one JSON
+/// array (whitespace may follow it).
+fn closing_bracket(text: &str) -> Result<usize, String> {
+    let mut reader = JsonReader::new(text);
+    let token = reader.value().map_err(|e| e.to_string())?;
+    if token != JsonToken::Array {
+        return Err("the document is not an array".to_string());
+    }
+    reader
+        .skip_rest(&token)
+        .and_then(|()| reader.finish())
+        .map_err(|e| e.to_string())?;
+    Ok(text.trim_end().len() - 1)
 }
 
 /// Render horizontal stacked bars in ASCII — a terminal rendition of

@@ -188,12 +188,12 @@ mod tests {
 
     #[test]
     fn serializes_to_json() {
-        let j = ninja_sim::parse(&sample().to_json_pretty()).unwrap();
+        let j = ninja_json_tree::parse(&sample().to_json_pretty()).unwrap();
         assert_eq!(j["vm_count"].as_u64(), Some(8));
         assert_eq!(j["linkup"].as_f64(), Some(29.8));
         assert_eq!(j["transport_after"].as_str(), Some("openib"));
         // Round-trips through the in-repo parser.
-        let back = ninja_sim::parse(&sample().to_json_compact()).unwrap();
+        let back = ninja_json_tree::parse(&sample().to_json_compact()).unwrap();
         assert_eq!(back["btl_reconstructed"].as_bool(), Some(true));
         assert_eq!(back["hotplug"].as_f64(), Some(3.9));
     }

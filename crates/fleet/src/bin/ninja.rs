@@ -74,8 +74,8 @@ use ninja_mpi::MpiRuntime;
 use ninja_sim::alerts::{default_rules, parse_rules};
 use ninja_sim::export::{overwrite_file, stream_to, IoSink};
 use ninja_sim::{
-    AlertEngine, AlertRule, Bandwidth, Bytes, Json, JsonWriter, SimDuration, TimeSeriesRecorder,
-    Trace, WriteJson,
+    AlertEngine, AlertRule, Bandwidth, Bytes, JsonWriter, SimDuration, TimeSeriesRecorder, Trace,
+    WriteJson,
 };
 use ninja_symvirt::{FaultPlan, FaultSpec, GuestCooperative, RetryPolicy};
 use ninja_workloads::{install_memory_profile, MemoryProfile};
@@ -694,32 +694,28 @@ fn trace_cmd(critical_path: bool, path: &str) {
     });
     // An empty file is an empty trace, not an error: runs that record
     // nothing still compose with shell pipelines.
-    let json = if text.trim().is_empty() {
-        Json::obj::<&str>(vec![])
-    } else {
-        ninja_sim::parse(&text).unwrap_or_else(|e| {
-            eprintln!("{path}: not valid JSON: {e}");
-            exit(1)
-        })
-    };
+    let (spans, others) = ninja_sim::spans_from_chrome(&text).unwrap_or_else(|e| {
+        eprintln!("{path}: not valid JSON: {e}");
+        exit(1)
+    });
     print_report(|out| {
         if critical_path {
-            critical_path_cmd(&json, out)
+            critical_path_cmd(&spans, out)
         } else {
-            summarize_trace(&json, out)
+            summarize_trace(&spans, others, out)
         }
     });
 }
 
-/// Per-(component, span) duration statistics over a trace document's
-/// complete ("X") events, read by the same rule as `critical-path`
-/// ([`ninja_sim::spans_from_chrome`]): an event without a name, or
-/// whose `ts` or `dur` is not a whole, in-range number of microseconds,
-/// is skipped. Durations add up in integer nanoseconds. Rows sort by
+/// Per-(component, span) duration statistics over the spans a trace
+/// document's complete ("X") events give, read by the same rule as
+/// `critical-path` ([`ninja_sim::spans_from_chrome`]): an event without
+/// a name, or whose `ts` or `dur` is not a whole, in-range number of
+/// microseconds, is skipped. `instants` counts the document's other
+/// events. Durations add up in integer nanoseconds. Rows sort by
 /// (component, span), lexicographically — the pinned, deterministic
 /// order.
-fn summarize_trace(json: &Json, out: &mut impl Write) -> fmt::Result {
-    let spans = ninja_sim::spans_from_chrome(json);
+fn summarize_trace(spans: &Trace, instants: u64, out: &mut impl Write) -> fmt::Result {
     // (component, span) -> (count, total, min, max).
     let mut groups: BTreeMap<(&str, &str), (u64, SimDuration, SimDuration, SimDuration)> =
         BTreeMap::new();
@@ -734,12 +730,6 @@ fn summarize_trace(json: &Json, out: &mut impl Write) -> fmt::Result {
         g.2 = g.2.min(d);
         g.3 = g.3.max(d);
     }
-    let instants = json["traceEvents"]
-        .as_array()
-        .unwrap_or(&[])
-        .iter()
-        .filter(|ev| ev["ph"].as_str() != Some("X"))
-        .count();
     writeln!(
         out,
         "{:<10} {:<24} {:>6} {:>10} {:>10} {:>10} {:>10}",
@@ -761,9 +751,8 @@ fn summarize_trace(json: &Json, out: &mut impl Write) -> fmt::Result {
 
 /// Per-migration blackout attribution: one row per `("ninja","ninja")`
 /// envelope span, then a fleet-wide per-phase p50/p99 breakdown.
-fn critical_path_cmd(json: &Json, out: &mut impl Write) -> fmt::Result {
-    let spans = ninja_sim::spans_from_chrome(json);
-    let paths = ninja_sim::critical_paths(&spans, &PHASE_NAMES);
+fn critical_path_cmd(spans: &Trace, out: &mut impl Write) -> fmt::Result {
+    let paths = ninja_sim::critical_paths(spans, &PHASE_NAMES);
     writeln!(
         out,
         "{:>4} {:>4} {:>10} {:>11} {:>9} {:<13} {:<14} {:>9}",

@@ -534,11 +534,11 @@ mod tests {
         assert_eq!(r.deadline_misses(), 1, "the 150 s wait missed");
         assert_eq!(r.total_wire_bytes(), 4 * (1u64 << 30));
         let compact = r.to_json_compact();
-        let j = ninja_sim::parse(&r.to_json_pretty()).unwrap();
+        let j = ninja_json_tree::parse(&r.to_json_pretty()).unwrap();
         assert_eq!(j["jobs"].as_u64(), Some(4));
         assert!(j["p99_queue_wait_s"].as_f64().unwrap() >= 150.0);
         assert_eq!(j["deadline_misses"].as_u64(), Some(1));
-        let back = ninja_sim::parse(&compact).unwrap();
+        let back = ninja_json_tree::parse(&compact).unwrap();
         assert_eq!(back["outcomes"].as_array().unwrap().len(), 4);
         let csv = r.to_csv();
         assert_eq!(csv.lines().count(), 5);
@@ -579,7 +579,7 @@ mod tests {
             ],
             machine_steps: 0,
         };
-        let j = ninja_sim::parse(&r.to_json_compact()).unwrap();
+        let j = ninja_json_tree::parse(&r.to_json_compact()).unwrap();
         let alerts = j["alerts"].as_array().unwrap();
         assert_eq!(alerts.len(), 2);
         assert_eq!(alerts[0]["rule"].as_str(), Some("queue-backlog"));
@@ -614,7 +614,7 @@ mod tests {
         assert_eq!(r.degraded_jobs(), 1);
         assert_eq!(r.recovery_migrations(), 1);
         assert_eq!(r.recovered_jobs(), 1, "recovery restored the transport");
-        let j = ninja_sim::parse(&r.to_json_compact()).unwrap();
+        let j = ninja_json_tree::parse(&r.to_json_compact()).unwrap();
         assert_eq!(j["degraded_jobs"].as_u64(), Some(1));
         assert_eq!(j["recovered_jobs"].as_u64(), Some(1));
         assert_eq!(j["recovery_migrations"].as_u64(), Some(1));

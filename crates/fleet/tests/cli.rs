@@ -30,7 +30,7 @@ fn json_output_parses() {
         .output()
         .unwrap();
     assert!(out.status.success());
-    let v = ninja_sim::parse(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON");
+    let v = ninja_json_tree::parse(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON");
     assert_eq!(v["vm_count"].as_u64(), Some(2));
     assert_eq!(v["transport_after"].as_str(), Some("tcp"));
 }
@@ -144,7 +144,7 @@ fn a_stall_delays_only_its_own_job() {
             .output()
             .unwrap();
         assert!(out.status.success());
-        let v = ninja_sim::parse(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON");
+        let v = ninja_json_tree::parse(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON");
         let outcomes = v["outcomes"].as_array().unwrap();
         let job = outcomes.iter().find(|o| o["job"].as_u64() == Some(1));
         job.expect("job 1 finished")["report"]["migration"]
@@ -173,7 +173,7 @@ fn chrome_trace_written() {
         .unwrap();
     assert!(out.status.success());
     let data = std::fs::read_to_string(&path).unwrap();
-    let v = ninja_sim::parse(&data).expect("valid trace JSON");
+    let v = ninja_json_tree::parse(&data).expect("valid trace JSON");
     assert!(v["traceEvents"].as_array().unwrap().len() > 5);
 }
 
@@ -203,7 +203,7 @@ fn migrate_writes_trace_and_metrics() {
 
     // The Chrome trace holds one complete ("X") per-VM span per
     // migration phase per VM, on the "symvirt" track.
-    let v = ninja_sim::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    let v = ninja_json_tree::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
     let events = v["traceEvents"].as_array().unwrap();
     for phase in ["coordination", "detach", "migration", "attach", "linkup"] {
         let per_vm = events
@@ -292,7 +292,7 @@ fn fleet_json_is_deterministic_and_reports_slos() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert_eq!(out.stdout, run().stdout, "same seed, same bytes");
-    let v = ninja_sim::parse(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON");
+    let v = ninja_json_tree::parse(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON");
     assert_eq!(v["jobs"].as_u64(), Some(8));
     assert_eq!(v["concurrency"].as_u64(), Some(4));
     assert!(v["makespan_s"].as_f64().unwrap() > 0.0);
@@ -328,7 +328,7 @@ fn fleet_concurrency_shrinks_makespan_and_conserves_bytes() {
             "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        ninja_sim::parse(&String::from_utf8_lossy(&out.stdout)).unwrap()
+        ninja_json_tree::parse(&String::from_utf8_lossy(&out.stdout)).unwrap()
     };
     let serial = run("1");
     let fleet = run("4");
@@ -395,7 +395,7 @@ fn fleet_deadline_accounting_shows_up() {
         .output()
         .unwrap();
     assert!(out.status.success());
-    let v = ninja_sim::parse(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    let v = ninja_json_tree::parse(&String::from_utf8_lossy(&out.stdout)).unwrap();
     assert_eq!(v["deadline_s"].as_f64(), Some(60.0));
     // Serial drains of 6 jobs take far longer than 60 s for the tail.
     assert!(v["deadline_misses"].as_u64().unwrap() >= 1);
@@ -412,7 +412,7 @@ fn evacuate_reports_queue_wait() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let v = ninja_sim::parse(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    let v = ninja_json_tree::parse(&String::from_utf8_lossy(&out.stdout)).unwrap();
     let jobs = v["jobs"].as_u64().unwrap();
     let waits = v["queue_wait_s"].as_array().unwrap();
     assert_eq!(waits.len() as u64, jobs);
@@ -527,7 +527,7 @@ fn fleet_scales_past_the_source_testbed() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let v = ninja_sim::parse(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    let v = ninja_json_tree::parse(&String::from_utf8_lossy(&out.stdout)).unwrap();
     assert_eq!(v["outcomes"].as_array().unwrap().len(), 9);
 }
 
@@ -636,7 +636,7 @@ fn fleet_alerts_fire_and_land_in_the_report() {
     let text = String::from_utf8_lossy(&human.stdout);
     assert!(text.contains("ALERT"), "incidents listed:\n{text}");
     let json = ninja().args(base).arg("--json").output().unwrap();
-    let v = ninja_sim::parse(&String::from_utf8_lossy(&json.stdout)).unwrap();
+    let v = ninja_json_tree::parse(&String::from_utf8_lossy(&json.stdout)).unwrap();
     let alerts = v["alerts"].as_array().expect("alerts array present");
     assert!(alerts.iter().any(
         |a| a["rule"].as_str() == Some("queue-backlog") && a["resolved_at"].as_f64().is_some()
@@ -1077,7 +1077,7 @@ fn runs_that_reach_the_end_of_the_clock_finish() {
     ];
     let run = run_within_10_s(&args);
     assert_eq!(run.code, 0, "{}", run.stderr);
-    let report = ninja_sim::parse(&run.stdout).expect("report JSON");
+    let report = ninja_json_tree::parse(&run.stdout).expect("report JSON");
     let failures = report["failures"].as_array().expect("failures listed");
     assert_eq!(failures.len(), 1, "the one-shot stall fails one job");
     assert_eq!(failures[0]["error"].as_str(), Some(end));

@@ -38,7 +38,7 @@ fn full_cluster_evacuation() {
     let mut w = World::agc(1600);
     let (mut a, mut b) = boot_drill_jobs(&mut w, 4, 1);
     let fleet = evacuate(&mut w, &mut [&mut a, &mut b]);
-    let j = ninja_sim::parse(&DrillView(&fleet).to_json_compact()).unwrap();
+    let j = ninja_json_tree::parse(&DrillView(&fleet).to_json_compact()).unwrap();
     assert_eq!(j["jobs"].as_u64(), Some(2));
     assert_eq!(j["vms"].as_u64(), Some(6));
     assert!(j["total_seconds"].as_f64().unwrap() > 0.0);
@@ -72,7 +72,7 @@ fn serial_drill_records_queue_wait() {
         first_total,
         "second job's wait is the first job's total"
     );
-    let j = ninja_sim::parse(&DrillView(&fleet).to_json_compact()).unwrap();
+    let j = ninja_json_tree::parse(&DrillView(&fleet).to_json_compact()).unwrap();
     let waits = j["queue_wait_s"].as_array().unwrap();
     assert_eq!(waits.len(), 2);
     let wait_json = waits[1].as_f64().unwrap();

@@ -51,7 +51,7 @@ fn run_soak(fault_seed: u64, concurrency: usize) -> (World, FleetReport) {
 fn assert_vm_causal_order(world: &World, ctx: &str) {
     use std::collections::BTreeMap;
     let mut per_vm: BTreeMap<String, Vec<(f64, f64, String)>> = BTreeMap::new();
-    let json = ninja_sim::parse(&world.trace.to_chrome_json()).expect("trace JSON");
+    let json = ninja_json_tree::parse(&world.trace.to_chrome_json()).expect("trace JSON");
     for ev in json["traceEvents"].as_array().expect("traceEvents") {
         if ev["ph"].as_str() != Some("X") || ev["cat"].as_str() != Some("symvirt") {
             continue;

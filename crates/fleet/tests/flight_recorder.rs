@@ -144,7 +144,7 @@ fn burn_alert_fires_and_resolves_under_a_fault_plan() {
     assert!(prom.contains("ninja_alerts_fired_total"));
     assert!(prom.contains("ninja_alerts_active"));
     // Incidents appear in the SLO report JSON, in firing order.
-    let json = ninja_sim::parse(&report.to_json_compact()).unwrap();
+    let json = ninja_json_tree::parse(&report.to_json_compact()).unwrap();
     let arr = json["alerts"].as_array().unwrap();
     assert_eq!(arr.len(), report.alerts.len());
     assert!(arr[0]["rule"].as_str().is_some());
@@ -169,8 +169,7 @@ fn critical_paths_attribute_fleet_blackout_from_the_chrome_export() {
             None,
             Some(alerts::default_rules()),
         );
-        let doc = ninja_sim::parse(&world.trace.to_chrome_json()).unwrap();
-        let spans = ninja_sim::spans_from_chrome(&doc);
+        let (spans, _) = ninja_sim::spans_from_chrome(&world.trace.to_chrome_json()).unwrap();
         let paths = ninja_sim::critical_paths(&spans, &PHASE_NAMES);
         assert_eq!(paths.len(), report.jobs.len(), "one path per migration");
         for p in &paths {
@@ -236,7 +235,7 @@ fn observed(fleet: Fleet, scrape: Option<u64>) -> [String; 3] {
         run_fleet(&mut s.world, &mut dyn_jobs, s.scheduler, &cfg).unwrap()
     };
     report.alerts.clear();
-    let trace = ninja_sim::parse(&s.world.trace.to_chrome_json()).expect("trace JSON");
+    let trace = ninja_json_tree::parse(&s.world.trace.to_chrome_json()).expect("trace JSON");
     let events: Vec<String> = trace["traceEvents"]
         .as_array()
         .expect("traceEvents")

@@ -58,7 +58,7 @@ fn assert_phase_order(world: &World, expected_vms: usize) {
     use std::collections::BTreeMap;
     // vm name -> phase -> (start, end), microseconds.
     let mut per_vm: BTreeMap<String, BTreeMap<String, (f64, f64)>> = BTreeMap::new();
-    let json = ninja_sim::parse(&world.trace.to_chrome_json()).expect("trace JSON");
+    let json = ninja_json_tree::parse(&world.trace.to_chrome_json()).expect("trace JSON");
     for ev in json["traceEvents"].as_array().expect("traceEvents") {
         if ev["ph"].as_str() != Some("X") || ev["cat"].as_str() != Some("symvirt") {
             continue;

@@ -5,10 +5,11 @@
 //! only in the trace: no exported metric series carries a `vm` label.
 
 use ninja_fleet::{build_auto, run_fleet, FleetConfig, FleetReport, ScenarioKind, ScenarioSpec};
+use ninja_json_tree::parse;
 use ninja_migration::World;
 use ninja_sim::{
-    alerts, parse, spans_from_chrome, AlertEngine, Bytes, LabelValue, SimDuration,
-    TimeSeriesRecorder, Trace,
+    alerts, spans_from_chrome, AlertEngine, Bytes, LabelValue, SimDuration, TimeSeriesRecorder,
+    Trace,
 };
 use ninja_symvirt::{FaultPlan, GuestCooperative};
 use std::collections::BTreeMap;
@@ -90,8 +91,7 @@ fn label_u64(v: Option<LabelValue<'_>>, what: &str) -> u64 {
 fn per_vm_span_labels_sum_to_job_span_report_and_counter() {
     for (ctx, world, report) in cases() {
         // Read the spans back from the exported Chrome trace.
-        let doc = parse(&world.trace.to_chrome_json()).expect("trace JSON");
-        let trace = spans_from_chrome(&doc);
+        let (trace, _) = spans_from_chrome(&world.trace.to_chrome_json()).expect("trace JSON");
         // (job, mig) -> (job-level wire bytes, per-VM sum, VMs labeled).
         let mut per_mig: BTreeMap<(u64, u64), (Option<u64>, u64, usize)> = BTreeMap::new();
         for s in trace.all_spans().filter(|s| s.name() == "migration") {

@@ -486,6 +486,7 @@ impl AlertEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export::JsonToken;
     use crate::time::SimDuration;
 
     fn t(s: u64) -> SimTime {
@@ -664,9 +665,16 @@ mod tests {
             fired_at: t(30),
             resolved_at: None,
         };
-        let j = crate::export::parse(&inc.to_json_compact()).unwrap();
-        assert_eq!(j["rule"].as_str(), Some("q"));
-        assert_eq!(j["fired_at"].as_f64(), Some(30.0));
-        assert!(j["resolved_at"].is_null());
+        let text = inc.to_json_compact();
+        let mut r = crate::export::JsonReader::new(&text);
+        assert_eq!(r.value(), Ok(JsonToken::Object));
+        let mut fields = Vec::new();
+        while let Some(key) = r.next_key().unwrap() {
+            fields.push((key, r.value().unwrap()));
+        }
+        r.finish().unwrap();
+        assert_eq!(fields[0], ("rule".into(), JsonToken::Str("q".into())));
+        assert_eq!(fields[1], ("fired_at".into(), JsonToken::UInt(30)));
+        assert_eq!(fields[2], ("resolved_at".into(), JsonToken::Null));
     }
 }

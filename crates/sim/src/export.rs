@@ -1,135 +1,31 @@
-//! Dependency-free serialization: a minimal JSON value type with a
-//! writer and parser, plus the helpers the exporters share.
+//! Dependency-free serialization: one streaming JSON writer, one pull
+//! reader, and the helpers the exporters share.
 //!
 //! The workspace builds offline with zero crates.io dependencies, so
 //! instead of `serde_json` every report and exporter goes through one
 //! streaming [`JsonWriter`]: reports implementing [`WriteJson`] write
-//! their fields into it directly, and a [`Json`] tree is walked through
-//! it. The writer covers the full string-escaping rules of RFC 8259
-//! (quotes, backslashes, control characters) and formats non-finite
-//! floats as `null` (JSON has no NaN/Infinity). The parser
-//! is a small recursive-descent reader used by the CLI's
-//! `trace summarize` subcommand and by tests that round-trip output.
+//! their fields into it directly, and no JSON tree is built. The writer
+//! covers the full string-escaping rules of RFC 8259 (quotes,
+//! backslashes, control characters) and formats non-finite floats as
+//! `null` (JSON has no NaN/Infinity).
+//!
+//! [`JsonReader`] is the one reader: a recursive-descent pull reader
+//! that hands out a document's scalars, object keys and array items in
+//! order and skips a value of any nesting, building nothing. Strings
+//! borrow the input unless they hold an escape. `ninja trace` reads a
+//! Chrome trace through it
+//! ([`spans_from_chrome`](crate::spans_from_chrome)).
 //!
 //! The telemetry exporters stream: they write into any `fmt::Write`
 //! ([`render`] for a `String`, [`stream_to`] for an `io::Write` sink,
-//! [`overwrite_file`] for a file path) with the helpers below instead
-//! of building a [`Json`] tree per record.
+//! [`overwrite_file`] for a file path) with the helpers below.
 
 use crate::{SimDuration, SimTime};
+use std::borrow::Cow;
 use std::fmt::{self, Write};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Seek};
 use std::path::Path;
-
-/// A JSON value.
-///
-/// Integers keep their own variants so `u64` quantities like wire
-/// bytes never lose precision through an `f64` round-trip.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A signed integer.
-    Int(i64),
-    /// An unsigned integer.
-    UInt(u64),
-    /// A float. Non-finite values serialize as `null`.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object. Insertion order is preserved.
-    Obj(Vec<(String, Json)>),
-}
-
-static NULL: Json = Json::Null;
-
-impl Json {
-    /// Builds an object from `(key, value)` pairs.
-    pub fn obj<K: Into<String>>(fields: Vec<(K, Json)>) -> Json {
-        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
-    }
-
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
-    /// As a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// As an `f64` (any numeric variant).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Int(i) => Some(*i as f64),
-            Json::UInt(u) => Some(*u as f64),
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// As a `u64`, if numeric and exactly representable.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::UInt(u) => Some(*u),
-            Json::Int(i) if *i >= 0 => Some(*i as u64),
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// As an `i64`, if numeric and exactly representable.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(i) => Some(*i),
-            Json::UInt(u) if *u <= i64::MAX as u64 => Some(*u as i64),
-            Json::Num(n) if n.fract() == 0.0 && (i64::MIN as f64..=i64::MAX as f64).contains(n) => {
-                Some(*n as i64)
-            }
-            _ => None,
-        }
-    }
-
-    /// As a string slice, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// As an array slice, if it is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Pretty serialization (two-space indent).
-    pub fn to_string_pretty(&self) -> String {
-        self.to_json_pretty()
-    }
-}
 
 /// Writes an `f64` as a JSON number; non-finite values become `null`,
 /// and `-0` (which reads oddly in reports) becomes `0`. Every other value
@@ -563,10 +459,8 @@ fn write_lead(block: &mut [u8; BLOCK], first: bool, pretty: bool) {
 }
 
 /// A streaming JSON writer, compact or pretty (two-space indent): the
-/// workspace's one JSON formatter. [`Json`]'s `Display` and
-/// [`Json::to_string_pretty`] walk their tree through it, and reports
-/// that implement [`WriteJson`] write their fields straight into it
-/// without building a tree.
+/// workspace's one JSON formatter. Reports that implement [`WriteJson`]
+/// write their fields straight into it without building a tree.
 ///
 /// Containers open with `begin_*` and close with `end_*`; inside an
 /// object every value follows a [`JsonWriter::key`]. Empty containers
@@ -872,7 +766,7 @@ impl<'a, W: Write + ?Sized> JsonWriter<'a, W> {
 }
 
 /// Types that serialize by streaming into a [`JsonWriter`], with no
-/// intermediate [`Json`] tree.
+/// intermediate tree.
 pub trait WriteJson {
     /// Writes `self` as one JSON value.
     fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result;
@@ -885,27 +779,6 @@ pub trait WriteJson {
     /// The pretty rendering (two-space indent).
     fn to_json_pretty(&self) -> String {
         render(0, |out| self.write_json(&mut JsonWriter::pretty(out)))
-    }
-}
-
-impl WriteJson for Json {
-    fn write_json<W: Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
-        match self {
-            Json::Null => w.null(),
-            Json::Bool(b) => w.bool(*b),
-            Json::Int(i) => w.i64(*i),
-            Json::UInt(u) => w.u64(*u),
-            Json::Num(n) => w.f64(*n),
-            Json::Str(s) => w.str(s),
-            Json::Arr(items) => items.write_json(w),
-            Json::Obj(fields) => {
-                w.begin_object()?;
-                for (k, v) in fields {
-                    w.field(k, v)?;
-                }
-                w.end_object()
-            }
-        }
     }
 }
 
@@ -1080,105 +953,8 @@ pub fn overwrite_file(
     written
 }
 
-impl fmt::Display for Json {
-    /// Compact serialization (`.to_string()` is the compact form),
-    /// written straight into the formatter.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.write_json(&mut JsonWriter::compact(f))
-    }
-}
-
-impl std::ops::Index<&str> for Json {
-    type Output = Json;
-
-    /// Object field access; missing keys and non-objects yield `Null`.
-    fn index(&self, key: &str) -> &Json {
-        self.get(key).unwrap_or(&NULL)
-    }
-}
-
-impl std::ops::Index<usize> for Json {
-    type Output = Json;
-
-    /// Array element access; out of range and non-arrays yield `Null`.
-    fn index(&self, i: usize) -> &Json {
-        match self {
-            Json::Arr(items) => items.get(i).unwrap_or(&NULL),
-            _ => &NULL,
-        }
-    }
-}
-
-impl From<bool> for Json {
-    fn from(v: bool) -> Json {
-        Json::Bool(v)
-    }
-}
-
-impl From<i32> for Json {
-    fn from(v: i32) -> Json {
-        Json::Int(i64::from(v))
-    }
-}
-
-impl From<i64> for Json {
-    fn from(v: i64) -> Json {
-        Json::Int(v)
-    }
-}
-
-impl From<u32> for Json {
-    fn from(v: u32) -> Json {
-        Json::UInt(u64::from(v))
-    }
-}
-
-impl From<u64> for Json {
-    fn from(v: u64) -> Json {
-        Json::UInt(v)
-    }
-}
-
-impl From<usize> for Json {
-    fn from(v: usize) -> Json {
-        Json::UInt(v as u64)
-    }
-}
-
-impl From<f64> for Json {
-    fn from(v: f64) -> Json {
-        Json::Num(v)
-    }
-}
-
-impl From<&str> for Json {
-    fn from(v: &str) -> Json {
-        Json::Str(v.to_string())
-    }
-}
-
-impl From<String> for Json {
-    fn from(v: String) -> Json {
-        Json::Str(v)
-    }
-}
-
-impl From<Vec<Json>> for Json {
-    fn from(v: Vec<Json>) -> Json {
-        Json::Arr(v)
-    }
-}
-
-impl<T: Into<Json>> From<Option<T>> for Json {
-    fn from(v: Option<T>) -> Json {
-        match v {
-            Some(x) => x.into(),
-            None => Json::Null,
-        }
-    }
-}
-
-/// Error from [`parse`]: a message and the byte offset it refers to.
+/// Error from [`JsonReader`]: a message and the byte offset it refers
+/// to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// What went wrong.
@@ -1195,27 +971,154 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses a JSON document (trailing whitespace allowed, nothing else).
-pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
+/// What [`JsonReader::value`] reads: a whole scalar, or the opening of
+/// a container whose items or fields the caller reads next.
+///
+/// Integers keep their own variants so `u64` quantities like wire bytes
+/// never lose precision through an `f64`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonToken<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A negative integer that fits an `i64`.
+    Int(i64),
+    /// A non-negative integer that fits a `u64`.
+    UInt(u64),
+    /// Any other number.
+    Num(f64),
+    /// A string, borrowed from the input unless it holds an escape.
+    Str(Cow<'a, str>),
+    /// `[`: read the items with [`JsonReader::next_item`].
+    Array,
+    /// `{`: read the fields with [`JsonReader::next_key`].
+    Object,
+}
+
+impl<'a> JsonToken<'a> {
+    /// As a string slice, if it is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            JsonToken::Str(s) => Some(s),
+            _ => None,
+        }
     }
-    Ok(v)
+
+    /// As a `u64`, if numeric and exactly representable: an integer in
+    /// range, or a whole float in range (`1e3`, `1000.0` and `-0` are
+    /// whole).
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            JsonToken::UInt(u) => Some(u),
+            JsonToken::Int(i) if i >= 0 => Some(i as u64),
+            JsonToken::Num(n) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => {
+                Some(n as u64)
+            }
+            _ => None,
+        }
+    }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A recursive-descent pull reader over one JSON document (RFC 8259,
+/// no extensions): it hands out the document's values in order and
+/// builds nothing.
+///
+/// [`value`](Self::value) reads the next value. A scalar comes back
+/// whole; a container comes back as [`JsonToken::Array`] or
+/// [`JsonToken::Object`], and the caller walks it with
+/// [`next_item`](Self::next_item) or [`next_key`](Self::next_key),
+/// reading each item or field value in turn, or hands the token to
+/// [`skip_rest`](Self::skip_rest). [`finish`](Self::finish) ends the
+/// document. Errors name the first byte that breaks the grammar, so a
+/// caller that reads the whole document sees the same error whichever
+/// values it skips.
+pub struct JsonReader<'a> {
+    text: &'a str,
     pos: usize,
+    /// A container was just opened: its first item or key comes next.
+    opened: bool,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        JsonReader {
+            text,
+            pos: 0,
+            opened: false,
+        }
+    }
+
+    /// Reads the next value: a scalar whole, or a container's opening
+    /// bracket.
+    pub fn value(&mut self) -> Result<JsonToken<'a>, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'n') => self.literal("null", JsonToken::Null),
+            Some(b't') => self.literal("true", JsonToken::Bool(true)),
+            Some(b'f') => self.literal("false", JsonToken::Bool(false)),
+            Some(b'"') => Ok(JsonToken::Str(self.string()?)),
+            Some(b'[') => Ok(self.open(JsonToken::Array)),
+            Some(b'{') => Ok(self.open(JsonToken::Object)),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            _ => Err(self.err("expected a JSON value")),
+        }
+    }
+
+    /// In an array: whether another item follows (read it next with
+    /// [`value`](Self::value) or [`skip`](Self::skip)); `false` once the
+    /// array has closed.
+    pub fn next_item(&mut self) -> Result<bool, JsonError> {
+        self.next(b']')
+    }
+
+    /// In an object: the next field's key (read its value next), or
+    /// `None` once the object has closed.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.next(b'}')? {
+            return Ok(None);
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Skips the next value, of any nesting.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        let token = self.value()?;
+        self.skip_rest(&token)
+    }
+
+    /// Skips the items or fields of the container `token` opened; a
+    /// scalar has nothing left to skip.
+    pub fn skip_rest(&mut self, token: &JsonToken<'_>) -> Result<(), JsonError> {
+        match token {
+            JsonToken::Array => {
+                while self.next_item()? {
+                    self.skip()?;
+                }
+            }
+            JsonToken::Object => {
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Ends the document: only whitespace may follow its value.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters"));
+        }
+        Ok(())
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             message: message.to_string(),
@@ -1224,7 +1127,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -1242,88 +1145,59 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn literal(&mut self, word: &str, token: JsonToken<'a>) -> Result<JsonToken<'a>, JsonError> {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
-            Ok(value)
+            Ok(token)
         } else {
             Err(self.err(&format!("expected '{word}'")))
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    fn open(&mut self, token: JsonToken<'a>) -> JsonToken<'a> {
+        self.pos += 1;
+        self.opened = true;
+        token
+    }
+
+    /// Steps past the separator before the next item or field of the
+    /// innermost container, which `close` ends: none before the first,
+    /// a comma before any other. Returns `false` once past `close`.
+    fn next(&mut self, close: u8) -> Result<bool, JsonError> {
+        self.skip_ws();
+        let first = std::mem::take(&mut self.opened);
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
+            Some(c) if c == close => {
+                self.pos += 1;
+                Ok(false)
             }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
             }
+            _ => Err(self.err(&format!("expected ',' or '{}'", close as char))),
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Reads a string. The run up to the closing quote is borrowed from
+    /// the input; the first escape switches to an owned copy.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = self.text[start..self.pos].to_string();
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -1340,7 +1214,7 @@ impl<'a> Parser<'a> {
                             self.pos += 1;
                             let hi = self.hex4()?;
                             let c = if (0xD800..0xDC00).contains(&hi)
-                                && self.bytes[self.pos..].starts_with(b"\\u")
+                                && self.text[self.pos..].starts_with("\\u")
                             {
                                 // Surrogate pair.
                                 self.pos += 2;
@@ -1359,47 +1233,46 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume the run up to the next quote or escape in
-                    // one piece (both are ASCII, so the cut is on a
-                    // character boundary).
                     let start = self.pos;
-                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\') {
-                        self.pos += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    out.push_str(s);
+                    self.run();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
     }
 
+    /// Steps over a run of string text up to the next quote or escape
+    /// (both ASCII, so the run ends on a character boundary).
+    fn run(&mut self) {
+        while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\') {
+            self.pos += 1;
+        }
+    }
+
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
+        if self.pos + 4 > self.text.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("bad \\u escape"))?;
+        let hex = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("bad \\u escape"))?;
         let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
         self.pos += 4;
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<JsonToken<'a>, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
+        self.digits();
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
@@ -1407,22 +1280,26 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits();
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
-                return Ok(Json::UInt(u));
+                return Ok(JsonToken::UInt(u));
             }
             if let Ok(i) = text.parse::<i64>() {
-                return Ok(Json::Int(i));
+                return Ok(JsonToken::Int(i));
             }
         }
         text.parse::<f64>()
-            .map(Json::Num)
+            .map(JsonToken::Num)
             .map_err(|_| self.err("bad number"))
+    }
+
+    fn digits(&mut self) {
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
     }
 }
 
@@ -1509,16 +1386,86 @@ mod tests {
 
     #[test]
     fn escapes_quotes_backslashes_and_controls() {
-        let v = Json::from("a\"b\\c\nd\te\u{0001}");
-        assert_eq!(v.to_string(), r#""a\"b\\c\nd\te\u0001""#);
+        let v = "a\"b\\c\nd\te\u{0001}";
+        assert_eq!(v.to_json_compact(), r#""a\"b\\c\nd\te\u0001""#);
     }
 
     #[test]
     fn non_finite_floats_become_null() {
-        assert_eq!(Json::from(f64::NAN).to_string(), "null");
-        assert_eq!(Json::from(f64::INFINITY).to_string(), "null");
-        assert_eq!(Json::from(f64::NEG_INFINITY).to_string(), "null");
-        assert_eq!(Json::from(1.5).to_string(), "1.5");
+        assert_eq!(f64::NAN.to_json_compact(), "null");
+        assert_eq!(f64::INFINITY.to_json_compact(), "null");
+        assert_eq!(f64::NEG_INFINITY.to_json_compact(), "null");
+        assert_eq!(1.5.to_json_compact(), "1.5");
+    }
+
+    /// Every token of the document `text` in order, each object key as a
+    /// string token before its value.
+    fn tokens(text: &str) -> Result<Vec<JsonToken<'_>>, JsonError> {
+        fn walk<'a>(r: &mut JsonReader<'a>, out: &mut Vec<JsonToken<'a>>) -> Result<(), JsonError> {
+            let token = r.value()?;
+            out.push(token.clone());
+            match token {
+                JsonToken::Array => {
+                    while r.next_item()? {
+                        walk(r, out)?;
+                    }
+                }
+                JsonToken::Object => {
+                    while let Some(key) = r.next_key()? {
+                        out.push(JsonToken::Str(key));
+                        walk(r, out)?;
+                    }
+                }
+                _ => {}
+            }
+            Ok(())
+        }
+        let mut r = JsonReader::new(text);
+        let mut out = Vec::new();
+        walk(&mut r, &mut out)?;
+        r.finish()?;
+        Ok(out)
+    }
+
+    #[test]
+    fn u64_precision_is_preserved() {
+        let big = u64::MAX - 1;
+        let text = render(0, |out| {
+            let mut w = JsonWriter::compact(out);
+            w.begin_object()?;
+            w.field("wire_bytes", &big)?;
+            w.end_object()
+        });
+        assert_eq!(tokens(&text).unwrap()[2].as_u64(), Some(big));
+    }
+
+    #[test]
+    fn parser_handles_escapes_and_unicode() {
+        let v = tokens(r#"{"s":"a\"\\\nAé"}"#).unwrap();
+        assert_eq!(v[2].as_str(), Some("a\"\\\nA\u{e9}"));
+    }
+
+    #[test]
+    fn parser_rejects_garbage() {
+        assert!(tokens("{").is_err());
+        assert!(tokens("[1,]").is_err());
+        assert!(tokens("nul").is_err());
+        assert!(tokens("1 2").is_err());
+        assert!(tokens("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn negative_and_float_numbers_parse() {
+        let v = tokens(r#"[-3, -2.5, 1e3, 18446744073709551615]"#).unwrap();
+        assert_eq!(
+            v[1..],
+            [
+                JsonToken::Int(-3),
+                JsonToken::Num(-2.5),
+                JsonToken::Num(1000.0),
+                JsonToken::UInt(u64::MAX)
+            ]
+        );
     }
 
     /// The block renderers agree with the digit-at-a-time ones: every
@@ -1547,61 +1494,5 @@ mod tests {
                 assert_eq!(out, n.to_string().as_bytes());
             }
         }
-    }
-
-    #[test]
-    fn u64_precision_is_preserved() {
-        let big = u64::MAX - 1;
-        let v = Json::obj(vec![("wire_bytes", Json::from(big))]);
-        let text = v.to_string();
-        let back = parse(&text).unwrap();
-        assert_eq!(back["wire_bytes"].as_u64(), Some(big));
-    }
-
-    #[test]
-    fn round_trips_nested_documents() {
-        let v = Json::obj(vec![
-            ("name", Json::from("detach \"fast\"")),
-            ("phases", Json::Arr(vec![Json::from(1u64), Json::from(2.5)])),
-            ("none", Json::Null),
-            ("ok", Json::from(true)),
-        ]);
-        let back = parse(&v.to_string()).unwrap();
-        assert_eq!(back, v);
-        let back_pretty = parse(&v.to_string_pretty()).unwrap();
-        assert_eq!(back_pretty, v);
-    }
-
-    #[test]
-    fn parser_handles_escapes_and_unicode() {
-        let v = parse(r#"{"s":"a\"\\\nAé"}"#).unwrap();
-        assert_eq!(v["s"].as_str(), Some("a\"\\\nA\u{e9}"));
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("nul").is_err());
-        assert!(parse("1 2").is_err());
-        assert!(parse("\"unterminated").is_err());
-    }
-
-    #[test]
-    fn index_is_total() {
-        let v = parse(r#"{"a":[10,20]}"#).unwrap();
-        assert_eq!(v["a"][1].as_u64(), Some(20));
-        assert!(v["missing"].is_null());
-        assert!(v["a"][9].is_null());
-        assert!(v["a"]["not-an-object"].is_null());
-    }
-
-    #[test]
-    fn negative_and_float_numbers_parse() {
-        let v = parse(r#"[-3, -2.5, 1e3, 18446744073709551615]"#).unwrap();
-        assert_eq!(v[0].as_i64(), Some(-3));
-        assert_eq!(v[1].as_f64(), Some(-2.5));
-        assert_eq!(v[2].as_f64(), Some(1000.0));
-        assert_eq!(v[3].as_u64(), Some(u64::MAX));
     }
 }

@@ -20,9 +20,9 @@
 //! * [`TimeSeriesRecorder`] / [`AlertEngine`] — a virtual-time metric
 //!   scraper with timestamped exporters, and declarative
 //!   threshold/rate/burn alert rules evaluated at each scrape;
-//! * [`JsonWriter`] / [`Json`] / [`export`] — a dependency-free
-//!   streaming JSON writer and parser used by every exporter and report
-//!   in the workspace.
+//! * [`JsonWriter`] / [`JsonReader`] / [`export`] — a dependency-free
+//!   streaming JSON writer, used by every exporter and report in the
+//!   workspace, and a pull reader that builds no tree.
 //!
 //! Everything in the upper crates (`ninja-net`, `ninja-cluster`,
 //! `ninja-vmm`, `ninja-mpi`, `ninja-symvirt`, `ninja-migration`) is built
@@ -44,7 +44,7 @@ pub mod trace;
 pub mod units;
 
 pub use alerts::{AlertEngine, AlertIncident, AlertRule};
-pub use export::{parse, Json, JsonError, JsonWriter, WriteJson};
+pub use export::{JsonError, JsonReader, JsonToken, JsonWriter, WriteJson};
 pub use metrics::{HistogramMetric, LabelSet, MetricsRegistry, SeriesId};
 pub use rng::SimRng;
 pub use span::{LabelValue, SpanLabels, SpanRef};

@@ -684,17 +684,4 @@ mod tests {
             .histogram()
             .buckets()));
     }
-
-    #[test]
-    fn json_export_lists_series() {
-        let mut m = MetricsRegistry::new();
-        m.inc("ninja_migrations_total", &[("to", "eth")], 2);
-        let j = crate::export::parse(&m.to_json()).unwrap();
-        let counters = j["counters"].as_array().unwrap();
-        assert_eq!(counters.len(), 1);
-        assert_eq!(counters[0]["name"].as_str(), Some("ninja_migrations_total"));
-        assert_eq!(counters[0]["labels"]["to"].as_str(), Some("eth"));
-        assert_eq!(counters[0]["value"].as_u64(), Some(2));
-        assert_eq!(j["gauges"].as_array().map(<[_]>::len), Some(0));
-    }
 }

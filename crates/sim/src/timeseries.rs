@@ -562,6 +562,7 @@ impl TimeSeriesRecorder {
 mod tests {
     use super::*;
     use crate::alerts::parse_rules;
+    use crate::export::{JsonReader, JsonToken};
 
     fn t(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)
@@ -716,8 +717,18 @@ mod tests {
         m.inc("c_total", &[("k", "a")], 2);
         rec.advance_to(t(30), &mut m, &mut tr);
         for line in rec.to_jsonl().lines() {
-            let doc = crate::export::parse(line).expect("line parses");
-            assert!(doc["t_ns"].as_u64().is_some());
+            let mut r = JsonReader::new(line);
+            assert_eq!(r.value(), Ok(JsonToken::Object), "line parses");
+            let mut t_ns = None;
+            while let Some(key) = r.next_key().expect("line parses") {
+                let value = r.value().expect("line parses");
+                r.skip_rest(&value).expect("line parses");
+                if key == "t_ns" {
+                    t_ns = value.as_u64();
+                }
+            }
+            r.finish().expect("line parses");
+            assert!(t_ns.is_some());
         }
     }
 

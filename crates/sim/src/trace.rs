@@ -12,7 +12,7 @@
 //! keep the newest entries, with evictions counted in
 //! [`Trace::dropped`].
 
-use crate::export::{hand_off, render, Json, CHUNK};
+use crate::export::{hand_off, render, JsonError, JsonReader, JsonToken, CHUNK};
 use crate::span::{LabelValue, SpanLabels, SpanRef, SpanStore};
 use crate::time::{SimDuration, SimTime};
 use std::borrow::Cow;
@@ -336,52 +336,124 @@ fn span_key(s: &SpanRef<'_>) -> (Option<u64>, Option<u64>) {
     (get("job"), get("mig"))
 }
 
-/// Rebuild a [`Trace`]'s spans from a Chrome trace-event document (the
-/// format [`Trace::to_chrome_json`] writes). Only complete (`"ph":
-/// "X"`) events become spans; string `args` become labels. Timestamps
-/// are microseconds of simulated time, so reconstructed spans are exact
-/// up to the export's microsecond truncation; events whose times do not
-/// fit in a `u64` of nanoseconds are skipped. The result is uncapped and
-/// holds no instants.
-pub fn spans_from_chrome(doc: &Json) -> Trace {
+/// Rebuild a [`Trace`]'s spans from the text of a Chrome trace-event
+/// document (the format [`Trace::to_chrome_json`] writes), read in one
+/// pass through [`JsonReader`] with no tree. Returns the spans and the
+/// number of `traceEvents` elements that are not complete events.
+///
+/// Only complete (`"ph": "X"`) events become spans; string `args`
+/// become labels, in order, duplicates included. Where an object
+/// repeats a key, its first occurrence counts. An element that is not
+/// an object, or whose `ph` is not `"X"`, is counted and skipped. A
+/// document that is not an object, or whose `traceEvents` is not an
+/// array, has no elements. Timestamps are microseconds of
+/// simulated time, so reconstructed spans are exact up to the export's
+/// microsecond truncation; an event without a string `name`, or whose
+/// `ts` or `dur` is not a whole number (`1e3`, `1000.0` and `-0` are
+/// whole) or whose times do not fit in a `u64` of nanoseconds, is
+/// skipped. Blank text is an empty trace; any other text must be one
+/// valid JSON document. The result is uncapped and holds no instants.
+pub fn spans_from_chrome(text: &str) -> Result<(Trace, u64), JsonError> {
     let mut out = Trace::new();
-    let Some(events) = doc["traceEvents"].as_array() else {
-        return out;
-    };
-    for ev in events {
-        if ev["ph"].as_str() != Some("X") {
-            continue;
+    let mut others = 0;
+    if text.trim().is_empty() {
+        return Ok((out, others));
+    }
+    let mut r = JsonReader::new(text);
+    let top = r.value()?;
+    if top == JsonToken::Object {
+        let mut seen = false;
+        let mut args = Vec::new();
+        while let Some(key) = r.next_key()? {
+            let value = r.value()?;
+            if key == "traceEvents"
+                && !std::mem::replace(&mut seen, true)
+                && value == JsonToken::Array
+            {
+                while r.next_item()? {
+                    if !read_event(&mut r, &mut out, &mut args)? {
+                        others += 1;
+                    }
+                }
+                continue;
+            }
+            r.skip_rest(&value)?;
         }
-        let (Some(name), Some(ts), Some(dur)) =
-            (ev["name"].as_str(), ev["ts"].as_u64(), ev["dur"].as_u64())
-        else {
-            continue;
-        };
-        // Microseconds to nanoseconds; an event whose start or end does
-        // not fit is skipped like one with a missing field.
-        let ns = |us: u64| us.checked_mul(1_000);
-        let (Some(start), Some(dur)) = (ns(ts), ns(dur)) else {
-            continue;
-        };
-        let Some(end) = start.checked_add(dur) else {
-            continue;
-        };
-        let cat = ev["cat"].as_str().unwrap_or("").to_string();
-        let mut labels = out.add_span(
-            cat,
-            name.to_string(),
-            SimTime::from_nanos(start),
-            SimTime::from_nanos(end),
-        );
-        if let Json::Obj(args) = &ev["args"] {
-            for (k, v) in args {
-                if let Some(v) = v.as_str() {
-                    labels = labels.label(k.clone(), v);
+    } else {
+        r.skip_rest(&top)?;
+    }
+    r.finish()?;
+    Ok((out, others))
+}
+
+/// Reads one `traceEvents` element and records it in `out` if it is a
+/// complete event with a name and whole times; returns whether its
+/// first `ph` is `"X"`. `args` is scratch room for its string labels.
+fn read_event<'a>(
+    r: &mut JsonReader<'a>,
+    out: &mut Trace,
+    args: &mut Vec<(Cow<'a, str>, Cow<'a, str>)>,
+) -> Result<bool, JsonError> {
+    let token = r.value()?;
+    if token != JsonToken::Object {
+        r.skip_rest(&token)?;
+        return Ok(false);
+    }
+    let [mut ph, mut name, mut ts, mut dur, mut cat] = [None, None, None, None, None];
+    let mut seen_args = false;
+    args.clear();
+    while let Some(key) = r.next_key()? {
+        let value = r.value()?;
+        if key == "args" && !std::mem::replace(&mut seen_args, true) && value == JsonToken::Object {
+            while let Some(k) = r.next_key()? {
+                match r.value()? {
+                    JsonToken::Str(v) => args.push((k, v)),
+                    v => r.skip_rest(&v)?,
                 }
             }
+            continue;
         }
+        r.skip_rest(&value)?;
+        let slot = match &*key {
+            "ph" => &mut ph,
+            "name" => &mut name,
+            "ts" => &mut ts,
+            "dur" => &mut dur,
+            "cat" => &mut cat,
+            _ => continue,
+        };
+        slot.get_or_insert(value);
     }
-    out
+    if ph.as_ref().and_then(JsonToken::as_str) != Some("X") {
+        return Ok(false);
+    }
+    let (Some(name), Some(ts), Some(dur)) = (
+        name.as_ref().and_then(JsonToken::as_str),
+        ts.as_ref().and_then(JsonToken::as_u64),
+        dur.as_ref().and_then(JsonToken::as_u64),
+    ) else {
+        return Ok(true);
+    };
+    // Microseconds to nanoseconds; an event whose start or end does not
+    // fit is skipped like one with a missing field.
+    let ns = |us: u64| us.checked_mul(1_000);
+    let (Some(start), Some(dur)) = (ns(ts), ns(dur)) else {
+        return Ok(true);
+    };
+    let Some(end) = start.checked_add(dur) else {
+        return Ok(true);
+    };
+    let cat = cat.as_ref().and_then(JsonToken::as_str).unwrap_or("");
+    let mut labels = out.add_span(
+        cat.to_string(),
+        name.to_string(),
+        SimTime::from_nanos(start),
+        SimTime::from_nanos(end),
+    );
+    for (k, v) in args.drain(..) {
+        labels = labels.label(k.into_owned(), &v);
+    }
+    Ok(true)
 }
 
 /// Reconstruct every migration's critical path from a trace's spans (a
@@ -651,10 +723,10 @@ mod tests {
         let mut tr = Trace::new();
         tr.add_span("symvirt", "detach", t(1), t(2))
             .label("vm", "j0v0");
-        let doc = crate::export::parse(&tr.to_chrome_json()).unwrap();
-        let ev = &doc["traceEvents"][0];
-        assert_eq!(ev["ph"].as_str(), Some("X"));
-        assert_eq!(ev["args"]["vm"].as_str(), Some("j0v0"));
+        // Only "X" events become spans, with their args as labels.
+        let (spans, _) = spans_from_chrome(&tr.to_chrome_json()).unwrap();
+        let ev = spans.all_spans().next().expect("an X event");
+        assert_eq!(ev.label("vm"), Some(LabelValue::Str("j0v0")));
     }
 
     /// Builds the span tree of one migration: envelope, tiled phases,
@@ -706,8 +778,7 @@ mod tests {
         let mut tr = Trace::new();
         record_migration(&mut tr, 0, 0, 5, [1, 20, 3]);
         record_migration(&mut tr, 0, 1, 40, [1, 8, 2]);
-        let doc = crate::export::parse(&tr.to_chrome_json()).unwrap();
-        let spans = spans_from_chrome(&doc);
+        let (spans, _) = spans_from_chrome(&tr.to_chrome_json()).unwrap();
         assert_eq!(spans.all_spans().len(), tr.all_spans().len());
         let paths = critical_paths(&spans, &["detach", "migration", "attach"]);
         assert_eq!(paths.len(), 2);
@@ -727,12 +798,7 @@ mod tests {
         let mut tr = Trace::new();
         tr.add_instant("x", "tick", t(1), TraceLevel::Info);
         assert!(tr.critical_paths(&["detach"]).is_empty());
-        assert_eq!(
-            spans_from_chrome(&crate::export::parse("{}").unwrap())
-                .all_spans()
-                .len(),
-            0
-        );
+        assert_eq!(spans_from_chrome("{}").unwrap().0.all_spans().len(), 0);
     }
 
     #[test]

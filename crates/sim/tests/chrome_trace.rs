@@ -12,7 +12,8 @@
 //! non-ASCII text) exporting the file's own bytes; a ring-capped trace
 //! after eviction; and integer labels from 0 to `u64::MAX`.
 
-use ninja_sim::{parse, spans_from_chrome, SimDuration, SimTime, Trace, TraceLevel};
+use ninja_json_tree::parse;
+use ninja_sim::{spans_from_chrome, SimDuration, SimTime, Trace, TraceLevel};
 use std::fmt::{self, Write};
 
 fn at_us(us: u64) -> SimTime {
@@ -80,9 +81,10 @@ fn tricky_strings_round_trip_through_the_parser() {
         tr.add_instant(s.to_string(), s.to_string(), start, TraceLevel::Warn)
             .label("detail", s);
     }
-    let doc = parse(&tr.to_chrome_json()).expect("the writer emits valid JSON");
+    let text = tr.to_chrome_json();
+    let doc = parse(&text).expect("the writer emits valid JSON");
 
-    let back = spans_from_chrome(&doc);
+    let (back, _) = spans_from_chrome(&text).unwrap();
     assert_eq!(back.all_spans().len(), tr.all_spans().len());
     for (a, b) in tr.all_spans().zip(back.all_spans()) {
         assert_eq!(a.component(), b.component());
@@ -127,7 +129,7 @@ fn file_names_outside_the_static_set_round_trip() {
         })
         .collect();
     let text = format!(r#"{{"traceEvents":[{}]}}"#, events.join(","));
-    let back = spans_from_chrome(&parse(&text).unwrap());
+    let (back, _) = spans_from_chrome(&text).unwrap();
     assert_eq!(back.all_spans().len(), 600);
     let last = back.all_spans().last().unwrap();
     assert_eq!((last.component(), last.name()), ("comp-4", "kind-299"));
@@ -156,7 +158,7 @@ fn rebuilt_store_with_escapes_exports_the_same_bytes() {
         .label("vm", &format!("{s}-vm0"));
     }
     let text = tr.to_chrome_json();
-    let back = spans_from_chrome(&parse(&text).expect("valid JSON"));
+    let (back, _) = spans_from_chrome(&text).expect("valid JSON");
     assert_eq!(back.to_chrome_json(), text);
     let last = back.all_spans().last().unwrap();
     assert_eq!(last.label("n").and_then(|v| v.as_str()), Some("9"));

@@ -9,7 +9,8 @@
 //! with every escape class and multi-byte characters, and extreme
 //! numbers.
 
-use ninja_sim::{parse, Json, JsonWriter, SimRng, WriteJson};
+use ninja_json_tree::{parse, Json};
+use ninja_sim::{JsonWriter, SimRng, WriteJson};
 
 /// The tree `parse` returns for what the writer makes of `v`.
 fn normalize(v: &Json) -> Json {
@@ -163,4 +164,27 @@ fn writer_calls_match_the_equivalent_tree() {
         };
         assert_eq!(out, want);
     }
+}
+
+#[test]
+fn round_trips_nested_documents() {
+    let v = Json::obj(vec![
+        ("name", Json::from("detach \"fast\"")),
+        ("phases", Json::Arr(vec![Json::from(1u64), Json::from(2.5)])),
+        ("none", Json::Null),
+        ("ok", Json::from(true)),
+    ]);
+    let back = parse(&v.to_string()).unwrap();
+    assert_eq!(back, v);
+    let back_pretty = parse(&v.to_string_pretty()).unwrap();
+    assert_eq!(back_pretty, v);
+}
+
+#[test]
+fn index_is_total() {
+    let v = parse(r#"{"a":[10,20]}"#).unwrap();
+    assert_eq!(v["a"][1].as_u64(), Some(20));
+    assert!(v["missing"].is_null());
+    assert!(v["a"][9].is_null());
+    assert!(v["a"]["not-an-object"].is_null());
 }

@@ -350,8 +350,8 @@ fn writer_structure_matches_its_fixtures() {
     assert_eq!(pretty, fixture("writer-structure.json"));
     assert_eq!(compact, fixture("writer-structure.compact.json"));
     // Both forms read back as the same value.
-    let value = ninja_sim::parse(&pretty).unwrap();
-    assert_eq!(ninja_sim::parse(&compact).unwrap(), value);
+    let value = ninja_json_tree::parse(&pretty).unwrap();
+    assert_eq!(ninja_json_tree::parse(&compact).unwrap(), value);
     // The innermost key sits inside the root object and DEEP containers.
     let indent = " ".repeat(2 * (DEEP as usize + 1));
     assert!(pretty.contains(&format!("\n{indent}\"next\": \"bottom\"\n")));

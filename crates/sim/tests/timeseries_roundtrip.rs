@@ -2,7 +2,8 @@
 //! sample the recorder holds must be exactly recoverable from the
 //! JSONL, CSV, and timestamped-Prometheus text forms.
 
-use ninja_sim::{parse, MetricsRegistry, SimDuration, SimRng, SimTime, TimeSeriesRecorder, Trace};
+use ninja_json_tree::parse;
+use ninja_sim::{MetricsRegistry, SimDuration, SimRng, SimTime, TimeSeriesRecorder, Trace};
 
 /// Drive a recorder over a seeded pseudo-random workload: counters,
 /// gauges (including labeled and awkward label values), and a
