@@ -28,7 +28,6 @@
 use crate::export::{JsonWriter, WriteJson};
 use crate::metrics::LabelSet;
 use crate::time::SimTime;
-use crate::timeseries::SeriesPoint;
 use std::fmt;
 
 /// Comparison operator of an alert condition.
@@ -64,15 +63,6 @@ impl SeriesRef {
     /// Whether a scraped series (point name plus labels) is referenced.
     pub fn matches(&self, name: &str, labels: &LabelSet) -> bool {
         self.name == name && self.labels.as_ref().map_or(true, |want| want == labels)
-    }
-
-    /// Reads the referenced value out of one scrape snapshot.
-    pub fn read(&self, points: &[SeriesPoint]) -> f64 {
-        points
-            .iter()
-            .filter(|p| self.matches(&p.name, &p.labels))
-            .map(|p| p.value)
-            .sum()
     }
 }
 
@@ -488,9 +478,19 @@ mod tests {
     use super::*;
     use crate::export::JsonToken;
     use crate::time::SimDuration;
+    use crate::timeseries::SeriesPoint;
 
     fn t(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)
+    }
+
+    /// The value `s` references in one scrape snapshot.
+    fn read(s: &SeriesRef, points: &[SeriesPoint]) -> f64 {
+        points
+            .iter()
+            .filter(|p| s.matches(&p.name, &p.labels))
+            .map(|p| p.value)
+            .sum()
     }
 
     /// Evaluates every rule of `e` at scrape instant `at`. `prev` is
@@ -503,8 +503,8 @@ mod tests {
         cur: &[SeriesPoint],
     ) -> Vec<AlertEvent> {
         e.evaluate_with(at, prev.map(|(t, _)| t), |_, s, previous| match prev {
-            Some((_, points)) if previous => s.read(points),
-            _ => s.read(cur),
+            Some((_, points)) if previous => read(s, points),
+            _ => read(s, cur),
         })
     }
 
@@ -611,12 +611,12 @@ mod tests {
             pt_labeled("x", &[("phase", "b")], 2.0),
             pt("y", 10.0),
         ];
-        assert_eq!(r.read(&points), 3.0);
+        assert_eq!(read(&r, &points), 3.0);
         let missing = SeriesRef {
             name: "zzz".to_string(),
             labels: None,
         };
-        assert_eq!(missing.read(&points), 0.0);
+        assert_eq!(read(&missing, &points), 0.0);
     }
 
     #[test]

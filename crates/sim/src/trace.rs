@@ -182,33 +182,6 @@ impl Trace {
         self.instants.iter()
     }
 
-    /// The envelope duration of all spans named `name` (any
-    /// component): earliest start to latest end. `None` when no such
-    /// span was recorded. This is the primitive the overhead breakdown
-    /// is computed from.
-    pub fn span(&self, name: &str) -> Option<SimDuration> {
-        let mut start: Option<SimTime> = None;
-        let mut end: Option<SimTime> = None;
-        for s in self.spans.iter().filter(|s| s.name() == name) {
-            start = Some(start.map_or(s.start(), |cur: SimTime| cur.min(s.start())));
-            end = Some(end.map_or(s.end(), |cur: SimTime| cur.max(s.end())));
-        }
-        Some(end?.since(start?))
-    }
-
-    /// All `(start, end)` intervals of spans named `name` (any
-    /// component), in start order.
-    pub fn spans(&self, name: &str) -> Vec<(SimTime, SimTime)> {
-        let mut out: Vec<(SimTime, SimTime)> = self
-            .spans
-            .iter()
-            .filter(|s| s.name() == name)
-            .map(|s| (s.start(), s.end()))
-            .collect();
-        out.sort();
-        out
-    }
-
     /// Export as Chrome trace-event JSON (load in `chrome://tracing`
     /// or <https://ui.perfetto.dev>).
     pub fn to_chrome_json(&self) -> String {
@@ -237,12 +210,6 @@ impl Trace {
             .write_chrome_events(true, &mut comma, &mut buf, out)?;
         buf.extend_from_slice(b"]}");
         hand_off(&buf, out)
-    }
-
-    /// Reconstruct per-migration critical paths from this trace's
-    /// spans. See [`critical_paths`] for the reconstruction rules.
-    pub fn critical_paths(&self, phase_names: &[&str]) -> Vec<MigrationPath> {
-        critical_paths(self, phase_names)
     }
 
     /// Render the whole trace as text (debugging aid): the instants in
@@ -576,24 +543,9 @@ mod tests {
         );
         let labels: Vec<_> = i.labels().collect();
         assert_eq!(labels, [("level", Str("INFO")), ("detail", Str("round 1"))]);
-        assert_eq!(tr.span("migration"), Some(SimDuration::from_secs(4)));
-        assert_eq!(tr.all_spans().next().unwrap().label("vm"), Some(Str("vm0")));
-    }
-
-    #[test]
-    fn span_envelope_requires_recorded_span() {
-        let tr = Trace::new();
-        assert_eq!(tr.span("phase"), None);
-    }
-
-    #[test]
-    fn multiple_spans_sum() {
-        let mut tr = Trace::new();
-        tr.add_span("h", "hotplug", t(1), t(3));
-        tr.add_span("h", "hotplug", t(10), t(11));
-        assert_eq!(tr.spans("hotplug").len(), 2);
-        // Envelope spans the outer interval.
-        assert_eq!(tr.span("hotplug"), Some(SimDuration::from_secs(10)));
+        let span = tr.all_spans().next().unwrap();
+        assert_eq!(span.duration(), SimDuration::from_secs(4));
+        assert_eq!(span.label("vm"), Some(Str("vm0")));
     }
 
     #[test]
@@ -758,7 +710,7 @@ mod tests {
         let mut tr = Trace::new();
         record_migration(&mut tr, 0, 0, 10, [2, 30, 4]);
         record_migration(&mut tr, 1, 0, 20, [2, 5, 40]);
-        let paths = tr.critical_paths(&["detach", "migration", "attach"]);
+        let paths = critical_paths(&tr, &["detach", "migration", "attach"]);
         assert_eq!(paths.len(), 2);
         let p0 = &paths[0];
         assert_eq!((p0.job, p0.mig), (Some(0), Some(0)));
@@ -797,7 +749,7 @@ mod tests {
     fn critical_paths_on_span_free_trace_is_empty() {
         let mut tr = Trace::new();
         tr.add_instant("x", "tick", t(1), TraceLevel::Info);
-        assert!(tr.critical_paths(&["detach"]).is_empty());
+        assert!(critical_paths(&tr, &["detach"]).is_empty());
         assert_eq!(spans_from_chrome("{}").unwrap().0.all_spans().len(), 0);
     }
 
