@@ -20,12 +20,10 @@
 //! 4096 jobs is at most 3x that at 256 jobs, and per-iteration cost
 //! grows far slower than the fleet.
 
-use ninja_bench::{claim, finish, render_table};
+use ninja_bench::{append_bench, claim, finish, render_table};
 use ninja_fleet::{build_auto, run_fleet, FleetConfig, ScenarioKind, ScenarioSpec};
 use ninja_sim::{SimDuration, Trace, WriteJson};
 use ninja_symvirt::GuestCooperative;
-use std::path::Path;
-use std::process::exit;
 use std::time::Instant;
 
 /// Runs per row; the row keeps the fastest, which is the stablest
@@ -124,47 +122,6 @@ fn run_engine(jobs_n: usize, concurrency: usize) -> (Walls, Counts) {
         makespan_s: report.makespan.as_secs_f64(),
     };
     (walls, counts)
-}
-
-/// One invocation's record in `BENCH_fleet.json`.
-struct Record<'a> {
-    unix_time: u64,
-    mode: &'a str,
-    bench: &'a str,
-    rows: &'a [Row],
-}
-ninja_bench::impl_write_json!(Record<'_> {
-    unix_time,
-    mode,
-    bench,
-    rows
-});
-
-/// Append this run's rows to `BENCH_fleet.json` (a JSON array of run
-/// records) at the workspace root, or exit nonzero if the file is not
-/// such an array.
-fn append_bench(mode: &str, rows: &[Row]) {
-    let root = std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| format!("{d}/../.."))
-        .unwrap_or_else(|_| ".".into());
-    let path = format!("{root}/BENCH_fleet.json");
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let record = Record {
-        unix_time,
-        mode,
-        bench: "fleet_scale",
-        rows,
-    };
-    match ninja_bench::append_run(Path::new(&path), &record) {
-        Ok(()) => println!("(appended to {path})"),
-        Err(e) => {
-            eprintln!("error: could not append to {path}: {e}");
-            exit(1)
-        }
-    }
 }
 
 fn main() {
@@ -272,6 +229,15 @@ fn main() {
         );
     }
 
-    append_bench(if quick { "quick" } else { "full" }, &rows);
+    // A JSON array of run records at the workspace root.
+    let root =
+        std::env::var("CARGO_MANIFEST_DIR").map_or_else(|_| ".".into(), |d| format!("{d}/../.."));
+    let mode = if quick { "quick" } else { "full" };
+    append_bench(
+        &format!("{root}/BENCH_fleet.json"),
+        "fleet_scale",
+        mode,
+        &rows,
+    );
     finish(ok);
 }

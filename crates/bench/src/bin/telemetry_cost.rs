@@ -25,7 +25,7 @@
 //! 1.5x the wall time and at most +20% of the peak RSS of everything
 //! off, at concurrency 4 and 256.
 
-use ninja_bench::{claim, finish, render_table};
+use ninja_bench::{append_bench, claim, finish, render_table};
 use ninja_fleet::{build_auto, run_fleet, FleetConfig, ScenarioKind, ScenarioSpec};
 use ninja_sim::alerts::{default_rules, parse_rules};
 use ninja_sim::export::overwrite_file;
@@ -73,24 +73,6 @@ impl WriteJson for Row {
         w.field("peak_rss_mib", &self.median.peak_rss_mib)?;
         w.field("series_points", &self.median.series_points)?;
         w.field("trace_bytes", &self.median.trace_bytes)?;
-        w.end_object()
-    }
-}
-
-/// One invocation's record in `BENCH_telemetry.json`.
-struct Record<'a> {
-    unix_time: u64,
-    mode: &'a str,
-    rows: &'a [Row],
-}
-
-impl WriteJson for Record<'_> {
-    fn write_json<W: fmt::Write + ?Sized>(&self, w: &mut JsonWriter<'_, W>) -> fmt::Result {
-        w.begin_object()?;
-        w.field("unix_time", &self.unix_time)?;
-        w.field("mode", self.mode)?;
-        w.field("bench", "telemetry_cost")?;
-        w.field("rows", self.rows)?;
         w.end_object()
     }
 }
@@ -214,20 +196,6 @@ fn median(mut v: Vec<f64>) -> f64 {
     }
 }
 
-/// Appends this invocation's record to `BENCH_telemetry.json` (a JSON
-/// array of records) in the current directory, or exits nonzero if the
-/// file is not such an array.
-fn append_bench(record: &Record<'_>) {
-    let path = "BENCH_telemetry.json";
-    match ninja_bench::append_run(Path::new(path), record) {
-        Ok(()) => println!("(appended to {path})"),
-        Err(e) => {
-            eprintln!("error: could not append to {path}: {e}");
-            exit(1)
-        }
-    }
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("--child") {
@@ -302,14 +270,9 @@ fn main() {
         )
     );
 
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    append_bench(&Record {
-        unix_time,
-        mode: if quick { "quick" } else { "full" },
-        rows: &rows,
-    });
+    // A JSON array of run records in the current directory.
+    let mode = if quick { "quick" } else { "full" };
+    append_bench("BENCH_telemetry.json", "telemetry_cost", mode, &rows);
 
     let mut ok = true;
     if !quick {

@@ -109,16 +109,17 @@ pub fn write_json<T: WriteJson + ?Sized>(name: &str, value: &T) {
     }
 }
 
-/// Appends `run` to the JSON array of run records in the file at `path`
-/// (the `BENCH_*.json` trend files) as text: the file's bytes up to its
-/// last run stay as they are, and `,`, the run rendered pretty one
-/// level in and a new closing `]` are written over the line break and
-/// `]` that followed it (what follows the `]` is kept), with
-/// [`overwrite_file`](ninja_sim::export::overwrite_file)'s in-place
-/// rule. A missing or blank file starts a new array. Any other file that
-/// is not one JSON array (a truncated one, say) is left untouched and
-/// reported as an error, so no append ever loses the history before it.
-pub fn append_run<T: WriteJson + ?Sized>(path: &Path, run: &T) -> io::Result<()> {
+/// Appends `run`, one JSON value rendered pretty, to the JSON array of
+/// run records in the file at `path` (the `BENCH_*.json` trend files)
+/// as text: the file's bytes up to its last run stay as they are, and
+/// `,`, the run one level in and a new closing `]` are written over the
+/// line break and `]` that followed it (what follows the `]` is kept),
+/// with [`overwrite_file`](ninja_sim::export::overwrite_file)'s
+/// in-place rule. A missing or blank file starts a new array. Any other
+/// file that is not one JSON array (a truncated one, say) is left
+/// untouched and reported as an error, so no append loses the history
+/// before it.
+pub fn append_run(path: &Path, run: &str) -> io::Result<()> {
     let old = match std::fs::read_to_string(path) {
         Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
         read => read?,
@@ -135,8 +136,31 @@ pub fn append_run<T: WriteJson + ?Sized>(path: &Path, run: &T) -> io::Result<()>
         (old[..close].trim_end(), &old[close + 1..])
     };
     let comma = if head.ends_with('[') { "" } else { "," };
-    let run = run.to_json_pretty().replace('\n', "\n  ");
+    let run = run.replace('\n', "\n  ");
     ninja_sim::export::overwrite_file(path, |out| write!(out, "{head}{comma}\n  {run}\n]{tail}"))
+}
+
+/// Appends one invocation's record, `{"unix_time", "mode", "bench",
+/// "rows"}`, to the trend file at `path` with [`append_run`], and says
+/// so; exits nonzero if the file is not a JSON array of records.
+pub fn append_bench<R: WriteJson>(path: &str, bench: &str, mode: &str, rows: &[R]) {
+    let unix_time = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
+    let run = ninja_sim::export::render(0, |out| {
+        let mut w = JsonWriter::pretty(out);
+        w.begin_object()?;
+        w.field("unix_time", &unix_time)?;
+        w.field("mode", mode)?;
+        w.field("bench", bench)?;
+        w.field("rows", rows)?;
+        w.end_object()
+    });
+    if let Err(e) = append_run(Path::new(path), &run) {
+        eprintln!("error: could not append to {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("(appended to {path})");
 }
 
 /// The offset of the closing `]` of `text`, when `text` is one JSON

@@ -49,7 +49,7 @@ fn appending_to_the_committed_files_keeps_their_bytes() {
         let old = std::fs::read_to_string(&committed).unwrap();
         let path = scratch(name);
         std::fs::write(&path, &old).unwrap();
-        append_run(&path, &run()).unwrap();
+        append_run(&path, &run().to_json_pretty()).unwrap();
         let new = std::fs::read_to_string(&path).unwrap();
 
         let close = old.trim_end().len() - 1;
@@ -93,14 +93,14 @@ fn a_file_that_is_not_an_array_is_left_untouched() {
     for (name, text) in cases {
         let path = scratch(name);
         std::fs::write(&path, &text).unwrap();
-        let err = append_run(&path, &run()).unwrap_err();
+        let err = append_run(&path, &run().to_json_pretty()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}: {err}");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), text, "{name}");
     }
     // Bytes that are not UTF-8 are not a record file either.
     let path = scratch("binary.json");
     std::fs::write(&path, b"[\xff]").unwrap();
-    assert!(append_run(&path, &run()).is_err());
+    assert!(append_run(&path, &run().to_json_pretty()).is_err());
     assert_eq!(std::fs::read(&path).unwrap(), b"[\xff]");
 }
 
@@ -115,7 +115,7 @@ fn a_missing_blank_or_empty_file_gives_a_one_run_array() {
         if let Some(text) = text {
             std::fs::write(&path, text).unwrap();
         }
-        append_run(&path, &run()).unwrap();
+        append_run(&path, &run().to_json_pretty()).unwrap();
         let new = std::fs::read_to_string(&path).unwrap();
         assert_eq!(runs(&parse(&new).unwrap()), vec![run()], "{name}");
         assert_eq!(
@@ -124,7 +124,7 @@ fn a_missing_blank_or_empty_file_gives_a_one_run_array() {
             "{name}"
         );
         // A second append extends the same array.
-        append_run(&path, &run()).unwrap();
+        append_run(&path, &run().to_json_pretty()).unwrap();
         let twice = std::fs::read_to_string(&path).unwrap();
         assert_eq!(runs(&parse(&twice).unwrap()), vec![run(), run()], "{name}");
     }

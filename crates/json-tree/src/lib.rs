@@ -1,14 +1,10 @@
 //! # ninja-json-tree — a JSON value tree for tests
 //!
 //! Production code writes JSON through [`ninja_sim::JsonWriter`] and
-//! reads it, where it must, through the pull reader
-//! [`ninja_sim::JsonReader`]; it never builds a tree. Tests that check
-//! what was written want one: [`parse`] folds the pull reader's values
-//! into a [`Json`], so it accepts exactly the documents the reader
-//! accepts, with the same errors at the same offsets, and
-//! `impl WriteJson for Json` writes a tree back through the one writer.
-//!
-//! This crate is only ever a dev-dependency.
+//! reads it through the pull reader [`ninja_sim::JsonReader`], never as
+//! a tree. Tests want one: [`parse`] folds the reader's values into a
+//! [`Json`] (same documents, same errors), and a [`Json`] writes itself
+//! through the one writer. Only ever a dev-dependency.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,10 +12,7 @@
 use ninja_sim::{JsonError, JsonReader, JsonToken, JsonWriter, WriteJson};
 use std::fmt::{self, Write};
 
-/// A JSON value.
-///
-/// Integers keep their own variants so `u64` quantities like wire
-/// bytes never lose precision through an `f64` round-trip.
+/// A JSON value. Integers keep their own variants, exact past 2^53.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -113,8 +106,7 @@ impl Json {
     }
 }
 
-/// Parses a JSON document (trailing whitespace allowed, nothing else)
-/// into a tree.
+/// Parses one JSON document into a tree.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut reader = JsonReader::new(text);
     let tree = read(&mut reader)?;

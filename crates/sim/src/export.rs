@@ -9,11 +9,8 @@
 //! backslashes, control characters) and formats non-finite floats as
 //! `null` (JSON has no NaN/Infinity).
 //!
-//! [`JsonReader`] is the one reader: a recursive-descent pull reader
-//! that hands out a document's scalars, object keys and array items in
-//! order and skips a value of any nesting, building nothing. Strings
-//! borrow the input unless they hold an escape. `ninja trace` reads a
-//! Chrome trace through it
+//! [`JsonReader`] is the one reader, a pull reader that builds nothing;
+//! `ninja trace` reads a Chrome trace through it
 //! ([`spans_from_chrome`](crate::spans_from_chrome)).
 //!
 //! The telemetry exporters stream: they write into any `fmt::Write`
@@ -953,8 +950,7 @@ pub fn overwrite_file(
     written
 }
 
-/// Error from [`JsonReader`]: a message and the byte offset it refers
-/// to.
+/// Error from [`JsonReader`]: a message and the byte offset it refers to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// What went wrong.
@@ -971,11 +967,8 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// What [`JsonReader::value`] reads: a whole scalar, or the opening of
-/// a container whose items or fields the caller reads next.
-///
-/// Integers keep their own variants so `u64` quantities like wire bytes
-/// never lose precision through an `f64`.
+/// What [`JsonReader::value`] reads: a whole scalar, or the opening of a
+/// container. Integers keep their own variants, exact past 2^53.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonToken<'a> {
     /// `null`.
@@ -997,14 +990,6 @@ pub enum JsonToken<'a> {
 }
 
 impl<'a> JsonToken<'a> {
-    /// As a string slice, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonToken::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// As a `u64`, if numeric and exactly representable: an integer in
     /// range, or a whole float in range (`1e3`, `1000.0` and `-0` are
     /// whole).
@@ -1021,18 +1006,13 @@ impl<'a> JsonToken<'a> {
 }
 
 /// A recursive-descent pull reader over one JSON document (RFC 8259,
-/// no extensions): it hands out the document's values in order and
-/// builds nothing.
-///
-/// [`value`](Self::value) reads the next value. A scalar comes back
-/// whole; a container comes back as [`JsonToken::Array`] or
-/// [`JsonToken::Object`], and the caller walks it with
+/// no extensions) that builds nothing. [`value`](Self::value) reads a
+/// scalar whole or opens a container, which the caller walks with
 /// [`next_item`](Self::next_item) or [`next_key`](Self::next_key),
-/// reading each item or field value in turn, or hands the token to
+/// reading each value in turn, or passes over with
 /// [`skip_rest`](Self::skip_rest). [`finish`](Self::finish) ends the
-/// document. Errors name the first byte that breaks the grammar, so a
-/// caller that reads the whole document sees the same error whichever
-/// values it skips.
+/// document. An error names the first byte that breaks the grammar,
+/// whichever values the caller skips.
 pub struct JsonReader<'a> {
     text: &'a str,
     pos: usize,
@@ -1050,8 +1030,7 @@ impl<'a> JsonReader<'a> {
         }
     }
 
-    /// Reads the next value: a scalar whole, or a container's opening
-    /// bracket.
+    /// Reads the next value: a scalar whole, or a container's opening.
     pub fn value(&mut self) -> Result<JsonToken<'a>, JsonError> {
         self.skip_ws();
         match self.peek() {
@@ -1066,9 +1045,8 @@ impl<'a> JsonReader<'a> {
         }
     }
 
-    /// In an array: whether another item follows (read it next with
-    /// [`value`](Self::value) or [`skip`](Self::skip)); `false` once the
-    /// array has closed.
+    /// In an array: whether another item follows (read it next); `false`
+    /// once the array has closed.
     pub fn next_item(&mut self) -> Result<bool, JsonError> {
         self.next(b']')
     }
@@ -1076,36 +1054,23 @@ impl<'a> JsonReader<'a> {
     /// In an object: the next field's key (read its value next), or
     /// `None` once the object has closed.
     pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
-        if !self.next(b'}')? {
-            return Ok(None);
-        }
-        let key = self.string()?;
-        self.skip_ws();
-        self.expect(b':')?;
-        Ok(Some(key))
+        self.next(b'}')?.then(|| self.key()).transpose()
     }
 
-    /// Skips the next value, of any nesting.
-    pub fn skip(&mut self) -> Result<(), JsonError> {
-        let token = self.value()?;
-        self.skip_rest(&token)
-    }
-
-    /// Skips the items or fields of the container `token` opened; a
-    /// scalar has nothing left to skip.
+    /// Skips the items or fields of the container `token` opened, of any
+    /// nesting; a scalar has nothing left to skip.
     pub fn skip_rest(&mut self, token: &JsonToken<'_>) -> Result<(), JsonError> {
-        match token {
-            JsonToken::Array => {
-                while self.next_item()? {
-                    self.skip()?;
-                }
+        let close = match token {
+            JsonToken::Array => b']',
+            JsonToken::Object => b'}',
+            _ => return Ok(()),
+        };
+        while self.next(close)? {
+            if close == b'}' {
+                self.key()?;
             }
-            JsonToken::Object => {
-                while self.next_key()?.is_some() {
-                    self.skip()?;
-                }
-            }
-            _ => {}
+            let item = self.value()?;
+            self.skip_rest(&item)?;
         }
         Ok(())
     }
@@ -1130,18 +1095,28 @@ impl<'a> JsonReader<'a> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
+    /// Steps over the next byte if it is one of `set`; returns whether
+    /// it did.
+    fn eat(&mut self, set: &[u8]) -> bool {
+        let hit = self.peek().is_some_and(|c| set.contains(&c));
+        self.pos += usize::from(hit);
+        hit
+    }
+
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while self.eat(b" \t\n\r") {}
+    }
+
+    fn digits(&mut self) {
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
             self.pos += 1;
         }
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
+        match self.eat(&[b]) {
+            true => Ok(()),
+            false => Err(self.err(&format!("expected '{}'", b as char))),
         }
     }
 
@@ -1152,6 +1127,14 @@ impl<'a> JsonReader<'a> {
         } else {
             Err(self.err(&format!("expected '{word}'")))
         }
+    }
+
+    /// A field's key and the colon after it.
+    fn key(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(key)
     }
 
     fn open(&mut self, token: JsonToken<'a>) -> JsonToken<'a> {
@@ -1181,70 +1164,61 @@ impl<'a> JsonReader<'a> {
         }
     }
 
-    /// Reads a string. The run up to the closing quote is borrowed from
-    /// the input; the first escape switches to an owned copy.
+    /// Reads a string: borrowed from the input up to its first escape,
+    /// an owned copy from there on.
     fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let start = self.pos;
-        self.run();
-        if self.peek() == Some(b'"') {
-            self.pos += 1;
-            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
-        }
-        let mut out = self.text[start..self.pos].to_string();
+        let mut out = Cow::Borrowed("");
         loop {
+            // The run up to the next quote or escape (both ASCII, so the
+            // cut is on a character boundary) in one piece.
+            let start = self.pos;
+            while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\') {
+                self.pos += 1;
+            }
+            let run = &self.text[start..self.pos];
+            if out.is_empty() {
+                out = Cow::Borrowed(run);
+            } else {
+                out.to_mut().push_str(run);
+            }
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(Cow::Owned(out));
+                    return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000C}'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi)
-                                && self.text[self.pos..].starts_with("\\u")
-                            {
-                                // Surrogate pair.
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                let combined =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
-                                char::from_u32(combined).unwrap_or('\u{FFFD}')
-                            } else {
-                                char::from_u32(hi).unwrap_or('\u{FFFD}')
-                            };
-                            out.push(c);
-                            continue;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    self.run();
-                    out.push_str(&self.text[start..self.pos]);
-                }
+                _ => self.pos += 1,
             }
-        }
-    }
-
-    /// Steps over a run of string text up to the next quote or escape
-    /// (both ASCII, so the run ends on a character boundary).
-    fn run(&mut self) {
-        while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\') {
+            let c = match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{0008}',
+                Some(b'f') => '\u{000C}',
+                Some(b'u') => {
+                    self.pos += 1;
+                    let hi = self.hex4()?;
+                    let c = if (0xD800..0xDC00).contains(&hi)
+                        && self.text[self.pos..].starts_with("\\u")
+                    {
+                        // Surrogate pair.
+                        self.pos += 2;
+                        let lo = self.hex4()?;
+                        let combined = 0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
+                        char::from_u32(combined).unwrap_or('\u{FFFD}')
+                    } else {
+                        char::from_u32(hi).unwrap_or('\u{FFFD}')
+                    };
+                    out.to_mut().push(c);
+                    continue;
+                }
+                _ => return Err(self.err("bad escape")),
+            };
+            out.to_mut().push(c);
             self.pos += 1;
         }
     }
@@ -1253,37 +1227,28 @@ impl<'a> JsonReader<'a> {
         if self.pos + 4 > self.text.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let hex = self
-            .text
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| self.err("bad \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+        let hex = self.text.get(self.pos..self.pos + 4);
+        let v = hex.and_then(|h| u32::from_str_radix(h, 16).ok());
+        let v = v.ok_or_else(|| self.err("bad \\u escape"))?;
         self.pos += 4;
         Ok(v)
     }
 
     fn number(&mut self) -> Result<JsonToken<'a>, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
+        self.eat(b"-");
         self.digits();
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
+        let fraction = self.eat(b".");
+        if fraction {
             self.digits();
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
+        let exponent = self.eat(b"eE");
+        if exponent {
+            self.eat(b"+-");
             self.digits();
         }
         let text = &self.text[start..self.pos];
-        if !is_float {
+        if !(fraction || exponent) {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(JsonToken::UInt(u));
             }
@@ -1294,12 +1259,6 @@ impl<'a> JsonReader<'a> {
         text.parse::<f64>()
             .map(JsonToken::Num)
             .map_err(|_| self.err("bad number"))
-    }
-
-    fn digits(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
     }
 }
 
@@ -1440,9 +1399,48 @@ mod tests {
     }
 
     #[test]
+    fn round_trips_nested_documents() {
+        let write = |pretty: bool| {
+            render(0, |out| {
+                let mut w = match pretty {
+                    true => JsonWriter::pretty(out),
+                    false => JsonWriter::compact(out),
+                };
+                w.begin_object()?;
+                w.field("name", "detach \"fast\"")?;
+                w.key("phases")?;
+                w.begin_array()?;
+                w.u64(1)?;
+                w.f64(2.5)?;
+                w.end_array()?;
+                w.field("none", &None::<u64>)?;
+                w.field("ok", &true)?;
+                w.end_object()
+            })
+        };
+        let s = |s: &'static str| JsonToken::Str(s.into());
+        let want = [
+            JsonToken::Object,
+            s("name"),
+            s("detach \"fast\""),
+            s("phases"),
+            JsonToken::Array,
+            JsonToken::UInt(1),
+            JsonToken::Num(2.5),
+            s("none"),
+            JsonToken::Null,
+            s("ok"),
+            JsonToken::Bool(true),
+        ];
+        for pretty in [false, true] {
+            assert_eq!(tokens(&write(pretty)).unwrap(), want);
+        }
+    }
+
+    #[test]
     fn parser_handles_escapes_and_unicode() {
         let v = tokens(r#"{"s":"a\"\\\nAé"}"#).unwrap();
-        assert_eq!(v[2].as_str(), Some("a\"\\\nA\u{e9}"));
+        assert_eq!(v[2], JsonToken::Str("a\"\\\nA\u{e9}".into()));
     }
 
     #[test]

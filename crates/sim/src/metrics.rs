@@ -684,4 +684,17 @@ mod tests {
             .histogram()
             .buckets()));
     }
+
+    #[test]
+    fn json_export_lists_series() {
+        let mut m = MetricsRegistry::new();
+        m.inc("ninja_migrations_total", &[("to", "eth")], 2);
+        // One counter with its name, labels and value; no gauges.
+        assert_eq!(
+            m.to_json(),
+            "{\n  \"counters\": [\n    {\n      \"name\": \"ninja_migrations_total\",\n      \
+             \"labels\": {\n        \"to\": \"eth\"\n      },\n      \"value\": 2\n    }\n  ],\n  \
+             \"gauges\": [],\n  \"histograms\": []\n}"
+        );
+    }
 }

@@ -304,25 +304,17 @@ fn span_key(s: &SpanRef<'_>) -> (Option<u64>, Option<u64>) {
 }
 
 /// Rebuild a [`Trace`]'s spans from the text of a Chrome trace-event
-/// document (the format [`Trace::to_chrome_json`] writes), read in one
-/// pass through [`JsonReader`] with no tree. Returns the spans and the
-/// number of `traceEvents` elements that are not complete events.
-///
-/// Only complete (`"ph": "X"`) events become spans; string `args`
-/// become labels, in order, duplicates included. Where an object
-/// repeats a key, its first occurrence counts. An element that is not
-/// an object, or whose `ph` is not `"X"`, is counted and skipped. A
-/// document that is not an object, or whose `traceEvents` is not an
-/// array, has no elements. Timestamps are microseconds of
-/// simulated time, so reconstructed spans are exact up to the export's
-/// microsecond truncation; an event without a string `name`, or whose
-/// `ts` or `dur` is not a whole number (`1e3`, `1000.0` and `-0` are
-/// whole) or whose times do not fit in a `u64` of nanoseconds, is
-/// skipped. Blank text is an empty trace; any other text must be one
-/// valid JSON document. The result is uncapped and holds no instants.
+/// document (the format [`Trace::to_chrome_json`] writes) in one pass
+/// through [`JsonReader`]; also returns how many `traceEvents` elements
+/// are not complete events. Blank text is an empty trace; other text
+/// must be one JSON document. Where an object repeats a key, its first
+/// occurrence counts. Complete (`"ph": "X"`) events with a string
+/// `name` and whole `ts` and `dur` ([`JsonToken::as_u64`]) in
+/// microseconds that fit a `u64` of nanoseconds become spans, their
+/// string `args` labels, in order. The result is uncapped and holds no
+/// instants.
 pub fn spans_from_chrome(text: &str) -> Result<(Trace, u64), JsonError> {
-    let mut out = Trace::new();
-    let mut others = 0;
+    let (mut out, mut others) = (Trace::new(), 0);
     if text.trim().is_empty() {
         return Ok((out, others));
     }
@@ -330,7 +322,6 @@ pub fn spans_from_chrome(text: &str) -> Result<(Trace, u64), JsonError> {
     let top = r.value()?;
     if top == JsonToken::Object {
         let mut seen = false;
-        let mut args = Vec::new();
         while let Some(key) = r.next_key()? {
             let value = r.value()?;
             if key == "traceEvents"
@@ -338,13 +329,11 @@ pub fn spans_from_chrome(text: &str) -> Result<(Trace, u64), JsonError> {
                 && value == JsonToken::Array
             {
                 while r.next_item()? {
-                    if !read_event(&mut r, &mut out, &mut args)? {
-                        others += 1;
-                    }
+                    others += u64::from(!read_event(&mut r, &mut out)?);
                 }
-                continue;
+            } else {
+                r.skip_rest(&value)?;
             }
-            r.skip_rest(&value)?;
         }
     } else {
         r.skip_rest(&top)?;
@@ -355,20 +344,17 @@ pub fn spans_from_chrome(text: &str) -> Result<(Trace, u64), JsonError> {
 
 /// Reads one `traceEvents` element and records it in `out` if it is a
 /// complete event with a name and whole times; returns whether its
-/// first `ph` is `"X"`. `args` is scratch room for its string labels.
-fn read_event<'a>(
-    r: &mut JsonReader<'a>,
-    out: &mut Trace,
-    args: &mut Vec<(Cow<'a, str>, Cow<'a, str>)>,
-) -> Result<bool, JsonError> {
+/// first `ph` is `"X"`.
+fn read_event(r: &mut JsonReader<'_>, out: &mut Trace) -> Result<bool, JsonError> {
     let token = r.value()?;
     if token != JsonToken::Object {
         r.skip_rest(&token)?;
         return Ok(false);
     }
-    let [mut ph, mut name, mut ts, mut dur, mut cat] = [None, None, None, None, None];
-    let mut seen_args = false;
-    args.clear();
+    // The first `ph`, `name`, `ts`, `dur` and `cat`.
+    const KEYS: [&str; 5] = ["ph", "name", "ts", "dur", "cat"];
+    let mut fields: [Option<JsonToken<'_>>; 5] = Default::default();
+    let (mut seen_args, mut args) = (false, Vec::new());
     while let Some(key) = r.next_key()? {
         let value = r.value()?;
         if key == "args" && !std::mem::replace(&mut seen_args, true) && value == JsonToken::Object {
@@ -381,43 +367,35 @@ fn read_event<'a>(
             continue;
         }
         r.skip_rest(&value)?;
-        let slot = match &*key {
-            "ph" => &mut ph,
-            "name" => &mut name,
-            "ts" => &mut ts,
-            "dur" => &mut dur,
-            "cat" => &mut cat,
-            _ => continue,
-        };
-        slot.get_or_insert(value);
+        if let Some(i) = KEYS.iter().position(|k| *k == key) {
+            fields[i].get_or_insert(value);
+        }
     }
-    if ph.as_ref().and_then(JsonToken::as_str) != Some("X") {
+    let [ph, name, ts, dur, cat] = fields;
+    if !matches!(&ph, Some(JsonToken::Str(s)) if s == "X") {
         return Ok(false);
     }
-    let (Some(name), Some(ts), Some(dur)) = (
-        name.as_ref().and_then(JsonToken::as_str),
-        ts.as_ref().and_then(JsonToken::as_u64),
-        dur.as_ref().and_then(JsonToken::as_u64),
-    ) else {
-        return Ok(true);
+    let text = |t: Option<JsonToken<'_>>| match t {
+        Some(JsonToken::Str(s)) => Some(s.into_owned()),
+        _ => None,
     };
     // Microseconds to nanoseconds; an event whose start or end does not
     // fit is skipped like one with a missing field.
-    let ns = |us: u64| us.checked_mul(1_000);
-    let (Some(start), Some(dur)) = (ns(ts), ns(dur)) else {
+    let ns = |t: &Option<JsonToken<'_>>| t.as_ref()?.as_u64()?.checked_mul(1_000);
+    let (Some(name), Some(start), Some(dur)) = (text(name), ns(&ts), ns(&dur)) else {
         return Ok(true);
     };
     let Some(end) = start.checked_add(dur) else {
         return Ok(true);
     };
-    let cat = cat.as_ref().and_then(JsonToken::as_str).unwrap_or("");
+    let cat = text(cat).unwrap_or_default();
     let mut labels = out.add_span(
-        cat.to_string(),
-        name.to_string(),
+        cat,
+        name,
         SimTime::from_nanos(start),
         SimTime::from_nanos(end),
     );
-    for (k, v) in args.drain(..) {
+    for (k, v) in args {
         labels = labels.label(k.into_owned(), &v);
     }
     Ok(true)

@@ -167,20 +167,6 @@ fn writer_calls_match_the_equivalent_tree() {
 }
 
 #[test]
-fn round_trips_nested_documents() {
-    let v = Json::obj(vec![
-        ("name", Json::from("detach \"fast\"")),
-        ("phases", Json::Arr(vec![Json::from(1u64), Json::from(2.5)])),
-        ("none", Json::Null),
-        ("ok", Json::from(true)),
-    ]);
-    let back = parse(&v.to_string()).unwrap();
-    assert_eq!(back, v);
-    let back_pretty = parse(&v.to_string_pretty()).unwrap();
-    assert_eq!(back_pretty, v);
-}
-
-#[test]
 fn index_is_total() {
     let v = parse(r#"{"a":[10,20]}"#).unwrap();
     assert_eq!(v["a"][1].as_u64(), Some(20));
