@@ -20,6 +20,15 @@ echo "== rustdoc (deny warnings) =="
 # private item fails here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+echo "== no JSON tree in production =="
+# The `Json` tree lives in the test-support crate ninja-json-tree, which
+# may only be a dev-dependency: production code writes JSON and reads
+# it through the pull reader, never through a tree.
+if cargo tree --workspace --exclude ninja-json-tree -e normal | grep ninja-json-tree; then
+    echo "ninja-json-tree is a normal dependency of a workspace crate" >&2
+    exit 1
+fi
+
 echo "== non-test lines (record only) =="
 bash scripts/loc.sh
 
